@@ -8,12 +8,9 @@ can be fanned across ``multiprocessing`` workers and merged back in
 fixed task order: the parallel run emits byte-identical results to the
 serial one (asserted by tests/test_bench_runner.py).
 
-Cells can run with the scheduler fast paths enabled (the default) or
-disabled (``fast_paths=False`` re-runs the legacy algorithms), which is
-how the before/after columns of a trajectory file are produced and how
-CI guards against throughput regressions: :func:`check_regression`
-compares a fresh run against the committed baseline on the cells they
-share.
+CI guards against throughput regressions with :func:`check_regression`,
+which compares a fresh run against the committed baseline on the cells
+they share.
 
 Simulated throughput is deterministic for a given cell spec, so the
 regression gate tolerates *zero* drift on identical code — the
@@ -27,8 +24,6 @@ import json
 import multiprocessing
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence
-
-from repro import fastpath
 
 #: site protocols of the E4 grid (benchmarks/test_bench_throughput.py)
 E4_PROTOCOLS = ("strict-2pl", "to", "conservative-2pl", "sgt")
@@ -45,7 +40,6 @@ def make_specs(
     mpl_values: Sequence[int] = DEFAULT_MPL,
     seeds: Sequence[int] = DEFAULT_SEEDS,
     experiment: str = "E4",
-    fast_paths: bool = True,
     transport: str = "sim",
     workers: int = 1,
     groups: int = 1,
@@ -66,7 +60,6 @@ def make_specs(
             "scheme": scheme,
             "mpl": int(mpl),
             "seed": int(seed),
-            "fast_paths": bool(fast_paths),
             "transport": transport,
             "workers": int(workers),
             "groups": int(groups),
@@ -78,37 +71,27 @@ def make_specs(
 
 
 def run_cell(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one bench cell; picklable, safe to call in a worker process.
-
-    The fast-path toggle is process-global, so each cell sets it from
-    its spec before constructing any scheduler component and restores
-    it after — cells with different settings can share a worker.
-    """
-    previous = fastpath.enabled()
-    fastpath.set_enabled(spec.get("fast_paths", True))
-    try:
-        started = time.perf_counter()
-        transport_result = None
-        if spec["experiment"] == "E11":
-            chaos = _run_e11_cell(spec)
-            report, wall_s = chaos.report, chaos.wall_s
-        elif spec["experiment"] == "E13":
-            chaos = _run_e13_cell(spec)
-            report, wall_s = chaos.report, chaos.wall_s
-        else:
-            # E4 (throughput) and E14 (degree of concurrency) share the
-            # workload and the runner; E14 differs only in the gated
-            # statistics (mean WAIT-set size, aggregate events/sec) and
-            # its high-MPL grid (see E14_MPL / check_dominance)
-            transport_result = _run_e4_cell(spec)
-            report = transport_result.report
-            # measured inside this worker by the transport, covering the
-            # dispatch, the run(s), and the merged verification
-            wall_s = transport_result.wall_s
-        if wall_s <= 0:
-            wall_s = time.perf_counter() - started
-    finally:
-        fastpath.set_enabled(previous)
+    """Run one bench cell; picklable, safe to call in a worker process."""
+    started = time.perf_counter()
+    transport_result = None
+    if spec["experiment"] == "E11":
+        chaos = _run_e11_cell(spec)
+        report, wall_s = chaos.report, chaos.wall_s
+    elif spec["experiment"] == "E13":
+        chaos = _run_e13_cell(spec)
+        report, wall_s = chaos.report, chaos.wall_s
+    else:
+        # E4 (throughput) and E14 (degree of concurrency) share the
+        # workload and the runner; E14 differs only in the gated
+        # statistics (mean WAIT-set size, aggregate events/sec) and
+        # its high-MPL grid (see E14_MPL / check_dominance)
+        transport_result = _run_e4_cell(spec)
+        report = transport_result.report
+        # measured inside this worker by the transport, covering the
+        # dispatch, the run(s), and the merged verification
+        wall_s = transport_result.wall_s
+    if wall_s <= 0:
+        wall_s = time.perf_counter() - started
     result = dict(spec)
     result.update(
         throughput=report.throughput,
@@ -336,7 +319,6 @@ def _cell_key(cell: Dict[str, Any]):
         cell["scheme"],
         cell["mpl"],
         cell["seed"],
-        bool(cell.get("fast_paths", True)),
         cell.get("transport", "sim"),
         int(cell.get("groups", 1)),
     )
@@ -352,13 +334,22 @@ def check_regression(
 ) -> List[str]:
     """Compare throughput against the committed baseline.
 
-    Looks at the fast-path cells of (*experiment*, scheme ∈ *schemes*,
-    *mpl*) present in both runs; a cell whose throughput fell more than
+    Looks at the cells of (*experiment*, scheme ∈ *schemes*, *mpl*)
+    present in both runs; a cell whose throughput fell more than
     *threshold* (fractional) below the baseline is a failure, and so is
     a gated scheme with no comparable cells at all — a gate that
     silently compares nothing must not pass.  Returns the list of
-    failure descriptions (empty = gate passes)."""
-    baseline_map = {_cell_key(cell): cell for cell in baseline}
+    failure descriptions (empty = gate passes).
+
+    ``BENCH_3.json`` also carries a historical before-column — cells
+    recorded with the since-deleted legacy algorithms, equal to their
+    twins in every key field.  The filter below drops them so they can
+    never stand in for their twins."""
+    baseline_map = {
+        _cell_key(cell): cell
+        for cell in baseline
+        if cell.get("fast_paths", True)
+    }
     failures: List[str] = []
     compared = {scheme: 0 for scheme in schemes}
     for cell in current:
@@ -368,7 +359,6 @@ def check_regression(
             key[0] != experiment
             or scheme not in compared
             or key[2] != mpl
-            or not key[4]
         ):
             continue
         reference = baseline_map.get(key)

@@ -37,7 +37,7 @@ Examples
     python -m repro trace --scheme scheme2 --txns 8 --seed 7
     python -m repro chaos --runs 50 --loss-rate 0.2
     python -m repro bench --schemes scheme2 scheme3 --mpl 16 \
-        --compare-legacy --out BENCH_3.json
+        --baseline BENCH_3.json --out BENCH_smoke.json
 """
 
 from __future__ import annotations
@@ -374,20 +374,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     seeds = [args.base_seed + offset for offset in range(args.seeds)]
     specs = []
     for transport in transports:
-        transport_workers = args.workers if transport == "parallel" else 1
-        for fast_paths in (
-            (True, False) if args.compare_legacy else (True,)
-        ):
-            specs += bench.make_specs(
-                schemes=args.schemes,
-                mpl_values=args.mpl,
-                seeds=seeds,
-                experiment=args.experiment,
-                fast_paths=fast_paths,
-                transport=transport,
-                workers=transport_workers,
-                groups=args.groups,
-            )
+        specs += bench.make_specs(
+            schemes=args.schemes,
+            mpl_values=args.mpl,
+            seeds=seeds,
+            experiment=args.experiment,
+            transport=transport,
+            workers=args.workers if transport == "parallel" else 1,
+            groups=args.groups,
+        )
     if "parallel" in transports:
         # nested-pool guard: the parallel transport owns the worker
         # pool, so bench cells must run serially — forking a cell pool
@@ -399,7 +394,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     results = bench.run_grid(specs, workers=workers)
     rows = [
         (
-            "fast" if cell["fast_paths"] else "legacy",
             cell.get("transport", "sim"),
             cell["scheme"],
             cell["mpl"],
@@ -420,7 +414,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(
         render_table(
             (
-                "mode",
                 "transport",
                 "scheme",
                 "mpl",
@@ -463,7 +456,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "mpl": list(args.mpl),
                 "seeds": args.seeds,
                 "base_seed": args.base_seed,
-                "compare_legacy": bool(args.compare_legacy),
                 "transports": transports,
                 "groups": args.groups,
                 "workers": args.workers,
@@ -731,12 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="independent 4-site E4 clusters per cell; >1 makes the "
         "workload site-disjoint so the parallel transport shards it",
-    )
-    bench_parser.add_argument(
-        "--compare-legacy",
-        action="store_true",
-        help="also run every cell with the scheduler fast paths "
-        "disabled (the before/after trajectory)",
     )
     bench_parser.add_argument("--out", help="write BENCH_<n>.json here")
     bench_parser.add_argument(

@@ -29,7 +29,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro import fastpath
 from repro.core.events import Ack, QueueOp, Ser
 from repro.core.scheme import ConservativeScheme, SchemeContext
 from repro.exceptions import SchedulerError
@@ -87,10 +86,6 @@ class Engine(SchemeContext):
         self._submit_handler = submit_handler
         self._ack_handler = ack_handler
         self._force_full_rescan = force_full_rescan
-        #: resolved once at construction: with fast paths off, purges
-        #: fall back to the legacy full-WAIT rescan even for schemes
-        #: that can produce hints
-        self._use_purge_hints = fastpath.enabled()
         #: optional :class:`repro.core.recovery.Journal` for
         #: crash recovery; logs insertions and processed operations
         self.journal = journal
@@ -191,7 +186,7 @@ class Engine(SchemeContext):
                         self.tracer.end(span, purged=True)
         hinter = (
             None
-            if self._force_full_rescan or not self._use_purge_hints
+            if self._force_full_rescan
             else getattr(self.scheme, "purge_hints", None)
         )
         if hinter is None:

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro import fastpath
 from repro.core.events import Ack, Fin, Init, Ser
 from repro.core.scheme import ConservativeScheme
 from repro.exceptions import SchedulerError
@@ -49,38 +48,31 @@ class Scheme3(ConservativeScheme):
     """``ser_bef`` bookkeeping; permits the set of all serializable
     schedules at O(n²·dav).
 
-    With ``indexed`` (the default fast path) a reverse membership index
-    ``after(t) = {others whose ser_bef contains t}`` replaces the
-    all-transactions scans of ``act(ser)`` and ``act(fin)``, and
-    ``cond(ser)`` becomes a set intersection.  Decisions and resulting
-    ``ser_bef`` state are identical to the legacy scans; ``metrics.steps``
-    still charges the paper-model scan cost (Theorem 9's measure must not
-    silently improve), while the real work saved is attributed to
-    ``metrics.dfs_steps_avoided``.
+    A reverse membership index ``after(t) = {others whose ser_bef
+    contains t}`` stands in for the paper's all-transactions scans in
+    ``act(ser)`` and ``act(fin)``, and ``cond(ser)`` is a set
+    intersection.  Decisions and resulting ``ser_bef`` state are those
+    of the scans (``tests/reference/scheme3_scan.py`` is the scanning
+    oracle); ``metrics.steps`` still charges the paper-model scan cost
+    (Theorem 9's measure must not silently improve), while the real work
+    saved is attributed to ``metrics.dfs_steps_avoided``.
 
     ``shardable``: ``ser_bef(t)`` only ever acquires members that share
     a site with ``t``, so decisions are site-component-local.  (The
-    *legacy* all-transactions scans still walk every transaction, so the
-    paper-model ``scheme_steps`` count — unlike the decisions — depends
-    on what else is co-resident; sharded step counts differ.)
+    paper-model scan charge covers every registered transaction, so the
+    ``scheme_steps`` count — unlike the decisions — depends on what
+    else is co-resident; sharded step counts differ.)
     """
 
     name = "scheme3"
 
-    def __init__(
-        self,
-        transitive_update: bool = True,
-        indexed: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, transitive_update: bool = True) -> None:
         """``transitive_update=False`` disables the ``Set_2`` propagation
         — an *unsound* ablation used by tests and benches to show the
-        update is load-bearing.  ``indexed`` overrides the process-global
-        :mod:`repro.fastpath` toggle (``None`` = follow it)."""
+        update is load-bearing."""
         super().__init__()
         self._transitive_update = transitive_update
-        self._indexed = fastpath.resolve(indexed)
         #: reverse index: entry t -> transactions whose ser_bef holds t
-        #: (maintained only on the indexed fast path)
         self._after_index: Dict[str, Set[str]] = {}
         #: ser_bef(G_i): transactions serialized before G_i
         self._ser_bef: Dict[str, Set[str]] = {}
@@ -118,11 +110,8 @@ class Scheme3(ConservativeScheme):
                     before.add(predecessor)
                 before.add(last)
         self._ser_bef[transaction_id] = before
-        if self._indexed:
-            for entry in before:
-                self._after_index.setdefault(entry, set()).add(
-                    transaction_id
-                )
+        for entry in before:
+            self._after_index.setdefault(entry, set()).add(transaction_id)
 
     # -- ser -----------------------------------------------------------------
     def cond_ser(self, operation: Ser) -> bool:
@@ -137,17 +126,11 @@ class Scheme3(ConservativeScheme):
             return False
         waiting_here = self._set.get(site, set())
         before = self._ser_bef[transaction_id]
-        if self._indexed:
-            # paper-model cost: the full ser_bef scan (Theorem 9)
-            self.metrics.step(len(before))
-            blockers = before & waiting_here
-            blockers.discard(transaction_id)
-            return not blockers
-        for predecessor in before:
-            self.metrics.step()
-            if predecessor != transaction_id and predecessor in waiting_here:
-                return False
-        return True
+        # paper-model cost: the full ser_bef scan (Theorem 9)
+        self.metrics.step(len(before))
+        blockers = before & waiting_here
+        blockers.discard(transaction_id)
+        return not blockers
 
     def act_ser(self, operation: Ser) -> None:
         transaction_id, site = operation.transaction_id, operation.site
@@ -160,31 +143,19 @@ class Scheme3(ConservativeScheme):
         # transactions serialized after some member of set_k inherit Set_1
         targets = set(members)
         if self._transitive_update:
-            if self._indexed:
-                # reverse-index union replaces the all-transactions scan;
-                # charge the paper-model scan cost regardless
-                self.metrics.step(len(self._ser_bef))
-                for member in members:
-                    targets.update(self._after_index.get(member, ()))
-                self.metrics.dfs_steps_avoided += max(
-                    0, len(self._ser_bef) - len(members)
-                )
-            else:
-                for other, other_before in self._ser_bef.items():
-                    self.metrics.step()
-                    if other_before & members:
-                        targets.add(other)
-        if self._indexed:
-            self.metrics.step(len(targets) * len(set_one))
-            for target in targets:
-                self._ser_bef[target] |= set_one
-            for entry in set_one:
-                self._after_index.setdefault(entry, set()).update(targets)
-        else:
-            for target in targets:
-                for entry in set_one:
-                    self.metrics.step()
-                    self._ser_bef[target].add(entry)
+            # reverse-index union replaces the all-transactions scan;
+            # charge the paper-model scan cost regardless
+            self.metrics.step(len(self._ser_bef))
+            for member in members:
+                targets.update(self._after_index.get(member, ()))
+            self.metrics.dfs_steps_avoided += max(
+                0, len(self._ser_bef) - len(members)
+            )
+        self.metrics.step(len(targets) * len(set_one))
+        for target in targets:
+            self._ser_bef[target] |= set_one
+        for entry in set_one:
+            self._after_index.setdefault(entry, set()).update(targets)
         self.submit(operation)
 
     # -- ack -----------------------------------------------------------------
@@ -200,20 +171,15 @@ class Scheme3(ConservativeScheme):
 
     def act_fin(self, operation: Fin) -> None:
         transaction_id = operation.transaction_id
-        if self._indexed:
-            self._discard_entry(transaction_id)
-        else:
-            for other_before in self._ser_bef.values():
-                self.metrics.step()
-                other_before.discard(transaction_id)
+        self._discard_entry(transaction_id)
         self._drop_owner(transaction_id)
         del self._ser_bef[transaction_id]
         self._forget(transaction_id)
 
     def _discard_entry(self, transaction_id: str) -> None:
-        """Indexed equivalent of the all-transactions discard scan:
-        touch only the ser_bef sets that actually hold the entry, but
-        charge the paper-model scan cost."""
+        """The all-transactions discard scan through the index: touch
+        only the ser_bef sets that actually hold the entry, but charge
+        the paper-model scan cost."""
         self.metrics.step(len(self._ser_bef))
         holders = self._after_index.pop(transaction_id, ())
         for holder in holders:
@@ -227,8 +193,6 @@ class Scheme3(ConservativeScheme):
     def _drop_owner(self, transaction_id: str) -> None:
         """Unregister a departing transaction's own ser_bef entries from
         the reverse index."""
-        if not self._indexed:
-            return
         for entry in self._ser_bef.get(transaction_id, ()):
             holders = self._after_index.get(entry)
             if holders is not None:
@@ -304,15 +268,10 @@ class Scheme3(ConservativeScheme):
         still-registered executor."""
         self._drop_owner(transaction_id)
         self._ser_bef.pop(transaction_id, None)
-        if self._indexed:
-            holders = self._after_index.pop(transaction_id, ())
-            for holder in holders:
-                before = self._ser_bef.get(holder)
-                if before is not None:
-                    before.discard(transaction_id)
-        else:
-            for other_before in self._ser_bef.values():
-                other_before.discard(transaction_id)
+        for holder in self._after_index.pop(transaction_id, ()):
+            before = self._ser_bef.get(holder)
+            if before is not None:
+                before.discard(transaction_id)
         self._forget(transaction_id)
 
     # -- purge hints (targeted post-abort WAIT drain; see Engine) ---------------

@@ -249,41 +249,17 @@ class Scheme4(ConservativeScheme):
         self.metrics.step()
         transaction_id = operation.transaction_id
         if transaction_id not in self._batch_of:
-            # last-resort replay path for journals that predate (or were
-            # hand-built without) demand-seal markers: recovery normally
-            # re-applies every ``log_sealed`` marker at its original
-            # position (see ``replay_seal``), so a replayed ser's
-            # transaction is always planned by the time its act runs.
-            # Without the markers, promote in execution order — a
-            # best-effort plan that can still contradict a pre-crash
-            # size-triggered seal's order, which is exactly why the
-            # seals are journaled.  Unreachable live (cond_ser always
-            # plans before granting).
-            self._promote(transaction_id)
+            # unreachable live (cond_ser plans before granting); replay
+            # re-applies every seal from its journaled marker before the
+            # ser it planned, so the journal lost one — and a plan made
+            # up here could contradict the pre-crash order
+            raise SchedulerError(
+                f"ser for {transaction_id!r} at {operation.site!r} reached "
+                "act before its batch was planned: the journal being "
+                "replayed is missing the log_sealed marker of that batch"
+            )
         self._executed.add((transaction_id, operation.site))
         self.submit(operation)
-
-    def _promote(self, transaction_id: str) -> None:
-        """Plan one still-buffered transaction as a singleton batch,
-        chained behind the current tails at all of its sites."""
-        sites = self.tsgd.sites_of_sorted(transaction_id)
-        root = self._find(sites[0])
-        members = self._open.get(root)
-        if members is not None and transaction_id in members:
-            members.remove(transaction_id)
-            if not members:
-                del self._open[root]
-        self._batch_of[transaction_id] = self._next_batch
-        self._next_batch += 1
-        self.metrics.batches_planned += 1
-        for site in sites:
-            self.metrics.step()
-            previous = self._tail.get(site)
-            self._pred[(transaction_id, site)] = previous
-            if previous is not None:
-                self._succ[(previous, site)] = transaction_id
-                self.tsgd.add_dependency(previous, site, transaction_id)
-            self._tail[site] = transaction_id
 
     # -- ack -----------------------------------------------------------------
     def act_ack(self, operation: Ack) -> None:

@@ -33,10 +33,8 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from collections import deque
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro import fastpath
 from repro.core.metrics import SchemeMetrics
 from repro.exceptions import SchedulerError
 
@@ -51,11 +49,7 @@ _OPENED = object()
 class TSGD:
     """Transaction-site graph with dependencies."""
 
-    def __init__(
-        self,
-        metrics: Optional[SchemeMetrics] = None,
-        fast: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, metrics: Optional[SchemeMetrics] = None) -> None:
         self._txn_sites: Dict[str, Set[str]] = {}
         self._site_txns: Dict[str, Set[str]] = {}
         self._deps: Set[Dependency] = set()
@@ -64,21 +58,16 @@ class TSGD:
         #: iteration order no longer depends on set (hash) order
         self._incoming: Dict[str, List[Dependency]] = {}
         self._outgoing: Dict[str, List[Dependency]] = {}
-        #: fast-path toggle, resolved once: with it off the graph
-        #: reproduces the legacy algorithms — per-visit ``sorted()``
-        #: calls instead of maintained mirrors, and the original
-        #: Figure 4 bookkeeping in :meth:`eliminate_cycles`
-        self._fast = fastpath.resolve(fast)
         #: sorted-adjacency mirrors: Eliminate_Cycles and the scheme's
         #: insertion scans need deterministic (sorted) neighbour order;
         #: maintaining it incrementally replaces the per-visit sorted()
-        #: calls that dominated its profile (fast path only)
+        #: calls that dominated its profile
         self._txn_sites_sorted: Dict[str, List[str]] = {}
         self._site_txns_sorted: Dict[str, List[str]] = {}
-        #: per-edge blocked candidates for Eliminate_Cycles (fast path):
+        #: per-edge blocked candidates for Eliminate_Cycles:
         #: ``_blocked[(v, u)]`` holds the transactions ``w`` with a live
-        #: dependency ``(v, u, w)`` — exactly the candidates the legacy
-        #: scan would examine at segment ``(v, u)`` and reject as
+        #: dependency ``(v, u, w)`` — exactly the candidates Figure 4's
+        #: walk would examine at segment ``(v, u)`` and reject as
         #: dependency-blocked.  The closure subtracts the whole set from
         #: the site's unmarked residents in one C-level difference and
         #: charges ``len`` steps in bulk (credited to
@@ -97,15 +86,14 @@ class TSGD:
             )
         site_set = set(sites)
         self._txn_sites[transaction_id] = site_set
-        if self._fast:
-            self._txn_sites_sorted[transaction_id] = sorted(site_set)
+        self._txn_sites_sorted[transaction_id] = sorted(site_set)
         self._metrics.graph_ops += 1 + len(site_set)
         for site in site_set:
             self._metrics.step()
             self._site_txns.setdefault(site, set()).add(transaction_id)
-            if self._fast:
-                row = self._site_txns_sorted.setdefault(site, [])
-                bisect.insort(row, transaction_id)
+            bisect.insort(
+                self._site_txns_sorted.setdefault(site, []), transaction_id
+            )
 
     def remove_transaction(self, transaction_id: str) -> None:
         sites = self._txn_sites.pop(transaction_id, None)
@@ -113,7 +101,7 @@ class TSGD:
             raise SchedulerError(
                 f"transaction {transaction_id!r} not in the TSGD"
             )
-        self._txn_sites_sorted.pop(transaction_id, None)
+        del self._txn_sites_sorted[transaction_id]
         for site in sites:
             self._metrics.step()
             adjacent = self._site_txns.get(site)
@@ -121,13 +109,10 @@ class TSGD:
                 adjacent.discard(transaction_id)
                 if not adjacent:
                     del self._site_txns[site]
-            row = self._site_txns_sorted.get(site)
-            if row is not None:
-                position = bisect.bisect_left(row, transaction_id)
-                if position < len(row) and row[position] == transaction_id:
-                    del row[position]
-                if not row:
-                    del self._site_txns_sorted[site]
+            row = self._site_txns_sorted[site]
+            del row[bisect.bisect_left(row, transaction_id)]
+            if not row:
+                del self._site_txns_sorted[site]
             self._blocked.pop((transaction_id, site), None)
         dead = self._incoming.pop(transaction_id, []) + self._outgoing.pop(
             transaction_id, []
@@ -172,7 +157,7 @@ class TSGD:
         self._deps.add(dep)
         self._outgoing.setdefault(before, []).append(dep)
         self._incoming.setdefault(after, []).append(dep)
-        if self._fast and before != after:
+        if before != after:
             # the dependency statically blocks the candidate (site,
             # after) at node *before* for every future Eliminate_Cycles
             # call (a self-dependency blocks nothing: the candidate
@@ -210,18 +195,13 @@ class TSGD:
         return frozenset(self._site_txns.get(site, ()))
 
     def sites_of_sorted(self, transaction_id: str) -> Tuple[str, ...]:
-        """``sorted(sites_of(...))``: from the maintained mirror on the
-        fast path, recomputed per call (legacy cost) otherwise."""
-        if self._fast:
-            return tuple(self._txn_sites_sorted.get(transaction_id, ()))
-        return tuple(sorted(self._txn_sites.get(transaction_id, ())))
+        """``sorted(sites_of(...))``, from the maintained mirror."""
+        return tuple(self._txn_sites_sorted.get(transaction_id, ()))
 
     def transactions_at_sorted(self, site: str) -> Tuple[str, ...]:
-        """``sorted(transactions_at(...))``: from the maintained mirror
-        on the fast path, recomputed per call (legacy cost) otherwise."""
-        if self._fast:
-            return tuple(self._site_txns_sorted.get(site, ()))
-        return tuple(sorted(self._site_txns.get(site, ())))
+        """``sorted(transactions_at(...))``, from the maintained
+        mirror."""
+        return tuple(self._site_txns_sorted.get(site, ()))
 
     def has_transaction(self, transaction_id: str) -> bool:
         return transaction_id in self._txn_sites
@@ -242,18 +222,18 @@ class TSGD:
         """Return Δ such that ``(V, E, D ∪ Δ)`` has no dangerous cycle
         involving *transaction_id* (the paper's ``Eliminate_Cycles``).
 
-        The traversal walks transaction nodes (site nodes are crossed, not
-        visited), marking each non-root edge "used" at most once; closing
-        a walk back at the root adds the dependency
+        Figure 4's traversal walks transaction nodes (site nodes are
+        crossed, not visited), marking each non-root edge "used" at most
+        once; closing a walk back at the root adds the dependency
         ``(v, u) → (u, Ĝ_i)`` that orders the neighbouring transaction's
-        ser-operation before the root's, breaking the cycle.
+        ser-operation before the root's, breaking the cycle.  This is
+        the walk's closed form (argument below); the walk itself is the
+        test oracle ``tests/reference/eliminate_cycles.py``.
         """
         if transaction_id not in self._txn_sites:
             raise SchedulerError(
                 f"transaction {transaction_id!r} not in the TSGD"
             )
-        if not self._fast:
-            return self._eliminate_cycles_legacy(transaction_id)
         # Closed form of Figure 4's walk.  The walk's eligibility rules
         # make its outcome a *least fixpoint* rather than something that
         # depends on traversal order:
@@ -353,103 +333,6 @@ class TSGD:
         metrics.step(stepped)
         metrics.dfs_steps_avoided += avoided
         return delta
-
-    def _all_pairs(self, v: str) -> List[Tuple[str, str]]:
-        """All candidate pairs ``(u, w)`` of distinct edges
-        ``(v, u), (u, w)`` at node *v*, in deterministic order."""
-        pairs: List[Tuple[str, str]] = []
-        if self._fast:
-            site_rows = self._site_txns_sorted
-            for u in self._txn_sites_sorted.get(v, ()):
-                for w in site_rows.get(u, ()):
-                    if w != v:
-                        pairs.append((u, w))
-            return pairs
-        for u in sorted(self._txn_sites.get(v, ())):
-            for w in sorted(self._site_txns.get(u, ())):
-                if w != v:
-                    pairs.append((u, w))
-        return pairs
-
-    def _eliminate_cycles_legacy(self, transaction_id: str) -> Set[Dependency]:
-        """The pre-fast-path walk, kept verbatim (eager parent maps,
-        list slicing, per-candidate step charging) so the bench
-        harness's legacy mode pays the original constant factors.
-        Returns the same Δ and charges the same analytical steps as the
-        fast path."""
-        used: Set[Tuple[str, str]] = set()
-        s_par: Dict[str, List[str]] = {t: [] for t in self._txn_sites}
-        t_par: Dict[str, List[str]] = {t: [] for t in self._txn_sites}
-        delta: Set[Dependency] = set()
-        remaining: Dict[str, "deque"] = {}
-        deferred: Dict[str, "deque"] = {}
-        v = transaction_id
-
-        while True:
-            pair = self._choose_pair_legacy(
-                v, transaction_id, used, delta, s_par, remaining, deferred
-            )
-            if pair is not None:
-                u, w = pair
-                used.add((w, u))
-                if w == transaction_id:
-                    self._metrics.step()
-                    delta.add((v, u, transaction_id))
-                else:
-                    s_par[w].insert(0, u)
-                    t_par[w].insert(0, v)
-                    v = w
-                continue
-            if v != transaction_id:
-                self._metrics.step()
-                temp = t_par[v][0]
-                t_par[v] = t_par[v][1:]
-                s_par[v] = s_par[v][1:]
-                v = temp
-                continue
-            return delta
-
-    def _choose_pair_legacy(
-        self,
-        v: str,
-        root: str,
-        used: Set[Tuple[str, str]],
-        delta: Set[Dependency],
-        s_par: Dict[str, List[str]],
-        remaining: Dict[str, "deque"],
-        deferred: Dict[str, "deque"],
-    ) -> Optional[Tuple[str, str]]:
-        arrival = s_par[v][0] if s_par[v] else None
-        if v not in remaining:
-            remaining[v] = deque(self._all_pairs(v))
-            deferred[v] = deque()
-
-        def examine(queue: "deque") -> Optional[Tuple[str, str]]:
-            defer_again: List[Tuple[str, str]] = []
-            chosen: Optional[Tuple[str, str]] = None
-            while queue:
-                self._metrics.step()
-                u, w = queue.popleft()
-                if w != root and (w, u) in used:
-                    continue  # permanently blocked
-                if (v, u, w) in self._deps or (v, u, w) in delta:
-                    continue  # permanently blocked (deps only grow)
-                if u == arrival:
-                    defer_again.append((u, w))
-                    continue  # visit-dependent: re-examine next time
-                chosen = (u, w)
-                break
-            deferred[v].extend(defer_again)
-            return chosen
-
-        staged = deferred[v]
-        deferred[v] = deque()
-        pair = examine(staged)
-        if pair is not None:
-            # unexamined staged entries stay deferred for later visits
-            deferred[v].extend(staged)
-            return pair
-        return examine(remaining[v])
 
     # ------------------------------------------------------------------
     # exhaustive cycle analysis (testing / Theorem 7)

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro import fastpath
 from repro.exceptions import ProtocolViolation
 from repro.lmdbs.protocols.base import Decision, LocalScheduler
 from repro.schedules.incremental_digraph import IncrementalDigraph
-from repro.schedules.serialization_graph import DirectedGraph
 
 
 class SerializationGraphTesting(LocalScheduler):
@@ -33,33 +31,28 @@ class SerializationGraphTesting(LocalScheduler):
     incoming edges from active transactions (standard SGT garbage
     collection) to keep the graph small in long runs.
 
-    On the default fast path the graph is an
+    The graph is an
     :class:`~repro.schedules.incremental_digraph.IncrementalDigraph`:
     each granted operation costs an incremental edge insertion (amortized
     affected-region work) instead of a restart DFS over the whole graph.
-    Grant/kill decisions are identical either way — every added edge
-    points *into* the requester, so a new cycle necessarily runs through
-    it, which is exactly what the legacy ``find_cycle(start=requester)``
-    tested (see tests/test_fastpath_equivalence.py).
+    Grant/kill decisions are those of a ``find_cycle(start=requester)``
+    per operation — every added edge points *into* the requester, so a
+    new cycle necessarily runs through it (that search is the test
+    oracle ``tests/reference/sgt_restart.py``).
     """
 
     name = "sgt"
     has_serialization_function = False
 
-    def __init__(self, incremental: Optional[bool] = None) -> None:
-        """``incremental`` overrides the process-global
-        :mod:`repro.fastpath` toggle (``None`` = follow it)."""
-        self._incremental = fastpath.resolve(incremental)
-        self._graph = (
-            IncrementalDigraph() if self._incremental else DirectedGraph()
-        )
+    def __init__(self) -> None:
+        self._graph = IncrementalDigraph()
         self._active: Set[str] = set()
         self._committed: Set[str] = set()
         self._readers: Dict[str, List[str]] = {}
         self._writers: Dict[str, List[str]] = {}
         #: aborts caused by cycle detection (metrics)
         self.rejections = 0
-        #: estimated restart-DFS work the incremental path skipped
+        #: estimated restart-DFS work the incremental insertions skipped
         self.dfs_steps_avoided = 0
 
     def on_begin(
@@ -91,33 +84,20 @@ class SerializationGraphTesting(LocalScheduler):
         cycle through it."""
         added: List[Tuple[str, str]] = []
         cyclic = False
-        if self._incremental:
-            before = self._graph.visited
-            for predecessor in predecessors:
-                if predecessor == transaction_id:
-                    continue
-                if not self._graph.has_edge(predecessor, transaction_id):
-                    witness = self._graph.add_edge(
-                        predecessor, transaction_id
-                    )
-                    added.append((predecessor, transaction_id))
-                    if witness is not None:
-                        cyclic = True
-                        break
-            # the legacy path restarts a DFS from the requester per
-            # operation; credit the (estimated) nodes it did not re-visit
-            searched = self._graph.visited - before
-            self.dfs_steps_avoided += max(0, len(self._graph) - searched)
-        else:
-            for predecessor in predecessors:
-                if predecessor == transaction_id:
-                    continue
-                if not self._graph.has_edge(predecessor, transaction_id):
-                    self._graph.add_edge(predecessor, transaction_id)
-                    added.append((predecessor, transaction_id))
-            cyclic = (
-                self._graph.find_cycle(start=transaction_id) is not None
-            )
+        before = self._graph.visited
+        for predecessor in predecessors:
+            if predecessor == transaction_id:
+                continue
+            if not self._graph.has_edge(predecessor, transaction_id):
+                witness = self._graph.add_edge(predecessor, transaction_id)
+                added.append((predecessor, transaction_id))
+                if witness is not None:
+                    cyclic = True
+                    break
+        # a restart DFS from the requester would visit the whole graph
+        # per operation; credit the (estimated) nodes not re-visited
+        searched = self._graph.visited - before
+        self.dfs_steps_avoided += max(0, len(self._graph) - searched)
         if cyclic:
             for source, target in added:
                 self._graph.remove_edge(source, target)
@@ -192,5 +172,5 @@ class SerializationGraphTesting(LocalScheduler):
 
     @property
     def graph_ops(self) -> int:
-        """Structural graph mutations (incremental path only)."""
-        return getattr(self._graph, "ops", 0)
+        """Structural graph mutations."""
+        return self._graph.ops

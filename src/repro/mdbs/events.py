@@ -19,7 +19,6 @@ import heapq
 import itertools
 from typing import Callable, List, Optional, Tuple
 
-from repro import fastpath
 from repro.exceptions import ReproError
 
 Action = Callable[[], None]
@@ -84,14 +83,10 @@ class ScheduledEvent:
 class EventLoop:
     """A deterministic future-event list."""
 
-    def __init__(self, fast: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._heap: List[Tuple[float, int, ScheduledEvent]] = []
         self._sequence = itertools.count()
         self._now = 0.0
-        #: fast-path toggle, resolved at construction: when off, the
-        #: loop reproduces the legacy behaviour — ``pending`` scans the
-        #: heap and cancelled entries are never compacted away
-        self._fast = fastpath.resolve(fast)
         #: non-cancelled events still in the heap (kept exact by
         #: push/pop/cancel so ``pending`` is O(1))
         self._live = 0
@@ -126,8 +121,7 @@ class EventLoop:
     def _note_cancelled(self) -> None:
         self._live -= 1
         if (
-            self._fast
-            and len(self._heap) > _COMPACT_MIN
+            len(self._heap) > _COMPACT_MIN
             and self._live * 2 < len(self._heap)
         ):
             self._compact()
@@ -144,10 +138,7 @@ class EventLoop:
 
     @property
     def pending(self) -> int:
-        if self._fast:
-            return self._live
-        # legacy path: the pre-fast-path full heap scan
-        return sum(1 for _, _, event in self._heap if not event.cancelled)
+        return self._live
 
     def run(
         self,

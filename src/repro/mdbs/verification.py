@@ -22,14 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro import fastpath
 from repro.exceptions import NonSerializableError
 from repro.schedules.global_schedule import GlobalSchedule, SerSchedule
 from repro.schedules.model import OpType
-from repro.schedules.serialization_graph import (
-    serialization_graph,
-    union_graph,
-)
+from repro.schedules.serialization_graph import union_graph
 
 
 @dataclass
@@ -86,8 +82,6 @@ def verify(
     ser_schedule: Optional[SerSchedule] = None,
 ) -> VerificationReport:
     """Run every check; never raises — the report carries the verdicts."""
-    if not fastpath.enabled():
-        return _verify_legacy(global_schedule, ser_schedule)
     # one pass over the local histories: every check below reads the
     # same per-site serialization graphs (GlobalSchedule caches them)
     local_graphs = global_schedule.local_serialization_graphs()
@@ -104,42 +98,6 @@ def verify(
         ).is_serializable()
     site_edges = {
         site: len(local_graphs[site].edges)
-        for site in global_schedule.sites
-    }
-    return VerificationReport(
-        locals_serializable=locals_ok,
-        globally_serializable=cycle is None,
-        ser_schedule_serializable=ser_ok,
-        witness=witness,
-        cycle=cycle or (),
-        site_edges=site_edges,
-    )
-
-
-def _verify_legacy(
-    global_schedule: GlobalSchedule,
-    ser_schedule: Optional[SerSchedule] = None,
-) -> VerificationReport:
-    """The pre-fast-path :func:`verify` body: each check rebuilds the
-    local serialization graphs from scratch (and
-    ``local_serialization_graphs`` itself is uncached with the fast
-    paths off).  Kept verbatim so ``repro bench --compare-legacy``
-    measures the real legacy verification cost."""
-    locals_ok = global_schedule.are_locals_serializable()
-    graph = global_schedule.global_serialization_graph()
-    cycle = graph.find_cycle()
-    witness: Tuple[str, ...] = ()
-    if cycle is None:
-        witness = graph.topological_order()
-    ser_ok = True
-    if ser_schedule is not None:
-        ser_ok = committed_ser_projection(
-            global_schedule, ser_schedule
-        ).is_serializable()
-    site_edges = {
-        site: len(
-            serialization_graph(global_schedule.local_schedule(site)).edges
-        )
         for site in global_schedule.sites
     }
     return VerificationReport(

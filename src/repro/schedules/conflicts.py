@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Set, Tuple
 
-from repro import fastpath
 from repro.schedules.model import Operation, Schedule
 
 
@@ -60,11 +59,7 @@ def conflict_edges(schedule: Schedule) -> Set[Tuple[str, str]]:
     scan as :func:`conflict_pairs` but without materializing the
     ``ConflictPair`` objects — graph construction only needs the edge
     set, and the per-pair allocations dominated the verifier's profile.
-    With the fast paths disabled, falls back to the legacy
-    materializing scan (identical result set).
     """
-    if not fastpath.enabled():
-        return {pair.edge for pair in conflict_pairs(schedule)}
     buckets: Dict[Tuple[object, object], List[Operation]] = {}
     for operation in schedule:
         if operation.accesses_data:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro import fastpath
 from repro.exceptions import NonSerializableError, ScheduleError
 from repro.schedules.model import Operation, Schedule
 from repro.schedules.serialization_graph import (
@@ -95,14 +94,7 @@ class GlobalSchedule:
         """Per-site serialization graphs, cached: verification asks for
         them several times per report (locals check, global union, edge
         counts) and the conflict scan dominates its profile.  Callers
-        must treat the returned graphs as read-only.  With the fast
-        paths disabled, every call rebuilds from scratch (the legacy
-        behaviour)."""
-        if not fastpath.enabled():
-            return {
-                site: serialization_graph(schedule)
-                for site, schedule in self._local_schedules.items()
-            }
+        must treat the returned graphs as read-only."""
         graphs: Dict[str, DirectedGraph] = {}
         for site, schedule in self._local_schedules.items():
             cached = self._graph_cache.get(site)
@@ -216,20 +208,7 @@ class SerSchedule:
         all-pairs scan visits, in the same (i, j)-ascending order, so
         node and edge insertion order (and hence any cycle or
         topological-order witness) is identical.  The result is cached
-        until the next append; callers must treat it as read-only.
-        With the fast paths disabled, every call redoes the legacy
-        all-pairs scan, uncached."""
-        if not fastpath.enabled():
-            graph = DirectedGraph()
-            for transaction_id in self.transaction_ids:
-                graph.add_node(transaction_id)
-            for i, first in enumerate(self._operations):
-                for second in self._operations[i + 1 :]:
-                    if first.conflicts_with(second):
-                        graph.add_edge(
-                            first.transaction_id, second.transaction_id
-                        )
-            return graph
+        until the next append; callers must treat it as read-only."""
         if self._graph_cache is not None:
             return self._graph_cache
         graph = DirectedGraph()

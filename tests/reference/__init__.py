@@ -1,0 +1,11 @@
+"""The paper's literal algorithms, kept as differential oracles.
+
+``src/`` holds one implementation of each structure — the incremental
+one.  The algorithms as the paper states them (Figure 4's
+``Eliminate_Cycles`` walk, Scheme 3's all-transactions ``ser_bef``
+scans, SGT's restart-from-the-requester cycle search) live here,
+written against the public inspection API or as subclasses overriding
+only the scanned methods; ``tests/test_fastpath_equivalence.py`` checks
+the production structures against them decision for decision.  Nothing
+under ``src/`` imports this package.
+"""

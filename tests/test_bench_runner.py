@@ -1,9 +1,10 @@
 """The perf-trajectory bench harness: determinism, JSON, regression gate.
 
 The grid must merge parallel-worker results in fixed order and produce
-byte-identical cells for any worker count; the JSON artifact must carry
-the before/after columns; and the regression gate must fail loudly both
-on throughput drops and on baselines with nothing to compare.
+byte-identical cells for any worker count; and the regression gate must
+fail loudly both on throughput drops and on baselines with nothing to
+compare, while never gating against the historical before-column of
+``BENCH_3.json``.
 """
 
 import json
@@ -18,7 +19,6 @@ def _tiny_specs(**overrides):
         mpl_values=(4,),
         seeds=(7, 8),
         experiment="E4",
-        fast_paths=True,
     )
     kwargs.update(overrides)
     return bench.make_specs(**kwargs)
@@ -54,7 +54,6 @@ def test_make_specs_fixed_order():
         ("scheme3", 4),
         ("scheme3", 8),
     ]
-    assert all(s["fast_paths"] for s in specs)
 
 
 def test_cell_is_deterministic():
@@ -65,23 +64,10 @@ def test_cell_is_deterministic():
 
 
 def test_serial_equals_parallel():
-    specs = _tiny_specs() + _tiny_specs(fast_paths=False)
+    specs = _tiny_specs()
     serial = bench.run_grid(specs, workers=1)
     parallel = bench.run_grid(specs, workers=2)
     assert _strip_wall(serial) == _strip_wall(parallel)
-
-
-def test_fast_and_legacy_cells_agree_behaviourally():
-    fast = bench.run_cell(_tiny_specs()[0])
-    legacy = bench.run_cell(_tiny_specs(fast_paths=False)[0])
-    for field in (
-        "throughput",
-        "mean_response_time",
-        "committed",
-        "duration",
-        "events",
-    ):
-        assert fast[field] == legacy[field], field
 
 
 def test_emit_and_load_json(tmp_path):
@@ -108,14 +94,14 @@ def test_emit_and_load_json(tmp_path):
     assert json.loads(path.read_text())["cells"]
 
 
-def _cell(scheme="scheme3", mpl=16, seed=7, tput=10.0, fast=True):
+def _cell(scheme="scheme3", mpl=16, seed=7, tput=10.0, **extra):
     return {
         "experiment": "E4",
         "scheme": scheme,
         "mpl": mpl,
         "seed": seed,
-        "fast_paths": fast,
         "throughput": tput,
+        **extra,
     }
 
 
@@ -139,9 +125,22 @@ def test_check_regression_ignores_other_cells():
         _cell(tput=10.0),
         _cell(seed=9, tput=1.0),  # not in the baseline: skipped
         _cell(mpl=4, tput=1.0),  # wrong mpl: not gated
-        _cell(fast=False, tput=1.0),  # legacy column: not gated
     ]
     assert bench.check_regression(current, baseline) == []
+
+
+def test_check_regression_skips_historical_legacy_baseline_cells():
+    """BENCH_3.json pairs every cell with a ``fast_paths: false`` twin
+    recorded on the deleted legacy algorithms; the twins share the whole
+    cell key, and must neither shadow the real baseline cell (whichever
+    comes first in the file) nor count as a comparable cell."""
+    kept = _cell(tput=10.0, fast_paths=True)
+    twin = _cell(tput=100.0, fast_paths=False)
+    current = [_cell(tput=9.0)]
+    assert bench.check_regression(current, [kept, twin]) == []
+    assert bench.check_regression(current, [twin, kept]) == []
+    failures = bench.check_regression(current, [twin])
+    assert failures and "no comparable" in failures[0]
 
 
 def test_check_regression_no_comparable_cells_is_a_failure():
@@ -176,7 +175,6 @@ def _e14_cell(scheme, mpl=32, seed=7, wait=10.0, rate=100.0):
         "scheme": scheme,
         "mpl": mpl,
         "seed": seed,
-        "fast_paths": True,
         "mean_wait_set": wait,
         "events_per_sec": rate,
         "agg_events_per_sec": rate,
@@ -230,8 +228,9 @@ def test_check_dominance_events_per_sec_gate_is_optional():
 
 
 def test_committed_trajectory_is_self_consistent():
-    """The committed BENCH_3.json gates against itself and its fast and
-    legacy columns agree on behaviour (the before/after contract)."""
+    """The committed BENCH_3.json gates against itself, and its
+    historical before-column (``fast_paths: false``, the deleted legacy
+    algorithms) agrees with the after-column on behaviour."""
     data = bench.load_json("BENCH_3.json")
     cells = data["cells"]
     assert bench.check_regression(cells, cells) == []

@@ -1,8 +1,7 @@
-"""EventLoop fast paths: O(1) pending, leak-free cancel, compaction.
+"""EventLoop: O(1) pending, leak-free cancel, compaction.
 
-The loop must behave identically with the fast paths on and off; the
-fast mode additionally keeps ``pending`` away from heap scans and
-compacts cancelled entries without ever changing the pop order.
+``pending`` is a maintained counter, never a heap scan, and cancelled
+entries are compacted away without ever changing the pop order.
 """
 
 import random
@@ -12,9 +11,8 @@ import pytest
 from repro.mdbs.events import _COMPACT_MIN, EventLoop, SimulationError
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_pending_counts_only_live_events(fast):
-    loop = EventLoop(fast=fast)
+def test_pending_counts_only_live_events():
+    loop = EventLoop()
     events = [loop.schedule(float(i), lambda: None) for i in range(10)]
     assert loop.pending == 10
     for event in events[:4]:
@@ -26,9 +24,8 @@ def test_pending_counts_only_live_events(fast):
     assert loop.pending == 5
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_cancel_releases_action_closure(fast):
-    loop = EventLoop(fast=fast)
+def test_cancel_releases_action_closure():
+    loop = EventLoop()
     fired = []
     event = loop.schedule(1.0, lambda: fired.append(1))
     assert event.action is not None
@@ -42,9 +39,8 @@ def test_cancel_releases_action_closure(fast):
     assert loop.pending == 0
 
 
-@pytest.mark.parametrize("fast", [True, False])
-def test_cancel_after_fire_is_a_noop(fast):
-    loop = EventLoop(fast=fast)
+def test_cancel_after_fire_is_a_noop():
+    loop = EventLoop()
     fired = []
     event = loop.schedule(1.0, lambda: fired.append(1))
     loop.run()
@@ -57,14 +53,14 @@ def test_cancel_after_fire_is_a_noop(fast):
 
 
 def test_fired_event_releases_action_closure():
-    loop = EventLoop(fast=True)
+    loop = EventLoop()
     event = loop.schedule(0.5, lambda: None)
     loop.run()
     assert event.action is None
 
 
 def test_compaction_triggers_and_preserves_order():
-    loop = EventLoop(fast=True)
+    loop = EventLoop()
     rng = random.Random(7)
     times = [rng.uniform(0, 100) for _ in range(4 * _COMPACT_MIN)]
     order = []
@@ -84,52 +80,8 @@ def test_compaction_triggers_and_preserves_order():
     assert order == kept
 
 
-def test_legacy_mode_never_compacts():
-    loop = EventLoop(fast=False)
-    events = [
-        loop.schedule(float(i), lambda: None)
-        for i in range(4 * _COMPACT_MIN)
-    ]
-    for event in events:
-        event.cancel()
-    assert loop.compactions == 0
-    assert len(loop._heap) == len(events)
-    assert loop.pending == 0
-
-
-def test_fast_and_legacy_same_execution_trace():
-    def drive(fast):
-        loop = EventLoop(fast=fast)
-        trace = []
-        rng = random.Random(13)
-        handles = []
-
-        def tick(label):
-            trace.append((loop.now, label))
-            if rng.random() < 0.4 and handles:
-                handles.pop(rng.randrange(len(handles))).cancel()
-            if rng.random() < 0.6:
-                label2 = f"{label}+"
-                handles.append(
-                    loop.schedule(
-                        rng.uniform(0, 5), lambda name=label2: tick(name)
-                    )
-                )
-
-        for i in range(100):
-            handles.append(
-                loop.schedule(
-                    rng.uniform(0, 50), lambda name=f"e{i}": tick(name)
-                )
-            )
-        loop.run()
-        return trace, loop.executed, loop.now
-
-    assert drive(True) == drive(False)
-
-
 def test_negative_delay_rejected():
-    loop = EventLoop(fast=True)
+    loop = EventLoop()
     with pytest.raises(SimulationError):
         loop.schedule(-1.0, lambda: None)
     with pytest.raises(SimulationError):

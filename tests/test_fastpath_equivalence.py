@@ -1,39 +1,50 @@
-"""The fast paths are behaviour-preserving: legacy-mode replays.
+"""The incremental structures decide exactly what the paper's do.
 
-Every optimisation behind :mod:`repro.fastpath` must leave schedules,
-scheme decisions, and verification reports byte-identical — only
-wall-clock and the scheduling-cost attribution counters may differ.
-These tests force the toggle both ways on the same seeds and diff:
+``src/`` keeps one implementation per algorithm, held to the ones it
+replaced by:
 
-- the full E4 simulation cells of the regression seeds (scheme2 and
-  scheme3 over the four heterogeneous site protocols, SGT included),
-  comparing executed local schedules, ``ser(S)``, reports, and
-  verification reports;
-- randomized TSGD scripts (insert/dependency/remove/Eliminate_Cycles
-  interleavings), comparing every Δ and the final dependency set;
-- chaos runs with crashes and message faults (the purge/abort and
-  recovery paths).
+- **golden digests** (``tests/golden_digests.json``): SHA-256 over a
+  canonical JSON rendering of the executed per-site schedules,
+  ``ser(S)``, the behavioural report fields and the verification report
+  of full simulations — E4 regression cells (four heterogeneous site
+  protocols, SGT included) and crash + message-fault storms.  Recorded
+  once, at the last commit that had a legacy twin of every structure
+  behind a toggle, after asserting both toggle positions rendered the
+  same — hence the ``identical_across_paths`` test names;
+- **differential oracles** (``tests/reference``): the paper-literal
+  Figure 4 walk, Scheme 3 ``ser_bef`` scans and SGT restart search,
+  compared decision for decision on randomized inputs, plus all-pairs
+  oracles for the schedule-layer conflict scans.
 """
 
 import dataclasses
+import hashlib
+import json
+import pathlib
 import random
 
 import pytest
 
-from repro import fastpath
-from repro.core import make_scheme
+from repro.analysis.bench import make_e4_job
+from repro.core.engine import Engine
+from repro.core.events import Ack, Fin, Init, Ser
+from repro.core.scheme3 import Scheme3
 from repro.core.tsgd import TSGD
-from repro.faults.chaos import ChaosOptions, run_chaos
-from repro.lmdbs import LocalDBMS, make_protocol
-from repro.mdbs import MDBSSimulator, SimulationConfig, verify
-from repro.workloads import WorkloadConfig, WorkloadGenerator
-
-E4_PROTOCOLS = ("strict-2pl", "to", "conservative-2pl", "sgt")
+from repro.faults.chaos import ChaosOptions, build_chaos_simulator
+from repro.lmdbs.protocols.base import Verdict
+from repro.lmdbs.protocols.sgt import SerializationGraphTesting
+from repro.mdbs import verify
+from repro.schedules.conflicts import conflict_edges, conflict_pairs
+from repro.schedules.serialization_graph import DirectedGraph
+from repro.transport import build_simulator
+from repro.workloads.traces import staggered_trace
+from tests.reference.eliminate_cycles import eliminate_cycles_walk
+from tests.reference.scheme3_scan import ScanScheme3
+from tests.reference.sgt_restart import RestartSGT
 
 #: SimulationReport fields that define behaviour (the step/op counters
-#: are analytic instrumentation and legitimately differ between the
-#: paths — the closure form of Eliminate_Cycles does not re-charge the
-#: legacy walk's backtracking overhead)
+#: are analytic instrumentation: the closure form of Eliminate_Cycles
+#: does not re-charge the walk's backtracking overhead)
 BEHAVIOURAL_FIELDS = (
     "throughput",
     "mean_response_time",
@@ -43,110 +54,122 @@ BEHAVIOURAL_FIELDS = (
     "events_executed",
 )
 
+GOLDEN = json.loads(
+    pathlib.Path(__file__).with_name("golden_digests.json").read_text()
+)
 
-def _run_e4(scheme_name, mpl, seed):
-    cfg = WorkloadConfig(
-        sites=len(E4_PROTOCOLS),
-        items_per_site=12,
-        dav=2.0,
-        ops_per_site=2,
-        seed=seed,
-    )
-    gen = WorkloadGenerator(cfg)
-    sites = {
-        site: LocalDBMS(site, make_protocol(protocol))
-        for site, protocol in zip(cfg.site_names, E4_PROTOCOLS)
-    }
-    sim = MDBSSimulator(
-        sites, make_scheme(scheme_name), SimulationConfig(), seed=seed
-    )
-    for index, program in enumerate(gen.global_batch(3 * mpl)):
-        sim.submit_global(program, at=(index // mpl) * 40.0)
-    report = sim.run()
+
+# -- golden digests of full simulations
+def _rendering(sim, report, extra=None):
+    """The JSON-able sections of one finished run.  ``Operation.seq`` is
+    a process-global allocation counter (runs later in the same process
+    start higher), so it is rewritten to its rank within this run."""
     schedule = sim.global_schedule()
-    return {
-        "report": {
-            field: getattr(report, field) for field in BEHAVIOURAL_FIELDS
-        },
-        "schedules": _normalized_schedules(schedule),
-        "ser": tuple(sim.ser_schedule.operations),
-        "verification": verify(schedule, sim.ser_schedule),
-    }
-
-
-def _normalized_schedules(schedule):
-    """Per-site operation tuples with ``Operation.seq`` — a process-global
-    allocation counter, so runs later in the same process start higher —
-    rewritten to its rank within this run."""
     site_ops = {
-        site: tuple(schedule.local_schedule(site))
-        for site in schedule.sites
+        site: list(schedule.local_schedule(site)) for site in schedule.sites
     }
     rank = {
         seq: position
         for position, seq in enumerate(
-            sorted(
-                operation.seq
-                for operations in site_ops.values()
-                for operation in operations
-            )
+            sorted(op.seq for ops in site_ops.values() for op in ops)
         )
     }
+    sections = {
+        "schedules": {
+            site: [
+                [op.op_type.name, op.transaction_id, op.item, rank[op.seq]]
+                for op in ops
+            ]
+            for site, ops in site_ops.items()
+        },
+        "ser": [
+            [op.transaction_id, op.site]
+            for op in sim.ser_schedule.operations
+        ],
+        "report": {
+            field: getattr(report, field) for field in BEHAVIOURAL_FIELDS
+        },
+        "verification": dataclasses.asdict(
+            verify(schedule, sim.ser_schedule)
+        ),
+    }
+    sections.update(extra or {})
+    return sections
+
+
+def _digests(sections):
     return {
-        site: tuple(
-            dataclasses.replace(operation, seq=rank[operation.seq])
-            for operation in operations
-        )
-        for site, operations in site_ops.items()
+        name: hashlib.sha256(
+            json.dumps(
+                section, sort_keys=True, separators=(",", ":")
+            ).encode()
+        ).hexdigest()
+        for name, section in sections.items()
     }
+
+
+def _simulate_e4(scheme_name, mpl, seed):
+    """One cell of the E4 grid: four heterogeneous-protocol sites (SGT
+    included), ``3 * mpl`` globals admitted in three waves."""
+    sim = build_simulator(make_e4_job(scheme_name, mpl, seed))
+    return sim, sim.run()
+
+
+def e4_digests(scheme_name, mpl, seed):
+    return _digests(_rendering(*_simulate_e4(scheme_name, mpl, seed)))
+
+
+def chaos_digests(scheme_name, seed):
+    """A crash + message-fault storm; beside the schedules and verdicts,
+    the outcome sets, the loop's live-event count and the exactly-once
+    report pin termination and effect-exactness."""
+    options = ChaosOptions(
+        scheme=scheme_name, gtm_crash_count=1, site_crash_count=1
+    )
+    sim, _plan = build_chaos_simulator(options, seed)
+    report = sim.run()
+    outcome = {
+        "committed": sorted(sim.committed_global),
+        "failed": sorted(sim.failed_global),
+        "pending_events": sim.loop.pending,
+        "exactly_once": dataclasses.asdict(sim.exactly_once_report()),
+    }
+    return _digests(_rendering(sim, report, {"outcome": outcome}))
 
 
 @pytest.mark.parametrize("scheme_name", ["scheme2", "scheme3"])
 @pytest.mark.parametrize("seed", [7, 8, 9, 10])
 def test_e4_cell_identical_across_paths(scheme_name, seed):
-    """The regression seeds: identical schedules, ser(S), reports and
-    verification verdicts with the fast paths on and off (MPL 8 keeps
-    contention — waits, wakes, aborts — while staying quick)."""
-    with fastpath.forced(True):
-        fast = _run_e4(scheme_name, 8, seed)
-    with fastpath.forced(False):
-        legacy = _run_e4(scheme_name, 8, seed)
-    assert fast["report"] == legacy["report"]
-    assert fast["schedules"] == legacy["schedules"]
-    assert fast["ser"] == legacy["ser"]
-    assert fast["verification"] == legacy["verification"]
+    """The regression seeds (MPL 8 keeps contention — waits, wakes,
+    aborts — while staying quick)."""
+    assert (
+        e4_digests(scheme_name, 8, seed)
+        == GOLDEN[f"e4/{scheme_name}/mpl8/seed{seed}"]
+    )
 
 
 @pytest.mark.parametrize("scheme_name", ["scheme2", "scheme3"])
 def test_e4_high_contention_identical_across_paths(scheme_name):
     """MPL 16 exercises the abort/purge/re-submit paths (the E4 grid
     point the perf gate watches)."""
-    with fastpath.forced(True):
-        fast = _run_e4(scheme_name, 16, 7)
-    with fastpath.forced(False):
-        legacy = _run_e4(scheme_name, 16, 7)
-    assert fast == legacy
+    assert (
+        e4_digests(scheme_name, 16, 7)
+        == GOLDEN[f"e4/{scheme_name}/mpl16/seed7"]
+    )
 
 
-def _run_tsgd_script(script, fast):
-    tsgd = TSGD(fast=fast)
-    trace = []
-    for op in script:
-        kind = op[0]
-        if kind == "ins":
-            tsgd.insert_transaction(op[1], op[2])
-        elif kind == "rem":
-            tsgd.remove_transaction(op[1])
-        elif kind == "dep":
-            tsgd.add_dependency(op[1], op[2], op[3])
-        else:  # elim
-            delta = tsgd.eliminate_cycles(op[1])
-            trace.append((op[1], tuple(sorted(delta))))
-            tsgd.add_dependencies(sorted(delta))
-    trace.append(("deps", tuple(sorted(tsgd.dependencies))))
-    return trace
+@pytest.mark.parametrize("scheme_name", ["scheme2", "scheme3"])
+@pytest.mark.parametrize("seed", [11, 23])
+def test_chaos_runs_identical_across_paths(scheme_name, seed):
+    """Crash + message-fault storms drive the purge, abort and recovery
+    paths."""
+    assert (
+        chaos_digests(scheme_name, seed)
+        == GOLDEN[f"chaos/{scheme_name}/seed{seed}"]
+    )
 
 
+# -- TSGD.eliminate_cycles vs Figure 4's walk
 def _random_tsgd_script(rng):
     nsites = rng.randint(2, 6)
     sites = [f"s{i}" for i in range(nsites)]
@@ -181,55 +204,189 @@ def _random_tsgd_script(rng):
     return script
 
 
+def _run_tsgd_script(script, oracle=None):
+    """Apply *script*, adding each ``elim``'s Δ — which must be the Δ of
+    *oracle* on the same graph, when one is given."""
+    tsgd = TSGD()
+    for op in script:
+        kind = op[0]
+        if kind == "ins":
+            tsgd.insert_transaction(op[1], op[2])
+        elif kind == "rem":
+            tsgd.remove_transaction(op[1])
+        elif kind == "dep":
+            tsgd.add_dependency(op[1], op[2], op[3])
+        else:  # elim
+            delta = tsgd.eliminate_cycles(op[1])
+            assert oracle is None or delta == oracle(tsgd, op[1]), op
+            tsgd.add_dependencies(sorted(delta))
+    return tsgd
+
+
 def test_tsgd_eliminate_cycles_delta_equivalence():
     """The closed-form Eliminate_Cycles returns the exact Δ of the
-    legacy Figure 4 walk on randomized interleaved scripts."""
+    Figure 4 walk at every call (3k+) of randomized interleaved
+    scripts."""
     for trial in range(300):
         script = _random_tsgd_script(random.Random(trial))
-        fast = _run_tsgd_script(script, fast=True)
-        legacy = _run_tsgd_script(script, fast=False)
-        assert fast == legacy, f"trial {trial} diverged"
+        _run_tsgd_script(script, oracle=eliminate_cycles_walk)
 
 
 def test_tsgd_fast_steps_are_deterministic():
-    """The fast path's analytic step charges must not depend on hash
-    order (the legacy walk's already are deterministic by sorted
-    scans)."""
+    """The analytic step charges must not depend on hash order."""
     script = _random_tsgd_script(random.Random(1234))
-
-    def steps():
-        tsgd = TSGD(fast=True)
-        for op in script:
-            if op[0] == "ins":
-                tsgd.insert_transaction(op[1], op[2])
-            elif op[0] == "rem":
-                tsgd.remove_transaction(op[1])
-            elif op[0] == "dep":
-                tsgd.add_dependency(op[1], op[2], op[3])
-            else:
-                tsgd.add_dependencies(sorted(tsgd.eliminate_cycles(op[1])))
-        return tsgd._metrics.steps
-
-    assert len({steps() for _ in range(5)}) == 1
+    steps = {_run_tsgd_script(script)._metrics.steps for _ in range(5)}
+    assert len(steps) == 1
 
 
-@pytest.mark.parametrize("scheme_name", ["scheme2", "scheme3"])
-@pytest.mark.parametrize("seed", [11, 23])
-def test_chaos_runs_identical_across_paths(scheme_name, seed):
-    """Crash + message-fault storms drive the purge, abort and recovery
-    paths; outcomes and verdicts must match across the toggle."""
-    options = ChaosOptions(scheme=scheme_name, gtm_crash_count=1,
-                           site_crash_count=1)
-    with fastpath.forced(True):
-        fast = run_chaos(options, seed)
-    with fastpath.forced(False):
-        legacy = run_chaos(options, seed)
-    assert fast.ok == legacy.ok
-    assert fast.terminated == legacy.terminated
-    assert fast.unresolved == legacy.unresolved
-    assert fast.verification == legacy.verification
-    assert fast.exactly_once == legacy.exactly_once
-    for field in BEHAVIOURAL_FIELDS:
-        assert getattr(fast.report, field) == getattr(
-            legacy.report, field
-        ), field
+# -- Scheme 3's reverse index vs the ser_bef scans
+def _drive_scheme3(scheme, trace, abort_seed):
+    """Replay *trace* with synchronous servers (cf.
+    ``repro.workloads.traces.drive``), GTM-aborting a random transaction
+    that still has ser requests ahead now and then (chosen from the
+    trace and *abort_seed* only, never from scheme state), and log what
+    the scheme decided and holds after every record."""
+    rng = random.Random(abort_seed)
+    last_record = {r.transaction_id: i for i, r in enumerate(trace.records)}
+    acks_expected, announced, aborted, log = {}, [], set(), []
+
+    def on_ack(operation):
+        acks_expected[operation.transaction_id].discard(operation.site)
+        if not acks_expected[operation.transaction_id]:
+            engine.enqueue(Fin(operation.transaction_id))
+
+    engine = Engine(
+        scheme,
+        submit_handler=lambda op: engine.enqueue(
+            Ack(op.transaction_id, site=op.site)
+        ),
+        ack_handler=on_ack,
+    )
+    for index, record in enumerate(trace.records):
+        transaction_id = record.transaction_id
+        if transaction_id in aborted:
+            continue
+        if record.kind == "init":
+            announced.append(transaction_id)
+            acks_expected[transaction_id] = set(record.sites)
+            engine.enqueue(Init(transaction_id, sites=record.sites))
+        else:
+            engine.enqueue(Ser(transaction_id, site=record.sites[0]))
+        engine.run()
+        unfinished = [
+            t for t in announced if t not in aborted and last_record[t] > index
+        ]
+        if unfinished and rng.random() < 0.1:
+            victim = rng.choice(unfinished)
+            aborted.add(victim)
+            engine.purge_transaction(victim)
+            scheme.remove_transaction(victim)
+            engine.run()
+        log.append(
+            (
+                [(op.transaction_id, op.site) for op in engine.submission_log],
+                sorted((op.kind, op.transaction_id) for op in engine.wait_set),
+                {t: sorted(scheme.serialized_before(t)) for t in announced},
+                scheme.metrics.steps,
+            )
+        )
+    return log, len(aborted)
+
+
+def test_scheme3_index_matches_ser_bef_scans():
+    """Identical cond verdicts (same submissions, same WAIT sets after
+    every record), ``ser_bef`` sets and paper-model ``metrics.steps`` on
+    random staggered traces with GTM aborts interleaved."""
+    aborts = 0
+    for trial in range(240):
+        rng = random.Random(trial)
+        trace = staggered_trace(
+            rng.randint(8, 30),
+            rng.randint(2, 6),
+            rng.randint(1, 4),
+            seed=trial,
+            window=rng.randint(2, 16),
+        )
+        indexed = _drive_scheme3(Scheme3(), trace, trial)
+        assert indexed == _drive_scheme3(ScanScheme3(), trace, trial), trial
+        aborts += indexed[1]
+    assert aborts > 200
+
+
+# -- SGT's online topological order vs the restart search
+def _sgt_stream(rng):
+    """Random ``(hook, transaction[, item])`` requests over a few items;
+    dense enough that cycles (kills) are common."""
+    items = [f"x{i}" for i in range(rng.randint(2, 5))]
+    stream, active, counter = [], [], 0
+    for _ in range(rng.randint(20, 80)):
+        roll = rng.random()
+        if roll < 0.2 or not active:
+            active.append(f"T{counter}")
+            stream.append(("on_begin", active[-1]))
+            counter += 1
+        elif roll < 0.85:
+            hook = "on_read" if roll < 0.55 else "on_write"
+            stream.append((hook, rng.choice(active), rng.choice(items)))
+        else:
+            hook = "on_commit" if roll < 0.95 else "on_abort"
+            stream.append((hook, active.pop(rng.randrange(len(active)))))
+    return stream
+
+
+def _run_sgt(protocol, stream):
+    """Feed *stream* to *protocol* the way ``LocalDBMS`` would (a killed
+    requester is aborted and its later requests dropped); returns the
+    grant/kill sequence, the rejection count and the final graph."""
+    dead, verdicts = set(), []
+    for hook, transaction_id, *item in stream:
+        if transaction_id in dead:
+            continue
+        decision = getattr(protocol, hook)(transaction_id, *item)
+        if hook == "on_abort":
+            continue
+        verdicts.append((decision.verdict, decision.victims))
+        if decision.verdict is Verdict.ABORT:
+            dead.update(decision.victims)
+            for victim in decision.victims:
+                protocol.on_abort(victim)
+    return verdicts, protocol.rejections, sorted(protocol.graph.edges)
+
+
+def test_sgt_incremental_matches_restart_search():
+    kills = 0
+    for trial in range(300):
+        stream = _sgt_stream(random.Random(trial))
+        incremental = _run_sgt(SerializationGraphTesting(), stream)
+        assert incremental == _run_sgt(RestartSGT(), stream), trial
+        kills += incremental[1]
+    assert kills > 100
+
+
+# -- schedule-layer conflict scans vs all-pairs oracles
+def test_conflict_scans_match_all_pairs_oracles():
+    """``conflict_edges`` equals the edges of the materialised
+    ``conflict_pairs``; ``SerSchedule.serialization_graph`` inserts the
+    nodes and edges of an all-pairs ``conflicts_with`` scan in the same
+    order — on the executed schedules of a contended E4 cell."""
+    sim, _report = _simulate_e4("scheme3", 16, 7)
+    schedule = sim.global_schedule()
+    for site in schedule.sites:
+        local = schedule.local_schedule(site)
+        assert conflict_edges(local) == {
+            pair.edge for pair in conflict_pairs(local)
+        }
+    operations = sim.ser_schedule.operations
+    oracle = DirectedGraph()
+    for transaction_id in sim.ser_schedule.transaction_ids:
+        oracle.add_node(transaction_id)
+    for i, first in enumerate(operations):
+        for second in operations[i + 1:]:
+            if first.conflicts_with(second):
+                oracle.add_edge(first.transaction_id, second.transaction_id)
+    graph = sim.ser_schedule.serialization_graph()
+    assert len(oracle.edges) > 100
+    assert (graph.nodes, graph.edges) == (oracle.nodes, oracle.edges)
+    assert [graph.predecessors(node) for node in graph.nodes] == [
+        oracle.predecessors(node) for node in oracle.nodes
+    ]

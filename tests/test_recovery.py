@@ -331,20 +331,19 @@ class TestScheme4RecoveryReplanning:
         assert per_site["b"] == ["T0", "T1", "T2"]
         assert per_site["a"] == ["T1", "T2"]
 
-    def test_replay_without_seal_markers_promotes_in_execution_order(self):
-        """Journals that predate the demand-seal markers still recover
-        (best effort): the act_ser fallback promotes each transaction as
-        a singleton batch at its first replayed ser, chaining the
-        rebuilt plan in execution order."""
+    def test_replay_without_seal_markers_raises(self):
+        """A journal stripped of its demand-seal markers cannot be
+        replayed: the ser's batch was never planned, and inventing a
+        plan could contradict the pre-crash order — the failure names
+        the transaction and the missing marker instead."""
         records = [Init("G5", sites=("s2", "s1")), Ser("G5", site="s2")]
         journal, _, _, _ = journaled_run(
             lambda: Scheme4(batch_size=8), records
         )
         assert journal.seals  # the demand-seal was journaled...
-        journal.seals.clear()  # ...but this journal predates the field
-        replayed = replay_scheme(Scheme4(batch_size=8), journal)
-        assert "G5" in replayed._batch_of
-        assert replayed._pred[("G5", "s2")] is None
+        journal.seals.clear()  # ...and this journal lost it
+        with pytest.raises(SchedulerError, match="'G5'.*log_sealed"):
+            replay_scheme(Scheme4(batch_size=8), journal)
 
     def test_truncate_keeps_seal_markers(self):
         journal = Journal()
