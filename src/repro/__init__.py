@@ -10,10 +10,11 @@ The package implements the full system the paper describes:
   storage, locking, deadlock detection, and history logging;
 - :mod:`repro.core` — the contribution: the Basic_Scheme engine (Fig. 3)
   and conservative Schemes 0–3 with the TSG/TSGD data structures,
-  ``Eliminate_Cycles`` (Fig. 4), and the GTM1+GTM2 composition (Figs. 1–2);
-- :mod:`repro.mdbs` — a deterministic discrete-event MDBS simulator with
-  servers, local traffic (indirect conflicts), and ground-truth
-  verification;
+  ``Eliminate_Cycles`` (Fig. 4), and GTM1's planning (Figs. 1–2);
+- :mod:`repro.mdbs` — a deterministic discrete-event MDBS simulator —
+  the GTM1 driver, with servers, local traffic (indirect conflicts) and
+  ground-truth verification; ``GTMSystem`` is that simulator at zero
+  latency;
 - :mod:`repro.workloads` — parameterized workload and trace generation;
 - :mod:`repro.baselines` — the prior schemes ([BS88] site graph, [GRS91]
   OTM) and the abort-based GTM2 strawmen of §3;

@@ -1,16 +1,15 @@
 """The paper's contribution: GTM2 conservative concurrency-control
 schemes (Schemes 0–3), the Basic_Scheme engine, the TSG/TSGD data
-structures, and the GTM1+GTM2 composition."""
+structures, and GTM1's planning vocabulary (the GTM1 driver itself is
+:mod:`repro.mdbs.simulator`)."""
 
 from repro.core.engine import Engine
 from repro.core.events import Ack, Fin, Init, QueueOp, Ser
 from repro.core.gtm import (
     Access,
     GlobalProgram,
-    GTMSystem,
     PlannedOp,
     STRATEGY_BY_PROTOCOL,
-    TxnState,
 )
 from repro.core.metrics import SchemeMetrics
 from repro.core.recovery import Journal, recover_engine, replay_scheme
@@ -53,6 +52,16 @@ def make_scheme(name: str, **kwargs) -> ConservativeScheme:
     return factory(**kwargs)
 
 
+def __getattr__(name: str):
+    # GTMSystem is a configuration of the simulator, which is built on
+    # this package: resolve it on first use, not at import
+    if name == "GTMSystem":
+        from repro.mdbs.simulator import GTMSystem
+
+        return GTMSystem
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "Engine",
     "Ack",
@@ -65,7 +74,6 @@ __all__ = [
     "GTMSystem",
     "PlannedOp",
     "STRATEGY_BY_PROTOCOL",
-    "TxnState",
     "SchemeMetrics",
     "Journal",
     "recover_engine",

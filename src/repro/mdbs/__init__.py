@@ -5,6 +5,7 @@ verification."""
 from repro.mdbs.events import EventLoop, ScheduledEvent, SimulationError
 from repro.mdbs.server import Latencies, MessagePlane, ResilientServer, Server
 from repro.mdbs.simulator import (
+    GTMSystem,
     MDBSSimulator,
     SimulationConfig,
     SimulationReport,
@@ -33,6 +34,7 @@ __all__ = [
     "MessagePlane",
     "ResilientServer",
     "Server",
+    "GTMSystem",
     "MDBSSimulator",
     "SimulationConfig",
     "SimulationReport",

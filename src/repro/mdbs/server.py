@@ -179,40 +179,9 @@ class ResilientServer(Server):
         read_set: Optional[frozenset] = None,
         write_set: Optional[frozenset] = None,
     ) -> None:
-        seq = self.injector.next_seq()
         channel = self.injector.channel(self.db.site)
-        attempt = {"count": 0}
-        # COMMIT submissions are never abandoned: once a commit may have
-        # executed, giving up and restarting the incarnation could apply
-        # its effects twice (docs/fault_model.md, "exactly-once commit")
-        unbounded = operation.op_type is OpType.COMMIT
-
-        def finish(value: Any, aborted: bool) -> None:
-            if self._done:
-                return  # duplicate or late ack: already answered GTM1
-            self._done = True
-            if self._timer is not None:
-                self._timer.cancel()
-            completion(operation, value, aborted)
-
-        def on_result(value: Any, aborted: bool, replayed: bool) -> None:
-            # site -> GTM leg: service time (unless the result is a
-            # cached replay or an abort), then the faulty return trip
-            service = (
-                0.0 if (aborted or replayed) else self.latencies.service_time
-            )
-            for extra in self.injector.message_fate(self.db.site):
-                self.loop.schedule(
-                    service + self.latencies.message_delay + extra,
-                    lambda v=value, a=aborted: finish(v, a),
-                )
-
-        def deliver_copy() -> None:
-            if self._done:
-                return
-            if not site_up(self.db, self.injector, self.loop.now):
-                return  # the site is dark; the ack timeout covers us
-            channel.deliver(
+        self._exchange(
+            deliver=lambda seq, on_result: channel.deliver(
                 seq,
                 operation,
                 self.db,
@@ -220,7 +189,146 @@ class ResilientServer(Server):
                 write_set,
                 self.still_wanted,
                 on_result,
+            ),
+            completion=lambda value, aborted: completion(
+                operation, value, aborted
+            ),
+            # an abort occupies the site for no service time
+            charge_service=lambda value, aborted: not aborted,
+            # COMMIT submissions are never abandoned: once a commit may
+            # have executed, giving up and restarting the incarnation
+            # could apply its effects twice (docs/fault_model.md,
+            # "exactly-once commit")
+            unbounded=operation.op_type is OpType.COMMIT,
+            # out of retries: report the submission as failed so the
+            # GTM can abort and restart the incarnation
+            give_up_result=(None, True),
+        )
+
+    def abort(self, reason: str = "") -> None:
+        """Abort at the site; the message is subject to the same faults
+        (a lost abort leaves an orphan, reaped by the GTM's orphan
+        sweep)."""
+
+        def deliver() -> None:
+            if not self.db.available:
+                return  # the crash already wiped the transaction
+            if self.db.is_active(self.transaction_id) or self.db.is_blocked(
+                self.transaction_id
+            ):
+                self.db.abort_transaction(self.transaction_id, reason)
+
+        for extra in self.injector.message_fate(self.db.site):
+            self.loop.schedule(self.latencies.message_delay + extra, deliver)
+
+    # ------------------------------------------------------------------
+    # 2PC control messages (repro.commit), fault-tolerant variant
+    # ------------------------------------------------------------------
+    def prepare(
+        self, participant, completion: Callable[[bool], None]
+    ) -> None:
+        """Phase 1 over a faulty link.  Retries are *bounded*: under
+        presumed abort a coordinator that never hears a vote simply
+        decides abort, so giving up is reported as a NO vote."""
+        self._control_exchange(
+            execute=lambda done: done(
+                participant.on_prepare(self.transaction_id)
+            ),
+            completion=completion,
+            charge_service=bool,
+            unbounded=False,
+        )
+
+    def decide(
+        self,
+        participant,
+        commit: bool,
+        completion: Callable[[bool], None],
+    ) -> None:
+        """Phase 2 over a faulty link.  Commit decisions are retried
+        without bound (the decision is logged; abandoning delivery could
+        leave a prepared participant blocked forever); abort decisions
+        are cheap to re-send too, so the same loop serves both."""
+        self._control_exchange(
+            execute=lambda done: participant.on_decide(
+                self.transaction_id, commit, done
+            ),
+            completion=completion,
+            charge_service=lambda ok: bool(ok) and commit,
+            unbounded=True,
+        )
+
+    def _control_exchange(
+        self,
+        execute: Callable[[Callable[[Any], None]], None],
+        completion: Callable[[Any], None],
+        charge_service: Callable[[Any], bool],
+        unbounded: bool,
+    ) -> None:
+        """A 2PC control message: *execute* runs at most once at the
+        site (the channel's control ledger); giving up reads as a NO."""
+        channel = self.injector.channel(self.db.site)
+        self._exchange(
+            deliver=lambda seq, on_result: channel.deliver_control(
+                seq, execute, on_result
+            ),
+            completion=completion,
+            charge_service=charge_service,
+            unbounded=unbounded,
+            give_up_result=(False,),
+        )
+
+    def _exchange(
+        self,
+        deliver: Callable[[int, Callable[..., None]], None],
+        completion: Callable[..., None],
+        charge_service: Callable[..., bool],
+        unbounded: bool,
+        give_up_result: Tuple[Any, ...],
+    ) -> None:
+        """One idempotent request/ack exchange with the site: a sequence
+        number, per-leg message fates, exactly-once execution through
+        the site channel, an ack timeout with capped backoff and
+        jittered retries.
+
+        ``deliver(seq, on_result)`` hands one arrived copy to the
+        channel, which answers ``on_result(*result, replayed)`` per
+        copy; ``completion(*result)`` fires once.  ``charge_service``
+        says whether a (first-hand, not replayed) result occupied the
+        site for the service time.  Unless *unbounded*, the exchange
+        gives up after ``retry.max_attempts`` sends and completes with
+        *give_up_result*."""
+        seq = self.injector.next_seq()
+        attempt = {"count": 0}
+
+        def finish(*result: Any) -> None:
+            if self._done:
+                return  # duplicate or late ack: already answered GTM1
+            self._done = True
+            if self._timer is not None:
+                self._timer.cancel()
+            completion(*result)
+
+        def on_result(*answer: Any) -> None:
+            # site -> GTM leg: service time, then the faulty return trip
+            *result, replayed = answer
+            service = (
+                self.latencies.service_time
+                if (not replayed and charge_service(*result))
+                else 0.0
             )
+            for extra in self.injector.message_fate(self.db.site):
+                self.loop.schedule(
+                    service + self.latencies.message_delay + extra,
+                    lambda r=result: finish(*r),
+                )
+
+        def deliver_copy() -> None:
+            if self._done:
+                return
+            if not site_up(self.db, self.injector, self.loop.now):
+                return  # the site is dark; the ack timeout covers us
+            deliver(seq, on_result)
 
         def send() -> None:
             attempt["count"] += 1
@@ -250,143 +358,8 @@ class ResilientServer(Server):
                     not unbounded
                     and attempt["count"] >= self.retry.max_attempts
                 ):
-                    # out of retries: report the submission as failed so
-                    # the GTM can abort and restart the incarnation
                     self.injector.stats.give_ups += 1
-                    finish(None, True)
-                    return
-                send()
-
-            self._timer = self.loop.schedule(timeout, on_timeout)
-
-        send()
-
-    def abort(self, reason: str = "") -> None:
-        """Abort at the site; the message is subject to the same faults
-        (a lost abort leaves an orphan, reaped by the GTM's orphan
-        sweep)."""
-
-        def deliver() -> None:
-            if not self.db.available:
-                return  # the crash already wiped the transaction
-            if self.db.is_active(self.transaction_id) or self.db.is_blocked(
-                self.transaction_id
-            ):
-                self.db.abort_transaction(self.transaction_id, reason)
-
-        for extra in self.injector.message_fate(self.db.site):
-            self.loop.schedule(self.latencies.message_delay + extra, deliver)
-
-    # ------------------------------------------------------------------
-    # 2PC control messages (repro.commit), fault-tolerant variant
-    # ------------------------------------------------------------------
-    def prepare(
-        self, participant, completion: Callable[[bool], None]
-    ) -> None:
-        """Phase 1 over a faulty link.  Retries are *bounded*: under
-        presumed abort a coordinator that never hears a vote simply
-        decides abort, so giving up is reported as a NO vote."""
-        self._control_round(
-            execute=lambda done: done(
-                participant.on_prepare(self.transaction_id)
-            ),
-            completion=completion,
-            charge_service=lambda result: bool(result),
-            unbounded=False,
-            give_up_result=False,
-        )
-
-    def decide(
-        self,
-        participant,
-        commit: bool,
-        completion: Callable[[bool], None],
-    ) -> None:
-        """Phase 2 over a faulty link.  Commit decisions are retried
-        without bound (the decision is logged; abandoning delivery could
-        leave a prepared participant blocked forever); abort decisions
-        are cheap to re-send too, so the same loop serves both."""
-        self._control_round(
-            execute=lambda done: participant.on_decide(
-                self.transaction_id, commit, done
-            ),
-            completion=completion,
-            charge_service=lambda result: bool(result) and commit,
-            unbounded=True,
-            give_up_result=False,
-        )
-
-    def _control_round(
-        self,
-        execute: Callable[[Callable[[Any], None]], None],
-        completion: Callable[[Any], None],
-        charge_service: Callable[[Any], bool],
-        unbounded: bool,
-        give_up_result: Any,
-    ) -> None:
-        """One idempotent control exchange: sequence number, per-leg
-        message fates, exactly-once execution via the site channel's
-        control ledger, ack timeout with capped backoff."""
-        seq = self.injector.next_seq()
-        channel = self.injector.channel(self.db.site)
-        attempt = {"count": 0}
-
-        def finish(result: Any) -> None:
-            if self._done:
-                return
-            self._done = True
-            if self._timer is not None:
-                self._timer.cancel()
-            completion(result)
-
-        def on_result(result: Any, replayed: bool) -> None:
-            service = (
-                self.latencies.service_time
-                if (charge_service(result) and not replayed)
-                else 0.0
-            )
-            for extra in self.injector.message_fate(self.db.site):
-                self.loop.schedule(
-                    service + self.latencies.message_delay + extra,
-                    lambda r=result: finish(r),
-                )
-
-        def deliver_copy() -> None:
-            if self._done:
-                return
-            if not site_up(self.db, self.injector, self.loop.now):
-                return  # the site is dark; the ack timeout covers us
-            channel.deliver_control(seq, execute, on_result)
-
-        def send() -> None:
-            attempt["count"] += 1
-            if attempt["count"] > 1:
-                self.injector.stats.retries += 1
-            for extra in self.injector.message_fate(self.db.site):
-                self.loop.schedule(
-                    self.latencies.message_delay + extra, deliver_copy
-                )
-            arm_timeout()
-
-        def arm_timeout() -> None:
-            timeout = self.injector.jitter(
-                self.retry.timeout_for(attempt["count"]),
-                self.retry.jitter,
-                self.db.site,
-            )
-
-            def on_timeout() -> None:
-                if self._done:
-                    return
-                if self.still_wanted is not None and not self.still_wanted():
-                    return
-                self.injector.stats.timeouts += 1
-                if (
-                    not unbounded
-                    and attempt["count"] >= self.retry.max_attempts
-                ):
-                    self.injector.stats.give_ups += 1
-                    finish(give_up_result)
+                    finish(*give_up_result)
                     return
                 send()
 

@@ -26,8 +26,7 @@ duplicated, and delayed, submissions are retried with backoff through
 sites where the logical transaction already committed (exactly-once
 commits without 2PC), orphaned subtransactions are reaped, and sites
 that crash repeatedly are quarantined.  Without an injector none of
-these paths are taken and runs are byte-identical to the plain
-simulator.
+these paths are taken.
 
 Collected metrics: throughput, per-transaction response times, global
 aborts, local aborts, scheme step counts, WAIT statistics, and — under
@@ -39,7 +38,8 @@ from __future__ import annotations
 import random
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.commit import (
@@ -58,6 +58,8 @@ from repro.core.gtm import (
     GlobalProgram,
     PlannedOp,
     STRATEGY_BY_PROTOCOL,
+    incarnation_id,
+    logical_id,
     plan_program,
     site_components,
 )
@@ -188,13 +190,12 @@ class SimulationReport:
     #: coordinator-group outcome (None / 0 without a commit group)
     commit_group: Optional[CommitGroupStats] = None
     commit_group_size: int = 0
-    # -- scheduling-cost attribution (perf fast paths; see
-    # -- docs/performance.md) ------------------------------------------
+    # -- scheduling-cost attribution (see docs/performance.md) ---------
     #: structural graph/index mutations: scheme-level (TSGD, ser_bef
     #: index) plus per-site incremental serialization graphs
     graph_ops: int = 0
-    #: DFS / scan work the incremental paths did not re-execute,
-    #: estimated against the legacy restart-from-scratch cost
+    #: DFS / scan work the incremental structures did not re-execute,
+    #: estimated against a restart-from-scratch search
     dfs_steps_avoided: int = 0
     #: waiting operations the targeted post-purge drain never re-examined
     wake_retries_skipped: int = 0
@@ -280,7 +281,7 @@ class MDBSSimulator:
             tracer.bind_clock(lambda: self.loop.now)
         #: fault injection: when present, submissions go through resilient
         #: servers, GTM2 keeps a journal, and the plan's crash schedule is
-        #: executed; when None the simulator behaves exactly as before
+        #: executed
         self.injector = injector
         #: the message plane every GTM↔site exchange goes through — the
         #: seam :mod:`repro.transport` owns (each parallel shard gets its
@@ -290,8 +291,7 @@ class MDBSSimulator:
         )
         #: presumed-abort 2PC (repro.commit): per-site commits become
         #: PREPARE votes and the coordinator issues logged decisions;
-        #: when False every 2PC path is skipped and runs are
-        #: byte-identical to the pre-2PC simulator
+        #: when False every 2PC path is skipped
         self.atomic_commit = atomic_commit
         self._scheme_factory = scheme_factory or (lambda: type(scheme)())
         self._journal = (
@@ -338,9 +338,9 @@ class MDBSSimulator:
         # --- atomic-commitment layer (repro.commit) ---
         self.commit_stats = CommitStats() if atomic_commit else None
         #: replicated decision log (repro.commit.group): size 0 keeps the
-        #: single-coordinator journal backend (byte-identical legacy
-        #: behaviour); size >= 1 routes every decision through quorum
-        #: consensus and in-doubt termination through the replicas
+        #: single-coordinator journal backend; size >= 1 routes every
+        #: decision through quorum consensus and in-doubt termination
+        #: through the replicas
         self.commit_group_size = commit_group_size if atomic_commit else 0
         self.commit_group: Optional[CoordinatorGroup] = None
         self.commit_group_stats: Optional[CommitGroupStats] = None
@@ -360,19 +360,27 @@ class MDBSSimulator:
                 tracer=tracer,
                 retry=self.config.retry,
             )
-            self.commit_group.on_vote_logged = self._on_group_vote_logged
-            self.commit_group.on_quorum_vote = self._on_group_quorum_vote
-        self.coordinator = (
-            TwoPhaseCoordinator(
-                self._journal,
-                self.commit_stats,
-                tracer=tracer,
-                decision_log=(
-                    QuorumDecisionLog(self.commit_group)
-                    if self.commit_group is not None
-                    else None
-                ),
+            # fault points: a replica crashes keyed to its vote-log
+            # progress (the window between a YES vote landing and the
+            # decision round); the acting leader and the GTM drop to the
+            # minority side once *count* votes are quorum-durable, so
+            # in-doubt participants must terminate through a takeover
+            self.commit_group.on_vote_logged = (
+                lambda rank, count: self._at_progress(
+                    "crash_coordinator_replica",
+                    (rank, count),
+                    partial(self._crash_coordinator_replica, rank),
+                )
             )
+            self.commit_group.on_quorum_vote = (
+                lambda count: self._at_progress(
+                    "vote_decide_partitions",
+                    (count,),
+                    self.commit_group.partition_leader,
+                )
+            )
+        self.coordinator = (
+            self._build_coordinator(TwoPhaseCoordinator)
             if atomic_commit
             else None
         )
@@ -404,7 +412,13 @@ class MDBSSimulator:
                     coordinator_resolver=self._resolve_inquiry,
                     message_delay=self.config.latencies.message_delay,
                     fate=fate,
-                    on_yes_vote=self._on_yes_vote,
+                    # fault point: the site goes dark in the window
+                    # between its YES vote and the decision
+                    on_yes_vote=lambda site, count: self._at_progress(
+                        "crash_after_prepare",
+                        (site, count),
+                        partial(self._crash_site_now, site),
+                    ),
                     tracer=tracer,
                     site_up=(
                         lambda d=db: site_up(
@@ -420,15 +434,12 @@ class MDBSSimulator:
         self._deciding: Dict[str, Set[str]] = {}
         #: decide-commit latencies of committed globals (E11)
         self.commit_latencies: List[float] = []
-        #: indexes of crash_after_prepare entries already fired
-        self._prepare_crashes_fired: Set[int] = set()
-        #: indexes of crash_coordinator_replica entries already fired
-        self._replica_crashes_fired: Set[int] = set()
-        #: indexes of vote_decide_partitions entries already fired
-        self._partitions_fired: Set[int] = set()
+        #: (plan list, index) of progress-keyed fault scenarios already
+        #: injected (see :meth:`_at_progress`)
+        self._progress_faults_fired: Set[Tuple[str, int]] = set()
         # --- available-copies replication (repro.replication) ---
         #: item → copies; None = the paper's single-copy model, every
-        #: replication path skipped and runs byte-identical to before
+        #: replication path skipped
         self.replica_map = replica_map
         self.replication = (
             ReplicationStats() if replica_map is not None else None
@@ -453,7 +464,6 @@ class MDBSSimulator:
         #: per-site counts of executed global writes of replicated items
         #: (drives FaultPlan.crash_after_writes)
         self._replicated_writes: Dict[str, int] = {}
-        self._write_crashes_fired: Set[int] = set()
         if replica_map is not None:
             for site, db in self.sites.items():
                 db.clock = lambda: self.loop.now
@@ -613,18 +623,6 @@ class MDBSSimulator:
             )
         return copy
 
-    def _route_failed(self, logical: str) -> None:
-        """No routable copy right now: back off and retry the admission,
-        up to the restart budget (graceful degradation, not a stall)."""
-        self._restart_count[logical] += 1
-        if self._restart_count[logical] <= self.config.max_restarts:
-            self.loop.schedule(
-                self.config.restart_backoff,
-                lambda: self._start_incarnation(logical),
-            )
-        else:
-            self.failed_global.append(logical)
-
     # ------------------------------------------------------------------
     # read-only snapshot transactions (never enter the GTM)
     # ------------------------------------------------------------------
@@ -783,10 +781,9 @@ class MDBSSimulator:
             # one victim per *site component of the workload*: stalls in
             # disjoint components cannot be one deadlock, so a single
             # victim per tick would only stagger independent recoveries.
-            # On a single-component workload (every pre-transport
-            # regression seed) this is exactly the old one-victim rule;
-            # on a partitionable one it matches the per-shard watchdogs
-            # of the parallel transport — each shard is one component.
+            # On a partitionable workload this matches the per-shard
+            # watchdogs of the parallel transport — each shard is one
+            # component.
             if stalled:
                 programs = list(self._programs.values()) + [
                     r.program for r in self._runtimes.values()
@@ -808,6 +805,9 @@ class MDBSSimulator:
                     )
             if self._runtimes or self.loop.pending:
                 self.loop.schedule(self._watchdog_interval(), tick)
+            else:
+                # nothing left to watch; a later run() arms a new one
+                self._watchdog_armed = False
 
         self.loop.schedule(self._watchdog_interval(), tick)
 
@@ -861,15 +861,8 @@ class MDBSSimulator:
             # incarnations GTM1 still tracks (its bookkeeping survives)
             # so in-doubt inquiries made mid-vote are not prematurely
             # presumed abort
-            self.coordinator = TwoPhaseCoordinator.recover(
-                self._journal,
-                self.commit_stats,
-                tracer=self.tracer,
-                decision_log=(
-                    QuorumDecisionLog(self.commit_group)
-                    if self.commit_group is not None
-                    else None
-                ),
+            self.coordinator = self._build_coordinator(
+                TwoPhaseCoordinator.recover
             )
             for incarnation in self._runtimes:
                 self.coordinator.begin_voting(incarnation)
@@ -877,6 +870,56 @@ class MDBSSimulator:
         # outstanding (logged-but-unprocessed) operations were re-queued
         # by recovery with side effects suppressed; process them live now
         self.engine.run()
+
+    def _build_coordinator(self, build) -> TwoPhaseCoordinator:
+        """The 2PC coordinator over this simulator's decision log — the
+        local journal, or the commit group's quorum log; *build* is the
+        constructor (fresh) or ``TwoPhaseCoordinator.recover``."""
+        return build(
+            self._journal,
+            self.commit_stats,
+            tracer=self.tracer,
+            decision_log=(
+                QuorumDecisionLog(self.commit_group)
+                if self.commit_group is not None
+                else None
+            ),
+        )
+
+    def _crash_site_now(self, site: str, downtime: float) -> None:
+        self._crash_site(
+            SiteCrash(site=site, at=self.loop.now, downtime=downtime)
+        )
+
+    def _crash_coordinator_replica(self, rank: int, downtime: float) -> None:
+        if self.commit_group.crash_replica(rank):
+            self.loop.schedule(
+                downtime,
+                lambda: self.commit_group.restart_replica(rank),
+            )
+
+    def _at_progress(
+        self,
+        scenarios: str,
+        reached: Tuple,
+        inject: Callable[[float], None],
+    ) -> None:
+        """Fault points keyed to protocol progress instead of time.
+        *scenarios* names a ``FaultPlan`` list whose entries are
+        ``(progress key..., how long)`` records; each entry whose key
+        equals *reached* is injected — ``inject(how_long)`` as its own
+        event, right after the step that got there — exactly once."""
+        if self.injector is None:
+            return
+        for index, scenario in enumerate(
+            getattr(self.injector.plan, scenarios)
+        ):
+            if (scenarios, index) in self._progress_faults_fired:
+                continue
+            *key, how_long = astuple(scenario)
+            if tuple(key) == reached:
+                self._progress_faults_fired.add((scenarios, index))
+                self.loop.schedule(0.0, partial(inject, how_long))
 
     def _crash_site(self, crash: SiteCrash) -> None:
         """Crash one site: every in-flight transaction there aborts (the
@@ -981,9 +1024,9 @@ class MDBSSimulator:
         committed = set(self._committed_sites.get(logical, set()))
         if self.injector is None and not self.atomic_commit:
             return committed
-        incarnations = [logical] + [
-            f"{logical}#{attempt}"
-            for attempt in range(1, self._restart_count[logical] + 1)
+        incarnations = [
+            incarnation_id(logical, attempt)
+            for attempt in range(self._restart_count[logical] + 1)
         ]
         for site, db in self.sites.items():
             if site in committed:
@@ -1003,7 +1046,9 @@ class MDBSSimulator:
             # routes around the dead copy instead of stalling behind it
             routed = self._route(logical_program)
             if routed is None:
-                self._route_failed(logical)
+                # no routable copy right now: back off and retry the
+                # admission (graceful degradation, not a stall)
+                self._restart_or_fail(logical)
                 return
             self._programs[logical] = routed
         program = self._programs[logical]
@@ -1027,7 +1072,7 @@ class MDBSSimulator:
             self.failed_global.append(logical)
             return
         count = self._restart_count[logical]
-        incarnation = logical if count == 0 else f"{logical}#{count}"
+        incarnation = incarnation_id(logical, count)
         runtime = _GlobalRuntime(
             program=program,
             incarnation=incarnation,
@@ -1161,7 +1206,7 @@ class MDBSSimulator:
             # (a prepare completion is only a YES vote, not a commit —
             # under 2PC the decide phase records the committed sites)
             self._committed_sites.setdefault(
-                self._logical(incarnation), set()
+                logical_id(incarnation), set()
             ).add(operation.site)
         if (
             self.replica_map is not None
@@ -1172,7 +1217,11 @@ class MDBSSimulator:
             # where a partial fan-out must abort, not commit)
             count = self._replicated_writes.get(operation.site, 0) + 1
             self._replicated_writes[operation.site] = count
-            self._on_replicated_write(operation.site, count)
+            self._at_progress(
+                "crash_after_writes",
+                (operation.site, count),
+                partial(self._crash_site_now, operation.site),
+            )
         if planned.is_ticket_read:
             # the value written back is monotone per site; GTM2's
             # one-outstanding-per-site rule makes the release order
@@ -1224,7 +1273,7 @@ class MDBSSimulator:
             # logged, but the stats close only when every site acked
             self._begin_decide_commit(runtime)
             return
-        logical = self._logical(runtime.incarnation)
+        logical = logical_id(runtime.incarnation)
         self.committed_global.append(logical)
         self._stats[logical].committed_at = self.loop.now
 
@@ -1254,7 +1303,7 @@ class MDBSSimulator:
         incarnation = runtime.incarnation
         pending: Set[str] = set(runtime.program.sites)
         self._deciding[incarnation] = pending
-        logical = self._logical(incarnation)
+        logical = logical_id(incarnation)
         for site in runtime.program.sites:
 
             def completion(ok: bool, site: str = site) -> None:
@@ -1298,15 +1347,7 @@ class MDBSSimulator:
             )
         for site in runtime.program.sites:
             self._send_abort_decision(incarnation, site)
-        logical = self._logical(incarnation)
-        self._restart_count[logical] += 1
-        if self._restart_count[logical] <= self.config.max_restarts:
-            self.loop.schedule(
-                self.config.restart_backoff,
-                lambda: self._start_incarnation(logical),
-            )
-        else:
-            self.failed_global.append(logical)
+        self._restart_or_fail(logical_id(incarnation))
 
     def _send_decide(
         self,
@@ -1319,9 +1360,6 @@ class MDBSSimulator:
         db = self.sites[site]
         server = self.plane.server(incarnation, db)
         server.decide(participant, commit, completion)
-
-    def _logical(self, incarnation: str) -> str:
-        return incarnation.split("#", 1)[0]
 
     def _abort_global(self, incarnation: str, reason: str) -> None:
         runtime = self._runtimes.pop(incarnation, None)
@@ -1350,11 +1388,7 @@ class MDBSSimulator:
                         verdict="ABORT",
                         chosen="COMMIT",
                     )
-                self.engine.purge_transaction(incarnation)
-                remover = getattr(self.scheme, "remove_transaction", None)
-                if remover is not None:
-                    remover(incarnation)
-                self.engine.run()
+                self._purge_gtm2(incarnation)
                 self._deliver_commit_decides(runtime, self.loop.now)
             else:
                 self._finish_abort(runtime, reason)
@@ -1373,12 +1407,25 @@ class MDBSSimulator:
                 # abort messages ride the same faulty network; a lost
                 # one leaves an orphan for the sweep to reap
                 self.plane.server(incarnation, self.sites[site]).abort(reason)
+        self._purge_gtm2(incarnation)
+        self._restart_or_fail(logical_id(incarnation))
+
+    def _purge_gtm2(self, incarnation: str) -> None:
+        """Remove an incarnation GTM1 gave up on from GTM2's queue, wait
+        set and the scheme's data structures (the fault-handling hook
+        the paper defers to future work), then let the operations it
+        was blocking proceed.  Goes through the engine so the purge is
+        journaled and the WAIT index stays consistent."""
         self.engine.purge_transaction(incarnation)
         remover = getattr(self.scheme, "remove_transaction", None)
         if remover is not None:
             remover(incarnation)
         self.engine.run()
-        logical = self._logical(incarnation)
+
+    def _restart_or_fail(self, logical: str) -> None:
+        """Spend one unit of *logical*'s restart budget: re-admit it as
+        a fresh incarnation after the backoff, or report it failed once
+        the budget is gone."""
         self._restart_count[logical] += 1
         if self._restart_count[logical] <= self.config.max_restarts:
             self.loop.schedule(
@@ -1430,104 +1477,12 @@ class MDBSSimulator:
             ),
         )
 
-    def _on_group_vote_logged(self, rank: int, count: int) -> None:
-        """Fault point: ``FaultPlan.crash_coordinator_replica`` crashes
-        a commit-group replica keyed to its vote-log progress — the
-        window between a YES vote landing and the decision round."""
-        if self.injector is None:
-            return
-        for index, crash in enumerate(
-            self.injector.plan.crash_coordinator_replica
-        ):
-            if index in self._replica_crashes_fired:
-                continue
-            if crash.replica >= len(self.commit_group.replicas):
-                continue
-            if crash.replica == rank and crash.after_votes == count:
-                self._replica_crashes_fired.add(index)
-                self.loop.schedule(
-                    0.0,
-                    lambda r=rank, d=crash.downtime: (
-                        self._crash_coordinator_replica(r, d)
-                    ),
-                )
-
-    def _crash_coordinator_replica(self, rank: int, downtime: float) -> None:
-        if self.commit_group.crash_replica(rank):
-            self.loop.schedule(
-                downtime,
-                lambda: self.commit_group.restart_replica(rank),
-            )
-
-    def _on_group_quorum_vote(self, count: int) -> None:
-        """Fault point: ``FaultPlan.vote_decide_partitions`` drops the
-        acting leader and the GTM to the minority side once *count*
-        votes are quorum-durable — in-doubt participants must then
-        terminate through a takeover at the surviving majority."""
-        if self.injector is None:
-            return
-        for index, partition in enumerate(
-            self.injector.plan.vote_decide_partitions
-        ):
-            if index in self._partitions_fired:
-                continue
-            if partition.after_votes == count:
-                self._partitions_fired.add(index)
-                self.loop.schedule(
-                    0.0,
-                    lambda d=partition.duration: (
-                        self.commit_group.partition_leader(d)
-                    ),
-                )
-
-    def _on_yes_vote(self, site: str, count: int) -> None:
-        """Fault point: ``FaultPlan.crash_after_prepare`` schedules site
-        crashes keyed to 2PC progress — the site goes dark in the window
-        between its YES vote and the coordinator's decision."""
-        if self.injector is None:
-            return
-        for index, crash in enumerate(
-            self.injector.plan.crash_after_prepare
-        ):
-            if index in self._prepare_crashes_fired:
-                continue
-            if crash.site == site and crash.after_prepares == count:
-                self._prepare_crashes_fired.add(index)
-                self.loop.schedule(
-                    0.0,
-                    lambda s=site, d=crash.downtime: self._crash_site(
-                        SiteCrash(site=s, at=self.loop.now, downtime=d)
-                    ),
-                )
-
-    def _on_replicated_write(self, site: str, count: int) -> None:
-        """Fault point: ``FaultPlan.crash_after_writes`` schedules site
-        crashes keyed to replicated-write progress — the site goes dark
-        between the replica writes of one fanned-out logical write."""
-        if self.injector is None:
-            return
-        for index, crash in enumerate(self.injector.plan.crash_after_writes):
-            if index in self._write_crashes_fired:
-                continue
-            if crash.site == site and crash.after_writes == count:
-                self._write_crashes_fired.add(index)
-                self.loop.schedule(
-                    0.0,
-                    lambda s=site, d=crash.downtime: self._crash_site(
-                        SiteCrash(site=s, at=self.loop.now, downtime=d)
-                    ),
-                )
-
     # ------------------------------------------------------------------
     # local transactions (invisible to the GTM)
     # ------------------------------------------------------------------
     def _run_local(self, program: LocalProgram, attempt: int) -> None:
         db = self.sites[program.site]
-        incarnation = (
-            program.transaction_id
-            if attempt == 0
-            else f"{program.transaction_id}#{attempt}"
-        )
+        incarnation = incarnation_id(program.transaction_id, attempt)
         operations: List[Operation] = [begin_op(incarnation, program.site)]
         for kind, item in program.accesses:
             maker = read_op if kind == "r" else write_op
@@ -1566,37 +1521,35 @@ class MDBSSimulator:
     # ------------------------------------------------------------------
     # verification
     # ------------------------------------------------------------------
-    def global_schedule(self) -> GlobalSchedule:
-        global_ids = {
-            incarnation
-            for incarnation in self._all_incarnations()
+    def incarnations(self) -> Dict[str, str]:
+        """Every incarnation id any admitted global transaction may have
+        run under so far, mapped to its logical id."""
+        return {
+            incarnation_id(logical, attempt): logical
+            for logical, count in self._restart_count.items()
+            for attempt in range(count + 1)
         }
+
+    def global_schedule(self) -> GlobalSchedule:
+        """The executed global schedule, from the local history logs."""
         return GlobalSchedule(
             {
                 site: db.history.committed_schedule()
                 for site, db in self.sites.items()
             },
-            global_transaction_ids=global_ids,
+            global_transaction_ids=set(self.incarnations()),
         )
 
-    def _all_incarnations(self) -> Set[str]:
-        ids: Set[str] = set()
-        for logical, count in self._restart_count.items():
-            ids.add(logical)
-            for attempt in range(1, count + 1):
-                ids.add(f"{logical}#{attempt}")
-        return ids
-
     def verify_serializable(self) -> Tuple[str, ...]:
+        """Assert global serializability from the ground-truth histories;
+        returns a witness serial order."""
         return self.global_schedule().assert_globally_serializable()
 
-    def exactly_once_report(self):
-        """No-lost/no-duplicated global commits, from ground truth (see
-        :func:`repro.mdbs.verification.check_exactly_once`)."""
-        from repro.mdbs.verification import check_exactly_once
-
-        return check_exactly_once(
-            self.global_schedule(),
+    def _claimed_outcomes(self) -> Dict[str, Any]:
+        """What the GTM claims happened, beside the ground truth it is
+        checked against — the arguments of ``check_exactly_once``."""
+        return dict(
+            global_schedule=self.global_schedule(),
             reported_committed=self.committed_global,
             program_sites={
                 logical: program.sites
@@ -1604,6 +1557,13 @@ class MDBSSimulator:
             },
             reported_failed=self.failed_global,
         )
+
+    def exactly_once_report(self):
+        """No-lost/no-duplicated global commits, from ground truth (see
+        :func:`repro.mdbs.verification.check_exactly_once`)."""
+        from repro.mdbs.verification import check_exactly_once
+
+        return check_exactly_once(**self._claimed_outcomes())
 
     def replicas_report(self):
         """One-copy-serializability evidence over replicated items (see
@@ -1645,12 +1605,43 @@ class MDBSSimulator:
         from repro.mdbs.verification import check_atomicity
 
         return check_atomicity(
-            self.global_schedule(),
-            reported_committed=self.committed_global,
-            program_sites={
-                logical: program.sites
-                for logical, program in self._programs.items()
-            },
-            reported_failed=self.failed_global,
-            atomic_commit=self.atomic_commit,
+            **self._claimed_outcomes(), atomic_commit=self.atomic_commit
         )
+
+
+class GTMSystem(MDBSSimulator):
+    """GTM1 + GTM2 over concrete local DBMSs with no network: the
+    simulator at zero message and service latency and without faults,
+    so a run is decided by operation order alone.  Cross-site blocking
+    cycles are still broken by the stall watchdog — in simulated time,
+    which costs nothing here — and a transaction that can never finish
+    is reported ``failed`` once its *max_restarts* fresh incarnations
+    are spent."""
+
+    def __init__(
+        self,
+        sites: Dict[str, LocalDBMS],
+        scheme: ConservativeScheme,
+        max_restarts: int = 10,
+    ) -> None:
+        super().__init__(
+            sites,
+            scheme,
+            SimulationConfig(
+                latencies=Latencies(0.0, 0.0), max_restarts=max_restarts
+            ),
+        )
+
+    def submit_global(self, program: GlobalProgram) -> None:
+        """Admit a global transaction now; :meth:`run` does the work."""
+        super().submit_global(program, at=self.loop.now)
+
+    @property
+    def committed(self) -> List[str]:
+        """Logical ids that committed (``committed_global``)."""
+        return self.committed_global
+
+    @property
+    def failed(self) -> List[str]:
+        """Logical ids that permanently failed (``failed_global``)."""
+        return self.failed_global

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.core.gtm import logical_id
 from repro.exceptions import NonSerializableError
 from repro.schedules.global_schedule import GlobalSchedule, SerSchedule
 from repro.schedules.model import OpType
@@ -161,10 +162,6 @@ class ExactlyOnceReport:
         return not self.duplicated and not self.lost
 
 
-def _logical(incarnation: str) -> str:
-    return incarnation.split("#", 1)[0]
-
-
 def check_exactly_once(
     global_schedule: GlobalSchedule,
     reported_committed: Iterable[str],
@@ -185,7 +182,7 @@ def check_exactly_once(
                 operation.op_type is OpType.COMMIT
                 and operation.transaction_id in global_ids
             ):
-                key = (_logical(operation.transaction_id), site)
+                key = (logical_id(operation.transaction_id), site)
                 commits.setdefault(key, []).append(operation.transaction_id)
     duplicated = tuple(
         (logical, site, tuple(incarnations))
@@ -197,9 +194,9 @@ def check_exactly_once(
     committed = sorted(set(reported_committed))
     for logical in committed:
         # an empty (or unknown) program plans zero sites: iterating its
-        # sites finds nothing to check, which used to pass it off as
+        # sites finds nothing to check, which would pass it off as
         # trivially committed — indistinguishable from a lost commit at
-        # every site; report such transactions explicitly instead
+        # every site; report such transactions explicitly
         sites = tuple(program_sites.get(logical, ()))
         if not sites:
             empty.append(logical)
@@ -314,7 +311,7 @@ def _installed_writer_sequence(store, item: str) -> List[str]:
     version-chain (install) order.  The initial version has no writer
     and is skipped."""
     return [
-        _logical(version.writer)
+        logical_id(version.writer)
         for version in store.versions_of(item)
         if version.writer is not None
     ]

@@ -119,12 +119,15 @@ def e4_digests(scheme_name, mpl, seed):
     return _digests(_rendering(*_simulate_e4(scheme_name, mpl, seed)))
 
 
-def chaos_digests(scheme_name, seed):
+def chaos_cell(scheme_name, seed, **storm):
     """A crash + message-fault storm; beside the schedules and verdicts,
     the outcome sets, the loop's live-event count and the exactly-once
-    report pin termination and effect-exactness."""
+    report pin termination and effect-exactness.  *storm* switches on
+    further :class:`ChaosOptions` layers (2PC, commit group,
+    replication), whose counters and verdicts then get a ``layers``
+    section of their own.  Returns the digests and the report."""
     options = ChaosOptions(
-        scheme=scheme_name, gtm_crash_count=1, site_crash_count=1
+        scheme=scheme_name, gtm_crash_count=1, site_crash_count=1, **storm
     )
     sim, _plan = build_chaos_simulator(options, seed)
     report = sim.run()
@@ -134,7 +137,35 @@ def chaos_digests(scheme_name, seed):
         "pending_events": sim.loop.pending,
         "exactly_once": dataclasses.asdict(sim.exactly_once_report()),
     }
-    return _digests(_rendering(sim, report, {"outcome": outcome}))
+    extra = {"outcome": outcome}
+    if storm:
+        layers = {
+            "atomicity": dataclasses.asdict(sim.atomicity_report()),
+            "commit": dataclasses.asdict(report.commit_stats),
+            "commit_latencies": report.commit_latencies,
+            "in_doubt_times": report.in_doubt_times,
+            "fault_stats": dataclasses.asdict(report.fault_stats),
+            "quarantined": report.quarantined_sites,
+        }
+        if sim.commit_group is not None:
+            layers["group"] = dataclasses.asdict(report.commit_group)
+            layers["decisions"] = dataclasses.asdict(
+                sim.decision_uniqueness_report()
+            )
+        if sim.replica_map is not None:
+            layers["replication"] = dataclasses.asdict(report.replication)
+            layers["replicas"] = dataclasses.asdict(sim.replicas_report())
+            layers["snapshots"] = [
+                sorted(sim.snapshot_committed),
+                sorted(sim.snapshot_failed),
+                report.snapshot_read_times,
+            ]
+        extra["layers"] = layers
+    return _digests(_rendering(sim, report, extra)), report
+
+
+def chaos_digests(scheme_name, seed):
+    return chaos_cell(scheme_name, seed)[0]
 
 
 @pytest.mark.parametrize("scheme_name", ["scheme2", "scheme3"])
@@ -167,6 +198,54 @@ def test_chaos_runs_identical_across_paths(scheme_name, seed):
         chaos_digests(scheme_name, seed)
         == GOLDEN[f"chaos/{scheme_name}/seed{seed}"]
     )
+
+
+#: 2PC over a commit group of three: one coordinator-replica crash keyed
+#: to vote-log progress, one vote/decide partition
+GROUP_STORM = dict(
+    global_txns=12,
+    atomic_commit=True,
+    commit_group_size=3,
+    coordinator_crash_count=1,
+    vote_decide_partition_count=1,
+)
+
+#: available-copies replication, degree 2: one site crash between the
+#: replica writes of a fan-out, one right after a YES vote
+REPLICATION_STORM = dict(
+    global_txns=12,
+    atomic_commit=True,
+    replication_degree=2,
+    write_crash_count=1,
+    prepare_crash_count=1,
+)
+
+
+@pytest.mark.parametrize(
+    "scheme_name, seed", [("scheme2", 26), ("scheme3", 8)]
+)
+def test_group_storm_pins_overruled_decisions(scheme_name, seed):
+    """Seeds on which the group overrules the GTM both ways (a COMMIT
+    verdict meets a chosen ABORT, an ABORT verdict a chosen COMMIT), so
+    the digest pins both restart/complete tails."""
+    digests, report = chaos_cell(scheme_name, seed, **GROUP_STORM)
+    group = report.commit_group
+    assert group.commits_overruled > 0 and group.aborts_overruled > 0
+    assert group.replica_crashes == 1 and group.partitions == 1
+    assert digests == GOLDEN[f"chaos-group/{scheme_name}/seed{seed}"]
+
+
+@pytest.mark.parametrize(
+    "scheme_name, seed", [("scheme2", 7), ("scheme3", 33)]
+)
+def test_replication_storm_pins_route_retries(scheme_name, seed):
+    """Seeds on which admissions find no routable copy: most back off
+    and re-route, some exhaust the restart budget and fail."""
+    digests, report = chaos_cell(scheme_name, seed, **REPLICATION_STORM)
+    assert report.replication.route_retries > 0
+    # the timed crash plus both progress-keyed ones fired
+    assert report.failed_global > 0 and report.site_crashes == 3
+    assert digests == GOLDEN[f"chaos-replication/{scheme_name}/seed{seed}"]
 
 
 # -- TSGD.eliminate_cycles vs Figure 4's walk

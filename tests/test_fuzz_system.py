@@ -51,7 +51,7 @@ class TestFuzzSynchronousGTM:
         assert gtm.ser_schedule.is_serializable()
         # every submitted logical transaction resolved one way or another
         resolved = set(gtm.committed) | set(gtm.failed)
-        assert resolved == set(gtm._incarnation_counter)
+        assert resolved == set(gtm.incarnations().values())
 
 
 @pytest.mark.parametrize("scheme_name", PAPER_SCHEMES)

@@ -33,7 +33,7 @@ class TestRestartMachinery:
         gtm.run()
         assert sorted(gtm.committed) == ["G1", "G2"]
         # at least one incarnation was retried
-        incarnations = set(gtm._logical_of)
+        incarnations = set(gtm.incarnations())
         assert any("#" in incarnation for incarnation in incarnations)
 
     def test_incarnation_ids_in_history(self):

@@ -171,3 +171,96 @@ class TestVerificationGroundTruth:
         gtm.run()
         for db in sites.values():
             assert len(db.history.schedule) > 0
+
+
+class TestZeroLatencyConfiguration:
+    """``GTMSystem`` is ``MDBSSimulator`` at zero latency with no faults —
+    a configuration, not a second driver."""
+
+    PROTOCOLS = ["strict-2pl", "to", "sgt", "conservative-2pl"]
+
+    def drive(self, build, seed):
+        from repro.workloads import WorkloadConfig, WorkloadGenerator
+
+        workload = WorkloadGenerator(
+            WorkloadConfig(sites=4, items_per_site=4, dav=2.5, seed=seed)
+        )
+        sites = {
+            name: LocalDBMS(name, make_protocol(protocol))
+            for name, protocol in zip(
+                workload.config.site_names, self.PROTOCOLS
+            )
+        }
+        system = build(sites)
+        for program in workload.global_batch(12):
+            system.submit_global(program)
+        system.run()
+        histories = {
+            site: [
+                (op.op_type, op.transaction_id, op.item)
+                for op in db.history.committed_schedule()
+            ]
+            for site, db in sites.items()
+        }
+        ser = [(op.transaction_id, op.site) for op in system.ser_schedule]
+        return system, ser, histories
+
+    @pytest.mark.parametrize("scheme_name", ["scheme1", "scheme3"])
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_same_run_as_the_zero_latency_simulator(self, scheme_name, seed):
+        from repro.mdbs import Latencies, MDBSSimulator, SimulationConfig
+
+        def simulator(sites):
+            return MDBSSimulator(
+                sites,
+                make_scheme(scheme_name),
+                SimulationConfig(
+                    latencies=Latencies(0.0, 0.0), max_restarts=10
+                ),
+            )
+
+        gtm, ser, histories = self.drive(
+            lambda sites: GTMSystem(sites, make_scheme(scheme_name)), seed
+        )
+        sim, sim_ser, sim_histories = self.drive(simulator, seed)
+        assert len(ser) > 20 and gtm.global_aborts > 0
+        assert (ser, histories) == (sim_ser, sim_histories)
+        assert gtm.committed == sim.committed_global
+        assert gtm.failed == sim.failed_global == []
+
+    def test_watchdog_breaks_cross_site_blocking_cycle(self):
+        """G1 holds x@s0 and waits for y@s1, G2 the reverse: a deadlock
+        neither site's detector can see.  The stall watchdog aborts one
+        of them (in simulated time) and both commit."""
+        sites = make_sites(["strict-2pl", "strict-2pl"])
+        gtm = GTMSystem(sites, make_scheme("scheme3"))
+        gtm.submit_global(
+            GlobalProgram.build("G1", [("s0", "w", "x"), ("s1", "w", "y")])
+        )
+        gtm.submit_global(
+            GlobalProgram.build("G2", [("s1", "w", "y"), ("s0", "w", "x")])
+        )
+        report = gtm.run()
+        assert gtm.global_aborts >= 1
+        assert report.watchdog_aborts == gtm.global_aborts
+        assert sorted(gtm.committed) == ["G1", "G2"] and gtm.failed == []
+        gtm.verify_serializable()
+
+    def test_submit_after_run(self):
+        """Admission is relative to now, so submit/run can alternate —
+        with a live watchdog each time."""
+        sites = make_sites(["strict-2pl", "strict-2pl"])
+        gtm = GTMSystem(sites, make_scheme("scheme2"))
+        gtm.submit_global(GlobalProgram.build("G0", [("s0", "w", "z")]))
+        gtm.run()
+        assert gtm.committed == ["G0"]
+        gtm.submit_global(
+            GlobalProgram.build("G1", [("s0", "w", "x"), ("s1", "w", "y")])
+        )
+        gtm.submit_global(
+            GlobalProgram.build("G2", [("s1", "w", "y"), ("s0", "w", "x")])
+        )
+        gtm.run()
+        assert sorted(gtm.committed) == ["G0", "G1", "G2"]
+        assert gtm.global_aborts >= 1
+        gtm.verify_serializable()
