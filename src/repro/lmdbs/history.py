@@ -31,9 +31,14 @@ class HistoryLog:
         self._schedule = Schedule()
         self._prepared: Dict[str, None] = {}
         self._commit_times: Dict[str, float] = {}
+        #: transaction -> its last recorded COMMIT/ABORT
+        self._outcomes: Dict[str, OpType] = {}
 
     def record(self, operation: Operation) -> Operation:
-        return self._schedule.append(operation)
+        self._schedule.append(operation)
+        if operation.op_type in (OpType.COMMIT, OpType.ABORT):
+            self._outcomes[operation.transaction_id] = operation.op_type
+        return operation
 
     @property
     def schedule(self) -> Schedule:
@@ -48,11 +53,7 @@ class HistoryLog:
 
     def outcome_of(self, transaction_id: str) -> Optional[OpType]:
         """COMMIT, ABORT, or None if the transaction is still active."""
-        outcome: Optional[OpType] = None
-        for operation in self._schedule.operations_of(transaction_id):
-            if operation.op_type in (OpType.COMMIT, OpType.ABORT):
-                outcome = operation.op_type
-        return outcome
+        return self._outcomes.get(transaction_id)
 
     # ------------------------------------------------------------------
     # commit timestamps (multiversion snapshot support)

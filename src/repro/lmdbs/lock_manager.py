@@ -41,6 +41,8 @@ class LockRequest:
 class _LockEntry:
     """Lock-table entry for one data item."""
 
+    #: position of the item in the lock table (entries are never removed)
+    order: int
     holders: Dict[str, LockMode] = field(default_factory=dict)
     queue: List[LockRequest] = field(default_factory=list)
 
@@ -51,6 +53,31 @@ class LockManager:
     def __init__(self) -> None:
         self._table: Dict[str, _LockEntry] = {}
         self._held_by_txn: Dict[str, Set[str]] = {}
+        #: the wait index: transaction -> items where it has a queued
+        #: request (no empty sets), so release and deadlock detection
+        #: visit the contended entries instead of the whole table
+        self._queued_at: Dict[str, Set[str]] = {}
+
+    def _entry(self, item: str) -> _LockEntry:
+        entry = self._table.get(item)
+        if entry is None:
+            entry = self._table[item] = _LockEntry(len(self._table))
+        return entry
+
+    def _enqueued(self, transaction_id: str, item: str) -> None:
+        self._queued_at.setdefault(transaction_id, set()).add(item)
+
+    def _dequeued(
+        self, transaction_id: str, item: str, entry: _LockEntry
+    ) -> None:
+        """One queued request of *transaction_id* left *entry*'s queue;
+        a repeated upgrade request may leave another one behind."""
+        if any(r.transaction_id == transaction_id for r in entry.queue):
+            return
+        items = self._queued_at[transaction_id]
+        items.discard(item)
+        if not items:
+            del self._queued_at[transaction_id]
 
     # ------------------------------------------------------------------
     # acquisition
@@ -65,7 +92,7 @@ class LockManager:
         the sole holder; otherwise the upgrade waits at the *front* of the
         queue (standard upgrade priority).
         """
-        entry = self._table.setdefault(item, _LockEntry())
+        entry = self._entry(item)
         held = entry.holders.get(transaction_id)
 
         if held is not None:
@@ -77,6 +104,7 @@ class LockManager:
                 return True
             request = LockRequest(transaction_id, LockMode.EXCLUSIVE)
             entry.queue.insert(0, request)
+            self._enqueued(transaction_id, item)
             return False
 
         if not entry.queue and all(
@@ -87,13 +115,14 @@ class LockManager:
             return True
 
         entry.queue.append(LockRequest(transaction_id, mode))
+        self._enqueued(transaction_id, item)
         return False
 
     def try_request(
         self, transaction_id: str, item: str, mode: LockMode
     ) -> bool:
         """Like :meth:`request` but never enqueues (no-wait discipline)."""
-        entry = self._table.setdefault(item, _LockEntry())
+        entry = self._entry(item)
         held = entry.holders.get(transaction_id)
         if held is not None:
             if held is LockMode.EXCLUSIVE or mode is LockMode.SHARED:
@@ -139,16 +168,19 @@ class LockManager:
             for txn, mode in self.release(transaction_id, item):
                 granted.append((item, txn, mode))
         self._held_by_txn.pop(transaction_id, None)
-        for item, entry in self._table.items():
-            before = len(entry.queue)
+        # in lock-table order: grant order here is wake order too
+        for item in sorted(
+            self._queued_at.pop(transaction_id, ()),
+            key=lambda item: self._table[item].order,
+        ):
+            entry = self._table[item]
             entry.queue = [
                 request
                 for request in entry.queue
                 if request.transaction_id != transaction_id
             ]
-            if len(entry.queue) != before:
-                for txn, mode in self._grant_from_queue(item, entry):
-                    granted.append((item, txn, mode))
+            for txn, mode in self._grant_from_queue(item, entry):
+                granted.append((item, txn, mode))
         return granted
 
     def _grant_from_queue(
@@ -163,6 +195,7 @@ class LockManager:
                 if len(entry.holders) == 1:
                     entry.holders[request.transaction_id] = request.mode
                     entry.queue.pop(0)
+                    self._dequeued(request.transaction_id, item, entry)
                     granted.append((request.transaction_id, request.mode))
                     continue
                 break
@@ -175,6 +208,7 @@ class LockManager:
                     request.transaction_id, set()
                 ).add(item)
                 entry.queue.pop(0)
+                self._dequeued(request.transaction_id, item, entry)
                 granted.append((request.transaction_id, request.mode))
                 continue
             break
@@ -207,31 +241,48 @@ class LockManager:
     def locks_of(self, transaction_id: str) -> frozenset:
         return frozenset(self._held_by_txn.get(transaction_id, ()))
 
-    def waits_for_edges(self) -> Set[Tuple[str, str]]:
-        """Edges (waiter, holder) for the waits-for graph.
+    @staticmethod
+    def _blockers(entry: _LockEntry, index: int) -> List[str]:
+        """The transactions the *index*-th queued request of *entry*
+        waits for: every incompatible current holder and every earlier
+        queued request it is incompatible with (FIFO queues mean earlier
+        waiters block later ones)."""
+        request = entry.queue[index]
+        waiter, mode = request.transaction_id, request.mode
+        blockers = [
+            holder
+            for holder, held in entry.holders.items()
+            if holder != waiter and not mode.compatible_with(held)
+        ]
+        for earlier in entry.queue[:index]:
+            if earlier.transaction_id != waiter and not (
+                mode.compatible_with(earlier.mode)
+                and earlier.mode.compatible_with(mode)
+            ):
+                blockers.append(earlier.transaction_id)
+        return blockers
 
-        A queued request waits for every incompatible current holder and
-        for every earlier queued request it is incompatible with (FIFO
-        queues mean earlier waiters block later ones).
-        """
-        edges: Set[Tuple[str, str]] = set()
-        for entry in self._table.values():
+    def blockers_of(self, transaction_id: str) -> Set[str]:
+        """The transactions *transaction_id* waits for — the targets of
+        its :meth:`waits_for_edges`, read off the wait index."""
+        blockers: Set[str] = set()
+        for item in self._queued_at.get(transaction_id, ()):
+            entry = self._table[item]
             for index, request in enumerate(entry.queue):
-                for holder, mode in entry.holders.items():
-                    if holder == request.transaction_id:
-                        continue
-                    if not request.mode.compatible_with(mode):
-                        edges.add((request.transaction_id, holder))
-                for earlier in entry.queue[:index]:
-                    if earlier.transaction_id == request.transaction_id:
-                        continue
-                    if not (
-                        request.mode.compatible_with(earlier.mode)
-                        and earlier.mode.compatible_with(request.mode)
-                    ):
-                        edges.add(
-                            (request.transaction_id, earlier.transaction_id)
-                        )
+                if request.transaction_id == transaction_id:
+                    blockers.update(self._blockers(entry, index))
+        return blockers
+
+    def waits_for_edges(self) -> Set[Tuple[str, str]]:
+        """Edges (waiter, holder) for the waits-for graph, one per pair
+        of a queued request and a transaction it waits for."""
+        edges: Set[Tuple[str, str]] = set()
+        contended = set().union(*self._queued_at.values())
+        for item in contended:
+            entry = self._table[item]
+            for index, request in enumerate(entry.queue):
+                for blocker in self._blockers(entry, index):
+                    edges.add((request.transaction_id, blocker))
         return edges
 
     def __repr__(self) -> str:

@@ -60,7 +60,9 @@ class StrictTwoPhaseLocking(LocalScheduler):
         self._require_active(transaction_id)
         if self._locks.request(transaction_id, item, mode):
             return Decision.grant()
-        deadlock = self._detector.check()
+        deadlock = self._detector.check_blocked(
+            transaction_id, self._locks.blockers_of
+        )
         if deadlock is None:
             return Decision.block(f"waiting for {mode} lock on {item!r}")
         victim, cycle = deadlock
@@ -115,6 +117,12 @@ class StrictTwoPhaseLocking(LocalScheduler):
     @property
     def deadlocks_found(self) -> int:
         return self._detector.deadlocks_found
+
+    @property
+    def deadlock_searches(self) -> int:
+        """Full waits-for cycle searches run (see
+        :attr:`DeadlockDetector.searches`)."""
+        return self._detector.searches
 
 
 class PreventionTwoPhaseLocking(StrictTwoPhaseLocking):

@@ -313,6 +313,10 @@ class MDBSSimulator:
         self._stats: Dict[str, TransactionStats] = {}
         self._restart_count: Dict[str, int] = {}
         self._programs: Dict[str, GlobalProgram] = {}
+        #: site -> index of its component in ``site_components`` of the
+        #: program table, for the watchdog; None after a write of the
+        #: table (see :meth:`_site_partition`)
+        self._partition: Optional[Dict[str, int]] = None
         self.ser_schedule = SerSchedule()
         self.committed_global: List[str] = []
         self.failed_global: List[str] = []
@@ -495,6 +499,7 @@ class MDBSSimulator:
                 f"global transaction {logical!r} submitted twice"
             )
         self._programs[logical] = program
+        self._partition = None
         self._restart_count[logical] = 0
         self._stats[logical] = TransactionStats(submitted_at=at)
         self.loop.schedule_at(at, lambda: self._start_incarnation(logical))
@@ -763,6 +768,22 @@ class MDBSSimulator:
         ``stall_timeout`` take effect at the next tick."""
         return self.config.stall_timeout / 2
 
+    def _site_partition(self) -> Dict[str, int]:
+        """Each site's index among the site components of the workload,
+        recomputed only after the program table was written.  A live
+        runtime runs its table entry or, after commit-site resumption, a
+        subset of that entry's sites, so the runtimes never link sites
+        the table does not."""
+        if self._partition is None:
+            self._partition = {
+                site: index
+                for index, component in enumerate(
+                    site_components(self.sites, self._programs.values())
+                )
+                for site in component
+            }
+        return self._partition
+
     def _arm_watchdog(self) -> None:
         if self._watchdog_armed:
             return
@@ -785,18 +806,18 @@ class MDBSSimulator:
             # watchdogs of the parallel transport — each shard is one
             # component.
             if stalled:
-                programs = list(self._programs.values()) + [
-                    r.program for r in self._runtimes.values()
-                ]
-                for component in site_components(self.sites, programs):
-                    members = set(component)
-                    candidates = [
-                        r for r in stalled if members & set(r.program.sites)
-                    ]
-                    if not candidates:
-                        continue
+                component_of = self._site_partition()
+                candidates: Dict[int, List[_GlobalRuntime]] = {}
+                for runtime in stalled:
+                    # a program's sites all lie in one component
+                    if runtime.program.sites:
+                        candidates.setdefault(
+                            component_of[runtime.program.sites[0]], []
+                        ).append(runtime)
+                # components are numbered in partition order
+                for component in sorted(candidates):
                     victim = min(
-                        candidates,
+                        candidates[component],
                         key=lambda r: (r.last_progress, r.incarnation),
                     )
                     self.watchdog_aborts += 1
@@ -1051,6 +1072,7 @@ class MDBSSimulator:
                 self._restart_or_fail(logical)
                 return
             self._programs[logical] = routed
+            self._partition = None
         program = self._programs[logical]
         committed_sites = self._committed_sites_of(logical)
         if committed_sites:

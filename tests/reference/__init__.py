@@ -6,6 +6,10 @@ one.  The algorithms as the paper states them (Figure 4's
 scans, SGT's restart-from-the-requester cycle search) live here,
 written against the public inspection API or as subclasses overriding
 only the scanned methods; ``tests/test_fastpath_equivalence.py`` checks
-the production structures against them decision for decision.  Nothing
-under ``src/`` imports this package.
+the production structures against them decision for decision.
+``lock_table_scan`` keeps the whole-table scans of the 2PL lock manager
+and the whole-history scan of ``HistoryLog.outcome_of`` that the wait
+index and the outcome map replaced (``tests/test_lock_manager.py``,
+``tests/test_misc_surfaces.py``).  Nothing under ``src/`` imports this
+package.
 """

@@ -1,9 +1,12 @@
 """Tests for the S/X lock manager."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.exceptions import ProtocolViolation
 from repro.lmdbs.lock_manager import LockManager, LockMode
+from tests.reference.lock_table_scan import ScanLockManager, scan_queued_at
 
 
 class TestGrantRules:
@@ -121,3 +124,94 @@ class TestTryRequest:
         locks = LockManager()
         assert locks.try_request("T1", "x", LockMode.EXCLUSIVE)
         assert locks.holds("T1", "x")
+
+
+# ----------------------------------------------------------------------
+# the wait index against the table scans it replaced
+# ----------------------------------------------------------------------
+
+_TXNS = ["T1", "T2", "T3", "T4"]
+_ITEMS = ["x", "y", "z"]
+
+lock_scripts = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("request"),
+            st.sampled_from(_TXNS),
+            st.sampled_from(_ITEMS),
+            st.sampled_from(list(LockMode)),
+        ),
+        st.tuples(
+            st.just("release"),
+            st.sampled_from(_TXNS),
+            st.sampled_from(_ITEMS),
+        ),
+        st.tuples(st.just("release_all"), st.sampled_from(_TXNS)),
+    ),
+    max_size=40,
+)
+
+
+def _apply(locks, step):
+    """Run one script step; a release of an unheld lock is a no-op."""
+    kind, txn, *rest = step
+    if kind == "request":
+        return locks.request(txn, *rest)
+    if kind == "release_all":
+        return locks.release_all(txn)
+    if not locks.holds(txn, rest[0]):
+        return None
+    return locks.release(txn, rest[0])
+
+
+class TestWaitIndex:
+    """Scripts are unconstrained: a transaction may request while
+    queued, repeat an upgrade, or be released (aborted) while waiting —
+    the index must stay exact through all of it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lock_scripts)
+    def test_index_release_and_edges_match_the_table_scan(self, script):
+        locks, scan = LockManager(), ScanLockManager()
+        for step in script:
+            # same results, and for release_all the same triples in
+            # the same order: grant order is the protocol's wake order
+            assert _apply(locks, step) == _apply(scan, step), step
+            assert locks._queued_at == scan_queued_at(locks), step
+            assert locks.waits_for_edges() == scan.waits_for_edges(), step
+            for txn in _TXNS:
+                assert locks.blockers_of(txn) == {
+                    holder
+                    for waiter, holder in scan.waits_for_edges()
+                    if waiter == txn
+                }, step
+        for item in _ITEMS:
+            assert locks.holders(item) == scan.holders(item)
+            assert locks.waiters(item) == scan.waiters(item)
+
+    def test_release_all_keeps_lock_table_order(self):
+        """An aborted waiter's requests are dropped item by item in the
+        order the items entered the table (not name or hash order), so
+        the readers queued behind it are granted in that order."""
+        locks = LockManager()
+        for item in ("z", "a", "m"):
+            locks.request("H", item, LockMode.SHARED)
+            assert not locks.request("Q", item, LockMode.EXCLUSIVE)
+            assert not locks.request(f"R-{item}", item, LockMode.SHARED)
+        assert locks.release_all("Q") == [
+            (item, f"R-{item}", LockMode.SHARED) for item in ("z", "a", "m")
+        ]
+        assert locks._queued_at == {}
+
+    def test_repeated_upgrade_stays_indexed_until_the_last_grant(self):
+        locks = LockManager()
+        locks.request("T1", "x", LockMode.SHARED)
+        locks.request("T2", "x", LockMode.SHARED)
+        assert not locks.request("T1", "x", LockMode.EXCLUSIVE)
+        assert not locks.request("T1", "x", LockMode.EXCLUSIVE)
+        assert locks.waiters("x") == ("T1", "T1")
+        assert locks.release("T2", "x") == [
+            ("T1", LockMode.EXCLUSIVE),
+            ("T1", LockMode.EXCLUSIVE),
+        ]
+        assert locks._queued_at == {}

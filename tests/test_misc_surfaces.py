@@ -1,6 +1,8 @@
 """Tests for smaller public surfaces: metrics, history, reporting,
 exceptions, verification internals, trace generators' structure."""
 
+import hypothesis.strategies as st
+from hypothesis import given
 
 from repro.core.metrics import SchemeMetrics
 from repro.exceptions import (
@@ -19,6 +21,7 @@ from repro.schedules.global_schedule import (
     SerSchedule,
 )
 from repro.schedules.model import parse_schedule
+from tests.reference.lock_table_scan import scan_outcome_of
 
 
 class TestSchemeMetrics:
@@ -67,6 +70,26 @@ class TestHistoryLog:
         log.record(begin("T2", "s1"))
         log.record(abort("T2", "s1"))
         assert log.outcome_of("T2") is OpType.ABORT
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([begin, read, commit, abort]),
+                st.sampled_from(["T1", "T2", "T3"]),
+            ),
+            max_size=30,
+        )
+    )
+    def test_outcome_of_matches_the_history_scan(self, steps):
+        """The last COMMIT/ABORT wins — a commit followed by an abort
+        (or the reverse) included — after every recorded operation."""
+        log = HistoryLog("s1")
+        for make, txn in steps:
+            log.record(make(txn, "x", "s1") if make is read else make(txn, "s1"))
+            for known in ("T1", "T2", "T3"):
+                assert log.outcome_of(known) is scan_outcome_of(
+                    log.schedule, known
+                )
 
     def test_operations_of(self):
         log = HistoryLog("s1")

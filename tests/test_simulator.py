@@ -159,3 +159,89 @@ class TestVerificationLayer:
         loop.run()
         # message (2) + service (3) + message (2)
         assert done == [7.0]
+
+
+class TestWatchdogPartition:
+    """The stall watchdog reuses one site partition between writes of
+    the program table instead of recomputing it on every stalled tick."""
+
+    @staticmethod
+    def _watch(sim, monkeypatch):
+        """Count ``site_components`` calls, and at every tick that picks
+        victims compare the reused partition with one recomputed the way
+        the watchdog used to: table plus live runtime programs."""
+        import repro.mdbs.simulator as simulator_module
+        from repro.core.gtm import site_components
+
+        calls, ticks = [], []
+
+        def counted(sites, programs):
+            calls.append(1)
+            return site_components(sites, programs)
+
+        monkeypatch.setattr(simulator_module, "site_components", counted)
+        reused = sim._site_partition
+
+        def checked():
+            component_of = reused()
+            programs = list(sim._programs.values()) + [
+                runtime.program for runtime in sim._runtimes.values()
+            ]
+            assert component_of == {
+                site: index
+                for index, component in enumerate(
+                    site_components(sim.sites, programs)
+                )
+                for site in component
+            }
+            ticks.append(1)
+            return component_of
+
+        sim._site_partition = checked
+        return calls, ticks
+
+    def test_wave_submitted_run_computes_it_once(self, monkeypatch):
+        from repro.analysis.bench import make_e4_job
+        from repro.transport import build_simulator as build_job_simulator
+
+        sim = build_job_simulator(make_e4_job("scheme2", 16, 7))
+        calls, ticks = self._watch(sim, monkeypatch)
+        report = sim.run()
+        assert report.watchdog_aborts > 0
+        # every submit_global ran before the first tick
+        assert len(calls) == 1 < len(ticks)
+
+    def test_replication_storm_recomputes_only_after_a_reroute(
+        self, monkeypatch
+    ):
+        from repro.faults.chaos import ChaosOptions, build_chaos_simulator
+
+        sim, _plan = build_chaos_simulator(
+            ChaosOptions(
+                scheme="scheme2",
+                gtm_crash_count=1,
+                site_crash_count=1,
+                global_txns=12,
+                atomic_commit=True,
+                replication_degree=2,
+                write_crash_count=1,
+                prepare_crash_count=1,
+            ),
+            7,
+        )
+        calls, ticks = self._watch(sim, monkeypatch)
+        writes = []
+        route = sim._route
+
+        def counted_route(program):
+            routed = route(program)
+            if routed is not None:
+                writes.append(1)  # _start_incarnation stores it
+            return routed
+
+        sim._route = counted_route
+        report = sim.run()
+        assert report.replication.route_retries > 0
+        # lazily: at most once per write, and never without a tick
+        assert 0 < len(calls) <= min(len(writes), len(ticks))
+        assert len(writes) > len(ticks)
