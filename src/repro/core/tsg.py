@@ -105,6 +105,7 @@ class TransactionSiteGraph:
             )
         component_of: Dict[str, int] = {}
         next_component = 0
+        steps = 0  # one per frontier pop and per neighbour examined
         for site in own_sites:
             if site in component_of:
                 continue
@@ -115,23 +116,25 @@ class TransactionSiteGraph:
             seen_sites = {site}
             seen_txns: Set[str] = set()
             while frontier:
-                self._metrics.step()
                 node, is_site = frontier.pop()
                 if is_site:
                     component_of.setdefault(node, component)
-                    for txn in self._site_txns.get(node, ()):
-                        self._metrics.step()
+                    neighbours = self._site_txns.get(node, ())
+                    steps += 1 + len(neighbours)
+                    for txn in neighbours:
                         if txn == transaction_id or txn in seen_txns:
                             continue
                         seen_txns.add(txn)
                         frontier.append((txn, False))
                 else:
-                    for other_site in self._txn_sites.get(node, ()):
-                        self._metrics.step()
+                    neighbours = self._txn_sites.get(node, ())
+                    steps += 1 + len(neighbours)
+                    for other_site in neighbours:
                         if other_site in seen_sites:
                             continue
                         seen_sites.add(other_site)
                         frontier.append((other_site, True))
+        self._metrics.step(steps)
         by_component: Dict[int, List[str]] = {}
         for site in own_sites:
             by_component.setdefault(component_of[site], []).append(site)

@@ -83,30 +83,35 @@ def verify(
     ser_schedule: Optional[SerSchedule] = None,
 ) -> VerificationReport:
     """Run every check; never raises — the report carries the verdicts."""
-    # one pass over the local histories: every check below reads the
-    # same per-site serialization graphs (GlobalSchedule caches them)
     local_graphs = global_schedule.local_serialization_graphs()
-    locals_ok = all(graph.is_acyclic() for graph in local_graphs.values())
     graph = union_graph(local_graphs.values())
-    cycle = graph.find_cycle()
+    # Kahn's pass yields the witness and decides acyclicity at once, and
+    # every local graph is a subgraph of the union: an acyclic union
+    # leaves no site to search.  Only a failed pass pays for the cycle
+    # (found inside topological_order) and the per-site verdicts.
     witness: Tuple[str, ...] = ()
-    if cycle is None:
+    cycle: Tuple[str, ...] = ()
+    locals_ok = True
+    try:
         witness = graph.topological_order()
+    except NonSerializableError as error:
+        cycle = error.cycle
+        locals_ok = all(g.is_acyclic() for g in local_graphs.values())
     ser_ok = True
     if ser_schedule is not None:
         ser_ok = committed_ser_projection(
             global_schedule, ser_schedule
         ).is_serializable()
     site_edges = {
-        site: len(local_graphs[site].edges)
+        site: local_graphs[site].edge_count
         for site in global_schedule.sites
     }
     return VerificationReport(
         locals_serializable=locals_ok,
-        globally_serializable=cycle is None,
+        globally_serializable=not cycle,
         ser_schedule_serializable=ser_ok,
         witness=witness,
-        cycle=cycle or (),
+        cycle=cycle,
         site_edges=site_edges,
     )
 
@@ -470,8 +475,6 @@ def serialization_order_consistent(
     order must be consistent with the committed global serialization
     graph restricted to global transactions (no edge may point against
     the ser(S) topological order)."""
-    if not ser_schedule.is_serializable():
-        return False
     try:
         order = ser_schedule.witness_order()
     except NonSerializableError:

@@ -169,9 +169,6 @@ class SerSchedule:
 
     def __init__(self, operations: Iterable[SerOperation] = ()) -> None:
         self._operations: List[SerOperation] = []
-        #: per-site operation positions — only same-site operations
-        #: conflict, so graph construction never needs cross-site pairs
-        self._by_site: Dict[str, List[int]] = {}
         #: cached serialization graph, invalidated on append
         self._graph_cache: Optional[DirectedGraph] = None
         for operation in operations:
@@ -179,9 +176,6 @@ class SerSchedule:
 
     def append(self, operation: SerOperation) -> SerOperation:
         self._graph_cache = None
-        self._by_site.setdefault(operation.site, []).append(
-            len(self._operations)
-        )
         self._operations.append(operation)
         return operation
 
@@ -191,42 +185,38 @@ class SerSchedule:
 
     @property
     def transaction_ids(self) -> Tuple[str, ...]:
-        seen: List[str] = []
-        for operation in self._operations:
-            if operation.transaction_id not in seen:
-                seen.append(operation.transaction_id)
-        return tuple(seen)
+        return tuple(
+            dict.fromkeys(op.transaction_id for op in self._operations)
+        )
 
     def serialization_graph(self) -> DirectedGraph:
-        """SG over ser-conflicts: edge Gi -> Gj whenever some
-        ``ser_k(G_i)`` precedes a conflicting ``ser_k(G_j)``.
+        """The site-order reduction of SG over ser-conflicts, not the
+        full SG.
 
-        Built from the per-site position lists — O(Σ per-site k²)
-        instead of O(k²) over all operations — walking the operations in
-        global order and, for each, only the *later same-site*
-        operations.  That visits exactly the conflicting pairs the naive
-        all-pairs scan visits, in the same (i, j)-ascending order, so
-        node and edge insertion order (and hence any cycle or
-        topological-order witness) is identical.  The result is cached
-        until the next append; callers must treat it as read-only."""
+        Every two operations at a site conflict, so the full SG — an
+        edge Gi -> Gj whenever some ``ser_k(G_i)`` precedes a
+        ``ser_k(G_j)`` — is the transitive closure of each site's
+        consecutive pairs.  Only those are edges here: an operation is
+        linked from the one before it at its site unless both belong to
+        one transaction, so there is at most one edge per operation.  A
+        transaction returning to a site (``a b a``) gets ``a -> b -> a``,
+        a cycle in both graphs.  Reachability, hence the verdict and the
+        set of valid witness orders, is that of the full SG
+        (``tests/reference/ser_all_pairs.py`` keeps it as the oracle);
+        nodes are in first-appearance order.  The result is cached until
+        the next append; callers must treat it as read-only."""
         if self._graph_cache is not None:
             return self._graph_cache
         graph = DirectedGraph()
         for transaction_id in self.transaction_ids:
             graph.add_node(transaction_id)
-        operations = self._operations
-        site_rank: Dict[int, int] = {}
-        for indexes in self._by_site.values():
-            for rank, index in enumerate(indexes):
-                site_rank[index] = rank
-        for i, first in enumerate(operations):
-            bucket = self._by_site[first.site]
-            for rank in range(site_rank[i] + 1, len(bucket)):
-                second = operations[bucket[rank]]
-                if first.transaction_id != second.transaction_id:
-                    graph.add_edge(
-                        first.transaction_id, second.transaction_id
-                    )
+        last_at_site: Dict[str, str] = {}
+        for operation in self._operations:
+            transaction_id = operation.transaction_id
+            previous = last_at_site.get(operation.site, transaction_id)
+            if previous != transaction_id:
+                graph.add_edge(previous, transaction_id)
+            last_at_site[operation.site] = transaction_id
         self._graph_cache = graph
         return graph
 

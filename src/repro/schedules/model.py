@@ -286,11 +286,9 @@ class Schedule:
 
     @property
     def transaction_ids(self) -> Tuple[str, ...]:
-        seen: List[str] = []
-        for operation in self._operations:
-            if operation.transaction_id not in seen:
-                seen.append(operation.transaction_id)
-        return tuple(seen)
+        return tuple(
+            dict.fromkeys(op.transaction_id for op in self._operations)
+        )
 
     def position(self, operation: Operation) -> int:
         try:

@@ -91,6 +91,10 @@ class DirectedGraph:
     def __len__(self) -> int:
         return len(self._successors)
 
+    @property
+    def edge_count(self) -> int:
+        return sum(map(len, self._successors.values()))
+
     def copy(self) -> "DirectedGraph":
         duplicate = DirectedGraph()
         for node in self._successors:
@@ -223,7 +227,7 @@ class DirectedGraph:
         return seen
 
     def __repr__(self) -> str:
-        return f"<DirectedGraph nodes={len(self)} edges={len(self.edges)}>"
+        return f"<DirectedGraph nodes={len(self)} edges={self.edge_count}>"
 
 
 def serialization_graph(schedule: Schedule) -> DirectedGraph:
@@ -240,9 +244,16 @@ def union_graph(graphs: Iterable[DirectedGraph]) -> DirectedGraph:
     """The union of several serialization graphs (used for global SGs:
     the union of all local SGs plus GTM-induced orderings)."""
     union = DirectedGraph()
+    successors, predecessors = union._successors, union._predecessors
     for graph in graphs:
-        for node in graph.nodes:
-            union.add_node(node)
-        for source, target in graph.edges:
-            union.add_edge(source, target)
+        # a graph's nodes enter before its edges, so node order is the
+        # graphs' node orders concatenated, whatever the edges touch
+        for node in graph._successors:
+            if node not in successors:
+                successors[node] = {}
+                predecessors[node] = {}
+        for source, targets in graph._successors.items():
+            successors[source].update(targets)
+            for target in targets:
+                predecessors[target][source] = None
     return union

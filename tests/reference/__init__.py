@@ -10,6 +10,10 @@ the production structures against them decision for decision.
 ``lock_table_scan`` keeps the whole-table scans of the 2PL lock manager
 and the whole-history scan of ``HistoryLog.outcome_of`` that the wait
 index and the outcome map replaced (``tests/test_lock_manager.py``,
-``tests/test_misc_surfaces.py``).  Nothing under ``src/`` imports this
-package.
+``tests/test_misc_surfaces.py``).  ``ser_all_pairs`` keeps ser(S)'s
+serialization graph with an edge per same-site pair, and ``verify_scan``
+the three-pass ``verify`` over graphs built pair by pair with
+list-membership ``transaction_ids``, which the per-site chains and the
+one-pass ``verify`` replaced (``tests/test_end_of_run_checks.py``).
+Nothing under ``src/`` imports this package.
 """

@@ -35,11 +35,15 @@ from repro.lmdbs.protocols.base import Verdict
 from repro.lmdbs.protocols.sgt import SerializationGraphTesting
 from repro.mdbs import verify
 from repro.schedules.conflicts import conflict_edges, conflict_pairs
-from repro.schedules.serialization_graph import DirectedGraph
 from repro.transport import build_simulator
 from repro.workloads.traces import staggered_trace
 from tests.reference.eliminate_cycles import eliminate_cycles_walk
 from tests.reference.scheme3_scan import ScanScheme3
+from tests.reference.ser_all_pairs import (
+    all_pairs_serialization_graph,
+    closure,
+    is_topological_order,
+)
 from tests.reference.sgt_restart import RestartSGT
 
 #: SimulationReport fields that define behaviour (the step/op counters
@@ -445,9 +449,11 @@ def test_sgt_incremental_matches_restart_search():
 # -- schedule-layer conflict scans vs all-pairs oracles
 def test_conflict_scans_match_all_pairs_oracles():
     """``conflict_edges`` equals the edges of the materialised
-    ``conflict_pairs``; ``SerSchedule.serialization_graph`` inserts the
-    nodes and edges of an all-pairs ``conflicts_with`` scan in the same
-    order — on the executed schedules of a contended E4 cell."""
+    ``conflict_pairs``; ``SerSchedule.serialization_graph`` — the
+    site-order chains — has the nodes, in the same order, and the
+    transitive closure of the all-pairs ``conflicts_with`` graph, on at
+    most one edge per operation — on the executed schedules of a
+    contended E4 cell."""
     sim, _report = _simulate_e4("scheme3", 16, 7)
     schedule = sim.global_schedule()
     for site in schedule.sites:
@@ -455,17 +461,11 @@ def test_conflict_scans_match_all_pairs_oracles():
         assert conflict_edges(local) == {
             pair.edge for pair in conflict_pairs(local)
         }
-    operations = sim.ser_schedule.operations
-    oracle = DirectedGraph()
-    for transaction_id in sim.ser_schedule.transaction_ids:
-        oracle.add_node(transaction_id)
-    for i, first in enumerate(operations):
-        for second in operations[i + 1:]:
-            if first.conflicts_with(second):
-                oracle.add_edge(first.transaction_id, second.transaction_id)
+    oracle = all_pairs_serialization_graph(sim.ser_schedule.operations)
     graph = sim.ser_schedule.serialization_graph()
-    assert len(oracle.edges) > 100
-    assert (graph.nodes, graph.edges) == (oracle.nodes, oracle.edges)
-    assert [graph.predecessors(node) for node in graph.nodes] == [
-        oracle.predecessors(node) for node in oracle.nodes
-    ]
+    assert oracle.edge_count > 100
+    assert graph.edge_count <= len(sim.ser_schedule) < oracle.edge_count
+    assert graph.nodes == oracle.nodes
+    assert set(graph.edges) <= set(oracle.edges)
+    assert closure(graph) == closure(oracle)
+    assert is_topological_order(oracle, sim.ser_schedule.witness_order())
