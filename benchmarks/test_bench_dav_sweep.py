@@ -32,7 +32,7 @@ def run_one(scheme_name, dav, seed=11):
         for s in cfg.site_names
     }
     sim = MDBSSimulator(
-        sites, make_scheme(scheme_name), SimulationConfig(), seed=seed
+        sites, make_scheme(scheme_name), SimulationConfig()
     )
     for index, program in enumerate(gen.global_batch(24)):
         sim.submit_global(program, at=(index // 8) * 30.0)

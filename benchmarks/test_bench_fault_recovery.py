@@ -32,8 +32,8 @@ def run_recovery_sweep():
             simulator, _plan = build_chaos_simulator(options, seed)
             report = simulator.run()
             assert report.gtm_crashes == 2
-            recoveries.extend(simulator.gtm_recovery_times)
-            journal_sizes.append(len(simulator._journal))
+            recoveries.extend(simulator.faults.gtm_recovery_times)
+            journal_sizes.append(len(simulator.engine.journal))
         mean_us = 1e6 * sum(recoveries) / len(recoveries)
         max_us = 1e6 * max(recoveries)
         table.append(

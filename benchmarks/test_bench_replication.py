@@ -59,7 +59,6 @@ def build_replicated(seed, degree, ro_fraction=0.2, crash=True):
         sites,
         make_scheme("scheme2"),
         SimulationConfig(horizon=100_000.0),
-        seed=seed,
         injector=injector,
         scheme_factory=lambda: make_scheme("scheme2"),
         atomic_commit=True,
@@ -78,9 +77,9 @@ def commits_in_window(simulator, replica_map):
     population a single-copy layout strands until restart)."""
     exposed = set(replica_map.items_at("s0"))
     count = 0
-    for logical, program in simulator._logical_programs.items():
-        stats = simulator._stats.get(logical)
-        if stats is None or stats.committed_at is None:
+    for logical, program in simulator.router.programs.items():
+        stats = simulator.transaction_stats(logical)
+        if stats.committed_at is None:
             continue
         if not exposed.intersection(program.items):
             continue

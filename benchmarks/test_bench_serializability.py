@@ -65,7 +65,7 @@ def run_population(scheme_factory, runs=12):
             for s, p in zip(cfg.site_names, PROTOCOLS)
         }
         sim = MDBSSimulator(
-            sites, scheme_factory(), SimulationConfig(), seed=seed
+            sites, scheme_factory(), SimulationConfig()
         )
         for index, program in enumerate(gen.global_batch(10)):
             sim.submit_global(program, at=index * 1.5)

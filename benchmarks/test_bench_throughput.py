@@ -33,7 +33,7 @@ def run_one(scheme_name, mpl, seed=7):
         for s, p in zip(cfg.site_names, PROTOCOLS)
     }
     sim = MDBSSimulator(
-        sites, make_scheme(scheme_name), SimulationConfig(), seed=seed
+        sites, make_scheme(scheme_name), SimulationConfig()
     )
     # closed-ish system: mpl transactions arrive together in waves
     programs = gen.global_batch(3 * mpl)

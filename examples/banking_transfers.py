@@ -42,7 +42,7 @@ def main(seed: int = 2026) -> None:
     rng = random.Random(seed)
     sites = build_sites()
     sim = MDBSSimulator(
-        sites, make_scheme("scheme2"), SimulationConfig(), seed=seed
+        sites, make_scheme("scheme2"), SimulationConfig()
     )
 
     # global inter-bank transfers: read+write one account at each bank

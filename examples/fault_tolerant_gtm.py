@@ -43,7 +43,6 @@ def build_simulator(plan):
         sites,
         make_scheme(SCHEME),
         SimulationConfig(horizon=50_000.0),
-        seed=SEED,
         injector=None if plan is None else FaultInjector(plan),
         scheme_factory=lambda: make_scheme(SCHEME),
     )

@@ -84,7 +84,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for index, name in enumerate(config.site_names)
     }
     simulator = MDBSSimulator(
-        sites, _make_scheduler(args.scheme), SimulationConfig(), seed=args.seed
+        sites, _make_scheduler(args.scheme), SimulationConfig()
     )
     for index, program in enumerate(generator.global_batch(args.globals)):
         simulator.submit_global(program, at=index * args.spacing)

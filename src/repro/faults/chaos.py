@@ -214,7 +214,6 @@ def build_chaos_simulator(
         sites,
         make_scheme(options.scheme),
         SimulationConfig(horizon=options.horizon),
-        seed=seed,
         injector=FaultInjector(plan),
         scheme_factory=lambda: make_scheme(options.scheme),
         atomic_commit=options.atomic_commit,
@@ -246,25 +245,17 @@ def run_chaos(options: ChaosOptions, seed: int) -> ChaosResult:
     verification = verify(simulator.global_schedule(), simulator.ser_schedule)
     exactly_once = simulator.exactly_once_report()
     atomicity = simulator.atomicity_report()
-    resolved = (
-        set(simulator.committed_global)
-        | set(simulator.failed_global)
-        | set(simulator.snapshot_committed)
-        | set(simulator.snapshot_failed)
-    )
-    admitted = set(simulator._programs) | set(simulator._logical_programs)
-    unresolved = tuple(
-        sorted(logical for logical in admitted if logical not in resolved)
-    )
+    resolved = set(simulator.committed_global) | set(simulator.failed_global)
+    router = simulator.router
+    if router is not None:
+        resolved |= set(router.snapshot_committed) | set(router.snapshot_failed)
+    unresolved = tuple(sorted(simulator.admitted() - resolved))
     terminated = simulator.loop.pending == 0 and not unresolved
-    replicas = (
-        simulator.replicas_report()
-        if simulator.replica_map is not None
-        else None
-    )
+    replicas = simulator.replicas_report() if router is not None else None
+    commit = simulator.commit
     decisions = (
         simulator.decision_uniqueness_report()
-        if simulator.commit_group is not None
+        if commit is not None and commit.group is not None
         else None
     )
     return ChaosResult(

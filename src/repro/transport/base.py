@@ -183,7 +183,6 @@ def build_simulator(job: SimulationJob) -> MDBSSimulator:
         sites,
         make_scheme(job.scheme),
         job.config,
-        seed=job.seed,
         injector=FaultInjector(job.plan) if job.plan is not None else None,
         scheme_factory=lambda: make_scheme(job.scheme),
         atomic_commit=job.atomic_commit,
@@ -315,21 +314,31 @@ def shard_jobs(job: SimulationJob) -> List[SimulationJob]:
 # ----------------------------------------------------------------------
 # merging
 # ----------------------------------------------------------------------
-def _merged_stats(stats_list):
-    """Sum the numeric fields of per-shard stats dataclasses (FaultStats
-    and friends); non-numeric fields keep the empty default."""
-    first = stats_list[0]
-    merged = type(first)()
-    for spec in dataclasses.fields(first):
-        value = getattr(first, spec.name)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _merged(records, shared=()):
+    """Fold per-shard records — reports, or the stats dataclasses inside
+    them — field by field, so a field added to either is merged without
+    being named here: numbers add up (a field named in *shared* reads
+    the same in a single-loop run as in each shard, so it takes the
+    maximum), tuples concatenate, nested stats fold the same way (None
+    when no shard has them) and flags are the job's, equal everywhere."""
+    merged = {}
+    for spec in dataclasses.fields(records[0]):
+        values = [getattr(record, spec.name) for record in records]
+        values = [value for value in values if value is not None]
+        if not values:
             continue
-        setattr(
-            merged,
-            spec.name,
-            sum(getattr(stats, spec.name) for stats in stats_list),
-        )
-    return merged
+        sample = values[0]
+        if isinstance(sample, bool):
+            merged[spec.name] = sample
+        elif spec.name in shared:
+            merged[spec.name] = max(values)
+        elif isinstance(sample, (int, float)):
+            merged[spec.name] = sum(values)
+        elif isinstance(sample, tuple):
+            merged[spec.name] = tuple(v for value in values for v in value)
+        elif dataclasses.is_dataclass(sample):
+            merged[spec.name] = _merged(values)
+    return type(records[0])(**merged)
 
 
 def merge_outcomes(
@@ -358,46 +367,13 @@ def merge_outcomes(
     if len(outcomes) == 1:
         merged_report = reports[0]
     else:
-        fault_stats = [r.fault_stats for r in reports if r.fault_stats]
-        merged_report = SimulationReport(
-            duration=max(r.duration for r in reports),
-            committed_global=sum(r.committed_global for r in reports),
-            failed_global=sum(r.failed_global for r in reports),
-            global_aborts=sum(r.global_aborts for r in reports),
-            committed_local=sum(r.committed_local for r in reports),
-            local_aborts=sum(r.local_aborts for r in reports),
-            response_times=tuple(
-                value for r in reports for value in r.response_times
-            ),
-            scheme_steps=sum(r.scheme_steps for r in reports),
-            scheme_waits=sum(r.scheme_waits for r in reports),
-            watchdog_aborts=sum(r.watchdog_aborts for r in reports),
-            gtm_crashes=max(r.gtm_crashes for r in reports),
-            site_crashes=sum(r.site_crashes for r in reports),
-            quarantined_sites=tuple(
-                sorted(
-                    {s for r in reports for s in r.quarantined_sites}
-                )
-            ),
-            fault_stats=_merged_stats(fault_stats) if fault_stats else None,
-            atomic_commit=job.atomic_commit,
-            commit_latencies=tuple(
-                value for r in reports for value in r.commit_latencies
-            ),
-            in_doubt_times=tuple(
-                value for r in reports for value in r.in_doubt_times
-            ),
-            graph_ops=sum(r.graph_ops for r in reports),
-            dfs_steps_avoided=sum(r.dfs_steps_avoided for r in reports),
-            wake_retries_skipped=sum(
-                r.wake_retries_skipped for r in reports
-            ),
-            events_executed=sum(r.events_executed for r in reports),
-            wait_area=sum(r.wait_area for r in reports),
-            wait_samples=sum(r.wait_samples for r in reports),
-            availability_windows=tuple(
-                window for r in reports for window in r.availability_windows
-            ),
+        # GTM2 crashes hit every shard at the same instants, and the
+        # simulated clocks run side by side
+        merged_report = _merged(
+            reports, shared=("duration", "gtm_crashes", "commit_group_size")
+        )
+        merged_report.quarantined_sites = tuple(
+            sorted(merged_report.quarantined_sites)
         )
     site_ops: Dict[str, Tuple[Operation, ...]] = {}
     for outcome in outcomes:

@@ -72,7 +72,6 @@ def build_atomic_simulator(seed, injector=None, scheme_name="scheme2",
         sites,
         make_scheme(scheme_name),
         config or SimulationConfig(horizon=50_000.0),
-        seed=seed,
         injector=injector,
         scheme_factory=lambda: make_scheme(scheme_name),
         atomic_commit=True,
@@ -423,7 +422,6 @@ class TestReplicatedPreparedRestart:
             sites,
             make_scheme("scheme2"),
             SimulationConfig(horizon=50_000.0),
-            seed=0,
             injector=FaultInjector(plan),
             scheme_factory=lambda: make_scheme("scheme2"),
             atomic_commit=True,
@@ -438,7 +436,7 @@ class TestReplicatedPreparedRestart:
         """Record the catch-up transitions of s0 with the exact
         eligibility picture at each instant."""
         events = []
-        catchup = simulator.catchup
+        catchup = simulator.router.catchup
         original_restart = catchup.on_restart
         original_commit = catchup.on_commit
 
@@ -499,7 +497,7 @@ class TestReplicatedPreparedRestart:
         # the catch-up latency was measured
         assert report.replication.catchup_ms
         # and the copy stays eligible at end of run
-        assert simulator.catchup.read_eligible("s0", "x0")
+        assert simulator.router.catchup.read_eligible("s0", "x0")
 
     def test_reads_route_around_the_in_doubt_copy(self):
         """While s0 is dark/recovering, snapshot readers are served by
@@ -903,11 +901,11 @@ class TestCommitGroupRuns:
         first hearing it would presume abort on a fully-voted txn."""
         simulator = build_atomic_simulator(seed=11, commit_group_size=3)
         sites = ("s0", "s1")
-        simulator._incarnation_sites["GX"] = sites
-        assert "GX" not in simulator._runtimes
-        simulator._broadcast_vote("GX", "s0")
+        simulator.commit.begin_voting("GX", sites)
+        assert "GX" not in simulator.incarnations()
+        simulator.commit.broadcast_vote("GX", "s0")
         simulator.loop.run(until=50.0)
-        group = simulator.commit_group
+        group = simulator.commit.group
         assert group.vote_durable("GX", "s0")
         assert all(
             replica.expected.get("GX") == sites

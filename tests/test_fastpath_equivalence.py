@@ -151,17 +151,17 @@ def chaos_cell(scheme_name, seed, **storm):
             "fault_stats": dataclasses.asdict(report.fault_stats),
             "quarantined": report.quarantined_sites,
         }
-        if sim.commit_group is not None:
+        if sim.commit is not None and sim.commit.group is not None:
             layers["group"] = dataclasses.asdict(report.commit_group)
             layers["decisions"] = dataclasses.asdict(
                 sim.decision_uniqueness_report()
             )
-        if sim.replica_map is not None:
+        if sim.router is not None:
             layers["replication"] = dataclasses.asdict(report.replication)
             layers["replicas"] = dataclasses.asdict(sim.replicas_report())
             layers["snapshots"] = [
-                sorted(sim.snapshot_committed),
-                sorted(sim.snapshot_failed),
+                sorted(sim.router.snapshot_committed),
+                sorted(sim.router.snapshot_failed),
                 report.snapshot_read_times,
             ]
         extra["layers"] = layers

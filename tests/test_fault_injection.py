@@ -71,7 +71,6 @@ def build_simulator(seed, injector, scheme_name="scheme2", config=None,
         sites,
         make_scheme(scheme_name),
         config or SimulationConfig(horizon=50_000.0),
-        seed=seed,
         injector=injector,
         scheme_factory=lambda: make_scheme(scheme_name),
     )
@@ -552,7 +551,6 @@ class TestWriteCrashPlans:
             sites,
             make_scheme("scheme2"),
             SimulationConfig(horizon=50_000.0),
-            seed=0,
             injector=FaultInjector(plan),
             scheme_factory=lambda: make_scheme("scheme2"),
             atomic_commit=True,

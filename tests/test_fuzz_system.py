@@ -74,7 +74,7 @@ class TestFuzzSimulator:
             for s, p in zip(cfg.site_names, protocols)
         }
         sim = MDBSSimulator(
-            sites, make_scheme(scheme_name), SimulationConfig(), seed=seed
+            sites, make_scheme(scheme_name), SimulationConfig()
         )
         for index, program in enumerate(gen.global_batch(8)):
             sim.submit_global(program, at=index * rng.choice([1.0, 4.0]))

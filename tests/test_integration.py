@@ -79,7 +79,7 @@ class TestIndirectConflicts:
             for s in cfg.site_names
         }
         sim = MDBSSimulator(
-            sites, make_scheme(scheme_name), SimulationConfig(), seed=42
+            sites, make_scheme(scheme_name), SimulationConfig()
         )
         for index, program in enumerate(gen.global_batch(8)):
             sim.submit_global(program, at=index * 2.0)

@@ -1,0 +1,115 @@
+"""Layering of ``MDBSSimulator`` and its components, checked on the AST
+(the offline stand-in for ruff's ``SLF001``):
+
+- in the kernel and the four component modules every ``._name`` access
+  is on ``self`` — no module reads another object's private state;
+- a component does not import the kernel;
+- nothing under ``src/repro`` outside ``mdbs/`` reads a private
+  attribute of a simulator.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+COMPONENTS = ("watchdog", "fault_scheduler", "commit_driver", "router")
+#: constructors and builders whose result is a simulator, and the names
+#: the tree gives one by convention
+SIMULATOR_SOURCES = {
+    "MDBSSimulator",
+    "GTMSystem",
+    "build_simulator",
+    "build_chaos_simulator",
+}
+SIMULATOR_NAMES = {"simulator", "sim", "gtm", "system"}
+
+
+def private_accesses(tree):
+    """``(line, owner expression, attribute)`` of every ``x._name``."""
+    return [
+        (node.lineno, ast.unparse(node.value), node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+    ]
+
+
+def simulator_names(tree):
+    """Names bound from a simulator constructor or builder, beside the
+    conventional ones."""
+    names = set(SIMULATOR_NAMES)
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
+            continue
+        callee = node.value.func
+        called = callee.attr if isinstance(callee, ast.Attribute) else getattr(
+            callee, "id", None
+        )
+        if called in SIMULATOR_SOURCES:
+            for target in node.targets:
+                # ``simulator, plan = build_chaos_simulator(...)``
+                first = target.elts[0] if isinstance(target, ast.Tuple) else target
+                if isinstance(first, ast.Name):
+                    names.add(first.id)
+    return names
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("module", ("simulator",) + COMPONENTS)
+def test_private_state_is_read_through_self_only(module):
+    reaches = [
+        access
+        for access in private_accesses(parse(SRC / "mdbs" / f"{module}.py"))
+        if access[1] != "self"
+    ]
+    assert reaches == []
+
+
+@pytest.mark.parametrize("module", COMPONENTS)
+def test_components_do_not_import_the_kernel(module):
+    imported = set()
+    for node in ast.walk(parse(SRC / "mdbs" / f"{module}.py")):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert not {name for name in imported if name.startswith("repro.mdbs.simulator")}
+    # ...nor through the package façade, which imports the kernel
+    assert "repro.mdbs" not in imported
+
+
+def test_nothing_outside_mdbs_reads_a_simulators_private_state():
+    reaches = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.parent.name == "mdbs":
+            continue
+        tree = parse(path)
+        names = simulator_names(tree)
+        reaches += [
+            (str(path.relative_to(SRC)),) + access
+            for access in private_accesses(tree)
+            if access[1] in names
+        ]
+    assert reaches == []
+
+
+def test_the_walk_sees_the_reach_it_exists_to_catch():
+    tree = ast.parse(
+        "simulator, _plan = build_chaos_simulator(options, seed)\n"
+        "run = MDBSSimulator(sites, scheme)\n"
+        "admitted = set(simulator._programs) | set(run._logical_programs)\n"
+        "mine = self._programs\n"
+    )
+    assert simulator_names(tree) >= {"simulator", "run"}
+    assert [
+        (owner, attr)
+        for _, owner, attr in private_accesses(tree)
+        if owner in simulator_names(tree)
+    ] == [("simulator", "_programs"), ("run", "_logical_programs")]

@@ -180,5 +180,5 @@ class TestCommitGroupProperty:
         # no lingering in-doubt state: quorum reachable at end (all
         # crashes/partitions healed) means every window closed.
         assert report.commit_stats.in_doubt_open_at_end == 0
-        for participant in simulator.participants.values():
+        for participant in simulator.commit.participants.values():
             assert participant.open_in_doubt(simulator.loop.now) == ()

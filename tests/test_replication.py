@@ -78,7 +78,6 @@ def build_replicated_simulator(
         sites,
         make_scheme(scheme_name),
         config or SimulationConfig(horizon=50_000.0),
-        seed=seed,
         injector=injector,
         scheme_factory=lambda: make_scheme(scheme_name),
         atomic_commit=True,
@@ -308,7 +307,7 @@ class TestReplicatedRuns:
             fingerprints.append(
                 (
                     tuple(simulator.committed_global),
-                    tuple(simulator.snapshot_committed),
+                    tuple(simulator.router.snapshot_committed),
                     report.replication.as_rows(),
                 )
             )
@@ -324,7 +323,7 @@ class TestReplicatedRuns:
         )
         simulator.run()
         assert simulator.committed_global == ["G1"]
-        assert simulator.replication.writes_fanout == 3
+        assert simulator.router.stats.writes_fanout == 3
         # every copy saw the committed write
         for site in SITES:
             assert simulator.sites[site].storage.committed_value("x0") != 0
@@ -375,7 +374,7 @@ class TestReplicatedRuns:
             for name in workload.config.site_names
         }
         simulator = MDBSSimulator(
-            sites, make_scheme("scheme2"), SimulationConfig(), seed=0
+            sites, make_scheme("scheme2"), SimulationConfig()
         )
         from repro.exceptions import ProtocolViolation
 
@@ -412,8 +411,8 @@ class TestCrashRecovery:
         resolved = (
             len(simulator.committed_global)
             + len(simulator.failed_global)
-            + len(simulator.snapshot_committed)
-            + len(simulator.snapshot_failed)
+            + len(simulator.router.snapshot_committed)
+            + len(simulator.router.snapshot_failed)
         )
         assert resolved == 14
 

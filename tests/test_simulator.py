@@ -80,7 +80,7 @@ def build_simulator(scheme_name, seed=0, protocols=("strict-2pl", "to", "sgt")):
         for s, p in zip(cfg.site_names, protocols)
     }
     sim = MDBSSimulator(
-        sites, make_scheme(scheme_name), SimulationConfig(), seed=seed
+        sites, make_scheme(scheme_name), SimulationConfig()
     )
     return sim, gen
 
@@ -170,7 +170,7 @@ class TestWatchdogPartition:
         """Count ``site_components`` calls, and at every tick that picks
         victims compare the reused partition with one recomputed the way
         the watchdog used to: table plus live runtime programs."""
-        import repro.mdbs.simulator as simulator_module
+        import repro.mdbs.watchdog as watchdog_module
         from repro.core.gtm import site_components
 
         calls, ticks = [], []
@@ -179,8 +179,8 @@ class TestWatchdogPartition:
             calls.append(1)
             return site_components(sites, programs)
 
-        monkeypatch.setattr(simulator_module, "site_components", counted)
-        reused = sim._site_partition
+        monkeypatch.setattr(watchdog_module, "site_components", counted)
+        reused = sim.watchdog.partition
 
         def checked():
             component_of = reused()
@@ -197,7 +197,7 @@ class TestWatchdogPartition:
             ticks.append(1)
             return component_of
 
-        sim._site_partition = checked
+        sim.watchdog.partition = checked
         return calls, ticks
 
     def test_wave_submitted_run_computes_it_once(self, monkeypatch):
@@ -231,15 +231,15 @@ class TestWatchdogPartition:
         )
         calls, ticks = self._watch(sim, monkeypatch)
         writes = []
-        route = sim._route
+        route = sim.router.route
 
-        def counted_route(program):
-            routed = route(program)
+        def counted_route(logical):
+            routed = route(logical)
             if routed is not None:
                 writes.append(1)  # _start_incarnation stores it
             return routed
 
-        sim._route = counted_route
+        sim.router.route = counted_route
         report = sim.run()
         assert report.replication.route_retries > 0
         # lazily: at most once per write, and never without a tick

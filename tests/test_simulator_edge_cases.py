@@ -9,14 +9,12 @@ from repro.workloads import WorkloadConfig, WorkloadGenerator
 from repro.workloads.generator import LocalProgram
 
 
-def build(scheme="scheme2", protocols=("strict-2pl", "to"), config=None, seed=0):
+def build(scheme="scheme2", protocols=("strict-2pl", "to"), config=None):
     sites = {
         f"s{i}": LocalDBMS(f"s{i}", make_protocol(p))
         for i, p in enumerate(protocols)
     }
-    return MDBSSimulator(
-        sites, make_scheme(scheme), config or SimulationConfig(), seed=seed
-    )
+    return MDBSSimulator(sites, make_scheme(scheme), config or SimulationConfig())
 
 
 class TestDeterminism:
@@ -25,7 +23,7 @@ class TestDeterminism:
         for _run in range(2):
             cfg = WorkloadConfig(sites=2, items_per_site=6, seed=5)
             gen = WorkloadGenerator(cfg)
-            sim = build(seed=5)
+            sim = build()
             for index, program in enumerate(gen.global_batch(8)):
                 sim.submit_global(program, at=index * 2.0)
             for index, local in enumerate(gen.local_batch(8)):
@@ -47,7 +45,7 @@ class TestDeterminism:
         for _run in range(2):
             cfg = WorkloadConfig(sites=2, items_per_site=6, seed=9)
             gen = WorkloadGenerator(cfg)
-            sim = build(seed=9)
+            sim = build()
             for index, program in enumerate(gen.global_batch(6)):
                 sim.submit_global(program, at=index * 2.0)
             sim.run()
@@ -106,9 +104,7 @@ class TestLatencies:
         def run_with(latencies):
             cfg = WorkloadConfig(sites=2, items_per_site=8, seed=2)
             gen = WorkloadGenerator(cfg)
-            sim = build(
-                config=SimulationConfig(latencies=latencies), seed=2
-            )
+            sim = build(config=SimulationConfig(latencies=latencies))
             for program in gen.global_batch(5):
                 sim.submit_global(program)
             return sim.run()
@@ -122,7 +118,7 @@ class TestLatencies:
 class TestLocalTraffic:
     def test_local_aborts_retried(self):
         # TO site: force a late read by a slow local transaction
-        sim = build(protocols=("to",), seed=4)
+        sim = build(protocols=("to",))
         sim.submit_local(
             LocalProgram("L1", "s0", (("r", "x"), ("w", "y"))), at=0.0
         )

@@ -116,7 +116,6 @@ def _run_direct(job):
         sites,
         make_scheme(job.scheme),
         job.config,
-        seed=job.seed,
         injector=(
             FaultInjector(job.plan) if job.plan is not None else None
         ),
@@ -190,6 +189,27 @@ def test_grouped_cells_shard_equivalently(scheme_name, seed):
     assert par_result.shards == 4
     _assert_same_decisions(sim_result, par_result)
     assert sim_result.verification.ok and par_result.verification.ok
+
+
+@pytest.mark.parametrize("scheme_name", ["scheme2", "scheme3", "scheme4"])
+def test_sharded_two_phase_commit_reports_summed_commit_stats(scheme_name):
+    """Under 2PC every shard runs its own coordinator and participants;
+    the merged report carries their field-wise sum, which equals the
+    single loop's commit stats (it used to come back ``None``)."""
+    job = dataclasses.replace(
+        make_e4_job(scheme_name, 16, 7, groups=4), atomic_commit=True
+    )
+    assert unshardable_reason(job) is None
+    sim_result = SimTransport().run(job)
+    par_result = ParallelTransport(workers=1).run(job)
+    assert par_result.shards == 4
+    _assert_same_decisions(sim_result, par_result)
+    assert par_result.report.atomic_commit
+    assert sim_result.report.commit_stats.commit_decisions > 0
+    assert par_result.report.commit_stats == sim_result.report.commit_stats
+    assert Counter(par_result.report.commit_latencies) == Counter(
+        sim_result.report.commit_latencies
+    )
 
 
 @pytest.mark.parametrize("scheme_name", ["scheme2", "scheme3", "scheme4"])
