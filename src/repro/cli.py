@@ -200,7 +200,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults import FaultConfigError, MessageFaultConfig
     from repro.faults.chaos import ChaosOptions, run_chaos
-    from repro.observability import MetricsRegistry, report_to_registry
+    from repro.observability import MetricsRegistry, fold, report_to_registry
 
     for name in args.schemes:
         _make_scheduler(name)  # validate early
@@ -213,13 +213,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         ).validate()
     except FaultConfigError as error:
         raise SystemExit(f"invalid fault configuration: {error}")
+    if args.runs < 1:
+        raise SystemExit("--runs must be >= 1")
     rows = []
     violations: List[str] = []
-    windows: Dict[str, List[Tuple[float, float]]] = {}
-    fanout = stale_refused = snapshots = 0
+    totals = []
     for name in args.schemes:
-        committed = failed = crashes_gtm = crashes_site = 0
-        retries = dropped = bad = 0
+        reports = []
+        bad = 0
         for index in range(args.runs):
             seed = args.seed + index
             options = ChaosOptions(
@@ -244,42 +245,34 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 vote_decide_partition_count=args.vote_decide_partitions,
             )
             result = run_chaos(options, seed)
+            reports.append(result.report)
             if registry is not None:
                 report_to_registry(result.report, registry, scheme=name)
                 registry.counter("chaos.runs").inc()
                 if not result.ok:
                     registry.counter("chaos.violations").inc()
-            committed += result.report.committed_global
-            failed += result.report.failed_global
-            crashes_gtm += result.report.gtm_crashes
-            crashes_site += result.report.site_crashes
-            stats = result.report.fault_stats
-            retries += stats.retries
-            dropped += stats.messages_dropped
-            for site, down, up in result.report.availability_windows:
-                windows.setdefault(site, []).append((down, up))
-            if result.report.replication is not None:
-                fanout += result.report.replication.writes_fanout
-                stale_refused += (
-                    result.report.replication.stale_reads_refused
-                )
-                snapshots += result.report.snapshot_committed
             if not result.ok:
                 bad += 1
                 for reason in result.failure_reasons():
                     violations.append(f"{name} seed={seed}: {reason}")
+        total = fold(reports)
+        totals.append(total)
         rows.append(
             (
                 name,
-                f"{committed}/{args.runs * args.globals}",
-                failed,
-                crashes_gtm,
-                crashes_site,
-                dropped,
-                retries,
+                f"{total.committed_global}/{args.runs * args.globals}",
+                total.failed_global,
+                total.gtm_crashes,
+                total.site_crashes,
+                total.fault_stats.messages_dropped,
+                total.fault_stats.retries,
                 bad,
             )
         )
+    overall = fold(totals)
+    windows: Dict[str, List[Tuple[float, float]]] = {}
+    for site, down, up in overall.availability_windows:
+        windows.setdefault(site, []).append((down, up))
     commit_mode = "2pc" if args.atomic_commit else "no-2pc"
     print(
         render_table(
@@ -315,9 +308,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if args.replication_degree >= 1:
         print(
             f"replication: degree={args.replication_degree}, "
-            f"writes fanned out to {fanout} copies, "
-            f"{stale_refused} stale reads refused, "
-            f"{snapshots} snapshot read-only txns served"
+            f"writes fanned out to {overall.replication.writes_fanout} copies, "
+            f"{overall.replication.stale_reads_refused} stale reads refused, "
+            f"{overall.snapshot_committed} snapshot read-only txns served"
         )
     if registry is not None:
         with open(args.metrics_out, "w") as handle:

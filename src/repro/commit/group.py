@@ -36,7 +36,7 @@ without a group never construct one (legacy behaviour untouched).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.commit.model import CommitProtocolError
 from repro.faults.model import RetryPolicy
@@ -45,6 +45,8 @@ from repro.faults.model import RetryPolicy
 @dataclass
 class CommitGroupStats:
     """What the coordinator group actually did during one run."""
+
+    metric_prefix: ClassVar[str] = "commit_group"
 
     #: YES votes participants started broadcasting to the group
     votes_broadcast: int = 0
@@ -80,15 +82,10 @@ class CommitGroupStats:
     #: safety violated; must stay 0 (check_decision_uniqueness)
     decision_conflicts: int = 0
     #: wall-clock (simulated) quorum round-trips: decision/vote start →
-    #: quorum durability; feeds the commit_group.quorum_rtt histogram
-    quorum_rtts: List[float] = field(default_factory=list)
-
-    def as_rows(self) -> Tuple[Tuple[str, int], ...]:
-        return tuple(
-            (name, getattr(self, name))
-            for name in self.__dataclass_fields__
-            if name != "quorum_rtts"
-        )
+    #: quorum durability
+    quorum_rtts: List[float] = field(
+        default_factory=list, metadata={"metric": "commit_group.quorum_rtt"}
+    )
 
 
 class CoordinatorReplica:

@@ -11,7 +11,7 @@ presumed-abort two-phase commit; this module holds its tuning knobs
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import ClassVar
 
 from repro.exceptions import ReproError
 
@@ -50,6 +50,8 @@ class CommitPolicy:
 class CommitStats:
     """What the atomic-commitment layer actually did during one run."""
 
+    metric_prefix: ClassVar[str] = "commit"
+
     #: YES votes recorded (durable prepared marks written)
     votes_yes: int = 0
     #: NO votes (validation failure, unknown transaction, site refusal)
@@ -82,8 +84,3 @@ class CommitStats:
     #: non-forced aborts refused because the target was prepared
     #: (in-doubt transactions may only die by coordinator decision)
     prepared_abort_refusals: int = 0
-
-    def as_rows(self) -> Tuple[Tuple[str, int], ...]:
-        return tuple(
-            (name, getattr(self, name)) for name in self.__dataclass_fields__
-        )

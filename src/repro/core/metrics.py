@@ -15,23 +15,31 @@ processed-operation ticks).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import ClassVar, Dict
 
 
 @dataclass
 class SchemeMetrics:
     """Step and wait accounting for one scheme run."""
 
+    #: registry namespace of the fields below (see
+    #: :func:`repro.observability.export.publish`)
+    metric_prefix: ClassVar[str] = "gtm"
+
     #: constant-time work units executed by the scheme (cond + act + rescan)
     steps: int = 0
     #: operations processed (act executed), by kind
     processed: Dict[str, int] = field(default_factory=dict)
     #: operations inserted into WAIT, by kind
-    waited: Dict[str, int] = field(default_factory=dict)
+    waited: Dict[str, int] = field(
+        default_factory=dict, metadata={"metric": "gtm.waits"}
+    )
     #: total processed-operation ticks spent by operations in WAIT
     wait_ticks: int = 0
     #: transactions fully scheduled (fin processed)
-    transactions_finished: int = 0
+    transactions_finished: int = field(
+        default=0, metadata={"metric": "gtm.transactions"}
+    )
     # -- scheduling-cost attribution (fast paths; not part of the
     # -- paper's step measure, which stays the analytical model cost) --
     #: structural graph mutations (node/edge/dependency inserts+removals)
@@ -43,11 +51,17 @@ class SchemeMetrics:
     wake_retries_skipped: int = 0
     #: dependency edges added by Eliminate_Cycles (scheme 2's Δ; the
     #: paper's non-minimality measure of Theorem 7 — zero elsewhere)
-    delta_edges: int = 0
+    delta_edges: int = field(
+        default=0, metadata={"metric": "{scheme}.delta_edges"}
+    )
     #: batches sealed by the batch planner (scheme 4 — zero elsewhere)
-    batches_planned: int = 0
+    batches_planned: int = field(
+        default=0, metadata={"metric": "{scheme}.batches_planned"}
+    )
     #: per-site ordering constraints materialised by sealed plans
-    plan_edges: int = 0
+    plan_edges: int = field(
+        default=0, metadata={"metric": "{scheme}.plan_edges"}
+    )
 
     def step(self, count: int = 1) -> None:
         self.steps += count

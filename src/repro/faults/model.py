@@ -24,7 +24,7 @@ The resilience policies configured here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import ClassVar
 
 from repro.exceptions import ReproError
 
@@ -222,6 +222,8 @@ class RetryPolicy:
 class FaultStats:
     """What the injector actually did during one run."""
 
+    metric_prefix: ClassVar[str] = "faults"
+
     messages_sent: int = 0
     messages_dropped: int = 0
     messages_duplicated: int = 0
@@ -235,8 +237,3 @@ class FaultStats:
     cached_acks_replayed: int = 0
     unknown_transaction_nacks: int = 0
     orphans_reaped: int = 0
-
-    def as_rows(self) -> Tuple[Tuple[str, int], ...]:
-        return tuple(
-            (name, getattr(self, name)) for name in self.__dataclass_fields__
-        )

@@ -31,7 +31,7 @@ import statistics
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Set, Tuple
 
 from repro.commit import CommitGroupStats, CommitPolicy, CommitStats
 from repro.core.engine import Engine
@@ -44,6 +44,7 @@ from repro.core.gtm import (
     logical_id,
     plan_program,
 )
+from repro.core.metrics import SchemeMetrics
 from repro.core.recovery import Journal, recover_engine
 from repro.core.scheme import ConservativeScheme
 from repro.exceptions import ProtocolViolation, SchedulerError
@@ -148,62 +149,108 @@ class TransactionStats:
 
 @dataclass
 class SimulationReport:
-    """Aggregate outcome of one run."""
+    """Aggregate outcome of one run.  The registry image of every field
+    is derived from its declaration here (``sim.<field>`` unless the
+    ``metric`` metadata says otherwise — see
+    :func:`repro.observability.export.publish`)."""
 
-    duration: float
+    metric_prefix: ClassVar[str] = "sim"
+
+    duration: float = field(metadata={"gauge": float})
     committed_global: int
     failed_global: int
     global_aborts: int
     committed_local: int
     local_aborts: int
-    response_times: Tuple[float, ...]
-    scheme_steps: int
-    scheme_waits: int
+    response_times: Tuple[float, ...] = field(
+        metadata={"metric": "sim.response_time"}
+    )
+    #: the GTM2 scheme's own step and wait record; ``graph_ops`` and
+    #: ``dfs_steps_avoided`` are published from the totals below, which
+    #: add the sites' share
+    scheme: SchemeMetrics = field(
+        metadata={"skip": ("graph_ops", "dfs_steps_avoided")}
+    )
     #: global aborts triggered by the no-progress watchdog
     watchdog_aborts: int = 0
     #: fault-injection outcome (zeros / None without an injector)
     gtm_crashes: int = 0
     site_crashes: int = 0
-    quarantined_sites: Tuple[str, ...] = ()
+    quarantined_sites: Tuple[str, ...] = field(
+        default=(), metadata={"gauge": len}
+    )
     fault_stats: Optional[FaultStats] = None
     #: atomic-commitment outcome (defaults without ``atomic_commit``)
-    atomic_commit: bool = False
+    atomic_commit: bool = field(default=False, metadata={"metric": None})
     commit_stats: Optional[CommitStats] = None
     #: decide-commit → all-sites-acked latencies, per committed global
-    commit_latencies: Tuple[float, ...] = ()
+    commit_latencies: Tuple[float, ...] = field(
+        default=(), metadata={"metric": "commit.latency_ms"}
+    )
     #: in-doubt window lengths across all participants (E11/E13):
     #: resolved windows first, then — flushed at simulation end — the
-    #: partial lengths of windows still open when the run stopped
-    in_doubt_times: Tuple[float, ...] = ()
+    #: partial lengths of windows still open when the run stopped; the
+    #: worst one is also a gauge (gauge merge keeps the max), so CI can
+    #: compare group sizes head-to-head from parsed text
+    in_doubt_times: Tuple[float, ...] = field(
+        default=(),
+        metadata={"metric": "commit.indoubt_ms", "peak": "commit.indoubt_max"},
+    )
     #: coordinator-group outcome (None / 0 without a commit group)
     commit_group: Optional[CommitGroupStats] = None
-    commit_group_size: int = 0
+    commit_group_size: int = field(
+        default=0, metadata={"metric": "commit_group.size", "gauge": int}
+    )
     # -- scheduling-cost attribution (see docs/performance.md) ---------
     #: structural graph/index mutations: scheme-level (TSGD, ser_bef
     #: index) plus per-site incremental serialization graphs
-    graph_ops: int = 0
+    graph_ops: int = field(default=0, metadata={"metric": "gtm.graph_ops"})
     #: DFS / scan work the incremental structures did not re-execute,
     #: estimated against a restart-from-scratch search
-    dfs_steps_avoided: int = 0
-    #: waiting operations the targeted post-purge drain never re-examined
-    wake_retries_skipped: int = 0
+    dfs_steps_avoided: int = field(
+        default=0, metadata={"metric": "gtm.dfs_steps_avoided"}
+    )
     #: events executed by the simulation loop
     events_executed: int = 0
     # -- degree of concurrency (§4): WAIT-set size integrated over
     # -- queue-operation ticks — mean WAIT-set size is area/samples ----
-    wait_area: int = 0
-    wait_samples: int = 0
+    wait_area: int = field(default=0, metadata={"metric": "gtm.wait_area"})
+    wait_samples: int = field(
+        default=0, metadata={"metric": "gtm.wait_samples"}
+    )
     # -- replication (None / zeros without a replica map) --------------
     #: what the replication layer did (see repro.replication.model)
     replication: Optional[ReplicationStats] = None
     #: read-only logical transactions served from the committed
     #: multiversion snapshot (never entered the GTM wait machinery)
-    snapshot_committed: int = 0
-    snapshot_failed: int = 0
+    snapshot_committed: int = field(
+        default=0, metadata={"metric": "replication.snapshot_committed"}
+    )
+    snapshot_failed: int = field(
+        default=0, metadata={"metric": "replication.snapshot_failed"}
+    )
     #: snapshot-transaction response times
-    snapshot_read_times: Tuple[float, ...] = ()
+    snapshot_read_times: Tuple[float, ...] = field(
+        default=(), metadata={"metric": "replication.snapshot_time"}
+    )
     #: closed per-site outage windows: (site, went_down, came_up)
-    availability_windows: Tuple[Tuple[str, float, float], ...] = ()
+    availability_windows: Tuple[Tuple[str, float, float], ...] = field(
+        default=(), metadata={"metric": None}
+    )
+
+    @property
+    def scheme_steps(self) -> int:
+        return self.scheme.steps
+
+    @property
+    def scheme_waits(self) -> int:
+        return self.scheme.total_waited
+
+    @property
+    def wake_retries_skipped(self) -> int:
+        """Waiting operations the targeted post-purge drain never
+        re-examined."""
+        return self.scheme.wake_retries_skipped
 
     @property
     def throughput(self) -> float:
@@ -434,15 +481,11 @@ class MDBSSimulator:
             committed_local=self.committed_local,
             local_aborts=self.local_aborts,
             response_times=responses,
-            scheme_steps=self.scheme.metrics.steps,
-            scheme_waits=self.scheme.metrics.total_waited,
+            scheme=self.scheme.metrics,
             watchdog_aborts=self.watchdog.aborts,
             graph_ops=self.scheme.metrics.graph_ops + site_graph_ops,
             dfs_steps_avoided=(
                 self.scheme.metrics.dfs_steps_avoided + site_dfs_avoided
-            ),
-            wake_retries_skipped=(
-                self.scheme.metrics.wake_retries_skipped
             ),
             events_executed=self.loop.executed,
             wait_area=self.engine.wait_area,

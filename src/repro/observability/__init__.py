@@ -19,9 +19,9 @@ count?".  It has two halves:
   namespaced API (``gtm.waits``, ``scheme2.delta_edges``,
   ``commit.indoubt_ms``, ``faults.retries``, ...), with a
   Prometheus-style text dump, JSON snapshot/restore, and cross-run
-  merge.  :mod:`repro.observability.export` absorbs the pre-existing
-  counter sprawl (``SchemeMetrics``, ``SimulationReport``,
-  ``FaultStats``, ``CommitStats``) into that namespace.
+  merge.  :mod:`repro.observability.export` derives a stats record's
+  place in that namespace from its field declarations (``publish``) and
+  sums records field by field (``fold``).
 
 :mod:`repro.observability.explain` renders one transaction's causal
 WAIT/GRANT chain from a recorded trace (the ``repro trace --explain``
@@ -30,8 +30,8 @@ backend).
 
 from repro.observability.explain import explain_transaction, format_cause
 from repro.observability.export import (
-    commit_group_stats_to_registry,
-    replication_stats_to_registry,
+    fold,
+    publish,
     report_to_registry,
     scheme_metrics_to_registry,
 )
@@ -51,12 +51,12 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "Tracer",
-    "commit_group_stats_to_registry",
     "explain_transaction",
+    "fold",
     "format_cause",
     "parse_prometheus",
+    "publish",
     "replay_check",
-    "replication_stats_to_registry",
     "report_to_registry",
     "scheme_metrics_to_registry",
     "spans_from_jsonl",

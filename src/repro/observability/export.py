@@ -1,198 +1,90 @@
-"""Absorb the pre-existing counter sprawl into the unified registry.
+"""The two generic operations over *stats records* — ``SimulationReport`` and
+the five stats classes in it: dataclasses of numbers, number sequences, number
+dicts and nested records.  A count is named once, by its field declaration;
+:func:`fold` sums records and :func:`publish` derives their registry image."""
 
-``SchemeMetrics``, ``SimulationReport``, ``FaultStats`` and
-``CommitStats`` each grew their own ad-hoc counters across PRs 1–3.
-This module maps them all onto one namespaced metric tree:
+import dataclasses
+from typing import Any, Dict, Optional, Sequence
 
-=====================  =================================================
-namespace              source
-=====================  =================================================
-``gtm.*``              SchemeMetrics (steps, waits, wait ticks, ...)
-``<scheme>.*``         scheme-specific counters (``scheme2.delta_edges``)
-``sim.*``              SimulationReport outcome counters + histograms
-``faults.*``           FaultStats (one metric per field)
-``commit.*``           CommitStats + in-doubt / commit-latency histograms
-=====================  =================================================
-
-The argument types are deliberately loose (``Any``): this module is the
-boundary between the typed observability package and the untyped
-scheduler dataclasses it summarizes.
-"""
-
-from __future__ import annotations
-
-from typing import Any, Optional
-
-from repro.observability.registry import MetricsRegistry
-
-#: Bucket edges for simulated-time histograms (response / in-doubt /
-#: commit latencies).  Simulated clocks run 0..~hundreds, so the edges
-#: sit an order of magnitude below the registry default.
-TIME_BUCKETS = (
-    1.0,
-    2.5,
-    5.0,
-    10.0,
-    25.0,
-    50.0,
-    100.0,
-    250.0,
-    500.0,
-    1000.0,
-)
+from repro.observability.registry import TIME_BUCKETS, MetricsRegistry
 
 
-def scheme_metrics_to_registry(
-    metrics: Any,
+def fold(records: Sequence[Any], shared: Sequence[str] = ()) -> Any:
+    """The field-wise sum, as one more record of the class: numbers add,
+    tuples and lists concatenate, number dicts add key-wise, nested records
+    fold the same way (None when no record has them); flags and the fields
+    named in *shared* read the same in every record and take the maximum."""
+    merged: Dict[str, Any] = {}
+    for spec in dataclasses.fields(records[0]):
+        values = [getattr(record, spec.name) for record in records]
+        values = [value for value in values if value is not None]
+        if not values:
+            continue
+        sample = values[0]
+        if spec.name in shared or isinstance(sample, bool):
+            merged[spec.name] = max(values)
+        elif isinstance(sample, (int, float, tuple, list)):
+            merged[spec.name] = sum(values, type(sample)())
+        elif isinstance(sample, dict):
+            keys = dict.fromkeys(key for value in values for key in value)
+            merged[spec.name] = {k: sum(v.get(k, 0) for v in values) for k in keys}
+        elif dataclasses.is_dataclass(sample):
+            merged[spec.name] = fold(values)
+        else:
+            raise TypeError(f"cannot fold field {spec.name!r}: {sample!r}")
+    return type(records[0])(**merged)
+
+
+def publish(
+    record: Any,
     registry: Optional[MetricsRegistry] = None,
     scheme: str = "",
+    skip: Sequence[str] = (),
 ) -> MetricsRegistry:
-    """Publish one ``SchemeMetrics`` under ``gtm.*`` (+ ``<scheme>.*``)."""
+    """Add *record* to *registry*.  A field is named ``<metric_prefix of the
+    class>.<field>`` unless its ``metric`` metadata gives another template
+    (``{scheme}`` for per-scheme counters, None for a field left out).  A
+    number is a counter, or the gauge ``gauge(value)`` if the metadata has one;
+    a sequence a histogram (``peak`` names a gauge keeping its maximum); a dict
+    a total plus one counter per key; a nested record recurses, less ``skip``."""
     out = registry if registry is not None else MetricsRegistry()
-    out.counter("gtm.steps").inc(metrics.steps)
-    out.counter("gtm.processed").inc(metrics.total_processed)
-    out.counter("gtm.waits").inc(metrics.total_waited)
-    out.counter("gtm.wait_ticks").inc(metrics.wait_ticks)
-    out.counter("gtm.transactions").inc(metrics.transactions_finished)
-    out.counter("gtm.graph_ops").inc(metrics.graph_ops)
-    out.counter("gtm.dfs_steps_avoided").inc(metrics.dfs_steps_avoided)
-    out.counter("gtm.wake_retries_skipped").inc(metrics.wake_retries_skipped)
-    for kind in sorted(metrics.processed):
-        out.counter(f"gtm.processed.{kind}").inc(metrics.processed[kind])
-    for kind in sorted(metrics.waited):
-        out.counter(f"gtm.waits.{kind}").inc(metrics.waited[kind])
-    if scheme and getattr(metrics, "delta_edges", 0):
-        out.counter(f"{scheme}.delta_edges").inc(metrics.delta_edges)
-    if scheme and getattr(metrics, "batches_planned", 0):
-        out.counter(f"{scheme}.batches_planned").inc(metrics.batches_planned)
-        out.counter(f"{scheme}.plan_edges").inc(metrics.plan_edges)
+    prefix = record.metric_prefix
+    for spec in dataclasses.fields(record):
+        value, meta = getattr(record, spec.name), spec.metadata
+        template = meta.get("metric", "{prefix}.{field}")
+        if value is None or template is None or spec.name in skip:
+            continue
+        name = template.format(prefix=prefix, field=spec.name, scheme=scheme or prefix)
+        if dataclasses.is_dataclass(value):
+            publish(value, out, scheme, meta.get("skip", ()))
+        elif "gauge" in meta:
+            out.gauge(name).set(meta["gauge"](value))
+        elif isinstance(value, (tuple, list)):
+            histogram = out.histogram(name, TIME_BUCKETS)
+            for observation in value:
+                histogram.observe(observation)
+            if "peak" in meta:
+                peak = out.gauge(meta["peak"])
+                peak.set(max([peak.value, *value]))
+        elif isinstance(value, dict):
+            out.counter(name).inc(sum(value.values()))
+            for key in sorted(value):
+                out.counter(f"{name}.{key}").inc(value[key])
+        else:
+            out.counter(name).inc(value)
     return out
 
 
-def fault_stats_to_registry(
-    stats: Any, registry: Optional[MetricsRegistry] = None
-) -> MetricsRegistry:
-    """Publish a ``FaultStats`` as one ``faults.<field>`` counter each."""
-    out = registry if registry is not None else MetricsRegistry()
-    for name, value in stats.as_rows():
-        out.counter(f"faults.{name}").inc(value)
-    return out
-
-
-def commit_stats_to_registry(
-    stats: Any, registry: Optional[MetricsRegistry] = None
-) -> MetricsRegistry:
-    """Publish a ``CommitStats`` as one ``commit.<field>`` counter each."""
-    out = registry if registry is not None else MetricsRegistry()
-    for name, value in stats.as_rows():
-        out.counter(f"commit.{name}").inc(value)
-    return out
-
-
-def commit_group_stats_to_registry(
-    stats: Any, registry: Optional[MetricsRegistry] = None
-) -> MetricsRegistry:
-    """Publish a ``CommitGroupStats`` as one ``commit_group.<field>``
-    counter each, plus the ``commit_group.quorum_rtt`` histogram of
-    vote/decision quorum round-trip times."""
-    out = registry if registry is not None else MetricsRegistry()
-    for name, value in stats.as_rows():
-        out.counter(f"commit_group.{name}").inc(value)
-    rtt = out.histogram("commit_group.quorum_rtt", TIME_BUCKETS)
-    for value in stats.quorum_rtts:
-        rtt.observe(value)
-    return out
-
-
-def replication_stats_to_registry(
-    stats: Any, registry: Optional[MetricsRegistry] = None
-) -> MetricsRegistry:
-    """Publish a ``ReplicationStats`` under ``replication.*`` plus the
-    ``recovery.catchup_ms`` catch-up-latency histogram."""
-    out = registry if registry is not None else MetricsRegistry()
-    for name, value in stats.as_rows():
-        out.counter(f"replication.{name}").inc(value)
-    catchup = out.histogram("recovery.catchup_ms", TIME_BUCKETS)
-    for value in stats.catchup_ms:
-        catchup.observe(value)
-    return out
+#: ``publish`` of one ``SchemeMetrics``: ``gtm.*`` (+ ``<scheme>.*``)
+scheme_metrics_to_registry = publish
 
 
 def report_to_registry(
-    report: Any,
-    registry: Optional[MetricsRegistry] = None,
-    scheme: str = "",
+    report: Any, registry: Optional[MetricsRegistry] = None, scheme: str = ""
 ) -> MetricsRegistry:
-    """Publish a full ``SimulationReport`` into a registry.
-
-    Covers the simulation outcome (``sim.*``), the fault layer
-    (``faults.*``) and the atomic-commitment layer (``commit.*``,
-    including the ``commit.indoubt_ms`` and ``commit.latency_ms``
-    histograms) when those layers ran.
-    """
-    out = registry if registry is not None else MetricsRegistry()
+    """Publish one run's ``SimulationReport`` and count the run."""
+    out = publish(report, registry, scheme)
     out.counter("sim.runs").inc()
-    out.counter("sim.committed_global").inc(report.committed_global)
-    out.counter("sim.failed_global").inc(report.failed_global)
-    out.counter("sim.global_aborts").inc(report.global_aborts)
-    out.counter("sim.committed_local").inc(report.committed_local)
-    out.counter("sim.local_aborts").inc(report.local_aborts)
-    out.counter("sim.watchdog_aborts").inc(report.watchdog_aborts)
-    out.counter("sim.events_executed").inc(report.events_executed)
-    out.counter("sim.gtm_crashes").inc(report.gtm_crashes)
-    out.counter("sim.site_crashes").inc(report.site_crashes)
-    out.gauge("sim.duration").set(report.duration)
-    out.gauge("sim.quarantined_sites").set(len(report.quarantined_sites))
-    out.counter("gtm.steps").inc(report.scheme_steps)
-    out.counter("gtm.waits").inc(report.scheme_waits)
-    out.counter("gtm.graph_ops").inc(report.graph_ops)
-    out.counter("gtm.dfs_steps_avoided").inc(report.dfs_steps_avoided)
-    out.counter("gtm.wake_retries_skipped").inc(report.wake_retries_skipped)
-    out.counter("gtm.wait_area").inc(getattr(report, "wait_area", 0))
-    out.counter("gtm.wait_samples").inc(getattr(report, "wait_samples", 0))
-    response = out.histogram("sim.response_time", TIME_BUCKETS)
-    for value in report.response_times:
-        response.observe(value)
-    if report.fault_stats is not None:
-        fault_stats_to_registry(report.fault_stats, out)
-    if report.commit_stats is not None:
-        commit_stats_to_registry(report.commit_stats, out)
-    if report.atomic_commit:
-        indoubt = out.histogram("commit.indoubt_ms", TIME_BUCKETS)
-        for value in report.in_doubt_times:
-            indoubt.observe(value)
-        latency = out.histogram("commit.latency_ms", TIME_BUCKETS)
-        for value in report.commit_latencies:
-            latency.observe(value)
-        # worst in-doubt window as a gauge (gauge merge keeps the max),
-        # so CI can compare group sizes head-to-head from parsed text
-        worst = out.gauge("commit.indoubt_max")
-        worst.set(max([worst.value, *report.in_doubt_times]))
-    if getattr(report, "commit_group", None) is not None:
-        commit_group_stats_to_registry(report.commit_group, out)
-        out.gauge("commit_group.size").set(report.commit_group_size)
-    if getattr(report, "replication", None) is not None:
-        replication_stats_to_registry(report.replication, out)
-        out.counter("replication.snapshot_committed").inc(
-            report.snapshot_committed
-        )
-        out.counter("replication.snapshot_failed").inc(
-            report.snapshot_failed
-        )
-        snap = out.histogram("replication.snapshot_time", TIME_BUCKETS)
-        for value in report.snapshot_read_times:
-            snap.observe(value)
     if scheme:
         out.counter(f"{scheme}.runs").inc()
-    return out
-
-
-def drive_result_to_registry(
-    result: Any, registry: Optional[MetricsRegistry] = None
-) -> MetricsRegistry:
-    """Publish a trace-driver ``DriveResult`` (scheme metrics + outcome)."""
-    out = registry if registry is not None else MetricsRegistry()
-    scheme_metrics_to_registry(result.metrics, out, scheme=result.scheme_name)
-    out.counter("sim.runs").inc()
-    out.counter("sim.aborts").inc(len(result.aborted))
     return out

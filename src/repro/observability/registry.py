@@ -1,8 +1,9 @@
 """Unified metrics registry: counters, gauges, and histograms.
 
-One process-local registry replaces the counter sprawl that grew
-across ``SchemeMetrics``, ``SimulationReport``, ``FaultStats`` and
-``CommitStats``.  Names are dotted namespaces (``gtm.waits``,
+One process-local registry holds the image of the stats records
+(``SchemeMetrics``, ``SimulationReport``, ``FaultStats``, ``CommitStats``,
+...) that :func:`repro.observability.export.publish` derives from their
+field declarations.  Names are dotted namespaces (``gtm.waits``,
 ``scheme2.delta_edges``, ``commit.indoubt_ms``); rendering mangles the
 dots to underscores so the text dump is Prometheus-compatible.
 
@@ -38,6 +39,22 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     1000.0,
     2500.0,
     5000.0,
+)
+
+#: Bucket edges for simulated-time histograms (response / in-doubt /
+#: commit latencies).  Simulated clocks run 0..~hundreds, so the edges
+#: sit an order of magnitude below the default.
+TIME_BUCKETS: Tuple[float, ...] = (
+    1.0,
+    2.5,
+    5.0,
+    10.0,
+    25.0,
+    50.0,
+    100.0,
+    250.0,
+    500.0,
+    1000.0,
 )
 
 

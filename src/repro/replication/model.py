@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import ClassVar, List
 
 
 @dataclass
 class ReplicationStats:
     """What the replication layer actually did during one run."""
+
+    metric_prefix: ClassVar[str] = "replication"
 
     #: replica write targets routed (sum of per-write fan-out widths)
     writes_fanout: int = 0
@@ -23,14 +25,6 @@ class ReplicationStats:
     snapshot_reads: int = 0
     #: committed-write catch-up latencies of recovered replicated items,
     #: in simulated time units (restart → first fresh committed write)
-    catchup_ms: List[float] = field(default_factory=list)
-
-    def as_rows(self) -> Tuple[Tuple[str, int], ...]:
-        """Scalar counters, for table rendering and metrics export."""
-        return (
-            ("writes_fanout", self.writes_fanout),
-            ("reads_routed", self.reads_routed),
-            ("stale_reads_refused", self.stale_reads_refused),
-            ("route_retries", self.route_retries),
-            ("snapshot_reads", self.snapshot_reads),
-        )
+    catchup_ms: List[float] = field(
+        default_factory=list, metadata={"metric": "recovery.catchup_ms"}
+    )

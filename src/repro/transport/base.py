@@ -4,8 +4,8 @@ A :class:`SimulationJob` is a complete, picklable run specification —
 sites with their protocols, the GTM scheme, the workload, the fault
 plan.  A :class:`Transport` turns a job into a :class:`TransportResult`:
 the merged :class:`~repro.mdbs.simulator.SimulationReport`, the executed
-global schedule, ``ser(S)``, the verification verdicts, a merged metrics
-registry, and real wall/CPU timings.
+global schedule, ``ser(S)``, the verification verdicts, the metrics
+registry published from the merged report, and real wall/CPU timings.
 
 Two transports exist:
 
@@ -100,7 +100,6 @@ class ShardOutcome:
     site_ops: Tuple[Tuple[str, Tuple[Operation, ...]], ...]
     global_ids: Tuple[str, ...]
     ser_ops: Tuple[SerOperation, ...]
-    metrics_snapshot: Dict[str, object]
     #: elapsed seconds of ``run()`` measured *inside* the worker
     wall_s: float
     #: CPU seconds of ``run()`` in the worker (``time.process_time``)
@@ -117,8 +116,8 @@ class TransportResult:
     global_schedule: GlobalSchedule
     ser_schedule: SerSchedule
     verification: VerificationReport
-    #: merged per-shard registries (snapshot/merge round-trip), plus
-    #: ``transport.*`` gauges describing the run topology
+    #: the merged report as a registry, plus ``transport.shards`` /
+    #: ``transport.workers`` describing the run topology
     metrics: object
     transport: str
     workers: int
@@ -130,6 +129,10 @@ class TransportResult:
     cpu_s: float
     shard_wall_s: Tuple[float, ...]
     shard_cpu_s: Tuple[float, ...]
+    #: why a job that asked for shards ran as one (see
+    #: :func:`unshardable_reason`); None when it was partitioned or is
+    #: one site component
+    unsharded_because: Optional[str] = None
 
     @property
     def critical_path_s(self) -> float:
@@ -157,12 +160,46 @@ class TransportResult:
 
 
 class Transport:
-    """Turns a :class:`SimulationJob` into a :class:`TransportResult`."""
+    """Turns a :class:`SimulationJob` into a :class:`TransportResult`:
+    :meth:`run` times the dispatch, merges and verifies in the dispatcher
+    and publishes the merged report; a transport says which shards the
+    job becomes (:meth:`split`) and how they execute (:meth:`execute`)."""
 
     name = "abstract"
+    workers = 1
+
+    def split(
+        self, job: SimulationJob
+    ) -> Tuple[List[SimulationJob], Optional[str]]:
+        """The shard jobs, and why there is one when more were wanted."""
+        return [job], None
+
+    def execute(self, shards: List[SimulationJob]) -> List[ShardOutcome]:
+        return [run_shard(shard) for shard in shards]
 
     def run(self, job: SimulationJob) -> TransportResult:
-        raise NotImplementedError
+        from repro.observability.export import report_to_registry
+
+        started = time.perf_counter()
+        shards, reason = self.split(job)
+        outcomes = self.execute(shards)
+        # the result's six leading fields, in declaration order
+        merged = merge_outcomes(job, outcomes)
+        registry = report_to_registry(merged[0], scheme=job.scheme)
+        registry.counter("transport.shards").inc(len(shards))
+        registry.gauge("transport.workers").set(self.workers)
+        return TransportResult(
+            *merged,
+            metrics=registry,
+            transport=self.name,
+            workers=self.workers,
+            shards=len(shards),
+            wall_s=time.perf_counter() - started,
+            cpu_s=sum(outcome.cpu_s for outcome in outcomes),
+            shard_wall_s=tuple(outcome.wall_s for outcome in outcomes),
+            shard_cpu_s=tuple(outcome.cpu_s for outcome in outcomes),
+            unsharded_because=reason,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -198,8 +235,6 @@ def build_simulator(job: SimulationJob) -> MDBSSimulator:
 def run_shard(job: SimulationJob) -> ShardOutcome:
     """Run one (shard-)job to completion; module-level and picklable so
     ``multiprocessing`` workers can execute it."""
-    from repro.observability import report_to_registry
-
     simulator = build_simulator(job)
     wall_started = time.perf_counter()
     cpu_started = time.process_time()
@@ -207,7 +242,6 @@ def run_shard(job: SimulationJob) -> ShardOutcome:
     wall_s = time.perf_counter() - wall_started
     cpu_s = time.process_time() - cpu_started
     schedule = simulator.global_schedule()
-    registry = report_to_registry(report, scheme=job.scheme)
     return ShardOutcome(
         report=report,
         committed=tuple(simulator.committed_global),
@@ -218,7 +252,6 @@ def run_shard(job: SimulationJob) -> ShardOutcome:
         ),
         global_ids=tuple(sorted(schedule.global_transaction_ids)),
         ser_ops=tuple(simulator.ser_schedule.operations),
-        metrics_snapshot=registry.snapshot(),
         wall_s=wall_s,
         cpu_s=cpu_s,
     )
@@ -314,33 +347,6 @@ def shard_jobs(job: SimulationJob) -> List[SimulationJob]:
 # ----------------------------------------------------------------------
 # merging
 # ----------------------------------------------------------------------
-def _merged(records, shared=()):
-    """Fold per-shard records — reports, or the stats dataclasses inside
-    them — field by field, so a field added to either is merged without
-    being named here: numbers add up (a field named in *shared* reads
-    the same in a single-loop run as in each shard, so it takes the
-    maximum), tuples concatenate, nested stats fold the same way (None
-    when no shard has them) and flags are the job's, equal everywhere."""
-    merged = {}
-    for spec in dataclasses.fields(records[0]):
-        values = [getattr(record, spec.name) for record in records]
-        values = [value for value in values if value is not None]
-        if not values:
-            continue
-        sample = values[0]
-        if isinstance(sample, bool):
-            merged[spec.name] = sample
-        elif spec.name in shared:
-            merged[spec.name] = max(values)
-        elif isinstance(sample, (int, float)):
-            merged[spec.name] = sum(values)
-        elif isinstance(sample, tuple):
-            merged[spec.name] = tuple(v for value in values for v in value)
-        elif dataclasses.is_dataclass(sample):
-            merged[spec.name] = _merged(values)
-    return type(records[0])(**merged)
-
-
 def merge_outcomes(
     job: SimulationJob, outcomes: List[ShardOutcome]
 ) -> Tuple[
@@ -363,13 +369,15 @@ def merge_outcomes(
     Verification itself runs here, in the dispatcher, over the merged
     ground truth — shards are never trusted on global serializability.
     """
+    from repro.observability.export import fold
+
     reports = [outcome.report for outcome in outcomes]
     if len(outcomes) == 1:
         merged_report = reports[0]
     else:
         # GTM2 crashes hit every shard at the same instants, and the
         # simulated clocks run side by side
-        merged_report = _merged(
+        merged_report = fold(
             reports, shared=("duration", "gtm_crashes", "commit_group_size")
         )
         merged_report.quarantined_sites = tuple(

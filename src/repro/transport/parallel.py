@@ -17,15 +17,12 @@ partition itself without multiprocessing in the way.
 from __future__ import annotations
 
 import multiprocessing
-import time
-from typing import List
+from typing import List, Optional, Tuple
 
 from repro.transport.base import (
     ShardOutcome,
     SimulationJob,
     Transport,
-    TransportResult,
-    merge_outcomes,
     run_shard,
     shard_jobs,
     unshardable_reason,
@@ -42,47 +39,15 @@ class ParallelTransport(Transport):
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
 
-    def run(self, job: SimulationJob) -> TransportResult:
-        from repro.observability.registry import MetricsRegistry, merged
-
-        started = time.perf_counter()
+    def split(
+        self, job: SimulationJob
+    ) -> Tuple[List[SimulationJob], Optional[str]]:
         reason = unshardable_reason(job)
-        shards = [job] if reason is not None else shard_jobs(job)
-        outcomes = self._run_shards(shards)
-        (
-            report,
-            committed,
-            failed,
-            schedule,
-            ser_schedule,
-            verification,
-        ) = merge_outcomes(job, outcomes)
-        registry = merged(
-            MetricsRegistry.from_snapshot(outcome.metrics_snapshot)
-            for outcome in outcomes
-        )
-        registry.counter("transport.shards").inc(len(shards))
-        registry.gauge("transport.workers").set(self.workers)
-        return TransportResult(
-            report=report,
-            committed=committed,
-            failed=failed,
-            global_schedule=schedule,
-            ser_schedule=ser_schedule,
-            verification=verification,
-            metrics=registry,
-            transport=self.name,
-            workers=self.workers,
-            shards=len(shards),
-            wall_s=time.perf_counter() - started,
-            cpu_s=sum(outcome.cpu_s for outcome in outcomes),
-            shard_wall_s=tuple(outcome.wall_s for outcome in outcomes),
-            shard_cpu_s=tuple(outcome.cpu_s for outcome in outcomes),
-        )
+        return ([job] if reason is not None else shard_jobs(job)), reason
 
-    def _run_shards(self, shards: List[SimulationJob]) -> List[ShardOutcome]:
+    def execute(self, shards: List[SimulationJob]) -> List[ShardOutcome]:
         if self.workers <= 1 or len(shards) <= 1:
-            return [run_shard(shard) for shard in shards]
+            return super().execute(shards)
         processes = min(self.workers, len(shards))
         with multiprocessing.Pool(processes=processes) as pool:
             # map keeps result order == shard order regardless of

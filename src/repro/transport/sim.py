@@ -7,51 +7,11 @@ seed (``tests/test_transport_equivalence.py`` diffs the two)."""
 
 from __future__ import annotations
 
-import time
-
-from repro.transport.base import (
-    SimulationJob,
-    Transport,
-    TransportResult,
-    merge_outcomes,
-    run_shard,
-)
+from repro.transport.base import Transport
 
 
 class SimTransport(Transport):
-    """Run the whole job in-process on one deterministic event loop."""
+    """Run the whole job in-process on one deterministic event loop
+    (the base class's single shard, executed where it stands)."""
 
     name = "sim"
-
-    def run(self, job: SimulationJob) -> TransportResult:
-        from repro.observability.registry import MetricsRegistry
-
-        started = time.perf_counter()
-        outcome = run_shard(job)
-        (
-            report,
-            committed,
-            failed,
-            schedule,
-            ser_schedule,
-            verification,
-        ) = merge_outcomes(job, [outcome])
-        registry = MetricsRegistry.from_snapshot(outcome.metrics_snapshot)
-        registry.counter("transport.shards").inc()
-        registry.gauge("transport.workers").set(1)
-        return TransportResult(
-            report=report,
-            committed=committed,
-            failed=failed,
-            global_schedule=schedule,
-            ser_schedule=ser_schedule,
-            verification=verification,
-            metrics=registry,
-            transport=self.name,
-            workers=1,
-            shards=1,
-            wall_s=time.perf_counter() - started,
-            cpu_s=outcome.cpu_s,
-            shard_wall_s=(outcome.wall_s,),
-            shard_cpu_s=(outcome.cpu_s,),
-        )

@@ -15,5 +15,8 @@ serialization graph with an edge per same-site pair, and ``verify_scan``
 the three-pass ``verify`` over graphs built pair by pair with
 list-membership ``transaction_ids``, which the per-site chains and the
 one-pass ``verify`` replaced (``tests/test_end_of_run_checks.py``).
+``export_by_hand`` keeps the registry adapters that named every metric
+of every stats class, which ``repro.observability.export.publish``
+replaced (``tests/test_observability.py``).
 Nothing under ``src/`` imports this package.
 """

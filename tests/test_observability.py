@@ -3,23 +3,35 @@ span tracer (determinism, zero overhead when disabled, replay against
 ser(S)), the --explain cause chains, and the CLI integration points
 that CI's chaos-smoke assertion relies on."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.cli import main
 from repro.core import make_scheme
+from repro.faults.model import FaultStats
 from repro.observability import (
     MetricsRegistry,
     Tracer,
     explain_transaction,
+    fold,
     parse_prometheus,
+    publish,
     replay_check,
+    report_to_registry,
     scheme_metrics_to_registry,
     spans_from_jsonl,
 )
 from repro.observability.registry import DEFAULT_BUCKETS
+from repro.replication import ReplicationStats
 from repro.workloads.traces import adversarial_trace, drive, random_trace
+from tests.reference import export_by_hand
+from tests.test_fastpath_equivalence import (
+    GROUP_STORM,
+    REPLICATION_STORM,
+    chaos_cell,
+)
 
 
 class TestRegistry:
@@ -243,6 +255,56 @@ class TestExplain:
         assert "G0" in text
 
 
+#: the report fields with no registry image: a flag, the raw outage
+#: windows, and the two scheme counters the report restates as totals
+#: over the scheme and the sites
+NOT_PUBLISHED = {
+    ("atomic_commit",),
+    ("availability_windows",),
+    ("scheme", "graph_ops"),
+    ("scheme", "dfs_steps_avoided"),
+}
+
+
+def _samples(registry):
+    return parse_prometheus(registry.render_prometheus())
+
+
+def _assert_covers(oracle, registry):
+    expected, published = _samples(oracle), _samples(registry)
+    assert {name: published.get(name) for name in expected} == expected
+
+
+def _leaf_paths(record, above=()):
+    for spec in dataclasses.fields(record):
+        value = getattr(record, spec.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaf_paths(value, above + (spec.name,))
+        else:
+            yield above + (spec.name,)
+
+
+def _bumped(record, path):
+    """A copy of *record* with the field at *path* changed by one unit."""
+    value = getattr(record, path[0])
+    if len(path) > 1:
+        changed = _bumped(value, path[1:])
+    elif isinstance(value, bool):
+        changed = not value
+    elif isinstance(value, (int, float)):
+        changed = value + 1
+    elif isinstance(value, dict):
+        changed = {**value, "fin": value.get("fin", 0) + 1}
+    elif value and isinstance(value[0], str):
+        changed = (*value, "s9")
+    elif value and isinstance(value[0], tuple):
+        changed = (*value, ("s9", 1.0, 2.0))
+    else:
+        # a field that is None here has no probe value: build that layer
+        changed = type(value)([*value, 7.0])
+    return dataclasses.replace(record, **{path[0]: changed})
+
+
 class TestExport:
     def test_scheme_metrics_to_registry(self):
         result = drive(make_scheme("scheme2"), random_trace(8, 3, 2, seed=0))
@@ -263,6 +325,64 @@ class TestExport:
         assert values["sim_committed_global"] == chaos.report.committed_global
         assert values["faults_retries"] >= 0
         assert values["scheme2_runs"] == 1
+
+    @pytest.mark.parametrize(
+        "seed, storm",
+        [(11, {}), (26, GROUP_STORM), (7, REPLICATION_STORM)],
+        ids=["plain", "group", "replication"],
+    )
+    def test_published_report_covers_the_hand_written_dump(self, seed, storm):
+        """The golden-digest chaos cells: every sample the field-by-field
+        adapters produced is in ``publish``'s dump, with an equal value."""
+        _digests, report = chaos_cell("scheme2", seed, **storm)
+        _assert_covers(
+            export_by_hand.report_to_registry(report, scheme="scheme2"),
+            report_to_registry(report, scheme="scheme2"),
+        )
+
+    def test_published_scheme_metrics_cover_the_hand_written_dump(self):
+        result = drive(make_scheme("scheme4"), random_trace(8, 3, 2, seed=0))
+        assert result.metrics.batches_planned > 0
+        _assert_covers(
+            export_by_hand.scheme_metrics_to_registry(
+                result.metrics, scheme="scheme4"
+            ),
+            scheme_metrics_to_registry(result.metrics, scheme="scheme4"),
+        )
+
+    def test_no_report_field_is_left_behind(self):
+        """Changing any field of the report, or of a record nested in it,
+        changes the dump — unless the field is named in NOT_PUBLISHED."""
+        _digests, report = chaos_cell("scheme2", 26, **GROUP_STORM)
+        report = dataclasses.replace(report, replication=ReplicationStats())
+        baseline = _samples(publish(report, scheme="scheme2"))
+        silent = {
+            path
+            for path in _leaf_paths(report)
+            if _samples(publish(_bumped(report, path), scheme="scheme2"))
+            == baseline
+        }
+        assert silent == NOT_PUBLISHED
+
+    def test_a_new_field_needs_no_other_edit(self):
+        """A count declared on a stats record reaches the folded record,
+        the registry and the dump with ``fold`` and ``publish`` as they
+        are — alone or nested in a report."""
+
+        @dataclasses.dataclass
+        class ProbedFaultStats(FaultStats):
+            probes_sent: int = 0
+
+        stats = fold(
+            [ProbedFaultStats(probes_sent=2), ProbedFaultStats(probes_sent=3)]
+        )
+        assert stats.probes_sent == 5
+        assert _samples(publish(stats))["faults_probes_sent"] == 5
+        _digests, report = chaos_cell("scheme2", 11)
+        report = dataclasses.replace(report, fault_stats=stats)
+        sharded = fold([report, report], shared=("duration",))
+        assert sharded.fault_stats.probes_sent == 10
+        assert _samples(report_to_registry(sharded))["faults_probes_sent"] == 10
 
     def test_bench_results_to_registry(self):
         from repro.analysis.bench import results_to_registry
@@ -349,3 +469,30 @@ class TestCLI:
         values = parse_prometheus(path.read_text())
         assert values["faults_retries"] > 0
         assert values["chaos_runs"] == 2
+
+    def test_chaos_dump_carries_the_planning_counters(self, tmp_path, capsys):
+        """The CI chaos-smoke assertion, on a storm small enough for
+        tier 1: the scheme's own record is in the dump."""
+        path = tmp_path / "metrics.prom"
+        rc = main(
+            [
+                "chaos",
+                "--schemes",
+                "scheme2",
+                "scheme4",
+                "--runs",
+                "2",
+                "--loss-rate",
+                "0.2",
+                "--metrics-out",
+                str(path),
+            ]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        values = parse_prometheus(path.read_text())
+        assert values["scheme4_batches_planned"] > 0
+        assert "scheme2_delta_edges" in values
+        assert values["gtm_wait_ticks"] >= 0 and values["gtm_processed_fin"] > 0
+        assert values["faults_retries"] > 0
+        assert values.get("chaos_violations", 0) == 0

@@ -308,7 +308,7 @@ class TestReplicatedRuns:
                 (
                     tuple(simulator.committed_global),
                     tuple(simulator.router.snapshot_committed),
-                    report.replication.as_rows(),
+                    report.replication,
                 )
             )
         assert fingerprints[0] == fingerprints[1]

@@ -31,12 +31,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.bench import make_e4_job
+from repro.commit import CommitGroupStats, CommitStats
 from repro.core import make_scheme
 from repro.core.gtm import Access, GlobalProgram
+from repro.core.metrics import SchemeMetrics
 from repro.faults.injector import FaultInjector
+from repro.faults.model import FaultStats
 from repro.faults.plan import FaultPlan
 from repro.lmdbs import LocalDBMS, make_protocol
 from repro.mdbs import MDBSSimulator
+from repro.observability import fold
+from repro.replication import ReplicationStats
 from repro.transport import (
     ParallelTransport,
     SimTransport,
@@ -224,9 +229,9 @@ def test_multiprocessing_workers_match_sequential_shards(scheme_name):
     assert pooled.workers == 4
     _assert_same_decisions(sequential, pooled)
     assert pooled.report == sequential.report
-    # the merged metrics must carry every shard's counters
+    # the registry is published from the merged report, shard count beside
     assert (
-        pooled.metrics.counter("transport.shards").value == 4
+        pooled.metrics.counter("transport.shards").value == pooled.shards
     )
 
 
@@ -330,3 +335,107 @@ def test_cross_shard_transaction_property(seed, scheme_name, bridged):
     assert (
         par_result.verification.ok == sim_result.verification.ok
     )
+
+
+def test_single_shard_fallback_is_reported():
+    """Why a job that could have been split ran as one shard travels
+    with the result; a partitioned job reports nothing."""
+    grouped = make_e4_job("scheme2", 8, 7, groups=4)
+    quorum_job = dataclasses.replace(
+        grouped, atomic_commit=True, commit_group_size=3
+    )
+    fallback = ParallelTransport(workers=1).run(quorum_job)
+    assert fallback.shards == 1
+    assert "quorum" in fallback.unsharded_because
+    partitioned = ParallelTransport(workers=1).run(grouped)
+    assert partitioned.shards == 4
+    assert partitioned.unsharded_because is None
+
+
+# ----------------------------------------------------------------------
+# the fold behind the merged report
+# ----------------------------------------------------------------------
+STATS_CLASSES = (
+    SchemeMetrics,
+    FaultStats,
+    CommitStats,
+    CommitGroupStats,
+    ReplicationStats,
+)
+
+
+def test_fold_keeps_list_and_dict_fields():
+    """The fields a number-and-tuple fold used to reset to their
+    defaults."""
+    group = fold(
+        [
+            CommitGroupStats(quorum_rtts=[1.0, 2.0]),
+            CommitGroupStats(quorum_rtts=[3.0]),
+        ]
+    )
+    assert group.quorum_rtts == [1.0, 2.0, 3.0]
+    replication = fold(
+        [ReplicationStats(catchup_ms=[4.0]), ReplicationStats(catchup_ms=[5.0])]
+    )
+    assert replication.catchup_ms == [4.0, 5.0]
+    scheme = fold(
+        [
+            SchemeMetrics(processed={"init": 2, "ser": 1}, waited={"ser": 1}),
+            SchemeMetrics(processed={"ser": 4, "fin": 1}),
+        ]
+    )
+    assert scheme.processed == {"init": 2, "ser": 5, "fin": 1}
+    assert scheme.waited == {"ser": 1}
+
+
+def test_fold_refuses_a_field_it_cannot_add():
+    @dataclasses.dataclass
+    class Labelled:
+        count: int = 0
+        label: str = ""
+
+    with pytest.raises(TypeError, match="label"):
+        fold([Labelled(1, "a"), Labelled(2, "b")])
+
+
+def _stats_records(cls):
+    """A strategy for *cls* from the defaults its fields declare."""
+    kinds = st.sampled_from(["init", "ser", "ack", "fin"])
+    by_default = {
+        int: st.integers(min_value=0, max_value=10**6),
+        list: st.lists(st.floats(min_value=0, max_value=1e3), max_size=4),
+        dict: st.dictionaries(kinds, st.integers(min_value=0, max_value=99)),
+    }
+    return st.builds(
+        cls,
+        **{
+            spec.name: by_default[
+                type(
+                    spec.default
+                    if spec.default is not dataclasses.MISSING
+                    else spec.default_factory()
+                )
+            ]
+            for spec in dataclasses.fields(cls)
+        },
+    )
+
+
+@pytest.mark.parametrize("cls", STATS_CLASSES, ids=lambda cls: cls.__name__)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_fold_is_the_field_wise_sum(cls, data):
+    first = data.draw(_stats_records(cls))
+    second = data.draw(_stats_records(cls))
+    assert fold([first]) == first
+    folded = fold([first, second])
+    for spec in dataclasses.fields(cls):
+        one, other = getattr(first, spec.name), getattr(second, spec.name)
+        if isinstance(one, dict):
+            expected = {
+                kind: one.get(kind, 0) + other.get(kind, 0)
+                for kind in {*one, *other}
+            }
+        else:
+            expected = one + other
+        assert getattr(folded, spec.name) == expected, spec.name
