@@ -9,39 +9,20 @@ than Scheme 0 under contention, despite doing far more scheduling steps.
 """
 
 
-from repro.core import make_scheme
-from repro.lmdbs import LocalDBMS, make_protocol
-from repro.mdbs import MDBSSimulator, SimulationConfig, assert_verified
-from repro.workloads import WorkloadConfig, WorkloadGenerator
+from repro.analysis.bench import make_e4_job
+from repro.transport import SimTransport
 
 SCHEMES = ["scheme0", "scheme1", "scheme2", "scheme3"]
-PROTOCOLS = ["strict-2pl", "to", "conservative-2pl", "sgt"]
 MPL_VALUES = [4, 8, 16]
 
 
 def run_one(scheme_name, mpl, seed=7):
-    cfg = WorkloadConfig(
-        sites=len(PROTOCOLS),
-        items_per_site=12,
-        dav=2.0,
-        ops_per_site=2,
-        seed=seed,
-    )
-    gen = WorkloadGenerator(cfg)
-    sites = {
-        s: LocalDBMS(s, make_protocol(p))
-        for s, p in zip(cfg.site_names, PROTOCOLS)
-    }
-    sim = MDBSSimulator(
-        sites, make_scheme(scheme_name), SimulationConfig()
-    )
-    # closed-ish system: mpl transactions arrive together in waves
-    programs = gen.global_batch(3 * mpl)
-    for index, program in enumerate(programs):
-        sim.submit_global(program, at=(index // mpl) * 40.0)
-    report = sim.run()
-    assert_verified(sim.global_schedule(), sim.ser_schedule)
-    return report
+    """The E4 cell of ``repro bench`` (and of BENCH_3.json): four
+    heterogeneous-protocol sites, a closed-ish system in which mpl
+    transactions arrive together in three waves."""
+    result = SimTransport().run(make_e4_job(scheme_name, mpl, seed))
+    assert result.verification.ok, result.verification.cycle
+    return result.report
 
 
 def run_sweep():

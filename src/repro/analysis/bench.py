@@ -1,29 +1,25 @@
-"""The perf-trajectory bench harness (``repro bench``).
+"""The trajectory bench harness (``repro bench``).
 
-Runs the E4 throughput grid (and optionally the E11 atomic-commit or
-E13 commit-group variants) as independent *cells* — one per
-(experiment, scheme, mpl, seed) — and persists the results as a
-``BENCH_<n>.json`` trajectory file.  Each cell is seed-deterministic and self-contained, so the grid
-can be fanned across ``multiprocessing`` workers and merged back in
-fixed task order: the parallel run emits byte-identical results to the
-serial one (asserted by tests/test_bench_runner.py).
-
-CI guards against throughput regressions with :func:`check_regression`,
-which compares a fresh run against the committed baseline on the cells
-they share.
-
-Simulated throughput is deterministic for a given cell spec, so the
-regression gate tolerates *zero* drift on identical code — the
-threshold exists to absorb intentional scheduling changes reviewed via
-baseline refresh, not noise.
+Runs the E4 throughput grid (and the E11 atomic-commit, E13 commit-group
+and E14 degree-of-concurrency variants) as independent *cells* — one per
+(experiment, scheme, mpl, seed, transport, groups) — and persists them as
+a ``BENCH_<n>.json`` trajectory file.  A cell is the projection of one
+run onto :data:`CELL_FIELDS`: the paper's own measures (steps per
+scheduled transaction, WAIT-set size, commits) and the simulated results
+around them.  Every field is a function of the cell's spec alone — no
+module on this path reads a clock; wall-clock is ``perf/``'s — so the
+grid can be fanned across ``multiprocessing`` workers and merged back in
+fixed task order, and :func:`check_regression` gates on *equality* with
+the committed file: ``git diff`` on a re-emitted BENCH file is the list
+of scheduling decisions a change moved.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
-import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: site protocols of the E4 grid (benchmarks/test_bench_throughput.py)
 E4_PROTOCOLS = ("strict-2pl", "to", "conservative-2pl", "sgt")
@@ -33,6 +29,40 @@ DEFAULT_SEEDS = (7, 8, 9, 10)
 #: multiprogramming levels of the E14 degree-of-concurrency cells: the
 #: regime where batch planning (scheme4) must dominate Scheme 2
 E14_MPL = (32, 64)
+
+
+def _report(attribute: str) -> Callable[[Any], Any]:
+    return attrgetter("report." + attribute)
+
+
+#: What a cell measures, declared once: field -> (how it is read off the
+#: finished run — a ``TransportResult`` or ``ChaosResult``, both carry
+#: the ``SimulationReport`` as ``.report`` — and the registry counter a
+#: grid sums it into, or None).  :func:`run_cell` fills exactly these,
+#: :func:`check_regression` compares exactly these and
+#: :func:`results_to_registry` publishes exactly the named ones.
+CELL_FIELDS: Dict[str, Tuple[Callable[[Any], Any], Optional[str]]] = {
+    "throughput": (_report("throughput"), None),
+    "mean_response_time": (_report("mean_response_time"), None),
+    "committed": (_report("committed_global"), "bench.committed"),
+    "global_aborts": (_report("global_aborts"), "bench.global_aborts"),
+    "watchdog_aborts": (_report("watchdog_aborts"), "bench.watchdog_aborts"),
+    "duration": (_report("duration"), None),
+    "events": (_report("events_executed"), "bench.events"),
+    "scheme_steps": (_report("scheme_steps"), "gtm.steps"),
+    "graph_ops": (_report("graph_ops"), "gtm.graph_ops"),
+    "dfs_steps_avoided": (_report("dfs_steps_avoided"), "gtm.dfs_steps_avoided"),
+    "wake_retries_skipped": (
+        _report("wake_retries_skipped"),
+        "gtm.wake_retries_skipped",
+    ),
+    "indoubt_max": (lambda run: max(run.report.in_doubt_times or (0.0,)), None),
+    "wait_area": (_report("wait_area"), "gtm.wait_area"),
+    "wait_samples": (_report("wait_samples"), "gtm.wait_samples"),
+    "mean_wait_set": (_report("mean_wait_set"), None),
+    # a chaos cell is one simulator, hence one shard
+    "shards": (lambda run: getattr(run, "shards", 1), "transport.shards"),
+}
 
 
 def make_specs(
@@ -72,59 +102,17 @@ def make_specs(
 
 def run_cell(spec: Dict[str, Any]) -> Dict[str, Any]:
     """Run one bench cell; picklable, safe to call in a worker process."""
-    started = time.perf_counter()
-    transport_result = None
-    if spec["experiment"] == "E11":
-        chaos = _run_e11_cell(spec)
-        report, wall_s = chaos.report, chaos.wall_s
-    elif spec["experiment"] == "E13":
-        chaos = _run_e13_cell(spec)
-        report, wall_s = chaos.report, chaos.wall_s
-    else:
-        # E4 (throughput) and E14 (degree of concurrency) share the
-        # workload and the runner; E14 differs only in the gated
-        # statistics (mean WAIT-set size, aggregate events/sec) and
-        # its high-MPL grid (see E14_MPL / check_dominance)
-        transport_result = _run_e4_cell(spec)
-        report = transport_result.report
-        # measured inside this worker by the transport, covering the
-        # dispatch, the run(s), and the merged verification
-        wall_s = transport_result.wall_s
-    if wall_s <= 0:
-        wall_s = time.perf_counter() - started
+    # E4 (throughput) and E14 (degree of concurrency) share the workload
+    # and the runner; E14 differs only in the gated statistic (mean
+    # WAIT-set size) and its high-MPL grid (see E14_MPL / check_dominance)
+    runners = {"E11": _run_e11_cell, "E13": _run_e13_cell}
+    run = runners.get(spec["experiment"], _run_e4_cell)(spec)
     result = dict(spec)
-    result.update(
-        throughput=report.throughput,
-        mean_response_time=report.mean_response_time,
-        committed=report.committed_global,
-        duration=report.duration,
-        events=report.events_executed,
-        events_per_sec=(
-            report.events_executed / wall_s if wall_s > 0 else 0.0
-        ),
-        wall_s=wall_s,
-        scheme_steps=report.scheme_steps,
-        graph_ops=report.graph_ops,
-        dfs_steps_avoided=report.dfs_steps_avoided,
-        wake_retries_skipped=report.wake_retries_skipped,
-        indoubt_max=max(report.in_doubt_times or (0.0,)),
-        wait_area=report.wait_area,
-        wait_samples=report.wait_samples,
-        mean_wait_set=report.mean_wait_set,
-    )
-    if transport_result is not None:
-        result.update(
-            shards=transport_result.shards,
-            cpu_s=transport_result.cpu_s,
-            critical_path_s=transport_result.critical_path_s,
-            agg_events_per_sec=transport_result.agg_events_per_sec,
-        )
+    result.update((name, read(run)) for name, (read, _) in CELL_FIELDS.items())
     return result
 
 
-def make_e4_job(
-    scheme: str, mpl: int, seed: int, groups: int = 1
-):
+def make_e4_job(scheme: str, mpl: int, seed: int, groups: int = 1):
     """The E4 workload as a transport job.
 
     ``groups=1`` is the classic cell of
@@ -134,8 +122,9 @@ def make_e4_job(
     independent 4-site clusters with distinct site/transaction prefixes
     (site-disjoint by construction, so the parallel transport shards it
     ``groups`` ways); ``mpl`` is the *total* multiprogramming level and
-    each group gets ``mpl // groups`` of it, seeded per group so the
-    groups run distinct workloads.
+    each group gets ``mpl // groups`` of it — ``groups`` must divide it,
+    or the cell would run a smaller workload than it records — seeded
+    per group so the groups run distinct workloads.
     """
     from repro.mdbs import SimulationConfig
     from repro.transport import SimulationJob
@@ -143,7 +132,12 @@ def make_e4_job(
 
     site_protocols: List[Any] = []
     global_programs: List[Any] = []
-    per_mpl = max(1, mpl // groups)
+    if groups < 1 or mpl % groups:
+        raise ValueError(
+            f"groups={groups} must divide mpl={mpl}, or the cell runs a "
+            "smaller workload than it records"
+        )
+    per_mpl = mpl // groups
     for group in range(groups):
         cfg = WorkloadConfig(
             sites=len(E4_PROTOCOLS),
@@ -175,15 +169,9 @@ def _run_e4_cell(spec: Dict[str, Any]):
     from repro.transport import make_transport
 
     job = make_e4_job(
-        spec["scheme"],
-        spec["mpl"],
-        spec["seed"],
-        groups=spec.get("groups", 1),
+        spec["scheme"], spec["mpl"], spec["seed"], groups=spec["groups"]
     )
-    transport = make_transport(
-        spec.get("transport", "sim"), workers=spec.get("workers", 1)
-    )
-    result = transport.run(job)
+    result = make_transport(spec["transport"], workers=spec["workers"]).run(job)
     if not result.verification.ok:
         raise RuntimeError(
             f"E4 cell {spec!r} failed verification "
@@ -192,24 +180,28 @@ def _run_e4_cell(spec: Dict[str, Any]):
     return result
 
 
+def _run_chaos_cell(spec: Dict[str, Any], **options: Any):
+    """One seeded 2PC chaos storm under the spec's scheme, all of its
+    ground-truth verdicts required."""
+    from repro.faults.chaos import ChaosOptions, run_chaos
+
+    result = run_chaos(
+        ChaosOptions(scheme=spec["scheme"], atomic_commit=True, **options),
+        spec["seed"],
+    )
+    if not result.ok:
+        raise RuntimeError(
+            f"{spec['experiment']} cell {spec!r} failed: "
+            f"{result.failure_reasons()}"
+        )
+    return result
+
+
 def _run_e11_cell(spec: Dict[str, Any]):
     """One E11 cell: the chaos run with presumed-abort 2PC enabled
     (benchmarks/test_bench_atomic_commit.py); ``mpl`` selects nothing —
     the chaos workload is fixed — but stays in the key for uniformity."""
-    from repro.faults.chaos import ChaosOptions, run_chaos
-
-    options = ChaosOptions(
-        scheme=spec["scheme"],
-        atomic_commit=True,
-        prepare_crash_count=1,
-        site_crash_count=1,
-    )
-    result = run_chaos(options, spec["seed"])
-    if not result.ok:
-        raise RuntimeError(
-            f"E11 cell {spec!r} failed: {result.failure_reasons()}"
-        )
-    return result
+    return _run_chaos_cell(spec, prepare_crash_count=1, site_crash_count=1)
 
 
 def _run_e13_cell(spec: Dict[str, Any]):
@@ -221,11 +213,8 @@ def _run_e13_cell(spec: Dict[str, Any]):
     window runs until the replica restarts; size 3 terminates through
     the surviving quorum in about one round-trip.  ``indoubt_max`` in
     the emitted cell is the head-to-head number."""
-    from repro.faults.chaos import ChaosOptions, run_chaos
-
-    options = ChaosOptions(
-        scheme=spec["scheme"],
-        atomic_commit=True,
+    return _run_chaos_cell(
+        spec,
         # isolate the decision-log faults: message faults and site/GTM
         # crashes inflate in-doubt windows identically for every group
         # size and would drown the head-to-head signal
@@ -239,12 +228,6 @@ def _run_e13_cell(spec: Dict[str, Any]):
         vote_decide_partition_count=1,
         downtime=300.0,
     )
-    result = run_chaos(options, spec["seed"])
-    if not result.ok:
-        raise RuntimeError(
-            f"E13 cell {spec!r} failed: {result.failure_reasons()}"
-        )
-    return result
 
 
 def run_grid(
@@ -283,102 +266,57 @@ def results_to_registry(results: Iterable[Dict[str, Any]], registry=None):
     """Aggregate a grid's cells into one unified metrics registry
     (``bench.*`` totals plus the ``gtm.*`` scheduling-cost counters),
     ready for a Prometheus-style dump via ``--metrics-out``."""
-    from repro.observability.registry import DEFAULT_BUCKETS, MetricsRegistry
+    from repro.observability.registry import MetricsRegistry
 
     out = registry if registry is not None else MetricsRegistry()
-    wall = out.histogram("bench.wall_s", DEFAULT_BUCKETS)
     for cell in results:
         out.counter("bench.cells").inc()
-        out.counter("bench.committed").inc(cell["committed"])
-        out.counter("bench.events").inc(cell["events"])
-        out.counter("gtm.steps").inc(cell["scheme_steps"])
-        out.counter("gtm.graph_ops").inc(cell["graph_ops"])
-        out.counter("gtm.dfs_steps_avoided").inc(cell["dfs_steps_avoided"])
-        out.counter("gtm.wake_retries_skipped").inc(
-            cell["wake_retries_skipped"]
-        )
-        out.counter("gtm.wait_area").inc(int(cell.get("wait_area", 0)))
-        out.counter("gtm.wait_samples").inc(
-            int(cell.get("wait_samples", 0))
-        )
         out.counter(f"{cell['scheme']}.cells").inc()
-        out.counter("transport.shards").inc(int(cell.get("shards", 1)))
-        wall.observe(cell["wall_s"])
+        for name, (_, metric) in CELL_FIELDS.items():
+            if metric is not None and name in cell:
+                out.counter(metric).inc(cell[name])
     return out
 
 
-def _cell_key(cell: Dict[str, Any]):
-    # transport and groups are part of the identity: a parallel cell and
-    # a sim cell (or grouped vs classic workloads) are different
-    # measurements and must never gate each other.  workers is NOT in
-    # the key — results are worker-count-invariant by construction, only
-    # wall-clock changes.  The .get defaults keep cells from
-    # pre-transport trajectory files comparable.
-    return (
-        cell.get("experiment", "E4"),
-        cell["scheme"],
-        cell["mpl"],
-        cell["seed"],
-        cell.get("transport", "sim"),
-        int(cell.get("groups", 1)),
-    )
+#: A cell's identity.  transport and groups are part of it: a parallel
+#: cell and a sim cell (or grouped vs classic workloads) are different
+#: measurements and must never gate each other.  workers is NOT — results
+#: are worker-count-invariant by construction.
+CELL_KEY = ("experiment", "scheme", "mpl", "seed", "transport", "groups")
+
+
+def _cell_key(cell: Dict[str, Any]) -> Tuple[Any, ...]:
+    return tuple(cell[name] for name in CELL_KEY)
 
 
 def check_regression(
     current: Iterable[Dict[str, Any]],
     baseline: Iterable[Dict[str, Any]],
-    threshold: float = 0.2,
-    schemes: Sequence[str] = ("scheme3",),
-    mpl: int = 16,
-    experiment: str = "E4",
 ) -> List[str]:
-    """Compare throughput against the committed baseline.
-
-    Looks at the cells of (*experiment*, scheme ∈ *schemes*, *mpl*)
-    present in both runs; a cell whose throughput fell more than
-    *threshold* (fractional) below the baseline is a failure, and so is
-    a gated scheme with no comparable cells at all — a gate that
-    silently compares nothing must not pass.  Returns the list of
-    failure descriptions (empty = gate passes).
-
-    ``BENCH_3.json`` also carries a historical before-column — cells
-    recorded with the since-deleted legacy algorithms, equal to their
-    twins in every key field.  The filter below drops them so they can
-    never stand in for their twins."""
-    baseline_map = {
-        _cell_key(cell): cell
-        for cell in baseline
-        if cell.get("fast_paths", True)
-    }
+    """The exact gate: every cell the two runs share (by
+    :func:`_cell_key`) must agree on every :data:`CELL_FIELDS` field
+    present in both.  A cell absent from the baseline is skipped (a grid
+    may grow), but sharing no cell at all is a failure — a gate that
+    compares nothing must not pass.  Returns the failure descriptions,
+    each naming cell, field and both values (empty = gate passes)."""
+    reference = {_cell_key(cell): cell for cell in baseline}
     failures: List[str] = []
-    compared = {scheme: 0 for scheme in schemes}
+    shared = 0
     for cell in current:
-        key = _cell_key(cell)
-        scheme = key[1]
-        if (
-            key[0] != experiment
-            or scheme not in compared
-            or key[2] != mpl
-        ):
+        expected = reference.get(_cell_key(cell))
+        if expected is None:
             continue
-        reference = baseline_map.get(key)
-        if reference is None:
-            continue
-        compared[scheme] += 1
-        floor = reference["throughput"] * (1.0 - threshold)
-        if cell["throughput"] < floor:
-            failures.append(
-                f"{scheme}@mpl={mpl} seed={cell['seed']}: throughput "
-                f"{cell['throughput']:.6f} fell below "
-                f"{floor:.6f} (baseline {reference['throughput']:.6f}, "
-                f"threshold {threshold:.0%})"
-            )
-    for scheme, count in compared.items():
-        if count == 0:
-            failures.append(
-                f"no comparable {experiment} {scheme}@mpl={mpl} cells "
-                "between current run and baseline"
-            )
+        shared += 1
+        label = " ".join(f"{name}={cell[name]}" for name in CELL_KEY)
+        failures += [
+            f"{label}: {name} {cell[name]!r} != baseline {expected[name]!r}"
+            for name in CELL_FIELDS
+            if name in cell and name in expected and cell[name] != expected[name]
+        ]
+    if not shared:
+        failures.append(
+            "no cell shared between the current run and the baseline"
+        )
     return failures
 
 
@@ -388,24 +326,18 @@ def check_dominance(
     incumbent: str = "scheme2",
     mpl_values: Sequence[int] = E14_MPL,
     experiment: str = "E14",
-    require_events_per_sec: bool = False,
 ) -> List[str]:
     """The ROADMAP item 1 dominance gate, over one run's cells.
 
     For every (*mpl* ∈ *mpl_values*, seed) pair present for both schemes,
     the *challenger*'s mean WAIT-set size must be **strictly** below the
-    *incumbent*'s; with ``require_events_per_sec`` the challenger's
-    aggregate events/sec must also be at least the incumbent's (a
-    wall-clock measure — gate it when recording trajectory files, not on
-    shared CI runners).  Cells only exist for runs that passed ground-
+    *incumbent*'s.  Cells only exist for runs that passed ground-
     truth verification (:func:`_run_e4_cell` raises otherwise), so a
     compared pair always carries identical verification verdicts.
     Returns failure descriptions; an empty list means dominance holds,
     and a grid with no comparable pair at some *mpl* fails — a gate that
     compares nothing must not pass."""
-    indexed: Dict[Any, Dict[str, Any]] = {}
-    for cell in cells:
-        indexed[_cell_key(cell)] = cell
+    indexed = {_cell_key(cell): cell for cell in cells}
     failures: List[str] = []
     for mpl in mpl_values:
         compared = 0
@@ -427,19 +359,6 @@ def check_dominance(
                     f"below {incumbent}'s "
                     f"{reference['mean_wait_set']:.3f}"
                 )
-            if require_events_per_sec:
-                rival_rate = rival.get(
-                    "agg_events_per_sec", rival["events_per_sec"]
-                )
-                reference_rate = reference.get(
-                    "agg_events_per_sec", reference["events_per_sec"]
-                )
-                if rival_rate < reference_rate:
-                    failures.append(
-                        f"{challenger}@mpl={mpl} seed={seed}: "
-                        f"{rival_rate:.1f} events/sec below "
-                        f"{incumbent}'s {reference_rate:.1f}"
-                    )
         if compared == 0:
             failures.append(
                 f"no comparable {experiment} {challenger}/{incumbent} "

@@ -22,11 +22,11 @@ Commands
     histories.
 
 ``bench``
-    Run the perf-trajectory grid (E4 throughput / E11 atomic-commit /
-    E13 commit-group cells) across worker processes, emit a
-    ``BENCH_<n>.json`` file, and
-    optionally fail if throughput regressed against a committed
-    baseline (see docs/performance.md).
+    Run the trajectory grid (E4 throughput / E11 atomic-commit / E13
+    commit-group / E14 degree-of-concurrency cells) across worker
+    processes, emit a ``BENCH_<n>.json`` file, and optionally fail
+    unless every cell equals its twin in a committed baseline (see
+    docs/performance.md).
 
 Examples
 --------
@@ -376,132 +376,72 @@ def cmd_bench(args: argparse.Namespace) -> int:
             workers=args.workers if transport == "parallel" else 1,
             groups=args.groups,
         )
-    if "parallel" in transports:
-        # nested-pool guard: the parallel transport owns the worker
-        # pool, so bench cells must run serially — forking a cell pool
-        # on top of per-cell shard pools would oversubscribe the host
-        # and deadlock-prone daemonic children
-        workers = 1
-    else:
-        workers = 1 if args.serial else args.workers
-    results = bench.run_grid(specs, workers=workers)
-    rows = [
-        (
-            cell.get("transport", "sim"),
-            cell["scheme"],
-            cell["mpl"],
-            cell["seed"],
-            cell["committed"],
-            round(cell["throughput"] * 1000, 2),
-            round(cell["mean_response_time"], 1),
-            round(cell["wall_s"], 3),
-            round(cell["events_per_sec"]),
-            (
-                round(cell["agg_events_per_sec"])
-                if cell.get("agg_events_per_sec")
-                else "-"
-            ),
-        )
+    # nested-pool guard: the parallel transport owns the worker pool, so
+    # bench cells must run serially — forking a cell pool on top of
+    # per-cell shard pools would oversubscribe the host and
+    # deadlock-prone daemonic children
+    workers = 1 if "parallel" in transports else args.workers
+    try:
+        results = bench.run_grid(specs, workers=workers)
+    except ValueError as exc:
+        raise SystemExit(f"invalid bench grid: {exc}") from exc
+    table = [
+        {
+            "transport": cell["transport"],
+            "scheme": cell["scheme"],
+            "mpl": cell["mpl"],
+            "seed": cell["seed"],
+            "committed": cell["committed"],
+            "tput (txn/kt)": round(cell["throughput"] * 1000, 2),
+            "mean rt": round(cell["mean_response_time"], 1),
+            "steps": cell["scheme_steps"],
+            "mean WAIT": round(cell["mean_wait_set"], 2),
+        }
         for cell in results
     ]
     print(
         render_table(
-            (
-                "transport",
-                "scheme",
-                "mpl",
-                "seed",
-                "committed",
-                "tput (txn/kt)",
-                "mean rt",
-                "wall s",
-                "events/s",
-                "agg ev/s",
-            ),
-            rows,
-            title=(
-                f"{args.experiment} bench grid "
-                f"({'serial' if workers <= 1 else f'{workers} workers'})"
-            ),
+            list(table[0]) if table else (),
+            [list(row.values()) for row in table],
+            title=f"{args.experiment} bench grid",
         )
     )
-    for transport in transports:
-        cells = [
-            cell
-            for cell in results
-            if cell.get("transport", "sim") == transport
-        ]
-        total_events = sum(cell.get("events", 0) for cell in cells)
-        total_wall = sum(cell.get("wall_s", 0.0) for cell in cells)
-        print(
-            f"{transport}: {total_events} events in {total_wall:.3f}s "
-            f"wall ({total_events / total_wall:,.0f} events/s aggregate)"
-            if total_wall > 0
-            else f"{transport}: {total_events} events"
-        )
     if args.out:
-        bench.emit_json(
-            results,
-            args.out,
-            meta={
-                "experiment": args.experiment,
-                "schemes": list(args.schemes),
-                "mpl": list(args.mpl),
-                "seeds": args.seeds,
-                "base_seed": args.base_seed,
-                "transports": transports,
-                "groups": args.groups,
-                "workers": args.workers,
-                "aggregate": {
-                    transport: {
-                        "events": sum(
-                            cell.get("events", 0)
-                            for cell in results
-                            if cell.get("transport", "sim") == transport
-                        ),
-                        "wall_s": sum(
-                            cell.get("wall_s", 0.0)
-                            for cell in results
-                            if cell.get("transport", "sim") == transport
-                        ),
-                    }
-                    for transport in transports
-                },
-            },
-        )
+        recorded = ("experiment", "schemes", "mpl", "seeds", "base_seed", "groups")
+        meta = {name: getattr(args, name) for name in recorded}
+        meta["transports"] = transports
+        if "parallel" in transports:
+            # the shard pool's size; the cell pool's (a host default)
+            # changes no cell and is not recorded
+            meta["workers"] = args.workers
+        bench.emit_json(results, args.out, meta=meta)
         print(f"wrote {args.out}")
     if args.metrics_out:
         registry = bench.results_to_registry(results)
         with open(args.metrics_out, "w") as handle:
             handle.write(registry.render_prometheus())
         print(f"wrote {args.metrics_out}")
+    gates = []
     if args.baseline:
         failures = bench.check_regression(
-            results,
-            bench.load_json(args.baseline).get("cells", []),
-            threshold=args.max_regression,
-            schemes=args.schemes,
+            results, bench.load_json(args.baseline)["cells"]
         )
-        if failures:
-            for line in failures:
-                print(f"!! regression: {line}")
-            return 1
-        print(
-            f"regression gate passed (threshold "
-            f"{args.max_regression:.0%} vs {args.baseline})"
-        )
+        gates.append(("regression", failures, f"exact, vs {args.baseline}"))
     if args.check_dominance:
         failures = bench.check_dominance(
             results, mpl_values=dominance_mpls, experiment=args.experiment
         )
-        if failures:
-            for line in failures:
-                print(f"!! dominance: {line}")
-            return 1
-        print(
-            "dominance gate passed (scheme4 mean WAIT-set strictly "
-            f"below scheme2's at mpl {dominance_mpls})"
+        passed = (
+            "scheme4 mean WAIT-set strictly below scheme2's at mpl "
+            f"{dominance_mpls}"
         )
+        gates.append(("dominance", failures, passed))
+    for gate, failures, passed in gates:
+        for line in failures:
+            print(f"!! {gate}: {line}")
+        if failures:
+            return 1
+        print(f"{gate} gate passed ({passed})")
     return 0
 
 
@@ -698,9 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=max(1, os.cpu_count() or 1)
     )
     bench_parser.add_argument(
-        "--serial", action="store_true", help="force single-process"
-    )
-    bench_parser.add_argument(
         "--transport",
         nargs="+",
         choices=["sim", "parallel"],
@@ -725,13 +662,9 @@ def build_parser() -> argparse.ArgumentParser:
         "text dump",
     )
     bench_parser.add_argument(
-        "--baseline", help="committed BENCH_<n>.json to gate against"
-    )
-    bench_parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.2,
-        help="fractional throughput drop tolerated vs the baseline",
+        "--baseline",
+        help="committed BENCH_<n>.json to gate against: every cell shared "
+        "with it must match it exactly on every measured field",
     )
     bench_parser.add_argument(
         "--check-dominance",

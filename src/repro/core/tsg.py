@@ -14,7 +14,7 @@ O(m + n + n·dav) bound (Theorem 4).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, KeysView, List, Optional, Set, Tuple
 
 from repro.core.metrics import SchemeMetrics
 from repro.exceptions import SchedulerError
@@ -24,8 +24,11 @@ class TransactionSiteGraph:
     """Undirected bipartite graph between transactions and sites."""
 
     def __init__(self, metrics: Optional[SchemeMetrics] = None) -> None:
-        #: transaction -> set of adjacent sites
-        self._txn_sites: Dict[str, Set[str]] = {}
+        #: transaction -> its adjacent sites, in the order its Init named
+        #: them (a dict, not a set: Scheme 1's early-exit walks over it
+        #: are charged per site visited, and that count must be a function
+        #: of the input, not of the string hash seed)
+        self._txn_sites: Dict[str, Dict[str, None]] = {}
         #: site -> set of adjacent transactions
         self._site_txns: Dict[str, Set[str]] = {}
         self._metrics = metrics or SchemeMetrics()
@@ -38,9 +41,9 @@ class TransactionSiteGraph:
             raise SchedulerError(
                 f"transaction {transaction_id!r} already in the TSG"
             )
-        site_set = set(sites)
-        self._txn_sites[transaction_id] = site_set
-        for site in site_set:
+        own_sites = dict.fromkeys(sites)
+        self._txn_sites[transaction_id] = own_sites
+        for site in own_sites:
             self._metrics.step()
             self._site_txns.setdefault(site, set()).add(transaction_id)
 
@@ -69,8 +72,9 @@ class TransactionSiteGraph:
     def sites(self) -> Tuple[str, ...]:
         return tuple(self._site_txns)
 
-    def sites_of(self, transaction_id: str) -> frozenset:
-        return frozenset(self._txn_sites.get(transaction_id, ()))
+    def sites_of(self, transaction_id: str) -> KeysView[str]:
+        """The transaction's sites: set-like, iterated in Init order."""
+        return self._txn_sites.get(transaction_id, {}).keys()
 
     def transactions_at(self, site: str) -> frozenset:
         return frozenset(self._site_txns.get(site, ()))

@@ -20,7 +20,6 @@ re-exported from :mod:`repro.faults` (which :mod:`repro.mdbs` imports).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -119,10 +118,6 @@ class ChaosResult:
     replicas: Optional[ReplicaConsistencyReport] = None
     #: commit-group decision uniqueness (None without a commit group)
     decisions: Optional[DecisionUniquenessReport] = None
-    #: real elapsed seconds of the run itself (``time.perf_counter``
-    #: around ``simulator.run()``, measured in the executing process —
-    #: a pool worker reports its own wall time, not the dispatcher's)
-    wall_s: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -239,9 +234,7 @@ def build_chaos_simulator(
 def run_chaos(options: ChaosOptions, seed: int) -> ChaosResult:
     """Run one seeded chaos storm and verify it from ground truth."""
     simulator, _plan = build_chaos_simulator(options, seed)
-    started = time.perf_counter()
     report = simulator.run()
-    wall_s = time.perf_counter() - started
     verification = verify(simulator.global_schedule(), simulator.ser_schedule)
     exactly_once = simulator.exactly_once_report()
     atomicity = simulator.atomicity_report()
@@ -269,7 +262,6 @@ def run_chaos(options: ChaosOptions, seed: int) -> ChaosResult:
         unresolved=unresolved,
         replicas=replicas,
         decisions=decisions,
-        wall_s=wall_s,
     )
 
 

@@ -4,8 +4,8 @@ A :class:`SimulationJob` is a complete, picklable run specification —
 sites with their protocols, the GTM scheme, the workload, the fault
 plan.  A :class:`Transport` turns a job into a :class:`TransportResult`:
 the merged :class:`~repro.mdbs.simulator.SimulationReport`, the executed
-global schedule, ``ser(S)``, the verification verdicts, the metrics
-registry published from the merged report, and real wall/CPU timings.
+global schedule, ``ser(S)``, the verification verdicts, and the metrics
+registry published from the merged report.
 
 Two transports exist:
 
@@ -108,7 +108,8 @@ class ShardOutcome:
 
 @dataclass
 class TransportResult:
-    """What a transport hands back: merged outcome + real timings."""
+    """What a transport hands back: the merged outcome, plus the shards'
+    own timings for ``perf/`` (nothing under ``src/`` reads them)."""
 
     report: SimulationReport
     committed: Tuple[str, ...]
@@ -122,46 +123,18 @@ class TransportResult:
     transport: str
     workers: int
     shards: int
-    #: elapsed seconds around the whole dispatch (includes worker
-    #: startup and merging — the honest end-to-end number)
-    wall_s: float
     #: summed per-shard CPU seconds (total machine work)
     cpu_s: float
     shard_wall_s: Tuple[float, ...]
-    shard_cpu_s: Tuple[float, ...]
     #: why a job that asked for shards ran as one (see
     #: :func:`unshardable_reason`); None when it was partitioned or is
     #: one site component
     unsharded_because: Optional[str] = None
 
-    @property
-    def critical_path_s(self) -> float:
-        """CPU seconds of the slowest shard — the run's elapsed time on
-        a machine with >= ``shards`` idle cores.  On fewer cores the
-        shards time-slice and elapsed wall converges to ``cpu_s``
-        instead; both numbers are reported so neither story hides."""
-        return max(self.shard_cpu_s) if self.shard_cpu_s else self.cpu_s
-
-    @property
-    def events_per_sec(self) -> float:
-        """Events over end-to-end elapsed wall (this machine, today)."""
-        if self.wall_s <= 0:
-            return 0.0
-        return self.report.events_executed / self.wall_s
-
-    @property
-    def agg_events_per_sec(self) -> float:
-        """Events over the critical path: aggregate machine throughput
-        once every shard has a core of its own."""
-        path = self.critical_path_s
-        if path <= 0:
-            return 0.0
-        return self.report.events_executed / path
-
 
 class Transport:
     """Turns a :class:`SimulationJob` into a :class:`TransportResult`:
-    :meth:`run` times the dispatch, merges and verifies in the dispatcher
+    :meth:`run` dispatches, merges and verifies in the dispatcher
     and publishes the merged report; a transport says which shards the
     job becomes (:meth:`split`) and how they execute (:meth:`execute`)."""
 
@@ -180,7 +153,6 @@ class Transport:
     def run(self, job: SimulationJob) -> TransportResult:
         from repro.observability.export import report_to_registry
 
-        started = time.perf_counter()
         shards, reason = self.split(job)
         outcomes = self.execute(shards)
         # the result's six leading fields, in declaration order
@@ -194,10 +166,8 @@ class Transport:
             transport=self.name,
             workers=self.workers,
             shards=len(shards),
-            wall_s=time.perf_counter() - started,
             cpu_s=sum(outcome.cpu_s for outcome in outcomes),
             shard_wall_s=tuple(outcome.wall_s for outcome in outcomes),
-            shard_cpu_s=tuple(outcome.cpu_s for outcome in outcomes),
             unsharded_because=reason,
         )
 

@@ -1,14 +1,19 @@
-"""The perf-trajectory bench harness: determinism, JSON, regression gate.
+"""The trajectory bench harness: determinism, JSON, the exact gate.
 
 The grid must merge parallel-worker results in fixed order and produce
-byte-identical cells for any worker count; and the regression gate must
-fail loudly both on throughput drops and on baselines with nothing to
-compare, while never gating against the historical before-column of
-``BENCH_3.json``.
+identical cells for any worker count and any ``PYTHONHASHSEED``; the
+regression gate is equality on every declared field of every shared
+cell and must fail loudly when it compares nothing; and the committed
+``BENCH_*.json`` files are what the tree produces today.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import pytest
 
 from repro.analysis import bench
 
@@ -22,26 +27,6 @@ def _tiny_specs(**overrides):
     )
     kwargs.update(overrides)
     return bench.make_specs(**kwargs)
-
-
-def _strip_wall(cells):
-    """Everything except the wall-clock/CPU measurements, which
-    legitimately vary between runs/workers."""
-    timing = (
-        "wall_s",
-        "events_per_sec",
-        "cpu_s",
-        "critical_path_s",
-        "agg_events_per_sec",
-    )
-    return [
-        {
-            key: value
-            for key, value in cell.items()
-            if key not in timing
-        }
-        for cell in cells
-    ]
 
 
 def test_make_specs_fixed_order():
@@ -58,16 +43,46 @@ def test_make_specs_fixed_order():
 
 def test_cell_is_deterministic():
     spec = _tiny_specs()[0]
-    assert _strip_wall([bench.run_cell(spec)]) == _strip_wall(
-        [bench.run_cell(spec)]
-    )
+    assert bench.run_cell(spec) == bench.run_cell(spec)
 
 
 def test_serial_equals_parallel():
     specs = _tiny_specs()
-    serial = bench.run_grid(specs, workers=1)
-    parallel = bench.run_grid(specs, workers=2)
-    assert _strip_wall(serial) == _strip_wall(parallel)
+    assert bench.run_grid(specs, workers=1) == bench.run_grid(specs, workers=2)
+
+
+def test_scheme1_cell_is_hash_seed_invariant():
+    """Theorem 4's measured quantity is a function of the input:
+    Scheme 1's early-exit site walks follow the Init's site order, not a
+    set's (``scheme_steps`` read 1706 vs 1719 here before)."""
+    program = (
+        "import json; from repro.analysis import bench; "
+        "print(json.dumps(bench.run_cell(bench.make_specs("
+        "schemes=('scheme1',), mpl_values=(8,), seeds=(7,))[0]), "
+        "sort_keys=True))"
+    )
+    cells = [
+        subprocess.run(
+            [sys.executable, "-c", program],
+            env={
+                **os.environ,
+                "PYTHONHASHSEED": hash_seed,
+                "PYTHONPATH": str(pathlib.Path(bench.__file__).parents[2]),
+            },
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for hash_seed in ("0", "777")
+    ]
+    assert cells[0] == cells[1]
+    assert json.loads(cells[0])["scheme_steps"] == 1710
+
+
+def test_make_e4_job_rejects_groups_that_do_not_divide_mpl():
+    with pytest.raises(ValueError, match="groups=3 must divide mpl=16"):
+        bench.make_e4_job("scheme2", 16, 7, groups=3)
+    assert len(bench.make_e4_job("scheme2", 16, 7, groups=4).global_programs) == 48
 
 
 def test_emit_and_load_json(tmp_path):
@@ -76,20 +91,10 @@ def test_emit_and_load_json(tmp_path):
     bench.emit_json(results, str(path), meta={"note": "test"})
     data = bench.load_json(str(path))
     assert data["meta"] == {"note": "test"}
-    assert _strip_wall(data["cells"]) == _strip_wall(results)
-    # cells carry the scheduling-cost attribution counters
-    cell = data["cells"][0]
-    for key in (
-        "throughput",
-        "mean_response_time",
-        "wall_s",
-        "events_per_sec",
-        "scheme_steps",
-        "graph_ops",
-        "dfs_steps_avoided",
-        "wake_retries_skipped",
-    ):
-        assert key in cell
+    assert data["cells"] == results
+    # a cell is its spec plus exactly the declared fields
+    spec = _tiny_specs(seeds=(7,))[0]
+    assert set(data["cells"][0]) == set(spec) | set(bench.CELL_FIELDS)
     # and the file is valid, pretty-printed JSON
     assert json.loads(path.read_text())["cells"]
 
@@ -100,73 +105,74 @@ def _cell(scheme="scheme3", mpl=16, seed=7, tput=10.0, **extra):
         "scheme": scheme,
         "mpl": mpl,
         "seed": seed,
+        "transport": "sim",
+        "groups": 1,
         "throughput": tput,
+        "scheme_steps": 100,
         **extra,
     }
 
 
-def test_check_regression_passes_within_threshold():
-    baseline = [_cell(tput=10.0)]
-    current = [_cell(tput=8.5)]  # -15% > threshold floor of -20%
-    assert bench.check_regression(current, baseline, threshold=0.2) == []
+def test_check_regression_passes_only_on_equality():
+    # (was ..._passes_within_threshold: there is no threshold any more)
+    assert bench.check_regression([_cell()], [_cell()]) == []
+    assert bench.check_regression([_cell(tput=10.000001)], [_cell()])
+    assert bench.check_regression([_cell(tput=11.0)], [_cell()])  # a rise too
 
 
 def test_check_regression_fails_on_drop():
-    baseline = [_cell(tput=10.0)]
-    current = [_cell(tput=7.9)]  # -21%
-    failures = bench.check_regression(current, baseline, threshold=0.2)
+    failures = bench.check_regression([_cell(tput=7.9)], [_cell(tput=10.0)])
+    # one changed field: one failure, naming cell, field and both values
     assert len(failures) == 1
-    assert "seed=7" in failures[0]
+    for part in ("scheme3", "mpl=16", "seed=7", "throughput", "7.9", "10.0"):
+        assert part in failures[0]
 
 
 def test_check_regression_ignores_other_cells():
-    baseline = [_cell(tput=10.0)]
+    baseline = [_cell()]
     current = [
-        _cell(tput=10.0),
+        _cell(),
         _cell(seed=9, tput=1.0),  # not in the baseline: skipped
-        _cell(mpl=4, tput=1.0),  # wrong mpl: not gated
+        _cell(mpl=4, tput=1.0),  # likewise
+        _cell(transport="parallel", tput=1.0),  # another runtime
+        _cell(groups=4, tput=1.0),  # another workload shape
     ]
     assert bench.check_regression(current, baseline) == []
 
 
-def test_check_regression_skips_historical_legacy_baseline_cells():
-    """BENCH_3.json pairs every cell with a ``fast_paths: false`` twin
-    recorded on the deleted legacy algorithms; the twins share the whole
-    cell key, and must neither shadow the real baseline cell (whichever
-    comes first in the file) nor count as a comparable cell."""
-    kept = _cell(tput=10.0, fast_paths=True)
-    twin = _cell(tput=100.0, fast_paths=False)
-    current = [_cell(tput=9.0)]
-    assert bench.check_regression(current, [kept, twin]) == []
-    assert bench.check_regression(current, [twin, kept]) == []
-    failures = bench.check_regression(current, [twin])
-    assert failures and "no comparable" in failures[0]
+def test_check_regression_compares_only_fields_present_on_both_sides():
+    # (was ..._skips_historical_legacy_baseline_cells: the before-column
+    # is gone; what an older file lacks is a field, not a twin)
+    older = _cell()
+    del older["scheme_steps"]
+    assert bench.check_regression([_cell(scheme_steps=1)], [older]) == []
+    assert bench.check_regression([older], [_cell(scheme_steps=1)]) == []
+    # undeclared keys (the spec's ``workers``) are never compared
+    assert bench.check_regression([_cell(workers=4)], [_cell(workers=1)]) == []
 
 
 def test_check_regression_no_comparable_cells_is_a_failure():
     failures = bench.check_regression(
         [_cell(scheme="scheme2")], [_cell(seed=99)]
     )
-    assert failures and "no comparable" in failures[0]
+    assert failures == ["no cell shared between the current run and the baseline"]
 
 
 def test_check_regression_gates_every_requested_scheme():
-    baseline = [_cell(scheme="scheme2", tput=10.0), _cell(tput=10.0)]
-    current = [_cell(scheme="scheme2", tput=7.9), _cell(tput=10.0)]
-    failures = bench.check_regression(
-        current, baseline, threshold=0.2, schemes=("scheme2", "scheme3")
-    )
-    assert len(failures) == 1 and "scheme2" in failures[0]
-    # a gated scheme missing from either run fails loudly, even when
-    # the other schemes compare fine
-    failures = bench.check_regression(
-        current,
-        [_cell(tput=10.0)],
-        schemes=("scheme2", "scheme3"),
-    )
-    assert any(
-        "no comparable" in line and "scheme2" in line for line in failures
-    )
+    """No scheme/MPL/experiment filter: every shared cell of the run is
+    gated, on every declared field."""
+    baseline = [_cell(scheme="scheme2"), _cell(), _cell(mpl=4)]
+    current = [
+        _cell(scheme="scheme2", scheme_steps=101),
+        _cell(),
+        _cell(mpl=4, tput=9.0, scheme_steps=99),
+    ]
+    failures = bench.check_regression(current, baseline)
+    assert len(failures) == 3
+    assert "scheme2" in failures[0]
+    assert "scheme_steps 101 != baseline 100" in failures[0]
+    assert "mpl=4" in failures[1] and "throughput" in failures[1]
+    assert "mpl=4" in failures[2] and "scheme_steps" in failures[2]
 
 
 def _e14_cell(scheme, mpl=32, seed=7, wait=10.0, rate=100.0):
@@ -175,9 +181,10 @@ def _e14_cell(scheme, mpl=32, seed=7, wait=10.0, rate=100.0):
         "scheme": scheme,
         "mpl": mpl,
         "seed": seed,
+        "transport": "sim",
+        "groups": 1,
         "mean_wait_set": wait,
         "events_per_sec": rate,
-        "agg_events_per_sec": rate,
     }
 
 
@@ -220,27 +227,42 @@ def test_check_dominance_events_per_sec_gate_is_optional():
         _e14_cell("scheme4", mpl=mpl, wait=9.0, rate=50.0)
         for mpl in bench.E14_MPL
     ]
-    # WAIT-set-only gate (the CI mode) passes; the trajectory-recording
-    # gate also demands the throughput win
+    # the gate is the WAIT-set claim alone; rate fields are ignored
     assert bench.check_dominance(cells) == []
-    failures = bench.check_dominance(cells, require_events_per_sec=True)
-    assert failures and "events/sec below" in failures[0]
+
+
+def _committed(path):
+    data = bench.load_json(path)
+    assert data["cells"], f"{path} has no cells"
+    return data["cells"]
 
 
 def test_committed_trajectory_is_self_consistent():
-    """The committed BENCH_3.json gates against itself, and its
-    historical before-column (``fast_paths: false``, the deleted legacy
-    algorithms) agrees with the after-column on behaviour."""
-    data = bench.load_json("BENCH_3.json")
-    cells = data["cells"]
-    assert bench.check_regression(cells, cells) == []
-    paired = {}
-    for cell in cells:
-        key = (cell["experiment"], cell["scheme"], cell["mpl"], cell["seed"])
-        paired.setdefault(key, {})[cell["fast_paths"]] = cell
-    assert paired, "trajectory file has no cells"
-    for key, pair in paired.items():
-        assert set(pair) == {True, False}, f"{key} missing a column"
-        for field in ("throughput", "mean_response_time", "committed",
-                      "duration", "events"):
-            assert pair[True][field] == pair[False][field], (key, field)
+    """Every committed BENCH file gates clean against itself, and a
+    fresh run of its grid gates clean against the file (E14 at MPL 64
+    and the BENCH_8 worker pool are re-run in CI only)."""
+    for number in (3, 7, 8, 9):
+        cells = _committed(f"BENCH_{number}.json")
+        assert bench.check_regression(cells, cells) == []
+    fresh = bench.run_grid(bench.make_specs())
+    assert len(fresh) == 60
+    assert bench.check_regression(fresh, _committed("BENCH_3.json")) == []
+    assert fresh == _committed("BENCH_3.json")
+    fresh = bench.run_grid(
+        bench.make_specs(
+            schemes=("scheme2",), mpl_values=(1, 3), experiment="E13"
+        )
+    )
+    assert len(fresh) == 8
+    assert bench.check_regression(fresh, _committed("BENCH_7.json")) == []
+    assert fresh == _committed("BENCH_7.json")
+    fresh = bench.run_grid(
+        bench.make_specs(
+            schemes=("scheme2", "scheme4"),
+            mpl_values=(32,),
+            seeds=(7, 8),
+            experiment="E14",
+        )
+    )
+    assert len(fresh) == 4
+    assert bench.check_regression(fresh, _committed("BENCH_9.json")) == []

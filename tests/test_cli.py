@@ -36,6 +36,33 @@ class TestParser:
             main(["bench", "--schemes", "otm", "--seeds", "1"])
         assert "otm" in str(excinfo.value)
 
+    def test_bench_rejects_groups_that_do_not_divide_mpl(self):
+        # used to run MPL 15 and record "mpl": 16
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--mpl", "16", "--groups", "3", "--seeds", "1"])
+        message = str(excinfo.value)
+        assert "groups=3" in message and "mpl=16" in message
+
+    def test_bench_gate_is_exact_and_names_the_field(self, tmp_path, capsys):
+        from repro.analysis import bench
+
+        argv = ["bench", "--schemes", "scheme1", "--mpl", "4", "--seeds", "1"]
+        baseline = tmp_path / "BENCH_t.json"
+        assert main(argv + ["--workers", "1", "--out", str(baseline)]) == 0
+        assert main(argv + ["--baseline", str(baseline)]) == 0
+        data = bench.load_json(str(baseline))
+        assert "workers" not in data["meta"]  # nothing host-derived
+        data["cells"][0]["watchdog_aborts"] += 1
+        bench.emit_json(data["cells"], str(baseline), meta=data["meta"])
+        capsys.readouterr()
+        assert main(argv + ["--baseline", str(baseline)]) == 1
+        out = capsys.readouterr().out
+        assert "!! regression:" in out and "scheme=scheme1" in out
+        assert "watchdog_aborts 0 != baseline 1" in out
+        # a run sharing no cell with the baseline fails too
+        assert main(argv + ["--base-seed", "99", "--baseline", str(baseline)]) == 1
+        assert "no cell shared" in capsys.readouterr().out
+
     def test_bench_accepts_e14(self):
         args = build_parser().parse_args(["bench", "--experiment", "E14"])
         assert args.experiment == "E14"
