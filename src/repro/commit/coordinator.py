@@ -13,7 +13,7 @@ transaction with no commit record and no open voting round is answered
 ABORT (the "presumed abort" rule), which is exactly why abort decisions
 need neither log writes nor acknowledgements.
 
-Where "durable" lives is pluggable (:class:`DecisionLogBackend`):
+Where "durable" lives is the decision log the coordinator is built over:
 
 - :class:`JournalDecisionLog` — the PR 2 behaviour: a force-write to the
   local :class:`~repro.core.recovery.Journal`, synchronously durable,
@@ -43,21 +43,17 @@ from repro.commit.model import CommitStats
 
 class JournalDecisionLog:
     """The single-coordinator backend: decisions are force-logged to a
-    local journal and durable the moment the call returns.
+    local :class:`repro.core.recovery.Journal` (or anything with
+    ``log_decision``/``commit_decisions``) and durable the moment the
+    call returns."""
 
-    ``journal`` is a :class:`repro.core.recovery.Journal` (or anything
-    with ``log_decision``/``commit_decisions``); None means decisions
-    are volatile — acceptable only when GTM crashes are not injected.
-    """
-
-    def __init__(self, journal=None) -> None:
+    def __init__(self, journal) -> None:
         self.journal = journal
 
     def log_commit(
         self, incarnation: str, on_durable: Callable[[bool], None]
     ) -> None:
-        if self.journal is not None:
-            self.journal.log_decision(incarnation)
+        self.journal.log_decision(incarnation)
         on_durable(True)
 
     def log_abort(
@@ -67,8 +63,6 @@ class JournalDecisionLog:
         on_durable(False)
 
     def commit_decisions(self):
-        if self.journal is None:
-            return ()
         return self.journal.commit_decisions()
 
     def outcome(self, incarnation: str) -> Optional[bool]:
@@ -77,25 +71,17 @@ class JournalDecisionLog:
 
 
 class TwoPhaseCoordinator:
-    """Presumed-abort commit coordinator over a durable decision log.
-
-    ``decision_log`` defaults to :class:`JournalDecisionLog` over
-    ``journal`` — exactly the PR 2 single-coordinator behaviour.
-    """
+    """Presumed-abort commit coordinator over a durable decision log
+    (:class:`JournalDecisionLog` or
+    :class:`~repro.commit.group.QuorumDecisionLog`)."""
 
     def __init__(
         self,
-        journal=None,
+        decision_log,
         stats: Optional[CommitStats] = None,
         tracer=None,
-        decision_log=None,
     ) -> None:
-        self.journal = journal
-        self.decision_log = (
-            decision_log
-            if decision_log is not None
-            else JournalDecisionLog(journal)
-        )
+        self.decision_log = decision_log
         self.stats = stats or CommitStats()
         #: optional :class:`repro.observability.Tracer` for decision /
         #: inquiry spans; never consulted for protocol behaviour
@@ -110,6 +96,61 @@ class TwoPhaseCoordinator:
     # ------------------------------------------------------------------
     def begin_voting(self, incarnation: str) -> None:
         self._voting.add(incarnation)
+
+    def decide_commit(
+        self,
+        incarnation: str,
+        on_durable: Optional[Callable[[bool], None]] = None,
+    ) -> None:
+        """All participants voted YES: make the decision durable, then
+        remember.  The durability callback precedes every outgoing
+        COMMIT message — the presumed-abort invariant that makes
+        recovery sound.  ``on_durable`` receives the *chosen* value:
+        True almost always, False when a replicated backend reports the
+        group already durably presumed abort (the caller must then treat
+        the transaction as aborted)."""
+        self._decide(incarnation, self.decision_log.log_commit, on_durable)
+
+    def decide_abort(
+        self,
+        incarnation: str,
+        on_durable: Optional[Callable[[bool], None]] = None,
+    ) -> None:
+        """Abort decision: close the voting round and forget.  With the
+        journal backend nothing is logged and nothing awaited — absence
+        means abort.  A replicated backend must still run consensus (an
+        explicit abort record), because a surviving replica may already
+        have durably chosen COMMIT from a complete quorum-logged vote
+        set; ``on_durable`` then reports True and the caller must
+        deliver commits, not aborts."""
+        self._decide(incarnation, self.decision_log.log_abort, on_durable)
+
+    def _decide(
+        self,
+        incarnation: str,
+        log: Callable[[str, Callable[[bool], None]], None],
+        on_durable: Optional[Callable[[bool], None]],
+    ) -> None:
+        """The one decision path: *log* the verdict, then record and
+        report whatever value became durable.  A decided commit is
+        final, so it is reported again without touching the log."""
+
+        def durable(chosen_commit: bool) -> None:
+            # the voting round stays open until here so inquiries made
+            # while durability is in flight are answered "ask again",
+            # never prematurely presumed abort
+            self._voting.discard(incarnation)
+            if chosen_commit:
+                self._record_commit(incarnation)
+            else:
+                self._record_abort(incarnation)
+            if on_durable is not None:
+                on_durable(chosen_commit)
+
+        if incarnation in self._commits:
+            durable(True)
+        else:
+            log(incarnation, durable)
 
     def _record_commit(self, incarnation: str) -> None:
         if incarnation in self._commits:
@@ -127,67 +168,6 @@ class TwoPhaseCoordinator:
             self.tracer.event(
                 "commit.decide", txn=incarnation, decision="ABORT"
             )
-
-    def decide_commit(
-        self,
-        incarnation: str,
-        on_durable: Optional[Callable[[bool], None]] = None,
-    ) -> None:
-        """All participants voted YES: make the decision durable, then
-        remember.  The durability callback precedes every outgoing
-        COMMIT message — the presumed-abort invariant that makes
-        recovery sound.  ``on_durable`` receives the *chosen* value:
-        True almost always, False when a replicated backend reports the
-        group already durably presumed abort (the caller must then treat
-        the transaction as aborted)."""
-        if incarnation in self._commits:
-            self._voting.discard(incarnation)
-            if on_durable is not None:
-                on_durable(True)
-            return
-
-        def durable(chosen_commit: bool) -> None:
-            # the voting round stays open until here so inquiries made
-            # while durability is in flight are answered "ask again",
-            # never prematurely presumed abort
-            self._voting.discard(incarnation)
-            if chosen_commit:
-                self._record_commit(incarnation)
-            else:
-                self._record_abort(incarnation)
-            if on_durable is not None:
-                on_durable(chosen_commit)
-
-        self.decision_log.log_commit(incarnation, durable)
-
-    def decide_abort(
-        self,
-        incarnation: str,
-        on_durable: Optional[Callable[[bool], None]] = None,
-    ) -> None:
-        """Abort decision: close the voting round and forget.  With the
-        journal backend nothing is logged and nothing awaited — absence
-        means abort.  A replicated backend must still run consensus (an
-        explicit abort record), because a surviving replica may already
-        have durably chosen COMMIT from a complete quorum-logged vote
-        set; ``on_durable`` then reports True and the caller must
-        deliver commits, not aborts."""
-        if incarnation in self._commits:
-            self._voting.discard(incarnation)
-            if on_durable is not None:
-                on_durable(True)
-            return
-
-        def durable(chosen_commit: bool) -> None:
-            self._voting.discard(incarnation)
-            if chosen_commit:
-                self._record_commit(incarnation)
-            else:
-                self._record_abort(incarnation)
-            if on_durable is not None:
-                on_durable(chosen_commit)
-
-        self.decision_log.log_abort(incarnation, durable)
 
     # ------------------------------------------------------------------
     # queries
@@ -224,17 +204,15 @@ class TwoPhaseCoordinator:
     @classmethod
     def recover(
         cls,
-        journal,
+        decision_log,
         stats: Optional[CommitStats] = None,
         tracer=None,
-        decision_log=None,
     ) -> "TwoPhaseCoordinator":
         """Rebuild after a GTM2 crash: the durable COMMIT decisions are
         replayed from the decision log; everything else is presumed
         aborted until the caller re-opens its surviving voting rounds
         via :meth:`begin_voting`."""
-        coordinator = cls(journal, stats, tracer=tracer,
-                          decision_log=decision_log)
+        coordinator = cls(decision_log, stats, tracer)
         coordinator.stats.coordinator_recoveries += 1
         return coordinator
 

@@ -27,19 +27,27 @@ ballot is therefore 0, which skips the prepare phase (no competing
 proposer can hold a promise below it) — the fast path costs exactly one
 quorum round-trip between the decision and its durability.
 
-Everything is driven by the simulator's deterministic event loop and the
-fault injector's ``message_fate`` (loss / duplication / heavy-tail
-delay), so group runs replay byte-identically from a seed, and runs
-without a group never construct one (legacy behaviour untouched).
+Every quorum — vote durability, promises, accepts — is counted in one
+place, :meth:`CoordinatorGroup._quorum_round`, by distinct replica rank.
+Every message is one call of the injected ``send`` (the message plane's:
+loss / duplication / heavy-tail delay), and all timing flows through the
+simulator's deterministic event loop, so group runs replay
+byte-identically from a seed; runs without a group never construct one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, ClassVar, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.commit.model import CommitProtocolError
 from repro.faults.model import RetryPolicy
+
+#: A phase-1 promise: the replica's accepted ``(ballot, value)`` (if
+#: any), its logged YES votes, and the site set those votes announced.
+Promise = Tuple[Optional[Tuple[int, bool]], Set[str], Tuple[str, ...]]
 
 
 @dataclass
@@ -130,9 +138,7 @@ class CoordinatorReplica:
     # -- single-decree acceptor ----------------------------------------
     def on_prepare(
         self, incarnation: str, ballot: int
-    ) -> Optional[
-        Tuple[Optional[Tuple[int, bool]], Set[str], Tuple[str, ...]]
-    ]:
+    ) -> Optional[Promise]:
         """Phase 1: promise not to accept below *ballot*.  The promise
         carries this replica's accepted value (if any) plus its vote log
         so a recovery round can compute the verdict."""
@@ -166,19 +172,17 @@ class CoordinatorReplica:
 class CoordinatorGroup:
     """``2f+1`` coordinator replicas with majority-quorum durability.
 
-    ``fate`` is the injector's ``message_fate`` (returns per-copy extra
-    delays, empty tuple = lost); None delivers every message once after
-    ``message_delay``.  All timing flows through the shared event loop,
-    so group traffic interleaves deterministically with the rest of the
-    simulation.
+    ``send(action)`` sends one message (the message plane's ``send``):
+    *action* runs once per delivered copy, possibly never.  Timers run
+    on the shared event loop, so group traffic interleaves
+    deterministically with the rest of the simulation.
     """
 
     def __init__(
         self,
         size: int,
         loop,
-        message_delay: float = 1.0,
-        fate: Optional[Callable[[], Tuple[float, ...]]] = None,
+        send: Callable[[Callable[[], None]], None],
         stats: Optional[CommitGroupStats] = None,
         tracer=None,
         retry: Optional[RetryPolicy] = None,
@@ -190,8 +194,7 @@ class CoordinatorGroup:
         self.size = size
         self.quorum = size // 2 + 1
         self.loop = loop
-        self.message_delay = message_delay
-        self.fate = fate
+        self.send = send
         self.stats = stats or CommitGroupStats()
         self.tracer = tracer
         self.retry = retry or RetryPolicy()
@@ -234,12 +237,45 @@ class CoordinatorGroup:
                 return replica.rank
         return None
 
-    def _legs(self, action: Callable[[], None]) -> None:
-        """Schedule one message's delivery legs: the injector decides
-        loss / duplication / extra delay per copy."""
-        fates = self.fate() if self.fate is not None else ((0.0,))
-        for extra in fates:
-            self.loop.schedule(self.message_delay + extra, action)
+    # ------------------------------------------------------------------
+    # the quorum rule
+    # ------------------------------------------------------------------
+    def _quorum_round(
+        self,
+        request: Callable[[CoordinatorReplica], Any],
+        counting: Callable[[], bool],
+        on_quorum: Callable[[List[Any]], None],
+    ) -> None:
+        """The group's only quorum count.  One request goes to every
+        replica; a reachable replica handles it once however many copies
+        arrive, and ``request(replica)`` returns its reply (None: no
+        reply).  Replies count by *distinct replica rank* while
+        ``counting()`` holds — the network may duplicate any leg, and
+        two copies of one replica's reply must never pass for two
+        replicas — and ``on_quorum(replies in arrival order)`` fires
+        once, when a majority has replied."""
+        handled: Set[int] = set()
+        replies: Dict[int, Any] = {}
+        for replica in self.replicas:
+
+            def deliver(replica: CoordinatorReplica = replica) -> None:
+                if not self.reachable(replica.rank) or replica.rank in handled:
+                    return
+                handled.add(replica.rank)
+                reply = request(replica)
+                if reply is None:
+                    return
+
+                def arrived(rank: int = replica.rank) -> None:
+                    if rank in replies or not counting():
+                        return
+                    replies[rank] = reply
+                    if len(replies) == self.quorum:
+                        on_quorum(list(replies.values()))
+
+                self.send(arrived)
+
+            self.send(deliver)
 
     # ------------------------------------------------------------------
     # vote broadcast: participant YES votes → quorum durability
@@ -269,55 +305,33 @@ class CoordinatorGroup:
                 return
             if origin_up is not None and not origin_up():
                 return
-            state = {"done": False}
-            # quorum counting is by *distinct replica rank*: the network
-            # may duplicate any leg, and two copies of one replica's ack
-            # must never pass for two replicas
-            acked_ranks: Set[int] = set()
-            delivered_ranks: Set[int] = set()
             started = self.loop.now
-            for replica in self.replicas:
 
-                def deliver(replica: CoordinatorReplica = replica) -> None:
-                    if not self.reachable(replica.rank):
-                        return
-                    if replica.rank in delivered_ranks:
-                        # duplicated request copy: the first delivery
-                        # already scheduled this replica's ack legs
-                        return
-                    delivered_ranks.add(replica.rank)
-                    if replica.log_vote(incarnation, site, site_list):
-                        self.stats.votes_logged += 1
-                        if self.tracer is not None:
-                            self.tracer.event(
-                                "commit.group.vote_logged",
-                                txn=incarnation,
-                                site=site,
-                                replica=replica.rank,
-                            )
-                        if self.on_vote_logged is not None:
-                            self.on_vote_logged(
-                                replica.rank, replica.votes_logged
-                            )
+            def log(replica: CoordinatorReplica) -> bool:
+                if replica.log_vote(incarnation, site, site_list):
+                    self.stats.votes_logged += 1
+                    if self.tracer is not None:
+                        self.tracer.event(
+                            "commit.group.vote_logged",
+                            txn=incarnation,
+                            site=site,
+                            replica=replica.rank,
+                        )
+                    if self.on_vote_logged is not None:
+                        self.on_vote_logged(replica.rank, replica.votes_logged)
+                return True  # logged now or before: acknowledge either way
 
-                    def acked(rank: int = replica.rank) -> None:
-                        if state["done"] or key in self._vote_durable:
-                            return
-                        acked_ranks.add(rank)
-                        if len(acked_ranks) >= self.quorum:
-                            state["done"] = True
-                            self._vote_durable.add(key)
-                            self.stats.vote_quorums += 1
-                            self.stats.quorum_rtts.append(
-                                self.loop.now - started
-                            )
-                            self._quorum_votes += 1
-                            if self.on_quorum_vote is not None:
-                                self.on_quorum_vote(self._quorum_votes)
+            def durable(acks: List[bool]) -> None:
+                self._vote_durable.add(key)
+                self.stats.vote_quorums += 1
+                self.stats.quorum_rtts.append(self.loop.now - started)
+                self._quorum_votes += 1
+                if self.on_quorum_vote is not None:
+                    self.on_quorum_vote(self._quorum_votes)
 
-                    self._legs(acked)
-
-                self._legs(deliver)
+            self._quorum_round(
+                log, lambda: key not in self._vote_durable, durable
+            )
             if number + 1 >= self.retry.max_attempts:
                 return
 
@@ -428,62 +442,24 @@ class CoordinatorGroup:
                 incarnation, ballot, decision, started, proposer_ok, notify
             )
             return
-        state: Dict[str, object] = {"done": False}
-        promises: List[
-            Tuple[Optional[Tuple[int, bool]], Set[str], Tuple[str, ...]]
-        ] = []
-        # one promise per *distinct replica rank*: duplicated promise
-        # copies must not pad a quorum out of a minority of replicas
-        promised_ranks: Set[int] = set()
-        delivered_ranks: Set[int] = set()
 
-        def quorum_promised() -> None:
+        def quorum_promised(promises: List[Promise]) -> None:
             value = self._select_value(incarnation, decision, promises)
             self._accept_round(
                 incarnation, ballot, value, started, proposer_ok, notify
             )
 
-        for replica in self.replicas:
-
-            def deliver(replica: CoordinatorReplica = replica) -> None:
-                if not self.reachable(replica.rank):
-                    return
-                if replica.rank in delivered_ranks:
-                    return
-                delivered_ranks.add(replica.rank)
-                promise = replica.on_prepare(incarnation, ballot)
-                if promise is None:
-                    return
-
-                def arrived(
-                    promise: Tuple[
-                        Optional[Tuple[int, bool]],
-                        Set[str],
-                        Tuple[str, ...],
-                    ] = promise,
-                    rank: int = replica.rank,
-                ) -> None:
-                    if state["done"] or not proposer_ok():
-                        return
-                    if rank in promised_ranks:
-                        return
-                    promised_ranks.add(rank)
-                    promises.append(promise)
-                    if len(promises) >= self.quorum:
-                        state["done"] = True
-                        quorum_promised()
-
-                self._legs(arrived)
-
-            self._legs(deliver)
+        self._quorum_round(
+            lambda replica: replica.on_prepare(incarnation, ballot),
+            proposer_ok,
+            quorum_promised,
+        )
 
     def _select_value(
         self,
         incarnation: str,
         decision: Optional[bool],
-        promises: Sequence[
-            Tuple[Optional[Tuple[int, bool]], Set[str], Tuple[str, ...]]
-        ],
+        promises: Sequence[Promise],
     ) -> bool:
         accepted = [entry[0] for entry in promises if entry[0] is not None]
         if accepted:
@@ -521,38 +497,17 @@ class CoordinatorGroup:
         proposer_ok: Callable[[], bool],
         notify: Callable[[bool], None],
     ) -> None:
-        state = {"done": False}
-        # accept acks count by *distinct replica rank*: a value is chosen
-        # only once a true majority of replicas accepted it, however many
-        # duplicated copies of any single ack the network delivers
-        acked_ranks: Set[int] = set()
-        delivered_ranks: Set[int] = set()
-        for replica in self.replicas:
+        def accepted(acks: List[bool]) -> None:
+            self._choose(incarnation, value, started)
+            # the authoritative outcome: _choose keeps an earlier chosen
+            # value, so never hand on_durable this round's losing proposal
+            notify(self.chosen[incarnation])
 
-            def deliver(replica: CoordinatorReplica = replica) -> None:
-                if not self.reachable(replica.rank):
-                    return
-                if replica.rank in delivered_ranks:
-                    return
-                delivered_ranks.add(replica.rank)
-                if not replica.on_accept(incarnation, ballot, value):
-                    return
-
-                def acked(rank: int = replica.rank) -> None:
-                    if state["done"] or not proposer_ok():
-                        return
-                    acked_ranks.add(rank)
-                    if len(acked_ranks) >= self.quorum:
-                        state["done"] = True
-                        self._choose(incarnation, value, started)
-                        # the authoritative outcome: _choose keeps an
-                        # earlier chosen value, so never hand on_durable
-                        # this round's losing proposal
-                        notify(self.chosen[incarnation])
-
-                self._legs(acked)
-
-            self._legs(deliver)
+        self._quorum_round(
+            lambda replica: replica.on_accept(incarnation, ballot, value) or None,
+            proposer_ok,
+            accepted,
+        )
 
     def _choose(
         self, incarnation: str, value: bool, started: float
@@ -578,7 +533,7 @@ class CoordinatorGroup:
                 if self.reachable(replica.rank):
                     replica.on_learn(incarnation, value)
 
-            self._legs(deliver)
+            self.send(deliver)
 
     # ------------------------------------------------------------------
     # in-doubt termination through the group
@@ -624,7 +579,7 @@ class CoordinatorGroup:
                 if self.reachable(rank):
                     replica.on_learn(incarnation, value)
 
-            self._legs(deliver)
+            self.send(deliver)
             return None
         self.maybe_takeover(rank, incarnation)
         return None

@@ -22,21 +22,20 @@ of presumed-abort two-phase commit:
 - **termination protocol** — when the decision does not arrive within
   the policy's in-doubt window, the participant runs *cooperative
   termination*: it asks the peer participants (any one that executed
-  the decision resolves it without the coordinator) and sends the
-  coordinator an inquiry (answered from the decision log under presumed
-  abort).  On restart after a crash the recovered prepared records
-  trigger an immediate termination round — the recovery inquiry.
-- **replicated termination** — when the GTM runs a coordinator *group*
-  (``replica_resolvers``), the inquiry leg fans out to every
-  coordinator replica instead of the single GTM, so any surviving
-  replica terminates the participant: the in-doubt window no longer
-  depends on one process staying up.  YES votes are additionally
-  broadcast to the group (``vote_broadcast``) so a replica recovery
-  round can compute the decision from the quorum-logged votes.
+  the decision resolves it without the coordinator), then every entry
+  of its ``resolvers`` — the coordinator (answered from the decision
+  log under presumed abort) in plain 2PC, each replica of the
+  coordinator *group* otherwise, so that any surviving replica
+  terminates the participant and the in-doubt window no longer depends
+  on one process staying up.  On restart after a crash the recovered
+  prepared records trigger an immediate termination round — the
+  recovery inquiry.  With a group, YES votes are additionally broadcast
+  to it (``vote_broadcast``) so a replica recovery round can compute
+  the decision from the quorum-logged votes.
 
-All messaging (inquiry and reply legs) goes through the injected
-``fate()``/``message_delay`` so message loss, duplication, and delay
-apply to the termination traffic exactly as to everything else.
+Every inquiry and reply is one message through the injected ``send``
+(the message plane's), so loss, duplication, and delay apply to the
+termination traffic exactly as to everything else.
 """
 
 from __future__ import annotations
@@ -52,6 +51,9 @@ from repro.schedules.model import Operation, OpType, commit as commit_op
 #: participant could not honour the decision (a protocol soundness
 #: violation for COMMIT; surfaced, never silently swallowed).
 DecisionAck = Callable[[bool], None]
+#: An in-doubt inquiry: ``resolve(incarnation)`` is True/False once the
+#: answerer knows the decision, None when it cannot tell (yet).
+Resolve = Callable[[str], Optional[bool]]
 
 
 class CommitParticipant:
@@ -64,15 +66,11 @@ class CommitParticipant:
         loop,
         policy: CommitPolicy,
         stats: CommitStats,
-        coordinator_resolver: Callable[[str], Optional[bool]],
-        message_delay: float = 1.0,
-        fate: Optional[Callable[[], Tuple[float, ...]]] = None,
+        send: Callable[[Callable[[], None]], None],
+        resolvers: Sequence[Tuple[str, Resolve]],
         on_yes_vote: Optional[Callable[[str, int], None]] = None,
         tracer=None,
         site_up: Optional[Callable[[], bool]] = None,
-        replica_resolvers: Optional[
-            Sequence[Tuple[str, Callable[[str], Optional[bool]]]]
-        ] = None,
         vote_broadcast: Optional[Callable[[str], None]] = None,
     ) -> None:
         self.site = site
@@ -83,19 +81,17 @@ class CommitParticipant:
         self.loop = loop
         self.policy = policy
         self.stats = stats
-        #: synchronous decision-log lookup at the coordinator (the
-        #: messaging around it is modelled here, on both legs)
-        self.coordinator_resolver = coordinator_resolver
-        #: coordinator-group mode: ``(name, resolver)`` per replica; when
-        #: set, termination rounds fan out here instead of the single
-        #: coordinator resolver
-        self.replica_resolvers = tuple(replica_resolvers or ())
+        #: sends one message (the plane's ``send``): inquiries and
+        #: replies are messages, the lookups they carry are synchronous
+        self.send = send
+        #: ``(source, resolve)`` asked after the peers in a termination
+        #: round: ``("coordinator", …)`` in plain 2PC, one
+        #: ``("replica-<rank>", …)`` per replica of a coordinator group
+        self.resolvers = tuple(resolvers)
         #: coordinator-group mode: broadcast this site's YES vote to the
         #: replica quorum (re-run on restart for surviving prepared
         #: records)
         self.vote_broadcast = vote_broadcast
-        self.message_delay = message_delay
-        self.fate = fate or (lambda: (0.0,))
         #: fault-point hook: called after each YES vote with the site's
         #: running YES count (drives ``FaultPlan.crash_after_prepare``)
         self.on_yes_vote = on_yes_vote
@@ -274,7 +270,7 @@ class CommitParticipant:
         )
 
     def _run_termination(self, incarnation: str) -> None:
-        """One termination round: ask every peer and the coordinator;
+        """One termination round: ask every peer, then every resolver;
         the first definite answer resolves the in-doubt transaction."""
         if incarnation not in self._in_doubt_since:
             return
@@ -283,93 +279,41 @@ class CommitParticipant:
             return  # we are dark; try again after the next backoff
         self.stats.termination_rounds += 1
         for peer in self.peers.values():
-            if peer is self:
-                continue
-            for extra in self.fate():  # inquiry leg
-                self.loop.schedule(
-                    self.message_delay + extra,
-                    lambda p=peer: self._peer_inquiry(incarnation, p),
-                )
-        if self.replica_resolvers:
-            # coordinator-group mode: one inquiry per replica — any
-            # reachable replica with the learned decision terminates us
-            for name, resolver in self.replica_resolvers:
-                for extra in self.fate():  # replica inquiry leg
-                    self.loop.schedule(
-                        self.message_delay + extra,
-                        lambda n=name, r=resolver: self._replica_inquiry(
-                            incarnation, n, r
-                        ),
-                    )
-        else:
-            for extra in self.fate():  # coordinator inquiry leg
-                self.loop.schedule(
-                    self.message_delay + extra,
-                    lambda: self._coordinator_inquiry(incarnation),
-                )
+            if peer is not self:
+                self._inquire(incarnation, peer.local_outcome, "peer")
+        for source, resolve in self.resolvers:
+            self._inquire(incarnation, resolve, source)
         self._arm_termination(incarnation)
 
-    def _peer_inquiry(self, incarnation: str, peer: "CommitParticipant") -> None:
-        if incarnation not in self._in_doubt_since:
-            return
-        verdict = peer.local_outcome(incarnation)
-        if verdict is None:
-            return
-        for extra in self.fate():  # reply leg
-            self.loop.schedule(
-                self.message_delay + extra,
-                lambda v=verdict: self._resolve_in_doubt(
-                    incarnation, v, by_peer=True
-                ),
-            )
+    def _inquire(self, incarnation: str, resolve: Resolve, source: str) -> None:
+        """One inquiry: the question travels to *source*, is answered
+        there by *resolve* (None — unreachable or undecided — sends no
+        reply; a later round asks again), and a definite answer travels
+        back."""
 
-    def _coordinator_inquiry(self, incarnation: str) -> None:
-        if incarnation not in self._in_doubt_since:
-            return
-        verdict = self.coordinator_resolver(incarnation)
-        if verdict is None:
-            return  # voting still open at the coordinator; ask again
-        for extra in self.fate():  # reply leg
-            self.loop.schedule(
-                self.message_delay + extra,
-                lambda v=verdict: self._resolve_in_doubt(
-                    incarnation, v, by_peer=False
-                ),
-            )
+        def answer() -> None:
+            if incarnation not in self._in_doubt_since:
+                return
+            verdict = resolve(incarnation)
+            if verdict is not None:
+                self.send(
+                    lambda: self._resolve_in_doubt(incarnation, verdict, source)
+                )
 
-    def _replica_inquiry(
-        self,
-        incarnation: str,
-        name: str,
-        resolver: Callable[[str], Optional[bool]],
-    ) -> None:
-        if incarnation not in self._in_doubt_since:
-            return
-        verdict = resolver(incarnation)
-        if verdict is None:
-            return  # replica unreachable or undecided; ask again
-        for extra in self.fate():  # reply leg
-            self.loop.schedule(
-                self.message_delay + extra,
-                lambda v=verdict: self._resolve_in_doubt(
-                    incarnation, v, by_peer=False, source=name
-                ),
-            )
+        self.send(answer)
 
     def _resolve_in_doubt(
-        self,
-        incarnation: str,
-        commit: bool,
-        by_peer: bool,
-        source: Optional[str] = None,
+        self, incarnation: str, commit: bool, source: str
     ) -> None:
         if incarnation not in self._in_doubt_since:
             return  # the real decision (or another reply) got here first
         if not self.site_up():
             return  # crashed while the reply was in flight
-        if by_peer:
+        if source == "peer":
             self.stats.resolved_by_peer += 1
-        elif source is not None:
+        elif source == "coordinator":
+            self.stats.resolved_by_coordinator += 1
+        else:
             self.stats.resolved_by_replica += 1
             if self.tracer is not None:
                 self.tracer.event(
@@ -379,8 +323,6 @@ class CommitParticipant:
                     replica=source,
                     decision="COMMIT" if commit else "ABORT",
                 )
-        else:
-            self.stats.resolved_by_coordinator += 1
         self.on_decide(incarnation, commit, lambda ok: None)
 
     # ------------------------------------------------------------------
@@ -401,7 +343,7 @@ class CommitParticipant:
     def on_restart(self) -> None:
         """Recovery inquiry: every prepared record found in the durable
         log re-enters the in-doubt ledger and immediately runs a
-        termination round against the peers and the coordinator."""
+        termination round against the peers and the resolvers."""
         for incarnation in sorted(self.db.history.prepared_transactions):
             if self.tracer is not None:
                 self.tracer.event(

@@ -68,15 +68,9 @@ class Engine(SchemeContext):
         submit_handler: Optional[SubmitHandler] = None,
         ack_handler: Optional[AckHandler] = None,
         journal=None,
-        force_full_rescan: bool = False,
         tracer=None,
     ) -> None:
-        """``force_full_rescan`` ignores the scheme's wake hints and
-        re-examines the whole WAIT set after every action — the literal
-        Figure 3 semantics, used by differential tests to certify that
-        the hinted fast path is behaviourally identical.
-
-        ``tracer`` (a :class:`repro.observability.Tracer`, or ``None``)
+        """``tracer`` (a :class:`repro.observability.Tracer`, or ``None``)
         records WAIT/GRANT/act decision points as spans; every hook is
         behind a single ``is not None`` check and never influences
         scheduling, so a disabled tracer costs nothing and an enabled
@@ -85,7 +79,6 @@ class Engine(SchemeContext):
         scheme.bind(self)
         self._submit_handler = submit_handler
         self._ack_handler = ack_handler
-        self._force_full_rescan = force_full_rescan
         #: optional :class:`repro.core.recovery.Journal` for
         #: crash recovery; logs insertions and processed operations
         self.journal = journal
@@ -184,11 +177,7 @@ class Engine(SchemeContext):
                     span = self._wait_spans.pop(id(operation), None)
                     if span is not None:
                         self.tracer.end(span, purged=True)
-        hinter = (
-            None
-            if self._force_full_rescan
-            else getattr(self.scheme, "purge_hints", None)
-        )
+        hinter = getattr(self.scheme, "purge_hints", None)
         if hinter is None:
             self._full_rescan_pending = True
         else:
@@ -321,14 +310,7 @@ class Engine(SchemeContext):
                 if id(candidate) not in self._wait:
                     continue
                 if self._cond(candidate):
-                    self._remove_waiting(candidate)
-                    waited = self._ticks - self._wait_since.pop(
-                        id(candidate), self._ticks
-                    )
-                    self.scheme.metrics.wait_ticks += max(waited, 0)
-                    if self.tracer is not None:
-                        self._trace_grant(candidate, waited)
-                    self._act(candidate)
+                    self._grant(candidate)
                     processed += 1
                     follow = self._hints_for(candidate)
                     if follow is None:
@@ -336,9 +318,17 @@ class Engine(SchemeContext):
                     worklist.extend(follow)
         return processed
 
+    def _grant(self, operation: QueueOp) -> None:
+        """``cond`` now holds for a waiting operation: take it out of
+        WAIT, charge the ticks it waited, close its WAIT span, act."""
+        self._remove_waiting(operation)
+        waited = self._ticks - self._wait_since.pop(id(operation), self._ticks)
+        self.scheme.metrics.wait_ticks += max(waited, 0)
+        if self.tracer is not None:
+            self._trace_grant(operation, waited)
+        self._act(operation)
+
     def _hints_for(self, operation: QueueOp) -> Optional[List[WakeHint]]:
-        if self._force_full_rescan:
-            return None
         hinter = getattr(self.scheme, "wake_hints", None)
         if hinter is None:
             return None
@@ -371,14 +361,7 @@ class Engine(SchemeContext):
                 if id(operation) not in self._wait:
                     continue  # purged by a reentrant abort
                 if self._cond(operation):
-                    self._remove_waiting(operation)
-                    waited = self._ticks - self._wait_since.pop(
-                        id(operation), self._ticks
-                    )
-                    self.scheme.metrics.wait_ticks += max(waited, 0)
-                    if self.tracer is not None:
-                        self._trace_grant(operation, waited)
-                    self._act(operation)
+                    self._grant(operation)
                     processed += 1
                     progress = True
             if not progress and self._consume_rescan_request():
@@ -409,14 +392,7 @@ class Engine(SchemeContext):
                     self.scheme.metrics.wake_retries_skipped += 1
                     continue
                 if self._cond(operation):
-                    self._remove_waiting(operation)
-                    waited = self._ticks - self._wait_since.pop(
-                        id(operation), self._ticks
-                    )
-                    self.scheme.metrics.wait_ticks += max(waited, 0)
-                    if self.tracer is not None:
-                        self._trace_grant(operation, waited)
-                    self._act(operation)
+                    self._grant(operation)
                     processed += 1
                     progress = True
                     follow = self._hints_for(operation)

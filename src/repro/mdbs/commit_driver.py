@@ -20,6 +20,7 @@ from repro.commit import (
     CommitPolicy,
     CommitStats,
     CoordinatorGroup,
+    JournalDecisionLog,
     QuorumDecisionLog,
     TwoPhaseCoordinator,
 )
@@ -51,27 +52,20 @@ class CommitDriver:
         self._sites = sites
         self._plane = plane
         self._loop = plane.loop
-        self._journal = journal
         self._tracer = tracer
         self._is_up = is_up
         self._purge_gtm2 = purge_gtm2
         self._record_commit = record_commit
         self.stats = CommitStats()
-        message_delay = plane.latencies.message_delay
         #: replicated decision log (repro.commit.group): size 0 keeps the
         #: single-coordinator journal backend; size >= 1 routes every
         #: decision through quorum consensus and in-doubt termination
         #: through the replicas
         self.group_size = group_size
         self.group: Optional[CoordinatorGroup] = None
-        replica_resolvers = None
         if group_size >= 1:
             group = self.group = CoordinatorGroup(
-                group_size,
-                self._loop,
-                message_delay=message_delay,
-                fate=plane.message_fates,
-                tracer=tracer,
+                group_size, self._loop, plane.send, tracer=tracer,
                 retry=plane.retry,
             )
             if faults is not None:
@@ -89,11 +83,22 @@ class CommitDriver:
                 group.on_quorum_vote = lambda count: faults.at_progress(
                     "vote_decide_partitions", (count,), group.partition_leader
                 )
-            replica_resolvers = tuple(
+            # an in-doubt participant asks every replica after its peers
+            resolvers = tuple(
                 (f"replica-{rank}", partial(group.inquire, rank))
                 for rank in range(group_size)
             )
-        self.coordinator = self._build_coordinator(TwoPhaseCoordinator)
+            self._decision_log = QuorumDecisionLog(group)
+        else:
+            # ...or the coordinator, through self: it is rebuilt after a
+            # GTM2 crash, over the same (durable) decision log
+            resolvers = (
+                ("coordinator", lambda inc: self.coordinator.resolve(inc)),
+            )
+            self._decision_log = JournalDecisionLog(journal)
+        self.coordinator = TwoPhaseCoordinator(
+            self._decision_log, self.stats, tracer
+        )
         self.participants: Dict[str, CommitParticipant] = {
             site: CommitParticipant(
                 site,
@@ -101,10 +106,8 @@ class CommitDriver:
                 self._loop,
                 policy=policy,
                 stats=self.stats,
-                # through self: the coordinator is rebuilt after a crash
-                coordinator_resolver=lambda inc: self.coordinator.resolve(inc),
-                message_delay=message_delay,
-                fate=plane.message_fates,
+                send=plane.send,
+                resolvers=resolvers,
                 # fault point: the site goes dark in the window between
                 # its YES vote and the decision
                 on_yes_vote=(
@@ -114,7 +117,6 @@ class CommitDriver:
                 ),
                 tracer=tracer,
                 site_up=partial(is_up, site),
-                replica_resolvers=replica_resolvers,
                 vote_broadcast=(
                     (lambda inc, s=site: self.broadcast_vote(inc, s))
                     if self.group is not None
@@ -136,21 +138,6 @@ class CommitDriver:
         #: decide-commit → all-sites-acked latencies of committed
         #: globals (E11)
         self.commit_latencies: List[float] = []
-
-    def _build_coordinator(self, build) -> TwoPhaseCoordinator:
-        """The 2PC coordinator over this run's decision log — the local
-        journal, or the commit group's quorum log; *build* is the
-        constructor (fresh) or ``TwoPhaseCoordinator.recover``."""
-        return build(
-            self._journal,
-            self.stats,
-            tracer=self._tracer,
-            decision_log=(
-                QuorumDecisionLog(self.group)
-                if self.group is not None
-                else None
-            ),
-        )
 
     def _crash_replica(self, rank: int, downtime: float) -> None:
         if self.group.crash_replica(rank):
@@ -174,8 +161,8 @@ class CommitDriver:
         then re-open the voting rounds of the *live* incarnations GTM1
         still tracks (its bookkeeping survives) so in-doubt inquiries
         made mid-vote are not prematurely presumed abort."""
-        self.coordinator = self._build_coordinator(
-            TwoPhaseCoordinator.recover
+        self.coordinator = TwoPhaseCoordinator.recover(
+            self._decision_log, self.stats, self._tracer
         )
         for incarnation in live:
             self.coordinator.begin_voting(incarnation)
@@ -298,10 +285,7 @@ class CommitDriver:
                     self.abort_at(site, incarnation)
                 # else the crash wiped it; recovery inquiry covers us
 
-            for extra in self._plane.message_fates(site):
-                self._loop.schedule(
-                    self._plane.latencies.message_delay + extra, deliver
-                )
+            self._plane.send(deliver, site)
 
     def abort_at(self, site: str, incarnation: str) -> None:
         """Apply an ABORT decision at *site* through its participant, so

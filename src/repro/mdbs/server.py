@@ -12,9 +12,10 @@ after another ``message_delay``.
 injection is enabled: every submission carries a unique sequence number
 and flows through the site's idempotent delivery channel
 (:class:`~repro.faults.injector.SiteChannel`), each message leg is
-subject to the injector's loss/duplication/delay faults, and an
-ack-timeout with capped exponential backoff and jittered retries
-re-sends submissions whose acknowledgement never arrived.  The
+one :meth:`MessagePlane.send` (the injector's loss/duplication/delay
+faults apply), and an ack-timeout with capped exponential backoff and
+jittered retries re-sends submissions whose acknowledgement never
+arrived.  The
 completion callback fires **exactly once** per submission regardless of
 how many duplicate acks the network produces.
 """
@@ -155,15 +156,13 @@ class ResilientServer(Server):
         self,
         transaction_id: str,
         db: LocalDBMS,
-        loop: EventLoop,
-        latencies: Optional[Latencies],
-        injector: FaultInjector,
-        retry: Optional[RetryPolicy] = None,
+        plane: MessagePlane,
         still_wanted: Optional[Callable[[], bool]] = None,
     ) -> None:
-        super().__init__(transaction_id, db, loop, latencies)
-        self.injector = injector
-        self.retry = retry or RetryPolicy()
+        super().__init__(transaction_id, db, plane.loop, plane.latencies)
+        self.plane = plane
+        self.injector: FaultInjector = plane.injector
+        self.retry = plane.retry or RetryPolicy()
         #: liveness predicate of the submission: when it turns False the
         #: GTM no longer cares (incarnation aborted/completed) and all
         #: retries and late deliveries become no-ops
@@ -218,8 +217,7 @@ class ResilientServer(Server):
             ):
                 self.db.abort_transaction(self.transaction_id, reason)
 
-        for extra in self.injector.message_fate(self.db.site):
-            self.loop.schedule(self.latencies.message_delay + extra, deliver)
+        self.plane.send(deliver, self.db.site)
 
     # ------------------------------------------------------------------
     # 2PC control messages (repro.commit), fault-tolerant variant
@@ -317,11 +315,7 @@ class ResilientServer(Server):
                 if (not replayed and charge_service(*result))
                 else 0.0
             )
-            for extra in self.injector.message_fate(self.db.site):
-                self.loop.schedule(
-                    service + self.latencies.message_delay + extra,
-                    lambda r=result: finish(*r),
-                )
+            self.plane.send(lambda: finish(*result), self.db.site, service)
 
         def deliver_copy() -> None:
             if self._done:
@@ -335,10 +329,7 @@ class ResilientServer(Server):
             if attempt["count"] > 1:
                 self.injector.stats.retries += 1
             # GTM -> site leg: each delivered copy travels independently
-            for extra in self.injector.message_fate(self.db.site):
-                self.loop.schedule(
-                    self.latencies.message_delay + extra, deliver_copy
-                )
+            self.plane.send(deliver_copy, self.db.site)
             arm_timeout()
 
         def arm_timeout() -> None:
@@ -369,8 +360,8 @@ class ResilientServer(Server):
 
 
 class MessagePlane:
-    """The GTM side of the network: the single factory for GTM↔site
-    server links plus raw per-site message fates.
+    """The network: the single factory for GTM↔site server links and
+    the only code that sends a message (:meth:`send`).
 
     Extracting this from the simulator gives transports one seam to own
     the message plane: the deterministic single-loop transport hands the
@@ -380,7 +371,9 @@ class MessagePlane:
     runtimes identically.  A plane with no injector produces plain
     :class:`Server` links and certain single-copy deliveries; a plane
     with one produces :class:`ResilientServer` links and channel-scoped
-    fate draws.
+    fate draws.  The commit layer (participants, coordinator group)
+    sends through :meth:`send` too, so it never sees a latency or a
+    fate.
     """
 
     def __init__(
@@ -405,20 +398,22 @@ class MessagePlane:
         exactly when the plane injects faults."""
         if self.injector is None:
             return Server(transaction_id, db, self.loop, self.latencies)
-        return ResilientServer(
-            transaction_id,
-            db,
-            self.loop,
-            self.latencies,
-            self.injector,
-            retry=self.retry,
-            still_wanted=still_wanted,
-        )
+        return ResilientServer(transaction_id, db, self, still_wanted)
 
-    def message_fates(self, channel: Optional[str] = None) -> Tuple[float, ...]:
-        """Fates of one fire-and-forget message on *channel* (one extra
-        delay per delivered copy; empty = lost).  Certain delivery when
-        the plane injects no faults."""
-        if self.injector is None:
-            return (0.0,)
-        return self.injector.message_fate(channel)
+    def send(
+        self,
+        action: Callable[[], None],
+        channel: Optional[str] = None,
+        service: float = 0.0,
+    ) -> None:
+        """Send one message: *action* runs once per delivered copy,
+        ``service + message_delay`` plus that copy's extra delay from
+        now.  The injector draws the copies on *channel* (none = lost);
+        without one the message arrives exactly once.  *service* is the
+        time the sender spends before the message leaves (a site's
+        service time on an ack)."""
+        delay = service + self.latencies.message_delay
+        injector = self.injector
+        fates = (0.0,) if injector is None else injector.message_fate(channel)
+        for extra in fates:
+            self.loop.schedule(delay + extra, action)

@@ -125,7 +125,6 @@ class DriveResult:
 def drive(
     scheme: ConservativeScheme,
     trace: Trace,
-    force_full_rescan: bool = False,
     tracer=None,
 ) -> DriveResult:
     """Replay *trace* against *scheme* with synchronous servers.
@@ -133,8 +132,7 @@ def drive(
     Every submitted ser-operation's ack enters QUEUE immediately after the
     submission (the local DBMS executed it); ``fin_i`` enters once all of
     ``Ĝ_i``'s acks have been forwarded to GTM1 — the replay equivalent of
-    the GTM1 protocol of §4.  ``force_full_rescan`` replays with the
-    literal Figure 3 WAIT semantics (differential testing).  *tracer*
+    the GTM1 protocol of §4.  *tracer*
     (:class:`repro.observability.Tracer`) records the engine's decision
     spans; it never affects the replayed decisions.
     """
@@ -159,7 +157,6 @@ def drive(
         scheme,
         submit_handler=on_submit,
         ack_handler=on_ack,
-        force_full_rescan=force_full_rescan,
         tracer=tracer,
     )
 

@@ -17,6 +17,9 @@ list-membership ``transaction_ids``, which the per-site chains and the
 one-pass ``verify`` replaced (``tests/test_end_of_run_checks.py``).
 ``export_by_hand`` keeps the registry adapters that named every metric
 of every stats class, which ``repro.observability.export.publish``
-replaced (``tests/test_observability.py``).
+replaced (``tests/test_observability.py``).  ``full_rescan`` strips a
+scheme of its wake and purge hints, so the engine re-examines all of
+WAIT after every action as Figure 3 does
+(``tests/test_engine_differential.py``).
 Nothing under ``src/`` imports this package.
 """

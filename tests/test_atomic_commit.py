@@ -20,11 +20,14 @@ The load-bearing properties, each checked from ground truth:
   behavior where partial commits are informational.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.commit import (
     CommitPolicy,
     CommitProtocolError,
+    JournalDecisionLog,
     TwoPhaseCoordinator,
 )
 from repro.core import make_scheme
@@ -46,6 +49,7 @@ from repro.mdbs import (
     check_exactly_once,
     verify,
 )
+from repro.mdbs.server import Latencies, MessagePlane
 from repro.schedules.global_schedule import GlobalSchedule
 from repro.schedules.model import (
     Schedule,
@@ -84,12 +88,23 @@ def build_atomic_simulator(seed, injector=None, scheme_name="scheme2",
     return simulator
 
 
+def plane_send(loop, fate=None):
+    """The message plane's ``send`` over *loop* (unit message delay):
+    every message arrives once, or — when *fate* is given — once per
+    extra delay ``fate()`` returns (a stand-in for the injector's
+    draw)."""
+    injector = None
+    if fate is not None:
+        injector = SimpleNamespace(message_fate=lambda channel=None: fate())
+    return MessagePlane(loop, Latencies(), injector).send
+
+
 # ---------------------------------------------------------------------------
 # coordinator: the presumed-abort rule
 # ---------------------------------------------------------------------------
 class TestCoordinator:
     def test_resolve_follows_presumed_abort(self):
-        coordinator = TwoPhaseCoordinator(Journal())
+        coordinator = TwoPhaseCoordinator(JournalDecisionLog(Journal()))
         coordinator.begin_voting("G1")
         assert coordinator.resolve("G1") is None  # voting open: ask again
         coordinator.decide_commit("G1")
@@ -102,7 +117,7 @@ class TestCoordinator:
 
     def test_commit_decision_is_force_logged_and_idempotent(self):
         journal = Journal()
-        coordinator = TwoPhaseCoordinator(journal)
+        coordinator = TwoPhaseCoordinator(JournalDecisionLog(journal))
         coordinator.begin_voting("G1")
         coordinator.decide_commit("G1")
         coordinator.decide_commit("G1")  # duplicate: one record, one count
@@ -111,18 +126,18 @@ class TestCoordinator:
 
     def test_abort_decisions_are_never_logged(self):
         journal = Journal()
-        coordinator = TwoPhaseCoordinator(journal)
+        coordinator = TwoPhaseCoordinator(JournalDecisionLog(journal))
         coordinator.begin_voting("G1")
         coordinator.decide_abort("G1")
         assert journal.commit_decisions() == ()
 
     def test_recover_rebuilds_commits_from_journal(self):
         journal = Journal()
-        before = TwoPhaseCoordinator(journal)
+        before = TwoPhaseCoordinator(JournalDecisionLog(journal))
         before.begin_voting("G1")
         before.decide_commit("G1")
         before.begin_voting("G2")  # undecided at crash time
-        after = TwoPhaseCoordinator.recover(journal)
+        after = TwoPhaseCoordinator.recover(JournalDecisionLog(journal))
         assert after.resolve("G1") is True
         # the crash closed G2's round; until the caller re-opens it the
         # presumed-abort rule answers abort
@@ -529,14 +544,15 @@ class TestCoordinatorGroup:
         from repro.mdbs.events import EventLoop
 
         loop = EventLoop()
-        return CoordinatorGroup(size, loop, fate=fate), loop
+        return CoordinatorGroup(size, loop, plane_send(loop, fate)), loop
 
     def test_group_needs_at_least_one_replica(self):
         from repro.commit import CoordinatorGroup
         from repro.mdbs.events import EventLoop
 
+        loop = EventLoop()
         with pytest.raises(CommitProtocolError):
-            CoordinatorGroup(0, EventLoop())
+            CoordinatorGroup(0, loop, plane_send(loop))
 
     def test_gtm_fast_path_chooses_in_one_round_trip(self):
         group, loop = self.make_group(3)
@@ -927,7 +943,7 @@ class TestCommitGroupRuns:
 
         loop = EventLoop()
         tracer = Tracer()
-        group = CoordinatorGroup(3, loop, tracer=tracer)
+        group = CoordinatorGroup(3, loop, plane_send(loop), tracer=tracer)
         stats = CommitStats()
         db = LocalDBMS("s0", make_protocol("strict-2pl"))
         participant = CommitParticipant(
@@ -936,8 +952,8 @@ class TestCommitGroupRuns:
             loop,
             CommitPolicy(),
             stats,
-            coordinator_resolver=lambda incarnation: None,
-            replica_resolvers=tuple(
+            send=plane_send(loop),
+            resolvers=tuple(
                 (
                     f"replica-{rank}",
                     lambda incarnation, r=rank: group.inquire(

@@ -19,6 +19,8 @@ from repro.workloads.traces import (
     staggered_trace,
 )
 
+from tests.reference.full_rescan import without_hints
+
 SCHEMES = [Scheme0, Scheme1, Scheme2, Scheme3, Scheme4, SiteGraphScheme]
 GENERATORS = [
     random_trace,
@@ -34,7 +36,7 @@ GENERATORS = [
 def test_hinted_engine_equals_full_rescan(factory, generator, seed):
     trace = generator(18, 4, 2, seed=seed)
     fast = drive(factory(), trace)
-    slow = drive(factory(), trace, force_full_rescan=True)
+    slow = drive(without_hints(factory()), trace)
     assert [
         (op.transaction_id, op.site) for op in fast.submission_order
     ] == [(op.transaction_id, op.site) for op in slow.submission_order]
@@ -51,5 +53,5 @@ def test_hints_reduce_or_preserve_steps(factory):
     """The fast path may only *save* re-examination work."""
     trace = staggered_trace(60, 5, 3, seed=9, window=24)
     fast = drive(factory(), trace)
-    slow = drive(factory(), trace, force_full_rescan=True)
+    slow = drive(without_hints(factory()), trace)
     assert fast.metrics.steps <= slow.metrics.steps

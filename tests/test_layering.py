@@ -5,7 +5,10 @@
   is on ``self`` — no module reads another object's private state;
 - a component does not import the kernel;
 - nothing under ``src/repro`` outside ``mdbs/`` reads a private
-  attribute of a simulator.
+  attribute of a simulator;
+- one module knows how a message travels: only ``mdbs/server.py`` (the
+  message plane) draws a message fate, and the commit layer —
+  ``commit/`` and the commit driver — never sees a message delay.
 """
 
 import ast
@@ -113,3 +116,62 @@ def test_the_walk_sees_the_reach_it_exists_to_catch():
         for _, owner, attr in private_accesses(tree)
         if owner in simulator_names(tree)
     ] == [("simulator", "_programs"), ("run", "_logical_programs")]
+
+
+def fate_draws(tree):
+    """Lines of every ``….message_fate(…)`` / ``message_fate(…)`` call."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "message_fate"
+        in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+
+
+def delay_reads(tree):
+    """Lines naming ``message_delay``: attribute, variable, parameter or
+    keyword argument."""
+    return [
+        getattr(node, "lineno", None)
+        for node in ast.walk(tree)
+        if "message_delay"
+        in (
+            getattr(node, "attr", None) if isinstance(node, ast.Attribute) else None,
+            getattr(node, "id", None) if isinstance(node, ast.Name) else None,
+            node.arg if isinstance(node, (ast.arg, ast.keyword)) else None,
+        )
+    ]
+
+
+def test_only_the_message_plane_draws_message_fates():
+    draws = [
+        (str(path.relative_to(SRC)), line)
+        for path in sorted(SRC.rglob("*.py"))
+        if path != SRC / "mdbs" / "server.py"
+        for line in fate_draws(parse(path))
+    ]
+    assert draws == []
+
+
+def test_the_commit_layer_never_sees_a_message_delay():
+    commit_layer = sorted((SRC / "commit").rglob("*.py")) + [
+        SRC / "mdbs" / "commit_driver.py"
+    ]
+    reads = [
+        (str(path.relative_to(SRC)), line)
+        for path in commit_layer
+        for line in delay_reads(parse(path))
+    ]
+    assert reads == []
+
+
+def test_the_message_walks_see_a_hand_written_leg():
+    tree = ast.parse(
+        "def leg(self, fate, message_delay=1.0):\n"
+        "    for extra in self.injector.message_fate(site):\n"
+        "        self.loop.schedule(self.message_delay + extra, act)\n"
+        "    schedule(message_delay=delay)\n"
+    )
+    assert fate_draws(tree) == [2]
+    assert sorted(delay_reads(tree)) == [1, 3, 4]

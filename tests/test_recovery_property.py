@@ -1,17 +1,22 @@
 """Property-based recovery tests: for random traces, random crash
 points, and every scheme, the crash-recovered run is indistinguishable
-from the uninterrupted one — and for random fault plans against the
+from the uninterrupted one — for random fault plans against the
 replicated commit group, prepared participants are never torn between
-a unilateral abort and a quorum-chosen commit."""
+a unilateral abort and a quorum-chosen commit — and under random
+message fates and replica crashes the group's quorums are real."""
+
+from functools import partial
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.commit import CoordinatorGroup
 from repro.core import Scheme0, Scheme1, Scheme2, Scheme3
 from repro.core.engine import Engine
 from repro.core.events import Ack, Fin, Init, Ser
 from repro.core.recovery import Journal, recover_engine
 from repro.faults import FaultInjector, FaultPlan
+from repro.mdbs.events import EventLoop
 
 
 @st.composite
@@ -182,3 +187,108 @@ class TestCommitGroupProperty:
         assert report.commit_stats.in_doubt_open_at_end == 0
         for participant in simulator.commit.participants.values():
             assert participant.open_in_doubt(simulator.loop.now) == ()
+
+
+VOTING_SITES = ("s0", "s1")
+
+
+@st.composite
+def group_storms(draw):
+    """A 3- or 5-replica group's inputs: YES votes, at most one GTM
+    proposal per incarnation (as the coordinator makes), in-doubt
+    inquiries that may launch takeovers, and replica crash/restart
+    windows — all at random times — plus the random stream every
+    message leg draws its copies from."""
+    size = draw(st.sampled_from([3, 5]))
+    incarnation = st.sampled_from(["G0", "G1", "G2"])
+    at = st.integers(0, 300)
+    rank = st.integers(0, size - 1)
+    return dict(
+        size=size,
+        rng=draw(st.randoms(use_true_random=False)),
+        votes=draw(
+            st.lists(
+                st.tuples(at, incarnation, st.sampled_from(VOTING_SITES)),
+                max_size=6,
+            )
+        ),
+        proposals=draw(
+            st.dictionaries(incarnation, st.tuples(at, st.booleans()))
+        ),
+        inquiries=draw(st.lists(st.tuples(at, rank, incarnation), max_size=6)),
+        crashes=draw(
+            st.lists(
+                st.tuples(at, rank, st.integers(1, 400)), max_size=2 * size
+            )
+        ),
+    )
+
+
+class TestCoordinatorGroupQuorumProperty:
+    """Quorum safety on a bare event loop: every leg of every message is
+    delivered 0-3 times with small extra delays, replicas crash and
+    restart at random, and GTM proposals race takeovers.  The fixed
+    ``DUPLICATE_EVERYTHING`` regressions in ``test_atomic_commit.py``
+    are three points of this space."""
+
+    @given(group_storms())
+    @settings(max_examples=60, deadline=None)
+    def test_quorums_count_distinct_replicas(self, storm):
+        from tests.test_atomic_commit import plane_send
+
+        loop = EventLoop()
+        rng = storm["rng"]
+
+        def fate():
+            copies = rng.randint(0, 3)
+            return tuple(rng.uniform(0.0, 3.0) for _ in range(copies))
+
+        group = CoordinatorGroup(storm["size"], loop, plane_send(loop, fate))
+        heard = []
+        for at, incarnation, site in storm["votes"]:
+            loop.schedule(
+                at,
+                partial(group.broadcast_vote, incarnation, site, VOTING_SITES),
+            )
+        for incarnation, (at, value) in storm["proposals"].items():
+            loop.schedule(
+                at,
+                partial(
+                    group.propose,
+                    incarnation,
+                    value,
+                    on_chosen=partial(
+                        lambda name, chosen: heard.append((name, chosen)),
+                        incarnation,
+                    ),
+                ),
+            )
+        for at, rank, incarnation in storm["inquiries"]:
+            loop.schedule(at, partial(group.inquire, rank, incarnation))
+        for at, rank, downtime in storm["crashes"]:
+            loop.schedule(at, partial(group.crash_replica, rank))
+            loop.schedule(at + downtime, partial(group.restart_replica, rank))
+        loop.run(until=3_000.0)
+
+        quorum = group.quorum
+        for incarnation, value in group.chosen.items():
+            accepted = [
+                replica.rank
+                for replica in group.replicas
+                if replica.accepted.get(incarnation, (None, None))[1] == value
+            ]
+            assert len(accepted) >= quorum, (incarnation, value, accepted)
+        for _, incarnation, site in storm["votes"]:
+            if group.vote_durable(incarnation, site):
+                logged = [
+                    replica.rank
+                    for replica in group.replicas
+                    if site in replica.votes.get(incarnation, ())
+                ]
+                assert len(logged) >= quorum, (incarnation, site, logged)
+        for replica in group.replicas:
+            for incarnation, value in replica.learned.items():
+                assert group.chosen[incarnation] == value
+        for incarnation, value in heard:
+            assert group.chosen[incarnation] == value
+        assert group.stats.decision_conflicts == 0
