@@ -1,16 +1,22 @@
 """Shared helpers for the benchmark harness.
 
-Every bench regenerates one experiment of DESIGN.md's index (E1–E9) and
-prints the paper-style comparison table through the ``reporter`` fixture,
-which suspends pytest's capture so the tables land in the terminal (and
-in ``bench_output.txt`` when the run is tee'd).
+Every bench regenerates one experiment of DESIGN.md's index (E1–E14)
+and prints the paper-style comparison table through the ``reporter``
+fixture, which suspends pytest's capture so the tables land in the
+terminal (and in ``bench_output.txt`` when the run is tee'd).
 """
 
 from __future__ import annotations
 
+from typing import Any, Dict, List
+
 import pytest
 
+from repro.analysis import bench
 from repro.analysis.reporting import render_table
+
+#: a paper experiment's cells, run once per session
+_PAPER_CELLS: Dict[str, List[Dict[str, Any]]] = {}
 
 
 @pytest.fixture
@@ -22,3 +28,20 @@ def reporter(capsys):
             print("\n\n" + render_table(headers, rows, title=title))
 
     return _report
+
+
+@pytest.fixture
+def paper(reporter):
+    """``paper(name)``: fresh cells of one of
+    :data:`repro.analysis.bench.PAPER_EXPERIMENTS` (the grid BENCH_10.json
+    gates exactly), its tables printed on first use."""
+
+    def _run(name):
+        if name not in _PAPER_CELLS:
+            cells = bench.run_grid(bench.paper_specs(name))
+            _PAPER_CELLS[name] = cells
+            for table in bench.PAPER_EXPERIMENTS[name].tables(cells):
+                reporter(*table)
+        return _PAPER_CELLS[name]
+
+    return _run

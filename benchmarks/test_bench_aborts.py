@@ -2,89 +2,33 @@
 
 Every pair of ser-operations at a site conflicts, so classical
 abort-based CC applied to ``ser(S)`` kills global transactions wholesale:
-2PL deadlocks, TO rejections, optimistic validation failures.  The bench
-replays identical traces through the conservative Schemes 0–3 and the
-abort-based strawmen and reports abort rates — the paper expects ~0 for
-the former and a large, n-growing fraction for the latter.
+2PL deadlocks, TO rejections, optimistic validation failures.  The cells
+replay identical traces through the conservative Schemes 0–3 and the
+abort-based strawmen — the paper expects no aborts for the former and a
+large, n-growing fraction for the latter.
 """
 
+from repro.analysis.bench import ratios, totals
 
-from repro.baselines import OptimisticGTM, TimestampGTM, TwoPhaseLockingGTM
-from repro.core import Scheme0, Scheme1, Scheme2, Scheme3
-from repro.workloads.traces import drive, random_trace
-
-CONSERVATIVE = {
-    "scheme0": Scheme0,
-    "scheme1": Scheme1,
-    "scheme2": Scheme2,
-    "scheme3": Scheme3,
-}
-ABORT_BASED = {
-    "2pl-gtm": TwoPhaseLockingGTM,
-    "to-gtm": TimestampGTM,
-    "optimistic-gtm": OptimisticGTM,
-}
-N_VALUES = [10, 20, 40]
-SEEDS = range(8)
+CONSERVATIVE = ("scheme0", "scheme1", "scheme2", "scheme3")
+ABORT_BASED = ("2pl-gtm", "to-gtm", "optimistic-gtm")
 
 
-def run_abort_rates():
-    rows = []
-    rates = {}
-    for name, factory in {**CONSERVATIVE, **ABORT_BASED}.items():
-        row = [name]
-        for n in N_VALUES:
-            total = aborted = 0
-            for seed in SEEDS:
-                trace = random_trace(n, 3, 2, seed=seed)
-                result = drive(factory(), trace)
-                total += n
-                aborted += result.abort_count
-            rate = aborted / total
-            rates[(name, n)] = rate
-            row.append(f"{100 * rate:.1f}%")
-        rows.append(row)
-    return rows, rates
-
-
-def test_bench_abort_rates(benchmark, reporter):
-    rows, rates = benchmark.pedantic(run_abort_rates, rounds=1, iterations=1)
-    reporter(
-        "E7 — global-transaction abort rate under conservative vs "
-        "abort-based GTM2 CC (m=3, dav=2, 8 traces per point)",
-        ["scheme"] + [f"n={n}" for n in N_VALUES] + [],
-        rows,
-    )
+def test_bench_abort_rates(paper):
+    # aborted share of the submitted: a cell's mpl is its trace's n
+    rates = ratios(paper("E7"), "global_aborts", "mpl")
     # conservative schemes never abort
     for name in CONSERVATIVE:
-        for n in N_VALUES:
-            assert rates[(name, n)] == 0.0
+        assert set(rates[name].values()) == {0.0}
     # abort-based schemes abort a substantial fraction at every n and it
     # does not shrink as the system grows
     for name in ABORT_BASED:
-        assert rates[(name, N_VALUES[0])] > 0.05
-        assert rates[(name, N_VALUES[-1])] > 0.10
+        assert rates[name][10] > 0.05
+        assert rates[name][40] > 0.10
 
 
-def test_bench_deadlock_frequency(benchmark, reporter):
+def test_bench_deadlock_frequency(paper):
     """The specific §3 prediction for 2PL over ser(S): frequent
     deadlocks, growing with the number of concurrent transactions."""
-
-    def run():
-        rows = []
-        for n in N_VALUES:
-            deadlocks = 0
-            for seed in SEEDS:
-                scheme = TwoPhaseLockingGTM()
-                drive(scheme, random_trace(n, 3, 2, seed=seed))
-                deadlocks += scheme.deadlocks
-            rows.append((n, deadlocks))
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    reporter(
-        "E7b — deadlocks detected by 2PL-over-ser(S) (8 traces per n)",
-        ["n", "deadlocks"],
-        rows,
-    )
-    assert rows[-1][1] > rows[0][1] > 0
+    deadlocks = totals(paper("E7"), "deadlocks")["2pl-gtm"]
+    assert 0 < deadlocks[10] < deadlocks[20] < deadlocks[40]

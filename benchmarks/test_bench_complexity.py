@@ -9,18 +9,12 @@ Analytical claims under reproduction:
 - all schemes: linear in dav.
 
 Steps are counted exactly as the paper counts them: work in ``cond``, in
-``act``, and in re-examining WAIT.  The tables print steps/transaction
-over sweeps of n (concurrently active transactions) and dav, plus the
-fitted log-log growth exponents.
+``act``, and in re-examining WAIT.  The cells (``E1n``/``E1dav``/``E1m``
+in BENCH_10.json) hold steps and scheduled transactions per sweep point;
+the bands below are on the fitted log-log growth exponents.
 """
 
-
-from repro.analysis.complexity import fit_exponent, measure, sweep
-from repro.core import Scheme0, Scheme1, Scheme2, Scheme3
-
-SCHEMES = [Scheme0, Scheme1, Scheme2, Scheme3]
-N_VALUES = [4, 8, 16, 32]
-DAV_VALUES = [1, 2, 4, 8]
+from repro.analysis.bench import exponents, select
 
 #: analytical exponent in n per the paper, with tolerance bands
 EXPECTED_N_EXPONENT = {
@@ -31,127 +25,31 @@ EXPECTED_N_EXPONENT = {
 }
 
 
-def run_n_sweep():
-    rows = []
-    exponents = {}
-    for factory in SCHEMES:
-        points = sweep(factory, N_VALUES, sites=6, dav=3, seed=1)
-        slope, _ = fit_exponent(
-            [p.n for p in points], [p.steps_per_txn for p in points]
-        )
-        name = points[0].scheme
-        exponents[name] = slope
-        rows.append(
-            [name]
-            + [round(p.steps_per_txn, 1) for p in points]
-            + [round(slope, 2)]
-        )
-    return rows, exponents
-
-
-def run_dav_sweep():
-    rows = []
-    slopes = {}
-    for factory in SCHEMES:
-        points = [
-            measure(factory, transactions=40, sites=8, dav=dav, seed=2)
-            for dav in DAV_VALUES
-        ]
-        slope, _ = fit_exponent(
-            [p.dav for p in points], [p.steps_per_txn for p in points]
-        )
-        name = points[0].scheme
-        slopes[name] = slope
-        rows.append(
-            [name]
-            + [round(p.steps_per_txn, 1) for p in points]
-            + [round(slope, 2)]
-        )
-    return rows, slopes
-
-
-def test_bench_complexity_in_n(benchmark, reporter):
-    rows, exponents = benchmark.pedantic(run_n_sweep, rounds=1, iterations=1)
-    reporter(
-        "E1a — steps/transaction vs n (m=6, dav=3); paper orders: "
-        "S0 O(dav), S1 O(m+n+n*dav), S2/S3 O(n^2*dav)",
-        ["scheme"] + [f"n={n}" for n in N_VALUES] + ["exp(n)"],
-        rows,
-    )
+def test_bench_complexity_in_n(paper):
+    slopes = exponents(select(paper("E1"), "E1n"))
     for name, (_, low, high) in EXPECTED_N_EXPONENT.items():
-        assert low <= exponents[name] <= high, (
-            f"{name}: fitted n-exponent {exponents[name]:.2f} outside "
+        assert low <= slopes[name] <= high, (
+            f"{name}: fitted n-exponent {slopes[name]:.2f} outside "
             f"the analytical band [{low}, {high}]"
         )
     # the ordering of asymptotic classes: S0 < S1 < S2/S3
-    assert exponents["scheme0"] < exponents["scheme1"] < exponents["scheme2"]
+    assert slopes["scheme0"] < slopes["scheme1"] < slopes["scheme2"]
 
 
-def test_bench_complexity_in_dav(benchmark, reporter):
-    rows, slopes = benchmark.pedantic(run_dav_sweep, rounds=1, iterations=1)
-    reporter(
-        "E1b — steps/transaction vs dav (n~8 active, m=8); paper: linear "
-        "in dav for every scheme",
-        ["scheme"] + [f"dav={d}" for d in DAV_VALUES] + ["exp(dav)"],
-        rows,
-    )
-    for name, slope in slopes.items():
+def test_bench_complexity_in_dav(paper):
+    for name, slope in exponents(select(paper("E1"), "E1dav")).items():
         assert 0.3 <= slope <= 2.2, (
             f"{name}: dav-exponent {slope:.2f} not roughly linear"
         )
 
 
-def test_bench_complexity_in_m(benchmark, reporter):
+def test_bench_complexity_in_m(paper):
     """Theorem 4's m term: Scheme 1's TSG traversal visits site nodes,
-    so its steps grow (mildly) with the number of sites at fixed n and
-    dav, while Scheme 0 and Scheme 3 stay flat in m."""
-    m_values = [4, 8, 16, 32]
-
-    def run():
-        rows = []
-        slopes = {}
-        for factory in (Scheme0, Scheme1, Scheme3):
-            points = [
-                measure(factory, transactions=40, sites=m, dav=3, seed=4)
-                for m in m_values
-            ]
-            slope, _ = fit_exponent(
-                [float(m) for m in m_values],
-                [p.steps_per_txn for p in points],
-            )
-            name = points[0].scheme
-            slopes[name] = slope
-            rows.append(
-                [name]
-                + [round(p.steps_per_txn, 1) for p in points]
-                + [round(slope, 2)]
-            )
-        return rows, slopes
-
-    rows, slopes = benchmark.pedantic(run, rounds=1, iterations=1)
-    reporter(
-        "E1c — steps/transaction vs m (n~8 active, dav=3)",
-        ["scheme"] + [f"m={m}" for m in m_values] + ["exp(m)"],
-        rows,
-    )
+    so its steps may grow (mildly) with the number of sites at fixed n
+    and dav, while Scheme 0 stays flat in m."""
+    slopes = exponents(select(paper("E1"), "E1m"))
     # scheme0's complexity has no m term at all
     assert slopes["scheme0"] < 0.3
     # scheme1 (TSG traversal) is at most mildly sensitive to m; what
     # matters is that it does not blow up super-linearly
     assert slopes["scheme1"] < 1.3
-
-
-def test_bench_scheme0_kernel(benchmark, reporter):
-    """Raw scheduling kernel speed of the cheapest scheme (steps are the
-    paper's measure; wall-clock is the engineering sanity check)."""
-    from repro.workloads.traces import drive, staggered_trace
-
-    trace = staggered_trace(200, 6, 3, seed=3, window=16)
-    benchmark(lambda: drive(Scheme0(), trace))
-
-
-def test_bench_scheme3_kernel(benchmark, reporter):
-    from repro.workloads.traces import drive, staggered_trace
-
-    trace = staggered_trace(200, 6, 3, seed=3, window=16)
-    benchmark(lambda: drive(Scheme3(), trace))

@@ -11,75 +11,11 @@ identical QUEUE insertion orders:
 - Scheme 3 has the lowest average waits of all.
 """
 
-
-from repro.analysis.concurrency import compare, dominance, mean_waits
-from repro.baselines import SiteGraphScheme
-from repro.core import Scheme0, Scheme1, Scheme2, Scheme3
-from repro.workloads.traces import adversarial_trace, random_trace
-
-FACTORIES = {
-    "site-graph": SiteGraphScheme,
-    "scheme0": Scheme0,
-    "scheme1": Scheme1,
-    "scheme2": Scheme2,
-    "scheme3": Scheme3,
-}
+from repro.analysis.bench import dominance, mean_waits, select
 
 
-def build_traces():
-    traces = [
-        (f"random-{seed}", random_trace(30, 4, 2, seed=seed))
-        for seed in range(20)
-    ]
-    traces += [
-        (f"adversarial-{seed}", adversarial_trace(20, 4, 2, seed=seed))
-        for seed in range(5)
-    ]
-    return traces
-
-
-def run_comparison():
-    rows = compare(FACTORIES, build_traces())
-    return rows
-
-
-def test_bench_concurrency_ordering(benchmark, reporter):
-    rows = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
-    means = mean_waits(rows)
-    reporter(
-        "E2a — mean ser-operation WAIT insertions per trace "
-        "(30 txns, m=4, dav=2; 25 traces)",
-        ["scheme", "mean ser-waits"],
-        sorted(
-            ((name, round(value, 2)) for name, value in means.items()),
-            key=lambda row: -row[1],
-        ),
-    )
-    pair_rows = []
-    for first, second in [
-        ("scheme1", "scheme0"),
-        ("scheme2", "scheme0"),
-        ("scheme3", "scheme0"),
-        ("scheme1", "scheme2"),
-        ("scheme3", "scheme2"),
-        ("scheme1", "site-graph"),
-    ]:
-        result = dominance(rows, first, second)
-        pair_rows.append(
-            (
-                f"{first} vs {second}",
-                result.first_better,
-                result.second_better,
-                result.ties,
-                result.verdict,
-            )
-        )
-    reporter(
-        "E2b — pairwise dominance (traces where row's first/second "
-        "scheme waited strictly less)",
-        ["pair", "first<", "second<", "ties", "verdict"],
-        pair_rows,
-    )
+def test_bench_concurrency_ordering(paper):
+    means = mean_waits(select(paper("E2"), "E2rand", "E2adv"))
     # average ordering of §4/§7: site-graph >= scheme0 >= 1,2 >= 3
     assert means["scheme3"] <= means["scheme2"]
     assert means["scheme3"] <= means["scheme1"]
@@ -88,33 +24,9 @@ def test_bench_concurrency_ordering(benchmark, reporter):
     assert means["scheme0"] <= means["site-graph"]
 
 
-def test_bench_scheme1_scheme2_incomparable(benchmark, reporter):
+def test_bench_scheme1_scheme2_incomparable(paper):
     """Scheme 2 does not dominate Scheme 1 (paper §6): non-minimal Δ can
-    over-restrict.  Hunt a wide trace population for wins in both
-    directions."""
-
-    def hunt():
-        one_better = two_better = 0
-        for seed in range(120):
-            trace = random_trace(20, 3, 2, seed=seed)
-            from repro.workloads.traces import drive
-
-            w1 = drive(Scheme1(), trace).ser_waits
-            w2 = drive(Scheme2(), trace).ser_waits
-            if w1 < w2:
-                one_better += 1
-            elif w2 < w1:
-                two_better += 1
-        return one_better, two_better
-
-    one_better, two_better = benchmark.pedantic(hunt, rounds=1, iterations=1)
-    reporter(
-        "E2c — Scheme 1 vs Scheme 2 incomparability over 120 traces",
-        ["direction", "traces"],
-        [
-            ("scheme1 strictly fewer ser-waits", one_better),
-            ("scheme2 strictly fewer ser-waits", two_better),
-        ],
-    )
-    assert one_better > 0
-    assert two_better > 0
+    over-restrict.  The 120-trace hunt finds wins in both directions."""
+    hunt = dominance(select(paper("E2"), "E2hunt"), "scheme1", "scheme2")
+    assert hunt.first_better > 0
+    assert hunt.second_better > 0

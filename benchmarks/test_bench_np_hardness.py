@@ -1,162 +1,48 @@
 """E6 — Theorem 7: computing a minimal Δ is NP-complete.
 
-Two empirical signatures on random TSGDs:
+Three empirical signatures, all in counts:
 
 1. **Non-minimality**: the polynomial ``Eliminate_Cycles`` returns a Δ
-   strictly larger than the optimum on a measurable fraction of
-   instances (the price Scheme 2 pays for tractability);
-2. **Exponential blow-up**: the exact minimum-Δ search (exhaustive over
-   candidate subsets) slows down exponentially as the instance grows,
-   while ``Eliminate_Cycles`` stays polynomial.
+   strictly larger than the optimum on some random TSGDs (the price
+   Scheme 2 pays for tractability), yet always a sufficient one — the
+   E6 cell runner raises on a Δ that leaves a dangerous cycle;
+2. **Exponential blow-up**: the subsets the exact minimum-Δ search tests
+   outgrow ``Eliminate_Cycles``' steps as the instance grows;
+3. **What minimality buys**: exact Δ inside Scheme 2 waits no more than
+   the heuristic, at more scheme steps.
 """
 
-import random
-import time
+from repro.analysis.bench import select, totals
 
 
-from repro.core.tsgd import TSGD, minimum_delta
+def test_bench_eliminate_cycles_nonminimality(paper):
+    studied = [
+        cell
+        for cell in select(paper("E6"), "E6a")
+        if cell["delta_min"] is not None
+    ]
+    assert all(cell["delta_edges"] >= cell["delta_min"] for cell in studied)
+    # the paper's point: the polynomial procedure is not minimal
+    assert any(cell["delta_edges"] > cell["delta_min"] for cell in studied)
 
 
-def random_tsgd(transactions, sites, dav, seed, consistent=True):
-    """A TSGD built the way Scheme 2 builds one (eliminate as we go),
-    then one extra transaction whose Δ we study."""
-    rng = random.Random(seed)
-    tsgd = TSGD()
-    site_names = [f"s{index}" for index in range(sites)]
-    for index in range(transactions):
-        count = rng.randint(1, min(dav, sites))
-        tsgd.insert_transaction(f"G{index}", rng.sample(site_names, count))
-        if consistent:
-            tsgd.add_dependencies(sorted(tsgd.eliminate_cycles(f"G{index}")))
-    target = "GX"
-    tsgd.insert_transaction(
-        target, rng.sample(site_names, min(dav + 1, sites))
-    )
-    return tsgd, target
-
-
-def run_minimality_study():
-    """Δ is conservative because closing a *walk* back at the root is
-    enough to add a dependency, while the cycle definition demands
-    distinct nodes — so on dense instances Eliminate_Cycles pays for
-    cycles that do not exist.  Hunt random instances and compare with
-    the exact minimum (bounded so the exponential search stays fast)."""
-    instances = 0
-    nonminimal = 0
-    excess_total = 0
-    for seed in range(200):
-        rng = random.Random(seed)
-        tsgd = TSGD()
-        site_names = [f"s{index}" for index in range(rng.randint(2, 4))]
-        for index in range(rng.randint(3, 6)):
-            count = rng.randint(1, len(site_names))
-            tsgd.insert_transaction(
-                f"G{index}", rng.sample(site_names, count)
-            )
-        target = "GX"
-        tsgd.insert_transaction(
-            target, rng.sample(site_names, rng.randint(2, len(site_names)))
-        )
-        heuristic = tsgd.eliminate_cycles(target)
-        if len(heuristic) > 6:
-            continue  # keep the exact search tractable
-        optimal = minimum_delta(tsgd, target)
-        instances += 1
-        if len(heuristic) > len(optimal):
-            nonminimal += 1
-            excess_total += len(heuristic) - len(optimal)
-        assert not tsgd.has_dangerous_cycle_through(target, heuristic)
-    return instances, nonminimal, excess_total
-
-
-def test_bench_eliminate_cycles_nonminimality(benchmark, reporter):
-    instances, nonminimal, excess = benchmark.pedantic(
-        run_minimality_study, rounds=1, iterations=1
-    )
-    reporter(
-        "E6a — Eliminate_Cycles Δ vs exact minimum Δ on random TSGDs "
-        "(3-6 txns, m=2-4)",
-        ["measure", "value"],
-        [
-            ("instances", instances),
-            ("non-minimal Δ returned", nonminimal),
-            ("total excess dependencies", excess),
-        ],
-    )
-    # the paper's point: the polynomial procedure is not minimal...
-    assert nonminimal > 0
-    # ...but it is always sufficient (asserted inside the study)
-
-
-def run_blowup_study():
-    rows = []
-    for txns in (3, 4, 5, 6):
-        seed = 100 + txns
-        tsgd, target = random_tsgd(txns, 3, 3, seed, consistent=False)
-        start = time.perf_counter()
-        tsgd.eliminate_cycles(target)
-        poly_time = time.perf_counter() - start
-        start = time.perf_counter()
-        minimum_delta(tsgd, target)
-        exact_time = time.perf_counter() - start
-        rows.append(
-            (
-                txns,
-                round(poly_time * 1e3, 3),
-                round(exact_time * 1e3, 3),
-                round(exact_time / max(poly_time, 1e-9), 1),
-            )
-        )
-    return rows
-
-
-def test_bench_minimum_delta_blowup(benchmark, reporter):
-    rows = benchmark.pedantic(run_blowup_study, rounds=1, iterations=1)
-    reporter(
-        "E6b — wall-clock of Eliminate_Cycles (poly) vs exact minimum-Δ "
-        "search (exponential), dense TSGDs",
-        ["txns", "eliminate (ms)", "exact (ms)", "ratio"],
-        rows,
-    )
-    # the exact search must blow up relative to the heuristic as the
+def test_bench_minimum_delta_blowup(paper):
+    cells = select(paper("E6"), "E6b")
+    ratios = [cell["subsets_tested"] / cell["scheme_steps"] for cell in cells]
+    # the exact search blows up relative to the heuristic as the
     # instance grows: the final ratio dominates the first
-    assert rows[-1][3] > rows[0][3]
-    assert rows[-1][3] > 50
+    assert ratios[-1] > ratios[0]
+    assert ratios[-1] > 50
+    # super-polynomial in the candidates, where Eliminate_Cycles is not
+    largest = cells[-1]
+    assert largest["subsets_tested"] > largest["candidates"] ** 3
+    assert largest["scheme_steps"] < largest["candidates"] ** 2
 
 
-def test_bench_scheme2_minimal_ablation(benchmark, reporter):
-    """E6c — what minimality would buy: Scheme 2 with exact minimum-Δ
-    (the intractable §6 ideal) vs the polynomial heuristic, on traces
-    small enough for the exponential search."""
-    import time as _time
-
-    from repro.core import Scheme2, Scheme2Minimal
-    from repro.workloads.traces import drive, random_trace
-
-    def run():
-        waits = {"scheme2": 0, "scheme2-minimal": 0}
-        clock = {"scheme2": 0.0, "scheme2-minimal": 0.0}
-        for seed in range(10):
-            trace = random_trace(10, 3, 2, seed=seed)
-            for factory in (Scheme2, lambda: Scheme2Minimal(max_candidates=14)):
-                scheme = factory()
-                start = _time.perf_counter()
-                result = drive(scheme, trace)
-                clock[scheme.name] += _time.perf_counter() - start
-                waits[scheme.name] += result.ser_waits
-        return waits, clock
-
-    waits, clock = benchmark.pedantic(run, rounds=1, iterations=1)
-    reporter(
-        "E6c — exact-minimal Δ vs heuristic Δ inside Scheme 2 "
-        "(10 traces, 10 txns, m=3, dav=2)",
-        ["scheme", "total ser-waits", "wall-clock (s)"],
-        [
-            (name, waits[name], round(clock[name], 3))
-            for name in ("scheme2", "scheme2-minimal")
-        ],
-    )
+def test_bench_scheme2_minimal_ablation(paper):
+    cells = select(paper("E6"), "E6c")
+    waits, steps = totals(cells, "ser_waits"), totals(cells, "scheme_steps")
     # minimality can only relax restrictions...
-    assert waits["scheme2-minimal"] <= waits["scheme2"]
-    # ...at an (at least) order-of-magnitude time cost
-    assert clock["scheme2-minimal"] > clock["scheme2"]
+    assert waits["scheme2-minimal"][10] <= waits["scheme2"][10]
+    # ...at a step cost
+    assert steps["scheme2-minimal"][10] > steps["scheme2"][10]

@@ -7,43 +7,14 @@ must add *zero* ser-operations to WAIT; the BT-schemes — which a-priori
 restrict processing — do wait on many of them.
 """
 
-
-from repro.core import Scheme0, Scheme1, Scheme2, Scheme3
-from repro.workloads.traces import drive, serializable_order_trace
-
-SEEDS = range(25)
-FACTORIES = [Scheme0, Scheme1, Scheme2, Scheme3]
+from repro.analysis.bench import delayed_streams, totals
 
 
-def run_permits_all():
-    totals = {f().name: 0 for f in FACTORIES}
-    delayed_streams = {f().name: 0 for f in FACTORIES}
-    for seed in SEEDS:
-        trace = serializable_order_trace(25, 4, 2, seed=seed)
-        for factory in FACTORIES:
-            result = drive(factory(), trace)
-            totals[result.scheme_name] += result.ser_waits
-            if result.ser_waits:
-                delayed_streams[result.scheme_name] += 1
-    return totals, delayed_streams
-
-
-def test_bench_permits_all_serializable_schedules(benchmark, reporter):
-    totals, delayed = benchmark.pedantic(
-        run_permits_all, rounds=1, iterations=1
-    )
-    reporter(
-        "E3 — ser-operation waits on serializable-in-arrival-order "
-        "streams (25 streams, 25 txns, m=4, dav=2)",
-        ["scheme", "total ser-waits", "streams delayed"],
-        [
-            (name, totals[name], delayed[name])
-            for name in ("scheme0", "scheme1", "scheme2", "scheme3")
-        ],
-    )
+def test_bench_permits_all_serializable_schedules(paper):
+    cells = paper("E3")
     # the headline claim: Scheme 3 never delays such a stream
-    assert totals["scheme3"] == 0
-    assert delayed["scheme3"] == 0
+    assert sum(totals(cells, "ser_waits")["scheme3"].values()) == 0
+    assert delayed_streams(cells, "scheme3") == 0
     # and the BT-schemes each delay at least some of them
     for name in ("scheme0", "scheme1", "scheme2"):
-        assert delayed[name] > 0
+        assert delayed_streams(cells, name) > 0

@@ -1,34 +1,14 @@
-"""Analysis utilities: empirical complexity measurement, degree-of-
-concurrency comparison, and table rendering for the bench harness."""
+"""Analysis utilities: the bench harness (every experiment declared once
+as clock-free cells, the exact gate, the paper's report), log-log
+exponent fitting, degree-of-concurrency dominance, table rendering."""
 
-from repro.analysis.complexity import (
-    SweepPoint,
-    fit_exponent,
-    growth_exponent,
-    measure,
-    sweep,
-)
-from repro.analysis.concurrency import (
-    ComparisonRow,
-    Dominance,
-    compare,
-    dominance,
-    mean_waits,
-)
-from repro.analysis.reporting import print_table, render_mapping, render_table
+from repro.analysis.bench import Dominance, dominance, fit_exponent, mean_waits
+from repro.analysis.reporting import render_table
 
 __all__ = [
-    "SweepPoint",
     "fit_exponent",
-    "growth_exponent",
-    "measure",
-    "sweep",
-    "ComparisonRow",
     "Dominance",
-    "compare",
     "dominance",
     "mean_waits",
-    "print_table",
-    "render_mapping",
     "render_table",
 ]

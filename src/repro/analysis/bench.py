@@ -1,25 +1,52 @@
-"""The trajectory bench harness (``repro bench``).
+"""The trajectory bench harness (``repro bench``, ``repro report``).
 
 Runs the E4 throughput grid (and the E11 atomic-commit, E13 commit-group
-and E14 degree-of-concurrency variants) as independent *cells* — one per
-(experiment, scheme, mpl, seed, transport, groups) — and persists them as
-a ``BENCH_<n>.json`` trajectory file.  A cell is the projection of one
-run onto :data:`CELL_FIELDS`: the paper's own measures (steps per
-scheduled transaction, WAIT-set size, commits) and the simulated results
-around them.  Every field is a function of the cell's spec alone — no
-module on this path reads a clock; wall-clock is ``perf/``'s — so the
-grid can be fanned across ``multiprocessing`` workers and merged back in
-fixed task order, and :func:`check_regression` gates on *equality* with
-the committed file: ``git diff`` on a re-emitted BENCH file is the list
-of scheduling decisions a change moved.
+and E14 degree-of-concurrency variants), and the paper's own experiments
+E1, E2, E3, E6 and E7 on the GTM2 layer alone (:data:`PAPER_EXPERIMENTS`),
+as independent *cells* — one per (experiment, scheme, mpl, seed,
+transport, groups) — and persists them as a ``BENCH_<n>.json`` trajectory
+file.  A cell is the projection of one run onto :data:`CELL_FIELDS`: the
+paper's own measures (steps per scheduled transaction, WAIT insertions,
+commits, aborts) and the simulated results around them.  Every field is
+a function of the cell's spec alone — no module on this path reads a
+clock; wall-clock is ``perf/``'s — so the grid can be fanned across
+``multiprocessing`` workers and merged back in fixed task order, and
+:func:`check_regression` gates on *equality* with the committed file:
+``git diff`` on a re-emitted BENCH file is the list of scheduling
+decisions a change moved.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
+import random
+from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+from repro.analysis.reporting import render_table
+from repro.core.metrics import SchemeMetrics
+from repro.core.tsgd import TSGD, candidate_dependencies, minimum_delta
+from repro.workloads.traces import (
+    Trace,
+    adversarial_trace,
+    drive,
+    random_trace,
+    serializable_order_trace,
+    staggered_trace,
+)
 
 #: site protocols of the E4 grid (benchmarks/test_bench_throughput.py)
 E4_PROTOCOLS = ("strict-2pl", "to", "conservative-2pl", "sgt")
@@ -35,13 +62,15 @@ def _report(attribute: str) -> Callable[[Any], Any]:
     return attrgetter("report." + attribute)
 
 
-#: What a cell measures, declared once: field -> (how it is read off the
-#: finished run — a ``TransportResult`` or ``ChaosResult``, both carry
-#: the ``SimulationReport`` as ``.report`` — and the registry counter a
-#: grid sums it into, or None).  :func:`run_cell` fills exactly these,
-#: :func:`check_regression` compares exactly these and
-#: :func:`results_to_registry` publishes exactly the named ones.
-CELL_FIELDS: Dict[str, Tuple[Callable[[Any], Any], Optional[str]]] = {
+#: What a cell measures, declared once: field -> (how it is read off a
+#: finished simulator run — a ``TransportResult`` or ``ChaosResult``,
+#: both carry the ``SimulationReport`` as ``.report`` — or None for a
+#: count only the paper cells have, and the registry counter a grid sums
+#: it into, or None).  :func:`run_cell` fills exactly these: a simulator
+#: cell every field with a reader, a paper cell the names its
+#: ``Sweep.tally`` returns.  :func:`check_regression` compares exactly
+#: these and :func:`results_to_registry` publishes exactly the named ones.
+CELL_FIELDS: Dict[str, Tuple[Optional[Callable[[Any], Any]], Optional[str]]] = {
     "throughput": (_report("throughput"), None),
     "mean_response_time": (_report("mean_response_time"), None),
     "committed": (_report("committed_global"), "bench.committed"),
@@ -62,6 +91,17 @@ CELL_FIELDS: Dict[str, Tuple[Callable[[Any], Any], Optional[str]]] = {
     "mean_wait_set": (_report("mean_wait_set"), None),
     # a chaos cell is one simulator, hence one shard
     "shards": (lambda run: getattr(run, "shards", 1), "transport.shards"),
+    # ser-operations inserted into WAIT, transactions scheduled (fin
+    # processed), Eliminate_Cycles' |Δ| and 2PL-over-ser(S) deadlocks
+    "ser_waits": (None, "gtm.ser_waits"),
+    "transactions": (None, "gtm.transactions"),
+    "delta_edges": (None, "gtm.delta_edges"),
+    "deadlocks": (None, "gtm.deadlocks"),
+    # E6: Δ's candidate dependencies, the minimum |Δ*| (None where the
+    # exact search was not run) and the subsets that search tested
+    "candidates": (None, None),
+    "delta_min": (None, None),
+    "subsets_tested": (None, None),
 }
 
 
@@ -102,13 +142,21 @@ def make_specs(
 
 def run_cell(spec: Dict[str, Any]) -> Dict[str, Any]:
     """Run one bench cell; picklable, safe to call in a worker process."""
+    result = dict(spec)
+    sweep = _PAPER_SWEEPS.get(spec["experiment"])
+    if sweep is not None:
+        result.update(sweep.tally(spec))
+        return result
     # E4 (throughput) and E14 (degree of concurrency) share the workload
     # and the runner; E14 differs only in the gated statistic (mean
     # WAIT-set size) and its high-MPL grid (see E14_MPL / check_dominance)
     runners = {"E11": _run_e11_cell, "E13": _run_e13_cell}
     run = runners.get(spec["experiment"], _run_e4_cell)(spec)
-    result = dict(spec)
-    result.update((name, read(run)) for name, (read, _) in CELL_FIELDS.items())
+    result.update(
+        (name, read(run))
+        for name, (read, _) in CELL_FIELDS.items()
+        if read is not None
+    )
     return result
 
 
@@ -230,6 +278,530 @@ def _run_e13_cell(spec: Dict[str, Any]):
     )
 
 
+# ----------------------------------------------------------------------
+# The paper's own experiments, on the GTM2 layer alone
+# ----------------------------------------------------------------------
+
+#: one rendered table: (title, headers, rows)
+Table = Tuple[str, List[str], List[Sequence[Any]]]
+
+
+class Sweep(NamedTuple):
+    """One grid of paper cells: every scheme × swept value × seed.  The
+    swept value (n, dav, m or transactions per trace) is recorded as the
+    cell's ``mpl``, and its ``transport`` is ``"drive"``."""
+
+    schemes: Tuple[str, ...]
+    values: Tuple[int, ...]
+    seeds: Tuple[int, ...]
+    #: spec -> the cell's counts, keyed by :data:`CELL_FIELDS` names
+    tally: Callable[[Dict[str, Any]], Dict[str, Any]]
+
+
+class Experiment(NamedTuple):
+    """One paper experiment: its claim, its sweeps (each a cell
+    ``experiment`` name) and the tables its cells render to."""
+
+    title: str
+    claim: str
+    sweeps: Dict[str, Sweep]
+    #: the experiment's cells -> its tables
+    tables: Callable[[List[Dict[str, Any]]], List[Table]]
+
+
+def _drive_tally(trace: Callable[[int, int], Trace]):
+    """Cells replaying ``trace(value, seed)`` through the cell's scheme
+    (a paper scheme or a baseline) with synchronous servers;
+    :func:`drive` raises on a non-serializable ser(S)."""
+    from repro.baselines import BASELINES
+    from repro.core import SCHEMES
+
+    def tally(spec: Dict[str, Any]) -> Dict[str, Any]:
+        # E6c's traces keep every exact search within 2**14 subsets
+        name = spec["scheme"]
+        options = {"max_candidates": 14} if name == "scheme2-minimal" else {}
+        scheme = {**SCHEMES, **BASELINES}[name](**options)
+        result = drive(scheme, trace(spec["mpl"], spec["seed"]))
+        return {
+            "scheme_steps": result.metrics.steps,
+            "transactions": result.metrics.transactions_finished,
+            "ser_waits": result.ser_waits,
+            "delta_edges": result.metrics.delta_edges,
+            "global_aborts": result.abort_count,
+            # only 2PL over ser(S) has deadlocks to detect
+            "deadlocks": getattr(scheme, "deadlocks", 0),
+        }
+
+    return tally
+
+
+def _delta_tally(
+    build: Callable[[TSGD, int, int], str], exact_up_to: Optional[int] = None
+):
+    """Cells comparing Eliminate_Cycles' Δ (and its steps) with the exact
+    minimum on the TSGD ``build(tsgd, value, seed)`` fills; *build*
+    returns the transaction whose Δ is studied.  The exact search runs
+    only where |Δ| is at most *exact_up_to* (if given)."""
+
+    def tally(spec: Dict[str, Any]) -> Dict[str, Any]:
+        metrics = SchemeMetrics()
+        tsgd = TSGD(metrics)
+        target = build(tsgd, spec["mpl"], spec["seed"])
+        before = metrics.steps
+        heuristic = tsgd.eliminate_cycles(target)
+        if tsgd.has_dangerous_cycle_through(target, heuristic):
+            raise RuntimeError(f"E6 cell {spec!r}: Δ leaves a dangerous cycle")
+        optimal, tested = None, 0
+        if exact_up_to is None or len(heuristic) <= exact_up_to:
+            optimal, tested = minimum_delta(tsgd, target)
+        return {
+            "scheme_steps": metrics.steps - before,
+            "candidates": len(candidate_dependencies(tsgd, target)),
+            "delta_edges": len(heuristic),
+            "delta_min": None if optimal is None else len(optimal),
+            "subsets_tested": tested,
+        }
+
+    return tally
+
+
+def _random_tsgd(
+    tsgd: TSGD, rng: random.Random, sites: int, txns: int, span: Optional[int]
+) -> str:
+    """*txns* transactions over *sites* random sites each, then ``GX``,
+    the transaction whose Δ is studied, over *span* of them (random in
+    2..*sites* if None); no Δ is applied."""
+    names = [f"s{index}" for index in range(sites)]
+    for index in range(txns):
+        tsgd.insert_transaction(f"G{index}", rng.sample(names, rng.randint(1, sites)))
+    tsgd.insert_transaction("GX", rng.sample(names, span or rng.randint(2, sites)))
+    return "GX"
+
+
+def _sparse_tsgd(tsgd: TSGD, _: int, seed: int) -> str:
+    """E6a: 3–6 transactions over 2–4 sites."""
+    rng = random.Random(seed)
+    return _random_tsgd(tsgd, rng, rng.randint(2, 4), rng.randint(3, 6), None)
+
+
+def _dense_tsgd(tsgd: TSGD, txns: int, seed: int) -> str:
+    """E6b: *txns* transactions over 3 sites, then one spanning all 3."""
+    return _random_tsgd(tsgd, random.Random(seed + txns), 3, txns, 3)
+
+
+def _random_m3(n: int, seed: int) -> Trace:
+    return random_trace(n, 3, 2, seed=seed)
+
+
+def fit_exponent(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Least-squares slope of log(y) against log(x) — the empirical
+    growth exponent the E1 bands are on."""
+    if len(xs) != len(ys) or len(xs) < 2:
+        raise ValueError("need at least two matching points")
+    log_x = [math.log(x) for x in xs]
+    log_y = [math.log(max(y, 1e-12)) for y in ys]
+    n = len(log_x)
+    mean_x = sum(log_x) / n
+    mean_y = sum(log_y) / n
+    sxx = sum((x - mean_x) ** 2 for x in log_x)
+    sxy = sum(
+        (x - mean_x) * (y - mean_y) for x, y in zip(log_x, log_y)
+    )
+    return sxy / sxx if sxx else 0.0
+
+
+@dataclass
+class Dominance:
+    """The paper's degree-of-concurrency relation between two schemes
+    over a trace population (§4): ``CC1`` provides more concurrency than
+    ``CC2`` if on no QUEUE order ``CC2`` adds fewer operations to WAIT."""
+
+    first: str
+    second: str
+    #: traces where first waited strictly less / more / the same
+    first_better: int
+    second_better: int
+    ties: int
+
+    @property
+    def verdict(self) -> str:
+        if self.second_better == 0 and self.first_better > 0:
+            return f"{self.first} >= {self.second}"
+        if self.first_better == 0 and self.second_better > 0:
+            return f"{self.second} >= {self.first}"
+        if self.first_better and self.second_better:
+            return "incomparable"
+        return "equal"
+
+
+def _paired(
+    cells: Iterable[Dict[str, Any]], first: str, second: str, field: str
+) -> List[Tuple[Tuple[Any, ...], Any, Any]]:
+    """(trace, *first*'s *field*, *second*'s) for every input both schemes
+    ran — a trace is a :data:`CELL_KEY` without the scheme — in cell
+    order."""
+    values = {_cell_key(cell): cell[field] for cell in cells}
+    pairs = []
+    for (experiment, scheme, *rest), value in values.items():
+        rival = (experiment, second, *rest)
+        if scheme == first and rival in values:
+            pairs.append(((experiment, *rest), value, values[rival]))
+    return pairs
+
+
+def dominance(
+    cells: Iterable[Dict[str, Any]], first: str, second: str
+) -> Dominance:
+    """The two schemes' :class:`Dominance` on ``ser_waits`` over the
+    traces both replayed."""
+    pairs = _paired(cells, first, second, "ser_waits")
+    first_better = sum(1 for _, a, b in pairs if a < b)
+    second_better = sum(1 for _, a, b in pairs if b < a)
+    ties = len(pairs) - first_better - second_better
+    return Dominance(first, second, first_better, second_better, ties)
+
+
+def mean_waits(cells: Iterable[Dict[str, Any]]) -> Dict[str, float]:
+    """Average ser-operation waits per scheme over the traces it replayed."""
+    sums: Dict[str, int] = {}
+    counts: Dict[str, int] = {}
+    for cell in cells:
+        scheme = cell["scheme"]
+        sums[scheme] = sums.get(scheme, 0) + cell["ser_waits"]
+        counts[scheme] = counts.get(scheme, 0) + 1
+    return {scheme: sums[scheme] / counts[scheme] for scheme in sums}
+
+
+def select(cells: Iterable[Dict[str, Any]], *sweeps: str) -> List[Dict[str, Any]]:
+    """The cells of the named sweeps, in order."""
+    return [cell for cell in cells if cell["experiment"] in sweeps]
+
+
+def totals(
+    cells: Iterable[Dict[str, Any]], field: str
+) -> Dict[str, Dict[int, Any]]:
+    """{scheme: {swept value: *field* summed over seeds}}, in cell order."""
+    out: Dict[str, Dict[int, Any]] = {}
+    for cell in cells:
+        row = out.setdefault(cell["scheme"], {})
+        row[cell["mpl"]] = row.get(cell["mpl"], 0) + cell[field]
+    return out
+
+
+def ratios(
+    cells: Iterable[Dict[str, Any]], field: str, per: str
+) -> Dict[str, Dict[int, float]]:
+    """:func:`totals` of *field* over those of *per*, e.g. the paper's
+    complexity measure, ``scheme_steps`` per scheduled ``transactions``."""
+    cells = list(cells)
+    over = totals(cells, per)
+    return {
+        scheme: {value: count / over[scheme][value] for value, count in row.items()}
+        for scheme, row in totals(cells, field).items()
+    }
+
+
+def exponents(cells: Iterable[Dict[str, Any]]) -> Dict[str, float]:
+    """Fitted log-log growth of steps/transaction in the swept value."""
+    return {
+        scheme: fit_exponent(list(row), list(row.values()))
+        for scheme, row in ratios(cells, "scheme_steps", "transactions").items()
+    }
+
+
+def delayed_streams(cells: Iterable[Dict[str, Any]], scheme: str) -> int:
+    """How many of *scheme*'s cells put any ser-operation into WAIT."""
+    return sum(1 for cell in cells if cell["scheme"] == scheme and cell["ser_waits"])
+
+
+def _e1_tables(cells: List[Dict[str, Any]]) -> List[Table]:
+    tables = []
+    for sweep, axis, title in (
+        ("E1n", "n", "E1a — steps/transaction vs n (m=6, dav=3)"),
+        ("E1dav", "dav", "E1b — steps/transaction vs dav (n~8 active, m=8)"),
+        ("E1m", "m", "E1c — steps/transaction vs m (n~8 active, dav=3)"),
+    ):
+        points = ratios(select(cells, sweep), "scheme_steps", "transactions")
+        slopes = exponents(select(cells, sweep))
+        values = next(iter(points.values()))
+        tables.append((
+            title,
+            ["scheme"] + [f"{axis}={value}" for value in values] + [f"exp({axis})"],
+            [[scheme, *row.values(), slopes[scheme]] for scheme, row in points.items()],
+        ))
+    return tables
+
+
+def _dominance_table(
+    title: str, cells: List[Dict[str, Any]], pairs: List[Tuple[str, str]]
+) -> Table:
+    return (
+        title,
+        ["pair", "first<", "second<", "ties", "verdict"],
+        [
+            (f"{d.first} vs {d.second}", d.first_better, d.second_better,
+             d.ties, d.verdict)
+            for d in (dominance(cells, first, second) for first, second in pairs)
+        ],
+    )
+
+
+def _e2_tables(cells: List[Dict[str, Any]]) -> List[Table]:
+    population = select(cells, "E2rand", "E2adv")
+    return [
+        (
+            "E2a — mean ser-operation WAIT insertions per trace "
+            "(20 random traces of 30 txns, 5 adversarial of 20; m=4, dav=2)",
+            ["scheme", "mean ser-waits"],
+            sorted(mean_waits(population).items(), key=lambda row: -row[1]),
+        ),
+        _dominance_table(
+            "E2b — pairwise dominance on the same traces (how many each "
+            "scheme of the pair waited strictly less on)",
+            population,
+            [("scheme1", "scheme0"), ("scheme2", "scheme0"), ("scheme3", "scheme0"),
+             ("scheme1", "scheme2"), ("scheme3", "scheme2"), ("scheme1", "site-graph")],
+        ),
+        _dominance_table(
+            "E2c — Scheme 1 vs Scheme 2 over 120 traces (20 txns, m=3, dav=2)",
+            select(cells, "E2hunt"),
+            [("scheme1", "scheme2")],
+        ),
+    ]
+
+
+def _e3_tables(cells: List[Dict[str, Any]]) -> List[Table]:
+    return [(
+        "E3 — ser-operation waits on serializable-in-arrival-order streams "
+        "(25 streams, 25 txns, m=4, dav=2)",
+        ["scheme", "total ser-waits", "streams delayed"],
+        [
+            (scheme, sum(row.values()), delayed_streams(cells, scheme))
+            for scheme, row in totals(cells, "ser_waits").items()
+        ],
+    )]
+
+
+def _e6_tables(cells: List[Dict[str, Any]]) -> List[Table]:
+    excess = [
+        cell["delta_edges"] - cell["delta_min"]
+        for cell in select(cells, "E6a")
+        if cell["delta_min"] is not None
+    ]
+    ablation = select(cells, "E6c")
+    waits, steps = totals(ablation, "ser_waits"), totals(ablation, "scheme_steps")
+    return [
+        (
+            "E6a — Eliminate_Cycles Δ vs exact minimum Δ on 200 random TSGDs "
+            "(3-6 txns, m=2-4; exact search where |Δ| <= 6)",
+            ["measure", "value"],
+            [
+                ("instances", len(excess)),
+                ("non-minimal Δ returned", sum(1 for extra in excess if extra)),
+                ("total excess dependencies", sum(excess)),
+            ],
+        ),
+        (
+            "E6b — Eliminate_Cycles steps vs subsets the exact minimum-Δ "
+            "search tested, dense TSGDs (m=3)",
+            ["txns", "candidates", "|Δ|", "|Δ*|", "eliminate steps",
+             "subsets tested"],
+            [
+                (cell["mpl"], cell["candidates"], cell["delta_edges"],
+                 cell["delta_min"], cell["scheme_steps"], cell["subsets_tested"])
+                for cell in select(cells, "E6b")
+            ],
+        ),
+        (
+            "E6c — exact-minimal Δ vs heuristic Δ inside Scheme 2 "
+            "(10 traces, 10 txns, m=3, dav=2)",
+            ["scheme", "total ser-waits", "scheme steps"],
+            [(scheme, waits[scheme][10], steps[scheme][10]) for scheme in waits],
+        ),
+    ]
+
+
+def _e7_tables(cells: List[Dict[str, Any]]) -> List[Table]:
+    deadlocks = totals(cells, "deadlocks")["2pl-gtm"]
+    return [
+        (
+            "E7 — global-transaction abort rate under conservative vs "
+            "abort-based GTM2 CC (m=3, dav=2, 8 traces per point)",
+            ["scheme"] + [f"n={n}" for n in deadlocks],
+            [
+                [scheme] + [f"{100 * rate:.1f}%" for rate in row.values()]
+                # a cell's mpl is its trace's n: the aborted share
+                for scheme, row in ratios(cells, "global_aborts", "mpl").items()
+            ],
+        ),
+        (
+            "E7b — deadlocks detected by 2PL-over-ser(S) (8 traces per n)",
+            ["n", "deadlocks"],
+            list(deadlocks.items()),
+        ),
+    ]
+
+
+_BT_SCHEMES = ("scheme0", "scheme1", "scheme2", "scheme3")
+_E2_SCHEMES = ("site-graph",) + _BT_SCHEMES
+
+#: The paper's claims as bench cells, each declared once: a ``drive()``
+#: replay of a synthetic QUEUE order, or (E6a/E6b) a TSGD studied
+#: directly, on the parameters EXPERIMENTS.md records.
+#: ``repro bench --experiment <name>`` runs one, ``paper`` all five;
+#: ``repro report`` renders them from a BENCH file.
+PAPER_EXPERIMENTS: Dict[str, Experiment] = {
+    "E1": Experiment(
+        "complexity (steps/transaction vs n, dav, m)",
+        "Scheme 0 O(dav); Scheme 1 O(m+n+n·dav); Schemes 2/3 O(n²·dav) "
+        "(Theorems 4, 6, 9), counting steps in cond, act and WAIT "
+        "re-examination.",
+        {
+            # the WAIT window tracks n: n is *concurrently active* txns
+            "E1n": Sweep(_BT_SCHEMES, (4, 8, 16, 32), (1,), _drive_tally(
+                lambda n, seed: staggered_trace(
+                    4 * n, 6, 3, seed=seed, window=2 * n
+                )
+            )),
+            "E1dav": Sweep(_BT_SCHEMES, (1, 2, 4, 8), (2,), _drive_tally(
+                lambda dav, seed: staggered_trace(40, 8, dav, seed=seed, window=8)
+            )),
+            "E1m": Sweep(
+                ("scheme0", "scheme1", "scheme3"), (4, 8, 16, 32), (4,),
+                _drive_tally(
+                    lambda m, seed: staggered_trace(40, m, 3, seed=seed, window=8)
+                ),
+            ),
+        },
+        _e1_tables,
+    ),
+    "E2": Experiment(
+        "degree of concurrency (ser-operation WAIT insertions)",
+        "Schemes 1, 2 > Scheme 0 ≥ the [BS88] site graph; Scheme 3 > all; "
+        "Schemes 1 and 2 incomparable (§4, §7).",
+        {
+            "E2rand": Sweep(_E2_SCHEMES, (30,), tuple(range(20)), _drive_tally(
+                lambda n, seed: random_trace(n, 4, 2, seed=seed)
+            )),
+            "E2adv": Sweep(_E2_SCHEMES, (20,), tuple(range(5)), _drive_tally(
+                lambda n, seed: adversarial_trace(n, 4, 2, seed=seed)
+            )),
+            "E2hunt": Sweep(
+                ("scheme1", "scheme2"), (20,), tuple(range(120)),
+                _drive_tally(_random_m3),
+            ),
+        },
+        _e2_tables,
+    ),
+    "E3": Experiment(
+        "Scheme 3 permits all serializable schedules",
+        "Zero ser-waits on streams serializable in arrival order "
+        "(Theorem 8 corollary); the BT-schemes delay them.",
+        {
+            "E3": Sweep(_BT_SCHEMES, (25,), tuple(range(25)), _drive_tally(
+                lambda n, seed: serializable_order_trace(n, 4, 2, seed=seed)
+            )),
+        },
+        _e3_tables,
+    ),
+    "E6": Experiment(
+        "Theorem 7 (minimal Δ is NP-complete)",
+        "Eliminate_Cycles' Δ may be non-minimal; the exact minimum-Δ "
+        "search tests exponentially many subsets while Eliminate_Cycles "
+        "stays polynomial; exact Δ inside Scheme 2 waits less at more "
+        "steps.",
+        {
+            # past |Δ| = 6 the exact search would swamp the grid
+            "E6a": Sweep(("scheme2",), (0,), tuple(range(200)),
+                         _delta_tally(_sparse_tsgd, exact_up_to=6)),
+            "E6b": Sweep(("scheme2",), (3, 4, 5, 6), (100,),
+                         _delta_tally(_dense_tsgd)),
+            "E6c": Sweep(
+                ("scheme2", "scheme2-minimal"), (10,), tuple(range(10)),
+                _drive_tally(_random_m3),
+            ),
+        },
+        _e6_tables,
+    ),
+    "E7": Experiment(
+        "conservative vs abort-based GTM2 CC (abort rate)",
+        "Every ser-operation pair at a site conflicts, so abort-based CC "
+        "over ser(S) kills global transactions wholesale, and 2PL "
+        "deadlocks more as n grows (§3).",
+        {
+            "E7": Sweep(
+                _BT_SCHEMES + ("2pl-gtm", "to-gtm", "optimistic-gtm"),
+                (10, 20, 40), tuple(range(8)), _drive_tally(_random_m3),
+            ),
+        },
+        _e7_tables,
+    ),
+}
+
+_PAPER_SWEEPS = {
+    name: sweep
+    for experiment in PAPER_EXPERIMENTS.values()
+    for name, sweep in experiment.sweeps.items()
+}
+
+
+def paper_specs(*experiments: str) -> List[Dict[str, Any]]:
+    """The cells of the named paper experiments (all five by default), in
+    the fixed order results are merged back in."""
+    return [
+        spec
+        for name in experiments or PAPER_EXPERIMENTS
+        for sweep_name, sweep in PAPER_EXPERIMENTS[name].sweeps.items()
+        for spec in make_specs(
+            sweep.schemes,
+            sweep.values,
+            sweep.seeds,
+            experiment=sweep_name,
+            transport="drive",
+        )
+    ]
+
+
+def render_report(
+    cells: Sequence[Dict[str, Any]],
+    experiments: Sequence[str] = tuple(PAPER_EXPERIMENTS),
+) -> str:
+    """The named paper experiments as markdown, rendered from *cells*
+    (a BENCH file's) alone.  Raises ValueError naming an unknown
+    experiment, or one whose cells are not all present."""
+    present = {_cell_key(cell) for cell in cells}
+    sections = []
+    for name in experiments:
+        if name not in PAPER_EXPERIMENTS:
+            raise ValueError(
+                f"unknown experiment {name!r}; choose from "
+                f"{sorted(PAPER_EXPERIMENTS)}"
+            )
+        missing = [spec for spec in paper_specs(name) if _cell_key(spec) not in present]
+        if missing:
+            raise ValueError(
+                f"{name}: {len(missing)} of its cells are missing, e.g. "
+                + " ".join(f"{key}={missing[0][key]}" for key in CELL_KEY)
+            )
+        experiment = PAPER_EXPERIMENTS[name]
+        body = "\n\n".join(
+            render_table(headers, rows, title=title)
+            for title, headers, rows in experiment.tables(
+                select(cells, *experiment.sweeps)
+            )
+        )
+        sections.append(
+            f"## {name} — {experiment.title}\n\n**Claim.** "
+            f"{experiment.claim}\n\n```\n{body}\n```\n"
+        )
+    return (
+        "# The paper's experiments\n\n"
+        "Rendered by `python -m repro report` from committed cells; "
+        "`python -m repro bench --experiment paper --baseline BENCH_10.json` "
+        "re-runs them exactly.\n\n" + "\n".join(sections)
+    )
+
+
 def run_grid(
     specs: Sequence[Dict[str, Any]],
     workers: int = 1,
@@ -337,31 +909,25 @@ def check_dominance(
     Returns failure descriptions; an empty list means dominance holds,
     and a grid with no comparable pair at some *mpl* fails — a gate that
     compares nothing must not pass."""
-    indexed = {_cell_key(cell): cell for cell in cells}
     failures: List[str] = []
     for mpl in mpl_values:
-        compared = 0
-        for key, reference in sorted(
-            (k, c)
-            for k, c in indexed.items()
-            if k[0] == experiment and k[1] == incumbent and k[2] == mpl
-        ):
-            rival_key = (experiment, challenger) + key[2:]
-            rival = indexed.get(rival_key)
-            if rival is None:
-                continue
-            compared += 1
-            seed = reference["seed"]
-            if not rival["mean_wait_set"] < reference["mean_wait_set"]:
-                failures.append(
-                    f"{challenger}@mpl={mpl} seed={seed}: mean WAIT-set "
-                    f"size {rival['mean_wait_set']:.3f} not strictly "
-                    f"below {incumbent}'s "
-                    f"{reference['mean_wait_set']:.3f}"
-                )
-        if compared == 0:
+        pairs = [
+            (trace, rival, reference)
+            for trace, rival, reference in _paired(
+                cells, challenger, incumbent, "mean_wait_set"
+            )
+            if trace[:2] == (experiment, mpl)
+        ]
+        if not pairs:
             failures.append(
                 f"no comparable {experiment} {challenger}/{incumbent} "
                 f"pairs at mpl={mpl}"
             )
+        failures += [
+            f"{challenger}@mpl={mpl} seed={trace[2]}: mean WAIT-set "
+            f"size {rival:.3f} not strictly below {incumbent}'s "
+            f"{reference:.3f}"
+            for trace, rival, reference in pairs
+            if not rival < reference
+        ]
     return failures

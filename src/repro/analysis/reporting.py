@@ -1,8 +1,8 @@
 """Fixed-width table rendering for the benchmark harness.
 
-Every bench prints its series through :func:`render_table`, so
-``pytest benchmarks/ --benchmark-only`` regenerates the paper's
-comparisons as aligned text tables (recorded in EXPERIMENTS.md).
+Every bench prints its series through :func:`render_table`, and
+``repro report`` renders the paper's comparisons from a BENCH file's
+cells the same way (recorded in EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -45,15 +45,6 @@ def render_table(
             "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row))
         )
     return "\n".join(lines)
-
-
-def print_table(
-    headers: Sequence[str],
-    rows: Iterable[Sequence[Cell]],
-    title: Optional[str] = None,
-) -> None:
-    print()
-    print(render_table(headers, rows, title=title))
 
 
 def render_mapping(mapping: Mapping[str, Cell], title: Optional[str] = None) -> str:

@@ -22,11 +22,16 @@ Commands
     histories.
 
 ``bench``
-    Run the trajectory grid (E4 throughput / E11 atomic-commit / E13
+    Run a trajectory grid (the paper's E1/E2/E3/E6/E7 cells on the GTM2
+    layer, or the simulator's E4 throughput / E11 atomic-commit / E13
     commit-group / E14 degree-of-concurrency cells) across worker
     processes, emit a ``BENCH_<n>.json`` file, and optionally fail
     unless every cell equals its twin in a committed baseline (see
     docs/performance.md).
+
+``report``
+    Render the paper's experiments as markdown tables from the cells of
+    a BENCH file (``BENCH_10.json``).
 
 Examples
 --------
@@ -38,6 +43,8 @@ Examples
     python -m repro chaos --runs 50 --loss-rate 0.2
     python -m repro bench --schemes scheme2 scheme3 --mpl 16 \
         --baseline BENCH_3.json --out BENCH_smoke.json
+    python -m repro bench --experiment paper --baseline BENCH_10.json
+    python -m repro report BENCH_10.json --experiments E3
 """
 
 from __future__ import annotations
@@ -364,18 +371,35 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "--check-dominance needs at least one E14 gate MPL "
                 f"{sorted(bench.E14_MPL)} in --mpl, got {list(args.mpl)}"
             )
-    seeds = [args.base_seed + offset for offset in range(args.seeds)]
-    specs = []
-    for transport in transports:
-        specs += bench.make_specs(
-            schemes=args.schemes,
-            mpl_values=args.mpl,
-            seeds=seeds,
-            experiment=args.experiment,
-            transport=transport,
-            workers=args.workers if transport == "parallel" else 1,
-            groups=args.groups,
-        )
+    # "paper" is all five of the paper's experiments
+    paper = [
+        name
+        for name in bench.PAPER_EXPERIMENTS
+        if args.experiment in (name, "paper")
+    ]
+    if paper:
+        # a paper experiment's grid is its declaration in bench
+        grid = (args.schemes, args.mpl, args.seeds, args.base_seed, args.groups)
+        if grid != (list(bench.DEFAULT_SCHEMES), list(bench.DEFAULT_MPL), 4, 7, 1):
+            raise SystemExit(
+                f"--experiment {args.experiment} runs its declared grid; "
+                "--schemes/--mpl/--seeds/--base-seed/--groups select the "
+                "E4/E11/E13/E14 grids only"
+            )
+        specs = bench.paper_specs(*paper)
+    else:
+        seeds = [args.base_seed + offset for offset in range(args.seeds)]
+        specs = []
+        for transport in transports:
+            specs += bench.make_specs(
+                schemes=args.schemes,
+                mpl_values=args.mpl,
+                seeds=seeds,
+                experiment=args.experiment,
+                transport=transport,
+                workers=args.workers if transport == "parallel" else 1,
+                groups=args.groups,
+            )
     # nested-pool guard: the parallel transport owns the worker pool, so
     # bench cells must run serially — forking a cell pool on top of
     # per-cell shard pools would oversubscribe the host and
@@ -385,35 +409,42 @@ def cmd_bench(args: argparse.Namespace) -> int:
         results = bench.run_grid(specs, workers=workers)
     except ValueError as exc:
         raise SystemExit(f"invalid bench grid: {exc}") from exc
-    table = [
-        {
-            "transport": cell["transport"],
-            "scheme": cell["scheme"],
-            "mpl": cell["mpl"],
-            "seed": cell["seed"],
-            "committed": cell["committed"],
-            "tput (txn/kt)": round(cell["throughput"] * 1000, 2),
-            "mean rt": round(cell["mean_response_time"], 1),
-            "steps": cell["scheme_steps"],
-            "mean WAIT": round(cell["mean_wait_set"], 2),
-        }
-        for cell in results
-    ]
-    print(
-        render_table(
-            list(table[0]) if table else (),
-            [list(row.values()) for row in table],
-            title=f"{args.experiment} bench grid",
+    if paper:
+        print(bench.render_report(results, paper))
+    else:
+        table = [
+            {
+                "transport": cell["transport"],
+                "scheme": cell["scheme"],
+                "mpl": cell["mpl"],
+                "seed": cell["seed"],
+                "committed": cell["committed"],
+                "tput (txn/kt)": round(cell["throughput"] * 1000, 2),
+                "mean rt": round(cell["mean_response_time"], 1),
+                "steps": cell["scheme_steps"],
+                "mean WAIT": round(cell["mean_wait_set"], 2),
+            }
+            for cell in results
+        ]
+        print(
+            render_table(
+                list(table[0]) if table else (),
+                [list(row.values()) for row in table],
+                title=f"{args.experiment} bench grid",
+            )
         )
-    )
     if args.out:
-        recorded = ("experiment", "schemes", "mpl", "seeds", "base_seed", "groups")
-        meta = {name: getattr(args, name) for name in recorded}
-        meta["transports"] = transports
-        if "parallel" in transports:
-            # the shard pool's size; the cell pool's (a host default)
-            # changes no cell and is not recorded
-            meta["workers"] = args.workers
+        if paper:
+            # a paper grid is its declaration, named by --experiment
+            meta = {"experiment": args.experiment}
+        else:
+            recorded = ("experiment", "schemes", "mpl", "seeds", "base_seed", "groups")
+            meta = {name: getattr(args, name) for name in recorded}
+            meta["transports"] = transports
+            if "parallel" in transports:
+                # the shard pool's size; the cell pool's (a host default)
+                # changes no cell and is not recorded
+                meta["workers"] = args.workers
         bench.emit_json(results, args.out, meta=meta)
         print(f"wrote {args.out}")
     if args.metrics_out:
@@ -446,16 +477,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import ALL_EXPERIMENTS, render_report
+    from repro.analysis import bench
 
-    names = args.experiments or sorted(ALL_EXPERIMENTS)
-    for name in names:
-        if name not in ALL_EXPERIMENTS:
-            raise SystemExit(
-                f"unknown experiment {name!r}; choose from "
-                f"{sorted(ALL_EXPERIMENTS)}"
-            )
-    text = render_report(names)
+    try:
+        text = bench.render_report(
+            bench.load_json(args.bench)["cells"],
+            args.experiments or tuple(bench.PAPER_EXPERIMENTS),
+        )
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"{args.bench}: {exc}") from exc
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)
@@ -616,11 +646,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = sub.add_parser(
         "bench",
-        help="run the perf-trajectory bench grid (E4/E11/E13/E14 cells "
-        "across worker processes) and optionally gate on a baseline",
+        help="run a bench grid (the paper's E1/E2/E3/E6/E7 cells, or the "
+        "simulator's E4/E11/E13/E14 cells, across worker processes) and "
+        "optionally gate on a baseline",
     )
     bench_parser.add_argument(
-        "--experiment", choices=["E4", "E11", "E13", "E14"], default="E4"
+        "--experiment",
+        choices=["E1", "E2", "E3", "E4", "E6", "E7", "E11", "E13", "E14", "paper"],
+        default="E4",
+        help="paper = E1, E2, E3, E6 and E7, each on its declared grid",
     )
     bench_parser.add_argument(
         "--schemes",
@@ -677,8 +711,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.set_defaults(func=cmd_bench)
 
     report_parser = sub.add_parser(
-        "report", help="regenerate the analytical experiment report"
+        "report", help="render the paper's experiments from a BENCH file"
     )
+    report_parser.add_argument("bench", help="e.g. BENCH_10.json")
     report_parser.add_argument(
         "--experiments", nargs="*", help="subset, e.g. E1 E3"
     )

@@ -172,9 +172,6 @@ class TwoPhaseCoordinator:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def decided_commit(self, incarnation: str) -> bool:
-        return incarnation in self._commits
-
     def resolve(self, incarnation: str) -> Optional[bool]:
         """Answer an in-doubt participant's inquiry: True = COMMIT,
         False = ABORT (presumed), None = still voting, ask again."""

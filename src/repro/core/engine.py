@@ -27,7 +27,7 @@ DBMSs through the servers" means — the trace drivers
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.events import Ack, QueueOp, Ser
 from repro.core.scheme import ConservativeScheme, SchemeContext
@@ -138,17 +138,9 @@ class Engine(SchemeContext):
             self.journal.log_enqueued(operation)
         self._queue.append(operation)
 
-    def enqueue_all(self, operations: Iterable[QueueOp]) -> None:
-        for operation in operations:
-            self.enqueue(operation)
-
     @property
     def wait_set(self) -> Tuple[QueueOp, ...]:
         return tuple(self._wait.values())
-
-    @property
-    def queue_size(self) -> int:
-        return len(self._queue)
 
     def purge_transaction(self, transaction_id: str) -> None:
         """Drop all queued and waiting operations of a transaction (used

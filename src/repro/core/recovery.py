@@ -151,11 +151,6 @@ class Journal:
         """All logged COMMIT decisions, in decision order."""
         return tuple(self.decisions)
 
-    def decision_of(self, incarnation: str) -> bool:
-        """True when a COMMIT decision is on record; absence means the
-        incarnation is presumed aborted."""
-        return incarnation in self._decided
-
     def outstanding(self) -> Tuple[QueueOp, ...]:
         """Logged-but-unprocessed operations, in insertion order, with
         operations of purged transactions excluded.  O(n) via the

@@ -28,7 +28,7 @@ from typing import Set, Tuple
 
 from repro.core.events import Ack, Fin, Init, Ser
 from repro.core.scheme import ConservativeScheme
-from repro.core.tsgd import TSGD
+from repro.core.tsgd import TSGD, Dependency
 from repro.exceptions import SchedulerError
 
 
@@ -70,7 +70,7 @@ class Scheme2(ConservativeScheme):
                 if (other, site) in self._executed:
                     self.tsgd.add_dependency(other, site, transaction_id)
         if self._eliminate:
-            delta = self.tsgd.eliminate_cycles(transaction_id)
+            delta = self.choose_delta(transaction_id)
             self.metrics.delta_edges += len(delta)
             self.tsgd.add_dependencies(sorted(delta))
         if self._verify and self.tsgd.has_dangerous_cycle_through(
@@ -80,6 +80,11 @@ class Scheme2(ConservativeScheme):
                 f"Eliminate_Cycles left a dangerous cycle through "
                 f"{transaction_id!r}"
             )
+
+    def choose_delta(self, transaction_id: str) -> Set[Dependency]:
+        """The Δ that breaks every dangerous cycle through the new
+        transaction: ``Eliminate_Cycles`` (Figure 4)."""
+        return self.tsgd.eliminate_cycles(transaction_id)
 
     # -- ser -----------------------------------------------------------------
     def cond_ser(self, operation: Ser) -> bool:

@@ -5,8 +5,8 @@ and hence maximal concurrency among TSGD-based BT-schemes — if
 ``Eliminate_Cycles`` returned a minimal Δ, but Theorem 7 shows computing
 one is NP-complete.  This class realizes that ideal anyway, by exhaustive
 search (:func:`repro.core.tsgd.minimum_delta`), so the trade-off can be
-*measured*: benchmark E6c compares its waits and wall-clock against
-Scheme 2's polynomial heuristic.
+*measured*: benchmark E6c compares its waits and steps against Scheme 2's
+polynomial heuristic.
 
 Only suitable for small instances (the search is exponential in the
 number of candidate dependencies); the constructor's ``max_candidates``
@@ -16,9 +16,10 @@ scheme stays usable in mixed experiments.
 
 from __future__ import annotations
 
-from repro.core.events import Init
+from typing import Set
+
 from repro.core.scheme2 import Scheme2
-from repro.core.tsgd import candidate_dependencies, minimum_delta
+from repro.core.tsgd import Dependency, candidate_dependencies, minimum_delta
 
 
 class Scheme2Minimal(Scheme2):
@@ -33,24 +34,13 @@ class Scheme2Minimal(Scheme2):
         self.exact_runs = 0
         self.fallback_runs = 0
 
-    def act_init(self, operation: Init) -> None:
-        transaction_id = operation.transaction_id
-        self.tsgd.insert_transaction(transaction_id, operation.sites)
-        for site in operation.sites:
-            for other in sorted(self.tsgd.transactions_at(site)):
-                self.metrics.step()
-                if other == transaction_id:
-                    continue
-                if (other, site) in self._executed:
-                    self.tsgd.add_dependency(other, site, transaction_id)
+    def choose_delta(self, transaction_id: str) -> Set[Dependency]:
         candidates = candidate_dependencies(self.tsgd, transaction_id)
-        if len(candidates) <= self.max_candidates:
-            self.exact_runs += 1
-            delta = minimum_delta(self.tsgd, transaction_id)
-            # account a step per candidate subset examined is impossible
-            # to know post-hoc; charge the candidate count as a floor
-            self.metrics.step(2 ** min(len(candidates), 20))
-        else:
+        if len(candidates) > self.max_candidates:
             self.fallback_runs += 1
-            delta = self.tsgd.eliminate_cycles(transaction_id)
-        self.tsgd.add_dependencies(sorted(delta))
+            return super().choose_delta(transaction_id)
+        self.exact_runs += 1
+        delta, tested = minimum_delta(self.tsgd, transaction_id)
+        # one step per candidate subset the search tested
+        self.metrics.step(tested)
+        return delta

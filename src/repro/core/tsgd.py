@@ -466,21 +466,21 @@ def is_minimal_delta(
 
 
 def minimum_delta(
-    tsgd: TSGD,
-    transaction_id: str,
-    max_size: Optional[int] = None,
-) -> Optional[Set[Dependency]]:
+    tsgd: TSGD, transaction_id: str
+) -> Tuple[Set[Dependency], int]:
     """A minimum-cardinality Δ (hence minimal) by exhaustive subset
-    search — exponential, as Theorem 7 predicts any exact method must be.
+    search — exponential, as Theorem 7 predicts any exact method must be
+    — and the number of candidate subsets the search tested.
 
-    Returns ``None`` if no Δ within ``max_size`` works (cannot happen when
-    ``max_size`` is ``None``: the full candidate set always works, since
-    a dependency into ``Ĝ_i`` at every shared site blocks every direction
-    of every cycle through ``Ĝ_i``)."""
+    The search always ends: the full candidate set works, since a
+    dependency into ``Ĝ_i`` at every shared site blocks every direction
+    of every cycle through ``Ĝ_i``."""
     candidates = candidate_dependencies(tsgd, transaction_id)
-    bound = len(candidates) if max_size is None else min(max_size, len(candidates))
-    for size in range(bound + 1):
-        for subset in itertools.combinations(candidates, size):
-            if not tsgd.has_dangerous_cycle_through(transaction_id, subset):
-                return set(subset)
-    return None
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(candidates, size)
+        for size in range(len(candidates) + 1)
+    )
+    for tested, subset in enumerate(subsets, 1):
+        if not tsgd.has_dangerous_cycle_through(transaction_id, subset):
+            return set(subset), tested
+    raise AssertionError("the full candidate set always suffices")

@@ -263,9 +263,3 @@ def run_chaos(options: ChaosOptions, seed: int) -> ChaosResult:
         replicas=replicas,
         decisions=decisions,
     )
-
-
-def run_chaos_sweep(
-    options: ChaosOptions, seeds: Sequence[int]
-) -> Tuple[ChaosResult, ...]:
-    return tuple(run_chaos(options, seed) for seed in seeds)

@@ -106,10 +106,7 @@ class StrictTwoPhaseLocking(LocalScheduler):
                 f"{transaction_id!r} is not active at this site"
             )
 
-    # inspection helpers used by tests and the GTM -----------------------
-    def holds_lock(self, transaction_id: str, item: str) -> bool:
-        return self._locks.holds(transaction_id, item)
-
+    # inspection helpers used by the GTM ---------------------------------
     def waits_for_edges(self) -> Set[Tuple[str, str]]:
         """(waiter, holder) edges, exposed for global stall analysis."""
         return self._locks.waits_for_edges()

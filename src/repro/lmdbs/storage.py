@@ -212,10 +212,6 @@ class VersionedStore:
         return frozenset(self._workspaces.get(transaction_id, ()))
 
     @property
-    def commit_counter(self) -> int:
-        return self._commit_counter
-
-    @property
     def items(self) -> Tuple[str, ...]:
         return tuple(self._items)
 

@@ -172,10 +172,6 @@ class Tracer:
 
     # -- queries ----------------------------------------------------------
 
-    def spans_of(self, txn: str) -> List[Span]:
-        """All spans of one transaction, in record order (root first)."""
-        return [span for span in self.spans if span.txn == txn]
-
     def transactions(self) -> List[str]:
         return list(self._roots)
 

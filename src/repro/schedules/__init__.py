@@ -38,11 +38,6 @@ from repro.schedules.model import (
     transactions_of,
     write,
 )
-from repro.schedules.quasi import (
-    global_reachability_graph,
-    is_quasi_serializable,
-    quasi_serial_witness,
-)
 from repro.schedules.recoverability import (
     avoids_cascading_aborts,
     classify,
@@ -77,9 +72,6 @@ __all__ = [
     "serial_schedule",
     "serializability_witness",
     "view_equivalent",
-    "global_reachability_graph",
-    "is_quasi_serializable",
-    "quasi_serial_witness",
     "avoids_cascading_aborts",
     "classify",
     "is_recoverable",

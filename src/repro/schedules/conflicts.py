@@ -9,7 +9,7 @@ as a per-transaction adjacency useful for serialization-graph construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.schedules.model import Operation, Schedule
 
@@ -114,12 +114,3 @@ def conflict_equivalent(first: Schedule, second: Schedule) -> bool:
         }
 
     return ordered_conflicts(first) == ordered_conflicts(second)
-
-
-def iter_item_conflicts(
-    schedule: Schedule, item: str
-) -> Iterator[ConflictPair]:
-    """Yield conflict pairs touching a single data *item*, in order."""
-    for pair in conflict_pairs(schedule):
-        if pair.first.item == item:
-            yield pair

@@ -32,12 +32,6 @@ def serializability_witness(schedule: Schedule) -> Tuple[str, ...]:
     return serialization_graph(schedule).topological_order()
 
 
-def assert_conflict_serializable(schedule: Schedule) -> Tuple[str, ...]:
-    """Assert CSR and return a witness serial order (convenience for tests
-    and for the verification layer)."""
-    return serializability_witness(schedule)
-
-
 def serial_schedule(schedule: Schedule, order: Tuple[str, ...]) -> Schedule:
     """The serial schedule executing the transactions of *schedule* one at
     a time in *order* (each transaction's internal order preserved)."""

@@ -322,10 +322,6 @@ class IncrementalDigraph:
         duplicate._stale = self._stale
         return duplicate
 
-    def order_index(self, node: Hashable) -> int:
-        """The node's current topological index (tests/inspection)."""
-        return self._index[node]
-
     # ------------------------------------------------------------------
     # algorithms (DirectedGraph-compatible queries on maintained state)
     # ------------------------------------------------------------------

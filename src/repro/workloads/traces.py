@@ -114,10 +114,6 @@ class DriveResult:
         return self.metrics.waited.get("ser", 0)
 
     @property
-    def steps(self) -> float:
-        return float(self.metrics.steps)
-
-    @property
     def abort_count(self) -> int:
         return len(self.aborted)
 

@@ -92,9 +92,11 @@ def test_emit_and_load_json(tmp_path):
     data = bench.load_json(str(path))
     assert data["meta"] == {"note": "test"}
     assert data["cells"] == results
-    # a cell is its spec plus exactly the declared fields
+    # a simulator cell is its spec plus exactly the declared fields it
+    # has a reader for (the rest are the paper cells' counts)
     spec = _tiny_specs(seeds=(7,))[0]
-    assert set(data["cells"][0]) == set(spec) | set(bench.CELL_FIELDS)
+    read = {name for name, (reader, _) in bench.CELL_FIELDS.items() if reader}
+    assert set(data["cells"][0]) == set(spec) | read
     # and the file is valid, pretty-printed JSON
     assert json.loads(path.read_text())["cells"]
 

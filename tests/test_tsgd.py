@@ -148,12 +148,25 @@ class TestMinimality:
 
     def test_minimum_delta_square(self):
         tsgd = square()
-        delta = minimum_delta(tsgd, "G2")
+        delta, _ = minimum_delta(tsgd, "G2")
         # one dependency blocks one direction; the square needs... the
         # exhaustive search tells us the true minimum
         assert delta is not None
         assert not tsgd.has_dangerous_cycle_through("G2", delta)
         assert is_minimal_delta(tsgd, "G2", delta)
+
+    def test_minimum_delta_counts_subsets_tested(self):
+        # the square needs both candidates: {}, {a}, {b}, {a, b} tested
+        delta, tested = minimum_delta(square(), "G2")
+        assert len(delta) == 2 and tested == 4
+        # a triangle whose one direction is already ordered at s2: the
+        # search stops at the first sufficient single, after {}
+        tsgd = TSGD()
+        tsgd.insert_transaction("G1", ["s1", "s2"])
+        tsgd.insert_transaction("G2", ["s2", "s3"])
+        tsgd.insert_transaction("G3", ["s3", "s1"])
+        tsgd.add_dependency("G1", "s2", "G2")
+        assert minimum_delta(tsgd, "G3") == ({("G1", "s1", "G3")}, 2)
 
     def test_full_candidate_set_always_works(self):
         tsgd = TSGD()
@@ -165,7 +178,7 @@ class TestMinimality:
 
     def test_is_minimal_rejects_padded_delta(self):
         tsgd = square()
-        minimal = minimum_delta(tsgd, "G2")
+        minimal, _ = minimum_delta(tsgd, "G2")
         padded = set(candidate_dependencies(tsgd, "G2"))
         if len(padded) > len(minimal):
             assert not is_minimal_delta(tsgd, "G2", padded) or len(
@@ -188,6 +201,6 @@ class TestMinimality:
                 tsgd.add_dependencies(sorted(delta))
         target = "G3"
         heuristic = tsgd.eliminate_cycles(target)
-        optimal = minimum_delta(tsgd, target)
+        optimal, _ = minimum_delta(tsgd, target)
         assert len(heuristic) >= len(optimal)
         assert not tsgd.has_dangerous_cycle_through(target, heuristic)

@@ -4,17 +4,7 @@ import random
 
 import pytest
 
-from repro.analysis import (
-    compare,
-    dominance,
-    fit_exponent,
-    growth_exponent,
-    mean_waits,
-    measure,
-    render_table,
-    sweep,
-)
-from repro.core import Scheme0, Scheme3
+from repro.analysis import bench, dominance, fit_exponent, mean_waits, render_table
 from repro.workloads import (
     HotspotItems,
     UniformItems,
@@ -22,8 +12,16 @@ from repro.workloads import (
     WorkloadGenerator,
     ZipfItems,
     make_items,
-    random_trace,
 )
+
+
+def _paper_cells(sweep, schemes, values, seeds=(0,)):
+    """Cells of one declared paper sweep, on a smaller grid."""
+    return bench.run_grid(
+        bench.make_specs(
+            schemes, values, seeds, experiment=sweep, transport="drive"
+        )
+    )
 
 
 class TestDistributions:
@@ -104,49 +102,37 @@ class TestComplexityAnalysis:
     def test_fit_exponent_recovers_power(self):
         xs = [2.0, 4.0, 8.0, 16.0]
         ys = [x ** 2 for x in xs]
-        slope, _ = fit_exponent(xs, ys)
-        assert abs(slope - 2.0) < 1e-9
+        assert abs(fit_exponent(xs, ys) - 2.0) < 1e-9
 
     def test_fit_needs_two_points(self):
         with pytest.raises(ValueError):
             fit_exponent([1.0], [1.0])
 
     def test_measure_returns_point(self):
-        point = measure(Scheme0, transactions=16, sites=3, dav=2, seed=0)
-        assert point.scheme == "scheme0"
-        assert point.steps_per_txn > 0
+        (cell,) = _paper_cells("E1dav", ("scheme0",), (2,))
+        assert cell["transactions"] == 40
+        assert cell["scheme_steps"] > 0
 
     def test_scheme0_flat_in_n(self):
-        points = sweep(Scheme0, [4, 8, 16], sites=4, dav=2, seed=0)
-        assert growth_exponent(points, "n") < 0.35
+        cells = _paper_cells("E1n", ("scheme0",), (4, 8, 16))
+        assert bench.exponents(cells)["scheme0"] < 0.35
 
     def test_dav_scaling_scheme0(self):
-        points = [
-            measure(Scheme0, transactions=40, sites=8, dav=dav, seed=0)
-            for dav in (1, 2, 4, 8)
-        ]
-        slope, _ = fit_exponent(
-            [p.dav for p in points], [p.steps_per_txn for p in points]
-        )
-        assert 0.5 < slope < 1.5  # linear in dav
+        cells = _paper_cells("E1dav", ("scheme0",), (1, 2, 4, 8))
+        assert 0.5 < bench.exponents(cells)["scheme0"] < 1.5  # linear in dav
 
 
 class TestConcurrencyAnalysis:
     def test_compare_and_dominance(self):
-        factories = {"scheme0": Scheme0, "scheme3": Scheme3}
-        traces = [
-            (f"t{seed}", random_trace(15, 3, 2, seed=seed))
-            for seed in range(5)
-        ]
-        rows = compare(factories, traces)
-        assert len(rows) == 5
-        result = dominance(rows, "scheme3", "scheme0")
+        cells = _paper_cells("E7", ("scheme0", "scheme3"), (15,), range(5))
+        result = dominance(cells, "scheme3", "scheme0")
+        assert result.first_better + result.second_better + result.ties == 5
         assert result.second_better == 0  # scheme0 never waits less
-        means = mean_waits(rows)
+        means = mean_waits(cells)
         assert means["scheme3"] <= means["scheme0"]
 
     def test_dominance_verdict_strings(self):
-        from repro.analysis.concurrency import Dominance
+        from repro.analysis import Dominance
 
         assert Dominance("a", "b", 3, 0, 1).verdict == "a >= b"
         assert Dominance("a", "b", 0, 2, 1).verdict == "b >= a"
