@@ -15,8 +15,8 @@ import pytest
 from repro.analysis import bench
 from repro.analysis.reporting import render_table
 
-#: a paper experiment's cells, run once per session
-_PAPER_CELLS: Dict[str, List[Dict[str, Any]]] = {}
+#: a declared experiment's cells, run once per session
+_CELLS: Dict[str, List[Dict[str, Any]]] = {}
 
 
 @pytest.fixture
@@ -31,17 +31,17 @@ def reporter(capsys):
 
 
 @pytest.fixture
-def paper(reporter):
-    """``paper(name)``: fresh cells of one of
-    :data:`repro.analysis.bench.PAPER_EXPERIMENTS` (the grid BENCH_10.json
-    gates exactly), its tables printed on first use."""
+def declared(reporter):
+    """``declared(name)``: fresh cells of one of
+    :data:`repro.analysis.bench.EXPERIMENTS` (the grid its committed
+    BENCH file gates exactly), its tables printed on first use."""
 
     def _run(name):
-        if name not in _PAPER_CELLS:
-            cells = bench.run_grid(bench.paper_specs(name))
-            _PAPER_CELLS[name] = cells
-            for table in bench.PAPER_EXPERIMENTS[name].tables(cells):
+        if name not in _CELLS:
+            cells = bench.run_grid(bench.specs(name))
+            _CELLS[name] = cells
+            for table in bench.EXPERIMENTS[name].tables(cells):
                 reporter(*table)
-        return _PAPER_CELLS[name]
+        return _CELLS[name]
 
     return _run

@@ -14,9 +14,9 @@ CONSERVATIVE = ("scheme0", "scheme1", "scheme2", "scheme3")
 ABORT_BASED = ("2pl-gtm", "to-gtm", "optimistic-gtm")
 
 
-def test_bench_abort_rates(paper):
+def test_bench_abort_rates(declared):
     # aborted share of the submitted: a cell's mpl is its trace's n
-    rates = ratios(paper("E7"), "global_aborts", "mpl")
+    rates = ratios(declared("E7"), "global_aborts", "mpl")
     # conservative schemes never abort
     for name in CONSERVATIVE:
         assert set(rates[name].values()) == {0.0}
@@ -27,8 +27,8 @@ def test_bench_abort_rates(paper):
         assert rates[name][40] > 0.10
 
 
-def test_bench_deadlock_frequency(paper):
+def test_bench_deadlock_frequency(declared):
     """The specific §3 prediction for 2PL over ser(S): frequent
     deadlocks, growing with the number of concurrent transactions."""
-    deadlocks = totals(paper("E7"), "deadlocks")["2pl-gtm"]
+    deadlocks = totals(declared("E7"), "deadlocks")["2pl-gtm"]
     assert 0 < deadlocks[10] < deadlocks[20] < deadlocks[40]

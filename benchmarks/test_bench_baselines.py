@@ -1,83 +1,33 @@
 """E8 — the paper's schemes vs the prior ad-hoc approaches.
 
-Baselines: the [BS88] site-graph scheme (conservative, very restrictive)
-and the [GRS91] Optimistic Ticket Method (permissive but abort-based).
-The table reports ser-operation waits, aborts, and scheduling steps on a
-common trace population — the trade-off surface §§4–7 map out.
+Baselines: the [BS88] site graph (``site-graph``; conservative, very
+restrictive) and the [GRS91] Optimistic Ticket Method (``otm``;
+permissive but abort-based).  The declared E8 cells (in BENCH_10.json)
+count WAIT insertions, aborts and scheduling steps on a common trace
+population — the trade-off surface §§4–7 map out.
 """
 
+from repro.analysis.bench import means
 
-from repro.baselines import OptimisticTicketMethod, SiteGraphScheme
-from repro.core import Scheme0, Scheme1, Scheme2, Scheme3
-from repro.workloads.traces import drive, random_trace
-
-FACTORIES = {
-    "site-graph [BS88]": SiteGraphScheme,
-    "otm [GRS91]": OptimisticTicketMethod,
-    "scheme0": Scheme0,
-    "scheme1": Scheme1,
-    "scheme2": Scheme2,
-    "scheme3": Scheme3,
-}
-SEEDS = range(15)
+NO_ABORT = ("site-graph", "scheme0", "scheme1", "scheme2", "scheme3")
 
 
-def run_baseline_grid():
-    rows = []
-    stats = {}
-    for name, factory in FACTORIES.items():
-        waits = aborts = steps = 0
-        for seed in SEEDS:
-            trace = random_trace(25, 4, 2, seed=seed)
-            result = drive(factory(), trace)
-            waits += result.waits
-            aborts += result.abort_count
-            steps += result.metrics.steps
-        count = len(SEEDS)
-        stats[name] = (waits / count, aborts / count, steps / count)
-        rows.append(
-            (
-                name,
-                round(waits / count, 1),
-                round(aborts / count, 2),
-                round(steps / count, 0),
-            )
-        )
-    return rows, stats
-
-
-def test_bench_baseline_tradeoffs(benchmark, reporter):
-    rows, stats = benchmark.pedantic(
-        run_baseline_grid, rounds=1, iterations=1
-    )
-    reporter(
-        "E8 — schemes vs prior approaches (25 txns, m=4, dav=2, "
-        "15 traces; per-trace means)",
-        ["scheme", "waits", "aborts", "steps"],
-        rows,
+def test_bench_baseline_tradeoffs(declared):
+    cells = declared("E8")
+    # one trace length: each scheme's per-trace means
+    waits, aborts, steps = (
+        {scheme: row[25] for scheme, row in means(cells, field).items()}
+        for field in ("waits", "global_aborts", "scheme_steps")
     )
     # conservative schemes and site-graph: zero aborts
-    for name in (
-        "site-graph [BS88]",
-        "scheme0",
-        "scheme1",
-        "scheme2",
-        "scheme3",
-    ):
-        assert stats[name][1] == 0
+    for name in NO_ABORT:
+        assert aborts[name] == 0
     # OTM aborts transactions (its price for zero waits)
-    assert stats["otm [GRS91]"][1] > 0
-    assert stats["otm [GRS91]"][0] == 0
+    assert aborts["otm"] > 0
+    assert waits["otm"] == 0
     # the paper's Scheme 1 dominates the site graph it generalizes
-    assert stats["scheme1"][0] <= stats["site-graph [BS88]"][0]
+    assert waits["scheme1"] <= waits["site-graph"]
     # scheme3: fewest waits among the no-abort schemes
-    no_abort = [
-        "site-graph [BS88]",
-        "scheme0",
-        "scheme1",
-        "scheme2",
-        "scheme3",
-    ]
-    assert min(no_abort, key=lambda n: stats[n][0]) == "scheme3"
+    assert min(NO_ABORT, key=waits.get) == "scheme3"
     # and the complexity ladder is visible in the step counts
-    assert stats["scheme0"][2] < stats["scheme1"][2] < stats["scheme2"][2]
+    assert steps["scheme0"] < steps["scheme1"] < steps["scheme2"]

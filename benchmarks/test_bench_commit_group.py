@@ -1,10 +1,11 @@
 """E13 — non-blocking atomic commit: the coordinator group head-to-head.
 
 The acceptance scenario of the multi-shot commit layer
-(``repro.commit.group``): a coordinator(-replica) crash lands in the
-window between the participants' YES votes and the decision broadcast,
-plus a vote/decision partition that strands the acting leader and the
-GTM on the minority side.  Group size 1 is the blocking
+(``repro.commit.group``), declared once as the E13 cells (the grid of
+BENCH_7.json): a coordinator(-replica) crash lands in the window between
+the participants' YES votes and the decision broadcast, plus a
+vote/decision partition that strands the acting leader and the GTM on
+the minority side.  Group size 1 (``mpl`` 1) is the blocking
 single-coordinator baseline — its in-doubt windows run until the lone
 decision-log replica comes back.  Group size 3 (2f+1, f=1) terminates
 every in-doubt participant through the surviving quorum: a takeover
@@ -12,87 +13,26 @@ round adopts the quorum-logged decision (or presumes abort for votes
 that never reached a quorum), so the worst in-doubt window collapses
 from "until restart" to protocol timescales.
 
-Safety is asserted from ground truth at every cell: zero atomicity
+Safety is asserted from ground truth inside every cell: zero atomicity
 violations and a unique decision per incarnation across all replicas
-(``check_decision_uniqueness``).
+(``check_decision_uniqueness``); a cell that fails either raises.
 """
 
-from repro.faults.chaos import ChaosOptions, run_chaos
+from repro.analysis.bench import E13_DOWNTIME
 
-GROUP_SIZES = [1, 3]
-RUNS = 4
-DOWNTIME = 300.0
-
-
-def _options(size):
-    # message faults off: the cell isolates the decision-log faults so
-    # the in-doubt contrast is purely single-coordinator vs quorum
-    return ChaosOptions(
-        scheme="scheme2",
-        atomic_commit=True,
-        loss_rate=0.0,
-        duplication_rate=0.0,
-        delay_rate=0.0,
-        gtm_crash_count=0,
-        site_crash_count=0,
-        commit_group_size=size,
-        coordinator_crash_count=1,
-        vote_decide_partition_count=1,
-        downtime=DOWNTIME,
-    )
+#: global transactions per chaos storm
+GLOBALS = 8
 
 
-def run_commit_group_sweep():
-    table = []
-    results = {}
-    for size in GROUP_SIZES:
-        committed = takeovers = presumed = 0
-        worst_in_doubt = []
-        for seed in range(RUNS):
-            result = run_chaos(_options(size), seed)
-            assert result.ok, result.failure_reasons()
-            assert result.decisions is not None and result.decisions.ok
-            report = result.report
-            committed += report.committed_global
-            takeovers += report.commit_group.takeovers
-            presumed += report.commit_group.presumed_aborts
-            worst_in_doubt.append(max(report.in_doubt_times or (0.0,)))
-        results[size] = (committed, max(worst_in_doubt))
-        table.append(
-            (
-                size,
-                f"{committed}/{RUNS * 8}",
-                takeovers,
-                presumed,
-                round(max(worst_in_doubt), 1),
-                round(sum(worst_in_doubt) / RUNS, 1),
-            )
-        )
-    return table, results
-
-
-def test_bench_commit_group_head_to_head(benchmark, reporter):
-    table, results = benchmark.pedantic(
-        run_commit_group_sweep, rounds=1, iterations=1
-    )
-    reporter(
-        "E13 — single coordinator vs replicated commit group (scheme2)",
-        [
-            "group size",
-            "committed",
-            "takeovers",
-            "presumed aborts",
-            "max in-doubt",
-            "mean worst in-doubt",
-        ],
-        table,
-    )
-    committed_1, worst_1 = results[1]
-    committed_3, worst_3 = results[3]
+def test_bench_commit_group_head_to_head(declared):
+    cells = declared("E13")
     # certainty still costs nothing in committed transactions
-    assert committed_1 == RUNS * 8
-    assert committed_3 == RUNS * 8
+    assert all(cell["committed"] == GLOBALS for cell in cells)
+    worst = {
+        size: max(cell["indoubt_max"] for cell in cells if cell["mpl"] == size)
+        for size in (1, 3)
+    }
     # the tentpole claim: with 2f+1 replicas the in-doubt window no
     # longer tracks the crashed coordinator's downtime
-    assert worst_3 < worst_1
-    assert worst_1 >= DOWNTIME  # baseline blocks until restart
+    assert worst[3] < worst[1]
+    assert worst[1] >= E13_DOWNTIME  # baseline blocks until restart

@@ -25,8 +25,8 @@ EXPECTED_N_EXPONENT = {
 }
 
 
-def test_bench_complexity_in_n(paper):
-    slopes = exponents(select(paper("E1"), "E1n"))
+def test_bench_complexity_in_n(declared):
+    slopes = exponents(select(declared("E1"), "E1n"))
     for name, (_, low, high) in EXPECTED_N_EXPONENT.items():
         assert low <= slopes[name] <= high, (
             f"{name}: fitted n-exponent {slopes[name]:.2f} outside "
@@ -36,18 +36,18 @@ def test_bench_complexity_in_n(paper):
     assert slopes["scheme0"] < slopes["scheme1"] < slopes["scheme2"]
 
 
-def test_bench_complexity_in_dav(paper):
-    for name, slope in exponents(select(paper("E1"), "E1dav")).items():
+def test_bench_complexity_in_dav(declared):
+    for name, slope in exponents(select(declared("E1"), "E1dav")).items():
         assert 0.3 <= slope <= 2.2, (
             f"{name}: dav-exponent {slope:.2f} not roughly linear"
         )
 
 
-def test_bench_complexity_in_m(paper):
+def test_bench_complexity_in_m(declared):
     """Theorem 4's m term: Scheme 1's TSG traversal visits site nodes,
     so its steps may grow (mildly) with the number of sites at fixed n
     and dav, while Scheme 0 stays flat in m."""
-    slopes = exponents(select(paper("E1"), "E1m"))
+    slopes = exponents(select(declared("E1"), "E1m"))
     # scheme0's complexity has no m term at all
     assert slopes["scheme0"] < 0.3
     # scheme1 (TSG traversal) is at most mildly sensitive to m; what

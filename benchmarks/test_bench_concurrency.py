@@ -14,8 +14,8 @@ identical QUEUE insertion orders:
 from repro.analysis.bench import dominance, mean_waits, select
 
 
-def test_bench_concurrency_ordering(paper):
-    means = mean_waits(select(paper("E2"), "E2rand", "E2adv"))
+def test_bench_concurrency_ordering(declared):
+    means = mean_waits(select(declared("E2"), "E2rand", "E2adv"))
     # average ordering of §4/§7: site-graph >= scheme0 >= 1,2 >= 3
     assert means["scheme3"] <= means["scheme2"]
     assert means["scheme3"] <= means["scheme1"]
@@ -24,9 +24,9 @@ def test_bench_concurrency_ordering(paper):
     assert means["scheme0"] <= means["site-graph"]
 
 
-def test_bench_scheme1_scheme2_incomparable(paper):
+def test_bench_scheme1_scheme2_incomparable(declared):
     """Scheme 2 does not dominate Scheme 1 (paper §6): non-minimal Δ can
     over-restrict.  The 120-trace hunt finds wins in both directions."""
-    hunt = dominance(select(paper("E2"), "E2hunt"), "scheme1", "scheme2")
+    hunt = dominance(select(declared("E2"), "E2hunt"), "scheme1", "scheme2")
     assert hunt.first_better > 0
     assert hunt.second_better > 0

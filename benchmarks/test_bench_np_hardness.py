@@ -15,10 +15,10 @@ Three empirical signatures, all in counts:
 from repro.analysis.bench import select, totals
 
 
-def test_bench_eliminate_cycles_nonminimality(paper):
+def test_bench_eliminate_cycles_nonminimality(declared):
     studied = [
         cell
-        for cell in select(paper("E6"), "E6a")
+        for cell in select(declared("E6"), "E6a")
         if cell["delta_min"] is not None
     ]
     assert all(cell["delta_edges"] >= cell["delta_min"] for cell in studied)
@@ -26,8 +26,8 @@ def test_bench_eliminate_cycles_nonminimality(paper):
     assert any(cell["delta_edges"] > cell["delta_min"] for cell in studied)
 
 
-def test_bench_minimum_delta_blowup(paper):
-    cells = select(paper("E6"), "E6b")
+def test_bench_minimum_delta_blowup(declared):
+    cells = select(declared("E6"), "E6b")
     ratios = [cell["subsets_tested"] / cell["scheme_steps"] for cell in cells]
     # the exact search blows up relative to the heuristic as the
     # instance grows: the final ratio dominates the first
@@ -39,8 +39,8 @@ def test_bench_minimum_delta_blowup(paper):
     assert largest["scheme_steps"] < largest["candidates"] ** 2
 
 
-def test_bench_scheme2_minimal_ablation(paper):
-    cells = select(paper("E6"), "E6c")
+def test_bench_scheme2_minimal_ablation(declared):
+    cells = select(declared("E6"), "E6c")
     waits, steps = totals(cells, "ser_waits"), totals(cells, "scheme_steps")
     # minimality can only relax restrictions...
     assert waits["scheme2-minimal"][10] <= waits["scheme2"][10]

@@ -10,8 +10,8 @@ restrict processing — do wait on many of them.
 from repro.analysis.bench import delayed_streams, totals
 
 
-def test_bench_permits_all_serializable_schedules(paper):
-    cells = paper("E3")
+def test_bench_permits_all_serializable_schedules(declared):
+    cells = declared("E3")
     # the headline claim: Scheme 3 never delays such a stream
     assert sum(totals(cells, "ser_waits")["scheme3"].values()) == 0
     assert delayed_streams(cells, "scheme3") == 0

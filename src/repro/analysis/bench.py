@@ -1,16 +1,18 @@
 """The trajectory bench harness (``repro bench``, ``repro report``).
 
-Runs the E4 throughput grid (and the E11 atomic-commit, E13 commit-group
-and E14 degree-of-concurrency variants), and the paper's own experiments
-E1, E2, E3, E6 and E7 on the GTM2 layer alone (:data:`PAPER_EXPERIMENTS`),
-as independent *cells* — one per (experiment, scheme, mpl, seed,
-transport, groups) — and persists them as a ``BENCH_<n>.json`` trajectory
-file.  A cell is the projection of one run onto :data:`CELL_FIELDS`: the
-paper's own measures (steps per scheduled transaction, WAIT insertions,
-commits, aborts) and the simulated results around them.  Every field is
-a function of the cell's spec alone — no module on this path reads a
-clock; wall-clock is ``perf/``'s — so the grid can be fanned across
-``multiprocessing`` workers and merged back in fixed task order, and
+Every grid is declared once, in :data:`EXPERIMENTS`: the paper's own
+experiments E1, E2, E3, E6, E7 and E8 on the GTM2 layer alone
+(:data:`PAPER_EXPERIMENTS`), and the simulator's E4 throughput, grouped
+E4, E13 commit-group and E14 degree-of-concurrency grids
+(:data:`SIMULATOR_EXPERIMENTS`), each the grid of one committed
+``BENCH_<n>.json`` file.  A grid is independent *cells* — one per
+(experiment, scheme, mpl, seed, transport, groups) — and a cell is the
+projection of one run onto :data:`CELL_FIELDS`: the paper's own measures
+(steps per scheduled transaction, WAIT insertions, commits, aborts) and
+the simulated results around them.  Every field is a function of the
+cell's spec alone — no module on this path reads a clock; wall-clock is
+``perf/``'s — so the grid can be fanned across ``multiprocessing``
+workers and merged back in fixed task order, and
 :func:`check_regression` gates on *equality* with the committed file:
 ``git diff`` on a re-emitted BENCH file is the list of scheduling
 decisions a change moved.
@@ -48,14 +50,13 @@ from repro.workloads.traces import (
     staggered_trace,
 )
 
-#: site protocols of the E4 grid (benchmarks/test_bench_throughput.py)
+#: site protocols of the E4 workload (:func:`make_e4_job`)
 E4_PROTOCOLS = ("strict-2pl", "to", "conservative-2pl", "sgt")
-DEFAULT_SCHEMES = ("scheme0", "scheme1", "scheme2", "scheme3", "scheme4")
-DEFAULT_MPL = (4, 8, 16)
-DEFAULT_SEEDS = (7, 8, 9, 10)
 #: multiprogramming levels of the E14 degree-of-concurrency cells: the
 #: regime where batch planning (scheme4) must dominate Scheme 2
 E14_MPL = (32, 64)
+#: how long an E13 cell's crashed coordinator replica stays down
+E13_DOWNTIME = 300.0
 
 
 def _report(attribute: str) -> Callable[[Any], Any]:
@@ -66,10 +67,11 @@ def _report(attribute: str) -> Callable[[Any], Any]:
 #: finished simulator run — a ``TransportResult`` or ``ChaosResult``,
 #: both carry the ``SimulationReport`` as ``.report`` — or None for a
 #: count only the paper cells have, and the registry counter a grid sums
-#: it into, or None).  :func:`run_cell` fills exactly these: a simulator
-#: cell every field with a reader, a paper cell the names its
-#: ``Sweep.tally`` returns.  :func:`check_regression` compares exactly
-#: these and :func:`results_to_registry` publishes exactly the named ones.
+#: it into, or None).  A cell holds exactly the names its
+#: ``Sweep.tally`` returns: a simulator cell every field with a reader,
+#: a paper cell the counts its experiment reads.  :func:`check_regression`
+#: compares exactly these and :func:`results_to_registry` publishes
+#: exactly the named ones.
 CELL_FIELDS: Dict[str, Tuple[Optional[Callable[[Any], Any]], Optional[str]]] = {
     "throughput": (_report("throughput"), None),
     "mean_response_time": (_report("mean_response_time"), None),
@@ -91,8 +93,10 @@ CELL_FIELDS: Dict[str, Tuple[Optional[Callable[[Any], Any]], Optional[str]]] = {
     "mean_wait_set": (_report("mean_wait_set"), None),
     # a chaos cell is one simulator, hence one shard
     "shards": (lambda run: getattr(run, "shards", 1), "transport.shards"),
-    # ser-operations inserted into WAIT, transactions scheduled (fin
-    # processed), Eliminate_Cycles' |Δ| and 2PL-over-ser(S) deadlocks
+    # operations inserted into WAIT (init/fin included) and ser-operations
+    # alone, transactions scheduled (fin processed), Eliminate_Cycles' |Δ|
+    # and 2PL-over-ser(S) deadlocks
+    "waits": (None, "gtm.waited"),
     "ser_waits": (None, "gtm.ser_waits"),
     "transactions": (None, "gtm.transactions"),
     "delta_edges": (None, "gtm.delta_edges"),
@@ -105,66 +109,57 @@ CELL_FIELDS: Dict[str, Tuple[Optional[Callable[[Any], Any]], Optional[str]]] = {
 }
 
 
-def make_specs(
-    schemes: Sequence[str] = DEFAULT_SCHEMES,
-    mpl_values: Sequence[int] = DEFAULT_MPL,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    experiment: str = "E4",
-    transport: str = "sim",
-    workers: int = 1,
-    groups: int = 1,
-) -> List[Dict[str, Any]]:
-    """The cell grid, in the fixed order results are merged back in.
+#: one rendered table: (title, headers, rows)
+Table = Tuple[str, List[str], List[Sequence[Any]]]
 
-    ``transport``/``workers`` pick the runtime an E4 cell executes on
-    (:mod:`repro.transport`); ``groups`` > 1 runs the *grouped* E4
-    workload — ``groups`` independent 4-site clusters, the site-disjoint
-    shape the parallel transport partitions — with ``mpl`` as the total
-    multiprogramming level across groups.  All three are recorded in the
-    cell so runs on different runtimes or workload shapes are never
-    compared against each other (see :func:`_cell_key`).
-    """
-    return [
-        {
-            "experiment": experiment,
-            "scheme": scheme,
-            "mpl": int(mpl),
-            "seed": int(seed),
-            "transport": transport,
-            "workers": int(workers),
-            "groups": int(groups),
-        }
-        for scheme in schemes
-        for mpl in mpl_values
-        for seed in seeds
-    ]
+
+class Sweep(NamedTuple):
+    """One grid of cells: every transport × scheme × swept value × seed.
+    The swept value — the multiprogramming level of a simulator cell,
+    the commit-group size of an E13 cell, n, dav, m or transactions per
+    trace of a paper cell — is recorded as the cell's ``mpl``."""
+
+    schemes: Tuple[str, ...]
+    values: Tuple[int, ...]
+    seeds: Tuple[int, ...]
+    #: spec -> the cell's counts, keyed by :data:`CELL_FIELDS` names
+    tally: Callable[[Dict[str, Any]], Dict[str, Any]]
+    #: ``drive`` (the GTM2 layer alone) or the :mod:`repro.transport`
+    #: runtimes a simulator cell runs on, each its own cell
+    transports: Tuple[str, ...] = ("drive",)
+    #: independent 4-site clusters per simulator cell (:func:`make_e4_job`)
+    groups: int = 1
+    #: the parallel transport's shard-pool size
+    workers: int = 1
+
+
+class Experiment(NamedTuple):
+    """One experiment: its claim, its sweeps (each a cell ``experiment``
+    name) and the tables its cells render to."""
+
+    title: str
+    claim: str
+    sweeps: Dict[str, Sweep]
+    #: the experiment's cells -> its tables
+    tables: Callable[[List[Dict[str, Any]]], List[Table]]
 
 
 def run_cell(spec: Dict[str, Any]) -> Dict[str, Any]:
     """Run one bench cell; picklable, safe to call in a worker process."""
-    result = dict(spec)
-    sweep = _PAPER_SWEEPS.get(spec["experiment"])
-    if sweep is not None:
-        result.update(sweep.tally(spec))
-        return result
-    # E4 (throughput) and E14 (degree of concurrency) share the workload
-    # and the runner; E14 differs only in the gated statistic (mean
-    # WAIT-set size) and its high-MPL grid (see E14_MPL / check_dominance)
-    runners = {"E11": _run_e11_cell, "E13": _run_e13_cell}
-    run = runners.get(spec["experiment"], _run_e4_cell)(spec)
-    result.update(
-        (name, read(run))
-        for name, (read, _) in CELL_FIELDS.items()
-        if read is not None
-    )
-    return result
+    return dict(spec) | _TALLIES[spec["experiment"]](spec)
+
+
+def _read(run: Any) -> Dict[str, Any]:
+    """A finished simulator run's cell: every field with a reader."""
+    return {
+        name: read(run) for name, (read, _) in CELL_FIELDS.items() if read is not None
+    }
 
 
 def make_e4_job(scheme: str, mpl: int, seed: int, groups: int = 1):
     """The E4 workload as a transport job.
 
-    ``groups=1`` is the classic cell of
-    benchmarks/test_bench_throughput.py: four heterogeneous-protocol
+    ``groups=1`` is the classic E4 cell: four heterogeneous-protocol
     sites, ``3*mpl`` global transactions admitted in three MPL-sized
     waves.  ``groups>1`` replicates that shape into ``groups``
     independent 4-site clusters with distinct site/transaction prefixes
@@ -210,10 +205,9 @@ def make_e4_job(scheme: str, mpl: int, seed: int, groups: int = 1):
     )
 
 
-def _run_e4_cell(spec: Dict[str, Any]):
-    """One E4 throughput cell, executed on the spec's transport and
-    verified against ground truth (the merged schedules, for a sharded
-    run)."""
+def _run_e4_cell(spec: Dict[str, Any]) -> Dict[str, Any]:
+    """One E4 cell, executed on the spec's transport and verified against
+    ground truth (the merged schedules, for a sharded run)."""
     from repro.transport import make_transport
 
     job = make_e4_job(
@@ -225,44 +219,22 @@ def _run_e4_cell(spec: Dict[str, Any]):
             f"E4 cell {spec!r} failed verification "
             f"(cycle {result.verification.cycle})"
         )
-    return result
+    return _read(result)
 
 
-def _run_chaos_cell(spec: Dict[str, Any], **options: Any):
-    """One seeded 2PC chaos storm under the spec's scheme, all of its
-    ground-truth verdicts required."""
+def _run_e13_cell(spec: Dict[str, Any]) -> Dict[str, Any]:
+    """One E13 commit-group cell: a seeded presumed-abort 2PC storm under
+    the spec's scheme in which a coordinator(-replica) crash lands between
+    the YES votes and the decision broadcast, every ground-truth verdict
+    required.  ``mpl`` is the commit-group size: size 1 is the blocking
+    single-coordinator baseline whose in-doubt window runs until the
+    replica restarts; size 3 terminates through the surviving quorum in
+    about one round-trip.  ``indoubt_max`` is the head-to-head number."""
     from repro.faults.chaos import ChaosOptions, run_chaos
 
-    result = run_chaos(
-        ChaosOptions(scheme=spec["scheme"], atomic_commit=True, **options),
-        spec["seed"],
-    )
-    if not result.ok:
-        raise RuntimeError(
-            f"{spec['experiment']} cell {spec!r} failed: "
-            f"{result.failure_reasons()}"
-        )
-    return result
-
-
-def _run_e11_cell(spec: Dict[str, Any]):
-    """One E11 cell: the chaos run with presumed-abort 2PC enabled
-    (benchmarks/test_bench_atomic_commit.py); ``mpl`` selects nothing —
-    the chaos workload is fixed — but stays in the key for uniformity."""
-    return _run_chaos_cell(spec, prepare_crash_count=1, site_crash_count=1)
-
-
-def _run_e13_cell(spec: Dict[str, Any]):
-    """One E13 commit-group cell: the acceptance scenario — a
-    coordinator(-replica) crash lands between the YES votes and the
-    decision broadcast — head-to-head across commit-group sizes.
-    ``mpl`` is reused as the group size (cf. E11's fixed workload):
-    size 1 is the blocking single-coordinator baseline whose in-doubt
-    window runs until the replica restarts; size 3 terminates through
-    the surviving quorum in about one round-trip.  ``indoubt_max`` in
-    the emitted cell is the head-to-head number."""
-    return _run_chaos_cell(
-        spec,
+    options = ChaosOptions(
+        scheme=spec["scheme"],
+        atomic_commit=True,
         # isolate the decision-log faults: message faults and site/GTM
         # crashes inflate in-doubt windows identically for every group
         # size and would drown the head-to-head signal
@@ -274,39 +246,19 @@ def _run_e13_cell(spec: Dict[str, Any]):
         commit_group_size=spec["mpl"],
         coordinator_crash_count=1,
         vote_decide_partition_count=1,
-        downtime=300.0,
+        downtime=E13_DOWNTIME,
     )
+    result = run_chaos(options, spec["seed"])
+    if not result.ok:
+        raise RuntimeError(
+            f"E13 cell {spec!r} failed: {result.failure_reasons()}"
+        )
+    return _read(result)
 
 
 # ----------------------------------------------------------------------
 # The paper's own experiments, on the GTM2 layer alone
 # ----------------------------------------------------------------------
-
-#: one rendered table: (title, headers, rows)
-Table = Tuple[str, List[str], List[Sequence[Any]]]
-
-
-class Sweep(NamedTuple):
-    """One grid of paper cells: every scheme × swept value × seed.  The
-    swept value (n, dav, m or transactions per trace) is recorded as the
-    cell's ``mpl``, and its ``transport`` is ``"drive"``."""
-
-    schemes: Tuple[str, ...]
-    values: Tuple[int, ...]
-    seeds: Tuple[int, ...]
-    #: spec -> the cell's counts, keyed by :data:`CELL_FIELDS` names
-    tally: Callable[[Dict[str, Any]], Dict[str, Any]]
-
-
-class Experiment(NamedTuple):
-    """One paper experiment: its claim, its sweeps (each a cell
-    ``experiment`` name) and the tables its cells render to."""
-
-    title: str
-    claim: str
-    sweeps: Dict[str, Sweep]
-    #: the experiment's cells -> its tables
-    tables: Callable[[List[Dict[str, Any]]], List[Table]]
 
 
 def _drive_tally(trace: Callable[[int, int], Trace]):
@@ -325,6 +277,7 @@ def _drive_tally(trace: Callable[[int, int], Trace]):
         return {
             "scheme_steps": result.metrics.steps,
             "transactions": result.metrics.transactions_finished,
+            "waits": result.waits,
             "ser_waits": result.ser_waits,
             "delta_edges": result.metrics.delta_edges,
             "global_aborts": result.abort_count,
@@ -391,6 +344,10 @@ def _dense_tsgd(tsgd: TSGD, txns: int, seed: int) -> str:
 
 def _random_m3(n: int, seed: int) -> Trace:
     return random_trace(n, 3, 2, seed=seed)
+
+
+def _random_m4(n: int, seed: int) -> Trace:
+    return random_trace(n, 4, 2, seed=seed)
 
 
 def fit_exponent(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -486,6 +443,18 @@ def totals(
         row = out.setdefault(cell["scheme"], {})
         row[cell["mpl"]] = row.get(cell["mpl"], 0) + cell[field]
     return out
+
+
+def means(
+    cells: Iterable[Dict[str, Any]], field: str
+) -> Dict[str, Dict[int, float]]:
+    """{scheme: {swept value: *field* averaged over seeds}}, in cell order."""
+    cells = list(cells)
+    runs = totals(({**cell, "runs": 1} for cell in cells), "runs")
+    return {
+        scheme: {value: total / runs[scheme][value] for value, total in row.items()}
+        for scheme, row in totals(cells, field).items()
+    }
 
 
 def ratios(
@@ -642,13 +611,68 @@ def _e7_tables(cells: List[Dict[str, Any]]) -> List[Table]:
     ]
 
 
+def _e8_tables(cells: List[Dict[str, Any]]) -> List[Table]:
+    waits, aborts, steps = (
+        means(cells, field) for field in ("waits", "global_aborts", "scheme_steps")
+    )
+    return [(
+        "E8 — schemes vs prior approaches (25 txns, m=4, dav=2, 15 traces; "
+        "per-trace means, waits include init/fin)",
+        ["scheme", "waits", "aborts", "steps"],
+        [
+            (scheme, waits[scheme][n], aborts[scheme][n], steps[scheme][n])
+            for scheme, row in waits.items()
+            for n in row
+        ],
+    )]
+
+
+def _e4_tables(cells: List[Dict[str, Any]]) -> List[Table]:
+    committed, tput, rt, aborts, watchdog, steps = (
+        means(cells, field)
+        for field in (
+            "committed", "throughput", "mean_response_time",
+            "global_aborts", "watchdog_aborts", "scheme_steps",
+        )
+    )
+    return [(
+        "E4 — throughput and response time vs multiprogramming level "
+        "(4 heterogeneous sites, 3 waves of mpl globals; per-cell means "
+        "over seeds 7-10)",
+        ["scheme", "mpl", "committed", "tput (txn/kt)", "mean rt", "aborts",
+         "watchdog aborts", "steps"],
+        [
+            (scheme, mpl, committed[scheme][mpl], 1000 * tput[scheme][mpl],
+             rt[scheme][mpl], aborts[scheme][mpl], watchdog[scheme][mpl],
+             steps[scheme][mpl])
+            for scheme, row in committed.items()
+            for mpl in row
+        ],
+    )]
+
+
+def _cell_tables(title: str, *fields: str):
+    """Tables of one row per cell: its transport, scheme, mpl and seed,
+    then *fields*."""
+    key = ("transport", "scheme", "mpl", "seed")
+
+    def tables(cells: List[Dict[str, Any]]) -> List[Table]:
+        return [(
+            title,
+            [*key, *fields],
+            [[cell[name] for name in key + fields] for cell in cells],
+        )]
+
+    return tables
+
+
 _BT_SCHEMES = ("scheme0", "scheme1", "scheme2", "scheme3")
 _E2_SCHEMES = ("site-graph",) + _BT_SCHEMES
 
 #: The paper's claims as bench cells, each declared once: a ``drive()``
 #: replay of a synthetic QUEUE order, or (E6a/E6b) a TSGD studied
 #: directly, on the parameters EXPERIMENTS.md records.
-#: ``repro bench --experiment <name>`` runs one, ``paper`` all five;
+#: ``repro bench --experiment <name>`` runs one, ``paper`` all six;
 #: ``repro report`` renders them from a BENCH file.
 PAPER_EXPERIMENTS: Dict[str, Experiment] = {
     "E1": Experiment(
@@ -680,9 +704,9 @@ PAPER_EXPERIMENTS: Dict[str, Experiment] = {
         "Schemes 1, 2 > Scheme 0 ≥ the [BS88] site graph; Scheme 3 > all; "
         "Schemes 1 and 2 incomparable (§4, §7).",
         {
-            "E2rand": Sweep(_E2_SCHEMES, (30,), tuple(range(20)), _drive_tally(
-                lambda n, seed: random_trace(n, 4, 2, seed=seed)
-            )),
+            "E2rand": Sweep(
+                _E2_SCHEMES, (30,), tuple(range(20)), _drive_tally(_random_m4)
+            ),
             "E2adv": Sweep(_E2_SCHEMES, (20,), tuple(range(5)), _drive_tally(
                 lambda n, seed: adversarial_trace(n, 4, 2, seed=seed)
             )),
@@ -736,29 +760,122 @@ PAPER_EXPERIMENTS: Dict[str, Experiment] = {
         },
         _e7_tables,
     ),
+    "E8": Experiment(
+        "the paper's schemes vs the prior ad-hoc approaches",
+        "The [BS88] site graph is conservative but restrictive, the [GRS91] "
+        "Optimistic Ticket Method never waits but aborts; the paper's "
+        "schemes never abort, Scheme 1 waits no more than the site graph "
+        "it generalizes, and Scheme 3 waits least (§§4–7).",
+        {
+            "E8": Sweep(
+                ("site-graph", "otm") + _BT_SCHEMES, (25,), tuple(range(15)),
+                _drive_tally(_random_m4),
+            ),
+        },
+        _e8_tables,
+    ),
 }
 
-_PAPER_SWEEPS = {
-    name: sweep
-    for experiment in PAPER_EXPERIMENTS.values()
+#: The simulator's grids, each the declaration of one committed BENCH
+#: file: E4 (BENCH_3), the grouped E4 on both transports (BENCH_8; its
+#: cells are ``E4`` cells), E13 (BENCH_7) and E14 (BENCH_9).
+SIMULATOR_EXPERIMENTS: Dict[str, Experiment] = {
+    "E4": Experiment(
+        "throughput/response vs multiprogramming",
+        "§3 factor 3: a high-overhead, high-concurrency GTM2 scheme pays "
+        "off because its scheduling cost is amortized over whole "
+        "subtransactions, so under moderate contention Scheme 3 responds "
+        "faster than Scheme 0 despite far more scheduling steps.",
+        {
+            "E4": Sweep(
+                ("scheme0", "scheme1", "scheme2", "scheme3", "scheme4"),
+                (4, 8, 16), (7, 8, 9, 10), _run_e4_cell, ("sim",),
+            ),
+        },
+        _e4_tables,
+    ),
+    "E4-sharded": Experiment(
+        "the grouped E4 workload on the single loop and on 4 shards",
+        "Global transactions with disjoint site sets never conflict, so "
+        "the sharded run decides what the single loop decides: the same "
+        "commits, aborts, durations and response times per cell.",
+        {
+            "E4": Sweep(
+                ("scheme2", "scheme3"), (32, 64), (7, 8), _run_e4_cell,
+                ("sim", "parallel"), groups=4, workers=4,
+            ),
+        },
+        _cell_tables(
+            "E4, 4 site-disjoint groups — one row per transport",
+            "shards", "committed", "global_aborts", "duration", "scheme_steps",
+        ),
+    ),
+    "E13": Experiment(
+        "non-blocking atomic commit: the coordinator group head-to-head",
+        "A 2f+1 commit group terminates in-doubt participants through the "
+        "surviving quorum, so the worst in-doubt window no longer tracks "
+        "the crashed coordinator's downtime (extension; not in the paper).",
+        {
+            "E13": Sweep(
+                ("scheme2",), (1, 3), (7, 8, 9, 10), _run_e13_cell, ("sim",)
+            ),
+        },
+        _cell_tables(
+            "E13 — single coordinator (mpl=1) vs commit group of 3 (mpl=3)",
+            "committed", "global_aborts", "indoubt_max",
+        ),
+    ),
+    "E14": Experiment(
+        "degree of concurrency at high multiprogramming",
+        "Scheme 4's batch planning keeps the mean WAIT-set strictly below "
+        "Scheme 2's at every E14 cell (extension; `--check-dominance`).",
+        {
+            "E14": Sweep(
+                ("scheme2", "scheme4"), E14_MPL, (7, 8, 9, 10), _run_e4_cell,
+                ("sim",),
+            ),
+        },
+        _cell_tables(
+            "E14 — the E4 workload at high mpl",
+            "committed", "global_aborts", "watchdog_aborts", "mean_wait_set",
+        ),
+    ),
+}
+
+EXPERIMENTS: Dict[str, Experiment] = {**PAPER_EXPERIMENTS, **SIMULATOR_EXPERIMENTS}
+
+#: ``repro bench --experiment`` names beyond the experiments themselves
+GROUPS: Dict[str, Tuple[str, ...]] = {"paper": tuple(PAPER_EXPERIMENTS)}
+
+#: cell ``experiment`` name -> its tally (the E4 sweeps share one)
+_TALLIES = {
+    name: sweep.tally
+    for experiment in EXPERIMENTS.values()
     for name, sweep in experiment.sweeps.items()
 }
 
 
-def paper_specs(*experiments: str) -> List[Dict[str, Any]]:
-    """The cells of the named paper experiments (all five by default), in
-    the fixed order results are merged back in."""
+def specs(*experiments: str) -> List[Dict[str, Any]]:
+    """The cells of the named experiments, in the fixed order results
+    are merged back in.  ``workers`` is the shard pool's size on the
+    parallel transport and not part of a cell's identity (see
+    :data:`CELL_KEY`)."""
     return [
-        spec
-        for name in experiments or PAPER_EXPERIMENTS
-        for sweep_name, sweep in PAPER_EXPERIMENTS[name].sweeps.items()
-        for spec in make_specs(
-            sweep.schemes,
-            sweep.values,
-            sweep.seeds,
-            experiment=sweep_name,
-            transport="drive",
-        )
+        {
+            "experiment": name,
+            "scheme": scheme,
+            "mpl": value,
+            "seed": seed,
+            "transport": transport,
+            "workers": sweep.workers if transport == "parallel" else 1,
+            "groups": sweep.groups,
+        }
+        for experiment in experiments
+        for name, sweep in EXPERIMENTS[experiment].sweeps.items()
+        for transport in sweep.transports
+        for scheme in sweep.schemes
+        for value in sweep.values
+        for seed in sweep.seeds
     ]
 
 
@@ -766,28 +883,28 @@ def render_report(
     cells: Sequence[Dict[str, Any]],
     experiments: Sequence[str] = tuple(PAPER_EXPERIMENTS),
 ) -> str:
-    """The named paper experiments as markdown, rendered from *cells*
-    (a BENCH file's) alone.  Raises ValueError naming an unknown
-    experiment, or one whose cells are not all present."""
+    """The named experiments as markdown, rendered from *cells* (a BENCH
+    file's) alone.  Raises ValueError naming an unknown experiment, or
+    one whose cells are not all present."""
     present = {_cell_key(cell) for cell in cells}
     sections = []
     for name in experiments:
-        if name not in PAPER_EXPERIMENTS:
+        if name not in EXPERIMENTS:
             raise ValueError(
-                f"unknown experiment {name!r}; choose from "
-                f"{sorted(PAPER_EXPERIMENTS)}"
+                f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
             )
-        missing = [spec for spec in paper_specs(name) if _cell_key(spec) not in present]
+        declared = {_cell_key(spec): spec for spec in specs(name)}
+        missing = [spec for key, spec in declared.items() if key not in present]
         if missing:
             raise ValueError(
                 f"{name}: {len(missing)} of its cells are missing, e.g. "
                 + " ".join(f"{key}={missing[0][key]}" for key in CELL_KEY)
             )
-        experiment = PAPER_EXPERIMENTS[name]
+        experiment = EXPERIMENTS[name]
         body = "\n\n".join(
             render_table(headers, rows, title=title)
             for title, headers, rows in experiment.tables(
-                select(cells, *experiment.sweeps)
+                [cell for cell in cells if _cell_key(cell) in declared]
             )
         )
         sections.append(
@@ -797,7 +914,7 @@ def render_report(
     return (
         "# The paper's experiments\n\n"
         "Rendered by `python -m repro report` from committed cells; "
-        "`python -m repro bench --experiment paper --baseline BENCH_10.json` "
+        "`python -m repro bench --experiment <name> --baseline <file>` "
         "re-runs them exactly.\n\n" + "\n".join(sections)
     )
 
@@ -896,32 +1013,29 @@ def check_dominance(
     cells: Iterable[Dict[str, Any]],
     challenger: str = "scheme4",
     incumbent: str = "scheme2",
-    mpl_values: Sequence[int] = E14_MPL,
-    experiment: str = "E14",
 ) -> List[str]:
-    """The ROADMAP item 1 dominance gate, over one run's cells.
+    """The ROADMAP item 1 dominance gate, over one run's E14 cells.
 
-    For every (*mpl* ∈ *mpl_values*, seed) pair present for both schemes,
-    the *challenger*'s mean WAIT-set size must be **strictly** below the
-    *incumbent*'s.  Cells only exist for runs that passed ground-
-    truth verification (:func:`_run_e4_cell` raises otherwise), so a
-    compared pair always carries identical verification verdicts.
+    For every (*mpl* ∈ :data:`E14_MPL`, seed) pair present for both
+    schemes, the *challenger*'s mean WAIT-set size must be **strictly**
+    below the *incumbent*'s.  Cells only exist for runs that passed
+    ground-truth verification (:func:`_run_e4_cell` raises otherwise), so
+    a compared pair always carries identical verification verdicts.
     Returns failure descriptions; an empty list means dominance holds,
     and a grid with no comparable pair at some *mpl* fails — a gate that
     compares nothing must not pass."""
     failures: List[str] = []
-    for mpl in mpl_values:
+    for mpl in E14_MPL:
         pairs = [
             (trace, rival, reference)
             for trace, rival, reference in _paired(
                 cells, challenger, incumbent, "mean_wait_set"
             )
-            if trace[:2] == (experiment, mpl)
+            if trace[:2] == ("E14", mpl)
         ]
         if not pairs:
             failures.append(
-                f"no comparable {experiment} {challenger}/{incumbent} "
-                f"pairs at mpl={mpl}"
+                f"no comparable E14 {challenger}/{incumbent} pairs at mpl={mpl}"
             )
         failures += [
             f"{challenger}@mpl={mpl} seed={trace[2]}: mean WAIT-set "

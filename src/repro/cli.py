@@ -22,16 +22,16 @@ Commands
     histories.
 
 ``bench``
-    Run a trajectory grid (the paper's E1/E2/E3/E6/E7 cells on the GTM2
-    layer, or the simulator's E4 throughput / E11 atomic-commit / E13
-    commit-group / E14 degree-of-concurrency cells) across worker
-    processes, emit a ``BENCH_<n>.json`` file, and optionally fail
-    unless every cell equals its twin in a committed baseline (see
-    docs/performance.md).
+    Run one declared grid (the paper's cells on the GTM2 layer, or the
+    simulator's E4 / grouped E4 / E13 / E14 cells; see
+    ``repro.analysis.bench.EXPERIMENTS``) across worker processes, emit
+    a ``BENCH_<n>.json`` file, and optionally fail unless every cell
+    equals its twin in a committed baseline (see docs/performance.md).
 
 ``report``
-    Render the paper's experiments as markdown tables from the cells of
-    a BENCH file (``BENCH_10.json``).
+    Render declared experiments as markdown tables from the cells of a
+    BENCH file (``BENCH_10.json`` for the paper's, ``BENCH_3.json`` for
+    E4).
 
 Examples
 --------
@@ -41,10 +41,10 @@ Examples
     python -m repro compare --schemes scheme0 scheme3 otm --txns 30
     python -m repro trace --scheme scheme2 --txns 8 --seed 7
     python -m repro chaos --runs 50 --loss-rate 0.2
-    python -m repro bench --schemes scheme2 scheme3 --mpl 16 \
-        --baseline BENCH_3.json --out BENCH_smoke.json
+    python -m repro bench --experiment E4 --baseline BENCH_3.json \
+        --out BENCH_smoke.json
     python -m repro bench --experiment paper --baseline BENCH_10.json
-    python -m repro report BENCH_10.json --experiments E3
+    python -m repro report BENCH_10.json --experiments E3 E8
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ import os
 import sys
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis import bench
 from repro.analysis.reporting import render_table
 from repro.baselines import BASELINES, make_baseline
 from repro.core import SCHEMES, make_scheme
@@ -335,117 +336,26 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.analysis import bench
-
-    for name in args.schemes:
-        # bench cells are constructed with make_scheme inside worker
-        # processes, so only the scheme registry is runnable here —
-        # _make_scheduler would wave baselines (otm, ...) through and
-        # let them crash mid-grid with a raw KeyError
-        if name not in SCHEMES:
-            raise SystemExit(
-                f"unknown bench scheme {name!r}; choose from "
-                f"{sorted(SCHEMES)}"
-            )
-    transports = list(dict.fromkeys(args.transport))
-    if "parallel" in transports and args.experiment not in ("E4", "E14"):
+    # the ROADMAP item 1 claim is made for the E14 high-MPL regime only —
+    # gating whatever grid happened to run would let a pass on E4 cells
+    # masquerade as the documented invariant holding
+    if args.check_dominance and args.experiment != "E14":
         raise SystemExit(
-            "--transport parallel only applies to the E4/E14 simulator "
-            "grids; E11/E13 are chaos scenarios pinned to the "
-            "deterministic sim transport"
+            "--check-dominance gates the E14 degree-of-concurrency "
+            f"claim; run with --experiment E14, not {args.experiment}"
         )
-    dominance_mpls = []
-    if args.check_dominance:
-        # the ROADMAP item 1 claim is made for the E14 high-MPL regime
-        # only — gating whatever grid happened to run would let a pass
-        # at low MPL or on E4 cells masquerade as the documented
-        # invariant holding
-        if args.experiment != "E14":
-            raise SystemExit(
-                "--check-dominance gates the E14 degree-of-concurrency "
-                f"claim; run with --experiment E14, not {args.experiment}"
-            )
-        dominance_mpls = [m for m in args.mpl if m in bench.E14_MPL]
-        if not dominance_mpls:
-            raise SystemExit(
-                "--check-dominance needs at least one E14 gate MPL "
-                f"{sorted(bench.E14_MPL)} in --mpl, got {list(args.mpl)}"
-            )
-    # "paper" is all five of the paper's experiments
-    paper = [
-        name
-        for name in bench.PAPER_EXPERIMENTS
-        if args.experiment in (name, "paper")
-    ]
-    if paper:
-        # a paper experiment's grid is its declaration in bench
-        grid = (args.schemes, args.mpl, args.seeds, args.base_seed, args.groups)
-        if grid != (list(bench.DEFAULT_SCHEMES), list(bench.DEFAULT_MPL), 4, 7, 1):
-            raise SystemExit(
-                f"--experiment {args.experiment} runs its declared grid; "
-                "--schemes/--mpl/--seeds/--base-seed/--groups select the "
-                "E4/E11/E13/E14 grids only"
-            )
-        specs = bench.paper_specs(*paper)
-    else:
-        seeds = [args.base_seed + offset for offset in range(args.seeds)]
-        specs = []
-        for transport in transports:
-            specs += bench.make_specs(
-                schemes=args.schemes,
-                mpl_values=args.mpl,
-                seeds=seeds,
-                experiment=args.experiment,
-                transport=transport,
-                workers=args.workers if transport == "parallel" else 1,
-                groups=args.groups,
-            )
+    names = bench.GROUPS.get(args.experiment, (args.experiment,))
+    specs = bench.specs(*names)
     # nested-pool guard: the parallel transport owns the worker pool, so
     # bench cells must run serially — forking a cell pool on top of
     # per-cell shard pools would oversubscribe the host and
     # deadlock-prone daemonic children
-    workers = 1 if "parallel" in transports else args.workers
-    try:
-        results = bench.run_grid(specs, workers=workers)
-    except ValueError as exc:
-        raise SystemExit(f"invalid bench grid: {exc}") from exc
-    if paper:
-        print(bench.render_report(results, paper))
-    else:
-        table = [
-            {
-                "transport": cell["transport"],
-                "scheme": cell["scheme"],
-                "mpl": cell["mpl"],
-                "seed": cell["seed"],
-                "committed": cell["committed"],
-                "tput (txn/kt)": round(cell["throughput"] * 1000, 2),
-                "mean rt": round(cell["mean_response_time"], 1),
-                "steps": cell["scheme_steps"],
-                "mean WAIT": round(cell["mean_wait_set"], 2),
-            }
-            for cell in results
-        ]
-        print(
-            render_table(
-                list(table[0]) if table else (),
-                [list(row.values()) for row in table],
-                title=f"{args.experiment} bench grid",
-            )
-        )
+    sharded = any(spec["transport"] == "parallel" for spec in specs)
+    results = bench.run_grid(specs, workers=1 if sharded else args.workers)
+    print(bench.render_report(results, names))
     if args.out:
-        if paper:
-            # a paper grid is its declaration, named by --experiment
-            meta = {"experiment": args.experiment}
-        else:
-            recorded = ("experiment", "schemes", "mpl", "seeds", "base_seed", "groups")
-            meta = {name: getattr(args, name) for name in recorded}
-            meta["transports"] = transports
-            if "parallel" in transports:
-                # the shard pool's size; the cell pool's (a host default)
-                # changes no cell and is not recorded
-                meta["workers"] = args.workers
-        bench.emit_json(results, args.out, meta=meta)
+        # a grid is its declaration, named by --experiment
+        bench.emit_json(results, args.out, meta={"experiment": args.experiment})
         print(f"wrote {args.out}")
     if args.metrics_out:
         registry = bench.results_to_registry(results)
@@ -459,12 +369,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         )
         gates.append(("regression", failures, f"exact, vs {args.baseline}"))
     if args.check_dominance:
-        failures = bench.check_dominance(
-            results, mpl_values=dominance_mpls, experiment=args.experiment
-        )
+        failures = bench.check_dominance(results)
         passed = (
             "scheme4 mean WAIT-set strictly below scheme2's at mpl "
-            f"{dominance_mpls}"
+            f"{list(bench.E14_MPL)}"
         )
         gates.append(("dominance", failures, passed))
     for gate, failures, passed in gates:
@@ -477,8 +385,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis import bench
-
     try:
         text = bench.render_report(
             bench.load_json(args.bench)["cells"],
@@ -646,47 +552,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = sub.add_parser(
         "bench",
-        help="run a bench grid (the paper's E1/E2/E3/E6/E7 cells, or the "
-        "simulator's E4/E11/E13/E14 cells, across worker processes) and "
-        "optionally gate on a baseline",
+        help="run a declared bench grid (the paper's drive()-layer cells or "
+        "the simulator's, across worker processes) and optionally gate on "
+        "a baseline",
     )
     bench_parser.add_argument(
         "--experiment",
-        choices=["E1", "E2", "E3", "E4", "E6", "E7", "E11", "E13", "E14", "paper"],
+        choices=[*bench.EXPERIMENTS, *bench.GROUPS],
         default="E4",
-        help="paper = E1, E2, E3, E6 and E7, each on its declared grid",
+        help="one experiment's declared grid (repro.analysis.bench."
+        "EXPERIMENTS), or paper for all of the paper's own",
     )
     bench_parser.add_argument(
-        "--schemes",
-        nargs="+",
-        default=["scheme0", "scheme1", "scheme2", "scheme3", "scheme4"],
-    )
-    bench_parser.add_argument(
-        "--mpl", nargs="+", type=int, default=[4, 8, 16]
-    )
-    bench_parser.add_argument(
-        "--seeds", type=int, default=4, help="number of seeds per cell"
-    )
-    bench_parser.add_argument("--base-seed", type=int, default=7)
-    bench_parser.add_argument(
-        "--workers", type=int, default=max(1, os.cpu_count() or 1)
-    )
-    bench_parser.add_argument(
-        "--transport",
-        nargs="+",
-        choices=["sim", "parallel"],
-        default=["sim"],
-        help="which transport(s) to run each cell on: the deterministic "
-        "single-loop simulator and/or the sharded multiprocessing "
-        "runtime (E4 only; cells run serially when parallel is active "
-        "so the shard pool owns the cores)",
-    )
-    bench_parser.add_argument(
-        "--groups",
+        "--workers",
         type=int,
-        default=1,
-        help="independent 4-site E4 clusters per cell; >1 makes the "
-        "workload site-disjoint so the parallel transport shards it",
+        default=max(1, os.cpu_count() or 1),
+        help="cell pool size; a grid with sharded cells runs them serially "
+        "so the shard pool owns the cores",
     )
     bench_parser.add_argument("--out", help="write BENCH_<n>.json here")
     bench_parser.add_argument(
@@ -705,17 +587,18 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="fail unless scheme4's mean WAIT-set size is strictly "
         "below scheme2's on every compared (mpl, seed) cell of this "
-        "run (the ROADMAP item 1 gate; requires --experiment E14 and "
-        "gates only the E14 high-MPL cells, 32/64)",
+        "run (the ROADMAP item 1 gate; requires --experiment E14)",
     )
     bench_parser.set_defaults(func=cmd_bench)
 
     report_parser = sub.add_parser(
-        "report", help="render the paper's experiments from a BENCH file"
+        "report", help="render declared experiments from a BENCH file"
     )
     report_parser.add_argument("bench", help="e.g. BENCH_10.json")
     report_parser.add_argument(
-        "--experiments", nargs="*", help="subset, e.g. E1 E3"
+        "--experiments",
+        nargs="*",
+        help="e.g. E1 E3 (default: the paper's own), or E4 from BENCH_3.json",
     )
     report_parser.add_argument("-o", "--output", help="write to file")
     report_parser.set_defaults(func=cmd_report)

@@ -16,9 +16,10 @@ The resilience policies configured here:
 
 - :class:`RetryPolicy` — per-submission ack timeouts with capped
   exponential backoff and jittered retries;
-- quarantine (``SimulationConfig.quarantine_after_crashes``) — a site
-  that keeps crashing is excluded from new incarnations so one bad site
-  degrades service instead of stalling the whole GTM.
+- quarantine (``FaultScheduler``, after
+  ``repro.mdbs.fault_scheduler.QUARANTINE_AFTER_CRASHES`` crashes) — a
+  site that keeps crashing is excluded from new incarnations so one bad
+  site degrades service instead of stalling the whole GTM.
 """
 
 from __future__ import annotations

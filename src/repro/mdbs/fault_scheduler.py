@@ -18,6 +18,10 @@ from repro.faults.injector import FaultInjector
 from repro.lmdbs.database import LocalDBMS
 from repro.mdbs.events import EventLoop
 
+#: a site crashing this many times is quarantined: new incarnations
+#: touching it fail fast instead of stalling (graceful degradation)
+QUARANTINE_AFTER_CRASHES = 3
+
 
 class FaultScheduler:
     """Crash schedule, quarantine and orphan reaping of one run."""
@@ -39,8 +43,10 @@ class FaultScheduler:
         self._loop = loop
         self._sites = sites
         self.injector = injector
-        #: the run's ``SimulationConfig`` (quarantine threshold, orphan grace)
-        self._config = config
+        #: how long after a global abort the orphan sweep waits before
+        #: reaping the incarnation's leftovers at the sites (covers the
+        #: in-flight abort messages of the run's ``SimulationConfig``)
+        self._orphan_grace = max(4 * config.latencies.message_delay, 10.0)
         self._tracer = tracer
         #: incarnation -> live runtime, owned by the kernel
         self._runtimes = runtimes
@@ -134,7 +140,7 @@ class FaultScheduler:
         self.injector.channel(site).on_crash()
         for listener in self.site_listeners:
             listener.on_site_crash(site)
-        if db.crash_count >= self._config.quarantine_after_crashes:
+        if db.crash_count >= QUARANTINE_AFTER_CRASHES:
             self._quarantine(site)
         self._loop.schedule(downtime, partial(self._restart_site, site))
 
@@ -170,7 +176,6 @@ class FaultScheduler:
         aborted — the backstop for lost abort messages (an orphan holding
         locks would otherwise stall the site until the watchdog killed
         its victims one by one)."""
-        grace = self._config.effective_orphan_grace
         for site, db in self._sites.items():
             if not self._is_up(site):
                 continue
@@ -179,7 +184,7 @@ class FaultScheduler:
                 aborted_at = self._aborted_at.get(transaction_id)
                 if aborted_at is None or transaction_id in self._runtimes:
                     continue
-                if now - aborted_at >= grace:
+                if now - aborted_at >= self._orphan_grace:
                     self._abort_orphan(site, transaction_id)
                     self.injector.stats.orphans_reaped += 1
 

@@ -94,13 +94,6 @@ class SimulationConfig:
     horizon: float = 1_000_000.0
     #: ack-timeout/backoff policy of the resilient servers (fault mode)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: a site crashing this many times is quarantined: new incarnations
-    #: touching it fail fast instead of stalling (graceful degradation)
-    quarantine_after_crashes: int = 3
-    #: how long after a global abort the orphan sweep waits before
-    #: reaping the incarnation's leftovers at the sites (covers the
-    #: in-flight abort messages); None = max(4 * message_delay, 10)
-    orphan_grace: Optional[float] = None
     #: participant-side 2PC timing (in-doubt window, termination
     #: backoff); consulted only when ``atomic_commit`` is enabled
     commit: CommitPolicy = field(default_factory=CommitPolicy)
@@ -118,18 +111,8 @@ class SimulationConfig:
             raise SimulationError("max_restarts must be >= 0")
         if self.horizon <= 0:
             raise SimulationError("horizon must be > 0")
-        if self.quarantine_after_crashes < 1:
-            raise SimulationError("quarantine_after_crashes must be >= 1")
-        if self.orphan_grace is not None and self.orphan_grace < 0:
-            raise SimulationError("orphan_grace must be >= 0")
         self.retry.validate()
         self.commit.validate()
-
-    @property
-    def effective_orphan_grace(self) -> float:
-        if self.orphan_grace is not None:
-            return self.orphan_grace
-        return max(4 * self.latencies.message_delay, 10.0)
 
 
 @dataclass

@@ -13,7 +13,8 @@ def fold(records: Sequence[Any], shared: Sequence[str] = ()) -> Any:
     """The field-wise sum, as one more record of the class: numbers add,
     tuples and lists concatenate, number dicts add key-wise, nested records
     fold the same way (None when no record has them); flags and the fields
-    named in *shared* read the same in every record and take the maximum."""
+    named in *shared*, at any depth, read the same in every record and take
+    the maximum."""
     merged: Dict[str, Any] = {}
     for spec in dataclasses.fields(records[0]):
         values = [getattr(record, spec.name) for record in records]
@@ -29,7 +30,7 @@ def fold(records: Sequence[Any], shared: Sequence[str] = ()) -> Any:
             keys = dict.fromkeys(key for value in values for key in value)
             merged[spec.name] = {k: sum(v.get(k, 0) for v in values) for k in keys}
         elif dataclasses.is_dataclass(sample):
-            merged[spec.name] = fold(values)
+            merged[spec.name] = fold(values, shared)
         else:
             raise TypeError(f"cannot fold field {spec.name!r}: {sample!r}")
     return type(records[0])(**merged)

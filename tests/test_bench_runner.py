@@ -18,36 +18,55 @@ import pytest
 from repro.analysis import bench
 
 
-def _tiny_specs(**overrides):
-    kwargs = dict(
-        schemes=("scheme3",),
-        mpl_values=(4,),
-        seeds=(7, 8),
-        experiment="E4",
-    )
-    kwargs.update(overrides)
-    return bench.make_specs(**kwargs)
-
-
-def test_make_specs_fixed_order():
-    specs = bench.make_specs(
-        schemes=("scheme2", "scheme3"), mpl_values=(4, 8), seeds=(7,)
-    )
-    assert [(s["scheme"], s["mpl"]) for s in specs] == [
-        ("scheme2", 4),
-        ("scheme2", 8),
-        ("scheme3", 4),
-        ("scheme3", 8),
+def _e4_specs(scheme="scheme3", mpl=4, seeds=(7, 8)):
+    """Declared E4 cells of one scheme and MPL."""
+    return [
+        spec
+        for spec in bench.specs("E4")
+        if spec["scheme"] == scheme and spec["mpl"] == mpl and spec["seed"] in seeds
     ]
 
 
+def test_make_specs_fixed_order():
+    """Transport, then scheme, then swept value, then seed — the order
+    every committed BENCH file lists its cells in."""
+    specs = bench.specs("E4-sharded")
+    assert [
+        (s["transport"], s["scheme"], s["mpl"], s["seed"]) for s in specs[:5]
+    ] == [
+        ("sim", "scheme2", 32, 7),
+        ("sim", "scheme2", 32, 8),
+        ("sim", "scheme2", 64, 7),
+        ("sim", "scheme2", 64, 8),
+        ("sim", "scheme3", 32, 7),
+    ]
+    # the shard pool's size is recorded on the parallel cells only
+    assert {(s["transport"], s["workers"], s["groups"]) for s in specs} == {
+        ("sim", 1, 4),
+        ("parallel", 4, 4),
+    }
+    assert bench.specs("E1", "E3") == bench.specs("E1") + bench.specs("E3")
+
+
+def test_every_declared_cell_has_a_tally():
+    """Sweeps may share a cell name (E4 and E4-sharded both emit ``E4``
+    cells, told apart by ``groups``) only if they share its tally, and no
+    two experiments declare the same cell."""
+    keys = [bench._cell_key(spec) for spec in bench.specs(*bench.EXPERIMENTS)]
+    assert len(keys) == len(set(keys))
+    for experiment in bench.EXPERIMENTS.values():
+        for name, sweep in experiment.sweeps.items():
+            assert bench._TALLIES[name] is sweep.tally
+    assert set(bench.GROUPS["paper"]) <= set(bench.PAPER_EXPERIMENTS)
+
+
 def test_cell_is_deterministic():
-    spec = _tiny_specs()[0]
+    spec = _e4_specs()[0]
     assert bench.run_cell(spec) == bench.run_cell(spec)
 
 
 def test_serial_equals_parallel():
-    specs = _tiny_specs()
+    specs = _e4_specs()
     assert bench.run_grid(specs, workers=1) == bench.run_grid(specs, workers=2)
 
 
@@ -57,9 +76,9 @@ def test_scheme1_cell_is_hash_seed_invariant():
     set's (``scheme_steps`` read 1706 vs 1719 here before)."""
     program = (
         "import json; from repro.analysis import bench; "
-        "print(json.dumps(bench.run_cell(bench.make_specs("
-        "schemes=('scheme1',), mpl_values=(8,), seeds=(7,))[0]), "
-        "sort_keys=True))"
+        "spec = next(s for s in bench.specs('E4') "
+        "if s['scheme'] == 'scheme1' and s['mpl'] == 8 and s['seed'] == 7); "
+        "print(json.dumps(bench.run_cell(spec), sort_keys=True))"
     )
     cells = [
         subprocess.run(
@@ -86,7 +105,7 @@ def test_make_e4_job_rejects_groups_that_do_not_divide_mpl():
 
 
 def test_emit_and_load_json(tmp_path):
-    results = [bench.run_cell(spec) for spec in _tiny_specs(seeds=(7,))]
+    results = [bench.run_cell(spec) for spec in _e4_specs(seeds=(7,))]
     path = tmp_path / "BENCH_t.json"
     bench.emit_json(results, str(path), meta={"note": "test"})
     data = bench.load_json(str(path))
@@ -94,7 +113,7 @@ def test_emit_and_load_json(tmp_path):
     assert data["cells"] == results
     # a simulator cell is its spec plus exactly the declared fields it
     # has a reader for (the rest are the paper cells' counts)
-    spec = _tiny_specs(seeds=(7,))[0]
+    spec = _e4_specs(seeds=(7,))[0]
     read = {name for name, (reader, _) in bench.CELL_FIELDS.items() if reader}
     assert set(data["cells"][0]) == set(spec) | read
     # and the file is valid, pretty-printed JSON
@@ -233,38 +252,54 @@ def test_check_dominance_events_per_sec_gate_is_optional():
     assert bench.check_dominance(cells) == []
 
 
-def _committed(path):
-    data = bench.load_json(path)
+#: every committed trajectory file
+COMMITTED = sorted(
+    pathlib.Path(bench.__file__).parents[3].glob("BENCH_*.json"),
+    key=lambda path: int(path.stem.split("_")[1]),
+)
+
+
+def _declared(path):
+    """The file's cells and the declared specs of the grid its
+    ``meta.experiment`` names."""
+    data = bench.load_json(str(path))
     assert data["cells"], f"{path} has no cells"
-    return data["cells"]
+    name = data["meta"]["experiment"]
+    return data["cells"], bench.specs(*bench.GROUPS.get(name, (name,)))
+
+
+def test_every_committed_file_is_one_declared_grid():
+    """A BENCH file names one declared experiment (or group), and holds
+    exactly that declaration's cells, in its order."""
+    assert [path.name for path in COMMITTED] == [
+        f"BENCH_{number}.json" for number in (3, 7, 8, 9, 10)
+    ]
+    for path in COMMITTED:
+        cells, specs = _declared(path)
+        assert [bench._cell_key(cell) for cell in cells] == [
+            bench._cell_key(spec) for spec in specs
+        ], path.name
+        assert [cell["workers"] for cell in cells] == [
+            spec["workers"] for spec in specs
+        ], path.name
 
 
 def test_committed_trajectory_is_self_consistent():
     """Every committed BENCH file gates clean against itself, and a
-    fresh run of its grid gates clean against the file (E14 at MPL 64
-    and the BENCH_8 worker pool are re-run in CI only)."""
-    for number in (3, 7, 8, 9):
-        cells = _committed(f"BENCH_{number}.json")
+    fresh run of its declared grid equals the file — on the single-loop
+    cells up to MPL 32 (MPL 64 and the shard pool are re-run in CI; the
+    paper grid by tests/test_experiments_module.py)."""
+    for path in COMMITTED:
+        cells, specs = _declared(path)
         assert bench.check_regression(cells, cells) == []
-    fresh = bench.run_grid(bench.make_specs())
-    assert len(fresh) == 60
-    assert bench.check_regression(fresh, _committed("BENCH_3.json")) == []
-    assert fresh == _committed("BENCH_3.json")
-    fresh = bench.run_grid(
-        bench.make_specs(
-            schemes=("scheme2",), mpl_values=(1, 3), experiment="E13"
-        )
-    )
-    assert len(fresh) == 8
-    assert bench.check_regression(fresh, _committed("BENCH_7.json")) == []
-    assert fresh == _committed("BENCH_7.json")
-    fresh = bench.run_grid(
-        bench.make_specs(
-            schemes=("scheme2", "scheme4"),
-            mpl_values=(32,),
-            seeds=(7, 8),
-            experiment="E14",
-        )
-    )
-    assert len(fresh) == 4
-    assert bench.check_regression(fresh, _committed("BENCH_9.json")) == []
+        if specs[0]["transport"] == "drive":
+            continue
+        slice_ = [
+            spec
+            for spec in specs
+            if spec["transport"] == "sim" and spec["mpl"] <= 32
+        ]
+        fresh = bench.run_grid(slice_)
+        assert bench.check_regression(fresh, cells) == []
+        wanted = {bench._cell_key(spec) for spec in slice_}
+        assert fresh == [cell for cell in cells if bench._cell_key(cell) in wanted]

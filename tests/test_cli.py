@@ -21,77 +21,46 @@ class TestParser:
                 ["simulate", "--protocols", "voodoo"]
             )
 
-    def test_bench_rejects_unknown_scheme(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--schemes", "scheme2", "bogus", "--seeds", "1"])
-        message = str(excinfo.value)
-        assert "bogus" in message
-        assert "scheme4" in message  # the valid names are listed
-
-    def test_bench_rejects_baseline_scheduler_names(self):
-        # baselines (e.g. otm) are simulate-able but not bench-runnable;
-        # they used to pass validation and crash with a raw KeyError
-        # inside the worker pool
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--schemes", "otm", "--seeds", "1"])
-        assert "otm" in str(excinfo.value)
-
-    def test_bench_rejects_groups_that_do_not_divide_mpl(self):
-        # used to run MPL 15 and record "mpl": 16
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--mpl", "16", "--groups", "3", "--seeds", "1"])
-        message = str(excinfo.value)
-        assert "groups=3" in message and "mpl=16" in message
-
     def test_bench_gate_is_exact_and_names_the_field(self, tmp_path, capsys):
         from repro.analysis import bench
 
-        argv = ["bench", "--schemes", "scheme1", "--mpl", "4", "--seeds", "1"]
+        argv = ["bench", "--experiment", "E13"]
         baseline = tmp_path / "BENCH_t.json"
         assert main(argv + ["--workers", "1", "--out", str(baseline)]) == 0
         assert main(argv + ["--baseline", str(baseline)]) == 0
         data = bench.load_json(str(baseline))
-        assert "workers" not in data["meta"]  # nothing host-derived
+        # nothing host-derived: the file names its declaration
+        assert data["meta"] == {"experiment": "E13"}
+        aborts = data["cells"][0]["watchdog_aborts"]
         data["cells"][0]["watchdog_aborts"] += 1
         bench.emit_json(data["cells"], str(baseline), meta=data["meta"])
         capsys.readouterr()
         assert main(argv + ["--baseline", str(baseline)]) == 1
         out = capsys.readouterr().out
-        assert "!! regression:" in out and "scheme=scheme1" in out
-        assert "watchdog_aborts 0 != baseline 1" in out
+        assert "!! regression: experiment=E13 scheme=scheme2 mpl=1 seed=7" in out
+        assert f"watchdog_aborts {aborts} != baseline {aborts + 1}" in out
         # a run sharing no cell with the baseline fails too
-        assert main(argv + ["--base-seed", "99", "--baseline", str(baseline)]) == 1
+        assert main(["bench", "--experiment", "E3", "--baseline", str(baseline)]) == 1
         assert "no cell shared" in capsys.readouterr().out
 
     def test_bench_accepts_e14(self):
-        args = build_parser().parse_args(["bench", "--experiment", "E14"])
-        assert args.experiment == "E14"
-        assert "scheme4" in args.schemes
+        """``--experiment`` takes every declared name, and only those."""
+        from repro.analysis import bench
+
+        for name in [*bench.EXPERIMENTS, *bench.GROUPS]:
+            args = build_parser().parse_args(["bench", "--experiment", name])
+            assert args.experiment == name
+        assert "E14" in bench.EXPERIMENTS and "E11" not in bench.EXPERIMENTS
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--experiment", "E11"])
 
     def test_check_dominance_requires_e14(self):
         # the ROADMAP claim is only made for the E14 high-MPL regime; a
         # pass over the default E4 grid must not masquerade as the
         # dominance claim holding
         with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--check-dominance", "--seeds", "1"])
+            main(["bench", "--check-dominance"])
         assert "E14" in str(excinfo.value)
-
-    def test_check_dominance_requires_e14_mpl(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "bench",
-                    "--experiment",
-                    "E14",
-                    "--check-dominance",
-                    "--mpl",
-                    "4",
-                    "--seeds",
-                    "1",
-                ]
-            )
-        message = str(excinfo.value)
-        assert "32" in message and "64" in message
 
 
 class TestCommands:

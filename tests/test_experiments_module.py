@@ -17,11 +17,11 @@ def committed():
 
 @pytest.fixture(scope="module")
 def fresh():
-    return bench.run_grid(bench.paper_specs())
+    return bench.run_grid(bench.specs(*bench.PAPER_EXPERIMENTS))
 
 
 def test_paper_grid_equals_committed_file(fresh, committed):
-    assert len(fresh) == len(committed) == 901
+    assert len(fresh) == len(committed) == 991
     assert bench.check_regression(fresh, committed) == []
     assert fresh == committed
 
@@ -62,7 +62,22 @@ class TestSections:
 
 class TestReport:
     def test_registry_contains_core_experiments(self):
-        assert set(bench.PAPER_EXPERIMENTS) == {"E1", "E2", "E3", "E6", "E7"}
+        assert set(bench.PAPER_EXPERIMENTS) == {"E1", "E2", "E3", "E6", "E7", "E8"}
+        assert set(bench.EXPERIMENTS) == set(bench.PAPER_EXPERIMENTS) | {
+            "E4", "E4-sharded", "E13", "E14"
+        }
+
+    def test_e8_renders_the_baseline_means(self, committed):
+        section = bench.render_report(committed, ["E8"])
+        assert "site-graph  64.80       0  34,759" in section
+        assert "       otm      0   13.07   1,100" in section
+
+    def test_e4_renders_from_its_own_file(self):
+        section = bench.render_report(
+            bench.load_json("BENCH_3.json")["cells"], ["E4"]
+        )
+        assert "## E4" in section
+        assert "scheme3    8      24.00          82.00    83.52" in section
 
     def test_render_report_subset(self, committed):
         text = bench.render_report(committed, ["E3"])

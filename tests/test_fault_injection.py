@@ -378,7 +378,6 @@ class TestWatchdogAndConfig:
             SimulationConfig(stall_timeout=0.0),
             SimulationConfig(restart_backoff=-1.0),
             SimulationConfig(horizon=-5.0),
-            SimulationConfig(quarantine_after_crashes=0),
         ):
             with pytest.raises(SimulationError):
                 bad.validate()

@@ -272,6 +272,8 @@ def test_fault_scenarios_shard_equivalently(scheme_name, seed):
     par_result = ParallelTransport(workers=1).run(job)
     assert par_result.shards == 4
     _assert_same_decisions(sim_result, par_result)
+    # a GTM2 crash hits every shard at once: counted once, not per shard
+    assert par_result.report.fault_stats == sim_result.report.fault_stats
 
 
 def test_single_stream_fault_plan_refuses_to_shard():

@@ -16,12 +16,14 @@ from repro.workloads import (
 
 
 def _paper_cells(sweep, schemes, values, seeds=(0,)):
-    """Cells of one declared paper sweep, on a smaller grid."""
-    return bench.run_grid(
-        bench.make_specs(
-            schemes, values, seeds, experiment=sweep, transport="drive"
-        )
-    )
+    """Cells of one declared paper sweep, on another grid."""
+    return bench.run_grid([
+        dict(experiment=sweep, scheme=scheme, mpl=value, seed=seed,
+             transport="drive", workers=1, groups=1)
+        for scheme in schemes
+        for value in values
+        for seed in seeds
+    ])
 
 
 class TestDistributions:
