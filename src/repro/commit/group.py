@@ -29,9 +29,9 @@ quorum round-trip between the decision and its durability.
 
 Every quorum — vote durability, promises, accepts — is counted in one
 place, :meth:`CoordinatorGroup._quorum_round`, by distinct replica rank.
-Every message is one call of the injected ``send`` (the message plane's:
-loss / duplication / heavy-tail delay), and all timing flows through the
-simulator's deterministic event loop, so group runs replay
+Every message is one call of the injected ``send`` (the message plane's)
+on the channel of the replica at the other end, and all timing flows
+through the simulator's deterministic event loop, so group runs replay
 byte-identically from a seed; runs without a group never construct one.
 """
 
@@ -172,17 +172,17 @@ class CoordinatorReplica:
 class CoordinatorGroup:
     """``2f+1`` coordinator replicas with majority-quorum durability.
 
-    ``send(action)`` sends one message (the message plane's ``send``):
-    *action* runs once per delivered copy, possibly never.  Timers run
-    on the shared event loop, so group traffic interleaves
-    deterministically with the rest of the simulation.
+    ``send(action, channel)`` sends one message on a replica's
+    :meth:`channel`: *action* runs once per delivered copy, possibly
+    never.  Timers run on the shared event loop, so group traffic
+    interleaves deterministically with the rest of the simulation.
     """
 
     def __init__(
         self,
         size: int,
         loop,
-        send: Callable[[Callable[[], None]], None],
+        send: Callable[[Callable[[], None], str], None],
         stats: Optional[CommitGroupStats] = None,
         tracer=None,
         retry: Optional[RetryPolicy] = None,
@@ -224,6 +224,11 @@ class CoordinatorGroup:
     # ------------------------------------------------------------------
     # reachability
     # ------------------------------------------------------------------
+    @staticmethod
+    def channel(rank: int) -> str:
+        """Replica *rank*'s message channel (and resolver name)."""
+        return f"replica-{rank}"
+
     def reachable(self, rank: int) -> bool:
         replica = self.replicas[rank]
         return replica.up and self.loop.now >= self._partitioned_until.get(
@@ -273,9 +278,9 @@ class CoordinatorGroup:
                     if len(replies) == self.quorum:
                         on_quorum(list(replies.values()))
 
-                self.send(arrived)
+                self.send(arrived, self.channel(replica.rank))
 
-            self.send(deliver)
+            self.send(deliver, self.channel(replica.rank))
 
     # ------------------------------------------------------------------
     # vote broadcast: participant YES votes → quorum durability
@@ -533,7 +538,7 @@ class CoordinatorGroup:
                 if self.reachable(replica.rank):
                     replica.on_learn(incarnation, value)
 
-            self.send(deliver)
+            self.send(deliver, self.channel(replica.rank))
 
     # ------------------------------------------------------------------
     # in-doubt termination through the group
@@ -579,7 +584,7 @@ class CoordinatorGroup:
                 if self.reachable(rank):
                     replica.on_learn(incarnation, value)
 
-            self.send(deliver)
+            self.send(deliver, self.channel(rank))
             return None
         self.maybe_takeover(rank, incarnation)
         return None

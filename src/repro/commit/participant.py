@@ -21,8 +21,8 @@ of presumed-abort two-phase commit:
   executes), ABORT force-aborts and clears the prepared mark.
 - **termination protocol** — when the decision does not arrive within
   the policy's in-doubt window, the participant runs *cooperative
-  termination*: it asks the peer participants (any one that executed
-  the decision resolves it without the coordinator), then every entry
+  termination*: it asks the participants at the transaction's sites
+  (any one that executed the decision resolves it), then every entry
   of its ``resolvers`` — the coordinator (answered from the decision
   log under presumed abort) in plain 2PC, each replica of the
   coordinator *group* otherwise, so that any surviving replica
@@ -33,9 +33,9 @@ of presumed-abort two-phase commit:
   to it (``vote_broadcast``) so a replica recovery round can compute
   the decision from the quorum-logged votes.
 
-Every inquiry and reply is one message through the injected ``send``
-(the message plane's), so loss, duplication, and delay apply to the
-termination traffic exactly as to everything else.
+Every inquiry and reply is one message through the injected ``send`` on
+the participant's own site channel, so loss, duplication, and delay
+apply to the termination traffic exactly as to everything else.
 """
 
 from __future__ import annotations
@@ -66,8 +66,9 @@ class CommitParticipant:
         loop,
         policy: CommitPolicy,
         stats: CommitStats,
-        send: Callable[[Callable[[], None]], None],
+        send: Callable[[Callable[[], None], str], None],
         resolvers: Sequence[Tuple[str, Resolve]],
+        peers: Optional[Callable[[str], Sequence["CommitParticipant"]]] = None,
         on_yes_vote: Optional[Callable[[str, int], None]] = None,
         tracer=None,
         site_up: Optional[Callable[[], bool]] = None,
@@ -81,8 +82,8 @@ class CommitParticipant:
         self.loop = loop
         self.policy = policy
         self.stats = stats
-        #: sends one message (the plane's ``send``): inquiries and
-        #: replies are messages, the lookups they carry are synchronous
+        #: sends one message on a channel (the plane's ``send``): inquiries
+        #: and replies are messages, the lookups they carry are synchronous
         self.send = send
         #: ``(source, resolve)`` asked after the peers in a termination
         #: round: ``("coordinator", …)`` in plain 2PC, one
@@ -95,9 +96,9 @@ class CommitParticipant:
         #: fault-point hook: called after each YES vote with the site's
         #: running YES count (drives ``FaultPlan.crash_after_prepare``)
         self.on_yes_vote = on_yes_vote
-        #: peer participants for cooperative termination (set by the
-        #: simulator once all participants exist)
-        self.peers: Dict[str, "CommitParticipant"] = {}
+        #: ``peers(incarnation)``: the participants at the incarnation's
+        #: own sites, asked first in a termination round
+        self.peers = peers or (lambda incarnation: ())
         #: in-doubt entry times, and the resolved window lengths (E11)
         self._in_doubt_since: Dict[str, float] = {}
         self.in_doubt_times: List[float] = []
@@ -270,15 +271,15 @@ class CommitParticipant:
         )
 
     def _run_termination(self, incarnation: str) -> None:
-        """One termination round: ask every peer, then every resolver;
-        the first definite answer resolves the in-doubt transaction."""
+        """One termination round: ask the incarnation's peers, then every
+        resolver; the first definite answer resolves the in-doubt txn."""
         if incarnation not in self._in_doubt_since:
             return
         if not self.site_up():
             self._arm_termination(incarnation)
             return  # we are dark; try again after the next backoff
         self.stats.termination_rounds += 1
-        for peer in self.peers.values():
+        for peer in self.peers(incarnation):
             if peer is not self:
                 self._inquire(incarnation, peer.local_outcome, "peer")
         for source, resolve in self.resolvers:
@@ -297,10 +298,11 @@ class CommitParticipant:
             verdict = resolve(incarnation)
             if verdict is not None:
                 self.send(
-                    lambda: self._resolve_in_doubt(incarnation, verdict, source)
+                    lambda: self._resolve_in_doubt(incarnation, verdict, source),
+                    self.site,
                 )
 
-        self.send(answer)
+        self.send(answer, self.site)
 
     def _resolve_in_doubt(
         self, incarnation: str, commit: bool, source: str

@@ -13,8 +13,9 @@ every boundary crossing:
   instead of re-executing (so a retry after a lost ack is safe);
 - site down-windows are tracked here so messages to a dark site vanish.
 
-All randomness comes from the injector's own :class:`random.Random`
-seeded from the plan — the simulator's workload RNG is never touched, so
+Every draw — a message fate or a retry jitter — comes from the stream of
+the channel it names (a site, or ``replica-<rank>``), keyed
+``{plan.seed}/{channel}``; the workload RNG is never touched, so
 enabling fault injection does not perturb the workload itself.
 """
 
@@ -154,10 +155,9 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan) -> None:
         plan.validate()
         self.plan = plan
-        self.rng = random.Random(plan.seed)
-        #: per-channel streams under ``plan.scoped_fates`` (lazily built;
-        #: string seeds hash deterministically in CPython's Random)
-        self._scoped_rngs: Dict[str, random.Random] = {}
+        #: one stream per channel, built on its first draw (string seeds
+        #: hash deterministically in CPython's Random)
+        self._streams: Dict[str, random.Random] = {}
         self.stats = FaultStats()
         self._sequence = itertools.count(1)
         self._channels: Dict[str, SiteChannel] = {}
@@ -182,30 +182,24 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # message faults
     # ------------------------------------------------------------------
-    def _rng_for(self, channel: Optional[str]) -> random.Random:
-        """The stream a draw comes from.  Legacy plans (and channel-less
-        draws) use the one shared stream; under ``plan.scoped_fates``
-        each named channel gets its own ``(seed, channel)``-keyed stream
-        so the draw sequence depends only on that channel's event order."""
-        if not self.plan.scoped_fates or channel is None:
-            return self.rng
-        rng = self._scoped_rngs.get(channel)
+    def _stream(self, channel: str) -> random.Random:
+        """The ``{seed}/{channel}`` stream every draw on *channel* takes."""
+        rng = self._streams.get(channel)
         if rng is None:
-            rng = self._scoped_rngs[channel] = random.Random(
+            rng = self._streams[channel] = random.Random(
                 f"{self.plan.seed}/{channel}"
             )
         return rng
 
-    def message_fate(self, channel: Optional[str] = None) -> Tuple[float, ...]:
-        """The fate of one message: a tuple of extra delays, one per
-        delivered copy; ``()`` means the message is lost.  *channel*
-        names the site whose link the message travels (used only by
-        scoped-fate plans to pick the RNG stream)."""
+    def message_fate(self, channel: str) -> Tuple[float, ...]:
+        """The fate of one message on *channel*: a tuple of extra
+        delays, one per delivered copy; ``()`` means the message is
+        lost."""
         config = self.plan.messages
         self.stats.messages_sent += 1
         if not config.any_enabled:
             return (0.0,)
-        rng = self._rng_for(channel)
+        rng = self._stream(channel)
         if config.loss_rate and rng.random() < config.loss_rate:
             self.stats.messages_dropped += 1
             return ()
@@ -228,13 +222,11 @@ class FaultInjector:
             return min(extra, config.max_delay)
         return 0.0
 
-    def jitter(
-        self, base: float, fraction: float, channel: Optional[str] = None
-    ) -> float:
-        """Deterministic jitter draw: ``base * (1 + U[0, fraction])``."""
+    def jitter(self, base: float, fraction: float, channel: str) -> float:
+        """Jitter draw on *channel*: ``base * (1 + U[0, fraction])``."""
         if fraction <= 0:
             return base
-        return base * (1.0 + fraction * self._rng_for(channel).random())
+        return base * (1.0 + fraction * self._stream(channel).random())
 
     # ------------------------------------------------------------------
     # site availability

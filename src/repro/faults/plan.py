@@ -2,9 +2,10 @@
 
 A :class:`FaultPlan` fixes *everything* that will go wrong in a run: the
 GTM2 crash instants, the site crash windows, and the message-fault
-probabilities (whose individual coin flips come from the injector's own
-seeded RNG).  Two runs with the same workload seed and the same plan are
-bit-identical, which is what makes chaos findings replayable.
+probabilities (whose individual coin flips come from the injector's
+per-channel streams, seeded from the plan).  Two runs with the same
+workload seed and the same plan are bit-identical, which is what makes
+chaos findings replayable.
 """
 
 from __future__ import annotations
@@ -50,15 +51,6 @@ class FaultPlan:
     #: leader and the GTM drop to the minority side (ignored unless the
     #: simulator runs with a commit group)
     vote_decide_partitions: Tuple[VoteDecidePartition, ...] = ()
-    #: message-fault RNG scoping.  False (default): every coin flip comes
-    #: from one shared stream consumed in global event order — the legacy
-    #: behaviour, byte-identical to all existing seeds.  True: each
-    #: site's message legs draw from an independent stream keyed by
-    #: ``(seed, site)``, which makes fates a function of *per-site* event
-    #: order only — the property the parallel transport needs to shard a
-    #: faulty run without changing any fate (the single-loop simulator
-    #: and every shard see identical per-site call sequences).
-    scoped_fates: bool = False
 
     def validate(self) -> None:
         self.messages.validate()

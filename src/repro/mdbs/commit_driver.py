@@ -85,7 +85,7 @@ class CommitDriver:
                 )
             # an in-doubt participant asks every replica after its peers
             resolvers = tuple(
-                (f"replica-{rank}", partial(group.inquire, rank))
+                (group.channel(rank), partial(group.inquire, rank))
                 for rank in range(group_size)
             )
             self._decision_log = QuorumDecisionLog(group)
@@ -108,6 +108,10 @@ class CommitDriver:
                 stats=self.stats,
                 send=plane.send,
                 resolvers=resolvers,
+                # a termination round asks only the incarnation's sites
+                peers=lambda inc: [
+                    self.participants[s] for s in self._incarnation_sites.get(inc, ())
+                ],
                 # fault point: the site goes dark in the window between
                 # its YES vote and the decision
                 on_yes_vote=(
@@ -125,8 +129,6 @@ class CommitDriver:
             )
             for site, db in sites.items()
         }
-        for participant in self.participants.values():
-            participant.peers = self.participants
         #: durable incarnation → expected-site record: outlives the
         #: kernel's runtime entry so a restarted participant's vote
         #: re-broadcast still announces the full site set (a takeover

@@ -370,7 +370,7 @@ class MessagePlane:
     fault injector *inside* the plane, so chaos plans apply to both
     runtimes identically.  A plane with no injector produces plain
     :class:`Server` links and certain single-copy deliveries; a plane
-    with one produces :class:`ResilientServer` links and channel-scoped
+    with one produces :class:`ResilientServer` links and per-channel
     fate draws.  The commit layer (participants, coordinator group)
     sends through :meth:`send` too, so it never sees a latency or a
     fate.
@@ -401,17 +401,15 @@ class MessagePlane:
         return ResilientServer(transaction_id, db, self, still_wanted)
 
     def send(
-        self,
-        action: Callable[[], None],
-        channel: Optional[str] = None,
-        service: float = 0.0,
+        self, action: Callable[[], None], channel: str, service: float = 0.0
     ) -> None:
-        """Send one message: *action* runs once per delivered copy,
-        ``service + message_delay`` plus that copy's extra delay from
-        now.  The injector draws the copies on *channel* (none = lost);
-        without one the message arrives exactly once.  *service* is the
-        time the sender spends before the message leaves (a site's
-        service time on an ack)."""
+        """Send one message on *channel* (a site, or ``replica-<rank>``):
+        *action* runs once per delivered copy, ``service +
+        message_delay`` plus that copy's extra delay from now.  The
+        injector draws the copies from the channel's stream (none =
+        lost); without one the message arrives exactly once.  *service*
+        is the time the sender spends before the message leaves (a
+        site's service time on an ack)."""
         delay = service + self.latencies.message_delay
         injector = self.injector
         fates = (0.0,) if injector is None else injector.message_fate(channel)

@@ -28,15 +28,15 @@ scheme instance.  ``tests/test_transport_equivalence.py`` asserts this
 end to end on the regression seeds, fault scenarios included.
 
 Known, documented divergences of a sharded run (excluded from the
-equivalence comparison):
+equivalence comparison; ``docs/performance.md`` shows them on BENCH_8):
 
-- ``events_executed`` — each shard arms its own no-progress watchdog, so
-  the merged count includes one watchdog tick chain per shard;
-- ``scheme_steps`` under the *legacy* scheme3 scans — the paper-model
-  scan cost walks all co-resident transactions, which depends on the
-  partition (decisions do not);
-- a stalled run may abort one watchdog victim *per shard* per tick
-  instead of one victim total.
+- ``events`` — each shard arms its own no-progress watchdog, so the
+  merged count includes one watchdog tick chain per shard;
+- ``scheme_steps``, ``dfs_steps_avoided`` and ``wake_retries_skipped``
+  — a scan walks only the transactions resident in its shard (the
+  decisions do not depend on the partition);
+- ``wait_area``, hence ``mean_wait_set`` — each shard keeps its own
+  WAIT set.
 """
 
 from __future__ import annotations
@@ -239,16 +239,6 @@ def unshardable_reason(job: SimulationJob) -> Optional[str]:
         return f"scheme {job.scheme!r} keeps cross-component state"
     if job.commit_group_size >= 1:
         return "the coordinator-replica group is one global quorum"
-    if job.plan is not None and job.plan.messages.any_enabled:
-        if not job.plan.scoped_fates:
-            return (
-                "message fates come from one stream in global event "
-                "order (set FaultPlan.scoped_fates to shard faulty runs)"
-            )
-        if job.atomic_commit:
-            # conservative: 2PC keeps coordinator-side draws that are
-            # not yet channel-scoped
-            return "2PC control traffic draws channel-less fates"
     return None
 
 
@@ -345,11 +335,11 @@ def merge_outcomes(
     if len(outcomes) == 1:
         merged_report = reports[0]
     else:
-        # GTM2 crashes hit every shard at the same instants, and the
-        # simulated clocks run side by side
-        merged_report = fold(
-            reports, shared=("duration", "gtm_crashes", "commit_group_size")
-        )
+        # GTM2 crashes (and each coordinator's recovery) hit every shard
+        # at the same instants, and the simulated clocks run side by side
+        merged_report = fold(reports, shared=(
+            "duration", "gtm_crashes", "coordinator_recoveries", "commit_group_size"
+        ))
         merged_report.quarantined_sites = tuple(
             sorted(merged_report.quarantined_sites)
         )

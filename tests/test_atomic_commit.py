@@ -95,7 +95,7 @@ def plane_send(loop, fate=None):
     draw)."""
     injector = None
     if fate is not None:
-        injector = SimpleNamespace(message_fate=lambda channel=None: fate())
+        injector = SimpleNamespace(message_fate=lambda channel: fate())
     return MessagePlane(loop, Latencies(), injector).send
 
 

@@ -14,9 +14,9 @@ The load-bearing properties, each checked from ground truth:
   replay at their original positions.
 """
 
-import random
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Scheme0, Scheme1, Scheme2, Scheme3, make_scheme
 from repro.core.engine import Engine
@@ -126,18 +126,47 @@ class TestFaultModel:
         assert not FaultPlan.random(3, ("s0",)).is_quiet
 
     def test_message_fate_deterministic_per_seed(self):
+        """The same seed and channel give the same fates."""
         plan = FaultPlan.random(5, ("s0",), loss_rate=0.3)
         first = FaultInjector(plan)
         second = FaultInjector(plan)
-        assert [first.message_fate() for _ in range(50)] == [
-            second.message_fate() for _ in range(50)
+        assert [first.message_fate("s0") for _ in range(50)] == [
+            second.message_fate("s0") for _ in range(50)
+        ]
+        assert [first.message_fate("s1") for _ in range(50)] != [
+            second.message_fate("s0") for _ in range(50)
         ]
 
+    @given(
+        interleaving=st.lists(
+            st.sampled_from(["s1", "replica-0", "jitter"]), max_size=40
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_channels_never_move_each_others_fates(self, interleaving):
+        """Draws on one channel — fates or jitter — leave every other
+        channel's fates where they were, whatever the interleaving."""
+        plan = FaultPlan.random(5, ("s0", "s1"), loss_rate=0.3)
+        alone = FaultInjector(plan)
+        expected = [alone.message_fate("s0") for _ in range(len(interleaving))]
+        mixed = FaultInjector(plan)
+        fates = []
+        for other in interleaving:
+            if other == "jitter":
+                mixed.jitter(10.0, 0.25, "s1")
+            else:
+                mixed.message_fate(other)
+            fates.append(mixed.message_fate("s0"))
+        assert fates == expected
+
     def test_quiet_fate_consumes_no_randomness(self):
+        """A quiet plan's fates draw nothing: no stream is even built,
+        so the channel's first jitter draw is a fresh injector's."""
         injector = FaultInjector(FaultPlan.quiet(9))
-        before = injector.rng.getstate()
-        assert injector.message_fate() == (0.0,)
-        assert injector.rng.getstate() == before
+        assert injector.message_fate("s0") == (0.0,)
+        assert injector._streams == {}
+        fresh = FaultInjector(FaultPlan.quiet(9))
+        assert injector.jitter(10.0, 0.25, "s0") == fresh.jitter(10.0, 0.25, "s0")
 
     def test_site_down_windows(self):
         injector = FaultInjector(FaultPlan.quiet(0))

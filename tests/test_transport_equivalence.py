@@ -12,9 +12,9 @@ this suite does the same for the transport abstraction, in two layers:
   same WAIT/GRANT outcomes as the single loop on site-disjoint grouped
   workloads: committed/failed sets, verification verdicts, the
   response-time multiset (every wait a scheme imposed), abort counts.
-  ``events_executed``/``duration``/``scheme_steps`` legitimately differ
-  (per-shard watchdog tick chains, partition-dependent legacy scan
-  charges — see :mod:`repro.transport.base`) and are excluded.
+  ``events_executed``/``scheme_steps`` legitimately differ (per-shard
+  watchdog tick chains, per-shard scans — see
+  :mod:`repro.transport.base`) and are excluded.
 
 A hypothesis property drives the partition boundary itself: a global
 transaction that spans two site components forces the sharder to merge
@@ -162,9 +162,8 @@ def test_sim_transport_matches_direct_simulator(scheme_name, seed):
 
 
 def test_sim_transport_matches_direct_simulator_with_faults():
-    """Same identity under a legacy (single-stream) fault plan: the
-    job->injector wiring must reproduce the hand-built injector's
-    draw sequence exactly."""
+    """Same identity under a fault plan: the job->injector wiring must
+    reproduce the hand-built injector's draw sequence exactly."""
     base = make_e4_job("scheme2", 8, 11)
     plan = FaultPlan.random(
         11, base.sites, gtm_crash_count=1, site_crash_count=1
@@ -235,12 +234,37 @@ def test_multiprocessing_workers_match_sequential_shards(scheme_name):
     )
 
 
-@pytest.mark.parametrize("scheme_name", ["scheme2", "scheme3", "scheme4"])
-@pytest.mark.parametrize("seed", [11, 23])
-def test_fault_scenarios_shard_equivalently(scheme_name, seed):
-    """Crash + message-fault storms with per-channel fate streams
-    (``scoped_fates``) and local transactions at every group: the
-    injector inside the transport fires identically on both."""
+#: the fault storms a sharded run must reproduce, by test-id suffix:
+#: ``(message faults, 2PC)``.  Every storm crashes GTM2 once and one
+#: site; 2PC adds two site crashes keyed to YES votes
+STORMS = {
+    "": (True, False),
+    "crash-only": (False, False),
+    "2pc": (True, True),
+    "crash-only-2pc": (False, True),
+}
+
+
+@pytest.mark.parametrize(
+    "scheme_name, seed, messages, two_pc",
+    [
+        pytest.param(
+            scheme_name,
+            seed,
+            messages,
+            two_pc,
+            id="-".join(filter(None, (str(seed), scheme_name, storm))),
+        )
+        for storm, (messages, two_pc) in STORMS.items()
+        for seed in (11, 23)
+        for scheme_name in ("scheme2", "scheme3", "scheme4")
+    ],
+)
+def test_fault_scenarios_shard_equivalently(scheme_name, seed, messages, two_pc):
+    """Crash storms, with and without message faults and 2PC, and local
+    transactions at every group: every fate and jitter draw comes from
+    its channel's stream, so the injector inside the transport fires
+    identically on both."""
     base = make_e4_job(scheme_name, 32, seed, groups=4)
     locals_ = []
     for group in range(4):
@@ -258,38 +282,29 @@ def test_fault_scenarios_shard_equivalently(scheme_name, seed):
             WorkloadGenerator(cfg).local_batch(4)
         ):
             locals_.append((program, 10.0 + 25.0 * index))
-    plan = dataclasses.replace(
-        FaultPlan.random(
-            seed, base.sites, gtm_crash_count=1, site_crash_count=1
-        ),
-        scoped_fates=True,
+    rates = {} if messages else dict(
+        loss_rate=0.0, duplication_rate=0.0, delay_rate=0.0
+    )
+    plan = FaultPlan.random(
+        seed,
+        base.sites,
+        gtm_crash_count=1,
+        site_crash_count=1,
+        prepare_crash_count=2 if two_pc else 0,
+        **rates,
     )
     job = dataclasses.replace(
-        base, plan=plan, local_programs=tuple(locals_)
+        base, plan=plan, local_programs=tuple(locals_), atomic_commit=two_pc
     )
     assert unshardable_reason(job) is None
     sim_result = SimTransport().run(job)
     par_result = ParallelTransport(workers=1).run(job)
     assert par_result.shards == 4
     _assert_same_decisions(sim_result, par_result)
+    assert par_result.report.duration == sim_result.report.duration
     # a GTM2 crash hits every shard at once: counted once, not per shard
     assert par_result.report.fault_stats == sim_result.report.fault_stats
-
-
-def test_single_stream_fault_plan_refuses_to_shard():
-    """A legacy plan (one global fate stream) cannot be partitioned
-    without changing draw order — the parallel transport must fall back
-    to one shard and still match the sim transport."""
-    base = make_e4_job("scheme2", 16, 11, groups=2)
-    plan = FaultPlan.random(
-        11, base.sites, gtm_crash_count=1, site_crash_count=1
-    )
-    job = dataclasses.replace(base, plan=plan)
-    assert unshardable_reason(job) is not None
-    sim_result = SimTransport().run(job)
-    par_result = ParallelTransport(workers=2).run(job)
-    assert par_result.shards == 1
-    assert par_result.report == sim_result.report
+    assert par_result.report.commit_stats == sim_result.report.commit_stats
 
 
 # ----------------------------------------------------------------------
