@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.faults.model import FaultStats
 from repro.faults.plan import FaultPlan
-from repro.schedules.model import Operation, OpType
+from repro.schedules.model import Operation
 
 
 def site_up(db, injector: Optional["FaultInjector"] = None, now: float = 0.0) -> bool:
@@ -86,10 +86,7 @@ class SiteChannel:
             return
         if still_wanted is not None and not still_wanted():
             return  # orphaned submission of a finished incarnation
-        transaction_id = operation.transaction_id
-        if operation.op_type is not OpType.BEGIN and not (
-            db.is_active(transaction_id) or db.is_blocked(transaction_id)
-        ):
+        if not db.accepts(operation):
             # the site no longer knows this transaction (a crash wiped
             # it, or the GTM already aborted it there): negative ack
             self.stats.unknown_transaction_nacks += 1

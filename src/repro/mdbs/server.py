@@ -2,22 +2,22 @@
 
 The GTM communicates with the local DBMSs through *servers* — one per
 transaction per site — that submit operations and report acknowledgements.
-In the simulator a :class:`Server` adds the message and service latencies
-around a :class:`~repro.lmdbs.database.LocalDBMS` call: the submission
-reaches the site after ``message_delay``, the operation occupies the site
-for ``service_time`` once granted, and the acknowledgement travels back
-after another ``message_delay``.
+A :class:`Server` is that link, written once: each of its legs (a
+submission, an abort, a 2PC prepare or decide, and every
+acknowledgement) is one :meth:`MessagePlane.send` on the site's channel.
+The submission reaches the site after ``message_delay``, the operation
+occupies the site for ``service_time`` once granted, and the
+acknowledgement travels back after another ``message_delay``; the plane
+is the only code here that reads a latency or schedules a message.
 
-:class:`ResilientServer` is the fault-tolerant variant used when fault
-injection is enabled: every submission carries a unique sequence number
-and flows through the site's idempotent delivery channel
-(:class:`~repro.faults.injector.SiteChannel`), each message leg is
-one :meth:`MessagePlane.send` (the injector's loss/duplication/delay
-faults apply), and an ack-timeout with capped exponential backoff and
-jittered retries re-sends submissions whose acknowledgement never
-arrived.  The
-completion callback fires **exactly once** per submission regardless of
-how many duplicate acks the network produces.
+:class:`ResilientServer` is the same link with retries, used when fault
+injection is enabled: every submission and 2PC control message carries a
+unique sequence number and flows through the site's idempotent delivery
+channel (:class:`~repro.faults.injector.SiteChannel`), and an ack-timeout
+with capped exponential backoff and jittered retries re-sends requests
+whose acknowledgement never arrived.  The completion callback fires
+**exactly once** per request regardless of how many duplicate acks the
+network produces.
 """
 
 from __future__ import annotations
@@ -44,19 +44,14 @@ class Latencies:
 
 
 class Server:
-    """One transaction's server at one site."""
+    """One transaction's server at one site: a link without retries."""
 
     def __init__(
-        self,
-        transaction_id: str,
-        db: LocalDBMS,
-        loop: EventLoop,
-        latencies: Optional[Latencies] = None,
+        self, transaction_id: str, db: LocalDBMS, plane: MessagePlane
     ) -> None:
         self.transaction_id = transaction_id
         self.db = db
-        self.loop = loop
-        self.latencies = latencies or Latencies()
+        self.plane = plane
 
     def submit(
         self,
@@ -66,48 +61,44 @@ class Server:
         write_set: Optional[frozenset] = None,
     ) -> None:
         """Submit *operation*; *completion* fires when the ack returns."""
+        db, send = self.db, self.plane.send
 
         def deliver() -> None:
-            if not self.db.accepts(operation):
+            if not db.accepts(operation):
                 # the site is dark or no longer knows the transaction
                 # (possible only under crashes/faults): negative ack
-                self.loop.schedule(
-                    self.latencies.message_delay,
-                    lambda: completion(operation, None, True),
-                )
+                send(lambda: completion(operation, None, True), db.site)
                 return
 
             def local_callback(
                 op: Operation, value: Any, aborted: bool
             ) -> None:
-                # grant (or abort) happened now; ack arrives after the
-                # service time plus the return trip
-                delay = self.latencies.service_time + self.latencies.message_delay
-                if aborted:
-                    delay = self.latencies.message_delay
-                self.loop.schedule(
-                    delay, lambda: completion(op, value, aborted)
-                )
+                # grant (or abort) happened now; the ack leaves after the
+                # service time (an abort takes none)
+                service = 0.0 if aborted else self.plane.latencies.service_time
+                send(lambda: completion(op, value, aborted), db.site, service)
 
-            self.db.submit(
+            db.submit(
                 operation,
                 callback=local_callback,
                 read_set=read_set,
                 write_set=write_set,
             )
 
-        self.loop.schedule(self.latencies.message_delay, deliver)
+        send(deliver, db.site)
 
     def abort(self, reason: str = "") -> None:
-        """Abort this transaction at the site, after the message delay."""
+        """Abort this transaction at the site, one message away (a lost
+        abort leaves an orphan, reaped by the GTM's orphan sweep)."""
+        db, transaction_id = self.db, self.transaction_id
 
         def deliver() -> None:
-            if self.db.is_active(self.transaction_id) or self.db.is_blocked(
-                self.transaction_id
-            ):
-                self.db.abort_transaction(self.transaction_id, reason)
+            if not db.available:
+                return  # the crash already wiped the transaction
+            if db.is_active(transaction_id) or db.is_blocked(transaction_id):
+                db.abort_transaction(transaction_id, reason)
 
-        self.loop.schedule(self.latencies.message_delay, deliver)
+        self.plane.send(deliver, db.site)
 
     # ------------------------------------------------------------------
     # 2PC control messages (repro.commit)
@@ -116,16 +107,16 @@ class Server:
         self, participant, completion: Callable[[bool], None]
     ) -> None:
         """Phase 1: ask the site's participant for a vote; *completion*
-        receives it (True = YES) after the round trip."""
-
-        def deliver() -> None:
-            vote = participant.on_prepare(self.transaction_id)
-            delay = self.latencies.message_delay + (
-                self.latencies.service_time if vote else 0.0
-            )
-            self.loop.schedule(delay, lambda: completion(vote))
-
-        self.loop.schedule(self.latencies.message_delay, deliver)
+        receives it (True = YES) after the round trip.  A link that
+        retries gives up after *bounded* retries: under presumed abort a
+        coordinator that never hears a vote simply decides abort, so
+        giving up is reported as a NO."""
+        self._control(
+            lambda done: done(participant.on_prepare(self.transaction_id)),
+            completion,
+            charge_service=bool,
+            unbounded=False,
+        )
 
     def decide(
         self,
@@ -134,18 +125,38 @@ class Server:
         completion: Callable[[bool], None],
     ) -> None:
         """Phase 2: deliver the coordinator's decision; *completion*
-        receives the participant's ack (True = decision applied)."""
+        receives the participant's ack (True = decision applied).  A
+        link that retries never gives up: the decision is logged, and
+        abandoning delivery could leave a prepared participant blocked
+        forever."""
+        self._control(
+            lambda done: participant.on_decide(
+                self.transaction_id, commit, done
+            ),
+            completion,
+            charge_service=lambda ok: bool(ok) and commit,
+            unbounded=True,
+        )
 
-        def deliver() -> None:
-            def acked(ok: bool) -> None:
-                delay = self.latencies.message_delay + (
-                    self.latencies.service_time if (ok and commit) else 0.0
-                )
-                self.loop.schedule(delay, lambda: completion(ok))
+    def _control(
+        self,
+        execute: Callable[[Callable[[Any], None]], None],
+        completion: Callable[[Any], None],
+        charge_service: Callable[[Any], bool],
+        unbounded: bool,
+    ) -> None:
+        """One 2PC control message: *execute* runs at the site and hands
+        its result to a ``done`` continuation; the result travels back
+        to *completion*, after the service time when *charge_service*
+        says the site was occupied.  *unbounded* matters only to a link
+        that retries."""
+        plane, site = self.plane, self.db.site
 
-            participant.on_decide(self.transaction_id, commit, acked)
+        def done(result: Any) -> None:
+            service = plane.latencies.service_time if charge_service(result) else 0.0
+            plane.send(lambda: completion(result), site, service)
 
-        self.loop.schedule(self.latencies.message_delay, deliver)
+        plane.send(lambda: execute(done), site)
 
 
 class ResilientServer(Server):
@@ -159,8 +170,7 @@ class ResilientServer(Server):
         plane: MessagePlane,
         still_wanted: Optional[Callable[[], bool]] = None,
     ) -> None:
-        super().__init__(transaction_id, db, plane.loop, plane.latencies)
-        self.plane = plane
+        super().__init__(transaction_id, db, plane)
         self.injector: FaultInjector = plane.injector
         self.retry = plane.retry or RetryPolicy()
         #: liveness predicate of the submission: when it turns False the
@@ -204,67 +214,16 @@ class ResilientServer(Server):
             give_up_result=(None, True),
         )
 
-    def abort(self, reason: str = "") -> None:
-        """Abort at the site; the message is subject to the same faults
-        (a lost abort leaves an orphan, reaped by the GTM's orphan
-        sweep)."""
-
-        def deliver() -> None:
-            if not self.db.available:
-                return  # the crash already wiped the transaction
-            if self.db.is_active(self.transaction_id) or self.db.is_blocked(
-                self.transaction_id
-            ):
-                self.db.abort_transaction(self.transaction_id, reason)
-
-        self.plane.send(deliver, self.db.site)
-
-    # ------------------------------------------------------------------
-    # 2PC control messages (repro.commit), fault-tolerant variant
-    # ------------------------------------------------------------------
-    def prepare(
-        self, participant, completion: Callable[[bool], None]
-    ) -> None:
-        """Phase 1 over a faulty link.  Retries are *bounded*: under
-        presumed abort a coordinator that never hears a vote simply
-        decides abort, so giving up is reported as a NO vote."""
-        self._control_exchange(
-            execute=lambda done: done(
-                participant.on_prepare(self.transaction_id)
-            ),
-            completion=completion,
-            charge_service=bool,
-            unbounded=False,
-        )
-
-    def decide(
-        self,
-        participant,
-        commit: bool,
-        completion: Callable[[bool], None],
-    ) -> None:
-        """Phase 2 over a faulty link.  Commit decisions are retried
-        without bound (the decision is logged; abandoning delivery could
-        leave a prepared participant blocked forever); abort decisions
-        are cheap to re-send too, so the same loop serves both."""
-        self._control_exchange(
-            execute=lambda done: participant.on_decide(
-                self.transaction_id, commit, done
-            ),
-            completion=completion,
-            charge_service=lambda ok: bool(ok) and commit,
-            unbounded=True,
-        )
-
-    def _control_exchange(
+    def _control(
         self,
         execute: Callable[[Callable[[Any], None]], None],
         completion: Callable[[Any], None],
         charge_service: Callable[[Any], bool],
         unbounded: bool,
     ) -> None:
-        """A 2PC control message: *execute* runs at most once at the
-        site (the channel's control ledger); giving up reads as a NO."""
+        """A 2PC control message inside the retry loop: *execute* runs
+        at most once at the site (the channel's control ledger); giving
+        up reads as a NO."""
         channel = self.injector.channel(self.db.site)
         self._exchange(
             deliver=lambda seq, on_result: channel.deliver_control(
@@ -311,7 +270,7 @@ class ResilientServer(Server):
             # site -> GTM leg: service time, then the faulty return trip
             *result, replayed = answer
             service = (
-                self.latencies.service_time
+                self.plane.latencies.service_time
                 if (not replayed and charge_service(*result))
                 else 0.0
             )
@@ -320,7 +279,7 @@ class ResilientServer(Server):
         def deliver_copy() -> None:
             if self._done:
                 return
-            if not site_up(self.db, self.injector, self.loop.now):
+            if not site_up(self.db, self.injector, self.plane.loop.now):
                 return  # the site is dark; the ack timeout covers us
             deliver(seq, on_result)
 
@@ -354,7 +313,7 @@ class ResilientServer(Server):
                     return
                 send()
 
-            self._timer = self.loop.schedule(timeout, on_timeout)
+            self._timer = self.plane.loop.schedule(timeout, on_timeout)
 
         send()
 
@@ -397,7 +356,7 @@ class MessagePlane:
         """A server link for *transaction_id* at *db*'s site — resilient
         exactly when the plane injects faults."""
         if self.injector is None:
-            return Server(transaction_id, db, self.loop, self.latencies)
+            return Server(transaction_id, db, self)
         return ResilientServer(transaction_id, db, self, still_wanted)
 
     def send(

@@ -822,7 +822,9 @@ class MDBSSimulator:
             maker = read_op if kind == "r" else write_op
             operations.append(maker(incarnation, item, program.site))
         operations.append(commit_op(incarnation, program.site))
-        server = Server(incarnation, db, self.loop, self.config.latencies)
+        # a local client's link is reliable: it never draws a fate
+        plane = MessagePlane(self.loop, self.config.latencies)
+        server = Server(incarnation, db, plane)
         remaining = iter(operations)
 
         def advance(operation: Any = None, value: Any = None, aborted=False) -> None:

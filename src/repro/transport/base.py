@@ -74,8 +74,9 @@ class SimulationJob:
     config: SimulationConfig = field(default_factory=SimulationConfig)
     seed: int = 0
     #: fault plan; ``None`` runs without an injector (byte-identical to
-    #: the pre-fault simulator — a quiet plan's injector still perturbs
-    #: retry-jitter draws, so the distinction matters)
+    #: the pre-fault simulator — a quiet plan's injector still makes
+    #: every link retry, and ack timeouts fire on long lock waits, so
+    #: the distinction matters)
     plan: Optional[FaultPlan] = None
     atomic_commit: bool = False
     commit_group_size: int = 0

@@ -8,7 +8,11 @@
   attribute of a simulator;
 - one module knows how a message travels: only ``mdbs/server.py`` (the
   message plane) draws a message fate, and the commit layer —
-  ``commit/`` and the commit driver — never sees a message delay.
+  ``commit/`` and the commit driver — never sees a message delay;
+- inside that module one method sends: ``MessagePlane.send`` is the only
+  reader of ``message_delay`` and the only scheduler of a message (the
+  retry timer in ``ResilientServer._exchange`` is not a message), and
+  the few other reads under ``src/repro`` are named exceptions.
 """
 
 import ast
@@ -175,3 +179,77 @@ def test_the_message_walks_see_a_hand_written_leg():
     )
     assert fate_draws(tree) == [2]
     assert sorted(delay_reads(tree)) == [1, 3, 4]
+
+
+def owners(tree, hit):
+    """``Class.method`` (or top-level function) enclosing each node that
+    *hit* accepts; nested functions count as their enclosing method."""
+    found = []
+
+    def walk(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            inner, nested = scope, in_function
+            if not in_function and isinstance(
+                child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                inner = scope + (child.name,)
+                nested = not isinstance(child, ast.ClassDef)
+            if hit(child):
+                found.append(".".join(inner))
+            walk(child, inner, nested)
+
+    walk(tree, (), False)
+    return sorted(found)
+
+
+def reads_message_delay(node):
+    return isinstance(getattr(node, "ctx", None), ast.Load) and "message_delay" in (
+        getattr(node, "attr", None),
+        getattr(node, "id", None),
+    )
+
+
+def calls_schedule(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "schedule"
+
+
+def test_one_method_of_the_server_module_sends():
+    tree = parse(SRC / "mdbs" / "server.py")
+    assert owners(tree, reads_message_delay) == ["MessagePlane.send"]
+    assert owners(tree, calls_schedule) == [
+        "MessagePlane.send",
+        # the ack timeout: a timer, not a message
+        "ResilientServer._exchange",
+    ]
+
+
+def test_every_other_message_delay_read_is_a_named_exception():
+    reads = [
+        (str(path.relative_to(SRC)), owner)
+        for path in sorted(SRC.rglob("*.py"))
+        for owner in owners(parse(path), reads_message_delay)
+    ]
+    assert sorted(reads) == [
+        # the orphan sweep's grace period
+        ("mdbs/fault_scheduler.py", "FaultScheduler.__init__"),
+        # a snapshot read's cost; moving it to send would change event
+        # counts and replicated chaos fates
+        ("mdbs/router.py", "ReplicaRouter.run_snapshot"),
+        ("mdbs/server.py", "MessagePlane.send"),
+        ("mdbs/simulator.py", "SimulationConfig.validate"),
+    ]
+
+
+def test_the_owner_walk_names_methods_not_their_closures():
+    tree = ast.parse(
+        "class Link:\n"
+        "    message_delay: float = 1.0\n"
+        "    def submit(self, message_delay=1.0):\n"
+        "        def deliver():\n"
+        "            self.loop.schedule(self.message_delay, act)\n"
+        "        schedule(message_delay=2.0)\n"
+        "def leg(latencies):\n"
+        "    return latencies.message_delay\n"
+    )
+    assert owners(tree, reads_message_delay) == ["Link.submit", "leg"]
+    assert owners(tree, calls_schedule) == ["Link.submit"]

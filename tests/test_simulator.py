@@ -147,18 +147,50 @@ class TestVerificationLayer:
         assert report.ok
         assert report.witness.index("G1") < report.witness.index("G2")
 
-    def test_latency_model_delays_acks(self):
-        from repro.mdbs.server import Server
-        from repro.schedules.model import begin
+    @pytest.mark.parametrize(
+        "leg",
+        [
+            "submit-granted",
+            "submit-stale",
+            "prepare-yes",
+            "prepare-no",
+            "decide-commit",
+            "decide-abort",
+        ],
+    )
+    def test_latency_model_delays_acks(self, leg):
+        """Every fault-free leg: message (2) out, service (3) when the
+        site did work, message (2) back."""
+        from types import SimpleNamespace
+
+        from repro.mdbs.server import MessagePlane, Server
+        from repro.schedules.model import begin, write
 
         db = LocalDBMS("s1", make_protocol("to"))
         loop = EventLoop()
-        server = Server("T1", db, loop, Latencies(message_delay=2, service_time=3))
+        plane = MessagePlane(loop, Latencies(message_delay=2, service_time=3))
+        server = Server("T1", db, plane)
         done = []
-        server.submit(begin("T1", "s1"), lambda op, v, a: done.append(loop.now))
+
+        def ack(*_):
+            done.append(loop.now)
+
+        participant = SimpleNamespace(
+            on_prepare=lambda transaction_id: leg == "prepare-yes",
+            on_decide=lambda transaction_id, commit, reply: reply(True),
+        )
+        if leg == "submit-granted":
+            server.submit(begin("T1", "s1"), ack)
+        elif leg == "submit-stale":
+            # the site does not know T1: a negative ack, no service
+            server.submit(write("T1", "x", "s1"), ack)
+        elif leg.startswith("prepare"):
+            server.prepare(participant, ack)
+        else:
+            server.decide(participant, leg == "decide-commit", ack)
         loop.run()
-        # message (2) + service (3) + message (2)
-        assert done == [7.0]
+        worked = leg in ("submit-granted", "prepare-yes", "decide-commit")
+        assert done == [7.0 if worked else 4.0]
 
 
 class TestWatchdogPartition:
