@@ -13,7 +13,8 @@ Two measurements over the fault-injection subsystem
 """
 
 
-from repro.faults.chaos import ChaosOptions, build_chaos_simulator, run_chaos
+from repro.faults.chaos import ChaosOptions, chaos_job, run_chaos
+from repro.transport import build_simulator
 
 SCHEMES = ["scheme0", "scheme1", "scheme2", "scheme3"]
 LOSS_RATES = [0.0, 0.1, 0.2, 0.3]
@@ -29,9 +30,9 @@ def run_recovery_sweep():
             options = ChaosOptions(
                 scheme=scheme_name, gtm_crash_count=2, site_crash_count=0
             )
-            simulator, _plan = build_chaos_simulator(options, seed)
+            simulator = build_simulator(chaos_job(options, seed))
             report = simulator.run()
-            assert report.gtm_crashes == 2
+            assert report.fault_stats.gtm_crashes == 2
             recoveries.extend(simulator.faults.gtm_recovery_times)
             journal_sizes.append(len(simulator.engine.journal))
         mean_us = 1e6 * sum(recoveries) / len(recoveries)

@@ -17,11 +17,10 @@ Three measurements over the replication layer (``repro.replication``):
   rule refused meanwhile (``replication.stale_reads_refused``).
 """
 
-from repro.core import make_scheme
-from repro.faults import FaultInjector, FaultPlan, SiteCrash
-from repro.lmdbs import LocalDBMS, make_protocol
-from repro.mdbs import MDBSSimulator, SimulationConfig
+from repro.faults import FaultPlan, SiteCrash
+from repro.mdbs import SimulationConfig
 from repro.replication import ReplicaMap
+from repro.transport import SimulationJob, build_simulator
 from repro.workloads.generator import WorkloadConfig, WorkloadGenerator
 
 DEGREES = [1, 2, 3]
@@ -38,15 +37,7 @@ def build_replicated(seed, degree, ro_fraction=0.2, crash=True):
     workload = WorkloadGenerator(WorkloadConfig(sites=3, seed=seed))
     shared = [f"x{index}" for index in range(ITEMS)]
     replica_map = ReplicaMap.build(shared, workload.config.site_names, degree)
-    sites = {
-        name: LocalDBMS(
-            name,
-            make_protocol(PROTOCOLS[index]),
-            initial={item: 0 for item in replica_map.items_at(name)},
-        )
-        for index, name in enumerate(workload.config.site_names)
-    }
-    injector = None
+    plan = None
     if crash:
         plan = FaultPlan(
             seed=seed,
@@ -54,21 +45,22 @@ def build_replicated(seed, degree, ro_fraction=0.2, crash=True):
                 SiteCrash("s0", at=CRASH_AT, downtime=DOWNTIME),
             ),
         )
-        injector = FaultInjector(plan)
-    simulator = MDBSSimulator(
-        sites,
-        make_scheme("scheme2"),
-        SimulationConfig(horizon=100_000.0),
-        injector=injector,
-        scheme_factory=lambda: make_scheme("scheme2"),
+    job = SimulationJob(
+        site_protocols=tuple(zip(workload.config.site_names, PROTOCOLS)),
+        scheme="scheme2",
+        config=SimulationConfig(horizon=100_000.0),
+        seed=seed,
+        plan=plan,
         atomic_commit=True,
         replica_map=replica_map,
+        global_programs=tuple(
+            (program, index * 8.0)
+            for index, program in enumerate(
+                workload.logical_batch(TXNS, shared, ro_fraction)
+            )
+        ),
     )
-    for index, program in enumerate(
-        workload.logical_batch(TXNS, shared, ro_fraction)
-    ):
-        simulator.submit_logical(program, at=index * 8.0)
-    return simulator, replica_map
+    return build_simulator(job), replica_map
 
 
 def commits_in_window(simulator, replica_map):

@@ -68,7 +68,7 @@ def exact_recovery_demo():
     crashed = build_simulator(FaultPlan(seed=SEED, gtm_crashes=(40.0,)))
     report = crashed.run()
     print(f"   crashed GTM2 at t=40, recovered from the journal "
-          f"({report.gtm_crashes} crash, "
+          f"({report.fault_stats.gtm_crashes} crash, "
           f"{report.committed_global} globals committed)")
 
     assert histories(crashed) == histories(baseline)
@@ -94,7 +94,7 @@ def chaos_demo():
     print(f"   injected: {stats.messages_dropped} messages lost, "
           f"{stats.messages_duplicated} duplicated, "
           f"{stats.messages_delayed} delayed, "
-          f"{report.gtm_crashes} GTM crash, {report.site_crashes} site crash")
+          f"{stats.gtm_crashes} GTM crash, {stats.site_crashes} site crash")
     print(f"   survived: {stats.retries} retries, "
           f"{stats.cached_acks_replayed} acks replayed from the "
           f"idempotency cache, {stats.orphans_reaped} orphans reaped")

@@ -206,21 +206,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults import FaultConfigError, MessageFaultConfig
+    from repro.faults import FaultConfigError
     from repro.faults.chaos import ChaosOptions, run_chaos
     from repro.observability import MetricsRegistry, fold, report_to_registry
 
     for name in args.schemes:
         _make_scheduler(name)  # validate early
     registry = MetricsRegistry() if args.metrics_out else None
-    try:
-        MessageFaultConfig(
-            loss_rate=args.loss_rate,
-            duplication_rate=args.duplication_rate,
-            delay_rate=args.delay_rate,
-        ).validate()
-    except FaultConfigError as error:
-        raise SystemExit(f"invalid fault configuration: {error}")
     if args.runs < 1:
         raise SystemExit("--runs must be >= 1")
     rows = []
@@ -252,7 +244,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 coordinator_crash_count=args.coordinator_crashes,
                 vote_decide_partition_count=args.vote_decide_partitions,
             )
-            result = run_chaos(options, seed)
+            try:
+                # the storm's job, and with it its fault plan, is built
+                # first: a bad option fails before anything runs
+                result = run_chaos(options, seed)
+            except FaultConfigError as error:
+                raise SystemExit(f"invalid fault configuration: {error}")
             reports.append(result.report)
             if registry is not None:
                 report_to_registry(result.report, registry, scheme=name)
@@ -270,8 +267,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 name,
                 f"{total.committed_global}/{args.runs * args.globals}",
                 total.failed_global,
-                total.gtm_crashes,
-                total.site_crashes,
+                total.fault_stats.gtm_crashes,
+                total.fault_stats.site_crashes,
                 total.fault_stats.messages_dropped,
                 total.fault_stats.retries,
                 bad,

@@ -1,9 +1,10 @@
 """Chaos verification: seeded fault storms, checked from ground truth.
 
-One :func:`run_chaos` call builds a randomized MDBS workload, subjects it
-to a seeded :class:`~repro.faults.plan.FaultPlan` (message loss,
-duplication, heavy-tail delay, GTM2 crashes, site crashes), runs it to
-completion, and verifies from the local history logs that:
+One :func:`run_chaos` call describes a randomized MDBS workload under a
+seeded :class:`~repro.faults.plan.FaultPlan` (message loss, duplication,
+heavy-tail delay, GTM2 crashes, site crashes) as one
+:class:`~repro.transport.base.SimulationJob` (:func:`chaos_job`), runs
+it to completion, and verifies from the local history logs that:
 
 - every local and global schedule stayed (globally) serializable;
 - no global commit was lost or duplicated
@@ -11,7 +12,7 @@ completion, and verifies from the local history logs that:
 - the run *terminated* — every admitted global transaction was resolved
   (committed or reported failed) and the event loop drained.
 
-``python -m repro chaos`` drives many runs across Schemes 0–3; the test
+``python -m repro chaos`` drives many runs across Schemes 0–4; the test
 suite (``tests/test_fault_injection.py``) and CI run smaller sweeps.
 
 This module sits *above* :mod:`repro.mdbs` and is therefore not
@@ -21,18 +22,11 @@ re-exported from :mod:`repro.faults` (which :mod:`repro.mdbs` imports).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
 from typing import Optional, Sequence, Tuple
 
-from repro.core import make_scheme
-from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.lmdbs.database import LocalDBMS
-from repro.lmdbs.protocols import make_protocol
-from repro.mdbs.simulator import (
-    MDBSSimulator,
-    SimulationConfig,
-    SimulationReport,
-)
+from repro.mdbs.simulator import SimulationConfig, SimulationReport
 from repro.mdbs.verification import (
     AtomicityReport,
     DecisionUniquenessReport,
@@ -43,6 +37,7 @@ from repro.mdbs.verification import (
     verify,
 )
 from repro.replication import ReplicaMap
+from repro.transport.base import SimulationJob, build_simulator
 from repro.workloads.generator import WorkloadConfig, WorkloadGenerator
 
 #: protocols cycled over the sites: a locking site, a timestamp site,
@@ -68,15 +63,13 @@ class ChaosOptions:
     downtime: float = 25.0
     crash_window: Tuple[float, float] = (20.0, 400.0)
     horizon: float = 100_000.0
-    #: presumed-abort 2PC (repro.commit); off by default so existing
-    #: seeds replay the PR 1 behaviour byte-identically
+    #: presumed-abort 2PC (repro.commit)
     atomic_commit: bool = False
     #: crashes keyed to 2PC progress (site down right after its n-th
-    #: YES vote); only drawn when > 0, so legacy plans are unchanged
+    #: YES vote); only drawn when > 0
     prepare_crash_count: int = 0
     #: available-copies replication (repro.replication): copies per
-    #: logical item; 0 = off — the paper's single-copy model, and the
-    #: whole run byte-identical to pre-replication chaos
+    #: logical item; 0 = off — the paper's single-copy model
     replication_degree: int = 0
     #: shared logical items placed by the replica map (named ``x0..``,
     #: disjoint from the site-local ``s0_x..`` item pools)
@@ -89,8 +82,7 @@ class ChaosOptions:
     write_crash_count: int = 0
     #: replicated commit decision log (repro.commit.group): number of
     #: coordinator replicas; 0 = off — the single-coordinator journal
-    #: backend, byte-identical to pre-group chaos.  Non-blocking
-    #: termination needs 2f+1 >= 3
+    #: backend.  Non-blocking termination needs 2f+1 >= 3
     commit_group_size: int = 0
     #: coordinator-replica crashes keyed to vote-log progress; only
     #: drawn when > 0
@@ -160,35 +152,27 @@ class ChaosResult:
         return tuple(reasons)
 
 
-def build_chaos_simulator(
-    options: ChaosOptions, seed: int
-) -> Tuple[MDBSSimulator, FaultPlan]:
-    """Assemble the simulator for one seeded chaos run (exposed so tests
-    can poke at the pieces before running)."""
+def chaos_job(options: ChaosOptions, seed: int) -> SimulationJob:
+    """The run one seeded chaos storm is: the seed's workload, with its
+    :meth:`FaultPlan.random` draw (raises
+    :class:`~repro.faults.model.FaultConfigError` on a bad option)."""
     workload = WorkloadGenerator(
         WorkloadConfig(sites=options.sites, seed=seed)
     )
     site_names = workload.config.site_names
-    protocols = list(options.protocols) * options.sites
     replica_map = None
-    shared_items: Tuple[str, ...] = ()
     if options.replication_degree >= 1:
         shared_items = tuple(
             f"x{index}" for index in range(options.replicated_items)
         )
         replica_map = ReplicaMap.build(
-            shared_items, tuple(site_names), options.replication_degree
+            shared_items, site_names, options.replication_degree
         )
-    sites = {}
-    for index, name in enumerate(site_names):
-        initial = (
-            {item: 0 for item in replica_map.items_at(name)}
-            if replica_map is not None
-            else None
+        programs = workload.logical_batch(
+            options.global_txns, shared_items, ro_fraction=options.ro_fraction
         )
-        sites[name] = LocalDBMS(
-            name, make_protocol(protocols[index]), initial=initial
-        )
+    else:
+        programs = workload.global_batch(options.global_txns)
     plan = FaultPlan.random(
         seed,
         tuple(site_names),
@@ -205,35 +189,31 @@ def build_chaos_simulator(
         vote_decide_partition_count=options.vote_decide_partition_count,
         commit_group_size=options.commit_group_size,
     )
-    simulator = MDBSSimulator(
-        sites,
-        make_scheme(options.scheme),
-        SimulationConfig(horizon=options.horizon),
-        injector=FaultInjector(plan),
-        scheme_factory=lambda: make_scheme(options.scheme),
+    return SimulationJob(
+        site_protocols=tuple(zip(site_names, cycle(options.protocols))),
+        scheme=options.scheme,
+        config=SimulationConfig(horizon=options.horizon),
+        seed=seed,
+        plan=plan,
         atomic_commit=options.atomic_commit,
-        replica_map=replica_map,
         commit_group_size=options.commit_group_size,
+        replica_map=replica_map,
+        global_programs=tuple(
+            (program, index * options.spacing)
+            for index, program in enumerate(programs)
+        ),
+        local_programs=tuple(
+            (local, index * options.spacing / 2)
+            for index, local in enumerate(
+                workload.local_batch(options.local_txns)
+            )
+        ),
     )
-    if replica_map is not None:
-        batch = workload.logical_batch(
-            options.global_txns, shared_items, ro_fraction=options.ro_fraction
-        )
-        for index, logical in enumerate(batch):
-            simulator.submit_logical(logical, at=index * options.spacing)
-    else:
-        for index, program in enumerate(
-            workload.global_batch(options.global_txns)
-        ):
-            simulator.submit_global(program, at=index * options.spacing)
-    for index, local in enumerate(workload.local_batch(options.local_txns)):
-        simulator.submit_local(local, at=index * options.spacing / 2)
-    return simulator, plan
 
 
 def run_chaos(options: ChaosOptions, seed: int) -> ChaosResult:
     """Run one seeded chaos storm and verify it from ground truth."""
-    simulator, _plan = build_chaos_simulator(options, seed)
+    simulator = build_simulator(chaos_job(options, seed))
     report = simulator.run()
     verification = verify(simulator.global_schedule(), simulator.ser_schedule)
     exactly_once = simulator.exactly_once_report()

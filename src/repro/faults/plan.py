@@ -175,6 +175,17 @@ class FaultPlan:
         start, end = window
         if end <= start:
             raise FaultConfigError(f"empty fault window {window}")
+        counts = dict(
+            gtm_crash_count=gtm_crash_count,
+            site_crash_count=site_crash_count,
+            prepare_crash_count=prepare_crash_count,
+            write_crash_count=write_crash_count,
+            coordinator_crash_count=coordinator_crash_count,
+            vote_decide_partition_count=vote_decide_partition_count,
+        )
+        for name, count in counts.items():
+            if count < 0:
+                raise FaultConfigError(f"negative {name} {count}")
         gtm_crashes = tuple(
             sorted(rng.uniform(start, end) for _ in range(gtm_crash_count))
         )

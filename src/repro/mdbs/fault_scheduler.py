@@ -190,11 +190,8 @@ class FaultScheduler:
 
     def report_fields(self) -> Dict[str, Any]:
         """The :class:`SimulationReport` fields this component owns."""
-        stats = self.injector.stats
         return dict(
-            gtm_crashes=stats.gtm_crashes,
-            site_crashes=stats.site_crashes,
             quarantined_sites=tuple(sorted(self.quarantined)),
-            fault_stats=stats,
+            fault_stats=self.injector.stats,
             availability_windows=tuple(self.injector.availability_windows),
         )

@@ -156,9 +156,7 @@ class SimulationReport:
     )
     #: global aborts triggered by the no-progress watchdog
     watchdog_aborts: int = 0
-    #: fault-injection outcome (zeros / None without an injector)
-    gtm_crashes: int = 0
-    site_crashes: int = 0
+    #: fault-injection outcome (empty / None without an injector)
     quarantined_sites: Tuple[str, ...] = field(
         default=(), metadata={"gauge": len}
     )

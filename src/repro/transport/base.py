@@ -2,8 +2,10 @@
 
 A :class:`SimulationJob` is a complete, picklable run specification —
 sites with their protocols, the GTM scheme, the workload, the fault
-plan.  A :class:`Transport` turns a job into a :class:`TransportResult`:
-the merged :class:`~repro.mdbs.simulator.SimulationReport`, the executed
+plan, the commit layer and the replica map — and :func:`build_simulator`
+is the one code path that assembles a simulator from it.  A
+:class:`Transport` turns a job into a :class:`TransportResult`: the
+merged :class:`~repro.mdbs.simulator.SimulationReport`, the executed
 global schedule, ``ser(S)``, the verification verdicts, and the metrics
 registry published from the merged report.
 
@@ -44,7 +46,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.gtm import GlobalProgram, site_components
 from repro.faults.plan import FaultPlan
@@ -54,6 +56,7 @@ from repro.mdbs.simulator import (
     SimulationReport,
 )
 from repro.mdbs.verification import VerificationReport, verify
+from repro.replication import LogicalProgram, ReplicaMap
 from repro.schedules.global_schedule import (
     GlobalSchedule,
     SerOperation,
@@ -80,8 +83,11 @@ class SimulationJob:
     plan: Optional[FaultPlan] = None
     atomic_commit: bool = False
     commit_group_size: int = 0
+    #: available-copies placement; with one, the global programs are
+    #: site-free :class:`LogicalProgram` s
+    replica_map: Optional[ReplicaMap] = None
     #: ``(program, submit-at)`` pairs
-    global_programs: Tuple[Tuple[GlobalProgram, float], ...] = ()
+    global_programs: Tuple[Tuple[Union[GlobalProgram, LogicalProgram], float], ...] = ()
     local_programs: Tuple[Tuple[LocalProgram, float], ...] = ()
 
     @property
@@ -183,8 +189,13 @@ def build_simulator(job: SimulationJob) -> MDBSSimulator:
     from repro.faults.injector import FaultInjector
     from repro.lmdbs import LocalDBMS, make_protocol
 
+    replicas = job.replica_map
     sites = {
-        site: LocalDBMS(site, make_protocol(protocol))
+        site: LocalDBMS(
+            site,
+            make_protocol(protocol),
+            None if replicas is None else dict.fromkeys(replicas.items_at(site), 0),
+        )
         for site, protocol in job.site_protocols
     }
     simulator = MDBSSimulator(
@@ -194,10 +205,12 @@ def build_simulator(job: SimulationJob) -> MDBSSimulator:
         injector=FaultInjector(job.plan) if job.plan is not None else None,
         scheme_factory=lambda: make_scheme(job.scheme),
         atomic_commit=job.atomic_commit,
+        replica_map=replicas,
         commit_group_size=job.commit_group_size,
     )
+    submit = simulator.submit_global if replicas is None else simulator.submit_logical
     for program, at in job.global_programs:
-        simulator.submit_global(program, at=at)
+        submit(program, at=at)
     for program, at in job.local_programs:
         simulator.submit_local(program, at=at)
     return simulator
@@ -240,6 +253,8 @@ def unshardable_reason(job: SimulationJob) -> Optional[str]:
         return f"scheme {job.scheme!r} keeps cross-component state"
     if job.commit_group_size >= 1:
         return "the coordinator-replica group is one global quorum"
+    if job.replica_map is not None:
+        return "a logical program is routed to its sites only when it starts"
     return None
 
 

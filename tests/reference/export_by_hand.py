@@ -163,8 +163,6 @@ def report_to_registry(
     out.counter("sim.local_aborts").inc(report.local_aborts)
     out.counter("sim.watchdog_aborts").inc(report.watchdog_aborts)
     out.counter("sim.events_executed").inc(report.events_executed)
-    out.counter("sim.gtm_crashes").inc(report.gtm_crashes)
-    out.counter("sim.site_crashes").inc(report.site_crashes)
     out.gauge("sim.duration").set(report.duration)
     out.gauge("sim.quarantined_sites").set(len(report.quarantined_sites))
     out.counter("gtm.steps").inc(report.scheme_steps)

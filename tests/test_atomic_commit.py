@@ -493,7 +493,7 @@ class TestReplicatedPreparedRestart:
         report = simulator.run()
         # the crash actually hit the prepared window
         assert report.commit_stats.votes_yes >= 3
-        assert report.site_crashes == 1
+        assert report.fault_stats.site_crashes == 1
         # the writer still committed at every copy (no partial commit)
         assert simulator.committed_global == ["G1"]
         assert simulator.atomicity_report().ok

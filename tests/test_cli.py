@@ -146,3 +146,23 @@ class TestCommands:
     def test_unknown_scheme_exits(self):
         with pytest.raises(SystemExit):
             main(["trace", "--scheme", "quantum"])
+
+    @pytest.mark.parametrize(
+        "flag, value, reason",
+        [
+            ("--downtime", "-5", "negative time"),
+            ("--gtm-crashes", "-1", "negative gtm_crash_count"),
+            ("--prepare-crashes", "-2", "negative prepare_crash_count"),
+            ("--loss-rate", "2", "loss_rate must be in [0, 1]"),
+        ],
+    )
+    def test_chaos_rejects_every_bad_fault_option_cleanly(
+        self, flag, value, reason
+    ):
+        """Every storm option is checked by the plan it builds, so each
+        bad one is a clean exit, never a traceback or a silent no-op."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos", "--runs", "1", "--schemes", "scheme2", flag, value])
+        message = str(excinfo.value)
+        assert message.startswith("invalid fault configuration: ")
+        assert reason in message

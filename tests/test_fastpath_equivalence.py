@@ -30,7 +30,7 @@ from repro.core.engine import Engine
 from repro.core.events import Ack, Fin, Init, Ser
 from repro.core.scheme3 import Scheme3
 from repro.core.tsgd import TSGD
-from repro.faults.chaos import ChaosOptions, build_chaos_simulator
+from repro.faults.chaos import ChaosOptions, chaos_job
 from repro.lmdbs.protocols.base import Verdict
 from repro.lmdbs.protocols.sgt import SerializationGraphTesting
 from repro.mdbs import verify
@@ -133,7 +133,7 @@ def chaos_cell(scheme_name, seed, **storm):
     options = ChaosOptions(
         scheme=scheme_name, gtm_crash_count=1, site_crash_count=1, **storm
     )
-    sim, _plan = build_chaos_simulator(options, seed)
+    sim = build_simulator(chaos_job(options, seed))
     report = sim.run()
     outcome = {
         "committed": sorted(sim.committed_global),
@@ -248,7 +248,7 @@ def test_replication_storm_pins_route_retries(scheme_name, seed):
     digests, report = chaos_cell(scheme_name, seed, **REPLICATION_STORM)
     assert report.replication.route_retries > 0
     # the timed crash plus both progress-keyed ones fired
-    assert report.failed_global > 0 and report.site_crashes == 3
+    assert report.failed_global > 0 and report.fault_stats.site_crashes == 3
     assert digests == GOLDEN[f"chaos-replication/{scheme_name}/seed{seed}"]
 
 

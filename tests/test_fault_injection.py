@@ -113,6 +113,21 @@ class TestFaultModel:
         assert first == second
         assert first != FaultPlan.random(43, sites)
 
+    @pytest.mark.parametrize(
+        "count",
+        [
+            "gtm_crash_count",
+            "site_crash_count",
+            "prepare_crash_count",
+            "write_crash_count",
+            "coordinator_crash_count",
+            "vote_decide_partition_count",
+        ],
+    )
+    def test_plan_random_rejects_a_negative_count(self, count):
+        with pytest.raises(FaultConfigError, match=f"negative {count} -1"):
+            FaultPlan.random(0, ("s0", "s1"), **{count: -1})
+
     def test_plan_crashes_within_window_and_sorted(self):
         plan = FaultPlan.random(
             7, ("s0", "s1"), window=(50.0, 60.0), site_crash_count=4
@@ -358,7 +373,7 @@ class TestEquivalence:
                     FaultInjector(FaultPlan(seed=0, gtm_crashes=(crash_at,))),
                 )
                 report = crashed.run()
-                assert report.gtm_crashes == 1
+                assert report.fault_stats.gtm_crashes == 1
                 assert history_fingerprint(baseline) == history_fingerprint(
                     crashed
                 )
@@ -448,8 +463,6 @@ class TestWatchdogAndConfig:
     def test_legacy_report_reads_zero_fault_fields(self):
         simulator = build_simulator(0, None)
         report = simulator.run()
-        assert report.gtm_crashes == 0
-        assert report.site_crashes == 0
         assert report.quarantined_sites == ()
         assert report.fault_stats is None
 
@@ -605,7 +618,7 @@ class TestWriteCrashPlans:
             )
         report = simulator.run()
         # the crash fired (keyed to progress, not wall clock)
-        assert report.site_crashes == 1
+        assert report.fault_stats.site_crashes == 1
         assert [w[0] for w in report.availability_windows] == ["s1"]
         # and atomicity survived the mid-fan-out outage
         assert simulator.atomicity_report().ok

@@ -12,7 +12,9 @@
 - inside that module one method sends: ``MessagePlane.send`` is the only
   reader of ``message_delay`` and the only scheduler of a message (the
   retry timer in ``ResilientServer._exchange`` is not a message), and
-  the few other reads under ``src/repro`` are named exceptions.
+  the few other reads under ``src/repro`` are named exceptions;
+- one function assembles a run: ``build_simulator`` is the only caller of
+  ``MDBSSimulator(…)`` under ``src/repro`` beside ``repro simulate``.
 """
 
 import ast
@@ -24,12 +26,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 COMPONENTS = ("watchdog", "fault_scheduler", "commit_driver", "router")
 #: constructors and builders whose result is a simulator, and the names
 #: the tree gives one by convention
-SIMULATOR_SOURCES = {
-    "MDBSSimulator",
-    "GTMSystem",
-    "build_simulator",
-    "build_chaos_simulator",
-}
+SIMULATOR_SOURCES = {"MDBSSimulator", "GTMSystem", "build_simulator"}
 SIMULATOR_NAMES = {"simulator", "sim", "gtm", "system"}
 
 
@@ -44,23 +41,25 @@ def private_accesses(tree):
     ]
 
 
+def called(node):
+    """The name a call node calls (``f(…)`` or ``….f(…)``), else None."""
+    if not isinstance(node, ast.Call):
+        return None
+    callee = node.func
+    return callee.attr if isinstance(callee, ast.Attribute) else getattr(
+        callee, "id", None
+    )
+
+
 def simulator_names(tree):
     """Names bound from a simulator constructor or builder, beside the
     conventional ones."""
     names = set(SIMULATOR_NAMES)
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
-            continue
-        callee = node.value.func
-        called = callee.attr if isinstance(callee, ast.Attribute) else getattr(
-            callee, "id", None
-        )
-        if called in SIMULATOR_SOURCES:
-            for target in node.targets:
-                # ``simulator, plan = build_chaos_simulator(...)``
-                first = target.elts[0] if isinstance(target, ast.Tuple) else target
-                if isinstance(first, ast.Name):
-                    names.add(first.id)
+        if isinstance(node, ast.Assign) and called(node.value) in SIMULATOR_SOURCES:
+            names.update(
+                target.id for target in node.targets if isinstance(target, ast.Name)
+            )
     return names
 
 
@@ -109,7 +108,7 @@ def test_nothing_outside_mdbs_reads_a_simulators_private_state():
 
 def test_the_walk_sees_the_reach_it_exists_to_catch():
     tree = ast.parse(
-        "simulator, _plan = build_chaos_simulator(options, seed)\n"
+        "simulator = build_simulator(job)\n"
         "run = MDBSSimulator(sites, scheme)\n"
         "admitted = set(simulator._programs) | set(run._logical_programs)\n"
         "mine = self._programs\n"
@@ -253,3 +252,33 @@ def test_the_owner_walk_names_methods_not_their_closures():
     )
     assert owners(tree, reads_message_delay) == ["Link.submit", "leg"]
     assert owners(tree, calls_schedule) == ["Link.submit"]
+
+
+def test_build_simulator_is_the_only_run_assembly():
+    constructions = [
+        (str(path.relative_to(SRC)), owner)
+        for path in sorted(SRC.rglob("*.py"))
+        for owner in owners(
+            parse(path), lambda node: called(node) == "MDBSSimulator"
+        )
+    ]
+    assert constructions == [
+        # it also runs the repro.baselines schedulers, which a job's
+        # scheme name cannot name
+        ("cli.py", "cmd_simulate"),
+        ("transport/base.py", "build_simulator"),
+    ]
+
+
+def test_the_construction_walk_sees_a_hand_assembly():
+    tree = ast.parse(
+        "def build(job):\n"
+        "    return repro.mdbs.MDBSSimulator(sites, scheme, injector=injector)\n"
+        "class Storm:\n"
+        "    def run(self):\n"
+        "        self.sim = MDBSSimulator(sites, scheme)\n"
+    )
+    assert owners(tree, lambda node: called(node) == "MDBSSimulator") == [
+        "Storm.run",
+        "build",
+    ]

@@ -246,21 +246,20 @@ class TestWatchdogPartition:
     def test_replication_storm_recomputes_only_after_a_reroute(
         self, monkeypatch
     ):
-        from repro.faults.chaos import ChaosOptions, build_chaos_simulator
+        from repro.faults.chaos import ChaosOptions, chaos_job
+        from repro.transport import build_simulator
 
-        sim, _plan = build_chaos_simulator(
-            ChaosOptions(
-                scheme="scheme2",
-                gtm_crash_count=1,
-                site_crash_count=1,
-                global_txns=12,
-                atomic_commit=True,
-                replication_degree=2,
-                write_crash_count=1,
-                prepare_crash_count=1,
-            ),
-            7,
+        options = ChaosOptions(
+            scheme="scheme2",
+            gtm_crash_count=1,
+            site_crash_count=1,
+            global_txns=12,
+            atomic_commit=True,
+            replication_degree=2,
+            write_crash_count=1,
+            prepare_crash_count=1,
         )
+        sim = build_simulator(chaos_job(options, 7))
         calls, ticks = self._watch(sim, monkeypatch)
         writes = []
         route = sim.router.route

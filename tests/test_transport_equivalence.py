@@ -35,6 +35,7 @@ from repro.commit import CommitGroupStats, CommitStats
 from repro.core import make_scheme
 from repro.core.gtm import Access, GlobalProgram, site_components
 from repro.core.metrics import SchemeMetrics
+from repro.faults.chaos import ChaosOptions, chaos_job, run_chaos
 from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultStats
 from repro.faults.plan import FaultPlan
@@ -176,6 +177,33 @@ def test_sim_transport_matches_direct_simulator_with_faults():
     assert tuple(result.ser_schedule.operations) == tuple(
         simulator.ser_schedule.operations
     )
+
+
+def test_a_chaos_storm_is_its_job():
+    """``run_chaos`` runs nothing but its storm's job: a transport handed
+    that job reports exactly what the chaos verifier saw."""
+    options = ChaosOptions(scheme="scheme2")
+    result = SimTransport().run(chaos_job(options, 11))
+    assert result.report == run_chaos(options, 11).report
+
+
+def test_a_replicated_storm_runs_as_one_shard():
+    """A logical program names no site until it starts, so a replicated
+    job cannot be split by site component: the parallel transport runs
+    it whole, says why, and matches the single loop."""
+    options = ChaosOptions(
+        scheme="scheme2",
+        global_txns=12,
+        atomic_commit=True,
+        replication_degree=2,
+        write_crash_count=1,
+    )
+    job = chaos_job(options, 7)
+    result = ParallelTransport(workers=1).run(job)
+    assert result.shards == 1
+    assert "routed" in result.unsharded_because
+    assert result.report == SimTransport().run(job).report
+    assert result.report.replication.writes_fanout > 0
 
 
 # ----------------------------------------------------------------------
