@@ -24,7 +24,7 @@ benchmark E2.
 
 from __future__ import annotations
 
-from typing import Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.core.events import Ack, Fin, Init, Ser
 from repro.core.scheme import ConservativeScheme
@@ -53,29 +53,40 @@ class Scheme2(ConservativeScheme):
         self._eliminate = eliminate
         #: sites of the most recently finished transaction (for wake hints)
         self._finished_sites: Tuple[str, ...] = ()
-        #: ser-operations whose act has executed, as (transaction, site)
-        self._executed: Set[Tuple[str, str]] = set()
-        #: ser-operations acknowledged, as (transaction, site)
-        self._acked: Set[Tuple[str, str]] = set()
+        #: per site: the transactions whose ser-operation there has
+        #: executed / has been acknowledged
+        self._executed: Dict[str, Set[str]] = {}
+        self._acked: Dict[str, Set[str]] = {}
+        #: blocked ser-operations, as (transaction, site) -> where their
+        #: last ``cond_ser`` scan stopped and the incoming list's version
+        self._resume: Dict[Tuple[str, str], Tuple[int, int]] = {}
 
     # -- init ----------------------------------------------------------------
     def act_init(self, operation: Init) -> None:
         transaction_id = operation.transaction_id
-        self.tsgd.insert_transaction(transaction_id, operation.sites)
+        tsgd = self.tsgd
+        executed = self._executed
+        tsgd.insert_transaction(transaction_id, operation.sites)
+        # one step per resident examined at each of the new edges' sites
+        examined = 0
+        run = []
         for site in operation.sites:
-            for other in self.tsgd.transactions_at_sorted(site):
-                self.metrics.step()
-                if other == transaction_id:
-                    continue
-                if (other, site) in self._executed:
-                    self.tsgd.add_dependency(other, site, transaction_id)
+            residents = tsgd.transactions_at_sorted(site)
+            examined += len(residents)
+            done = executed.get(site)
+            if done:
+                run += [
+                    (other, site, transaction_id)
+                    for other in residents
+                    if other in done and other != transaction_id
+                ]
+        self.metrics.step(examined)
+        tsgd.add_dependencies(run)
         if self._eliminate:
             delta = self.choose_delta(transaction_id)
             self.metrics.delta_edges += len(delta)
-            self.tsgd.add_dependencies(sorted(delta))
-        if self._verify and self.tsgd.has_dangerous_cycle_through(
-            transaction_id
-        ):
+            tsgd.add_dependencies(sorted(delta))
+        if self._verify and tsgd.has_dangerous_cycle_through(transaction_id):
             raise SchedulerError(
                 f"Eliminate_Cycles left a dangerous cycle through "
                 f"{transaction_id!r}"
@@ -88,41 +99,72 @@ class Scheme2(ConservativeScheme):
 
     # -- ser -----------------------------------------------------------------
     def cond_ser(self, operation: Ser) -> bool:
+        """Scan the incoming dependencies in insertion order for one
+        from an unacknowledged ser-operation at the same site, charging
+        one step per dependency examined.  A blocked operation's scan
+        resumes at the blocker it stopped at: the dependencies before it
+        stay non-blocking (acknowledgements are never withdrawn from a
+        live transaction, and new dependencies are appended), unless one
+        of them leaves the list — which renews the list's version and
+        restarts the scan from the front."""
         transaction_id, site = operation.transaction_id, operation.site
-        for before, dep_site, after in self.tsgd.incoming_dependencies(
-            transaction_id
-        ):
-            self.metrics.step()
-            if dep_site == site and (before, site) not in self._acked:
-                return False
-        return True
+        incoming = self.tsgd.incoming_view(transaction_id)
+        version = self.tsgd.incoming_version(transaction_id)
+        key = (transaction_id, site)
+        resume = self._resume.get(key)
+        start = resume[0] if resume is not None and resume[1] == version else 0
+        index = self._first_blocker(incoming, site, start)
+        if index is None:
+            self.metrics.steps += len(incoming)
+            if resume is not None:
+                del self._resume[key]
+            return True
+        self.metrics.steps += index + 1
+        self._resume[key] = (index, version)
+        return False
+
+    def _first_blocker(
+        self, incoming: Sequence[Dependency], site: str, start: int
+    ) -> Optional[int]:
+        """Position of the first dependency at or after *start* that
+        orders an unacknowledged ser-operation at *site* first."""
+        acked = self._acked.get(site, ())
+        for index in range(start, len(incoming)):
+            before, dep_site, _after = incoming[index]
+            if dep_site == site and before not in acked:
+                return index
+        return None
 
     def act_ser(self, operation: Ser) -> None:
         transaction_id, site = operation.transaction_id, operation.site
-        for other in self.tsgd.transactions_at_sorted(site):
-            self.metrics.step()
-            if other == transaction_id:
-                continue
-            if (other, site) not in self._executed:
-                self.tsgd.add_dependency(transaction_id, site, other)
-        self._executed.add((transaction_id, site))
+        done = self._executed.setdefault(site, set())
+        residents = self.tsgd.transactions_at_sorted(site)
+        self.metrics.step(len(residents))
+        self.tsgd.add_dependencies(
+            [
+                (transaction_id, site, other)
+                for other in residents
+                if other not in done and other != transaction_id
+            ]
+        )
+        done.add(transaction_id)
         self.submit(operation)
 
     # -- ack -----------------------------------------------------------------
     def act_ack(self, operation: Ack) -> None:
-        key = (operation.transaction_id, operation.site)
-        if key not in self._executed:
+        transaction_id, site = operation.transaction_id, operation.site
+        if transaction_id not in self._executed.get(site, ()):
             raise SchedulerError(
                 f"ack {operation!r} for an unexecuted ser-operation"
             )
         self.metrics.step()
-        self._acked.add(key)
+        self._acked.setdefault(site, set()).add(transaction_id)
         self.forward(operation)
 
     # -- fin -----------------------------------------------------------------
     def cond_fin(self, operation: Fin) -> bool:
-        self.metrics.step()
-        return not self.tsgd.incoming_dependencies(operation.transaction_id)
+        self.metrics.steps += 1
+        return not self.tsgd.incoming_view(operation.transaction_id)
 
     def act_fin(self, operation: Fin) -> None:
         transaction_id = operation.transaction_id
@@ -130,11 +172,11 @@ class Scheme2(ConservativeScheme):
         # which waiting ser-operation is re-examined first — hash order
         # here leaks into outcomes and breaks cross-process replay of
         # seeded chaos runs
-        self._finished_sites = self.tsgd.sites_of_sorted(transaction_id)
-        for site in self.tsgd.sites_of(transaction_id):
-            self.metrics.step()
-            self._executed.discard((transaction_id, site))
-            self._acked.discard((transaction_id, site))
+        sites = self._finished_sites = self.tsgd.sites_of_sorted(transaction_id)
+        self.metrics.step(len(sites))
+        for site in sites:
+            self._executed.get(site, set()).discard(transaction_id)
+            self._acked.get(site, set()).discard(transaction_id)
         self.tsgd.remove_transaction(transaction_id)
 
     # -- wake hints (paper §6 complexity accounting) -----------------------------
@@ -162,19 +204,18 @@ class Scheme2(ConservativeScheme):
         operation (insertion order, matching :meth:`cond_ser`'s scan)."""
         if isinstance(operation, Ser):
             transaction_id, site = operation.transaction_id, operation.site
-            for before, dep_site, _after in self.tsgd.incoming_dependencies(
-                transaction_id
-            ):
-                if dep_site == site and (before, site) not in self._acked:
-                    return {
-                        "type": "tsgd-dependency",
-                        "site": site,
-                        "blocking": before,
-                        "after": transaction_id,
-                    }
+            incoming = self.tsgd.incoming_view(transaction_id)
+            index = self._first_blocker(incoming, site, 0)
+            if index is not None:
+                return {
+                    "type": "tsgd-dependency",
+                    "site": site,
+                    "blocking": incoming[index][0],
+                    "after": transaction_id,
+                }
         if isinstance(operation, Fin):
             transaction_id = operation.transaction_id
-            deps = self.tsgd.incoming_dependencies(transaction_id)
+            deps = self.tsgd.incoming_view(transaction_id)
             if deps:
                 before, dep_site, _after = deps[0]
                 return {
@@ -191,11 +232,14 @@ class Scheme2(ConservativeScheme):
         executed/acked bookkeeping."""
         if self.tsgd.has_transaction(transaction_id):
             self.tsgd.remove_transaction(transaction_id)
-        self._executed = {
-            key for key in self._executed if key[0] != transaction_id
-        }
-        self._acked = {
-            key for key in self._acked if key[0] != transaction_id
+        for done in self._executed.values():
+            done.discard(transaction_id)
+        for done in self._acked.values():
+            done.discard(transaction_id)
+        self._resume = {
+            key: mark
+            for key, mark in self._resume.items()
+            if key[0] != transaction_id
         }
 
     # -- purge hints (targeted post-abort WAIT drain; see Engine) ---------------

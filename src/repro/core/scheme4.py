@@ -208,19 +208,21 @@ class Scheme4(ConservativeScheme):
         self.metrics.batches_planned += 1
         self.metrics.plan_edges += edges
         hints: List[Tuple[str, Optional[str], Optional[str]]] = []
+        links: List[Tuple[str, str, str]] = []
         for member in members:
             self._batch_of[member] = batch
         for site in sorted(site_members):
             chain = sorted(site_members[site], key=position.__getitem__)
+            self.metrics.step(len(chain))
             for member in chain:
-                self.metrics.step()
                 previous = self._tail.get(site)
                 self._pred[(member, site)] = previous
                 if previous is not None:
                     self._succ[(previous, site)] = member
-                    self.tsgd.add_dependency(previous, site, member)
+                    links.append((previous, site, member))
                 self._tail[site] = member
                 hints.append(("ser", member, site))
+        self.tsgd.add_dependencies(links)
         return hints
 
     # -- ser -----------------------------------------------------------------
@@ -314,8 +316,7 @@ class Scheme4(ConservativeScheme):
                 self._executed.discard((transaction_id, site))
                 self._acked.discard((transaction_id, site))
             self.tsgd.remove_transaction(transaction_id)
-            for predecessor, site, successor in spliced:
-                self.tsgd.add_dependency(predecessor, site, successor)
+            self.tsgd.add_dependencies(spliced)
         else:
             root = self._find(sites[0])
             self._open[root].remove(transaction_id)

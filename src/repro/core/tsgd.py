@@ -11,6 +11,18 @@ A TSGD is ``(V, E, D)``: transaction and site nodes, undirected edges
 stored as triples ``(before, site, after)`` meaning "``ser_k(G_before)``
 is processed before ``ser_k(G_after)``".
 
+Transaction nodes live in *slots*: each live transaction holds a small
+integer (the lowest free one when it is inserted, reused after it
+leaves), and a set of transactions is an ``int`` with one bit per slot.
+Every site keeps its *resident* mask (the transactions with an edge to
+it) and a row indexed by slot: for a resident ``v`` the entry is the
+*blocked* mask of edge ``(v, s)`` — the transactions ``w`` with
+``(v, s, w) ∈ D`` — plus ``v``'s own bit, i.e. the residents ``v``
+cannot enter via ``s``; the site also keeps the total of the blocked
+bits.  ``Eliminate_Cycles`` runs on these masks alone.  The dependency
+triples, indexed per endpoint in insertion order, serve the scheme's
+``cond`` scans.
+
 Cycles
 ------
 Edges ``(v_1, v_2), …, (v_k, v_1)``, ``k > 2``, over distinct nodes form
@@ -32,8 +44,19 @@ minimal; deciding non-minimality is NP-complete (Theorem 7), which
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.metrics import SchemeMetrics
 from repro.exceptions import SchedulerError
@@ -41,162 +64,230 @@ from repro.exceptions import SchedulerError
 #: A dependency (before, site, after): ser_site(before) << ser_site(after).
 Dependency = Tuple[str, str, str]
 
-#: sentinel: a node of the Eliminate_Cycles closure whose every site
-#: segment has been opened (entered via two distinct sites)
-_OPENED = object()
+try:
+    #: the number of set bits of a mask (``int.bit_count``, Python 3.10+)
+    _popcount = int.bit_count
+except AttributeError:  # pragma: no cover - Python 3.9
+
+    def _popcount(mask: int) -> int:
+        return bin(mask).count("1")
 
 
 class TSGD:
     """Transaction-site graph with dependencies."""
 
     def __init__(self, metrics: Optional[SchemeMetrics] = None) -> None:
-        self._txn_sites: Dict[str, Set[str]] = {}
-        self._site_txns: Dict[str, Set[str]] = {}
+        #: live transaction -> its slot; slot -> transaction and its
+        #: sorted sites (``None``/``()`` while the slot is free)
+        self._slot: Dict[str, int] = {}
+        self._slot_txn: List[Optional[str]] = []
+        self._slot_sites: List[Tuple[str, ...]] = []
+        #: free slots, as a heap: insertion takes the lowest
+        self._free: List[int] = []
+        #: per site: the resident mask, and a row indexed by slot whose
+        #: entry for a resident v is v's bit plus the blocked mask of
+        #: edge (v, site) — the bits of the ``w`` with ``(v, site, w) ∈
+        #: D`` — i.e. the residents v cannot enter via the site
+        self._resident: Dict[str, int] = {}
+        self._blocked: Dict[str, List[int]] = {}
+        #: per site: the number of blocked bits in its row
+        self._blocked_total: Dict[str, int] = {}
+        #: per site: its residents' ids in sorted order, for the
+        #: scheme's deterministic insertion scans
+        self._site_txns_sorted: Dict[str, List[str]] = {}
         self._deps: Set[Dependency] = set()
         #: per-endpoint dependency indexes in insertion order, so the
         #: hot ``cond_ser`` scan is O(degree) instead of O(|D|) and its
-        #: iteration order no longer depends on set (hash) order
+        #: iteration order no longer depends on set (hash) order; the
+        #: outgoing ones are insertion-ordered sets, for O(1) removal
         self._incoming: Dict[str, List[Dependency]] = {}
-        self._outgoing: Dict[str, List[Dependency]] = {}
-        #: sorted-adjacency mirrors: Eliminate_Cycles and the scheme's
-        #: insertion scans need deterministic (sorted) neighbour order;
-        #: maintaining it incrementally replaces the per-visit sorted()
-        #: calls that dominated its profile
-        self._txn_sites_sorted: Dict[str, List[str]] = {}
-        self._site_txns_sorted: Dict[str, List[str]] = {}
-        #: per-edge blocked candidates for Eliminate_Cycles:
-        #: ``_blocked[(v, u)]`` holds the transactions ``w`` with a live
-        #: dependency ``(v, u, w)`` — exactly the candidates Figure 4's
-        #: walk would examine at segment ``(v, u)`` and reject as
-        #: dependency-blocked.  The closure subtracts the whole set from
-        #: the site's unmarked residents in one C-level difference and
-        #: charges ``len`` steps in bulk (credited to
-        #: ``dfs_steps_avoided``), keeping the metrics on the paper's
-        #: cost model while the real work drops to the eligible pairs.
-        self._blocked: Dict[Tuple[str, str], Set[str]] = {}
+        self._outgoing: Dict[str, Dict[Dependency, None]] = {}
+        #: per transaction: a stamp renewed whenever its incoming list
+        #: loses an entry, so a scan position into it can be trusted
+        #: while the stamp is unchanged (appends keep positions)
+        self._version: Dict[str, int] = {}
+        self._clock = 0
         self._metrics = metrics or SchemeMetrics()
 
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
     def insert_transaction(self, transaction_id: str, sites: Iterable[str]) -> None:
-        if transaction_id in self._txn_sites:
+        if transaction_id in self._slot:
             raise SchedulerError(
                 f"transaction {transaction_id!r} already in the TSGD"
             )
-        site_set = set(sites)
-        self._txn_sites[transaction_id] = site_set
-        self._txn_sites_sorted[transaction_id] = sorted(site_set)
-        self._metrics.graph_ops += 1 + len(site_set)
-        for site in site_set:
-            self._metrics.step()
-            self._site_txns.setdefault(site, set()).add(transaction_id)
-            bisect.insort(
-                self._site_txns_sorted.setdefault(site, []), transaction_id
-            )
+        ordered = tuple(sorted(set(sites)))
+        if self._free:
+            slot = heapq.heappop(self._free)
+            self._slot_txn[slot] = transaction_id
+            self._slot_sites[slot] = ordered
+        else:
+            slot = len(self._slot_txn)
+            self._slot_txn.append(transaction_id)
+            self._slot_sites.append(ordered)
+            for row in self._blocked.values():
+                row.append(0)
+        self._slot[transaction_id] = slot
+        self._clock += 1
+        self._version[transaction_id] = self._clock
+        self._metrics.graph_ops += 1 + len(ordered)
+        self._metrics.steps += len(ordered)
+        bit = 1 << slot
+        resident = self._resident
+        for site in ordered:
+            here = resident.get(site)
+            if here is None:
+                resident[site] = bit
+                self._blocked[site] = [0] * len(self._slot_txn)
+                self._blocked_total[site] = 0
+                self._site_txns_sorted[site] = [transaction_id]
+            else:
+                resident[site] = here | bit
+                bisect.insort(self._site_txns_sorted[site], transaction_id)
+            self._blocked[site][slot] = bit
 
     def remove_transaction(self, transaction_id: str) -> None:
-        sites = self._txn_sites.pop(transaction_id, None)
-        if sites is None:
+        slot = self._slot.pop(transaction_id, None)
+        if slot is None:
             raise SchedulerError(
                 f"transaction {transaction_id!r} not in the TSGD"
             )
-        del self._txn_sites_sorted[transaction_id]
+        sites = self._slot_sites[slot]
+        self._slot_txn[slot] = None
+        self._slot_sites[slot] = ()
+        heapq.heappush(self._free, slot)
+        del self._version[transaction_id]
+        bit = 1 << slot
+        resident = self._resident
+        blocked = self._blocked
+        totals = self._blocked_total
+        self._metrics.steps += len(sites)
         for site in sites:
-            self._metrics.step()
-            adjacent = self._site_txns.get(site)
-            if adjacent is not None:
-                adjacent.discard(transaction_id)
-                if not adjacent:
-                    del self._site_txns[site]
-            row = self._site_txns_sorted[site]
-            del row[bisect.bisect_left(row, transaction_id)]
-            if not row:
+            left = resident[site] ^ bit
+            if left:
+                resident[site] = left
+                row = blocked[site]
+                totals[site] -= _popcount(row[slot]) - 1
+                row[slot] = 0
+                names = self._site_txns_sorted[site]
+                del names[bisect.bisect_left(names, transaction_id)]
+            else:
+                del resident[site], blocked[site], totals[site]
                 del self._site_txns_sorted[site]
-            self._blocked.pop((transaction_id, site), None)
-        dead = self._incoming.pop(transaction_id, []) + self._outgoing.pop(
-            transaction_id, []
-        )
-        self._metrics.graph_ops += 1 + len(sites) + len(dead)
-        for dep in dead:
-            if dep not in self._deps:
-                continue
-            self._deps.discard(dep)
-            before, dep_site, after = dep
-            if before != transaction_id:
-                self._outgoing[before].remove(dep)
-                if not self._outgoing[before]:
-                    del self._outgoing[before]
-                # the dead dependency no longer blocks the candidate
-                # (dep_site, after) at node *before*
-                key = (before, dep_site)
-                blocked = self._blocked.get(key)
-                if blocked is not None:
-                    blocked.discard(after)
-                    if not blocked:
-                        del self._blocked[key]
-            if after != transaction_id:
-                self._incoming[after].remove(dep)
-                if not self._incoming[after]:
-                    del self._incoming[after]
+        known = self._deps
+        slots = self._slot
+        incoming = self._incoming
+        outgoing = self._outgoing
+        into = incoming.pop(transaction_id, [])
+        out_of = outgoing.pop(transaction_id, ())
+        self._metrics.graph_ops += 1 + len(sites) + len(into) + len(out_of)
+        for dep in into:
+            known.discard(dep)
+            before, dep_site, _after = dep
+            if before == transaction_id:
+                continue  # a self-dependency: out_of lists it too
+            out = outgoing[before]
+            del out[dep]
+            if not out:
+                del outgoing[before]
+            # the dead dependency no longer blocks the departed slot at
+            # edge (before, dep_site): clear its bit before the slot is
+            # reused
+            blocked[dep_site][slots[before]] ^= bit
+            totals[dep_site] -= 1
+        # every transaction that loses an incoming dependency gets a
+        # new version stamp (one per removal is enough: stamps only
+        # have to differ from the transaction's earlier ones)
+        self._clock += 1
+        for dep in out_of:
+            if dep not in known:
+                continue  # the self-dependency, dropped with into
+            known.discard(dep)
+            after = dep[2]
+            row = incoming[after]
+            row.remove(dep)
+            if not row:
+                del incoming[after]
+            self._version[after] = self._clock
 
     def add_dependency(self, before: str, site: str, after: str) -> None:
-        if site not in self._txn_sites.get(before, ()):  # pragma: no cover
-            raise SchedulerError(
-                f"no edge ({before!r}, {site!r}) for dependency"
-            )
-        if site not in self._txn_sites.get(after, ()):  # pragma: no cover
-            raise SchedulerError(
-                f"no edge ({after!r}, {site!r}) for dependency"
-            )
-        self._metrics.step()
-        dep = (before, site, after)
-        if dep in self._deps:
-            return
-        self._metrics.graph_ops += 1
-        self._deps.add(dep)
-        self._outgoing.setdefault(before, []).append(dep)
-        self._incoming.setdefault(after, []).append(dep)
-        if before != after:
-            # the dependency statically blocks the candidate (site,
-            # after) at node *before* for every future Eliminate_Cycles
-            # call (a self-dependency blocks nothing: the candidate
-            # scans never pair a node with itself)
-            key = (before, site)
-            row = self._blocked.get(key)
-            if row is None:
-                self._blocked[key] = {after}
-            else:
-                row.add(after)
+        self.add_dependencies(((before, site, after),))
 
     def add_dependencies(self, deps: Iterable[Dependency]) -> None:
-        for before, site, after in deps:
-            self.add_dependency(before, site, after)
+        """Add *deps* in order, skipping those already present; one
+        step per dependency offered, charged once for the run."""
+        slots = self._slot
+        resident = self._resident
+        blocked = self._blocked
+        totals = self._blocked_total
+        known = self._deps
+        incoming = self._incoming
+        outgoing = self._outgoing
+        added = known_already = 0
+        for dep in deps:
+            if dep in known:
+                known_already += 1
+                continue
+            before, site, after = dep
+            try:
+                here = resident[site]
+                owner = slots[before]
+                target = slots[after]
+            except KeyError:
+                here = owner = target = 0
+            if not (here >> owner & here >> target & 1):
+                missing = after if site in self.sites_of_sorted(before) else before
+                raise SchedulerError(
+                    f"no edge ({missing!r}, {site!r}) for dependency"
+                )
+            added += 1
+            known.add(dep)
+            out = outgoing.get(before)
+            if out is None:
+                outgoing[before] = {dep: None}
+            else:
+                out[dep] = None
+            row = incoming.get(after)
+            if row is None:
+                incoming[after] = [dep]
+            else:
+                row.append(dep)
+            if owner != target:
+                # the dependency blocks *after* at edge (before, site)
+                # for every later Eliminate_Cycles call (a
+                # self-dependency blocks nothing: a node never enters
+                # itself)
+                blocked[site][owner] |= 1 << target
+                totals[site] += 1
+        self._metrics.steps += added + known_already
+        self._metrics.graph_ops += added
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
     @property
     def transactions(self) -> Tuple[str, ...]:
-        return tuple(self._txn_sites)
+        return tuple(self._slot)
 
     @property
     def sites(self) -> Tuple[str, ...]:
-        return tuple(self._site_txns)
+        return tuple(self._resident)
 
     @property
     def dependencies(self) -> FrozenSet[Dependency]:
         return frozenset(self._deps)
 
     def sites_of(self, transaction_id: str) -> frozenset:
-        return frozenset(self._txn_sites.get(transaction_id, ()))
+        return frozenset(self.sites_of_sorted(transaction_id))
 
     def transactions_at(self, site: str) -> frozenset:
-        return frozenset(self._site_txns.get(site, ()))
+        return frozenset(self._site_txns_sorted.get(site, ()))
 
     def sites_of_sorted(self, transaction_id: str) -> Tuple[str, ...]:
-        """``sorted(sites_of(...))``, from the maintained mirror."""
-        return tuple(self._txn_sites_sorted.get(transaction_id, ()))
+        """``sorted(sites_of(...))``."""
+        slot = self._slot.get(transaction_id)
+        return () if slot is None else self._slot_sites[slot]
 
     def transactions_at_sorted(self, site: str) -> Tuple[str, ...]:
         """``sorted(transactions_at(...))``, from the maintained
@@ -204,7 +295,7 @@ class TSGD:
         return tuple(self._site_txns_sorted.get(site, ()))
 
     def has_transaction(self, transaction_id: str) -> bool:
-        return transaction_id in self._txn_sites
+        return transaction_id in self._slot
 
     def has_dependency(self, before: str, site: str, after: str) -> bool:
         return (before, site, after) in self._deps
@@ -214,6 +305,19 @@ class TSGD:
 
     def outgoing_dependencies(self, transaction_id: str) -> Tuple[Dependency, ...]:
         return tuple(self._outgoing.get(transaction_id, ()))
+
+    def incoming_view(self, transaction_id: str) -> Sequence[Dependency]:
+        """The live incoming list of *transaction_id*, in insertion
+        order (read-only: no copy is made, so the hot ``cond`` scans
+        pay none).  Entries are only appended, except when a
+        transaction leaves, which renews :meth:`incoming_version`."""
+        return self._incoming.get(transaction_id, ())
+
+    def incoming_version(self, transaction_id: str) -> int:
+        """A stamp that changes whenever an entry leaves the incoming
+        list of *transaction_id* (never reused, also across
+        re-insertions of the same id)."""
+        return self._version.get(transaction_id, 0)
 
     # ------------------------------------------------------------------
     # Figure 4: Eliminate_Cycles
@@ -230,7 +334,8 @@ class TSGD:
         the walk's closed form (argument below); the walk itself is the
         test oracle ``tests/reference/eliminate_cycles.py``.
         """
-        if transaction_id not in self._txn_sites:
+        root = self._slot.get(transaction_id)
+        if root is None:
             raise SchedulerError(
                 f"transaction {transaction_id!r} not in the TSGD"
             )
@@ -245,93 +350,108 @@ class TSGD:
         #   choose; a node's successive arrivals are distinct sites
         #   (each entry uses up the (v, entry-site) edge), so a deferred
         #   pair is examined eligibly iff v is entered a second time.
-        #   Hence the segments v examines with arrival ≠ segment-site —
-        #   its *opened* segments — are: all of sites(v) for the root
-        #   and for any node entered via two distinct sites, and
-        #   sites(v) minus the single entry site otherwise.
+        #   Hence v *opens* site u — examines its segment (v, u) with
+        #   arrival ≠ u — iff v is the root, or v was entered via two
+        #   distinct sites, or v was entered once, via a site ≠ u.
         # - a pair (u, w), w ≠ root, examined at an opened segment is
         #   skipped iff (w, u) is already used (w was entered via u
         #   before — membership in the "entered" relation is unchanged)
         #   or (v, u, w) ∈ D (Δ only ever holds (·, ·, root) triples);
         #   otherwise it is chosen and w is entered via u.  So the
         #   entered relation M = {(w, u)} is the least fixpoint of
-        #       (w, u) ∈ M  ⟺  ∃ opened segment (v, u) of a reached v
+        #       (w, u) ∈ M  ⟺  ∃ opener v of site u
         #                       with w ∈ txns(u), w ∉ {v, root},
         #                       (v, u, w) ∉ D,
-        #   with "opened" induced by M as above — monotone, so the
-        #   fixpoint is unique and any worklist order computes it.
+        #   with the openers induced by M as above — monotone, so the
+        #   fixpoint is unique and any order of folding computes it.
         # - closings ignore the used marks (w == root skips that test),
-        #   so Δ is exactly {(v, u, root): (v, u) opened, root ∈
-        #   txns(u), (v, u, root) ∉ D}.
+        #   so Δ is exactly {(v, u, root): v opens u, root ∈ txns(u),
+        #   (v, u, root) ∉ D}.
         #
-        # Each edge (v, u) is therefore processed at most once.  The
-        # entered-via-u test is shared by every opener of site u, so the
-        # closure keeps one *unmarked* set per site and each opener
-        # examines only the not-yet-entered residents — the first opener
-        # pays the full neighbourhood, later openers only the remainder.
+        # On the masks the fixpoint runs per site.  Site u keeps the
+        # residents not yet entered via u (root aside); an opener v
+        # leaves exactly those it cannot enter — one AND with its row
+        # entry, blocked(v, u) | {v} — and the bits that drop out are
+        # the transactions entered via u.  With the nodes entered via at
+        # least one site and via at least two kept as two masks, a
+        # site's openers are
+        #     residents & (root | entered twice | entered once, not via u)
+        # so a sweep over the sites folds each site's new openers, and
+        # the sweeps repeat until one enters nobody.  Each (opener,
+        # site) pair is folded at most once.
+        #
         # The step charges stay on the paper's per-candidate-examination
-        # model (Theorem 6): one unit per eligible candidate per opened
-        # segment, the dependency-blocked ones charged in bulk from the
-        # maintained ``_blocked`` sets and credited to
-        # ``dfs_steps_avoided``; the walk's deferred re-examinations and
-        # backtrack steps — pure traversal overhead the closure never
-        # performs — are not re-charged.
-        root = transaction_id
-        metrics = self._metrics
-        deps = self._deps
-        site_txns = self._site_txns
-        txn_sites_sorted = self._txn_sites_sorted
-        blocked_sets = self._blocked
-        delta: Set[Dependency] = set()
-        #: per site: residents not yet entered via that site
-        unmarked: Dict[str, Set[str]] = {}
-        #: txn -> its single entry site, or _OPENED once fully opened
-        entries: Dict[str, object] = {}
-        pending: List[Tuple[str, str]] = [
-            (root, site) for site in txn_sites_sorted[root]
+        # model (Theorem 6) and are summed once per site at the end:
+        # every opened segment examines the site's other residents,
+        # |openers|·(|residents| − 1), plus one unit per closing in Δ;
+        # the dependency-blocked candidates among those — the site's
+        # blocked total less its non-openers' blocked counts — are
+        # credited to ``dfs_steps_avoided``.  The walk's deferred
+        # re-examinations and backtrack steps — pure traversal overhead
+        # the closure never performs — are not charged.
+        root_bit = 1 << root
+        blocked = self._blocked
+        #: per site: [site, residents, openers so far, residents (root
+        #: aside) not yet entered via the site]
+        states = [
+            [site, here, 0, here & ~root_bit]
+            for site, here in self._resident.items()
         ]
+        #: nodes entered via at least one site / at least two sites
+        once = twice = 0
+        sweep = True
+        while sweep:
+            sweep = False
+            for state in states:
+                u, here, opened, left = state
+                new = here & (root_bit | twice | once & left) & ~opened
+                if not new:
+                    continue
+                state[2] = opened | new
+                if left:
+                    row = blocked[u]
+                    was = left
+                    while new and left:
+                        top = new.bit_length() - 1
+                        new ^= 1 << top
+                        left &= row[top]
+                    if left != was:
+                        state[3] = left
+                        entered = was ^ left
+                        twice |= once & entered
+                        once |= entered
+                        sweep = True
+        # Δ closes the root's sites: every opener there but the ones
+        # already ordered before the root, (v, u, root) ∈ D
+        ordered: Dict[str, int] = {}
+        slots = self._slot
+        for before, site, _root in self._incoming.get(transaction_id, ()):
+            ordered[site] = ordered.get(site, 0) | 1 << slots[before]
+        names = self._slot_txn
+        totals = self._blocked_total
+        delta: Set[Dependency] = set()
         stepped = 0
         avoided = 0
-        while pending:
-            v, u = pending.pop()
-            txns_here = site_txns[u]
-            candidates = len(txns_here) - 1
-            if candidates <= 0:
+        for u, here, openers, _left in states:
+            others = _popcount(here) - 1
+            if not openers or not others:
                 continue
-            # the paper's cost model examines every candidate at an
-            # opened segment once: charge them all, with the
-            # dependency-blocked ones credited as avoided scan work
-            stepped += candidates
-            blocked = blocked_sets.get((v, u))
-            if blocked:
-                avoided += len(blocked)
-            if root in txns_here and v != root and (v, u, root) not in deps:
-                stepped += 1
-                delta.add((v, u, root))
-            um = unmarked.get(u)
-            if um is None:
-                um = set(txns_here)
-                um.discard(root)
-                unmarked[u] = um
-            if not um:
-                continue
-            chosen = um.difference(blocked) if blocked else set(um)
-            chosen.discard(v)
-            if not chosen:
-                continue
-            um -= chosen
-            for w in chosen:
-                state = entries.get(w)
-                if state is None:
-                    entries[w] = u
-                    for other in txn_sites_sorted[w]:
-                        if other != u:
-                            pending.append((w, other))
-                elif state is not _OPENED:
-                    entries[w] = _OPENED
-                    pending.append((w, state))
-        metrics.step(stepped)
-        metrics.dfs_steps_avoided += avoided
+            stepped += _popcount(openers) * others
+            avoided += totals[u]
+            row = blocked[u]
+            idle = here & ~openers
+            while idle:
+                top = idle.bit_length() - 1
+                idle ^= 1 << top
+                avoided -= _popcount(row[top]) - 1
+            if here & root_bit:
+                closers = openers & ~root_bit & ~ordered.get(u, 0)
+                while closers:
+                    top = closers.bit_length() - 1
+                    closers ^= 1 << top
+                    delta.add((names[top], u, transaction_id))
+        self._metrics.steps += stepped + len(delta)
+        self._metrics.dfs_steps_avoided += avoided
         return delta
 
     # ------------------------------------------------------------------
@@ -394,20 +514,6 @@ class TSGD:
                 return False
         return True
 
-    def dangerous_cycles_through(
-        self,
-        transaction_id: str,
-        extra: Iterable[Dependency] = (),
-    ) -> List[Tuple[str, ...]]:
-        """All simple cycles through *transaction_id* that are
-        dependency-free in the yielded direction (dangerous cycles)."""
-        extra_set = frozenset(extra)
-        return [
-            cycle
-            for cycle in self.simple_cycles_through(transaction_id)
-            if self._cycle_free_direction(cycle, extra_set)
-        ]
-
     def has_dangerous_cycle_through(
         self, transaction_id: str, extra: Iterable[Dependency] = ()
     ) -> bool:
@@ -421,12 +527,12 @@ class TSGD:
         """No dangerous cycle anywhere (exhaustive; for tests)."""
         return all(
             not self.has_dangerous_cycle_through(transaction_id)
-            for transaction_id in self._txn_sites
+            for transaction_id in self._slot
         )
 
     def __repr__(self) -> str:
         return (
-            f"<TSGD txns={len(self._txn_sites)} sites={len(self._site_txns)} "
+            f"<TSGD txns={len(self._slot)} sites={len(self._resident)} "
             f"deps={len(self._deps)}>"
         )
 

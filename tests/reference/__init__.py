@@ -2,11 +2,14 @@
 
 ``src/`` holds one implementation of each structure — the incremental
 one.  The algorithms as the paper states them (Figure 4's
-``Eliminate_Cycles`` walk, Scheme 3's all-transactions ``ser_bef``
-scans, SGT's restart-from-the-requester cycle search) live here,
-written against the public inspection API or as subclasses overriding
-only the scanned methods; ``tests/test_fastpath_equivalence.py`` checks
-the production structures against them decision for decision.
+``Eliminate_Cycles`` walk, Scheme 2's from-the-front ``cond_ser`` scan,
+Scheme 3's all-transactions ``ser_bef`` scans, SGT's
+restart-from-the-requester cycle search) live here, written against the
+public inspection API or as subclasses overriding only the scanned
+methods; ``tests/test_fastpath_equivalence.py`` checks the production
+structures against them decision for decision.  Beside the walk,
+``eliminate_cycles`` keeps the set-based segment worklist the bitset
+closure replaced, as the oracle for the steps it charges.
 ``lock_table_scan`` keeps the whole-table scans of the 2PL lock manager
 and the whole-history scan of ``HistoryLog.outcome_of`` that the wait
 index and the outcome map replaced (``tests/test_lock_manager.py``,

@@ -5,7 +5,9 @@ visited) from the newly inserted ``Ĝ_i``, keeping the paper's
 ``s_par``/``t_par`` parent stacks and marking each non-root edge "used"
 at most once; closing a walk back at the root adds the dependency
 ``(v, u) → (u, Ĝ_i)``.  ``TSGD.eliminate_cycles`` computes the same Δ as
-a worklist closure; this walk is the oracle it is tested against.
+a per-site fixpoint over slot bitsets; this walk is the oracle for Δ,
+and the segment worklist below — the closure's previous, set-based form
+— is the oracle for the steps it charges.
 """
 
 from collections import deque
@@ -14,6 +16,10 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 from repro.core.tsgd import TSGD, Dependency
 
 Pair = Tuple[str, str]
+
+#: sentinel: a node of the worklist closure whose every site segment has
+#: been opened (entered via two distinct sites)
+_OPENED = object()
 
 
 def eliminate_cycles_walk(tsgd: TSGD, transaction_id: str) -> Set[Dependency]:
@@ -84,3 +90,68 @@ def eliminate_cycles_walk(tsgd: TSGD, transaction_id: str) -> Set[Dependency]:
             v = parent
         else:
             return delta
+
+
+def eliminate_cycles_worklist(
+    tsgd: TSGD, transaction_id: str
+) -> Tuple[Set[Dependency], int, int]:
+    """The segment-worklist closure ``TSGD.eliminate_cycles`` used
+    before its sets became slot bitsets, read through the public
+    inspection API: Δ, and the ``steps`` and ``dfs_steps_avoided`` it
+    charges.  The charge oracle of the per-site bitset closure.
+
+    Each popped segment ``(v, u)`` — v opens site u — is charged one
+    step per other resident of u, plus one per closing added to Δ, and
+    credits the candidates its dependencies block to the avoided count;
+    the residents of u not yet entered via u and not blocked by v are
+    entered via u, which opens their other sites (a first entry) or
+    their first entry site (a second one)."""
+    root = transaction_id
+    blocked_sets: Dict[Pair, Set[str]] = {}
+    for before, site, after in tsgd.dependencies:
+        if before != after:
+            blocked_sets.setdefault((before, site), set()).add(after)
+    delta: Set[Dependency] = set()
+    #: per site: residents not yet entered via that site
+    unmarked: Dict[str, Set[str]] = {}
+    #: txn -> its single entry site, or _OPENED once fully opened
+    entries: Dict[str, object] = {}
+    pending: List[Pair] = [(root, site) for site in tsgd.sites_of_sorted(root)]
+    stepped = 0
+    avoided = 0
+    while pending:
+        v, u = pending.pop()
+        txns_here = tsgd.transactions_at(u)
+        candidates = len(txns_here) - 1
+        if candidates <= 0:
+            continue
+        stepped += candidates
+        blocked = blocked_sets.get((v, u))
+        if blocked:
+            avoided += len(blocked)
+        if root in txns_here and v != root and not tsgd.has_dependency(v, u, root):
+            stepped += 1
+            delta.add((v, u, root))
+        um = unmarked.get(u)
+        if um is None:
+            um = set(txns_here)
+            um.discard(root)
+            unmarked[u] = um
+        if not um:
+            continue
+        chosen = um.difference(blocked) if blocked else set(um)
+        chosen.discard(v)
+        if not chosen:
+            continue
+        um -= chosen
+        for w in chosen:
+            state = entries.get(w)
+            if state is None:
+                entries[w] = u
+                for other in tsgd.sites_of_sorted(w):
+                    if other != u:
+                        pending.append((w, other))
+            elif state is not _OPENED:
+                entries[w] = _OPENED
+                pending.append((w, state))
+    return delta, stepped, avoided

@@ -28,16 +28,22 @@ import pytest
 from repro.analysis.bench import make_e4_job
 from repro.core.engine import Engine
 from repro.core.events import Ack, Fin, Init, Ser
+from repro.core.scheme2 import Scheme2
 from repro.core.scheme3 import Scheme3
 from repro.core.tsgd import TSGD
 from repro.faults.chaos import ChaosOptions, chaos_job
 from repro.lmdbs.protocols.base import Verdict
 from repro.lmdbs.protocols.sgt import SerializationGraphTesting
 from repro.mdbs import verify
+from repro.observability import Tracer
 from repro.schedules.conflicts import conflict_edges, conflict_pairs
 from repro.transport import build_simulator
-from repro.workloads.traces import staggered_trace
-from tests.reference.eliminate_cycles import eliminate_cycles_walk
+from repro.workloads.traces import random_trace, staggered_trace
+from tests.reference.eliminate_cycles import (
+    eliminate_cycles_walk,
+    eliminate_cycles_worklist,
+)
+from tests.reference.scheme2_scan import ScanScheme2
 from tests.reference.scheme3_scan import ScanScheme3
 from tests.reference.ser_all_pairs import (
     all_pairs_serialization_graph,
@@ -287,10 +293,49 @@ def _random_tsgd_script(rng):
     return script
 
 
-def _run_tsgd_script(script, oracle=None):
-    """Apply *script*, adding each ``elim``'s Δ — which must be the Δ of
-    *oracle* on the same graph, when one is given."""
+def _churn_tsgd_script(rng):
+    """Transactions leave and arrive again — often under the same id,
+    always into the lowest free slot — while dependencies into and out
+    of them are live, so a bit the departed slot left behind in another
+    edge's blocked mask would show up in the next closure."""
+    nsites = rng.randint(2, 5)
+    sites = [f"s{i}" for i in range(nsites)]
+    live, gone, script = {}, [], []
+
+    def arrive(tid):
+        chosen = tuple(rng.sample(sites, rng.randint(1, nsites)))
+        script.append(("ins", tid, chosen))
+        live[tid] = chosen
+        script.append(("elim", tid))
+
+    for index in range(rng.randint(3, 6)):
+        arrive(f"T{index}")
+    for _ in range(rng.randint(20, 50)):
+        roll = rng.random()
+        if roll < 0.45 and len(live) > 1:
+            first, second = rng.sample(sorted(live), 2)
+            shared = sorted(set(live[first]) & set(live[second]))
+            if shared:
+                script.append(("dep", first, rng.choice(shared), second))
+        elif roll < 0.7 and len(live) > 1:
+            victim = rng.choice(sorted(live))
+            del live[victim]
+            gone.append(victim)
+            script.append(("rem", victim))
+        elif gone and roll < 0.9:
+            arrive(gone.pop(rng.randrange(len(gone))))
+        elif live:
+            script.append(("elim", rng.choice(sorted(live))))
+    return script
+
+
+def _run_tsgd_script(script, oracle=False):
+    """Apply *script*, adding each ``elim``'s Δ.  With *oracle*, every
+    ``elim`` must return the Δ of Figure 4's walk on the same graph, and
+    that Δ with the ``steps`` and ``dfs_steps_avoided`` it charged must
+    be the worklist closure's."""
     tsgd = TSGD()
+    metrics = tsgd._metrics
     for op in script:
         kind = op[0]
         if kind == "ins":
@@ -300,19 +345,31 @@ def _run_tsgd_script(script, oracle=None):
         elif kind == "dep":
             tsgd.add_dependency(op[1], op[2], op[3])
         else:  # elim
+            steps, avoided = metrics.steps, metrics.dfs_steps_avoided
             delta = tsgd.eliminate_cycles(op[1])
-            assert oracle is None or delta == oracle(tsgd, op[1]), op
+            if oracle:
+                assert delta == eliminate_cycles_walk(tsgd, op[1]), op
+                charged = (
+                    delta,
+                    metrics.steps - steps,
+                    metrics.dfs_steps_avoided - avoided,
+                )
+                assert charged == eliminate_cycles_worklist(tsgd, op[1]), op
             tsgd.add_dependencies(sorted(delta))
     return tsgd
 
 
 def test_tsgd_eliminate_cycles_delta_equivalence():
-    """The closed-form Eliminate_Cycles returns the exact Δ of the
-    Figure 4 walk at every call (3k+) of randomized interleaved
-    scripts."""
+    """The bitset Eliminate_Cycles returns the exact Δ of the Figure 4
+    walk, and charges the worklist closure's steps and avoided steps,
+    at every call of randomized interleaved scripts (3k+ calls) and of
+    scripts that remove and re-insert transactions (slots reused)."""
     for trial in range(300):
         script = _random_tsgd_script(random.Random(trial))
-        _run_tsgd_script(script, oracle=eliminate_cycles_walk)
+        _run_tsgd_script(script, oracle=True)
+    for trial in range(300):
+        script = _churn_tsgd_script(random.Random(trial))
+        _run_tsgd_script(script, oracle=True)
 
 
 def test_tsgd_fast_steps_are_deterministic():
@@ -322,13 +379,13 @@ def test_tsgd_fast_steps_are_deterministic():
     assert len(steps) == 1
 
 
-# -- Scheme 3's reverse index vs the ser_bef scans
-def _drive_scheme3(scheme, trace, abort_seed):
+# -- Scheme 3's reverse index and Scheme 2's resumed scans vs full scans
+def _drive_with_aborts(scheme, trace, abort_seed, state, tracer=None):
     """Replay *trace* with synchronous servers (cf.
     ``repro.workloads.traces.drive``), GTM-aborting a random transaction
     that still has ser requests ahead now and then (chosen from the
     trace and *abort_seed* only, never from scheme state), and log what
-    the scheme decided and holds after every record."""
+    the scheme decided after every record, with ``state(announced)``."""
     rng = random.Random(abort_seed)
     last_record = {r.transaction_id: i for i, r in enumerate(trace.records)}
     acks_expected, announced, aborted, log = {}, [], set(), []
@@ -344,6 +401,7 @@ def _drive_scheme3(scheme, trace, abort_seed):
             Ack(op.transaction_id, site=op.site)
         ),
         ack_handler=on_ack,
+        tracer=tracer,
     )
     for index, record in enumerate(trace.records):
         transaction_id = record.transaction_id
@@ -369,11 +427,22 @@ def _drive_scheme3(scheme, trace, abort_seed):
             (
                 [(op.transaction_id, op.site) for op in engine.submission_log],
                 sorted((op.kind, op.transaction_id) for op in engine.wait_set),
-                {t: sorted(scheme.serialized_before(t)) for t in announced},
+                state(announced),
                 scheme.metrics.steps,
             )
         )
     return log, len(aborted)
+
+
+def _drive_scheme3(scheme, trace, abort_seed):
+    return _drive_with_aborts(
+        scheme,
+        trace,
+        abort_seed,
+        lambda announced: {
+            t: sorted(scheme.serialized_before(t)) for t in announced
+        },
+    )
 
 
 def test_scheme3_index_matches_ser_bef_scans():
@@ -394,6 +463,75 @@ def test_scheme3_index_matches_ser_bef_scans():
         assert indexed == _drive_scheme3(ScanScheme3(), trace, trial), trial
         aborts += indexed[1]
     assert aborts > 200
+
+
+class _ProbedScheme2(Scheme2):
+    """Scheme 2 that counts the scans it resumes and, whenever a scan
+    blocks, asks ``explain_block`` for the blocker with the resume cache
+    out of reach (any read or write of it raises)."""
+
+    def __init__(self):
+        super().__init__()
+        self.resumed = self.explained = 0
+
+    def cond_ser(self, operation):
+        key = (operation.transaction_id, operation.site)
+        mark = self._resume.get(key)
+        version = self.tsgd.incoming_version(operation.transaction_id)
+        if mark is not None and mark[1] == version and mark[0] > 0:
+            self.resumed += 1
+        held = super().cond_ser(operation)
+        if not held:
+            index, _version = self._resume[key]
+            incoming = self.tsgd.incoming_view(operation.transaction_id)
+            cache, self._resume = self._resume, None
+            try:
+                cause = self.explain_block(operation)
+            finally:
+                self._resume = cache
+            assert cause["blocking"] == incoming[index][0], operation
+            self.explained += 1
+        return held
+
+
+def test_scheme2_resumed_scan_matches_full_scan():
+    """``cond_ser`` resuming at the cached blocker makes the decisions
+    of the full scan and charges its steps: same submissions in the
+    same order, same WAIT sets, waits, wait ticks and ``metrics.steps``
+    after every record, on staggered and random traces with GTM aborts
+    interleaved, traced and untraced.  ``explain_block`` names the
+    blocker the resumed scan stopped at without touching the cache."""
+    resumed = explained = aborts = 0
+    for trial in range(160):
+        rng = random.Random(trial)
+        transactions = rng.randint(8, 30)
+        sites, dav = rng.randint(2, 6), rng.randint(1, 4)
+        if trial % 2:
+            trace = staggered_trace(
+                transactions, sites, dav, seed=trial, window=rng.randint(2, 16)
+            )
+        else:
+            trace = random_trace(transactions, sites, dav, seed=trial)
+        traced = trial % 4 < 2
+        probe = _ProbedScheme2()
+        runs = [
+            _drive_with_aborts(
+                scheme,
+                trace,
+                trial,
+                lambda announced, metrics=scheme.metrics: (
+                    metrics.wait_ticks,
+                    sorted(metrics.waited.items()),
+                ),
+                Tracer() if traced else None,
+            )
+            for scheme in (probe, ScanScheme2())
+        ]
+        assert runs[0] == runs[1], trial
+        resumed += probe.resumed
+        explained += probe.explained
+        aborts += runs[0][1]
+    assert resumed > 5000 and explained > 10000 and aborts > 400
 
 
 # -- SGT's online topological order vs the restart search
