@@ -105,6 +105,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ("sites", args.sites),
         ("simulated time", f"{report.duration:.0f}"),
         ("global committed", f"{report.committed_global}/{args.globals}"),
+        ("global failed", report.failed_global),
         ("global aborts", report.global_aborts),
         ("local committed", report.committed_local),
         ("local aborts", report.local_aborts),

@@ -9,7 +9,6 @@ from repro.core.gtm import (
     Access,
     GlobalProgram,
     PlannedOp,
-    STRATEGY_BY_PROTOCOL,
 )
 from repro.core.metrics import SchemeMetrics
 from repro.core.recovery import Journal, recover_engine, replay_scheme
@@ -73,7 +72,6 @@ __all__ = [
     "GlobalProgram",
     "GTMSystem",
     "PlannedOp",
-    "STRATEGY_BY_PROTOCOL",
     "SchemeMetrics",
     "Journal",
     "recover_engine",

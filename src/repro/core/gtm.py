@@ -14,9 +14,10 @@ The GTM splits into two components:
   running one of Schemes 0–3 (or a baseline), deciding *when* each
   ``ser_k(G_i)`` may execute so that ``ser(S)`` stays serializable.
 
-This module holds what GTM1 plans *with*: programs, the per-protocol
-strategy table and :func:`plan_program`.  The one GTM1 driver is
-:class:`~repro.mdbs.simulator.MDBSSimulator`;
+This module holds what GTM1 plans *with*: programs and
+:func:`plan_program`, which flags each site's image with the
+serialization function the site's protocol class declares.  The one
+GTM1 driver is :class:`~repro.mdbs.simulator.MDBSSimulator`;
 :class:`~repro.mdbs.simulator.GTMSystem` is its zero-latency, fault-free
 configuration.
 
@@ -33,14 +34,16 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.exceptions import ProtocolViolation
-from repro.lmdbs.protocols.tickets import DEFAULT_TICKET_ITEM
 from repro.schedules.model import (
     Operation,
-    OpType,
     begin as begin_op,
     commit as commit_op,
     read as read_op,
     write as write_op,
+)
+from repro.schedules.serialization_functions import (
+    DEFAULT_TICKET_ITEM,
+    SerializationFunction,
 )
 
 
@@ -147,20 +150,6 @@ def logical_id(incarnation: str) -> str:
     return incarnation.split("#", 1)[0]
 
 
-#: Serialization-function strategies GTM1 knows how to plan for.
-STRATEGY_BY_PROTOCOL = {
-    "strict-2pl": "commit",
-    "wound-wait-2pl": "commit",
-    "wait-die-2pl": "commit",
-    "conservative-2pl": "begin",
-    "2pl": "lock-point",
-    "to": "begin",
-    "conservative-to": "begin",
-    "sgt": "ticket",
-    "occ": "ticket",
-}
-
-
 @dataclass
 class PlannedOp:
     """One step of a planned subtransaction execution."""
@@ -182,18 +171,19 @@ class PlannedOp:
 def plan_program(
     program: GlobalProgram,
     incarnation: str,
-    strategy_for: Callable[[str], str],
+    strategy_for: Callable[[str], SerializationFunction],
     atomic_commit: bool = False,
 ) -> List[PlannedOp]:
     """Expand a program into the per-operation plan of one incarnation:
     begins, data accesses, ticket pairs, commits, with the ser-image flags
-    set per site strategy.  ``strategy_for(site)`` names the site's
-    serialization-function strategy (GTM1's knowledge of the sites).
+    set per site.  ``strategy_for(site)`` is the site's serialization
+    function (GTM1's knowledge of the sites): its ticket flag adds the
+    ticket pair, and its selection rule picks the image.
 
     With ``atomic_commit`` the trailing per-site COMMITs become 2PC
     PREPARE requests (``is_prepare``); the actual COMMIT is issued only
     after every site voted YES (:mod:`repro.commit`).  Sites with a
-    commit serialization strategy keep the prepare as their ser image:
+    commit serialization function keep the prepare as their ser image:
     for strict 2PL the serialization point is the lock point, which the
     prepare fixes — the decision phase changes nothing the GTM2 order
     depends on."""
@@ -212,19 +202,12 @@ def plan_program(
             )
         maker = read_op if access.kind == "r" else write_op
         plan.append(PlannedOp(maker(txn, access.item, access.site)))
-    # Ticket pairs at sites lacking a serialization function.  The
-    # serialization-function image is the ticket *write*, but GTM1 gates
-    # the whole read-increment-write pair through GTM2 (the read carries
-    # the ``is_ser_image`` routing flag): releasing them back-to-back
-    # keeps the window in which another transaction's ticket commit can
-    # invalidate the read as small as possible — optimistic sites abort
-    # ticket takers whose read grew stale ([GRS91]'s retry cost).
+    # ticket pairs at sites lacking a natural serialization function
     for site in program.sites:
-        if strategy_for(site) == "ticket":
+        if strategy_for(site).takes_ticket:
             plan.append(
                 PlannedOp(
                     read_op(txn, DEFAULT_TICKET_ITEM, site),
-                    is_ser_image=True,
                     is_ticket_read=True,
                 )
             )
@@ -245,27 +228,23 @@ def plan_program(
 def _mark_ser_images(
     plan: List[PlannedOp],
     program: GlobalProgram,
-    strategy_for: Callable[[str], str],
+    strategy_for: Callable[[str], SerializationFunction],
 ) -> None:
-    for site in program.sites:
-        strategy = strategy_for(site)
-        if strategy == "ticket":
-            continue  # already marked on the ticket write
-        site_ops = [
-            planned for planned in plan if planned.operation.site == site
-        ]
-        if strategy == "begin":
-            target = next(
-                p for p in site_ops if p.operation.op_type is OpType.BEGIN
-            )
-        elif strategy == "commit":
-            target = next(
-                p for p in site_ops if p.operation.op_type is OpType.COMMIT
-            )
-        elif strategy == "first-op":
-            target = next(p for p in site_ops if p.operation.accesses_data)
-        elif strategy == "lock-point":
-            target = [p for p in site_ops if p.operation.accesses_data][-1]
-        else:  # pragma: no cover - registry is closed
-            raise ProtocolViolation(f"unknown strategy {strategy!r}")
-        target.is_ser_image = True
+    """Flag, at every site, the planned operation the site's
+    serialization function selects.  The image of a ticket function is
+    the ticket *write*, but GTM1 gates the whole read-increment-write
+    pair through GTM2, so the routing flag goes on the ticket read:
+    releasing the pair back-to-back keeps the window in which another
+    transaction's ticket commit can invalidate the read as small as
+    possible — optimistic sites abort ticket takers whose read grew
+    stale ([GRS91]'s retry cost)."""
+    by_site: Dict[str, List[PlannedOp]] = {site: [] for site in program.sites}
+    for planned in plan:
+        by_site[planned.operation.site].append(planned)
+    for site, site_plan in by_site.items():
+        index = strategy_for(site).select(
+            [planned.operation for planned in site_plan]
+        )
+        if site_plan[index].is_ticket_write:
+            index -= 1
+        site_plan[index].is_ser_image = True

@@ -41,7 +41,8 @@ from repro.transport.base import SimulationJob, build_simulator
 from repro.workloads.generator import WorkloadConfig, WorkloadGenerator
 
 #: protocols cycled over the sites: a locking site, a timestamp site,
-#: and a ticket site — the three serialization-function strategies
+#: and a ticket site — one per declared serialization function (commit,
+#: begin, ticket)
 DEFAULT_PROTOCOLS: Tuple[str, ...] = ("strict-2pl", "to", "sgt")
 
 

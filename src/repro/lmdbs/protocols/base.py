@@ -22,6 +22,8 @@ import enum
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Tuple
 
+from repro.schedules.serialization_functions import SerializationFunction
+
 
 class Verdict(enum.Enum):
     GRANT = "grant"
@@ -75,13 +77,14 @@ class LocalScheduler:
     about local DBMSs.
     """
 
-    #: protocol name used to look up the GTM's serialization-function
-    #: strategy (see :mod:`repro.schedules.serialization_functions`).
+    #: protocol name, the key of :data:`repro.lmdbs.protocols.PROTOCOLS`
     name = "abstract"
 
-    #: True when the protocol admits a natural serialization function;
-    #: False (SGT, OCC) means global subtransactions need tickets.
-    has_serialization_function = True
+    #: the site's ``ser_k`` (paper §2.2): GTM1 flags the image it selects
+    #: in every plan, and tests validate it on the post-run history.  SGT
+    #: and OCC admit no natural one and declare the ticket function, so
+    #: global subtransactions there take tickets.
+    serialization_function: SerializationFunction
 
     #: True when writes take effect at commit rather than at issue time
     #: (optimistic protocols).  The database then logs write operations in

@@ -16,6 +16,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.exceptions import ProtocolViolation
 from repro.lmdbs.protocols.base import Decision, LocalScheduler
+from repro.schedules.serialization_functions import TicketSerializationFunction
 
 
 class OptimisticConcurrencyControl(LocalScheduler):
@@ -28,7 +29,7 @@ class OptimisticConcurrencyControl(LocalScheduler):
     """
 
     name = "occ"
-    has_serialization_function = False
+    serialization_function = TicketSerializationFunction()
     defers_writes = True
 
     def __init__(self) -> None:

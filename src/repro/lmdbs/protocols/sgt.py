@@ -17,6 +17,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.exceptions import ProtocolViolation
 from repro.lmdbs.protocols.base import Decision, LocalScheduler
 from repro.schedules.incremental_digraph import IncrementalDigraph
+from repro.schedules.serialization_functions import TicketSerializationFunction
 
 
 class SerializationGraphTesting(LocalScheduler):
@@ -42,7 +43,7 @@ class SerializationGraphTesting(LocalScheduler):
     """
 
     name = "sgt"
-    has_serialization_function = False
+    serialization_function = TicketSerializationFunction()
 
     def __init__(self) -> None:
         self._graph = IncrementalDigraph()

@@ -18,9 +18,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.schedules.model import Operation, read, write
-
-#: Default name of the ticket data item at a site.
-DEFAULT_TICKET_ITEM = "__ticket__"
+from repro.schedules.serialization_functions import DEFAULT_TICKET_ITEM
 
 
 class TicketDispenser:

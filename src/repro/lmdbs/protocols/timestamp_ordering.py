@@ -19,6 +19,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.exceptions import ProtocolViolation
 from repro.lmdbs.protocols.base import Decision, LocalScheduler
+from repro.schedules.serialization_functions import BeginSerializationFunction
 
 
 class BasicTimestampOrdering(LocalScheduler):
@@ -32,7 +33,7 @@ class BasicTimestampOrdering(LocalScheduler):
     """
 
     name = "to"
-    has_serialization_function = True
+    serialization_function = BeginSerializationFunction()
 
     def __init__(self, thomas_write_rule: bool = False) -> None:
         self.thomas_write_rule = thomas_write_rule
@@ -124,7 +125,7 @@ class ConservativeTimestampOrdering(LocalScheduler):
     """
 
     name = "conservative-to"
-    has_serialization_function = True
+    serialization_function = BeginSerializationFunction()
 
     def __init__(self) -> None:
         self._clock = 0

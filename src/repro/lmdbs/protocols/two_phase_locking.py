@@ -18,6 +18,10 @@ from repro.exceptions import ProtocolViolation
 from repro.lmdbs.deadlock import DeadlockDetector, VictimPolicy, youngest_victim
 from repro.lmdbs.lock_manager import LockManager, LockMode
 from repro.lmdbs.protocols.base import Decision, LocalScheduler
+from repro.schedules.serialization_functions import (
+    BeginSerializationFunction,
+    CommitSerializationFunction,
+)
 
 
 class StrictTwoPhaseLocking(LocalScheduler):
@@ -25,12 +29,12 @@ class StrictTwoPhaseLocking(LocalScheduler):
 
     The lock point of every transaction is its last lock acquisition; all
     locks are released at commit/abort, so commit lies inside the locked
-    window and the GTM may use either the lock-point or the commit
-    operation as the serialization-function image.
+    window and either the lock-point or the commit operation is a
+    serialization-function image; the class declares commit.
     """
 
     name = "strict-2pl"
-    has_serialization_function = True
+    serialization_function = CommitSerializationFunction()
 
     def __init__(self, victim_policy: VictimPolicy = youngest_victim) -> None:
         self._locks = LockManager()
@@ -204,7 +208,7 @@ class ConservativeTwoPhaseLocking(LocalScheduler):
     """
 
     name = "conservative-2pl"
-    has_serialization_function = True
+    serialization_function = BeginSerializationFunction()
 
     def __init__(self) -> None:
         self._locks = LockManager()

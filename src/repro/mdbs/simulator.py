@@ -39,7 +39,6 @@ from repro.core.events import Ack, Fin, Init, Ser
 from repro.core.gtm import (
     GlobalProgram,
     PlannedOp,
-    STRATEGY_BY_PROTOCOL,
     incarnation_id,
     logical_id,
     plan_program,
@@ -77,6 +76,7 @@ from repro.schedules.model import (
     read as read_op,
     write as write_op,
 )
+from repro.schedules.serialization_functions import SerializationFunction
 from repro.workloads.generator import LocalProgram
 
 
@@ -506,9 +506,8 @@ class MDBSSimulator:
     # ------------------------------------------------------------------
     # GTM1 (event-driven)
     # ------------------------------------------------------------------
-    def _strategy_for(self, site: str) -> str:
-        protocol = self.sites[site].protocol.name
-        return STRATEGY_BY_PROTOCOL[protocol]
+    def _strategy_for(self, site: str) -> SerializationFunction:
+        return self.sites[site].protocol.serialization_function
 
     def _committed_sites_of(self, logical: str) -> Set[str]:
         """Sites where an earlier incarnation of *logical* committed: a

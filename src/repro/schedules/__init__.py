@@ -48,11 +48,8 @@ from repro.schedules.recoverability import (
 from repro.schedules.serialization_functions import (
     BeginSerializationFunction,
     CommitSerializationFunction,
-    FirstOperationSerializationFunction,
-    LockPointSerializationFunction,
     SerializationFunction,
     TicketSerializationFunction,
-    strategy_for_protocol,
 )
 from repro.schedules.incremental_digraph import IncrementalDigraph
 from repro.schedules.serialization_graph import (
@@ -97,11 +94,8 @@ __all__ = [
     "write",
     "BeginSerializationFunction",
     "CommitSerializationFunction",
-    "FirstOperationSerializationFunction",
-    "LockPointSerializationFunction",
     "SerializationFunction",
     "TicketSerializationFunction",
-    "strategy_for_protocol",
     "DirectedGraph",
     "IncrementalDigraph",
     "serialization_graph",

@@ -4,29 +4,36 @@ A serialization function ``ser_k`` for site ``s_k`` maps every transaction
 executing at ``s_k`` to one of its operations such that the order of those
 images in the local schedule is consistent with the local serialization
 order.  Which function exists depends on the site's concurrency-control
-protocol:
+protocol, so each protocol class declares its own as
+``LocalScheduler.serialization_function``:
 
-- **Timestamp ordering** (timestamps at begin): ``ser_k(T) = begin(T)``.
-- **Two-phase locking**: any operation between the lock point (last lock
-  acquired) and the first lock release; we use the operation at the lock
-  point.
+- **Timestamp ordering** (basic and conservative) and **conservative
+  2PL** serialize in begin order: ``ser_k(T) = begin(T)``.
+- **Strict 2PL** (and its wound-wait / wait-die variants): commit lies
+  inside the locked window, so ``ser_k(T) = commit(T)``.
 - **SGT / optimistic** protocols admit no serialization function; a
   *ticket* (a forced write to a designated item) is introduced, and
   ``ser_k(T)`` is the ticket write ([GRS91], §2.2 of the paper).
 
-Each strategy below both *selects* the designated operation for a
-transaction and, for validation, *checks* after the fact that the images
-respect the local serialization order (used heavily in tests to certify
-that the selection really is a serialization function).
+Each function is one selection rule over a transaction's operations at
+one site (:meth:`SerializationFunction.select`).  GTM1 applies it to a
+site's *planned* operations to flag the image it gates through GTM2
+(:func:`repro.core.gtm.plan_program`); :meth:`~SerializationFunction.image`
+applies it to the post-run history, and
+:meth:`~SerializationFunction.is_valid_for` checks after the fact that the
+images respect the local serialization order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional
+from typing import Dict, Optional, Sequence
 
 from repro.exceptions import ProtocolViolation
 from repro.schedules.model import Operation, OpType, Schedule
 from repro.schedules.serialization_graph import serialization_graph
+
+#: Name of the ticket data item at a site.
+DEFAULT_TICKET_ITEM = "__ticket__"
 
 
 class SerializationFunction:
@@ -35,10 +42,34 @@ class SerializationFunction:
     #: human-readable strategy name
     name = "abstract"
 
+    #: True when every global subtransaction must take a ticket (read and
+    #: write :data:`DEFAULT_TICKET_ITEM`) for the function to have an image
+    takes_ticket = False
+
+    def designates(self, operation: Operation) -> bool:
+        """Whether *operation* is the kind of operation this function
+        maps a transaction to (the first such one is the image)."""
+        raise NotImplementedError
+
+    def select(self, operations: Sequence[Operation]) -> Optional[int]:
+        """Index of ``ser_k(T)`` among *operations* — one transaction's
+        operations at one site, in order — or None when it has none."""
+        for index, operation in enumerate(operations):
+            if self.designates(operation):
+                return index
+        return None
+
     def image(self, schedule: Schedule, transaction_id: str) -> Operation:
         """The designated operation ``ser_k(T)`` for *transaction_id* in
         the (complete) local *schedule*."""
-        raise NotImplementedError
+        operations = schedule.operations_of(transaction_id)
+        index = self.select(operations)
+        if index is None:
+            raise ProtocolViolation(
+                f"transaction {transaction_id!r} has no {self.name} image "
+                "at this site"
+            )
+        return operations[index]
 
     def images(self, schedule: Schedule) -> Dict[str, Operation]:
         """Images for every transaction appearing in *schedule*."""
@@ -70,59 +101,14 @@ class SerializationFunction:
 
 
 class BeginSerializationFunction(SerializationFunction):
-    """``ser_k(T) = b(T)`` — valid for TO sites that timestamp at begin."""
+    """``ser_k(T) = b(T)`` — valid for sites that serialize in begin
+    order (TO and conservative TO timestamp at begin; conservative 2PL
+    takes every lock there)."""
 
     name = "begin"
 
-    def image(self, schedule: Schedule, transaction_id: str) -> Operation:
-        for operation in schedule.operations_of(transaction_id):
-            if operation.op_type is OpType.BEGIN:
-                return operation
-        raise ProtocolViolation(
-            f"transaction {transaction_id!r} has no begin operation at this "
-            "site; a begin-based serialization function requires one"
-        )
-
-
-class FirstOperationSerializationFunction(SerializationFunction):
-    """``ser_k(T)`` = first data operation — valid for conservative TO
-    sites that assign the timestamp when the first operation arrives."""
-
-    name = "first-op"
-
-    def image(self, schedule: Schedule, transaction_id: str) -> Operation:
-        for operation in schedule.operations_of(transaction_id):
-            if operation.accesses_data:
-                return operation
-        raise ProtocolViolation(
-            f"transaction {transaction_id!r} has no data operation at this "
-            "site"
-        )
-
-
-class LockPointSerializationFunction(SerializationFunction):
-    """Lock-point image for 2PL sites.
-
-    For strict 2PL every lock is held until commit, so the lock point is
-    the transaction's *last data operation* (the last lock is acquired
-    there) and any operation from there to commit works; we pick the last
-    data operation itself (footnote 3 of the paper permits any operation
-    in the window).
-    """
-
-    name = "lock-point"
-
-    def image(self, schedule: Schedule, transaction_id: str) -> Operation:
-        last_data: Optional[Operation] = None
-        for operation in schedule.operations_of(transaction_id):
-            if operation.accesses_data:
-                last_data = operation
-        if last_data is None:
-            raise ProtocolViolation(
-                f"transaction {transaction_id!r} has no data operation at "
-                "this site"
-            )
-        return last_data
+    def designates(self, operation: Operation) -> bool:
+        return operation.op_type is OpType.BEGIN
 
 
 class CommitSerializationFunction(SerializationFunction):
@@ -132,14 +118,8 @@ class CommitSerializationFunction(SerializationFunction):
 
     name = "commit"
 
-    def image(self, schedule: Schedule, transaction_id: str) -> Operation:
-        for operation in schedule.operations_of(transaction_id):
-            if operation.op_type is OpType.COMMIT:
-                return operation
-        raise ProtocolViolation(
-            f"transaction {transaction_id!r} has no commit operation at this "
-            "site"
-        )
+    def designates(self, operation: Operation) -> bool:
+        return operation.op_type is OpType.COMMIT
 
 
 class TicketSerializationFunction(SerializationFunction):
@@ -152,47 +132,7 @@ class TicketSerializationFunction(SerializationFunction):
     """
 
     name = "ticket"
+    takes_ticket = True
 
-    def __init__(self, ticket_item: str = "__ticket__") -> None:
-        self.ticket_item = ticket_item
-
-    def image(self, schedule: Schedule, transaction_id: str) -> Operation:
-        for operation in schedule.operations_of(transaction_id):
-            if operation.is_write and operation.item == self.ticket_item:
-                return operation
-        raise ProtocolViolation(
-            f"transaction {transaction_id!r} never wrote the ticket item "
-            f"{self.ticket_item!r} at this site"
-        )
-
-
-#: Registry mapping local-protocol names to the serialization-function
-#: strategy the GTM uses for sites running that protocol.
-DEFAULT_STRATEGIES: Mapping[str, Callable[[], SerializationFunction]] = {
-    "2pl": LockPointSerializationFunction,
-    "strict-2pl": CommitSerializationFunction,
-    "wound-wait-2pl": CommitSerializationFunction,
-    "wait-die-2pl": CommitSerializationFunction,
-    "to": BeginSerializationFunction,
-    "conservative-to": FirstOperationSerializationFunction,
-    "sgt": TicketSerializationFunction,
-    "occ": TicketSerializationFunction,
-}
-
-
-def strategy_for_protocol(protocol_name: str) -> SerializationFunction:
-    """The default serialization-function strategy for a local protocol.
-
-    Raises
-    ------
-    ProtocolViolation
-        If the protocol has no registered strategy.
-    """
-    try:
-        factory = DEFAULT_STRATEGIES[protocol_name]
-    except KeyError:
-        raise ProtocolViolation(
-            f"no serialization-function strategy registered for protocol "
-            f"{protocol_name!r}"
-        ) from None
-    return factory()
+    def designates(self, operation: Operation) -> bool:
+        return operation.is_write and operation.item == DEFAULT_TICKET_ITEM

@@ -23,6 +23,9 @@ of every stats class, which ``repro.observability.export.publish``
 replaced (``tests/test_observability.py``).  ``full_rescan`` strips a
 scheme of its wake and purge hints, so the engine re-examines all of
 WAIT after every action as Figure 3 does
-(``tests/test_engine_differential.py``).
+(``tests/test_engine_differential.py``).  ``serialization_functions``
+keeps the §2.2 functions no protocol declares — 2PL's lock point and
+conservative TO's first operation — which the fidelity tests validate
+beside the declared ones.
 Nothing under ``src/`` imports this package.
 """

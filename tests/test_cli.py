@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.mdbs import MDBSSimulator
 
 
 class TestParser:
@@ -101,6 +103,23 @@ class TestCommands:
             ]
         )
         assert rc == 0
+
+    def test_simulate_prints_failed_globals(self, capsys, monkeypatch):
+        # under OCC most globals spend every restart: the table says so
+        reports = []
+
+        class Recording(MDBSSimulator):
+            def run(self):
+                reports.append(super().run())
+                return reports[-1]
+
+        monkeypatch.setattr(cli, "MDBSSimulator", Recording)
+        rc = main(["simulate", "--scheme", "scheme0", "--protocols", "occ"])
+        out = capsys.readouterr().out
+        row = next(line for line in out.splitlines() if "global failed" in line)
+        assert rc == 0
+        assert reports[0].failed_global > 0
+        assert row.split() == ["global", "failed", str(reports[0].failed_global)]
 
     def test_compare_prints_all_schemes(self, capsys):
         rc = main(

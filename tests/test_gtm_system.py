@@ -8,6 +8,11 @@ from repro.core.gtm import Access, plan_program
 from repro.exceptions import ProtocolViolation
 from repro.lmdbs import LocalDBMS, make_protocol
 from repro.schedules.model import OpType
+from repro.schedules.serialization_functions import (
+    BeginSerializationFunction,
+    CommitSerializationFunction,
+    TicketSerializationFunction,
+)
 
 
 def make_sites(protocols):
@@ -19,7 +24,11 @@ def make_sites(protocols):
 
 class TestPlanning:
     def strategy(self, site):
-        return {"s0": "commit", "s1": "begin", "s2": "ticket"}[site]
+        return {
+            "s0": CommitSerializationFunction(),
+            "s1": BeginSerializationFunction(),
+            "s2": TicketSerializationFunction(),
+        }[site]
 
     def test_plan_structure(self):
         program = GlobalProgram.build(

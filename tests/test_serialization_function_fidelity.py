@@ -1,19 +1,26 @@
-"""Fidelity tests: the serialization-function strategy GTM1 uses for
-each local protocol really *is* a serialization function for histories
-that protocol produces (paper §2.2's defining property, checked on the
-committed ground-truth histories of randomized executions)."""
+"""Fidelity tests: the serialization function each local protocol
+declares really *is* one for histories that protocol produces (paper
+§2.2's defining property, checked on the committed ground-truth histories
+of randomized executions), and GTM1's plan flags exactly its image."""
 
 import random
 
 import pytest
 
 from repro.core import GlobalProgram, GTMSystem, make_scheme
-from repro.lmdbs import LocalDBMS, SubmitStatus, make_protocol
+from repro.core.gtm import plan_program
+from repro.lmdbs import PROTOCOLS, LocalDBMS, SubmitStatus, make_protocol
+from repro.mdbs import simulator as simulator_module
 from repro.schedules.model import begin, commit, read, write
+from repro.schedules.serialization_graph import serialization_graph
 from repro.schedules.serialization_functions import (
     BeginSerializationFunction,
     CommitSerializationFunction,
     TicketSerializationFunction,
+)
+from repro.workloads.generator import LocalProgram
+from tests.reference.serialization_functions import (
+    FirstOperationSerializationFunction,
 )
 
 
@@ -100,6 +107,12 @@ class TestNativeStrategies:
         if history.transaction_ids:
             assert BeginSerializationFunction().is_valid_for(history)
 
+    def test_first_op_image_valid_for_conservative_to(self, seed):
+        # the choice the protocol does not declare holds on the same runs
+        history = run_random_local_workload("conservative-to", seed)
+        if history.transaction_ids:
+            assert FirstOperationSerializationFunction().is_valid_for(history)
+
 
 @pytest.mark.parametrize("protocol", ["sgt", "occ"])
 @pytest.mark.parametrize("seed", range(6))
@@ -160,3 +173,98 @@ class TestStrategyCounterexamples:
         db.submit(commit("T1", "s1"))
         history = db.history.committed_schedule()
         assert not CommitSerializationFunction().is_valid_for(history)
+
+
+def run_mixed_workload(protocol, scheme_name, seed, monkeypatch):
+    """A small GTMSystem run, every site on *protocol*, with local
+    transactions beside the globals.  Returns the system and every plan
+    GTM1 made, by incarnation."""
+    plans = {}
+
+    def recording_plan(program, incarnation, *args, **kwargs):
+        plan = plan_program(program, incarnation, *args, **kwargs)
+        plans[incarnation] = plan
+        return plan
+
+    monkeypatch.setattr(simulator_module, "plan_program", recording_plan)
+    rng = random.Random(seed)
+    site_names = ["s0", "s1"]
+    sites = {
+        name: LocalDBMS(name, make_protocol(protocol)) for name in site_names
+    }
+    gtm = GTMSystem(sites, make_scheme(scheme_name))
+    for index in range(5):
+        accesses = [
+            (site, rng.choice("rw"), rng.choice("ab"))
+            for site in rng.sample(site_names, 2)
+        ]
+        gtm.submit_global(GlobalProgram.build(f"G{index}", accesses))
+    for index in range(6):
+        accesses = tuple(
+            (rng.choice("rw"), rng.choice("ab")) for _ in range(2)
+        )
+        gtm.submit_local(
+            LocalProgram(f"L{index}", rng.choice(site_names), accesses),
+            at=rng.choice((0, 0.5)),
+        )
+    gtm.run()
+    return gtm, plans
+
+
+def flagged_image(plan, site):
+    """The operation GTM1 flagged as the site's ``ser_k`` image; at a
+    ticket site the flag routes the read, and the image is the write
+    after it."""
+    site_plan = [p for p in plan if p.operation.site == site]
+    index = next(i for i, p in enumerate(site_plan) if p.is_ser_image)
+    if site_plan[index].is_ticket_read:
+        index += 1
+    return site_plan[index].operation
+
+
+def shape(operation):
+    """What an operation is, without its creation index: OCC logs each
+    deferred write as a fresh operation when the transaction commits."""
+    return (
+        operation.op_type,
+        operation.transaction_id,
+        operation.item,
+        operation.site,
+    )
+
+
+@pytest.mark.parametrize("scheme_name", ["scheme0", "scheme1", "scheme2", "scheme3"])
+@pytest.mark.parametrize("protocol", list(PROTOCOLS))
+class TestPlanImageValidity:
+    """GTM1's plan, the declared function's image and §2.2's defining
+    property agree on the histories the runtime produces, local
+    transactions included."""
+
+    def test_flag_is_image_and_images_follow_local_order(
+        self, protocol, scheme_name, monkeypatch
+    ):
+        checked = 0
+        for seed in range(5):
+            gtm, plans = run_mixed_workload(
+                protocol, scheme_name, seed, monkeypatch
+            )
+            for site, db in gtm.sites.items():
+                function = db.protocol.serialization_function
+                history = db.history.committed_schedule()
+                images = {}
+                for incarnation in history.transaction_ids:
+                    if incarnation not in plans:
+                        continue  # a local transaction
+                    image = function.image(history, incarnation)
+                    flagged = flagged_image(plans[incarnation], site)
+                    assert shape(flagged) == shape(image), (seed, site)
+                    images[incarnation] = image
+                graph = serialization_graph(history)
+                for source, source_image in images.items():
+                    for target in graph.reachable_from(source):
+                        if target in images:
+                            assert history.precedes(
+                                source_image, images[target]
+                            ), (seed, site, source, target)
+                            checked += 1
+        assert checked > 0

@@ -3,16 +3,31 @@
 import pytest
 
 from repro.exceptions import ProtocolViolation
+from repro.lmdbs import PROTOCOLS, make_protocol
 from repro.schedules.model import parse_schedule
 from repro.schedules.serialization_functions import (
     BeginSerializationFunction,
     CommitSerializationFunction,
+    SerializationFunction,
+    TicketSerializationFunction,
+)
+from tests.reference.serialization_functions import (
     FirstOperationSerializationFunction,
     LockPointSerializationFunction,
-    TicketSerializationFunction,
-    strategy_for_protocol,
 )
 
+#: the function each protocol class declares: GTM1's choices, which the
+#: golden digests pin
+DECLARED = {
+    "strict-2pl": CommitSerializationFunction,
+    "wound-wait-2pl": CommitSerializationFunction,
+    "wait-die-2pl": CommitSerializationFunction,
+    "conservative-2pl": BeginSerializationFunction,
+    "to": BeginSerializationFunction,
+    "conservative-to": BeginSerializationFunction,
+    "sgt": TicketSerializationFunction,
+    "occ": TicketSerializationFunction,
+}
 
 class TestBeginStrategy:
     def test_maps_to_begin(self):
@@ -83,18 +98,16 @@ class TestOtherStrategies:
 class TestRegistry:
     @pytest.mark.parametrize(
         "protocol,expected",
-        [
-            ("to", BeginSerializationFunction),
-            ("2pl", LockPointSerializationFunction),
-            ("strict-2pl", CommitSerializationFunction),
-            ("conservative-to", FirstOperationSerializationFunction),
-            ("sgt", TicketSerializationFunction),
-            ("occ", TicketSerializationFunction),
-        ],
+        [(name, DECLARED.get(name)) for name in PROTOCOLS],
     )
     def test_strategy_lookup(self, protocol, expected):
-        assert isinstance(strategy_for_protocol(protocol), expected)
+        function = make_protocol(protocol).serialization_function
+        assert isinstance(function, SerializationFunction)
+        assert type(function) is expected
+
+    def test_declares_every_protocol(self):
+        assert set(DECLARED) == set(PROTOCOLS)
 
     def test_unknown_protocol(self):
-        with pytest.raises(ProtocolViolation):
-            strategy_for_protocol("quantum-locking")
+        with pytest.raises(KeyError):
+            make_protocol("quantum-locking")
