@@ -113,11 +113,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ("throughput (txn/kt)", f"{report.throughput * 1000:.2f}"),
         ("GTM2 steps", report.scheme_steps),
         ("GTM2 waits", report.scheme_waits),
-        ("globally serializable", verification.ok),
     ]
-    print(render_table(("metric", "value"), rows, title="simulation report"))
+    verdicts = [
+        ("locals serializable", verification.locals_serializable),
+        ("globally serializable", verification.globally_serializable),
+        ("committed ser(S) serializable", verification.ser_schedule_serializable),
+    ]
+    print(
+        render_table(
+            ("metric", "value"), rows + verdicts, title="simulation report"
+        )
+    )
     if not verification.ok:
-        print(f"!! violation cycle: {' -> '.join(verification.cycle)}")
+        failed = ", ".join(name for name, ok in verdicts if not ok)
+        print(f"!! violation: not {failed}")
+        if verification.cycle:
+            print(f"!! violation cycle: {' -> '.join(verification.cycle)}")
         return 1
     return 0
 

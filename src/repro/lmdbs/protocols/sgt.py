@@ -8,6 +8,12 @@ notes (§2.2), it admits *no* serialization function: a transaction's
 position in the serialization order can be determined arbitrarily late.
 Global subtransactions at SGT sites therefore take *tickets*
 (:mod:`repro.lmdbs.protocols.tickets`).
+
+The graph is an acyclic
+:class:`~repro.schedules.incremental_digraph.IncrementalDigraph`: an
+edge that would close a cycle is refused by the graph itself (it reports
+the cycle and stores nothing), so the scheduler's graph never holds a
+cycle and the refusal is exactly the abort decision.
 """
 
 from __future__ import annotations
@@ -32,10 +38,9 @@ class SerializationGraphTesting(LocalScheduler):
     incoming edges from active transactions (standard SGT garbage
     collection) to keep the graph small in long runs.
 
-    The graph is an
-    :class:`~repro.schedules.incremental_digraph.IncrementalDigraph`:
-    each granted operation costs an incremental edge insertion (amortized
-    affected-region work) instead of a restart DFS over the whole graph.
+    Each granted operation costs an incremental edge insertion
+    (amortized affected-region work) instead of a restart DFS over the
+    whole graph.
     Grant/kill decisions are those of a ``find_cycle(start=requester)``
     per operation — every added edge points *into* the requester, so a
     new cycle necessarily runs through it (that search is the test

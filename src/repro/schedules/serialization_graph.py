@@ -227,7 +227,10 @@ class DirectedGraph:
         return seen
 
     def __repr__(self) -> str:
-        return f"<DirectedGraph nodes={len(self)} edges={self.edge_count}>"
+        return (
+            f"<{type(self).__name__} nodes={len(self)} "
+            f"edges={self.edge_count}>"
+        )
 
 
 def serialization_graph(schedule: Schedule) -> DirectedGraph:

@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+
 import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
-from repro.mdbs import MDBSSimulator
+from repro.mdbs import MDBSSimulator, verify
 
 
 class TestParser:
@@ -120,6 +122,32 @@ class TestCommands:
         assert rc == 0
         assert reports[0].failed_global > 0
         assert row.split() == ["global", "failed", str(reports[0].failed_global)]
+
+    def test_simulate_names_the_failed_verdict(self, capsys, monkeypatch):
+        # an acyclic global SG whose committed ser(S) projection is cyclic:
+        # the global row stays True, the ser(S) row says False, and no
+        # empty cycle line is printed
+        def ser_only_failure(global_schedule, ser_schedule):
+            report = verify(global_schedule, ser_schedule)
+            return dataclasses.replace(
+                report, ser_schedule_serializable=False, cycle=()
+            )
+
+        monkeypatch.setattr(cli, "verify", ser_only_failure)
+        rc = main(["simulate", "--scheme", "scheme3", "--globals", "4"])
+        lines = capsys.readouterr().out.splitlines()
+        rows = {
+            " ".join(line.split()[:-1]): line.split()[-1]
+            for line in lines
+            if "serializable" in line
+        }
+        assert rc == 1
+        assert rows["locals serializable"] == "True"
+        assert rows["globally serializable"] == "True"
+        assert rows["committed ser(S) serializable"] == "False"
+        assert "!! violation: not committed ser(S) serializable" in lines
+        assert not any("violation cycle" in line for line in lines)
+        assert any(line.split()[:2] == ["global", "failed"] for line in lines)
 
     def test_compare_prints_all_schemes(self, capsys):
         rc = main(

@@ -1,76 +1,73 @@
-"""Randomized equivalence of IncrementalDigraph and DirectedGraph.
+"""Randomized checks of IncrementalDigraph's contract against DirectedGraph.
 
-The incremental graph must be indistinguishable from the
-restart-from-scratch DirectedGraph on every query the schedulers use:
-acyclicity, cycle existence and validity, topological-order validity,
-and structural accessors — across long random edge insert/delete
-scripts, including scripts that repeatedly create and break cycles.
+An IncrementalDigraph only ever holds an acyclic edge set: ``add_edge``
+inserts the edge and returns ``None``, or returns a witness cycle and
+leaves the graph exactly as it was.  The reference is a plain
+DirectedGraph that follows the same contract by brute force — it inserts
+an edge only when the target does not reach the source — so across long
+random insert/delete scripts the two must agree on every report, every
+edge and every node, and the maintained order must be a topological
+order.  A refused insert must leave no trace in the graph's state: that
+is what keeps the SGT scheduler's and Scheme 4's decisions identical to
+a search over a graph that never saw the refused edge.
 """
 
 import random
 
-import pytest
-
-from repro.exceptions import NonSerializableError
 from repro.schedules.incremental_digraph import IncrementalDigraph
 from repro.schedules.serialization_graph import DirectedGraph
 
 
-def _assert_cycle_valid(graph, cycle):
-    """A witness cycle must be a real cycle of *graph*: each node has an
-    edge to the next, the last closing back to the first."""
+def _assert_cycle_valid(graph, cycle, refused=None):
+    """A witness cycle must be a real cycle of *graph* plus the *refused*
+    edge: each node has an edge to the next, the last closing back to
+    the first."""
     assert len(cycle) >= 1
     for position, node in enumerate(cycle):
         successor = cycle[(position + 1) % len(cycle)]
-        assert graph.has_edge(node, successor), (
-            f"witness {cycle!r} broken at {node!r} -> {successor!r}"
-        )
+        assert (node, successor) == refused or graph.has_edge(
+            node, successor
+        ), f"witness {cycle!r} broken at {node!r} -> {successor!r}"
 
 
 def _assert_topo_valid(graph, order):
     position = {node: index for index, node in enumerate(order)}
     assert sorted(position) == sorted(graph.nodes)
     for source, target in graph.edges:
-        if source != target:
-            assert position[source] < position[target], (
-                f"edge {source!r}->{target!r} violates order {order!r}"
-            )
+        assert position[source] < position[target], (
+            f"edge {source!r}->{target!r} violates order {order!r}"
+        )
+
+
+def _state(graph):
+    """Everything a refused insert must leave untouched, iteration
+    orders included (they decide which cycle a later search reports)."""
+    return (
+        [(node, list(edges)) for node, edges in graph._successors.items()],
+        [(node, list(edges)) for node, edges in graph._predecessors.items()],
+        list(graph._index.items()),
+    )
 
 
 def _assert_agree(incremental, reference):
     assert sorted(incremental.nodes) == sorted(reference.nodes)
     assert sorted(incremental.edges) == sorted(reference.edges)
-    acyclic = reference.is_acyclic()
-    assert incremental.is_acyclic() == acyclic
-    cycle = incremental.find_cycle()
-    if acyclic:
-        assert cycle is None
-        _assert_topo_valid(incremental, incremental.topological_order())
-    else:
-        assert cycle is not None
-        _assert_cycle_valid(reference, cycle)
-        with pytest.raises(NonSerializableError):
-            incremental.topological_order()
+    assert reference.is_acyclic() and incremental.is_acyclic()
+    order = incremental.topological_order()
+    assert order == tuple(
+        sorted(incremental.nodes, key=incremental._index.__getitem__)
+    )
+    _assert_topo_valid(incremental, order)
 
 
 def _reachable(graph, origin, goal):
-    """Whether *goal* is reachable from *origin* over one or more edges."""
-    seen = set()
-    frontier = list(graph.successors(origin))
-    while frontier:
-        node = frontier.pop()
-        if node == goal:
-            return True
-        if node in seen:
-            continue
-        seen.add(node)
-        frontier.extend(graph.successors(node))
-    return False
+    """Whether *goal* is reachable from *origin* over zero or more edges."""
+    return origin == goal or goal in graph.reachable_from(origin)
 
 
 def _random_script(rng, nodes, length):
     """An edge insert/delete/node-remove script over a small node pool
-    (small enough that cycles form and break repeatedly)."""
+    (small enough that refusals happen and stop happening repeatedly)."""
     script = []
     for _ in range(length):
         roll = rng.random()
@@ -90,17 +87,23 @@ def _apply(script, check_every):
     reference = DirectedGraph()
     for step, op in enumerate(script):
         if op[0] == "add":
-            witness = incremental.add_edge(op[1], op[2])
-            reference.add_edge(op[1], op[2])
-            # add_edge's report is exact: a witness iff some cycle runs
-            # through this edge (equivalently, target reaches source),
-            # even when the cycle passes through earlier broken edges —
-            # and the witness must be a real cycle right now
-            assert (witness is not None) == _reachable(
-                reference, op[2], op[1]
-            ), f"inexact add_edge report for {op!r}"
-            if witness is not None:
-                _assert_cycle_valid(reference, witness)
+            _, source, target = op
+            before = _state(incremental)
+            witness = incremental.add_edge(source, target)
+            # the report is exact: a witness iff the target reaches the
+            # source, and the witness is a cycle of what the graph holds
+            # plus the refused edge
+            refused = _reachable(reference, target, source)
+            assert (witness is not None) == refused, (
+                f"inexact add_edge report for {op!r}"
+            )
+            if refused:
+                _assert_cycle_valid(reference, witness, (source, target))
+                assert _state(incremental) == before, (
+                    f"refused {op!r} left a trace"
+                )
+            else:
+                reference.add_edge(source, target)
         elif op[0] == "del":
             incremental.remove_edge(op[1], op[2])
             reference.remove_edge(op[1], op[2])
@@ -113,7 +116,7 @@ def _apply(script, check_every):
 
 
 def test_randomized_equivalence_1k_scripts():
-    """1000+ random scripts: small dense pools (cycle churn) and larger
+    """1000+ random scripts: small dense pools (refusal churn) and larger
     sparse pools (order maintenance)."""
     for trial in range(1000):
         rng = random.Random(trial)
@@ -135,50 +138,53 @@ def test_add_edge_reports_acyclic_and_cycle():
     witness = graph.add_edge("c", "a")
     assert witness is not None
     assert set(witness) == {"a", "b", "c"}
-    assert not graph.is_acyclic()
+    _assert_cycle_valid(graph, witness, ("c", "a"))
+    assert not graph.has_edge("c", "a")
+    assert graph.is_acyclic()
 
 
 def test_self_loop_is_a_cycle():
     graph = IncrementalDigraph()
     assert graph.add_edge("a", "a") == ("a",)
-    assert not graph.is_acyclic()
-    assert graph.find_cycle() == ("a",)
-    graph.remove_edge("a", "a")
-    assert graph.is_acyclic()
+    assert "a" not in graph and graph.edges == ()
+    graph.add_node("a")
+    before = _state(graph)
+    assert graph.add_edge("a", "a") == ("a",)
+    assert _state(graph) == before
 
 
 def test_removal_heals_cycles_lazily():
+    """A refused edge inserts cleanly once a removal breaks the path that
+    refused it."""
     graph = IncrementalDigraph()
     graph.add_edge("a", "b")
     graph.add_edge("b", "c")
     assert graph.add_edge("c", "a") is not None
     graph.remove_edge("b", "c")
-    assert graph.is_acyclic()
+    assert graph.add_edge("c", "a") is None
+    assert graph.has_edge("c", "a")
     _assert_topo_valid(graph, graph.topological_order())
-    # the once-broken edge is clean now: re-adding b->c closes the
-    # cycle again
+    # now b -> c is the edge that would close a -> b ... c -> a
     assert graph.add_edge("b", "c") is not None
 
 
 def test_add_edge_sees_cycles_through_broken_edges():
-    """A caller that keeps cyclic edges in the graph still gets an exact
-    report: a new edge whose only cycle runs through an already-broken
-    edge must not be reported as acyclic."""
+    """After a refusal, every later insert reports what a graph that
+    never saw the refused edge reports, and leaves the same state."""
     graph = IncrementalDigraph()
-    graph.add_edge("a", "b")
-    graph.add_edge("b", "c")
-    assert graph.add_edge("c", "a") is not None  # kept — graph stays cyclic
-    # a->c respects the maintained order (the placement search skips the
-    # broken c->a), but closes a 2-cycle through it
-    witness = graph.add_edge("a", "c")
-    assert witness is not None
-    _assert_cycle_valid(graph, witness)
-    # re-adding an existing clean edge on such a cycle reports it too
-    assert graph.add_edge("a", "b") is not None
-    # healing the broken edge removes every cycle here
-    graph.remove_edge("c", "a")
-    assert graph.is_acyclic()
-    assert graph.add_edge("a", "c") is None
+    twin = IncrementalDigraph()
+    for subject in (graph, twin):
+        subject.add_edge("a", "b")
+        subject.add_edge("b", "c")
+    assert graph.add_edge("c", "a") is not None
+    for source, target in [
+        ("a", "c"), ("a", "b"), ("c", "d"), ("d", "a"), ("c", "a"),
+        ("d", "b"), ("x", "a"), ("c", "x"),
+    ]:
+        assert graph.add_edge(source, target) == twin.add_edge(
+            source, target
+        ), (source, target)
+        assert _state(graph) == _state(twin)
 
 
 def test_remove_node_compacts_index_space():
@@ -192,19 +198,23 @@ def test_remove_node_compacts_index_space():
 
 
 def test_find_cycle_from_start_matches_directed_graph_semantics():
+    """``find_cycle`` is DirectedGraph's own: on the accepted edges it
+    answers as a DirectedGraph holding them does, from every start."""
     graph = IncrementalDigraph()
     reference = DirectedGraph()
     for source, target in [
         ("a", "b"), ("b", "c"), ("c", "b"), ("x", "y"),
     ]:
-        graph.add_edge(source, target)
-        reference.add_edge(source, target)
-    # a cycle is reachable from "a" but not from "x"
-    assert graph.find_cycle(start="x") is None
-    assert reference.find_cycle(start="x") is None
-    witness = graph.find_cycle(start="a")
-    assert witness is not None
-    _assert_cycle_valid(reference, witness)
+        witness = graph.add_edge(source, target)
+        if witness is None:
+            reference.add_edge(source, target)
+        else:
+            assert (source, target) == ("c", "b")
+            _assert_cycle_valid(reference, witness, (source, target))
+    assert sorted(graph.edges) == sorted(reference.edges)
+    for start in (None, "a", "b", "x"):
+        assert graph.find_cycle(start=start) is None
+        assert reference.find_cycle(start=start) is None
 
 
 def test_topological_order_respects_all_edges_incrementally():
@@ -218,3 +228,10 @@ def test_topological_order_respects_all_edges_incrementally():
         graph.add_edge(hidden[i], hidden[j])
         edges.append((hidden[i], hidden[j]))
         _assert_topo_valid(graph, graph.topological_order())
+
+
+def test_repr_names_the_class():
+    graph = IncrementalDigraph()
+    graph.add_edge("a", "b")
+    assert repr(graph) == "<IncrementalDigraph nodes=2 edges=1>"
+    assert repr(DirectedGraph()) == "<DirectedGraph nodes=0 edges=0>"
