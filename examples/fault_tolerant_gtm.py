@@ -44,7 +44,6 @@ def build_simulator(plan):
         make_scheme(SCHEME),
         SimulationConfig(horizon=50_000.0),
         injector=None if plan is None else FaultInjector(plan),
-        scheme_factory=lambda: make_scheme(SCHEME),
     )
     for index, program in enumerate(workload.global_batch(6)):
         simulator.submit_global(program, at=index * 3.0)

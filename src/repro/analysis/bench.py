@@ -265,14 +265,13 @@ def _drive_tally(trace: Callable[[int, int], Trace]):
     """Cells replaying ``trace(value, seed)`` through the cell's scheme
     (a paper scheme or a baseline) with synchronous servers;
     :func:`drive` raises on a non-serializable ser(S)."""
-    from repro.baselines import BASELINES
-    from repro.core import SCHEMES
+    from repro.core import make_scheme
 
     def tally(spec: Dict[str, Any]) -> Dict[str, Any]:
         # E6c's traces keep every exact search within 2**14 subsets
         name = spec["scheme"]
         options = {"max_candidates": 14} if name == "scheme2-minimal" else {}
-        scheme = {**SCHEMES, **BASELINES}[name](**options)
+        scheme = make_scheme(name, **options)
         result = drive(scheme, trace(spec["mpl"], spec["seed"]))
         return {
             "scheme_steps": result.metrics.steps,

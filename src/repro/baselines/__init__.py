@@ -24,17 +24,6 @@ BASELINES = {
 }
 
 
-def make_baseline(name: str, **kwargs):
-    """Instantiate a baseline scheme by registry name."""
-    try:
-        factory = BASELINES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown baseline {name!r}; known: {sorted(BASELINES)}"
-        ) from None
-    return factory(**kwargs)
-
-
 __all__ = [
     "NonConservativeScheme",
     "OptimisticGTM",
@@ -44,5 +33,4 @@ __all__ = [
     "OptimisticTicketMethod",
     "GlobalSiteLocking2PL",
     "BASELINES",
-    "make_baseline",
 ]

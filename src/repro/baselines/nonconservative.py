@@ -205,6 +205,7 @@ class OptimisticGTM(NonConservativeScheme):
     :mod:`repro.baselines.ticket_otm`."""
 
     name = "optimistic-gtm"
+    aborts_at_fin = True
 
     def __init__(self) -> None:
         super().__init__()

@@ -3,9 +3,9 @@
 Commands
 --------
 ``simulate``
-    Run a randomized MDBS workload through a chosen scheme on the
-    discrete-event simulator, verify global serializability from the
-    local histories, and print the report.
+    Run a randomized MDBS workload as a job on the single-loop
+    :class:`~repro.transport.SimTransport` and print its report and
+    verdicts; a scheduler the simulator refuses exits with one line.
 
 ``compare``
     Replay identical QUEUE traces through several schemes and print the
@@ -33,6 +33,9 @@ Commands
     BENCH file (``BENCH_10.json`` for the paper's, ``BENCH_3.json`` for
     E4).
 
+A scheduler is named as :func:`repro.core.make_scheme` resolves it: a
+paper scheme or a baseline.
+
 Examples
 --------
 ::
@@ -56,24 +59,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis import bench
 from repro.analysis.reporting import render_table
-from repro.baselines import BASELINES, make_baseline
+from repro.baselines import BASELINES
 from repro.core import SCHEMES, make_scheme
-from repro.lmdbs import LocalDBMS, PROTOCOLS, make_protocol
-from repro.mdbs import MDBSSimulator, SimulationConfig, verify
+from repro.exceptions import SchedulerError
+from repro.lmdbs import PROTOCOLS
+from repro.transport import SimTransport, SimulationJob
 from repro.workloads import WorkloadConfig, WorkloadGenerator
 from repro.workloads.traces import drive, random_trace
-
-ALL_SCHEDULERS = {**SCHEMES, **BASELINES}
-
-
-def _make_scheduler(name: str):
-    if name in SCHEMES:
-        return make_scheme(name)
-    if name in BASELINES:
-        return make_baseline(name)
-    raise SystemExit(
-        f"unknown scheme {name!r}; choose from {sorted(ALL_SCHEDULERS)}"
-    )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -87,19 +79,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     generator = WorkloadGenerator(config)
     protocols = (args.protocols or ["strict-2pl", "to", "sgt"]) * args.sites
-    sites = {
-        name: LocalDBMS(name, make_protocol(protocols[index]))
-        for index, name in enumerate(config.site_names)
-    }
-    simulator = MDBSSimulator(
-        sites, _make_scheduler(args.scheme), SimulationConfig()
+    job = SimulationJob(
+        site_protocols=tuple(zip(config.site_names, protocols)),
+        scheme=args.scheme,
+        seed=args.seed,
+        global_programs=tuple(
+            (program, index * args.spacing)
+            for index, program in enumerate(generator.global_batch(args.globals))
+        ),
+        local_programs=tuple(
+            (local, index * args.spacing / 2)
+            for index, local in enumerate(generator.local_batch(args.locals))
+        ),
     )
-    for index, program in enumerate(generator.global_batch(args.globals)):
-        simulator.submit_global(program, at=index * args.spacing)
-    for index, local in enumerate(generator.local_batch(args.locals)):
-        simulator.submit_local(local, at=index * args.spacing / 2)
-    report = simulator.run()
-    verification = verify(simulator.global_schedule(), simulator.ser_schedule)
+    try:
+        result = SimTransport().run(job)
+    except SchedulerError as error:
+        raise SystemExit(str(error))
+    report, verification = result.report, result.verification
     rows = [
         ("scheme", args.scheme),
         ("sites", args.sites),
@@ -136,14 +133,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     for name in args.schemes:
-        _make_scheduler(name)  # validate early
-    for name in args.schemes:
         waits = ser_waits = steps = aborts = 0
         for seed in range(args.traces):
             trace = random_trace(
                 args.txns, args.sites, args.dav, seed=args.seed + seed
             )
-            result = drive(_make_scheduler(name), trace)
+            result = drive(make_scheme(name), trace)
             waits += result.waits
             ser_waits += result.ser_waits
             steps += result.metrics.steps
@@ -183,7 +178,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     for record in trace.records:
         print(f"  {record.kind:>4} {record.transaction_id} {record.sites}")
     tracer = Tracer()
-    result = drive(_make_scheduler(args.scheme), trace, tracer=tracer)
+    result = drive(make_scheme(args.scheme), trace, tracer=tracer)
     print(f"\nsubmissions by {args.scheme} (per-site execution order):")
     for operation in result.submission_order:
         print(f"  {operation!r}")
@@ -222,8 +217,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.chaos import ChaosOptions, run_chaos
     from repro.observability import MetricsRegistry, fold, report_to_registry
 
-    for name in args.schemes:
-        _make_scheduler(name)  # validate early
     registry = MetricsRegistry() if args.metrics_out else None
     if args.runs < 1:
         raise SystemExit("--runs must be >= 1")
@@ -262,6 +255,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 result = run_chaos(options, seed)
             except FaultConfigError as error:
                 raise SystemExit(f"invalid fault configuration: {error}")
+            except SchedulerError as error:
+                raise SystemExit(str(error))
             reports.append(result.report)
             if registry is not None:
                 report_to_registry(result.report, registry, scheme=name)
@@ -418,9 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    schedulers = [*SCHEMES, *BASELINES]
 
     sim = sub.add_parser("simulate", help="run the MDBS simulator")
-    sim.add_argument("--scheme", default="scheme3", help="GTM2 scheme")
+    sim.add_argument("--scheme", default="scheme3", choices=schedulers)
     sim.add_argument("--sites", type=int, default=3)
     sim.add_argument("--items", type=int, default=12)
     sim.add_argument("--dav", type=float, default=2.0)
@@ -442,6 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_parser.add_argument(
         "--schemes",
         nargs="+",
+        choices=schedulers,
         default=["scheme0", "scheme1", "scheme2", "scheme3"],
     )
     cmp_parser.add_argument("--txns", type=int, default=30)
@@ -452,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_parser.set_defaults(func=cmd_compare)
 
     trace_parser = sub.add_parser("trace", help="verbose single-trace replay")
-    trace_parser.add_argument("--scheme", default="scheme2")
+    trace_parser.add_argument("--scheme", default="scheme2", choices=schedulers)
     trace_parser.add_argument("--txns", type=int, default=8)
     trace_parser.add_argument("--sites", type=int, default=3)
     trace_parser.add_argument("--dav", type=int, default=2)
@@ -474,6 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser.add_argument(
         "--schemes",
         nargs="+",
+        choices=schedulers,
         default=["scheme0", "scheme1", "scheme2", "scheme3", "scheme4"],
     )
     chaos_parser.add_argument("--runs", type=int, default=25)

@@ -41,13 +41,15 @@ SCHEMES = {
 
 
 def make_scheme(name: str, **kwargs) -> ConservativeScheme:
-    """Instantiate one of the paper's schemes by registry name."""
-    try:
-        factory = SCHEMES[name]
-    except KeyError:
+    """Instantiate a GTM2 scheduler by registry name: a paper scheme or a
+    baseline (looked up at call time, as ``repro.baselines`` imports us)."""
+    from repro.baselines import BASELINES
+
+    factory = SCHEMES.get(name) or BASELINES.get(name)
+    if factory is None:
         raise KeyError(
-            f"unknown scheme {name!r}; known: {sorted(SCHEMES)}"
-        ) from None
+            f"unknown scheme {name!r}; known: {sorted([*SCHEMES, *BASELINES])}"
+        )
     return factory(**kwargs)
 
 

@@ -51,17 +51,10 @@ class ConservativeScheme:
     #: name used in benchmark tables
     name = "abstract"
 
-    #: True when the scheme's decisions are a function of one site
-    #: component at a time: every ``cond``/``act`` consults only DS rows
-    #: about transactions sharing a site with the operation's transaction,
-    #: so a site-disjoint partition of the workload (``site_components``)
-    #: can run one scheme instance per shard and reach the very same
-    #: WAIT/GRANT decisions.  All four paper schemes qualify — their DS
-    #: (TSGs, ser_bef sets, site queues, ticket graphs) only ever link
-    #: transactions through shared sites.  A subclass keeping genuinely
-    #: global state (e.g. a total admission order across all sites) must
-    #: clear this flag; the parallel transport then refuses to shard.
-    shardable = True
+    #: True when the scheme can abort a transaction at ``fin``, after
+    #: GTM1 has committed its subtransactions at the sites; the
+    #: simulator refuses such a scheme, since GTM1 cannot undo them
+    aborts_at_fin = False
 
     def __init__(self) -> None:
         self.metrics = SchemeMetrics()

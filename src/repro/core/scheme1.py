@@ -32,8 +32,8 @@ from repro.exceptions import SchedulerError
 class Scheme1(ConservativeScheme):
     """TSG + marking; higher concurrency than Scheme 0 at O(m+n+n·dav).
 
-    ``shardable``: the TSG only connects transactions through shared
-    site nodes, and the insert/delete queues are per-site — state about
+    Decisions are site-component-local: the TSG only connects
+    transactions through shared site nodes, and the insert/delete queues are per-site — state about
     one site component never influences decisions in another.
     """
 

@@ -57,8 +57,8 @@ class Scheme3(ConservativeScheme):
     (Theorem 9's measure must not silently improve), while the real work
     saved is attributed to ``metrics.dfs_steps_avoided``.
 
-    ``shardable``: ``ser_bef(t)`` only ever acquires members that share
-    a site with ``t``, so decisions are site-component-local.  (The
+    ``ser_bef(t)`` only ever acquires members that share a site with
+    ``t``, so decisions are site-component-local.  (The
     paper-model scan charge covers every registered transaction, so the
     ``scheme_steps`` count — unlike the decisions — depends on what
     else is co-resident; sharded step counts differ.)

@@ -37,8 +37,8 @@ position); each site chain releases ser-operations in that order, one
 outstanding at a time, so all per-site serialization orders are
 subsequences of the component's total order and ``ser(S)`` is
 serializable.  Components never share a site, hence never conflict.
-Decisions depend only on one component's state, so the scheme stays
-``shardable``.
+Decisions depend only on one component's state, so a run split by
+site component reaches the same ones.
 
 With ``batch_size=1`` every batch is a singleton and the plan degenerates
 to pure admission order — Scheme 0's serialize-in-init-order rule, paid

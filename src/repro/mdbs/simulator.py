@@ -31,7 +31,7 @@ import statistics
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Set, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Set, Tuple
 
 from repro.commit import CommitGroupStats, CommitPolicy, CommitStats
 from repro.core.engine import Engine
@@ -283,12 +283,16 @@ class MDBSSimulator:
         scheme: ConservativeScheme,
         config: Optional[SimulationConfig] = None,
         injector: Optional[FaultInjector] = None,
-        scheme_factory: Optional[Callable[[], ConservativeScheme]] = None,
         atomic_commit: bool = False,
         tracer=None,
         replica_map: Optional[ReplicaMap] = None,
         commit_group_size: int = 0,
     ) -> None:
+        if scheme.aborts_at_fin:
+            raise SchedulerError(
+                f"scheme {scheme.name!r} is refused: it can abort a "
+                "transaction at fin, after its subtransactions committed"
+            )
         self.sites = dict(sites)
         self.scheme = scheme
         self.config = config or SimulationConfig()
@@ -308,7 +312,6 @@ class MDBSSimulator:
         self.plane = MessagePlane(
             self.loop, self.config.latencies, injector, retry=self.config.retry
         )
-        self._scheme_factory = scheme_factory or (lambda: type(scheme)())
         self.engine = Engine(
             scheme,
             submit_handler=self._execute_ser,
@@ -482,7 +485,7 @@ class MDBSSimulator:
         wiped and rebuilt (paper Figure 3's component, made
         recoverable)."""
         started = time.perf_counter()
-        fresh = self._scheme_factory()
+        fresh = type(self.scheme)()
         journal = self.engine.journal
         self.engine = recover_engine(
             fresh,

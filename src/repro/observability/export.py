@@ -36,6 +36,14 @@ def fold(records: Sequence[Any], shared: Sequence[str] = ()) -> Any:
     return type(records[0])(**merged)
 
 
+def metric_segment(scheme: str) -> str:
+    """A scheduler's registry name as one metric-name segment: ``scheme2``
+    stays, ``scheme2-minimal`` → ``scheme2_minimal``, ``2pl-gtm`` →
+    ``scheme_2pl_gtm``."""
+    segment = scheme.replace("-", "_")
+    return segment if segment[:1].isalpha() else f"scheme_{segment}"
+
+
 def publish(
     record: Any,
     registry: Optional[MetricsRegistry] = None,
@@ -50,12 +58,13 @@ def publish(
     a total plus one counter per key; a nested record recurses, less ``skip``."""
     out = registry if registry is not None else MetricsRegistry()
     prefix = record.metric_prefix
+    segment = metric_segment(scheme) if scheme else prefix
     for spec in dataclasses.fields(record):
         value, meta = getattr(record, spec.name), spec.metadata
         template = meta.get("metric", "{prefix}.{field}")
         if value is None or template is None or spec.name in skip:
             continue
-        name = template.format(prefix=prefix, field=spec.name, scheme=scheme or prefix)
+        name = template.format(prefix=prefix, field=spec.name, scheme=segment)
         if dataclasses.is_dataclass(value):
             publish(value, out, scheme, meta.get("skip", ()))
         elif "gauge" in meta:
@@ -87,5 +96,5 @@ def report_to_registry(
     out = publish(report, registry, scheme)
     out.counter("sim.runs").inc()
     if scheme:
-        out.counter(f"{scheme}.runs").inc()
+        out.counter(f"{metric_segment(scheme)}.runs").inc()
     return out

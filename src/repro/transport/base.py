@@ -1,9 +1,10 @@
 """The transport abstraction: who runs a simulation, and where.
 
 A :class:`SimulationJob` is a complete, picklable run specification —
-sites with their protocols, the GTM scheme, the workload, the fault
-plan, the commit layer and the replica map — and :func:`build_simulator`
-is the one code path that assembles a simulator from it.  A
+sites with their protocols, the GTM2 scheduler (any name
+:func:`~repro.core.make_scheme` resolves), the workload, the fault plan,
+the commit layer and the replica map — and :func:`build_simulator` is
+the one code path in ``src/repro`` that assembles a simulator.  A
 :class:`Transport` turns a job into a :class:`TransportResult`: the
 merged :class:`~repro.mdbs.simulator.SimulationReport`, the executed
 global schedule, ``ser(S)``, the verification verdicts, and the metrics
@@ -22,12 +23,11 @@ Two transports exist:
 The sharding rule is the paper's own observation: global transactions
 with disjoint site sets never conflict — directly (no shared site means
 no shared item) or indirectly (an indirect conflict needs a local
-transaction at a shared site) — so every GTM scheme whose data
-structures only link transactions through shared sites
-(:attr:`~repro.core.scheme.ConservativeScheme.shardable`) reaches the
-very same WAIT/GRANT decisions when each site component runs its own
-scheme instance.  ``tests/test_transport_equivalence.py`` asserts this
-end to end on the regression seeds, fault scenarios included.
+transaction at a shared site) — and every scheduler a job can name only
+links transactions through shared sites, so each site component running
+its own instance reaches the very same WAIT/GRANT decisions.
+``tests/test_transport_equivalence.py`` asserts this end to end for every
+scheduler the simulator accepts, fault scenarios included.
 
 Known, documented divergences of a sharded run (excluded from the
 equivalence comparison; ``docs/performance.md`` shows them on BENCH_8):
@@ -203,7 +203,6 @@ def build_simulator(job: SimulationJob) -> MDBSSimulator:
         make_scheme(job.scheme),
         job.config,
         injector=FaultInjector(job.plan) if job.plan is not None else None,
-        scheme_factory=lambda: make_scheme(job.scheme),
         atomic_commit=job.atomic_commit,
         replica_map=replicas,
         commit_group_size=job.commit_group_size,
@@ -247,10 +246,6 @@ def run_shard(job: SimulationJob) -> ShardOutcome:
 def unshardable_reason(job: SimulationJob) -> Optional[str]:
     """Why *job* must run as a single shard — ``None`` when it may be
     partitioned by site component."""
-    from repro.core import make_scheme
-
-    if not getattr(make_scheme(job.scheme), "shardable", False):
-        return f"scheme {job.scheme!r} keeps cross-component state"
     if job.commit_group_size >= 1:
         return "the coordinator-replica group is one global quorum"
     if job.replica_map is not None:

@@ -7,9 +7,9 @@ workers.  Transactions of different components share no site, hence no
 lock, queue, or graph node: shards never communicate until the merge.
 
 A job that cannot be partitioned (a single component, or — see
-:func:`repro.transport.base.unshardable_reason` — an unshardable
-scheme, a commit group, or a replica map) still runs, as one shard, and
-then matches the sim transport exactly.  ``workers=1``
+:func:`repro.transport.base.unshardable_reason` — a commit group or a
+replica map) still runs, as one shard, and then matches the sim
+transport exactly.  ``workers=1``
 executes the shards sequentially in-process — useful for debugging the
 partition itself without multiprocessing in the way.
 """

@@ -77,7 +77,6 @@ def build_atomic_simulator(seed, injector=None, scheme_name="scheme2",
         make_scheme(scheme_name),
         config or SimulationConfig(horizon=50_000.0),
         injector=injector,
-        scheme_factory=lambda: make_scheme(scheme_name),
         atomic_commit=True,
         commit_group_size=commit_group_size,
     )
@@ -438,7 +437,6 @@ class TestReplicatedPreparedRestart:
             make_scheme("scheme2"),
             SimulationConfig(horizon=50_000.0),
             injector=FaultInjector(plan),
-            scheme_factory=lambda: make_scheme("scheme2"),
             atomic_commit=True,
             replica_map=replica_map,
         )

@@ -3,6 +3,7 @@ naive-deletion ablation), non-conservative GTM2 CC, and [GRS91] OTM."""
 
 import pytest
 
+from repro.analysis.bench import make_e4_job
 from repro.baselines import (
     BASELINES,
     OptimisticGTM,
@@ -10,11 +11,12 @@ from repro.baselines import (
     SiteGraphScheme,
     TimestampGTM,
     TwoPhaseLockingGTM,
-    make_baseline,
 )
+from repro.core import SCHEMES, GTMSystem, make_scheme
 from repro.core.engine import Engine
 from repro.core.events import Ack, Fin, Init, Ser
 from repro.exceptions import SchedulerError
+from repro.transport import SimTransport
 from repro.workloads import drive, random_trace
 
 
@@ -188,16 +190,36 @@ class TestRegistry:
         }
 
     def test_make_baseline(self):
-        assert make_baseline("otm").name == "otm"
+        assert make_scheme("otm").name == "otm"
 
     def test_unknown_rejected(self):
         with pytest.raises(KeyError):
-            make_baseline("quantum")
+            make_scheme("quantum")
 
     def test_committed_projection_serializable_for_all(self):
         for name in BASELINES:
             for seed in range(3):
                 result = drive(
-                    make_baseline(name), random_trace(15, 3, 2, seed=seed)
+                    make_scheme(name), random_trace(15, 3, 2, seed=seed)
                 )
                 assert result.ser_schedule.is_serializable()
+
+    @pytest.mark.parametrize("name", [*SCHEMES, *BASELINES])
+    def test_every_scheduler_runs_soundly_or_is_refused(self, name):
+        """Every registry name is a job: its run through the simulator
+        verifies, or the simulator refuses the scheduler by name — exactly
+        the ones that validate at fin, after the sites have committed."""
+        refused = name in ("otm", "optimistic-gtm")
+        for seed in (7, 8):
+            job = make_e4_job(name, 8, seed)
+            if refused:
+                with pytest.raises(SchedulerError, match=f"{name!r} is refused"):
+                    SimTransport().run(job)
+            else:
+                result = SimTransport().run(job)
+                assert result.verification.ok
+                assert result.report.committed_global > 0
+        assert make_scheme(name).aborts_at_fin == refused
+        if refused:
+            with pytest.raises(SchedulerError, match="is refused"):
+                GTMSystem({}, make_scheme(name))

@@ -4,9 +4,9 @@ import dataclasses
 
 import pytest
 
-from repro import cli
 from repro.cli import build_parser, main
 from repro.mdbs import MDBSSimulator, verify
+from repro.transport import base as transport
 
 
 class TestParser:
@@ -115,7 +115,7 @@ class TestCommands:
                 reports.append(super().run())
                 return reports[-1]
 
-        monkeypatch.setattr(cli, "MDBSSimulator", Recording)
+        monkeypatch.setattr(transport, "MDBSSimulator", Recording)
         rc = main(["simulate", "--scheme", "scheme0", "--protocols", "occ"])
         out = capsys.readouterr().out
         row = next(line for line in out.splitlines() if "global failed" in line)
@@ -133,7 +133,7 @@ class TestCommands:
                 report, ser_schedule_serializable=False, cycle=()
             )
 
-        monkeypatch.setattr(cli, "verify", ser_only_failure)
+        monkeypatch.setattr(transport, "verify", ser_only_failure)
         rc = main(["simulate", "--scheme", "scheme3", "--globals", "4"])
         lines = capsys.readouterr().out.splitlines()
         rows = {
@@ -193,6 +193,29 @@ class TestCommands:
     def test_unknown_scheme_exits(self):
         with pytest.raises(SystemExit):
             main(["trace", "--scheme", "quantum"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--scheme", "otm"],
+            ["chaos", "--runs", "1", "--schemes", "scheme2", "optimistic-gtm"],
+        ],
+        ids=["simulate", "chaos"],
+    )
+    def test_a_refused_scheme_exits_with_one_line(self, argv, capsys):
+        """A scheduler that can abort at fin is refused before anything
+        is reported: one line naming it, a non-zero exit, no table."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        message = str(excinfo.value)
+        assert "is refused" in message and argv[-1] in message
+        assert "\n" not in message
+        assert capsys.readouterr().out == ""
+
+    def test_chaos_runs_a_baseline(self, capsys):
+        rc = main(["chaos", "--schemes", "to-gtm", "--runs", "2"])
+        assert rc == 0
+        assert "to-gtm" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "flag, value, reason",

@@ -74,7 +74,6 @@ def build_simulator(seed, injector, scheme_name="scheme2", config=None,
         make_scheme(scheme_name),
         config or SimulationConfig(horizon=50_000.0),
         injector=injector,
-        scheme_factory=lambda: make_scheme(scheme_name),
     )
     for index, program in enumerate(workload.global_batch(global_txns)):
         simulator.submit_global(program, at=index * 3.0)
@@ -607,7 +606,6 @@ class TestWriteCrashPlans:
             make_scheme("scheme2"),
             SimulationConfig(horizon=50_000.0),
             injector=FaultInjector(plan),
-            scheme_factory=lambda: make_scheme("scheme2"),
             atomic_commit=True,
             replica_map=replica_map,
         )

@@ -8,8 +8,9 @@ import json
 
 import pytest
 
+from repro.baselines import BASELINES
 from repro.cli import main
-from repro.core import make_scheme
+from repro.core import SCHEMES, make_scheme
 from repro.faults.model import FaultStats
 from repro.observability import (
     MetricsRegistry,
@@ -23,6 +24,7 @@ from repro.observability import (
     scheme_metrics_to_registry,
     spans_from_jsonl,
 )
+from repro.observability.export import metric_segment
 from repro.observability.registry import DEFAULT_BUCKETS
 from repro.replication import ReplicationStats
 from repro.workloads.traces import adversarial_trace, drive, random_trace
@@ -325,6 +327,20 @@ class TestExport:
         assert values["sim_committed_global"] == chaos.report.committed_global
         assert values["faults_retries"] >= 0
         assert values["scheme2_runs"] == 1
+
+    @pytest.mark.parametrize("name", [*SCHEMES, *BASELINES])
+    def test_every_registered_name_publishes(self, name):
+        """A run under any scheduler publishes its report: the registry
+        name becomes one metric segment, and the paper schemes keep theirs
+        (``scheme2.delta_edges``, ``scheme4.batches_planned``)."""
+        _digests, report = chaos_cell("scheme2", 11)
+        samples = _samples(report_to_registry(report, scheme=name))
+        segment = metric_segment(name)
+        assert samples[f"{segment}_runs"] == 1
+        assert f"{segment}_delta_edges" in samples
+        assert f"{segment}_batches_planned" in samples
+        if name in ("scheme0", "scheme1", "scheme2", "scheme3", "scheme4"):
+            assert segment == name
 
     @pytest.mark.parametrize(
         "seed, storm",

@@ -79,7 +79,6 @@ def build_replicated_simulator(
         make_scheme(scheme_name),
         config or SimulationConfig(horizon=50_000.0),
         injector=injector,
-        scheme_factory=lambda: make_scheme(scheme_name),
         atomic_commit=True,
         replica_map=replica_map,
     )

@@ -14,7 +14,9 @@ this suite does the same for the transport abstraction, in two layers:
   response-time multiset (every wait a scheme imposed), abort counts.
   ``events_executed``/``scheme_steps`` legitimately differ (per-shard
   watchdog tick chains, per-shard scans — see
-  :mod:`repro.transport.base`) and are excluded.
+  :mod:`repro.transport.base`) and are excluded.  Every scheduler
+  the simulator accepts is checked: this is what guards
+  partition-locality.
 
 A hypothesis property drives the partition boundary itself: a global
 transaction that spans two site components forces the sharder to merge
@@ -32,7 +34,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.bench import make_e4_job
 from repro.commit import CommitGroupStats, CommitStats
-from repro.core import make_scheme
+from repro.baselines import BASELINES
+from repro.core import SCHEMES, make_scheme
 from repro.core.gtm import Access, GlobalProgram, site_components
 from repro.core.metrics import SchemeMetrics
 from repro.faults.chaos import ChaosOptions, chaos_job, run_chaos
@@ -125,7 +128,6 @@ def _run_direct(job):
         injector=(
             FaultInjector(job.plan) if job.plan is not None else None
         ),
-        scheme_factory=lambda: make_scheme(job.scheme),
         atomic_commit=job.atomic_commit,
         commit_group_size=job.commit_group_size,
     )
@@ -221,6 +223,28 @@ def test_grouped_cells_shard_equivalently(scheme_name, seed):
     assert par_result.shards == 4
     _assert_same_decisions(sim_result, par_result)
     assert sim_result.verification.ok and par_result.verification.ok
+
+
+#: every scheduler the simulator accepts (it refuses the ones that can
+#: abort at fin)
+ACCEPTED = [
+    name for name in (*SCHEMES, *BASELINES) if not make_scheme(name).aborts_at_fin
+]
+
+
+@pytest.mark.parametrize("scheme_name", ACCEPTED)
+def test_every_accepted_scheduler_shards_equivalently(scheme_name):
+    """Partition-locality is a property of every scheduler a job can
+    name, not a flag: each one's decisions on four site-disjoint groups
+    are the single loop's, paper schemes and baselines alike."""
+    for seed in range(6):
+        job = make_e4_job(scheme_name, 16, seed, groups=4)
+        assert unshardable_reason(job) is None
+        sim_result = SimTransport().run(job)
+        par_result = ParallelTransport(workers=1).run(job)
+        assert par_result.shards == 4
+        _assert_same_decisions(sim_result, par_result)
+        assert sim_result.verification.ok
 
 
 @pytest.mark.parametrize("scheme_name", ["scheme2", "scheme3", "scheme4"])
