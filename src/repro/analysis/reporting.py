@@ -7,7 +7,7 @@ cells the same way (recorded in EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 Cell = Union[str, int, float]
 
@@ -45,12 +45,3 @@ def render_table(
             "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row))
         )
     return "\n".join(lines)
-
-
-def render_mapping(mapping: Mapping[str, Cell], title: Optional[str] = None) -> str:
-    """Render a key/value mapping as a two-column table."""
-    return render_table(
-        ("key", "value"),
-        [(key, value) for key, value in mapping.items()],
-        title=title,
-    )

@@ -2,7 +2,8 @@
 Sheth [GRS91].
 
 OTM forces every global subtransaction to take a *ticket* at each site
-(:mod:`repro.lmdbs.protocols.tickets`) and validates at commit time that
+(:class:`~repro.schedules.serialization_functions.TicketSerializationFunction`)
+and validates at commit time that
 the ticket values obtained at all sites admit one consistent global
 order, aborting the transaction otherwise.
 

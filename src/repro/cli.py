@@ -218,8 +218,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.observability import MetricsRegistry, fold, report_to_registry
 
     registry = MetricsRegistry() if args.metrics_out else None
-    if args.runs < 1:
-        raise SystemExit("--runs must be >= 1")
     rows = []
     violations: List[str] = []
     totals = []
@@ -348,6 +346,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "--check-dominance gates the E14 degree-of-concurrency "
             f"claim; run with --experiment E14, not {args.experiment}"
         )
+    baseline = None
+    if args.baseline:
+        # read before the grid runs: a bad file fails in one line, not
+        # after seconds of cells
+        try:
+            baseline = bench.load_json(args.baseline)["cells"]
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"{args.baseline}: {exc}") from exc
     names = bench.GROUPS.get(args.experiment, (args.experiment,))
     specs = bench.specs(*names)
     # nested-pool guard: the parallel transport owns the worker pool, so
@@ -367,10 +373,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             handle.write(registry.render_prometheus())
         print(f"wrote {args.metrics_out}")
     gates = []
-    if args.baseline:
-        failures = bench.check_regression(
-            results, bench.load_json(args.baseline)["cells"]
-        )
+    if baseline is not None:
+        failures = bench.check_regression(results, baseline)
         gates.append(("regression", failures, f"exact, vs {args.baseline}"))
     if args.check_dominance:
         failures = bench.check_dominance(results)
@@ -405,6 +409,23 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def positive_count(text: str) -> int:
+    """An argparse type: an integer count of at least 1."""
+    return _count(text, 1)
+
+
+def count(text: str) -> int:
+    """An argparse type: an integer count of at least 0."""
+    return _count(text, 0)
+
+
+def _count(text: str, minimum: int) -> int:
+    value = int(text)
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -417,13 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run the MDBS simulator")
     sim.add_argument("--scheme", default="scheme3", choices=schedulers)
-    sim.add_argument("--sites", type=int, default=3)
-    sim.add_argument("--items", type=int, default=12)
+    sim.add_argument("--sites", type=positive_count, default=3)
+    sim.add_argument("--items", type=positive_count, default=12)
     sim.add_argument("--dav", type=float, default=2.0)
-    sim.add_argument("--ops", type=int, default=2)
+    sim.add_argument("--ops", type=positive_count, default=2)
     sim.add_argument("--theta", type=float, default=0.0, help="Zipf skew")
-    sim.add_argument("--globals", type=int, default=15)
-    sim.add_argument("--locals", type=int, default=20)
+    sim.add_argument("--globals", type=count, default=15)
+    sim.add_argument("--locals", type=count, default=20)
     sim.add_argument("--spacing", type=float, default=3.0)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument(
@@ -441,17 +462,17 @@ def build_parser() -> argparse.ArgumentParser:
         choices=schedulers,
         default=["scheme0", "scheme1", "scheme2", "scheme3"],
     )
-    cmp_parser.add_argument("--txns", type=int, default=30)
-    cmp_parser.add_argument("--sites", type=int, default=4)
+    cmp_parser.add_argument("--txns", type=positive_count, default=30)
+    cmp_parser.add_argument("--sites", type=positive_count, default=4)
     cmp_parser.add_argument("--dav", type=int, default=2)
-    cmp_parser.add_argument("--traces", type=int, default=10)
+    cmp_parser.add_argument("--traces", type=positive_count, default=10)
     cmp_parser.add_argument("--seed", type=int, default=0)
     cmp_parser.set_defaults(func=cmd_compare)
 
     trace_parser = sub.add_parser("trace", help="verbose single-trace replay")
     trace_parser.add_argument("--scheme", default="scheme2", choices=schedulers)
-    trace_parser.add_argument("--txns", type=int, default=8)
-    trace_parser.add_argument("--sites", type=int, default=3)
+    trace_parser.add_argument("--txns", type=positive_count, default=8)
+    trace_parser.add_argument("--sites", type=positive_count, default=3)
     trace_parser.add_argument("--dav", type=int, default=2)
     trace_parser.add_argument("--seed", type=int, default=0)
     trace_parser.add_argument(
@@ -474,10 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=schedulers,
         default=["scheme0", "scheme1", "scheme2", "scheme3", "scheme4"],
     )
-    chaos_parser.add_argument("--runs", type=int, default=25)
-    chaos_parser.add_argument("--sites", type=int, default=3)
-    chaos_parser.add_argument("--globals", type=int, default=8)
-    chaos_parser.add_argument("--locals", type=int, default=10)
+    chaos_parser.add_argument("--runs", type=positive_count, default=25)
+    chaos_parser.add_argument("--sites", type=positive_count, default=3)
+    chaos_parser.add_argument("--globals", type=count, default=8)
+    chaos_parser.add_argument("--locals", type=count, default=10)
     chaos_parser.add_argument("--seed", type=int, default=0)
     chaos_parser.add_argument("--loss-rate", type=float, default=0.15)
     chaos_parser.add_argument("--duplication-rate", type=float, default=0.05)

@@ -350,9 +350,6 @@ class CoordinatorGroup:
 
         attempt(0)
 
-    def vote_durable(self, incarnation: str, site: str) -> bool:
-        return (incarnation, site) in self._vote_durable
-
     # ------------------------------------------------------------------
     # consensus: one single-decree instance per incarnation
     # ------------------------------------------------------------------

@@ -23,7 +23,6 @@ from repro.core.tsg import TransactionSiteGraph
 from repro.core.tsgd import (
     TSGD,
     candidate_dependencies,
-    is_minimal_delta,
     minimum_delta,
 )
 
@@ -89,7 +88,6 @@ __all__ = [
     "TransactionSiteGraph",
     "TSGD",
     "candidate_dependencies",
-    "is_minimal_delta",
     "minimum_delta",
     "SCHEMES",
     "make_scheme",

@@ -138,10 +138,6 @@ class Engine(SchemeContext):
             self.journal.log_enqueued(operation)
         self._queue.append(operation)
 
-    @property
-    def wait_set(self) -> Tuple[QueueOp, ...]:
-        return tuple(self._wait.values())
-
     def purge_transaction(self, transaction_id: str) -> None:
         """Drop all queued and waiting operations of a transaction (used
         when the GTM aborts a global transaction).  Removing a

@@ -81,26 +81,3 @@ class SchemeMetrics:
     @property
     def total_waited(self) -> int:
         return sum(self.waited.values())
-
-    def steps_per_transaction(self) -> float:
-        """The paper's complexity measure: average steps per scheduled
-        transaction."""
-        if self.transactions_finished == 0:
-            return float(self.steps)
-        return self.steps / self.transactions_finished
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "steps": float(self.steps),
-            "processed": float(self.total_processed),
-            "waited": float(self.total_waited),
-            "wait_ticks": float(self.wait_ticks),
-            "transactions": float(self.transactions_finished),
-            "steps_per_txn": self.steps_per_transaction(),
-            "graph_ops": float(self.graph_ops),
-            "dfs_steps_avoided": float(self.dfs_steps_avoided),
-            "wake_retries_skipped": float(self.wake_retries_skipped),
-            "delta_edges": float(self.delta_edges),
-            "batches_planned": float(self.batches_planned),
-            "plan_edges": float(self.plan_edges),
-        }

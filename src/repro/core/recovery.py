@@ -167,38 +167,6 @@ class Journal:
             if seq in self._pending_seqs and operation.transaction_id not in dead
         )
 
-    def truncate(
-        self,
-        enqueued_upto: int,
-        processed_upto: int,
-        decisions_upto: Optional[int] = None,
-    ) -> "Journal":
-        """A copy as it would look after a crash that lost the tail
-        (used by tests to simulate partial persistence — a real
-        deployment would fsync per record).  Decision records are
-        force-written before any COMMIT message leaves the coordinator,
-        so by default they all survive; ``decisions_upto`` lets tests
-        model losing the unforced tail."""
-        return Journal(
-            enqueued=list(self.enqueued[:enqueued_upto]),
-            processed=list(self.processed[:processed_upto]),
-            purges=[
-                (position, transaction_id)
-                for position, transaction_id in self.purges
-                if position <= processed_upto
-            ],
-            seals=[
-                (position, purges_logged, token)
-                for position, purges_logged, token in self.seals
-                if position <= processed_upto
-            ],
-            decisions=list(
-                self.decisions
-                if decisions_upto is None
-                else self.decisions[:decisions_upto]
-            ),
-        )
-
     def __len__(self) -> int:
         return len(self.enqueued)
 

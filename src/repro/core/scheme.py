@@ -142,8 +142,5 @@ class ConservativeScheme:
     def forward(self, operation: Ack) -> None:
         self.context.forward_ack(operation)
 
-    def describe(self) -> str:
-        return self.name
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

@@ -290,5 +290,3 @@ class Scheme3(ConservativeScheme):
         return hints
 
     # -- inspection (tests) ----------------------------------------------------
-    def serialized_before(self, transaction_id: str) -> frozenset:
-        return frozenset(self._ser_bef.get(transaction_id, ()))

@@ -76,15 +76,8 @@ class TransactionSiteGraph:
         """The transaction's sites: set-like, iterated in Init order."""
         return self._txn_sites.get(transaction_id, {}).keys()
 
-    def transactions_at(self, site: str) -> frozenset:
-        return frozenset(self._site_txns.get(site, ()))
-
     def has_transaction(self, transaction_id: str) -> bool:
         return transaction_id in self._txn_sites
-
-    @property
-    def node_count(self) -> int:
-        return len(self._txn_sites) + len(self._site_txns)
 
     @property
     def edge_count(self) -> int:
@@ -147,39 +140,6 @@ class TransactionSiteGraph:
             if len(members) >= 2:
                 cyclic.update(members)
         return frozenset(cyclic)
-
-    def has_any_cycle(self) -> bool:
-        """Whether the TSG (as an undirected graph) contains any cycle —
-        used by the [BS88] site-graph baseline, which refuses insertions
-        that create cycles."""
-        # A forest has (#edges) = (#nodes) - (#components); count both.
-        visited_sites: Set[str] = set()
-        visited_txns: Set[str] = set()
-        components = 0
-        for start in self._site_txns:
-            if start in visited_sites:
-                continue
-            components += 1
-            frontier: List[Tuple[str, bool]] = [(start, True)]
-            visited_sites.add(start)
-            while frontier:
-                node, is_site = frontier.pop()
-                if is_site:
-                    for txn in self._site_txns.get(node, ()):
-                        if txn not in visited_txns:
-                            visited_txns.add(txn)
-                            frontier.append((txn, False))
-                else:
-                    for site in self._txn_sites.get(node, ()):
-                        if site not in visited_sites:
-                            visited_sites.add(site)
-                            frontier.append((site, True))
-        isolated_txns = sum(
-            1 for txn, sites in self._txn_sites.items() if not sites
-        )
-        components += isolated_txns
-        node_count = len(self._site_txns) + len(self._txn_sites)
-        return self.edge_count > node_count - components
 
     def __repr__(self) -> str:
         return (

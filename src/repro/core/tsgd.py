@@ -211,9 +211,6 @@ class TSGD:
                 del incoming[after]
             self._version[after] = self._clock
 
-    def add_dependency(self, before: str, site: str, after: str) -> None:
-        self.add_dependencies(((before, site, after),))
-
     def add_dependencies(self, deps: Iterable[Dependency]) -> None:
         """Add *deps* in order, skipping those already present; one
         step per dependency offered, charged once for the run."""
@@ -302,9 +299,6 @@ class TSGD:
 
     def incoming_dependencies(self, transaction_id: str) -> Tuple[Dependency, ...]:
         return tuple(self._incoming.get(transaction_id, ()))
-
-    def outgoing_dependencies(self, transaction_id: str) -> Tuple[Dependency, ...]:
-        return tuple(self._outgoing.get(transaction_id, ()))
 
     def incoming_view(self, transaction_id: str) -> Sequence[Dependency]:
         """The live incoming list of *transaction_id*, in insertion
@@ -554,21 +548,6 @@ def candidate_dependencies(tsgd: TSGD, transaction_id: str) -> List[Dependency]:
             if dep not in tsgd.dependencies:
                 candidates.append(dep)
     return candidates
-
-
-def is_minimal_delta(
-    tsgd: TSGD, transaction_id: str, delta: Set[Dependency]
-) -> bool:
-    """The paper's minimality: Δ kills all dangerous cycles through
-    ``Ĝ_i``, and no single dependency can be dropped."""
-    if tsgd.has_dangerous_cycle_through(transaction_id, delta):
-        return False
-    for dep in delta:
-        reduced = set(delta)
-        reduced.remove(dep)
-        if not tsgd.has_dangerous_cycle_through(transaction_id, reduced):
-            return False
-    return True
 
 
 def minimum_delta(

@@ -244,11 +244,3 @@ class FaultInjector:
     def site_down(self, site: str, now: float) -> bool:
         until = self._down_until.get(site)
         return until is not None and now < until
-
-    def windows_of(self, site: str) -> Tuple[Tuple[float, float], ...]:
-        """Closed outage windows of *site*, in occurrence order."""
-        return tuple(
-            (start, end)
-            for s, start, end in self.availability_windows
-            if s == site
-        )

@@ -10,10 +10,9 @@ chaos findings replayable.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.faults.model import (
     FaultConfigError,
@@ -67,76 +66,6 @@ class FaultPlan:
             crash.validate()
         for partition in self.vote_decide_partitions:
             partition.validate()
-
-    @property
-    def is_quiet(self) -> bool:
-        """True when the plan injects nothing at all."""
-        return (
-            not self.messages.any_enabled
-            and not self.gtm_crashes
-            and not self.site_crashes
-            and not self.crash_after_prepare
-            and not self.crash_after_writes
-            and not self.crash_coordinator_replica
-            and not self.vote_decide_partitions
-        )
-
-    @classmethod
-    def quiet(cls, seed: int = 0) -> "FaultPlan":
-        """A plan that injects nothing (used to certify that the fault
-        machinery itself does not perturb outcomes)."""
-        return cls(seed=seed)
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Any]) -> "FaultPlan":
-        """Build a plan from a plain mapping (config files, CLI glue),
-        rejecting unknown keywords with a clean error instead of the
-        silent-ignore a ``dict(**mapping)`` splat would give.  Nested
-        entries may be mappings (``messages``) or sequences of mappings
-        (``site_crashes``, ``crash_after_prepare``, …); their keys are
-        validated against the scenario dataclass the same way."""
-        valid = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(mapping) - valid)
-        if unknown:
-            raise FaultConfigError(
-                f"unknown fault-plan keyword(s) {unknown}; "
-                f"valid keywords: {sorted(valid)}"
-            )
-
-        def build(factory, value):
-            if not isinstance(value, Mapping):
-                return value
-            fields = {f.name for f in dataclasses.fields(factory)}
-            bad = sorted(set(value) - fields)
-            if bad:
-                raise FaultConfigError(
-                    f"unknown {factory.__name__} field(s) {bad}; "
-                    f"valid fields: {sorted(fields)}"
-                )
-            return factory(**value)
-
-        kwargs: dict = dict(mapping)
-        if "messages" in kwargs:
-            kwargs["messages"] = build(MessageFaultConfig, kwargs["messages"])
-        if "gtm_crashes" in kwargs:
-            kwargs["gtm_crashes"] = tuple(kwargs["gtm_crashes"])
-        for name, factory in (
-            ("site_crashes", SiteCrash),
-            ("crash_after_prepare", PrepareCrash),
-            ("crash_after_writes", WriteCrash),
-            ("crash_coordinator_replica", ReplicaCrash),
-            ("vote_decide_partitions", VoteDecidePartition),
-        ):
-            if name in kwargs:
-                kwargs[name] = tuple(
-                    build(factory, entry) for entry in kwargs[name]
-                )
-        try:
-            plan = cls(**kwargs)
-        except TypeError as exc:
-            raise FaultConfigError(f"malformed fault plan: {exc}") from exc
-        plan.validate()
-        return plan
 
     @classmethod
     def random(

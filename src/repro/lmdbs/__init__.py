@@ -11,7 +11,6 @@ from repro.lmdbs.deadlock import (
     DeadlockDetector,
     build_waits_for_graph,
     find_deadlock,
-    oldest_victim,
     youngest_victim,
 )
 from repro.lmdbs.history import HistoryLog
@@ -25,7 +24,6 @@ from repro.lmdbs.protocols import (
     OptimisticConcurrencyControl,
     SerializationGraphTesting,
     StrictTwoPhaseLocking,
-    TicketDispenser,
     make_protocol,
 )
 from repro.lmdbs.storage import VersionedStore
@@ -37,7 +35,6 @@ __all__ = [
     "DeadlockDetector",
     "build_waits_for_graph",
     "find_deadlock",
-    "oldest_victim",
     "youngest_victim",
     "HistoryLog",
     "LockManager",
@@ -50,7 +47,6 @@ __all__ = [
     "OptimisticConcurrencyControl",
     "SerializationGraphTesting",
     "StrictTwoPhaseLocking",
-    "TicketDispenser",
     "make_protocol",
     "VersionedStore",
 ]

@@ -296,7 +296,6 @@ class LocalDBMS:
             at = self.clock() if self.clock is not None else None
             counter = self.storage.commit(transaction_id, at=at)
             stamp = float(counter) if at is None else at
-            self.history.note_commit_time(transaction_id, stamp)
             self._active.discard(transaction_id)
             self.history.record(operation)
             for listener in self.commit_listeners:

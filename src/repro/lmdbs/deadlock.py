@@ -56,11 +56,6 @@ def youngest_victim(
     return max(cycle, key=lambda txn: (ages.get(txn, 0), txn))
 
 
-def oldest_victim(cycle: Tuple[str, ...], ages: Dict[str, int]) -> str:
-    """Pick the *oldest* transaction (useful for ablation experiments)."""
-    return min(cycle, key=lambda txn: (ages.get(txn, 0), txn))
-
-
 #: Signature of a victim-selection policy.
 VictimPolicy = Callable[[Tuple[str, ...], Dict[str, int]], str]
 

@@ -30,7 +30,6 @@ class HistoryLog:
         self.site = site
         self._schedule = Schedule()
         self._prepared: Dict[str, None] = {}
-        self._commit_times: Dict[str, float] = {}
         #: transaction -> its last recorded COMMIT/ABORT
         self._outcomes: Dict[str, OpType] = {}
 
@@ -54,17 +53,6 @@ class HistoryLog:
     def outcome_of(self, transaction_id: str) -> Optional[OpType]:
         """COMMIT, ABORT, or None if the transaction is still active."""
         return self._outcomes.get(transaction_id)
-
-    # ------------------------------------------------------------------
-    # commit timestamps (multiversion snapshot support)
-    # ------------------------------------------------------------------
-    def note_commit_time(self, transaction_id: str, at: float) -> None:
-        """Record when *transaction_id* committed at this site (the stamp
-        its versions carry in storage; see repro.replication)."""
-        self._commit_times[transaction_id] = at
-
-    def commit_time_of(self, transaction_id: str) -> Optional[float]:
-        return self._commit_times.get(transaction_id)
 
     # ------------------------------------------------------------------
     # 2PC prepared ledger (durable; see repro.commit.participant)

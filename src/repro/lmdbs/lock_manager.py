@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.exceptions import ProtocolViolation
 
@@ -228,18 +228,6 @@ class LockManager:
             if entry
             else ()
         )
-
-    def holds(self, transaction_id: str, item: str, mode: Optional[LockMode] = None) -> bool:
-        held = self._table.get(item)
-        if held is None:
-            return False
-        actual = held.holders.get(transaction_id)
-        if actual is None:
-            return False
-        return mode is None or actual is mode or actual is LockMode.EXCLUSIVE
-
-    def locks_of(self, transaction_id: str) -> frozenset:
-        return frozenset(self._held_by_txn.get(transaction_id, ()))
 
     @staticmethod
     def _blockers(entry: _LockEntry, index: int) -> List[str]:

@@ -8,7 +8,6 @@ whether they admit a serialization function for the GTM (paper §2.2).
 from repro.lmdbs.protocols.base import Decision, LocalScheduler, Verdict
 from repro.lmdbs.protocols.optimistic import OptimisticConcurrencyControl
 from repro.lmdbs.protocols.sgt import SerializationGraphTesting
-from repro.lmdbs.protocols.tickets import DEFAULT_TICKET_ITEM, TicketDispenser
 from repro.lmdbs.protocols.timestamp_ordering import (
     BasicTimestampOrdering,
     ConservativeTimestampOrdering,
@@ -50,8 +49,6 @@ __all__ = [
     "Verdict",
     "OptimisticConcurrencyControl",
     "SerializationGraphTesting",
-    "DEFAULT_TICKET_ITEM",
-    "TicketDispenser",
     "BasicTimestampOrdering",
     "ConservativeTimestampOrdering",
     "ConservativeTwoPhaseLocking",

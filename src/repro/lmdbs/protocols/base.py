@@ -132,6 +132,3 @@ class LocalScheduler:
     # -- misc -------------------------------------------------------------
     def cancel_waiting(self, transaction_id: str) -> None:
         """Forget any queued request of an aborted waiter (default no-op)."""
-
-    def describe(self) -> str:
-        return self.name

@@ -7,7 +7,7 @@ schedule — the highest possible degree of concurrency — but, as the paper
 notes (§2.2), it admits *no* serialization function: a transaction's
 position in the serialization order can be determined arbitrarily late.
 Global subtransactions at SGT sites therefore take *tickets*
-(:mod:`repro.lmdbs.protocols.tickets`).
+(:class:`~repro.schedules.serialization_functions.TicketSerializationFunction`).
 
 The graph is an acyclic
 :class:`~repro.schedules.incremental_digraph.IncrementalDigraph`: an

@@ -119,12 +119,6 @@ class StrictTwoPhaseLocking(LocalScheduler):
     def deadlocks_found(self) -> int:
         return self._detector.deadlocks_found
 
-    @property
-    def deadlock_searches(self) -> int:
-        """Full waits-for cycle searches run (see
-        :attr:`DeadlockDetector.searches`)."""
-        return self._detector.searches
-
 
 class PreventionTwoPhaseLocking(StrictTwoPhaseLocking):
     """Strict 2PL with timestamp-based deadlock *prevention*.

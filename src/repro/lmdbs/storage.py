@@ -175,10 +175,6 @@ class VersionedStore:
         state = self._items.get(item)
         return state.value if state is not None else None
 
-    def committed_version(self, item: str) -> int:
-        state = self._items.get(item)
-        return state.version if state is not None else 0
-
     def last_writer(self, item: str) -> Optional[str]:
         state = self._items.get(item)
         return state.last_writer if state is not None else None

@@ -22,7 +22,6 @@ from repro.mdbs.verification import (
     check_exactly_once,
     check_replicas,
     committed_ser_projection,
-    serialization_order_consistent,
     verify,
 )
 
@@ -49,6 +48,5 @@ __all__ = [
     "check_exactly_once",
     "check_replicas",
     "committed_ser_projection",
-    "serialization_order_consistent",
     "verify",
 ]

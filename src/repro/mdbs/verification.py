@@ -7,9 +7,10 @@ scheme cannot certify itself.  Provided checks:
 - per-site conflict serializability (the paper's standing assumption);
 - global serializability: acyclicity of the union of the local
   serialization graphs over committed transactions (Theorem 1's target);
-- consistency of the GTM's ``ser(S)`` with the executed global schedule
-  (the Theorem 2 link): the ser-operation order must be a valid
-  serialization order prefix for the global transactions;
+- serializability of the committed ``ser(S)``
+  (:func:`committed_ser_projection`), Theorem 2's sufficient condition.
+  That the theorems link these verdicts is not re-checked per run; the
+  tests check it (``tests/reference/theorems.py``);
 - exactly-once effects under fault injection
   (:func:`check_exactly_once`): no logical global transaction commits
   twice at any site (e.g. a restarted incarnation re-applying effects
@@ -408,8 +409,6 @@ def check_decision_uniqueness(group, histories) -> DecisionUniquenessReport:
        where COMMIT was chosen (the participant-visible half of the
        "no conflicting decisions" promise).
     """
-    from repro.schedules.model import OpType as _OpType
-
     violations: List[str] = []
     learned_checked = 0
     learned_by_inc: Dict[str, Dict[int, bool]] = {}
@@ -453,7 +452,7 @@ def check_decision_uniqueness(group, histories) -> DecisionUniquenessReport:
             outcome = histories[site].outcome_of(incarnation)
             if outcome is None:
                 continue
-            applied_commit = outcome is _OpType.COMMIT
+            applied_commit = outcome is OpType.COMMIT
             if applied_commit != chosen:
                 violations.append(
                     f"site {site!r} "
@@ -466,29 +465,3 @@ def check_decision_uniqueness(group, histories) -> DecisionUniquenessReport:
         learned_checked=learned_checked,
         violations=tuple(violations),
     )
-
-
-def serialization_order_consistent(
-    global_schedule: GlobalSchedule, ser_schedule: SerSchedule
-) -> bool:
-    """Theorem 1's premise, checked on concrete data: the ser-operation
-    order must be consistent with the committed global serialization
-    graph restricted to global transactions (no edge may point against
-    the ser(S) topological order)."""
-    try:
-        order = ser_schedule.witness_order()
-    except NonSerializableError:
-        return False
-    position = {txn: index for index, txn in enumerate(order)}
-    local_graphs = global_schedule.local_serialization_graphs()
-    for site in global_schedule.sites:
-        graph = local_graphs[site]
-        for source in graph.nodes:
-            if source not in position:
-                continue
-            # paths through local transactions are exactly the indirect
-            # conflicts of the paper's model — follow reachability
-            for target in graph.reachable_from(source):
-                if target in position and position[source] > position[target]:
-                    return False
-    return True

@@ -42,7 +42,7 @@ from repro.observability.registry import (
     MetricsRegistry,
     parse_prometheus,
 )
-from repro.observability.tracer import Span, Tracer, replay_check, spans_from_jsonl
+from repro.observability.tracer import Span, Tracer, replay_check
 
 __all__ = [
     "Counter",
@@ -59,5 +59,4 @@ __all__ = [
     "replay_check",
     "report_to_registry",
     "scheme_metrics_to_registry",
-    "spans_from_jsonl",
 ]

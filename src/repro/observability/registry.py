@@ -15,7 +15,6 @@ same seed produce byte-identical dumps.
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -109,10 +108,11 @@ class Gauge:
 class Histogram:
     """A fixed-bucket histogram (cumulative, Prometheus-style).
 
-    ``counts[i]`` is the number of observations ``<= buckets[i]``; one
-    implicit ``+Inf`` bucket catches the rest.  Bucket edges never
-    change after construction, which keeps merges well-defined and
-    dumps deterministic.
+    ``counts[i]`` is the number of observations in
+    ``(buckets[i-1], buckets[i]]``; one implicit ``+Inf`` bucket catches
+    the rest, and the Prometheus dump renders them cumulatively.  Bucket
+    edges never change after construction, which keeps merges
+    well-defined and dumps deterministic.
     """
 
     __slots__ = ("name", "buckets", "counts", "inf_count", "total", "count")
@@ -136,14 +136,6 @@ class Histogram:
                 self.counts[index] += 1
                 return
         self.inf_count += 1
-
-    def cumulative_counts(self) -> List[int]:
-        running = 0
-        out: List[int] = []
-        for bucket_count in self.counts:
-            running += bucket_count
-            out.append(running)
-        return out
 
 
 class MetricsRegistry:
@@ -248,9 +240,6 @@ class MetricsRegistry:
             assert isinstance(count, int)
             histogram.count = count
         return registry
-
-    def to_json(self) -> str:
-        return json.dumps(self.snapshot(), sort_keys=True)
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold *other* into this registry (for multi-run aggregation).

@@ -60,20 +60,6 @@ class Span:
             "attrs": self.attrs,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Span":
-        return cls(
-            span_id=payload["span_id"],
-            parent_id=payload["parent_id"],
-            name=payload["name"],
-            txn=payload["txn"],
-            site=payload["site"],
-            start=payload["start"],
-            end=payload["end"],
-            cause=payload["cause"],
-            attrs=payload["attrs"] or {},
-        )
-
 
 class Tracer:
     """Collects spans; deterministic ids and timestamps.
@@ -183,16 +169,6 @@ class Tracer:
             json.dumps(span.to_dict(), sort_keys=True) + "\n"
             for span in self.spans
         )
-
-
-def spans_from_jsonl(text: str) -> List[Span]:
-    """Reload an exported trace (the replay side of ``to_jsonl``)."""
-    spans: List[Span] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            spans.append(Span.from_dict(json.loads(line)))
-    return spans
 
 
 def ser_submissions(spans: Sequence[Span]) -> List[Tuple[str, str]]:

@@ -135,9 +135,6 @@ class ReplicaMap:
                 f"item {item!r} is not in the replica map"
             ) from None
 
-    def holds(self, site: str, item: str) -> bool:
-        return site in self._placement.get(item, ())
-
     def is_replicated(self, item: str) -> bool:
         """More than one copy exists (catch-up applies only to these)."""
         return len(self._placement.get(item, ())) > 1

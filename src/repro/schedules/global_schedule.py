@@ -6,8 +6,9 @@ the restriction of *S* to the operations executing at ``s_k``, with a
 total order.  This module represents *S* as the collection of its local
 schedules (which is faithful: the paper's partial order on *S* is exactly
 the union of the local total orders plus each transaction's program
-order), builds the projected schedule ``ser(S)`` of Theorems 1–2, and
-provides the global-serializability test used for verification.
+order), represents the projected schedule ``ser(S)`` of Theorems 1–2
+(GTM2 appends to it as it releases ser-operations), and provides the
+global-serializability test used for verification.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.exceptions import NonSerializableError, ScheduleError
-from repro.schedules.model import Operation, Schedule
+from repro.exceptions import ScheduleError
+from repro.schedules.model import Schedule
 from repro.schedules.serialization_graph import (
     DirectedGraph,
     serialization_graph,
@@ -71,13 +72,6 @@ class GlobalSchedule:
     @property
     def global_transaction_ids(self) -> frozenset:
         return frozenset(self._global_ids)
-
-    @property
-    def local_transaction_ids(self) -> frozenset:
-        ids = set()
-        for schedule in self._local_schedules.values():
-            ids.update(schedule.transaction_ids)
-        return frozenset(ids - self._global_ids)
 
     def sites_of(self, transaction_id: str) -> Tuple[str, ...]:
         """Sites at which *transaction_id* executed at least one operation."""
@@ -235,60 +229,3 @@ class SerSchedule:
     def __repr__(self) -> str:
         return f"<SerSchedule {' '.join(map(repr, self._operations))}>"
 
-
-def ser_projection(
-    global_schedule: GlobalSchedule,
-    ser_images: Mapping[str, Mapping[str, Operation]],
-) -> SerSchedule:
-    """Build ``ser(S)`` from a global schedule and serialization-function
-    images.
-
-    Parameters
-    ----------
-    global_schedule:
-        The executed global schedule.
-    ser_images:
-        ``ser_images[site][transaction_id]`` is the concrete operation
-        ``ser_k(G_i)`` chosen by the site's serialization function
-        (see :mod:`repro.schedules.serialization_functions`).
-
-    The order of the resulting :class:`SerSchedule` lists operations site
-    by site is irrelevant *across* sites (only same-site operations
-    conflict); within a site it follows the local schedule order, which is
-    what Theorem 1 requires.
-    """
-    ser_schedule = SerSchedule()
-    for site in global_schedule.sites:
-        images = ser_images.get(site, {})
-        local = global_schedule.local_schedule(site)
-        positions = []
-        for transaction_id, operation in images.items():
-            positions.append((local.position(operation), transaction_id))
-        for _, transaction_id in sorted(positions):
-            ser_schedule.append(SerOperation(transaction_id, site))
-    return ser_schedule
-
-
-def theorem1_holds(
-    global_schedule: GlobalSchedule, ser_schedule: SerSchedule
-) -> bool:
-    """Check the premise and conclusion of Theorems 1–2 on concrete data:
-    if every local schedule is serializable and ``ser(S)`` is
-    serializable, then S must be globally serializable.  Returns the value
-    of the *conclusion*; raises if the theorem were violated (it cannot
-    be, so a violation indicates a bug in the substrate — this is used as
-    a self-check by the verification layer and the property tests).
-    """
-    if not global_schedule.are_locals_serializable():
-        return global_schedule.is_globally_serializable()
-    if not ser_schedule.is_serializable():
-        return global_schedule.is_globally_serializable()
-    if not global_schedule.is_globally_serializable():
-        raise NonSerializableError(
-            message=(
-                "Theorem 2 violated: ser(S) serializable and locals "
-                "serializable, yet S is not globally serializable — "
-                "substrate bug"
-            )
-        )
-    return True

@@ -6,9 +6,10 @@ several transactions with an order on them; local schedules carry a total
 order, global schedules a partial order (see
 :mod:`repro.schedules.global_schedule`).
 
-The classes here are deliberately small and value-like: higher layers
-(local DBMS engines, the GTM, verification) create and inspect them but
-never subclass them.
+The runtime keeps a transaction as its operations, so the classes here
+are the operation and the schedule.  They are deliberately small and
+value-like: higher layers (local DBMS engines, the GTM, verification)
+create and inspect them but never subclass them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.exceptions import ScheduleError, UnknownTransactionError
 
@@ -139,122 +140,6 @@ def abort(transaction_id: str, site: Optional[str] = None) -> Operation:
     return Operation(OpType.ABORT, transaction_id, site=site)
 
 
-class Transaction:
-    """A totally ordered sequence of operations of one transaction.
-
-    The class enforces the structural rules of the model: a transaction
-    has at most one begin/commit/abort *per site*, data operations follow
-    the begin for their site and precede the commit/abort for their site.
-    Global transactions (spanning several sites) may therefore contain one
-    begin and one commit per site, as the paper allows.
-    """
-
-    def __init__(self, transaction_id: str, *, is_global: bool = False) -> None:
-        self.transaction_id = transaction_id
-        self.is_global = is_global
-        self._operations: List[Operation] = []
-        self._terminated_sites: Dict[Optional[str], OpType] = {}
-        self._begun_sites: set = set()
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    def append(self, operation: Operation) -> Operation:
-        """Append *operation*, validating transaction structure."""
-        if operation.transaction_id != self.transaction_id:
-            raise ScheduleError(
-                f"operation {operation!r} does not belong to transaction "
-                f"{self.transaction_id!r}"
-            )
-        site = operation.site
-        if site in self._terminated_sites:
-            raise ScheduleError(
-                f"transaction {self.transaction_id!r} already "
-                f"{self._terminated_sites[site].name.lower()}ed at site {site!r}"
-            )
-        if operation.op_type is OpType.BEGIN:
-            if site in self._begun_sites:
-                raise ScheduleError(
-                    f"transaction {self.transaction_id!r} already began at "
-                    f"site {site!r}"
-                )
-            self._begun_sites.add(site)
-        elif operation.op_type in (OpType.COMMIT, OpType.ABORT):
-            self._terminated_sites[site] = operation.op_type
-        self._operations.append(operation)
-        return operation
-
-    # convenience issuing API -------------------------------------------------
-    def begin(self, site: Optional[str] = None) -> Operation:
-        return self.append(begin(self.transaction_id, site))
-
-    def read(self, item: str, site: Optional[str] = None) -> Operation:
-        return self.append(read(self.transaction_id, item, site))
-
-    def write(self, item: str, site: Optional[str] = None) -> Operation:
-        return self.append(write(self.transaction_id, item, site))
-
-    def commit(self, site: Optional[str] = None) -> Operation:
-        return self.append(commit(self.transaction_id, site))
-
-    def abort(self, site: Optional[str] = None) -> Operation:
-        return self.append(abort(self.transaction_id, site))
-
-    # ------------------------------------------------------------------
-    # inspection
-    # ------------------------------------------------------------------
-    @property
-    def operations(self) -> Tuple[Operation, ...]:
-        return tuple(self._operations)
-
-    @property
-    def sites(self) -> Tuple[str, ...]:
-        """Sites this transaction touches, in first-touch order."""
-        seen: List[str] = []
-        for operation in self._operations:
-            if operation.site is not None and operation.site not in seen:
-                seen.append(operation.site)
-        return tuple(seen)
-
-    @property
-    def read_set(self) -> frozenset:
-        return frozenset(op.item for op in self._operations if op.is_read)
-
-    @property
-    def write_set(self) -> frozenset:
-        return frozenset(op.item for op in self._operations if op.is_write)
-
-    def operations_at(self, site: Optional[str]) -> Tuple[Operation, ...]:
-        return tuple(op for op in self._operations if op.site == site)
-
-    def restriction(self, operations: Iterable[Operation]) -> "Transaction":
-        """Return a new transaction containing only *operations*, in this
-        transaction's order (the paper's *restriction*, footnote 1)."""
-        wanted = set(operations)
-        unknown = wanted - set(self._operations)
-        if unknown:
-            raise ScheduleError(
-                f"operations {sorted(map(repr, unknown))} are not part of "
-                f"transaction {self.transaction_id!r}"
-            )
-        restricted = Transaction(self.transaction_id, is_global=self.is_global)
-        restricted._operations = [op for op in self._operations if op in wanted]
-        return restricted
-
-    def __len__(self) -> int:
-        return len(self._operations)
-
-    def __iter__(self) -> Iterator[Operation]:
-        return iter(self._operations)
-
-    def __repr__(self) -> str:
-        kind = "global" if self.is_global else "local"
-        return (
-            f"<Transaction {self.transaction_id!r} ({kind}, "
-            f"{len(self._operations)} ops)>"
-        )
-
-
 class Schedule:
     """A totally ordered schedule (a local schedule in the paper's model).
 
@@ -334,69 +219,3 @@ class Schedule:
 
     def __repr__(self) -> str:
         return f"<Schedule {' '.join(map(repr, self._operations))}>"
-
-
-def parse_schedule(text: str, site: Optional[str] = None) -> Schedule:
-    """Parse a compact schedule notation into a :class:`Schedule`.
-
-    The notation mirrors the paper's: whitespace-separated tokens of the
-    form ``r1[x]``, ``w2[y]``, ``b1``, ``c2``, ``a3``.  The digit(s) after
-    the operation letter name the transaction; the bracketed name (for
-    read/write) names the data item.
-
-    >>> sched = parse_schedule("b1 r1[x] w1[x] c1")
-    >>> [op.op_type.value for op in sched]
-    ['b', 'r', 'w', 'c']
-    """
-    type_by_letter = {t.value: t for t in OpType}
-    schedule = Schedule()
-    for token in text.split():
-        letter = token[0]
-        if letter not in type_by_letter:
-            raise ScheduleError(f"unknown operation letter in token {token!r}")
-        op_type = type_by_letter[letter]
-        rest = token[1:]
-        item = None
-        if "[" in rest:
-            if not rest.endswith("]"):
-                raise ScheduleError(f"malformed token {token!r}")
-            rest, bracket = rest.split("[", 1)
-            item = bracket[:-1]
-        if not rest:
-            raise ScheduleError(f"token {token!r} lacks a transaction id")
-        schedule.append(Operation(op_type, rest, item, site))
-    return schedule
-
-
-def transactions_of(schedule: Schedule) -> Dict[str, Transaction]:
-    """Group a schedule's operations back into per-transaction objects."""
-    transactions: Dict[str, Transaction] = {}
-    for operation in schedule:
-        txn = transactions.get(operation.transaction_id)
-        if txn is None:
-            txn = Transaction(operation.transaction_id)
-            transactions[operation.transaction_id] = txn
-        txn.append(operation)
-    return transactions
-
-
-def interleave(orders: Sequence[Sequence[Operation]], pattern: Sequence[int]) -> Schedule:
-    """Build a schedule by interleaving per-transaction operation sequences.
-
-    ``pattern`` is a sequence of indexes into ``orders``; each occurrence
-    consumes the next unconsumed operation of that sequence.  Useful for
-    constructing specific interleavings in tests.
-    """
-    cursors = [0] * len(orders)
-    schedule = Schedule()
-    for which in pattern:
-        if not 0 <= which < len(orders):
-            raise ScheduleError(f"pattern index {which} out of range")
-        if cursors[which] >= len(orders[which]):
-            raise ScheduleError(f"sequence {which} exhausted by pattern")
-        schedule.append(orders[which][cursors[which]])
-        cursors[which] += 1
-    for which, cursor in enumerate(cursors):
-        if cursor != len(orders[which]):
-            raise ScheduleError(f"pattern did not consume sequence {which}")
-    return schedule

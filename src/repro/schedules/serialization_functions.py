@@ -18,19 +18,16 @@ protocol, so each protocol class declares its own as
 Each function is one selection rule over a transaction's operations at
 one site (:meth:`SerializationFunction.select`).  GTM1 applies it to a
 site's *planned* operations to flag the image it gates through GTM2
-(:func:`repro.core.gtm.plan_program`); :meth:`~SerializationFunction.image`
-applies it to the post-run history, and
-:meth:`~SerializationFunction.is_valid_for` checks after the fact that the
-images respect the local serialization order.
+(:func:`repro.core.gtm.plan_program`).  That the rule's images in an
+executed history respect the local serialization order is checked by the
+tests, against the history's serialization graph.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.exceptions import ProtocolViolation
-from repro.schedules.model import Operation, OpType, Schedule
-from repro.schedules.serialization_graph import serialization_graph
+from repro.schedules.model import Operation, OpType
 
 #: Name of the ticket data item at a site.
 DEFAULT_TICKET_ITEM = "__ticket__"
@@ -59,46 +56,6 @@ class SerializationFunction:
                 return index
         return None
 
-    def image(self, schedule: Schedule, transaction_id: str) -> Operation:
-        """The designated operation ``ser_k(T)`` for *transaction_id* in
-        the (complete) local *schedule*."""
-        operations = schedule.operations_of(transaction_id)
-        index = self.select(operations)
-        if index is None:
-            raise ProtocolViolation(
-                f"transaction {transaction_id!r} has no {self.name} image "
-                "at this site"
-            )
-        return operations[index]
-
-    def images(self, schedule: Schedule) -> Dict[str, Operation]:
-        """Images for every transaction appearing in *schedule*."""
-        return {
-            transaction_id: self.image(schedule, transaction_id)
-            for transaction_id in schedule.transaction_ids
-        }
-
-    def is_valid_for(self, schedule: Schedule) -> bool:
-        """Validate the defining property on *schedule*: whenever ``Ti`` is
-        serialized before ``Tj`` locally, ``ser(Ti)`` precedes ``ser(Tj)``.
-
-        Serialization order is taken from the local serialization graph:
-        an SG edge ``Ti -> Tj`` means ``Ti`` serializes before ``Tj`` in
-        every equivalent serial order, so the images must be ordered the
-        same way.
-        """
-        graph = serialization_graph(schedule)
-        if not graph.is_acyclic():
-            raise ProtocolViolation(
-                "serialization functions are only defined over serializable "
-                "local schedules"
-            )
-        images = self.images(schedule)
-        for source, target in graph.edges:
-            if not schedule.precedes(images[source], images[target]):
-                return False
-        return True
-
 
 class BeginSerializationFunction(SerializationFunction):
     """``ser_k(T) = b(T)`` — valid for sites that serialize in begin
@@ -126,9 +83,13 @@ class TicketSerializationFunction(SerializationFunction):
     """``ser_k(T)`` = the transaction's write to the site's ticket item.
 
     For protocols (SGT, some optimistic variants) with no natural
-    serialization function, every global subtransaction is forced to write
-    the designated *ticket* data item, creating direct conflicts between
-    all global subtransactions at the site (paper §2.2, [GRS91]).
+    serialization function, GTM1 makes every global subtransaction take a
+    *ticket*: read the designated ticket item and write it back
+    incremented (:func:`repro.core.gtm.plan_program`).  Any two ticket
+    takers then conflict directly, so the order of their ticket writes
+    is consistent with the local serialization order (paper §2.2,
+    [GRS91]).  Local transactions never take tickets; their conflicts
+    with global transactions stay indirect, as in the paper's model.
     """
 
     name = "ticket"

@@ -17,8 +17,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import NonSerializableError
-from repro.schedules.conflicts import conflict_edges
-from repro.schedules.model import Schedule
+from repro.schedules.model import Operation, Schedule
 
 
 class DirectedGraph:
@@ -182,38 +181,6 @@ class DirectedGraph:
             raise NonSerializableError(cycle)
         return tuple(order)
 
-    def all_topological_orders(self, limit: int = 10000) -> List[Tuple]:
-        """All topological orders (up to *limit*), for small graphs.
-
-        Used by exhaustive tests and by the brute-force minimal-Δ search.
-        """
-        in_degree: Dict[Hashable, int] = {
-            node: len(self._predecessors[node]) for node in self._successors
-        }
-        orders: List[Tuple] = []
-        order: List[Hashable] = []
-
-        def extend() -> bool:
-            if len(orders) >= limit:
-                return False
-            if len(order) == len(in_degree):
-                orders.append(tuple(order))
-                return True
-            for node, degree in list(in_degree.items()):
-                if degree == 0 and node not in order:
-                    order.append(node)
-                    for successor in self._successors[node]:
-                        in_degree[successor] -= 1
-                    if not extend():
-                        return False
-                    for successor in self._successors[node]:
-                        in_degree[successor] += 1
-                    order.pop()
-            return True
-
-        extend()
-        return orders
-
     def reachable_from(self, node: Hashable) -> Set[Hashable]:
         """Nodes reachable from *node* (excluding *node* unless on a cycle)."""
         seen: Set[Hashable] = set()
@@ -234,11 +201,31 @@ class DirectedGraph:
 
 
 def serialization_graph(schedule: Schedule) -> DirectedGraph:
-    """The serialization graph SG(S) of *schedule*."""
+    """The serialization graph SG(S) of *schedule*.
+
+    Two operations conflict when they belong to different transactions,
+    access the same data item at the same site, and at least one is a
+    write (§2.3), so only operations in one (site, item) bucket are
+    compared: the scan is O(total ops × ops per item), not quadratic in
+    the schedule.  Edges are inserted in sorted order, which fixes the
+    graph's iteration order (and so the witnesses verification reports).
+    """
+    buckets: Dict[Tuple[object, object], List[Operation]] = {}
+    for operation in schedule:
+        if operation.accesses_data:
+            buckets.setdefault((operation.site, operation.item), []).append(
+                operation
+            )
+    edges: Set[Tuple[str, str]] = set()
+    for bucket in buckets.values():
+        for i, first in enumerate(bucket):
+            for second in bucket[i + 1 :]:
+                if first.conflicts_with(second):
+                    edges.add((first.transaction_id, second.transaction_id))
     graph = DirectedGraph()
     for transaction_id in schedule.transaction_ids:
         graph.add_node(transaction_id)
-    for source, target in sorted(conflict_edges(schedule)):
+    for source, target in sorted(edges):
         graph.add_edge(source, target)
     return graph
 

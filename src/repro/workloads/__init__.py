@@ -2,7 +2,6 @@
 generators, and GTM2 queue traces for scheme-level benchmarking."""
 
 from repro.workloads.distributions import (
-    HotspotItems,
     UniformItems,
     ZipfItems,
     make_items,
@@ -24,7 +23,6 @@ from repro.workloads.traces import (
 )
 
 __all__ = [
-    "HotspotItems",
     "UniformItems",
     "ZipfItems",
     "make_items",

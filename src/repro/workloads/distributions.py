@@ -60,34 +60,6 @@ class ZipfItems:
         return list(self._items)
 
 
-class HotspotItems:
-    """Hotspot distribution: with probability ``hot_fraction`` access one
-    of the first ``hot_count`` items, otherwise the cold remainder."""
-
-    def __init__(
-        self,
-        items: Sequence[str],
-        hot_count: int = 4,
-        hot_fraction: float = 0.8,
-    ) -> None:
-        if not items:
-            raise ValueError("item universe must be non-empty")
-        if not 0 <= hot_fraction <= 1:
-            raise ValueError("hot_fraction must be in [0, 1]")
-        hot_count = max(1, min(hot_count, len(items)))
-        self._hot = list(items[:hot_count])
-        self._cold = list(items[hot_count:]) or list(items[:hot_count])
-        self.hot_fraction = hot_fraction
-
-    def sample(self, rng: random.Random) -> str:
-        pool = self._hot if rng.random() < self.hot_fraction else self._cold
-        return rng.choice(pool)
-
-    @property
-    def items(self) -> List[str]:
-        return self._hot + [i for i in self._cold if i not in self._hot]
-
-
 def make_items(count: int, prefix: str = "x") -> List[str]:
     """The standard item universe: ``x0 … x{count-1}``."""
     if count <= 0:

@@ -26,6 +26,31 @@ WAIT after every action as Figure 3 does
 (``tests/test_engine_differential.py``).  ``serialization_functions``
 keeps the §2.2 functions no protocol declares — 2PL's lock point and
 conservative TO's first operation — which the fidelity tests validate
-beside the declared ones.
-Nothing under ``src/`` imports this package.
+beside the declared ones, and the validation itself (``image``,
+``is_valid_for``).  ``eliminate_cycles`` also holds the paper's Δ
+minimality (``is_minimal_delta``, ``tests/test_tsgd.py``).
+
+The schedule theory the runtime does not call is kept here too, as the
+textbook the tests check the runtime against:
+
+- ``serializability`` — conflict pairs by an all-pairs scan, conflict
+  equivalence, serial schedules, every serial order a schedule is
+  equivalent to, and view serializability
+  (``tests/test_conflicts_csr.py``, ``tests/test_property_based.py``,
+  and the bucketed scan of ``serialization_graph`` in
+  ``tests/test_fastpath_equivalence.py``);
+- ``recoverability`` — the RC ⊇ ACA ⊇ ST classes each local protocol's
+  histories must fall in (``tests/test_recoverability.py``,
+  ``tests/test_protocol_properties.py``);
+- ``theorems`` — ``ser(S)`` built from serialization-function images,
+  Theorem 1's order condition and Theorem 2's implication on concrete
+  data (``tests/test_global_schedule.py``, ``tests/test_integration.py``,
+  ``tests/test_end_of_run_checks.py``).
+
+Test-only builders and fixtures that are not oracles (schedule notation,
+the transaction object, fault plans from mappings, readers of private
+state) are in ``tests/support.py``.  Nothing under ``src/`` imports
+``tests``; ``tests/test_layering.py`` checks it, and fails on a
+``src/`` definition that nothing under ``src/`` calls unless it names
+the outside code that does.
 """

@@ -7,7 +7,9 @@ at most once; closing a walk back at the root adds the dependency
 ``(v, u) → (u, Ĝ_i)``.  ``TSGD.eliminate_cycles`` computes the same Δ as
 a per-site fixpoint over slot bitsets; this walk is the oracle for Δ,
 and the segment worklist below — the closure's previous, set-based form
-— is the oracle for the steps it charges.
+— is the oracle for the steps it charges.  :func:`is_minimal_delta` is the
+paper's minimality, the property Theorem 7 shows is NP-complete to
+achieve.
 """
 
 from collections import deque
@@ -20,6 +22,17 @@ Pair = Tuple[str, str]
 #: sentinel: a node of the worklist closure whose every site segment has
 #: been opened (entered via two distinct sites)
 _OPENED = object()
+
+
+def is_minimal_delta(tsgd: TSGD, transaction_id: str, delta: Set[Dependency]) -> bool:
+    """The paper's minimality: Δ kills all dangerous cycles through
+    ``Ĝ_i``, and no single dependency can be dropped."""
+    if tsgd.has_dangerous_cycle_through(transaction_id, delta):
+        return False
+    return all(
+        tsgd.has_dangerous_cycle_through(transaction_id, set(delta) - {dep})
+        for dep in delta
+    )
 
 
 def eliminate_cycles_walk(tsgd: TSGD, transaction_id: str) -> Set[Dependency]:

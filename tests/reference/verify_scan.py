@@ -14,11 +14,11 @@ field.
 from typing import Iterable, List, Optional, Tuple
 
 from repro.mdbs.verification import VerificationReport
-from repro.schedules.conflicts import conflict_pairs
 from repro.schedules.global_schedule import GlobalSchedule, SerSchedule
 from repro.schedules.model import Schedule
 from repro.schedules.serialization_graph import DirectedGraph
 from tests.reference.ser_all_pairs import all_pairs_serialization_graph
+from tests.reference.serializability import conflict_pairs
 
 
 def scan_transaction_ids(operations: Iterable) -> Tuple[str, ...]:

@@ -59,6 +59,7 @@ from repro.schedules.model import (
     write as write_op,
 )
 from repro.workloads.generator import WorkloadConfig, WorkloadGenerator
+from tests.support import plan_from_mapping, truncate, vote_durable
 
 
 def build_atomic_simulator(seed, injector=None, scheme_name="scheme2",
@@ -149,11 +150,11 @@ class TestCoordinator:
         journal = Journal()
         for incarnation in ("G1", "G2", "G3"):
             journal.log_decision(incarnation)
-        survived = journal.truncate(0, 0, decisions_upto=2)
+        survived = truncate(journal, 0, 0, decisions_upto=2)
         assert survived.commit_decisions() == ("G1", "G2")
         # default truncation models a crash of the volatile tail only:
         # force-logged decisions all survive
-        assert journal.truncate(0, 0).commit_decisions() == ("G1", "G2", "G3")
+        assert truncate(journal, 0, 0).commit_decisions() == ("G1", "G2", "G3")
 
     def test_policy_validates(self):
         with pytest.raises(CommitProtocolError):
@@ -169,7 +170,7 @@ class TestCoordinator:
 # ---------------------------------------------------------------------------
 class TestFaultPlanSurface:
     def test_from_mapping_builds_prepare_crashes(self):
-        plan = FaultPlan.from_mapping(
+        plan = plan_from_mapping(
             {
                 "seed": 3,
                 "site_crashes": [{"site": "s0", "at": 30.0}],
@@ -185,7 +186,7 @@ class TestFaultPlanSurface:
 
     def test_from_mapping_rejects_unknown_keywords(self):
         with pytest.raises(FaultConfigError) as excinfo:
-            FaultPlan.from_mapping({"seed": 1, "crash_after_prpare": []})
+            plan_from_mapping({"seed": 1, "crash_after_prpare": []})
         assert "crash_after_prpare" in str(excinfo.value)
 
     def test_random_plan_with_prepare_crashes_extends_legacy_plan(self):
@@ -567,7 +568,7 @@ class TestCoordinatorGroup:
         group, loop = self.make_group(3)
         group.broadcast_vote("G1", "s0", ("s0", "s1"))
         loop.run(until=10.0)
-        assert group.vote_durable("G1", "s0")
+        assert vote_durable(group, "G1", "s0")
         assert group.stats.vote_quorums == 1
         # every replica holds the vote (all three were up)
         assert all("s0" in r.votes.get("G1", set()) for r in group.replicas)
@@ -676,7 +677,7 @@ class TestCoordinatorGroup:
         group.crash_replica(2)
         group.broadcast_vote("G1", "s0", ("s0",))
         loop.run(until=10_000.0)
-        assert not group.vote_durable("G1", "s0")
+        assert not vote_durable(group, "G1", "s0")
         assert group.stats.vote_quorums == 0
 
     def test_duplicated_promises_do_not_fake_a_prepare_quorum(self):
@@ -686,7 +687,7 @@ class TestCoordinatorGroup:
         group, loop = self.make_group(3, fate=self.DUPLICATE_EVERYTHING)
         group.broadcast_vote("G1", "s0", ("s0",))
         loop.run(until=10.0)
-        assert group.vote_durable("G1", "s0")  # all three were up
+        assert vote_durable(group, "G1", "s0")  # all three were up
         group.crash_replica(1)
         group.crash_replica(2)
         assert group.maybe_takeover(0, "G1")
@@ -701,7 +702,7 @@ class TestCoordinatorGroup:
         group.broadcast_vote("G2", "s0", ("s0",))
         loop.run(until=50.0)
         assert chosen == [True]
-        assert group.vote_durable("G2", "s0")
+        assert vote_durable(group, "G2", "s0")
 
     def test_accept_round_notifies_the_authoritative_value(self):
         """White-box: if an accept round completes for a value that
@@ -738,7 +739,7 @@ class TestFaultPlanCommitGroupSurface:
     def test_from_mapping_builds_commit_group_scenarios(self):
         from repro.faults import ReplicaCrash, VoteDecidePartition
 
-        plan = FaultPlan.from_mapping(
+        plan = plan_from_mapping(
             {
                 "seed": 4,
                 "crash_coordinator_replica": [
@@ -758,7 +759,7 @@ class TestFaultPlanCommitGroupSurface:
         """Satellite: a typo inside a scenario mapping fails fast with
         the valid field names, instead of a bare TypeError."""
         with pytest.raises(FaultConfigError) as excinfo:
-            FaultPlan.from_mapping(
+            plan_from_mapping(
                 {
                     "crash_coordinator_replica": [
                         {"replica": 0, "after_vote": 1}
@@ -774,7 +775,7 @@ class TestFaultPlanCommitGroupSurface:
         """The keyword validation extends to the pre-existing scenario
         dataclasses too."""
         with pytest.raises(FaultConfigError) as excinfo:
-            FaultPlan.from_mapping(
+            plan_from_mapping(
                 {"site_crashes": [{"site": "s0", "att": 30.0}]}
             )
         assert "att" in str(excinfo.value)
@@ -819,11 +820,11 @@ class TestCommitGroupRuns:
         """With no faults the group changes latencies (votes and
         decisions each cost a quorum round-trip) but no outcomes."""
         legacy = build_atomic_simulator(
-            seed=11, injector=FaultInjector(FaultPlan.quiet(seed=11))
+            seed=11, injector=FaultInjector(FaultPlan(seed=11))
         ).run()
         grouped_sim = build_atomic_simulator(
             seed=11,
-            injector=FaultInjector(FaultPlan.quiet(seed=11)),
+            injector=FaultInjector(FaultPlan(seed=11)),
             commit_group_size=3,
         )
         grouped = grouped_sim.run()
@@ -920,7 +921,7 @@ class TestCommitGroupRuns:
         simulator.commit.broadcast_vote("GX", "s0")
         simulator.loop.run(until=50.0)
         group = simulator.commit.group
-        assert group.vote_durable("GX", "s0")
+        assert vote_durable(group, "GX", "s0")
         assert all(
             replica.expected.get("GX") == sites
             for replica in group.replicas

@@ -58,6 +58,42 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "--experiment", "E11"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--txns", "0"],
+            ["compare", "--traces", "0"],
+            ["compare", "--sites", "0"],
+            ["trace", "--sites", "0"],
+            ["trace", "--txns", "-1"],
+            ["simulate", "--sites", "0"],
+            ["simulate", "--items", "0"],
+            ["simulate", "--ops", "0"],
+            ["simulate", "--globals", "-3"],
+            ["simulate", "--locals", "-2"],
+            ["chaos", "--runs", "0"],
+            ["chaos", "--sites", "0"],
+            ["chaos", "--globals", "-1"],
+        ],
+    )
+    def test_counts_out_of_range_exit_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}: must be >= " in err
+        assert err.startswith("usage: repro ")
+
+    @pytest.mark.parametrize("content", [None, "{not json"])
+    def test_a_bad_baseline_fails_before_the_grid_runs(self, content, tmp_path, capsys):
+        baseline = tmp_path / "baseline.json"
+        if content is not None:
+            baseline.write_text(content)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--experiment", "E4", "--baseline", str(baseline)])
+        assert str(excinfo.value).startswith(f"{baseline}: ")
+        assert capsys.readouterr().out == ""
+
     def test_check_dominance_requires_e14(self):
         # the ROADMAP claim is only made for the E14 high-MPL regime; a
         # pass over the default E4 grid must not masquerade as the

@@ -3,21 +3,17 @@
 import pytest
 
 from repro.exceptions import NonSerializableError
-from repro.schedules.conflicts import (
-    conflict_edges,
+from repro.schedules.serialization_graph import serialization_graph
+from tests.reference.serializability import (
     conflict_equivalent,
     conflict_pairs,
     conflicting_transactions,
-)
-from repro.schedules.csr import (
     enumerate_serializable_orders,
-    is_conflict_serializable,
     is_view_serializable,
     serial_schedule,
-    serializability_witness,
     view_equivalent,
 )
-from repro.schedules.model import parse_schedule
+from tests.support import parse_schedule
 
 
 class TestConflictPairs:
@@ -37,7 +33,7 @@ class TestConflictPairs:
 
     def test_three_way_writes(self):
         schedule = parse_schedule("w1[x] w2[x] w3[x]")
-        edges = conflict_edges(schedule)
+        edges = set(serialization_graph(schedule).edges)
         assert edges == {("1", "2"), ("1", "3"), ("2", "3")}
 
     def test_adjacency_symmetric(self):
@@ -66,24 +62,24 @@ class TestConflictEquivalence:
 
 class TestCSR:
     def test_serial_schedule_is_serializable(self):
-        assert is_conflict_serializable(parse_schedule("r1[x] w1[y] r2[y] w2[x]"))
+        assert serialization_graph(parse_schedule("r1[x] w1[y] r2[y] w2[x]")).is_acyclic()
 
     def test_classic_nonserializable(self):
         # r1(x) w2(x) r2(y) w1(y): T1 -> T2 and T2 -> T1
-        assert not is_conflict_serializable(
+        assert not serialization_graph(
             parse_schedule("r1[x] w2[x] r2[y] w1[y]")
-        )
+        ).is_acyclic()
 
     def test_witness_is_topological(self):
         schedule = parse_schedule("r1[x] w2[x] w1[y] r3[y]")
-        witness = serializability_witness(schedule)
+        witness = serialization_graph(schedule).topological_order()
         assert witness.index("1") < witness.index("2")
         assert witness.index("1") < witness.index("3")
 
     def test_witness_raises_with_cycle(self):
         schedule = parse_schedule("r1[x] w2[x] r2[y] w1[y]")
         with pytest.raises(NonSerializableError) as excinfo:
-            serializability_witness(schedule)
+            serialization_graph(schedule).topological_order()
         assert set(excinfo.value.cycle) == {"1", "2"}
 
     def test_enumerate_orders_empty_for_cyclic(self):
@@ -103,7 +99,7 @@ class TestCSR:
 class TestVSR:
     def test_csr_implies_vsr(self):
         schedule = parse_schedule("r1[x] w1[y] w2[x] r2[y]")
-        if is_conflict_serializable(schedule):
+        if serialization_graph(schedule).is_acyclic():
             assert is_view_serializable(schedule)
 
     def test_view_equivalent_detects_reads_from(self):
@@ -115,7 +111,7 @@ class TestVSR:
         # Classic: w1(x) w2(x) w2(y) c2 w1(y) w3(x) w3(y) — VSR via blind
         # writes but not CSR.  Simplified variant:
         schedule = parse_schedule("w1[x] w2[x] w2[y] w1[y] w3[x] w3[y]")
-        assert not is_conflict_serializable(schedule)
+        assert not serialization_graph(schedule).is_acyclic()
         assert is_view_serializable(schedule)
 
     def test_nonserializable_is_not_vsr(self):

@@ -8,11 +8,11 @@ from repro.lmdbs.deadlock import (
     build_waits_for_graph,
     closes_cycle,
     find_deadlock,
-    oldest_victim,
     youngest_victim,
 )
 from repro.lmdbs.lock_manager import LockManager, LockMode
 from repro.lmdbs.protocols.two_phase_locking import StrictTwoPhaseLocking
+from tests.support import deadlock_searches, oldest_victim
 
 
 class TestDetection:
@@ -139,7 +139,7 @@ class TestCheckBlocked:
         protocol.on_commit("T1")
         protocol.on_commit("T2")
         protocol.on_commit("T3")
-        assert protocol.deadlock_searches == 0
+        assert deadlock_searches(protocol) == 0
         assert protocol.deadlocks_found == 0
 
     def test_second_cycle_through_one_requester_is_reported_next(self):
@@ -158,13 +158,13 @@ class TestCheckBlocked:
         protocol.on_write("C", "w")
         assert protocol.on_write("A", "y").victims == ()  # A -> R
         assert protocol.on_write("B", "z").victims == ()  # B -> R
-        assert protocol.deadlock_searches == 0
+        assert deadlock_searches(protocol) == 0
 
         blocked = protocol.on_write("R", "x")  # R -> A, R -> B
         assert blocked.verdict.name == "BLOCK"
         assert blocked.victims == ("A",)
         protocol.on_abort("A")
-        assert protocol.deadlock_searches == 1
+        assert deadlock_searches(protocol) == 1
 
         unrelated = protocol.on_write("D", "w")
         assert unrelated.verdict.name == "BLOCK"
@@ -175,7 +175,7 @@ class TestCheckBlocked:
         # one more search comes back empty and ends the watch
         protocol.on_begin("E")
         assert protocol.on_read("E", "w").victims == ()
-        assert protocol.deadlock_searches == 3
+        assert deadlock_searches(protocol) == 3
         protocol.on_begin("F")
         assert protocol.on_read("F", "w").victims == ()
-        assert protocol.deadlock_searches == 3
+        assert deadlock_searches(protocol) == 3

@@ -17,11 +17,7 @@ from hypothesis import example, given, settings
 
 from repro.baselines.nonconservative import TimestampGTM
 from repro.exceptions import NonSerializableError
-from repro.mdbs.verification import (
-    committed_ser_projection,
-    serialization_order_consistent,
-    verify,
-)
+from repro.mdbs.verification import committed_ser_projection, verify
 from repro.schedules.global_schedule import (
     GlobalSchedule,
     SerOperation,
@@ -40,6 +36,7 @@ from tests.reference.verify_scan import (
     scan_union_graph,
     scan_verify,
 )
+from tests.reference.theorems import serialization_order_consistent
 from tests.test_global_schedule import make_global
 
 SITES = ("s0", "s1", "s2")

@@ -6,6 +6,7 @@ from repro.core.engine import Engine
 from repro.core.events import Ack, Init, Ser
 from repro.core.scheme import ConservativeScheme
 from repro.exceptions import SchedulerError
+from tests.support import wait_set
 
 
 class RecordingScheme(ConservativeScheme):
@@ -61,7 +62,7 @@ class TestEngineBasics:
         engine.enqueue(Init("G1", sites=("s1",)))
         engine.enqueue(Ser("G1", site="s1"))
         engine.run()
-        assert len(engine.wait_set) == 1
+        assert len(wait_set(engine)) == 1
         assert scheme.metrics.waited == {"ser": 1}
 
     def test_wait_drains_on_later_progress(self):
@@ -75,7 +76,7 @@ class TestEngineBasics:
         # since RecordingScheme has no wake_hints)
         engine.enqueue(Init("G2", sites=("s1",)))
         engine.run()
-        assert engine.wait_set == ()
+        assert wait_set(engine) == ()
         assert "ser_s1(G1)" in scheme.acted
 
     def test_submit_and_ack_handlers(self):
@@ -109,7 +110,7 @@ class TestEngineBasics:
         engine.enqueue(Ser("G1", site="s1"))
         engine.run()
         engine.purge_transaction("G1")
-        assert engine.wait_set == ()
+        assert wait_set(engine) == ()
         engine.assert_drained()
 
     def test_purge_forces_rescan(self):

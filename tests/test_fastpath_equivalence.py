@@ -36,7 +36,7 @@ from repro.lmdbs.protocols.base import Verdict
 from repro.lmdbs.protocols.sgt import SerializationGraphTesting
 from repro.mdbs import verify
 from repro.observability import Tracer
-from repro.schedules.conflicts import conflict_edges, conflict_pairs
+from repro.schedules.serialization_graph import serialization_graph
 from repro.transport import build_simulator
 from repro.workloads.traces import random_trace, staggered_trace
 from tests.reference.eliminate_cycles import (
@@ -50,7 +50,9 @@ from tests.reference.ser_all_pairs import (
     closure,
     is_topological_order,
 )
+from tests.reference.serializability import conflict_pairs
 from tests.reference.sgt_restart import RestartSGT
+from tests.support import serialized_before, wait_set
 
 #: SimulationReport fields that define behaviour (the step/op counters
 #: are analytic instrumentation: the closure form of Eliminate_Cycles
@@ -343,7 +345,7 @@ def _run_tsgd_script(script, oracle=False):
         elif kind == "rem":
             tsgd.remove_transaction(op[1])
         elif kind == "dep":
-            tsgd.add_dependency(op[1], op[2], op[3])
+            tsgd.add_dependencies(((op[1], op[2], op[3]),))
         else:  # elim
             steps, avoided = metrics.steps, metrics.dfs_steps_avoided
             delta = tsgd.eliminate_cycles(op[1])
@@ -426,7 +428,7 @@ def _drive_with_aborts(scheme, trace, abort_seed, state, tracer=None):
         log.append(
             (
                 [(op.transaction_id, op.site) for op in engine.submission_log],
-                sorted((op.kind, op.transaction_id) for op in engine.wait_set),
+                sorted((op.kind, op.transaction_id) for op in wait_set(engine)),
                 state(announced),
                 scheme.metrics.steps,
             )
@@ -440,7 +442,7 @@ def _drive_scheme3(scheme, trace, abort_seed):
         trace,
         abort_seed,
         lambda announced: {
-            t: sorted(scheme.serialized_before(t)) for t in announced
+            t: sorted(serialized_before(scheme, t)) for t in announced
         },
     )
 
@@ -586,8 +588,8 @@ def test_sgt_incremental_matches_restart_search():
 
 # -- schedule-layer conflict scans vs all-pairs oracles
 def test_conflict_scans_match_all_pairs_oracles():
-    """``conflict_edges`` equals the edges of the materialised
-    ``conflict_pairs``; ``SerSchedule.serialization_graph`` — the
+    """``serialization_graph``'s bucketed scan has the edges of the
+    all-pairs ``conflict_pairs``; ``SerSchedule.serialization_graph`` — the
     site-order chains — has the nodes, in the same order, and the
     transitive closure of the all-pairs ``conflicts_with`` graph, on at
     most one edge per operation — on the executed schedules of a
@@ -596,7 +598,7 @@ def test_conflict_scans_match_all_pairs_oracles():
     schedule = sim.global_schedule()
     for site in schedule.sites:
         local = schedule.local_schedule(site)
-        assert conflict_edges(local) == {
+        assert set(serialization_graph(local).edges) == {
             pair.edge for pair in conflict_pairs(local)
         }
     oracle = all_pairs_serialization_graph(sim.ser_schedule.operations)

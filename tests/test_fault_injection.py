@@ -49,6 +49,7 @@ from repro.schedules.model import (
     write as write_op,
 )
 from repro.workloads.generator import WorkloadConfig, WorkloadGenerator
+from tests.support import plan_from_mapping
 
 ALL_SCHEME_NAMES = ["scheme0", "scheme1", "scheme2", "scheme3"]
 
@@ -137,9 +138,17 @@ class TestFaultModel:
         assert all(crash.site in ("s0", "s1") for crash in plan.site_crashes)
 
     def test_quiet_plan_has_no_faults(self):
-        plan = FaultPlan.quiet(3)
-        assert plan.is_quiet
-        assert not FaultPlan.random(3, ("s0",)).is_quiet
+        plan = FaultPlan(seed=3)
+        assert not plan.messages.any_enabled
+        assert not (
+            plan.gtm_crashes
+            or plan.site_crashes
+            or plan.crash_after_prepare
+            or plan.crash_after_writes
+            or plan.crash_coordinator_replica
+            or plan.vote_decide_partitions
+        )
+        assert FaultPlan.random(3, ("s0",)) != plan
 
     def test_message_fate_deterministic_per_seed(self):
         """The same seed and channel give the same fates."""
@@ -178,14 +187,14 @@ class TestFaultModel:
     def test_quiet_fate_consumes_no_randomness(self):
         """A quiet plan's fates draw nothing: no stream is even built,
         so the channel's first jitter draw is a fresh injector's."""
-        injector = FaultInjector(FaultPlan.quiet(9))
+        injector = FaultInjector(FaultPlan(seed=9))
         assert injector.message_fate("s0") == (0.0,)
         assert injector._streams == {}
-        fresh = FaultInjector(FaultPlan.quiet(9))
+        fresh = FaultInjector(FaultPlan(seed=9))
         assert injector.jitter(10.0, 0.25, "s0") == fresh.jitter(10.0, 0.25, "s0")
 
     def test_site_down_windows(self):
-        injector = FaultInjector(FaultPlan.quiet(0))
+        injector = FaultInjector(FaultPlan(seed=0))
         injector.mark_down("s0", until=100.0)
         assert injector.site_down("s0", 99.0)
         assert not injector.site_down("s0", 100.0)
@@ -209,7 +218,7 @@ class TestSiteChannel:
 
     def test_duplicate_delivery_executes_once_and_replays_ack(self):
         db = LocalDBMS("s0", make_protocol("strict-2pl"))
-        injector = FaultInjector(FaultPlan.quiet(0))
+        injector = FaultInjector(FaultPlan(seed=0))
         channel = injector.channel("s0")
         results = []
         operation = begin_op("T1", "s0")
@@ -224,7 +233,7 @@ class TestSiteChannel:
 
     def test_unknown_transaction_is_nacked(self):
         db = LocalDBMS("s0", make_protocol("strict-2pl"))
-        injector = FaultInjector(FaultPlan.quiet(0))
+        injector = FaultInjector(FaultPlan(seed=0))
         results = []
         self._deliver(
             injector.channel("s0"), db, 5, write_op("T9", "s0_x1", "s0"),
@@ -235,7 +244,7 @@ class TestSiteChannel:
 
     def test_unwanted_delivery_is_dropped(self):
         db = LocalDBMS("s0", make_protocol("strict-2pl"))
-        injector = FaultInjector(FaultPlan.quiet(0))
+        injector = FaultInjector(FaultPlan(seed=0))
         results = []
         self._deliver(
             injector.channel("s0"), db, 2, begin_op("T2", "s0"), results,
@@ -334,7 +343,7 @@ class TestEquivalence:
         for seed in (0, 3, 11):
             plain = build_simulator(seed, None)
             plain.run()
-            quiet = build_simulator(seed, FaultInjector(FaultPlan.quiet(99)))
+            quiet = build_simulator(seed, FaultInjector(FaultPlan(seed=99)))
             quiet.run()
             assert sorted(plain.committed_global) == sorted(
                 quiet.committed_global
@@ -364,7 +373,7 @@ class TestEquivalence:
         for seed in (1, 5):
             for crash_at in (10.0, 40.0, 90.0):
                 baseline = build_simulator(
-                    seed, FaultInjector(FaultPlan.quiet(0))
+                    seed, FaultInjector(FaultPlan(seed=0))
                 )
                 baseline.run()
                 crashed = build_simulator(
@@ -542,16 +551,20 @@ class TestSiteUp:
         assert site_up(other, injector, now=12.0)
 
     def test_availability_windows_close_on_restart(self):
-        injector = FaultInjector(FaultPlan.quiet(0))
+        injector = FaultInjector(FaultPlan(seed=0))
+
+        def windows_of(site):
+            return [(a, b) for s, a, b in injector.availability_windows if s == site]
+
         injector.mark_down("s0", until=30.0, since=10.0)
         assert injector.availability_windows == []
         injector.mark_up("s0", at=30.0)
         assert injector.availability_windows == [("s0", 10.0, 30.0)]
-        assert injector.windows_of("s0") == ((10.0, 30.0),)
+        assert windows_of("s0") == [(10.0, 30.0)]
         # a second outage appends, never overwrites
         injector.mark_down("s0", until=80.0, since=60.0)
         injector.mark_up("s0", at=80.0)
-        assert injector.windows_of("s0") == ((10.0, 30.0), (60.0, 80.0))
+        assert windows_of("s0") == [(10.0, 30.0), (60.0, 80.0)]
 
 
 class TestWriteCrashPlans:
@@ -567,7 +580,7 @@ class TestWriteCrashPlans:
     def test_from_mapping_builds_write_crashes(self):
         from repro.faults import WriteCrash
 
-        plan = FaultPlan.from_mapping(
+        plan = plan_from_mapping(
             {
                 "seed": 5,
                 "crash_after_writes": [
@@ -578,7 +591,7 @@ class TestWriteCrashPlans:
         assert plan.crash_after_writes == (
             WriteCrash(site="s2", after_writes=3, downtime=12.0),
         )
-        assert not plan.is_quiet
+        assert plan != FaultPlan(seed=plan.seed)
 
     def test_write_crash_fires_on_the_nth_replicated_write(self):
         """A crash keyed to replicated-write progress takes the site

@@ -7,15 +7,11 @@ import pytest
 
 from repro.core import GlobalProgram, GTMSystem, make_scheme
 from repro.lmdbs import LocalDBMS, PROTOCOLS, make_protocol
-from repro.mdbs import (
-    MDBSSimulator,
-    SimulationConfig,
-    assert_verified,
-    serialization_order_consistent,
-)
+from repro.mdbs import MDBSSimulator, SimulationConfig, assert_verified
 from repro.schedules.global_schedule import GlobalSchedule
 from repro.schedules.model import begin, commit, read, write
 from repro.workloads import WorkloadConfig, WorkloadGenerator
+from tests.reference.theorems import serialization_order_consistent
 
 ALL_SCHEMES = ["scheme0", "scheme1", "scheme2", "scheme3", "scheme4"]
 

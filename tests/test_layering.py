@@ -14,7 +14,12 @@
   retry timer in ``ResilientServer._exchange`` is not a message), and
   the few other reads under ``src/repro`` are named exceptions;
 - one function assembles a run: ``build_simulator`` is the only caller of
-  ``MDBSSimulator(…)`` under ``src/repro``.
+  ``MDBSSimulator(…)`` under ``src/repro``;
+- the runtime ships what a run calls: every definition under
+  ``src/repro`` is referenced from another place under ``src/repro``, or
+  is named in ``OUTSIDE_CALLERS`` with the code outside it that calls it
+  (test-only oracles and helpers live under ``tests/``);
+- nothing under ``src/repro`` imports ``tests``.
 """
 
 import ast
@@ -279,3 +284,190 @@ def test_the_construction_walk_sees_a_hand_assembly():
         "Storm.run",
         "build",
     ]
+
+
+#: ``src/repro`` definitions that no ``src/repro`` code references, each
+#: with the outside code that calls it.  An oracle or helper only tests
+#: call belongs under ``tests/``, not here.
+OUTSIDE_CALLERS = {
+    "exceptions.py::DeadlockError": "repro.__all__",
+    "core/metrics.py::SchemeMetrics.total_processed": (
+        "perf/workloads.py, perf/measure.py"
+    ),
+    "lmdbs/storage.py::VersionedStore.committed_value": (
+        "examples/quickstart.py, examples/travel_booking.py"
+    ),
+    "mdbs/simulator.py::MDBSSimulator.transaction_stats": (
+        "benchmarks/test_bench_replication.py"
+    ),
+    "mdbs/simulator.py::MDBSSimulator.verify_serializable": (
+        "examples/quickstart.py, examples/travel_booking.py"
+    ),
+    "mdbs/verification.py::assert_verified": (
+        "examples/banking_transfers.py, benchmarks/test_bench_dav_sweep.py"
+    ),
+    "observability/registry.py::MetricsRegistry.from_snapshot": (
+        "perf/shims.py (a timing-shim target)"
+    ),
+    "observability/registry.py::parse_prometheus": (
+        "the chaos-smoke and parallel-smoke CI jobs read their metrics dumps"
+    ),
+    # inspection accessors the oracles in tests/reference/ read
+    "core/tsgd.py::TSGD.transactions_at": "tests/reference/eliminate_cycles.py",
+    "core/tsgd.py::TSGD.has_dependency": "tests/reference/eliminate_cycles.py",
+    "core/tsgd.py::TSGD.incoming_dependencies": "tests/reference/scheme2_scan.py",
+    "schedules/global_schedule.py::GlobalSchedule.is_globally_serializable": (
+        "tests/reference/theorems.py"
+    ),
+    "schedules/global_schedule.py::GlobalSchedule.are_locals_serializable": (
+        "tests/reference/theorems.py"
+    ),
+    "schedules/model.py::Schedule.precedes": (
+        "tests/reference/serialization_functions.py"
+    ),
+    "schedules/serialization_graph.py::DirectedGraph.nodes": (
+        "tests/reference/ser_all_pairs.py, tests/reference/theorems.py"
+    ),
+    "schedules/serialization_graph.py::DirectedGraph.reachable_from": (
+        "tests/reference/ser_all_pairs.py, tests/reference/theorems.py"
+    ),
+}
+
+
+def definitions(tree):
+    """``(qualified name, node)`` of each module-level function and class
+    and of each public method such a class defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                if isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ) and not child.name.startswith("_"):
+                    yield f"{node.name}.{child.name}", child
+
+
+def references(tree):
+    """``(name, line)`` of every ``Name``, every ``Attribute`` and every
+    identifier-shaped string constant (``getattr`` targets, report
+    fields), except the strings of an ``__all__`` list.  An import is not
+    a reference: a re-export calls nothing."""
+    exports = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+        for inner in ast.walk(node.value)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+            and id(node) not in exports
+        ):
+            yield node.value, node.lineno
+
+
+def uncalled(trees):
+    """``path::qualname`` of each definition in *trees* (path → module
+    AST) whose name is referenced nowhere outside its own body; dunder
+    names are exempt."""
+    sites = {}
+    for path, tree in trees.items():
+        for name, line in references(tree):
+            sites.setdefault(name, []).append((path, line))
+    found = []
+    for path, tree in trees.items():
+        for qualname, node in definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if not any(
+                where != path or not node.lineno <= line <= node.end_lineno
+                for where, line in sites.get(name, ())
+            ):
+                found.append(f"{path}::{qualname}")
+    return sorted(found)
+
+
+def test_every_src_definition_has_a_caller():
+    trees = {
+        str(path.relative_to(SRC)): parse(path) for path in sorted(SRC.rglob("*.py"))
+    }
+    assert uncalled(trees) == sorted(OUTSIDE_CALLERS)
+
+
+def test_the_caller_walk_sees_a_test_only_definition():
+    trees = {
+        "graph.py": ast.parse(
+            "__all__ = ['orders', 'Graph']\n"
+            "class Graph:\n"
+            "    def order(self):\n"
+            "        return self.order()\n"
+            "    def hints(self):\n"
+            "        return ()\n"
+            "    def _helper(self):\n"
+            "        return ()\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+            "def orders(graph):\n"
+            "    return [graph]\n"
+        ),
+        "engine.py": ast.parse(
+            "from graph import Graph, orders\n"
+            "def run():\n"
+            "    return getattr(Graph(), 'hints')()\n"
+        ),
+    }
+    # ``order`` calls only itself, and the import and ``__all__`` name
+    # ``orders`` without calling it; ``hints`` is reached by its string
+    assert uncalled(trees) == [
+        "engine.py::run",
+        "graph.py::Graph.order",
+        "graph.py::orders",
+    ]
+
+
+def imports_of_tests(tree):
+    """Lines of every ``import tests…`` / ``from tests… import …``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "tests" for alias in node.names)
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and not node.level
+            and (node.module or "").split(".")[0] == "tests"
+        )
+    ]
+
+
+def test_nothing_under_src_imports_tests():
+    imports = [
+        (str(path.relative_to(SRC)), line)
+        for path in sorted(SRC.rglob("*.py"))
+        for line in imports_of_tests(parse(path))
+    ]
+    assert imports == []
+
+
+def test_the_import_walk_sees_an_import_of_tests():
+    tree = ast.parse(
+        "import tests.reference.theorems\n"
+        "from tests.support import parse_schedule\n"
+        "from tests import support\n"
+        "import testsuite\n"
+        "from .tests import helper\n"
+        "def check():\n"
+        "    from tests.reference import serializability\n"
+    )
+    assert imports_of_tests(tree) == [1, 2, 3, 7]

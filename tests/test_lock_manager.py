@@ -48,7 +48,7 @@ class TestUpgrades:
         locks = LockManager()
         locks.request("T1", "x", LockMode.SHARED)
         assert locks.request("T1", "x", LockMode.EXCLUSIVE)
-        assert locks.holds("T1", "x", LockMode.EXCLUSIVE)
+        assert locks.holders("x") == {"T1": LockMode.EXCLUSIVE}
 
     def test_contended_upgrade_waits_at_front(self):
         locks = LockManager()
@@ -80,7 +80,8 @@ class TestRelease:
         locks.request("T2", "x", LockMode.EXCLUSIVE)
         granted = locks.release_all("T1")
         assert ("x", "T2", LockMode.EXCLUSIVE) in granted
-        assert locks.locks_of("T1") == frozenset()
+        assert "T1" not in locks.holders("x")
+        assert "T1" not in locks.holders("y")
 
     def test_release_all_removes_queued_requests(self):
         locks = LockManager()
@@ -123,7 +124,7 @@ class TestTryRequest:
     def test_try_grants_when_free(self):
         locks = LockManager()
         assert locks.try_request("T1", "x", LockMode.EXCLUSIVE)
-        assert locks.holds("T1", "x")
+        assert "T1" in locks.holders("x")
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +160,7 @@ def _apply(locks, step):
         return locks.request(txn, *rest)
     if kind == "release_all":
         return locks.release_all(txn)
-    if not locks.holds(txn, rest[0]):
+    if txn not in locks.holders(rest[0]):
         return None
     return locks.release(txn, rest[0])
 

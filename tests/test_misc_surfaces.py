@@ -12,52 +12,39 @@ from repro.exceptions import (
     TransactionAborted,
 )
 from repro.lmdbs.history import HistoryLog
-from repro.analysis.reporting import render_mapping, render_table
+from repro.analysis.reporting import render_table
 from repro.schedules.model import OpType, abort, begin, commit, read
-from repro.mdbs.verification import serialization_order_consistent, verify
+from repro.mdbs.verification import verify
 from repro.schedules.global_schedule import (
     GlobalSchedule,
     SerOperation,
     SerSchedule,
 )
-from repro.schedules.model import parse_schedule
 from tests.reference.lock_table_scan import scan_outcome_of
+from tests.reference.theorems import serialization_order_consistent
+from tests.support import parse_schedule, steps_per_transaction
 
 
 class TestSchemeMetrics:
     def test_steps_per_transaction_without_fins(self):
         metrics = SchemeMetrics()
         metrics.step(10)
-        assert metrics.steps_per_transaction() == 10.0
+        assert steps_per_transaction(metrics) == 10.0
 
     def test_steps_per_transaction_with_fins(self):
         metrics = SchemeMetrics()
         metrics.step(30)
         metrics.note_processed("fin")
         metrics.note_processed("fin")
-        assert metrics.steps_per_transaction() == 15.0
+        assert steps_per_transaction(metrics) == 15.0
 
     def test_summary_keys(self):
         metrics = SchemeMetrics()
         metrics.note_processed("ser")
         metrics.note_waited("ser")
-        summary = metrics.summary()
-        assert summary["processed"] == 1.0
-        assert summary["waited"] == 1.0
-        assert set(summary) == {
-            "steps",
-            "processed",
-            "waited",
-            "wait_ticks",
-            "transactions",
-            "steps_per_txn",
-            "graph_ops",
-            "dfs_steps_avoided",
-            "wake_retries_skipped",
-            "delta_edges",
-            "batches_planned",
-            "plan_edges",
-        }
+        assert metrics.total_processed == 1
+        assert metrics.total_waited == 1
+        assert metrics.processed == metrics.waited == {"ser": 1}
 
 
 class TestHistoryLog:
@@ -122,7 +109,8 @@ class TestExceptions:
 
 class TestReporting:
     def test_render_mapping(self):
-        text = render_mapping({"alpha": 1, "beta": 2.5}, title="facts")
+        mapping = {"alpha": 1, "beta": 2.5}
+        text = render_table(("key", "value"), mapping.items(), title="facts")
         assert text.startswith("facts")
         assert "alpha" in text and "2.50" in text
 

@@ -22,13 +22,13 @@ from repro.observability import (
     replay_check,
     report_to_registry,
     scheme_metrics_to_registry,
-    spans_from_jsonl,
 )
 from repro.observability.export import metric_segment
 from repro.observability.registry import DEFAULT_BUCKETS
 from repro.replication import ReplicationStats
 from repro.workloads.traces import adversarial_trace, drive, random_trace
 from tests.reference import export_by_hand
+from tests.support import spans_from_jsonl
 from tests.test_fastpath_equivalence import (
     GROUP_STORM,
     REPLICATION_STORM,
@@ -74,7 +74,10 @@ class TestRegistry:
         histogram = registry.histogram("commit.latency_ms", (1.0, 5.0))
         for value in (0.5, 0.7, 3.0, 100.0):
             histogram.observe(value)
-        assert histogram.cumulative_counts() == [2, 3]
+        assert histogram.counts == [2, 1]
+        dump = registry.render_prometheus()
+        assert 'commit_latency_ms_bucket{le="1"} 2' in dump
+        assert 'commit_latency_ms_bucket{le="5"} 3' in dump
         assert histogram.inf_count == 1  # only 100.0 exceeds every edge
         assert histogram.count == 4
         assert histogram.total == pytest.approx(104.2)
@@ -99,7 +102,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("a.b").inc(3)
         registry.histogram("c.d", (1.0,)).observe(0.5)
-        payload = json.loads(registry.to_json())
+        payload = json.loads(json.dumps(registry.snapshot(), sort_keys=True))
         restored = MetricsRegistry.from_snapshot(payload)
         assert restored.counter("a.b").value == 3
 
@@ -161,7 +164,7 @@ class TestTracerDeterminism:
         plain = drive(make_scheme("scheme2"), random_trace(8, 3, 2, seed=0))
         tracer = Tracer()
         traced = drive(make_scheme("scheme2"), trace, tracer=tracer)
-        assert traced.metrics.summary() == plain.metrics.summary()
+        assert traced.metrics == plain.metrics
         assert [
             (op.transaction_id, op.site) for op in traced.ser_schedule
         ] == [(op.transaction_id, op.site) for op in plain.ser_schedule]

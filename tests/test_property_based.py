@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from repro.core import Scheme0, Scheme1, Scheme2, Scheme3
 from repro.core.tsgd import TSGD, candidate_dependencies
 from repro.lmdbs.lock_manager import LockManager, LockMode
-from repro.schedules.csr import (
-    is_conflict_serializable,
-    serial_schedule,
-    serializability_witness,
-)
 from repro.schedules.model import Operation, OpType, Schedule
+from repro.schedules.serialization_graph import serialization_graph
 from repro.workloads.traces import Trace, TraceRecord, drive
+from tests.reference.serializability import serial_schedule
 
 # ----------------------------------------------------------------------
 # strategies
@@ -95,32 +92,30 @@ class TestScheduleProperties:
     def test_witness_order_is_conflict_consistent(self, schedule):
         """If CSR, replaying transactions serially in witness order must
         leave every conflict pair ordered consistently with the SG."""
-        if not is_conflict_serializable(schedule):
+        if not serialization_graph(schedule).is_acyclic():
             return
-        witness = serializability_witness(schedule)
+        witness = serialization_graph(schedule).topological_order()
         serial = serial_schedule(schedule, witness)
-        assert is_conflict_serializable(serial)
+        assert serialization_graph(serial).is_acyclic()
         position = {t: i for i, t in enumerate(witness)}
-        from repro.schedules.conflicts import conflict_edges
-
-        for source, target in conflict_edges(schedule):
+        for source, target in serialization_graph(schedule).edges:
             assert position[source] < position[target]
 
     @given(schedules())
     @settings(max_examples=60)
     def test_serial_schedules_always_serializable(self, schedule):
         order = tuple(dict.fromkeys(op.transaction_id for op in schedule))
-        assert is_conflict_serializable(serial_schedule(schedule, order))
+        assert serialization_graph(serial_schedule(schedule, order)).is_acyclic()
 
     @given(schedules())
     @settings(max_examples=60)
     def test_projection_preserves_serializability(self, schedule):
         """Removing whole transactions cannot create a cycle."""
-        if not is_conflict_serializable(schedule):
+        if not serialization_graph(schedule).is_acyclic():
             return
         ids = schedule.transaction_ids
         projected = schedule.projection(ids[: max(1, len(ids) // 2)])
-        assert is_conflict_serializable(projected)
+        assert serialization_graph(projected).is_acyclic()
 
 
 # ----------------------------------------------------------------------

@@ -8,16 +8,14 @@ from hypothesis import given, settings
 
 from repro.lmdbs import LocalDBMS, make_protocol
 from repro.lmdbs.database import SubmitStatus
-from repro.schedules.csr import is_conflict_serializable
 from repro.schedules.model import begin, commit, read, write
-from repro.schedules.recoverability import (
-    avoids_cascading_aborts,
-    is_strict,
-)
 from repro.schedules.serialization_functions import (
     BeginSerializationFunction,
     CommitSerializationFunction,
 )
+from repro.schedules.serialization_graph import serialization_graph
+from tests.reference.recoverability import avoids_cascading_aborts, is_strict
+from tests.reference.serialization_functions import is_valid_for
 
 PROTOCOL_NAMES = [
     "strict-2pl",
@@ -104,7 +102,7 @@ class TestUniversalProtocolProperties:
         for name in PROTOCOL_NAMES:
             db = run_script(name, programs, choices)
             committed = db.history.committed_schedule()
-            assert is_conflict_serializable(committed), name
+            assert serialization_graph(committed).is_acyclic(), name
 
     @given(client_scripts())
     @settings(max_examples=25, deadline=None)
@@ -135,7 +133,7 @@ class TestUniversalProtocolProperties:
             db = run_script(name, programs, choices)
             committed = db.history.committed_schedule()
             if committed.transaction_ids:
-                assert strategy.is_valid_for(committed), name
+                assert is_valid_for(strategy, committed), name
 
     @given(client_scripts())
     @settings(max_examples=25, deadline=None)

@@ -10,9 +10,10 @@ from repro.lmdbs import LocalDBMS, make_protocol
 from repro.lmdbs.database import SubmitStatus
 from repro.lmdbs.protocols.base import Verdict
 from repro.lmdbs.protocols.two_phase_locking import PreventionTwoPhaseLocking
-from repro.schedules.csr import is_conflict_serializable
 from repro.schedules.model import begin, commit, read, write
 from repro.schedules.serialization_functions import CommitSerializationFunction
+from repro.schedules.serialization_graph import serialization_graph
+from tests.reference.serialization_functions import is_valid_for
 
 
 class TestPolicyValidation:
@@ -124,9 +125,9 @@ class TestNoDeadlocks:
             if ok and db.is_active(txn) and not db.is_blocked(txn):
                 db.submit(commit(txn, "s1"))
         history = db.history.committed_schedule()
-        assert is_conflict_serializable(history)
+        assert serialization_graph(history).is_acyclic()
         if history.transaction_ids:
-            assert CommitSerializationFunction().is_valid_for(history)
+            assert is_valid_for(CommitSerializationFunction(), history)
 
     def test_gtm_integration(self, policy):
         sites = {

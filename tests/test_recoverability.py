@@ -7,14 +7,15 @@ import pytest
 
 from repro.lmdbs import LocalDBMS, make_protocol
 from repro.lmdbs.database import SubmitStatus
-from repro.schedules.model import begin, commit, parse_schedule, read, write
-from repro.schedules.recoverability import (
+from repro.schedules.model import begin, commit, read, write
+from tests.reference.recoverability import (
     avoids_cascading_aborts,
     classify,
     is_recoverable,
     is_strict,
     reads_from_pairs,
 )
+from tests.support import parse_schedule
 
 
 class TestReadsFrom:

@@ -17,6 +17,7 @@ from repro.core.events import Ack, Fin, Init, Ser
 from repro.core.recovery import Journal, recover_engine
 from repro.faults import FaultInjector, FaultPlan
 from repro.mdbs.events import EventLoop
+from tests.support import vote_durable
 
 
 @st.composite
@@ -279,7 +280,7 @@ class TestCoordinatorGroupQuorumProperty:
             ]
             assert len(accepted) >= quorum, (incarnation, value, accepted)
         for _, incarnation, site in storm["votes"]:
-            if group.vote_durable(incarnation, site):
+            if vote_durable(group, incarnation, site):
                 logged = [
                     replica.rank
                     for replica in group.replicas

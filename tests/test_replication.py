@@ -116,15 +116,14 @@ class TestReplicaMap:
     def test_single_copy_items_are_not_replicated(self):
         rmap = ReplicaMap.build(["x0", "x1"], SITES, degree=1)
         assert not rmap.is_replicated("x0")
-        assert rmap.holds("s0", "x0")
-        assert not rmap.holds("s1", "x0")
+        assert "s0" in rmap.sites_of("x0")
+        assert "s1" not in rmap.sites_of("x0")
         assert rmap.replicated_items_at("s0") == ()
 
     def test_lookup_tables_agree(self):
         rmap = ReplicaMap.build([f"x{i}" for i in range(6)], SITES, 2)
         for site in SITES:
             for item in rmap.items_at(site):
-                assert rmap.holds(site, item)
                 assert site in rmap.sites_of(item)
 
     def test_malformed_maps_are_rejected(self):
@@ -354,7 +353,7 @@ class TestReplicatedRuns:
             LogicalProgram.build("G1", [("w", "x0")]), at=0.0
         )
         simulator.run()
-        stamp = simulator.sites["s0"].history.commit_time_of("G1")
+        stamp = simulator.sites["s0"].storage.versions_of("x0")[-1].committed_at
         assert stamp is not None
         for site in SITES:
             before = simulator.sites[site].storage.get_committed_version_at(

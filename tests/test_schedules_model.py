@@ -7,14 +7,17 @@ from repro.schedules.model import (
     Operation,
     OpType,
     Schedule,
-    Transaction,
     begin,
     commit,
+    read,
+    write,
+)
+from tests.support import (
+    Transaction,
     interleave,
     parse_schedule,
-    read,
+    restriction,
     transactions_of,
-    write,
 )
 
 
@@ -124,21 +127,21 @@ class TestTransaction:
         first = txn.read("x")
         second = txn.write("y")
         txn.commit()
-        restricted = txn.restriction([second, first])
+        restricted = restriction(txn, [second, first])
         assert list(restricted) == [first, second]
 
     def test_restriction_rejects_foreign_operations(self):
         txn = Transaction("T1")
         txn.begin()
         with pytest.raises(ScheduleError):
-            txn.restriction([read("T2", "x")])
+            restriction(txn, [read("T2", "x")])
 
     def test_operations_at_site(self):
         txn = Transaction("G1", is_global=True)
         txn.begin("s1")
         txn.read("x", "s1")
         txn.begin("s2")
-        assert len(txn.operations_at("s1")) == 2
+        assert len([op for op in txn if op.site == "s1"]) == 2
 
 
 class TestSchedule:

@@ -16,6 +16,7 @@ from repro.core.scheme4 import Scheme4
 from repro.exceptions import SchedulerError
 from repro.lmdbs import LocalDBMS, make_protocol
 from repro.workloads.traces import Trace, TraceRecord, drive
+from tests.support import serialized_before
 
 ALL_SCHEMES = [Scheme0, Scheme1, Scheme2, Scheme3, Scheme4]
 
@@ -234,14 +235,14 @@ class TestScheme3:
         h.push(Ser("G1", site="s1"))
         h.ack("G1", "s1")
         h.push(Init("G2", sites=("s1",)))
-        assert scheme.serialized_before("G2") == {"G1"}
+        assert serialized_before(scheme, "G2") == {"G1"}
 
     def test_eager_update_of_waiters(self):
         scheme = Scheme3()
         h = Harness(scheme)
         h.push(Init("G1", sites=("s1",)), Init("G2", sites=("s1",)))
         h.push(Ser("G1", site="s1"))
-        assert scheme.serialized_before("G2") == {"G1"}
+        assert serialized_before(scheme, "G2") == {"G1"}
 
     def test_blocks_contradictory_order(self):
         scheme = Scheme3()
@@ -285,7 +286,7 @@ class TestScheme3:
         h.ack("G1", "s1")
         h.push(Ser("G2", site="s2"))  # G2 < G3
         h.ack("G2", "s2")
-        assert "G1" in scheme.serialized_before("G3")
+        assert "G1" in serialized_before(scheme, "G3")
 
     def test_fin_waits_until_ser_bef_empty(self):
         scheme = Scheme3()

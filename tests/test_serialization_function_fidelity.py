@@ -21,6 +21,8 @@ from repro.schedules.serialization_functions import (
 from repro.workloads.generator import LocalProgram
 from tests.reference.serialization_functions import (
     FirstOperationSerializationFunction,
+    image,
+    is_valid_for,
 )
 
 
@@ -90,28 +92,28 @@ class TestNativeStrategies:
     def test_commit_image_valid_for_strict_2pl(self, seed):
         history = run_random_local_workload("strict-2pl", seed)
         if history.transaction_ids:
-            assert CommitSerializationFunction().is_valid_for(history)
+            assert is_valid_for(CommitSerializationFunction(), history)
 
     def test_begin_image_valid_for_to(self, seed):
         history = run_random_local_workload("to", seed)
         if history.transaction_ids:
-            assert BeginSerializationFunction().is_valid_for(history)
+            assert is_valid_for(BeginSerializationFunction(), history)
 
     def test_begin_image_valid_for_conservative_2pl(self, seed):
         history = run_random_local_workload("conservative-2pl", seed)
         if history.transaction_ids:
-            assert BeginSerializationFunction().is_valid_for(history)
+            assert is_valid_for(BeginSerializationFunction(), history)
 
     def test_begin_image_valid_for_conservative_to(self, seed):
         history = run_random_local_workload("conservative-to", seed)
         if history.transaction_ids:
-            assert BeginSerializationFunction().is_valid_for(history)
+            assert is_valid_for(BeginSerializationFunction(), history)
 
     def test_first_op_image_valid_for_conservative_to(self, seed):
         # the choice the protocol does not declare holds on the same runs
         history = run_random_local_workload("conservative-to", seed)
         if history.transaction_ids:
-            assert FirstOperationSerializationFunction().is_valid_for(history)
+            assert is_valid_for(FirstOperationSerializationFunction(), history)
 
 
 @pytest.mark.parametrize("protocol", ["sgt", "occ"])
@@ -139,7 +141,7 @@ class TestTicketStrategy:
         ]
         projected = history.projection(global_ids)
         if projected.transaction_ids:
-            assert strategy.is_valid_for(projected)
+            assert is_valid_for(strategy, projected)
 
 
 class TestStrategyCounterexamples:
@@ -159,7 +161,7 @@ class TestStrategyCounterexamples:
         db.submit(commit("T1", "s1"))
         history = db.history.committed_schedule()
         # T2 serialized before T1, but T1's begin precedes T2's begin
-        assert not BeginSerializationFunction().is_valid_for(history)
+        assert not is_valid_for(BeginSerializationFunction(), history)
 
     def test_commit_image_invalid_for_sgt_history(self):
         # SGT also breaks the commit-order image: T1 serialized before
@@ -172,7 +174,7 @@ class TestStrategyCounterexamples:
         db.submit(commit("T2", "s1"))
         db.submit(commit("T1", "s1"))
         history = db.history.committed_schedule()
-        assert not CommitSerializationFunction().is_valid_for(history)
+        assert not is_valid_for(CommitSerializationFunction(), history)
 
 
 def run_mixed_workload(protocol, scheme_name, seed, monkeypatch):
@@ -255,10 +257,10 @@ class TestPlanImageValidity:
                 for incarnation in history.transaction_ids:
                     if incarnation not in plans:
                         continue  # a local transaction
-                    image = function.image(history, incarnation)
+                    image_op = image(function, history, incarnation)
                     flagged = flagged_image(plans[incarnation], site)
-                    assert shape(flagged) == shape(image), (seed, site)
-                    images[incarnation] = image
+                    assert shape(flagged) == shape(image_op), (seed, site)
+                    images[incarnation] = image_op
                 graph = serialization_graph(history)
                 for source, source_image in images.items():
                     for target in graph.reachable_from(source):

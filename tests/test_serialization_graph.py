@@ -3,12 +3,13 @@
 import pytest
 
 from repro.exceptions import NonSerializableError
-from repro.schedules.model import parse_schedule
 from repro.schedules.serialization_graph import (
     DirectedGraph,
     serialization_graph,
     union_graph,
 )
+from tests.reference.serializability import all_topological_orders
+from tests.support import parse_schedule
 
 
 class TestDirectedGraph:
@@ -89,9 +90,9 @@ class TestDirectedGraph:
         graph.add_node("a")
         graph.add_node("b")
         graph.add_node("c")
-        assert len(graph.all_topological_orders()) == 6
+        assert len(all_topological_orders(graph)) == 6
         graph.add_edge("a", "b")
-        assert len(graph.all_topological_orders()) == 3
+        assert len(all_topological_orders(graph)) == 3
 
     def test_reachable_from(self):
         graph = DirectedGraph()

@@ -121,7 +121,7 @@ class TestSimulation:
 class TestVerificationLayer:
     def test_verify_reports_cycle(self):
         from repro.schedules.global_schedule import GlobalSchedule
-        from repro.schedules.model import parse_schedule
+        from tests.support import parse_schedule
 
         gs = GlobalSchedule(
             {
@@ -137,7 +137,7 @@ class TestVerificationLayer:
 
     def test_verify_ok_with_witness(self):
         from repro.schedules.global_schedule import GlobalSchedule
-        from repro.schedules.model import parse_schedule
+        from tests.support import parse_schedule
 
         gs = GlobalSchedule(
             {"s1": parse_schedule("rG1[a] wG2[a]", site="s1")},

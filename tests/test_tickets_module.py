@@ -1,6 +1,7 @@
 """Tests for the ticket dispenser helper."""
 
-from repro.lmdbs.protocols.tickets import DEFAULT_TICKET_ITEM, TicketDispenser
+from repro.schedules.serialization_functions import DEFAULT_TICKET_ITEM
+from tests.support import TicketDispenser
 
 
 class TestTicketDispenser:

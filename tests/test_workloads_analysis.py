@@ -6,13 +6,13 @@ import pytest
 
 from repro.analysis import bench, dominance, fit_exponent, mean_waits, render_table
 from repro.workloads import (
-    HotspotItems,
     UniformItems,
     WorkloadConfig,
     WorkloadGenerator,
     ZipfItems,
     make_items,
 )
+from tests.support import HotspotItems
 
 
 def _paper_cells(sweep, schemes, values, seeds=(0,)):
