@@ -101,7 +101,7 @@ def chaos_demo():
           f"{report.failed_global} failed, {report.global_aborts} aborts")
 
     verification = verify(simulator.global_schedule(), simulator.ser_schedule)
-    exactness = simulator.exactly_once_report()
+    exactness = simulator.atomicity_report().exactly_once
     assert verification.ok, verification.cycle
     assert exactness.ok, (exactness.duplicated, exactness.lost)
     assert simulator.loop.pending == 0

@@ -79,13 +79,9 @@ class TwoPhaseCoordinator:
         self,
         decision_log,
         stats: Optional[CommitStats] = None,
-        tracer=None,
     ) -> None:
         self.decision_log = decision_log
         self.stats = stats or CommitStats()
-        #: optional :class:`repro.observability.Tracer` for decision /
-        #: inquiry spans; never consulted for protocol behaviour
-        self.tracer = tracer
         self._commits: Set[str] = set(self.decision_log.commit_decisions())
         #: incarnations with an open voting round: inquiries about them
         #: are answered "undecided" instead of presumed-abort
@@ -157,17 +153,9 @@ class TwoPhaseCoordinator:
             return
         self._commits.add(incarnation)
         self.stats.commit_decisions += 1
-        if self.tracer is not None:
-            self.tracer.event(
-                "commit.decide", txn=incarnation, decision="COMMIT"
-            )
 
     def _record_abort(self, incarnation: str) -> None:
         self.stats.abort_decisions += 1
-        if self.tracer is not None:
-            self.tracer.event(
-                "commit.decide", txn=incarnation, decision="ABORT"
-            )
 
     # ------------------------------------------------------------------
     # queries
@@ -185,14 +173,6 @@ class TwoPhaseCoordinator:
             answer = None
         else:
             answer = False
-        if self.tracer is not None:
-            self.tracer.event(
-                "commit.inquiry",
-                txn=incarnation,
-                answer={True: "COMMIT", False: "ABORT", None: "undecided"}[
-                    answer
-                ],
-            )
         return answer
 
     # ------------------------------------------------------------------
@@ -203,13 +183,12 @@ class TwoPhaseCoordinator:
         cls,
         decision_log,
         stats: Optional[CommitStats] = None,
-        tracer=None,
     ) -> "TwoPhaseCoordinator":
         """Rebuild after a GTM2 crash: the durable COMMIT decisions are
         replayed from the decision log; everything else is presumed
         aborted until the caller re-opens its surviving voting rounds
         via :meth:`begin_voting`."""
-        coordinator = cls(decision_log, stats, tracer)
+        coordinator = cls(decision_log, stats)
         coordinator.stats.coordinator_recoveries += 1
         return coordinator
 

@@ -184,7 +184,6 @@ class CoordinatorGroup:
         loop,
         send: Callable[[Callable[[], None], str], None],
         stats: Optional[CommitGroupStats] = None,
-        tracer=None,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
         if size < 1:
@@ -196,7 +195,6 @@ class CoordinatorGroup:
         self.loop = loop
         self.send = send
         self.stats = stats or CommitGroupStats()
-        self.tracer = tracer
         self.retry = retry or RetryPolicy()
         self.replicas = [CoordinatorReplica(rank) for rank in range(size)]
         #: ground truth: values durably chosen by consensus.  Written
@@ -315,13 +313,6 @@ class CoordinatorGroup:
             def log(replica: CoordinatorReplica) -> bool:
                 if replica.log_vote(incarnation, site, site_list):
                     self.stats.votes_logged += 1
-                    if self.tracer is not None:
-                        self.tracer.event(
-                            "commit.group.vote_logged",
-                            txn=incarnation,
-                            site=site,
-                            replica=replica.rank,
-                        )
                     if self.on_vote_logged is not None:
                         self.on_vote_logged(replica.rank, replica.votes_logged)
                 return True  # logged now or before: acknowledge either way
@@ -481,13 +472,6 @@ class CoordinatorGroup:
         if expected and votes >= set(expected):
             return True
         self.stats.presumed_aborts += 1
-        if self.tracer is not None:
-            self.tracer.event(
-                "commit.group.presume_abort",
-                txn=incarnation,
-                votes=len(votes),
-                expected=len(expected),
-            )
         return False
 
     def _accept_round(
@@ -523,12 +507,6 @@ class CoordinatorGroup:
         self.chosen[incarnation] = value
         self.stats.decision_quorums += 1
         self.stats.quorum_rtts.append(self.loop.now - started)
-        if self.tracer is not None:
-            self.tracer.event(
-                "commit.group.chosen",
-                txn=incarnation,
-                decision="COMMIT" if value else "ABORT",
-            )
         for replica in self.replicas:
 
             def deliver(replica: CoordinatorReplica = replica) -> None:
@@ -553,10 +531,6 @@ class CoordinatorGroup:
                 return False
         self._recovering.add(incarnation)
         self.stats.takeovers += 1
-        if self.tracer is not None:
-            self.tracer.event(
-                "commit.group.takeover", txn=incarnation, replica=rank
-            )
         self.propose(incarnation, None, proposer_rank=rank)
         return True
 
@@ -598,8 +572,6 @@ class CoordinatorGroup:
             return False
         replica.up = False
         self.stats.replica_crashes += 1
-        if self.tracer is not None:
-            self.tracer.event("commit.group.crash", replica=rank)
         return True
 
     def restart_replica(self, rank: int) -> None:
@@ -607,8 +579,6 @@ class CoordinatorGroup:
         if replica.up:
             return
         replica.up = True
-        if self.tracer is not None:
-            self.tracer.event("commit.group.restart", replica=rank)
 
     def partition_leader(self, duration: float) -> Optional[int]:
         """The vote/decision partition: the acting leader *and* the GTM
@@ -623,10 +593,6 @@ class CoordinatorGroup:
         )
         self._gtm_partitioned_until = max(self._gtm_partitioned_until, until)
         self.stats.partitions += 1
-        if self.tracer is not None:
-            self.tracer.event(
-                "commit.group.partition", replica=rank, until=until
-            )
         return rank
 
     def __repr__(self) -> str:

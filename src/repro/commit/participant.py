@@ -70,14 +70,10 @@ class CommitParticipant:
         resolvers: Sequence[Tuple[str, Resolve]],
         peers: Optional[Callable[[str], Sequence["CommitParticipant"]]] = None,
         on_yes_vote: Optional[Callable[[str, int], None]] = None,
-        tracer=None,
         site_up: Optional[Callable[[], bool]] = None,
         vote_broadcast: Optional[Callable[[str], None]] = None,
     ) -> None:
         self.site = site
-        #: optional :class:`repro.observability.Tracer` for vote /
-        #: decision / inquiry spans; never drives protocol behaviour
-        self.tracer = tracer
         self.db = db
         self.loop = loop
         self.policy = policy
@@ -135,38 +131,18 @@ class CommitParticipant:
             # still in flight: refuse — safe, because a participant may
             # abort unilaterally at any point before it votes YES
             self.stats.votes_no += 1
-            if self.tracer is not None:
-                self.tracer.event(
-                    "commit.vote",
-                    txn=incarnation,
-                    site=self.site,
-                    vote="NO",
-                    reason="not active",
-                )
             return False
         decision = self.db.protocol.on_prepare(incarnation)
         if decision.verdict is not Verdict.GRANT:
             # validation failure (OCC) or any other refusal: the vote is
             # NO and the subtransaction dies here and now
             self.stats.votes_no += 1
-            if self.tracer is not None:
-                self.tracer.event(
-                    "commit.vote",
-                    txn=incarnation,
-                    site=self.site,
-                    vote="NO",
-                    reason=decision.reason or "prepare refused",
-                )
             self.db.abort_transaction(
                 incarnation, decision.reason or "prepare refused"
             )
             return False
         self.db.history.mark_prepared(incarnation)
         self.stats.votes_yes += 1
-        if self.tracer is not None:
-            self.tracer.event(
-                "commit.vote", txn=incarnation, site=self.site, vote="YES"
-            )
         self._enter_in_doubt(incarnation)
         self._yes_votes += 1
         if self.on_yes_vote is not None:
@@ -181,13 +157,6 @@ class CommitParticipant:
     def on_decide(self, incarnation: str, commit: bool, ack: DecisionAck) -> None:
         """Apply the coordinator's decision, idempotently."""
         self.stats.decides_delivered += 1
-        if self.tracer is not None:
-            self.tracer.event(
-                "commit.decide.deliver",
-                txn=incarnation,
-                site=self.site,
-                decision="COMMIT" if commit else "ABORT",
-            )
         outcome = self.db.history.outcome_of(incarnation)
         if not commit:
             if (
@@ -317,14 +286,6 @@ class CommitParticipant:
             self.stats.resolved_by_coordinator += 1
         else:
             self.stats.resolved_by_replica += 1
-            if self.tracer is not None:
-                self.tracer.event(
-                    "commit.group.resolve",
-                    txn=incarnation,
-                    site=self.site,
-                    replica=source,
-                    decision="COMMIT" if commit else "ABORT",
-                )
         self.on_decide(incarnation, commit, lambda ok: None)
 
     # ------------------------------------------------------------------
@@ -347,12 +308,6 @@ class CommitParticipant:
         log re-enters the in-doubt ledger and immediately runs a
         termination round against the peers and the resolvers."""
         for incarnation in sorted(self.db.history.prepared_transactions):
-            if self.tracer is not None:
-                self.tracer.event(
-                    "commit.recovery_inquiry",
-                    txn=incarnation,
-                    site=self.site,
-                )
             if incarnation not in self._in_doubt_since:
                 self._in_doubt_since[incarnation] = self.loop.now
             timer = self._termination_timers.pop(incarnation, None)

@@ -239,7 +239,6 @@ def recover_engine(
     submit_handler: Optional[SubmitHandler] = None,
     ack_handler: Optional[AckHandler] = None,
     new_journal: Optional[Journal] = None,
-    tracer=None,
 ) -> Engine:
     """Recover a live GTM2 from *journal*: replay the processed prefix
     into *scheme*, attach the (fresh) scheme to a new engine, and
@@ -257,7 +256,6 @@ def recover_engine(
         submit_handler=submit_handler,
         ack_handler=ack_handler,
         journal=new_journal if new_journal is not None else journal,
-        tracer=tracer,
     )
     # re-binding happened in Engine.__init__; do not double-log the
     # outstanding operations — they are already in the journal

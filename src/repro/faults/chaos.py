@@ -33,7 +33,6 @@ from repro.mdbs.verification import (
     ExactlyOnceReport,
     ReplicaConsistencyReport,
     VerificationReport,
-    check_exactly_once,
     verify,
 )
 from repro.replication import ReplicaMap
@@ -216,9 +215,11 @@ def run_chaos(options: ChaosOptions, seed: int) -> ChaosResult:
     """Run one seeded chaos storm and verify it from ground truth."""
     simulator = build_simulator(chaos_job(options, seed))
     report = simulator.run()
-    verification = verify(simulator.global_schedule(), simulator.ser_schedule)
-    exactly_once = simulator.exactly_once_report()
-    atomicity = simulator.atomicity_report()
+    # the ground truth is built once and checked once: the atomicity
+    # verdict wraps the run's one exactly-once report
+    schedule = simulator.global_schedule()
+    verification = verify(schedule, simulator.ser_schedule)
+    atomicity = simulator.atomicity_report(schedule)
     resolved = set(simulator.committed_global) | set(simulator.failed_global)
     router = simulator.router
     if router is not None:
@@ -237,7 +238,7 @@ def run_chaos(options: ChaosOptions, seed: int) -> ChaosResult:
         options=options,
         report=report,
         verification=verification,
-        exactly_once=exactly_once,
+        exactly_once=atomicity.exactly_once,
         atomicity=atomicity,
         terminated=terminated,
         unresolved=unresolved,

@@ -2,10 +2,9 @@
 
 Local 2PL schedulers detect deadlocks by cycle search over the waits-for
 graph exposed by their :class:`~repro.lmdbs.lock_manager.LockManager` and
-abort a victim.  Victim selection is pluggable; the default picks the
-youngest transaction in the cycle (fewest completed operations is a
-common proxy; here we use the lexicographically greatest begin sequence,
-supplied by the caller as a priority map).
+abort a victim: the youngest transaction in the cycle (fewest completed
+operations is a common proxy; here we use the greatest begin sequence,
+kept by the detector as an age map).
 """
 
 from __future__ import annotations
@@ -56,10 +55,6 @@ def youngest_victim(
     return max(cycle, key=lambda txn: (ages.get(txn, 0), txn))
 
 
-#: Signature of a victim-selection policy.
-VictimPolicy = Callable[[Tuple[str, ...], Dict[str, int]], str]
-
-
 class DeadlockDetector:
     """Stateful detector bound to a lock manager.
 
@@ -83,10 +78,8 @@ class DeadlockDetector:
     def __init__(
         self,
         waits_for_source: Callable[[], Set[Tuple[str, str]]],
-        policy: VictimPolicy = youngest_victim,
     ) -> None:
         self._waits_for_source = waits_for_source
-        self._policy = policy
         self._ages: Dict[str, int] = {}
         self._age_counter = 0
         #: number of deadlocks detected (for metrics)
@@ -122,4 +115,4 @@ class DeadlockDetector:
         if cycle is None:
             return None
         self.deadlocks_found += 1
-        return self._policy(cycle, self._ages), cycle
+        return youngest_victim(cycle, self._ages), cycle

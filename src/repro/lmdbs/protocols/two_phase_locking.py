@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.exceptions import ProtocolViolation
-from repro.lmdbs.deadlock import DeadlockDetector, VictimPolicy, youngest_victim
+from repro.lmdbs.deadlock import DeadlockDetector
 from repro.lmdbs.lock_manager import LockManager, LockMode
 from repro.lmdbs.protocols.base import Decision, LocalScheduler
 from repro.schedules.serialization_functions import (
@@ -36,11 +36,9 @@ class StrictTwoPhaseLocking(LocalScheduler):
     name = "strict-2pl"
     serialization_function = CommitSerializationFunction()
 
-    def __init__(self, victim_policy: VictimPolicy = youngest_victim) -> None:
+    def __init__(self) -> None:
         self._locks = LockManager()
-        self._detector = DeadlockDetector(
-            self._locks.waits_for_edges, victim_policy
-        )
+        self._detector = DeadlockDetector(self._locks.waits_for_edges)
         self._active: Set[str] = set()
 
     # ------------------------------------------------------------------

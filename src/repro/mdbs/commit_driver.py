@@ -40,7 +40,6 @@ class CommitDriver:
         plane: MessagePlane,
         sites: Mapping[str, LocalDBMS],
         policy: CommitPolicy,
-        tracer,
         journal: Journal,
         group_size: int,
         faults: Optional[FaultScheduler],
@@ -52,7 +51,6 @@ class CommitDriver:
         self._sites = sites
         self._plane = plane
         self._loop = plane.loop
-        self._tracer = tracer
         self._is_up = is_up
         self._purge_gtm2 = purge_gtm2
         self._record_commit = record_commit
@@ -65,8 +63,7 @@ class CommitDriver:
         self.group: Optional[CoordinatorGroup] = None
         if group_size >= 1:
             group = self.group = CoordinatorGroup(
-                group_size, self._loop, plane.send, tracer=tracer,
-                retry=plane.retry,
+                group_size, self._loop, plane.send, retry=plane.retry
             )
             if faults is not None:
                 # fault points: a replica crashes keyed to its vote-log
@@ -96,9 +93,7 @@ class CommitDriver:
                 ("coordinator", lambda inc: self.coordinator.resolve(inc)),
             )
             self._decision_log = JournalDecisionLog(journal)
-        self.coordinator = TwoPhaseCoordinator(
-            self._decision_log, self.stats, tracer
-        )
+        self.coordinator = TwoPhaseCoordinator(self._decision_log, self.stats)
         self.participants: Dict[str, CommitParticipant] = {
             site: CommitParticipant(
                 site,
@@ -119,7 +114,6 @@ class CommitDriver:
                     if faults is not None
                     else None
                 ),
-                tracer=tracer,
                 site_up=partial(is_up, site),
                 vote_broadcast=(
                     (lambda inc, s=site: self.broadcast_vote(inc, s))
@@ -164,7 +158,7 @@ class CommitDriver:
         still tracks (its bookkeeping survives) so in-doubt inquiries
         made mid-vote are not prematurely presumed abort."""
         self.coordinator = TwoPhaseCoordinator.recover(
-            self._decision_log, self.stats, self._tracer
+            self._decision_log, self.stats
         )
         for incarnation in live:
             self.coordinator.begin_voting(incarnation)
@@ -208,7 +202,6 @@ class CommitDriver:
                 self._deliver_commit_decides(incarnation, sites, started)
                 return
             self.group.stats.commits_overruled += 1
-            self._trace_overruled(incarnation, "COMMIT", "ABORT")
             overruled()
 
         self.coordinator.decide_commit(incarnation, on_durable=durable)
@@ -231,22 +224,10 @@ class CommitDriver:
                 aborted()
                 return
             self.group.stats.aborts_overruled += 1
-            self._trace_overruled(incarnation, "ABORT", "COMMIT")
             self._purge_gtm2(incarnation)
             self._deliver_commit_decides(incarnation, sites, self._loop.now)
 
         self.coordinator.decide_abort(incarnation, on_durable=durable)
-
-    def _trace_overruled(
-        self, incarnation: str, verdict: str, chosen: str
-    ) -> None:
-        if self._tracer is not None:
-            self._tracer.event(
-                "commit.group.overruled",
-                txn=incarnation,
-                verdict=verdict,
-                chosen=chosen,
-            )
 
     def _deliver_commit_decides(
         self, incarnation: str, sites: Tuple[str, ...], started: float

@@ -32,7 +32,6 @@ class FaultScheduler:
         sites: Mapping[str, LocalDBMS],
         injector: FaultInjector,
         config,
-        tracer,
         runtimes: Mapping[str, Any],
         *,
         is_up: Callable[[str], bool],
@@ -47,7 +46,6 @@ class FaultScheduler:
         #: reaping the incarnation's leftovers at the sites (covers the
         #: in-flight abort messages of the run's ``SimulationConfig``)
         self._orphan_grace = max(4 * config.latencies.message_delay, 10.0)
-        self._tracer = tracer
         #: incarnation -> live runtime, owned by the kernel
         self._runtimes = runtimes
         self._is_up = is_up
@@ -86,8 +84,6 @@ class FaultScheduler:
         """Crash GTM2 (the conservative scheduler); the kernel recovers
         it from the journal and reports how long the rebuild took."""
         self.injector.stats.gtm_crashes += 1
-        if self._tracer is not None:
-            self._tracer.event("gtm.crash_recovery")
         self.gtm_recovery_times.append(self._recover_gtm2())
 
     # ------------------------------------------------------------------
@@ -130,8 +126,6 @@ class FaultScheduler:
         the downtime, then restarts empty."""
         db = self._sites[site]
         self.injector.stats.site_crashes += 1
-        if self._tracer is not None:
-            self._tracer.event("site.crash", site=site)
         now = self._loop.now
         self.injector.mark_down(site, now + downtime, since=now)
         db.crash(f"site {site!r} crashed")

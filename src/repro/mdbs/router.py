@@ -33,7 +33,6 @@ class ReplicaRouter:
         loop: EventLoop,
         sites: Mapping[str, LocalDBMS],
         config,
-        tracer,
         replica_map: ReplicaMap,
         faults: Optional[FaultScheduler],
         is_up: Callable[[str], bool],
@@ -43,7 +42,6 @@ class ReplicaRouter:
         #: the run's ``SimulationConfig`` (latencies and restart budget
         #: of snapshot reads)
         self._config = config
-        self._tracer = tracer
         self.replica_map = replica_map
         #: quarantine, and crashes keyed to replicated-write progress
         self._faults = faults
@@ -105,14 +103,6 @@ class ReplicaRouter:
                 self.stats.writes_fanout += len(targets)
                 for site in targets:
                     accesses.append(Access(site, "w", access.item))
-                if self._tracer is not None:
-                    self._tracer.event(
-                        "replica_route",
-                        txn=logical,
-                        kind="w",
-                        item=access.item,
-                        targets=sorted(targets),
-                    )
             else:
                 copy = self._pick_read_copy(logical, access.item)
                 if copy is None:
@@ -140,28 +130,12 @@ class ReplicaRouter:
                 # a copy is up but recovering: the available-copies rule
                 # refuses the stale read rather than serve missed writes
                 self.stats.stale_reads_refused += 1
-                if self._tracer is not None:
-                    self._tracer.event(
-                        "replica_route",
-                        txn=logical,
-                        kind="r",
-                        item=item,
-                        cause={
-                            "type": "replica-recovering",
-                            "item": item,
-                            "sites": sorted(self.catchup.recovering_sites),
-                        },
-                    )
             self.stats.route_retries += 1
             return None
         turn = self._rotation.get(item, 0)
         self._rotation[item] = turn + 1
         copy = eligible[turn % len(eligible)]
         self.stats.reads_routed += 1
-        if self._tracer is not None:
-            self._tracer.event(
-                "replica_route", txn=logical, kind="r", item=item, site=copy
-            )
         return copy
 
     # ------------------------------------------------------------------
@@ -221,12 +195,6 @@ class ReplicaRouter:
         # catch-up mode: the site's replicated copies are stale (reads
         # refused) until a fresh committed write reaches them
         self.catchup.on_restart(site)
-        if self._tracer is not None:
-            self._tracer.event(
-                "site.catchup_enter",
-                site=site,
-                stale=sorted(self.catchup.stale_items(site)),
-            )
 
     def report_fields(self) -> Dict[str, Any]:
         """The :class:`SimulationReport` fields this component owns."""

@@ -58,7 +58,6 @@ from repro.mdbs.server import Latencies, MessagePlane, Server
 from repro.mdbs.verification import (
     check_atomicity,
     check_decision_uniqueness,
-    check_exactly_once,
     check_replicas,
 )
 from repro.mdbs.watchdog import Watchdog
@@ -284,7 +283,6 @@ class MDBSSimulator:
         config: Optional[SimulationConfig] = None,
         injector: Optional[FaultInjector] = None,
         atomic_commit: bool = False,
-        tracer=None,
         replica_map: Optional[ReplicaMap] = None,
         commit_group_size: int = 0,
     ) -> None:
@@ -298,12 +296,6 @@ class MDBSSimulator:
         self.config = config or SimulationConfig()
         self.config.validate()
         self.loop = EventLoop()
-        #: optional :class:`repro.observability.Tracer`; spans are
-        #: stamped with the event loop's simulated time and recording
-        #: never influences scheduling or fault decisions
-        self.tracer = tracer
-        if tracer is not None:
-            tracer.bind_clock(lambda: self.loop.now)
         self.injector = injector
         #: the message plane every GTM↔site exchange goes through — the
         #: seam :mod:`repro.transport` owns (each parallel shard gets its
@@ -318,7 +310,6 @@ class MDBSSimulator:
             ack_handler=self._on_gtm1_ack,
             # GTM2 is recoverable, and 2PC decisions are force-logged
             journal=Journal() if injector is not None or atomic_commit else None,
-            tracer=tracer,
         )
         #: the incarnation table: live incarnation -> its runtime
         self._runtimes: Dict[str, _GlobalRuntime] = {}
@@ -335,21 +326,21 @@ class MDBSSimulator:
         self._ticket_counters: Dict[str, int] = {}
         if injector is not None:
             self.faults = FaultScheduler(
-                self.loop, self.sites, injector, self.config, tracer, self._runtimes,
+                self.loop, self.sites, injector, self.config, self._runtimes,
                 is_up=self.is_up, abort_global=self._abort_global,
                 abort_orphan=self._abort_orphan, recover_gtm2=self._recover_gtm2,
             )
         if atomic_commit:
             self.commit = CommitDriver(
-                self.plane, self.sites, self.config.commit, tracer,
+                self.plane, self.sites, self.config.commit,
                 self.engine.journal, commit_group_size, self.faults,
                 is_up=self.is_up, purge_gtm2=self._purge_gtm2,
                 record_commit=self._record_commit,
             )
         if replica_map is not None:
             self.router = ReplicaRouter(
-                self.loop, self.sites, self.config, tracer,
-                replica_map, self.faults, is_up=self.is_up,
+                self.loop, self.sites, self.config, replica_map, self.faults,
+                is_up=self.is_up,
             )
         if self.faults is not None:
             # "site crashed / site restarted": catch-up state first,
@@ -493,7 +484,6 @@ class MDBSSimulator:
             submit_handler=self._execute_ser,
             ack_handler=self._on_gtm1_ack,
             new_journal=journal,
-            tracer=self.tracer,
         )
         # no wait-area carry-over: recover_engine's journal replay
         # re-accumulates the pre-crash WAIT history in the fresh engine
@@ -876,24 +866,6 @@ class MDBSSimulator:
         returns a witness serial order."""
         return self.global_schedule().assert_globally_serializable()
 
-    def _claimed_outcomes(self) -> Dict[str, Any]:
-        """What the GTM claims happened, beside the ground truth it is
-        checked against — the arguments of ``check_exactly_once``."""
-        return dict(
-            global_schedule=self.global_schedule(),
-            reported_committed=self.committed_global,
-            program_sites={
-                logical: program.sites
-                for logical, program in self._programs.items()
-            },
-            reported_failed=self.failed_global,
-        )
-
-    def exactly_once_report(self):
-        """No-lost/no-duplicated global commits, from ground truth (see
-        :func:`repro.mdbs.verification.check_exactly_once`)."""
-        return check_exactly_once(**self._claimed_outcomes())
-
     def replicas_report(self):
         """One-copy-serializability evidence over replicated items (see
         :func:`repro.mdbs.verification.check_replicas`); requires a
@@ -923,12 +895,26 @@ class MDBSSimulator:
             {site: db.history for site, db in self.sites.items()},
         )
 
-    def atomicity_report(self):
-        """Atomicity verdict from ground truth: with ``atomic_commit``
+    def atomicity_report(
+        self, global_schedule: Optional[GlobalSchedule] = None
+    ):
+        """What the GTM claims happened, checked against the ground truth
+        (*global_schedule*, built here unless the caller already has it):
+        the no-lost/no-duplicated commit report, as ``.exactly_once``,
+        and the atomicity verdict over it — with ``atomic_commit``
         enabled, partial commits are hard violations (see
         :func:`repro.mdbs.verification.check_atomicity`)."""
+        if global_schedule is None:
+            global_schedule = self.global_schedule()
         return check_atomicity(
-            **self._claimed_outcomes(), atomic_commit=self.commit is not None
+            global_schedule,
+            reported_committed=self.committed_global,
+            program_sites={
+                logical: program.sites
+                for logical, program in self._programs.items()
+            },
+            reported_failed=self.failed_global,
+            atomic_commit=self.commit is not None,
         )
 
 

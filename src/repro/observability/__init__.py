@@ -4,15 +4,16 @@ This package is the repo's single answer to "why did that global
 transaction wait, abort, or block in-doubt?" and "what did the run
 count?".  It has two halves:
 
-* :mod:`repro.observability.tracer` — a span-style structured tracer.
-  Every GTM decision point (submit, cond/act evaluation, WAIT, GRANT,
-  site ser-op, prepare/vote/commit, recovery inquiry) becomes a
-  parent-linked span with a *cause* record attributing the decision to
-  the blocking TSGD edge, ser_bef constraint, or queue conflict.  The
-  tracer is seed-deterministic (ids and timestamps come from the
-  scheduler's own logical clocks, never the wall clock) and zero-cost
-  when disabled: call sites hold ``tracer=None`` and guard with a
-  single ``is not None`` check.
+* :mod:`repro.observability.tracer` — a span-style structured tracer
+  of the GTM2 ``Engine``, the one traced component.  Every GTM2
+  decision point (init, cond/act evaluation, WAIT, GRANT, the ser-op
+  forwarded to its site, purge) becomes a parent-linked span with a
+  *cause* record attributing the decision to the blocking TSGD edge,
+  ser_bef constraint, or queue conflict.  The tracer is
+  seed-deterministic (ids and timestamps come from its own event
+  counter, never the wall clock) and zero-cost when disabled: the
+  engine holds ``tracer=None`` and guards with a single ``is not None``
+  check.
 
 * :mod:`repro.observability.registry` — a unified metrics registry
   (counters, gauges, histograms with fixed bucket edges) behind one

@@ -10,7 +10,7 @@ the marked insert/delete queue (scheme 1).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, List, Mapping, Optional, Sequence
 
 from repro.observability.tracer import Span
 
@@ -69,13 +69,6 @@ def format_cause(cause: Optional[Mapping[str, Any]]) -> str:
             f"admitted but its site component's batch at {site} has "
             f"not been planned yet"
         )
-    if kind == "replica-recovering":
-        sites = cause.get("sites")
-        where = ", ".join(sites) if sites else "?"
-        return (
-            f"read refused: site recovering, no fresh write "
-            f"(item {cause.get('item')} stale at {where})"
-        )
     parts = ", ".join(f"{key}={value!r}" for key, value in sorted(cause.items()))
     return f"blocked ({parts})"
 
@@ -87,58 +80,12 @@ _EVENT_LINES = {
     "gtm.fin": "fin processed: transaction finished at GTM2",
     "gtm.purge": "purged from GTM2 (abort path)",
     "site.submit": "ser-op forwarded to site {site}",
-    "commit.vote": "site {site} voted {vote} at PREPARE",
-    "commit.decide": "coordinator decided {decision}",
-    "commit.decide.deliver": "decision {decision} delivered to site {site}",
-    "commit.inquiry": "recovery inquiry from {site} answered {answer}",
-    "commit.recovery_inquiry": "site {site} restarted in-doubt, inquiring",
-    "commit.group.vote_logged": (
-        "YES vote of site {site} logged at coordinator replica {replica}"
-    ),
-    "commit.group.chosen": (
-        "commit group durably chose {decision} (quorum of accepts)"
-    ),
-    "commit.group.takeover": (
-        "coordinator replica {replica} started a takeover round"
-    ),
-    "commit.group.presume_abort": (
-        "takeover saw {votes}/{expected} quorum-logged votes: "
-        "presumed ABORT"
-    ),
-    "commit.group.resolve": (
-        "in-doubt site {site} terminated by {replica}: {decision}"
-    ),
-    "commit.group.overruled": (
-        "GTM verdict {verdict} overruled: quorum had chosen {chosen}"
-    ),
-    "commit.group.crash": "coordinator replica {replica} crashed",
-    "commit.group.restart": "coordinator replica {replica} restarted",
-    "commit.group.partition": (
-        "leader replica {replica} + GTM partitioned until t={until}"
-    ),
 }
 
 
-def _replica_route_line(span: Span) -> str:
-    attrs = span.attrs
-    if attrs.get("kind") == "w":
-        return (
-            f"write of {attrs.get('item')} fanned out to "
-            f"{attrs.get('targets')}"
-        )
-    if span.cause is not None:
-        return format_cause(span.cause)
-    return f"read of {attrs.get('item')} routed to {span.site}"
-
-
-def _fmt_time(value: float) -> str:
-    if float(value) == int(value):
-        return str(int(value))
-    return f"{value:g}"
-
-
 def _stamp(span: Span) -> str:
-    return f"t={_fmt_time(span.start)}"
+    # spans are stamped with the tracer's event counter: whole numbers
+    return f"t={int(span.start)}"
 
 
 def _line_for(span: Span) -> Optional[str]:
@@ -156,9 +103,7 @@ def _line_for(span: Span) -> Optional[str]:
         waited = span.attrs.get("waited")
         if waited is not None:
             line += f" (waited {waited} steps)"
-        return line + f"; GRANT at t={_fmt_time(span.end)}"
-    if name == "replica_route":
-        return _replica_route_line(span)
+        return line + f"; GRANT at t={int(span.end)}"
     template = _EVENT_LINES.get(name)
     if template is None:
         detail = ""
@@ -167,12 +112,7 @@ def _line_for(span: Span) -> Optional[str]:
                 f"{key}={value!r}" for key, value in sorted(span.attrs.items())
             )
         return f"{name}{detail}"
-    values: Dict[str, Any] = {"site": span.site}
-    values.update(span.attrs)
-    try:
-        return template.format(**values)
-    except (KeyError, IndexError):
-        return name
+    return template.format(site=span.site)
 
 
 def explain_transaction(spans: Sequence[Span], txn: str) -> str:

@@ -2,30 +2,29 @@
 
 A :class:`Tracer` records *spans*: parent-linked, cause-attributed
 records of what the scheduler decided and why.  Each global transaction
-gets a lazily-created root span; every decision about it (submission,
-WAIT, GRANT, the ser-op reaching its site, prepare/vote/commit,
-recovery inquiry) is a child of that root.  A WAIT span carries a
+gets a lazily-created root span; every decision the GTM2 ``Engine``
+makes about it (init, WAIT, GRANT, ser/ack/fin processing, the ser-op
+forwarded to its site, purge) is a child of that root.  A WAIT span carries a
 ``cause`` mapping naming the blocking TSGD edge, ser_bef constraint, or
 queue conflict, produced by the scheme's ``explain_block`` hook at the
 moment the condition failed.
 
-Determinism: span ids are a simple counter, timestamps come from an
-injected logical clock (engine ticks, or the simulator's event-loop
-time) and default to the tracer's own event counter.  Nothing reads the
-wall clock or the process RNG, so the same seed yields a byte-identical
-JSONL export (asserted by tests/test_observability.py).
+Determinism: span ids are a simple counter and timestamps are the
+tracer's own monotone event counter.  Nothing reads the wall clock or
+the process RNG, so the same seed yields a byte-identical JSONL export
+(asserted by tests/test_observability.py).
 
-Zero cost when disabled: components hold ``tracer=None`` and guard
-every hook with ``if tracer is not None`` — no object is allocated, no
-global is consulted, and scheduling decisions never depend on whether a
-tracer is attached.
+Zero cost when disabled: the ``Engine`` is the one traced component; it
+holds ``tracer=None`` and guards every hook with ``if tracer is not
+None`` — no object is allocated, no global is consulted, and scheduling
+decisions never depend on whether a tracer is attached.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -62,15 +61,10 @@ class Span:
 
 
 class Tracer:
-    """Collects spans; deterministic ids and timestamps.
+    """Collects spans; deterministic ids, and timestamps from the
+    tracer's own monotone event counter."""
 
-    *clock* supplies timestamps (e.g. ``lambda: loop.now`` in the
-    simulator, or the engine's tick counter); without one the tracer
-    stamps spans with its own monotone event counter.
-    """
-
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self._clock = clock
+    def __init__(self) -> None:
         self._next_id = 1
         self._event_seq = 0
         self.spans: List[Span] = []
@@ -78,16 +72,7 @@ class Tracer:
         self._by_id: Dict[int, Span] = {}
 
     def now(self) -> float:
-        if self._clock is not None:
-            return self._clock()
         return float(self._event_seq)
-
-    def bind_clock(self, clock: Callable[[], float]) -> None:
-        """Attach a logical clock if none was injected at construction —
-        components that own a simulated clock bind it when the tracer is
-        handed to them (e.g. the MDBS simulator's event-loop time)."""
-        if self._clock is None:
-            self._clock = clock
 
     def _new_span(
         self,

@@ -18,7 +18,7 @@ The state transitions are driven by the quarantine/crash/restart path in
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, FrozenSet, Iterable, List, Set
+from typing import Callable, Dict, Iterable, List, Set
 
 from repro.replication.map import ReplicaMap
 from repro.replication.model import ReplicationStats
@@ -101,9 +101,6 @@ class CatchupTracker:
         if state is SiteState.DOWN:
             return False
         return item not in self._stale.get(site, ())
-
-    def stale_items(self, site: str) -> FrozenSet[str]:
-        return frozenset(self._stale.get(site, ()))
 
     @property
     def recovering_sites(self) -> List[str]:

@@ -934,15 +934,13 @@ class TestCommitGroupRuns:
         from repro.commit import CommitParticipant, CoordinatorGroup
         from repro.commit.model import CommitStats
         from repro.mdbs.events import EventLoop
-        from repro.observability import Tracer, explain_transaction
         from repro.schedules.model import (
             begin as begin_op_,
             write as write_op_,
         )
 
         loop = EventLoop()
-        tracer = Tracer()
-        group = CoordinatorGroup(3, loop, plane_send(loop), tracer=tracer)
+        group = CoordinatorGroup(3, loop, plane_send(loop))
         stats = CommitStats()
         db = LocalDBMS("s0", make_protocol("strict-2pl"))
         participant = CommitParticipant(
@@ -964,7 +962,6 @@ class TestCommitGroupRuns:
             vote_broadcast=lambda incarnation: group.broadcast_vote(
                 incarnation, "s0", ("s0",)
             ),
-            tracer=tracer,
         )
         db.submit(begin_op_("G1", "s0"), lambda *args: None)
         db.submit(write_op_("G1", "x", "s0"), lambda *args: None)
@@ -973,8 +970,5 @@ class TestCommitGroupRuns:
         assert participant.open_in_doubt(loop.now) == ()
         assert group.chosen == {"G1": True}
         assert stats.resolved_by_replica == 1
+        assert group.stats.takeovers >= 1
         assert db.history.outcome_of("G1") is not None
-        # --explain names the replica that supplied the decision
-        explanation = explain_transaction(tracer.spans, "G1")
-        assert "terminated by replica-" in explanation
-        assert "takeover" in explanation

@@ -147,7 +147,7 @@ def chaos_cell(scheme_name, seed, **storm):
         "committed": sorted(sim.committed_global),
         "failed": sorted(sim.failed_global),
         "pending_events": sim.loop.pending,
-        "exactly_once": dataclasses.asdict(sim.exactly_once_report()),
+        "exactly_once": dataclasses.asdict(sim.atomicity_report().exactly_once),
     }
     extra = {"outcome": outcome}
     if storm:

@@ -432,7 +432,7 @@ class TestChaosProperties:
         assert verify(
             simulator.global_schedule(), simulator.ser_schedule
         ).ok
-        assert simulator.exactly_once_report().ok
+        assert simulator.atomicity_report().exactly_once.ok
 
 
 # ---------------------------------------------------------------------------

@@ -159,16 +159,19 @@ class TestTracerDeterminism:
         )
         assert rebuilt == text.rstrip("\n")
 
-    def test_tracing_does_not_change_decisions(self):
+    @pytest.mark.parametrize("name", [*SCHEMES, *BASELINES])
+    def test_tracing_does_not_change_decisions(self, name):
         trace = random_trace(8, 3, 2, seed=0)
-        plain = drive(make_scheme("scheme2"), random_trace(8, 3, 2, seed=0))
+        plain = drive(make_scheme(name), random_trace(8, 3, 2, seed=0))
         tracer = Tracer()
-        traced = drive(make_scheme("scheme2"), trace, tracer=tracer)
+        traced = drive(make_scheme(name), trace, tracer=tracer)
+        assert tracer.spans
         assert traced.metrics == plain.metrics
         assert [
             (op.transaction_id, op.site) for op in traced.ser_schedule
         ] == [(op.transaction_id, op.site) for op in plain.ser_schedule]
         assert traced.submission_order == plain.submission_order
+        assert traced.aborted == plain.aborted
 
     @pytest.mark.parametrize(
         "scheme_name",

@@ -156,6 +156,13 @@ class TestLogicalProgram:
 # ---------------------------------------------------------------------------
 # the catch-up state machine
 # ---------------------------------------------------------------------------
+def stale_at(tracker, site):
+    """The items a live *site* refuses to serve: its stale copies."""
+    return {
+        item for item in ("x0", "x1", "x2") if not tracker.read_eligible(site, item)
+    }
+
+
 class TestCatchupTracker:
     def build(self, degree=2):
         rmap = ReplicaMap.build(["x0", "x1", "x2"], SITES, degree)
@@ -175,7 +182,7 @@ class TestCatchupTracker:
         tracker.on_restart("s0")
         assert tracker.state_of("s0") is SiteState.RECOVERING
         # s0 holds copies of x0 and x2 (ring placement) — both stale
-        assert tracker.stale_items("s0") == frozenset({"x0", "x2"})
+        assert stale_at(tracker, "s0") == {"x0", "x2"}
         clock["now"] = 40.0
         tracker.on_commit("s0", {"x0"})
         assert tracker.state_of("s0") is SiteState.RECOVERING
@@ -217,7 +224,7 @@ class TestCatchupTracker:
         tracker.on_crash("s0")
         tracker.on_restart("s0")
         # the partial catch-up did not survive the second crash
-        assert tracker.stale_items("s0") == frozenset({"x0", "x2"})
+        assert stale_at(tracker, "s0") == {"x0", "x2"}
 
 
 # ---------------------------------------------------------------------------

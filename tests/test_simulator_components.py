@@ -183,7 +183,6 @@ class TestReplicaRouterAlone:
             EventLoop(),
             make_sites(initial={"x0": 0}),
             SimulationConfig(),
-            None,
             ReplicaMap.build(["x0"], SITES, degree=2),
             None,
             is_up=up.__getitem__,
