@@ -76,11 +76,9 @@ class RoundRobinScheme(ConservativeScheme):
             self._order.remove(operation.transaction_id)
 
     # -- engine integration ----------------------------------------------
-    def wake_hints(self, operation):
-        # submissions and acks can enable waiting ser-operations anywhere
-        # (our cond couples sites), so request a full rescan
-        return None
-
+    # no wake_hints override: submissions and acks can enable waiting
+    # ser-operations anywhere (our cond couples sites), so the default
+    # (None: rescan all of WAIT) is the right answer
     def remove_transaction(self, transaction_id: str) -> None:
         self._pending.pop(transaction_id, None)
         if transaction_id in self._order:
@@ -114,8 +112,8 @@ def main() -> None:
         )
     )
     print()
-    print("Any object with cond/act (+ optional wake_hints and")
-    print("remove_transaction) runs on the same engine, trace driver,")
+    print("Any ConservativeScheme subclass (its hooks default to a full")
+    print("WAIT rescan) runs on the same engine, trace driver,")
     print("simulator, and verification as the paper's schemes.")
 
 

@@ -111,9 +111,6 @@ class TwoPhaseLockingGTM(NonConservativeScheme):
         self._ages: Dict[str, int] = {}
         self._age_counter = 0
         self.deadlocks = 0
-        #: engine signal: deadlock resolution inside ``cond`` released
-        #: locks, so waiting operations must be re-examined
-        self.rescan_requested = False
 
     def act_init(self, operation: Init) -> None:
         self.metrics.step()
@@ -136,7 +133,8 @@ class TwoPhaseLockingGTM(NonConservativeScheme):
             self.deadlocks += 1
             self.abort(victim)
             self._release_all(victim)
-            self.rescan_requested = True
+            # the victim's released locks can enable waiting operations
+            self.context.request_rescan()
             if victim == transaction_id:
                 return True  # swallowed by act_ser
         holder = self._lock_holder.get(site)

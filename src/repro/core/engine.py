@@ -9,17 +9,18 @@ Re-examining WAIT is where the paper's complexity accounting lives: "the
 number of steps required to determine the operations o_l ∈ WAIT for
 which cond(o_l) holds due to the execution of act(o_j)".  A naive full
 rescan would charge every scheme O(|WAIT|) per action and drown the
-analytical differences, so schemes may implement ``wake_hints(o)`` —
+analytical differences, so schemes may override ``wake_hints(o)`` —
 returning which waiting operations the action could have enabled (e.g.
 Scheme 0's ``ack`` enables exactly the new front of one site queue).
 The engine keeps WAIT indexed by (kind, site) so targeted re-examination
 costs only the operations named by the hints; a scheme without hints
-(``wake_hints`` returning ``None``) gets the full rescan.
+(``wake_hints`` returning ``None``, the default) gets the full rescan.
 
 The engine also implements :class:`~repro.core.scheme.SchemeContext`:
 ``act`` implementations submit ser-operations and forward acks through
-it.  Handlers injected at construction decide what "submit to the local
-DBMSs through the servers" means — the trace drivers
+it, and a ``cond`` that changes DS requests a rescan or journals a seal
+through it.  Handlers injected at construction decide what "submit to
+the local DBMSs through the servers" means — the trace drivers
 (:mod:`repro.workloads.traces`) make it synchronous, the MDBS simulator
 (:mod:`repro.mdbs.simulator`) makes it an event with latency.
 """
@@ -30,7 +31,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.events import Ack, QueueOp, Ser
-from repro.core.scheme import ConservativeScheme, SchemeContext
+from repro.core.scheme import ConservativeScheme, SchemeContext, WakeHint
 from repro.exceptions import SchedulerError
 
 #: Handler invoked when the scheme submits a ser-operation to the sites.
@@ -38,20 +39,14 @@ SubmitHandler = Callable[[Ser], None]
 #: Handler invoked when the scheme forwards an ack to GTM1.
 AckHandler = Callable[[Ack], None]
 
-#: A wake hint: (kind, transaction_id or None, site or None); None acts
-#: as a wildcard.  kind is "init", "ser", or "fin".
-WakeHint = Tuple[str, Optional[str], Optional[str]]
-
 
 def _op_key(operation: QueueOp) -> Tuple[str, Optional[str]]:
-    site = getattr(operation, "site", None)
-    return (operation.kind, site)
+    return (operation.kind, operation.site)
 
 
 def _op_repr(operation: QueueOp) -> str:
     """Compact ``kind(txn@site)`` label for trace attribution."""
-    site = getattr(operation, "site", None)
-    where = "" if site is None else f"@{site}"
+    where = "" if operation.site is None else f"@{operation.site}"
     return f"{operation.kind}({operation.transaction_id}{where})"
 
 
@@ -82,10 +77,6 @@ class Engine(SchemeContext):
         #: optional :class:`repro.core.recovery.Journal` for
         #: crash recovery; logs insertions and processed operations
         self.journal = journal
-        #: schemes whose ``cond`` can mutate DS (Scheme 4 demand-seals
-        #: partial batches inside ``cond_ser``) expose the seals for
-        #: journaling — the act stream alone cannot reproduce them
-        self._seal_drain = getattr(scheme, "drain_seal_log", None)
         self._queue: Deque[QueueOp] = deque()
         #: WAIT, keyed by operation identity in insertion order — O(1)
         #: membership and removal where the old list paid O(|WAIT|)
@@ -99,12 +90,11 @@ class Engine(SchemeContext):
         self.wait_area = 0
         self.wait_samples = 0
         self._full_rescan_pending = False
+        #: set by :meth:`request_rescan` from inside a ``cond``
+        self._rescan_requested = False
         #: wake hints accumulated by targeted purges, consumed on the
         #: next run (see :meth:`purge_transaction`)
         self._purge_worklist: List[WakeHint] = []
-        #: ser-operations submitted, in submission order (per site), used
-        #: to build ser(S) for verification
-        self.submission_log: List[Ser] = []
         #: optional span tracer (observability layer); ``None`` = off
         self.tracer = tracer
         #: open WAIT span per waiting operation identity
@@ -116,7 +106,6 @@ class Engine(SchemeContext):
     # SchemeContext
     # ------------------------------------------------------------------
     def submit_ser(self, operation: Ser) -> None:
-        self.submission_log.append(operation)
         if self.tracer is not None:
             self.tracer.event(
                 "site.submit",
@@ -130,6 +119,16 @@ class Engine(SchemeContext):
         if self._ack_handler is not None:
             self._ack_handler(operation)
 
+    def request_rescan(self) -> None:
+        self._rescan_requested = True
+
+    def log_seal(self, token: str) -> None:
+        # sealing inside a cond is invisible to the act stream, so crash
+        # recovery needs its own marker to rebuild the same batch
+        # boundaries (see repro.core.recovery)
+        if self.journal is not None:
+            self.journal.log_sealed(token)
+
     # ------------------------------------------------------------------
     # queue management
     # ------------------------------------------------------------------
@@ -139,16 +138,16 @@ class Engine(SchemeContext):
         self._queue.append(operation)
 
     def purge_transaction(self, transaction_id: str) -> None:
-        """Drop all queued and waiting operations of a transaction (used
-        when the GTM aborts a global transaction).  Removing a
-        transaction can enable waiting operations, so WAIT must be
+        """Forget a transaction the GTM aborted: drop its queued and
+        waiting operations and remove it from the scheme's DS.  Removing
+        a transaction can enable waiting operations, so WAIT must be
         re-examined on the next run.  Schemes that implement
         ``purge_hints`` bound that re-examination to the operations the
-        removal can actually enable (the hints are collected *here*,
-        while the scheme still holds the doomed transaction's state);
-        otherwise the engine falls back to a full rescan.  The purge is
-        journaled so crash recovery does not resurrect operations of
-        dead incarnations."""
+        removal can actually enable (the hints are collected before
+        ``remove_transaction``, while the scheme still holds the doomed
+        transaction's state); otherwise the engine falls back to a full
+        rescan.  The purge is journaled so crash recovery does not
+        resurrect operations of dead incarnations."""
         if self.journal is not None:
             self.journal.log_purged(transaction_id)
         if self.tracer is not None:
@@ -165,11 +164,12 @@ class Engine(SchemeContext):
                     span = self._wait_spans.pop(id(operation), None)
                     if span is not None:
                         self.tracer.end(span, purged=True)
-        hinter = getattr(self.scheme, "purge_hints", None)
-        if hinter is None:
+        hints = self.scheme.purge_hints(transaction_id)
+        if hints is None:
             self._full_rescan_pending = True
         else:
-            self._purge_worklist.extend(hinter(transaction_id))
+            self._purge_worklist.extend(hints)
+        self.scheme.remove_transaction(transaction_id)
 
     def _add_waiting(self, operation: QueueOp) -> None:
         self._wait[id(operation)] = operation
@@ -188,28 +188,21 @@ class Engine(SchemeContext):
     # ------------------------------------------------------------------
     # Figure 3 loop
     # ------------------------------------------------------------------
-    def run(self, max_ticks: Optional[int] = None) -> int:
-        """Process QUEUE until empty; returns operations processed.
-
-        ``max_ticks`` bounds the number of processed-or-waited operations
-        (a safety net for tests of unsound ablations that could loop).
-        """
-        processed = 0
+    def run(self) -> None:
+        """Process QUEUE until empty."""
         if self._full_rescan_pending:
             self._full_rescan_pending = False
             self._purge_worklist.clear()  # subsumed by the full rescan
-            processed += self._drain_full()
+            self._drain_full()
         elif self._purge_worklist:
             worklist = self._purge_worklist
             self._purge_worklist = []
-            processed += self._drain_matching(worklist)
+            self._drain_matching(worklist)
         while self._queue:
-            if max_ticks is not None and self._ticks >= max_ticks:
-                break
             operation = self._queue.popleft()
             self._ticks += 1
-            if self._cond(operation):
-                processed += 1 + self._perform(operation)
+            if self.scheme.cond(operation):
+                self._perform(operation)
             else:
                 self.scheme.metrics.note_waited(operation.kind)
                 self._add_waiting(operation)
@@ -219,28 +212,13 @@ class Engine(SchemeContext):
                 # scheme killing a deadlock victim); honour its request
                 # to re-examine WAIT even though nothing was processed
                 if self._consume_rescan_request():
-                    processed += self._drain_full()
+                    self._drain_full()
             self.wait_area += len(self._wait)
             self.wait_samples += 1
-        return processed
-
-    def _cond(self, operation: QueueOp) -> bool:
-        """Evaluate the scheme's ``cond``, journaling any demand-seals
-        it performed: sealing inside a cond is invisible to the act
-        stream, so crash recovery needs its own marker to rebuild the
-        same batch boundaries (see :mod:`repro.core.recovery`)."""
-        held = self.scheme.cond(operation)
-        if self._seal_drain is not None:
-            for token in self._seal_drain():
-                if self.journal is not None:
-                    self.journal.log_sealed(token)
-        return held
 
     def _consume_rescan_request(self) -> bool:
-        if getattr(self.scheme, "rescan_requested", False):
-            self.scheme.rescan_requested = False
-            return True
-        return False
+        requested, self._rescan_requested = self._rescan_requested, False
+        return requested
 
     def _act(self, operation: QueueOp) -> None:
         if self.journal is not None:
@@ -249,7 +227,7 @@ class Engine(SchemeContext):
             self.tracer.event(
                 f"gtm.{operation.kind}",
                 txn=operation.transaction_id,
-                site=getattr(operation, "site", None),
+                site=operation.site,
             )
             self._last_act_repr = _op_repr(operation)
         self.scheme.act(operation)
@@ -262,13 +240,11 @@ class Engine(SchemeContext):
         ``cond`` failed (read-only: charges no metric steps)."""
         tracer = self.tracer
         assert tracer is not None
-        explain = getattr(self.scheme, "explain_block", None)
-        cause = explain(operation) if explain is not None else None
         self._wait_spans[id(operation)] = tracer.begin(
             "gtm.wait",
             txn=operation.transaction_id,
-            site=getattr(operation, "site", None),
-            cause=cause,
+            site=operation.site,
+            cause=self.scheme.explain_block(operation),
             kind=operation.kind,
         )
 
@@ -282,29 +258,26 @@ class Engine(SchemeContext):
                 span, waited=max(waited, 0), after_act=self._last_act_repr
             )
 
-    def _perform(self, operation: QueueOp) -> int:
-        """Run ``act`` and re-examine WAIT per the scheme's wake hints;
-        returns the number of *additional* (previously waiting)
-        operations processed."""
+    def _perform(self, operation: QueueOp) -> None:
+        """Run ``act`` and re-examine WAIT per the scheme's wake hints."""
         self._act(operation)
-        hints = self._hints_for(operation)
+        hints = self.scheme.wake_hints(operation)
         if hints is None:
-            return self._drain_full()
-        processed = 0
+            self._drain_full()
+            return
         worklist: Deque[WakeHint] = deque(hints)
         while worklist:
             kind, txn, site = worklist.popleft()
             for candidate in self._candidates(kind, txn, site):
                 if id(candidate) not in self._wait:
                     continue
-                if self._cond(candidate):
+                if self.scheme.cond(candidate):
                     self._grant(candidate)
-                    processed += 1
-                    follow = self._hints_for(candidate)
+                    follow = self.scheme.wake_hints(candidate)
                     if follow is None:
-                        return processed + self._drain_full()
+                        self._drain_full()
+                        return
                     worklist.extend(follow)
-        return processed
 
     def _grant(self, operation: QueueOp) -> None:
         """``cond`` now holds for a waiting operation: take it out of
@@ -315,12 +288,6 @@ class Engine(SchemeContext):
         if self.tracer is not None:
             self._trace_grant(operation, waited)
         self._act(operation)
-
-    def _hints_for(self, operation: QueueOp) -> Optional[List[WakeHint]]:
-        hinter = getattr(self.scheme, "wake_hints", None)
-        if hinter is None:
-            return None
-        return hinter(operation)
 
     def _candidates(
         self, kind: str, txn: Optional[str], site: Optional[str]
@@ -337,26 +304,23 @@ class Engine(SchemeContext):
             bucket = [op for op in bucket if op.transaction_id == txn]
         return bucket
 
-    def _drain_full(self) -> int:
+    def _drain_full(self) -> None:
         """Full WAIT rescan to fixpoint (the literal inner while of
         Figure 3) — used by schemes without wake hints and after
         transaction purges."""
-        processed = 0
         progress = True
         while progress:
             progress = False
             for operation in list(self._wait.values()):
                 if id(operation) not in self._wait:
                     continue  # purged by a reentrant abort
-                if self._cond(operation):
+                if self.scheme.cond(operation):
                     self._grant(operation)
-                    processed += 1
                     progress = True
             if not progress and self._consume_rescan_request():
                 progress = True
-        return processed
 
-    def _drain_matching(self, filters: List[WakeHint]) -> int:
+    def _drain_matching(self, filters: List[WakeHint]) -> None:
         """Targeted post-purge drain: the full-rescan fixpoint of
         :meth:`_drain_full`, restricted to waiting operations that match
         a purge hint (extended with the wake hints of whatever it
@@ -368,7 +332,6 @@ class Engine(SchemeContext):
         kept in a set probed by the four wildcard masks of an operation's
         (kind, txn, site) key, so the match test stays O(1) however many
         hints the drain accumulates."""
-        processed = 0
         hints = set(filters)
         progress = True
         while progress:
@@ -379,15 +342,14 @@ class Engine(SchemeContext):
                 if not self._matches(operation, hints):
                     self.scheme.metrics.wake_retries_skipped += 1
                     continue
-                if self._cond(operation):
+                if self.scheme.cond(operation):
                     self._grant(operation)
-                    processed += 1
                     progress = True
-                    follow = self._hints_for(operation)
+                    follow = self.scheme.wake_hints(operation)
                     if follow is None or self._consume_rescan_request():
-                        return processed + self._drain_full()
+                        self._drain_full()
+                        return
                     hints.update(follow)
-        return processed
 
     @staticmethod
     def _matches(operation: QueueOp, hints: "Set[WakeHint]") -> bool:
@@ -395,7 +357,7 @@ class Engine(SchemeContext):
         are wildcards, so the operation's key can only be matched by one
         of its four masked variants."""
         kind = operation.kind
-        site = getattr(operation, "site", None)
+        site = operation.site
         transaction_id = operation.transaction_id
         return (
             (kind, transaction_id, site) in hints

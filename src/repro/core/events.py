@@ -38,6 +38,9 @@ class Init(QueueOp):
 
     sites: Tuple[str, ...] = ()
 
+    #: a class attribute, not a field: an init names no single site
+    site = None
+
     def __post_init__(self) -> None:
         if not self.sites:
             raise ValueError(
@@ -88,6 +91,9 @@ class Ack(QueueOp):
 @dataclass(frozen=True)
 class Fin(QueueOp):
     """``fin_i`` — all acks of ``Ĝ_i`` received; release its bookkeeping."""
+
+    #: a class attribute, not a field: a fin names no single site
+    site = None
 
     @property
     def kind(self) -> str:

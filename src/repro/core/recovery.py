@@ -202,10 +202,8 @@ def replay_scheme(
             (purge_index, transaction_id)
         )
     seal_at: Dict[int, List[Tuple[int, str]]] = {}
-    for position, purges_logged, token in getattr(journal, "seals", ()):
+    for position, purges_logged, token in journal.seals:
         seal_at.setdefault(position, []).append((purges_logged, token))
-    remover = getattr(scheme, "remove_transaction", None)
-    sealer = getattr(scheme, "replay_seal", None)
 
     def apply_cond_time_events(position: int) -> None:
         """Re-apply what happened between ``processed[position - 1]``
@@ -217,14 +215,11 @@ def replay_scheme(
         cursor = 0
         for purge_index, transaction_id in purges:
             while cursor < len(seals) and seals[cursor][0] <= purge_index:
-                if sealer is not None:
-                    sealer(seals[cursor][1])
+                scheme.replay_seal(seals[cursor][1])
                 cursor += 1
-            if remover is not None:
-                remover(transaction_id)
+            scheme.remove_transaction(transaction_id)
         for _, token in seals[cursor:]:
-            if sealer is not None:
-                sealer(token)
+            scheme.replay_seal(token)
 
     for index, operation in enumerate(journal.processed):
         apply_cond_time_events(index)
@@ -238,7 +233,6 @@ def recover_engine(
     journal: Journal,
     submit_handler: Optional[SubmitHandler] = None,
     ack_handler: Optional[AckHandler] = None,
-    new_journal: Optional[Journal] = None,
 ) -> Engine:
     """Recover a live GTM2 from *journal*: replay the processed prefix
     into *scheme*, attach the (fresh) scheme to a new engine, and
@@ -246,16 +240,15 @@ def recover_engine(
     operations of purged transactions).
 
     The caller supplies a *fresh* scheme instance of the same class and
-    configuration as the crashed one.  ``new_journal`` (defaults to a
-    copy of the old one) continues the log so the recovered engine is
-    itself recoverable.
+    configuration as the crashed one.  The recovered engine goes on
+    logging to *journal*, so it is itself recoverable.
     """
     replay_scheme(scheme, journal)
     engine = Engine(
         scheme,
         submit_handler=submit_handler,
         ack_handler=ack_handler,
-        journal=new_journal if new_journal is not None else journal,
+        journal=journal,
     )
     # re-binding happened in Engine.__init__; do not double-log the
     # outstanding operations — they are already in the journal

@@ -17,7 +17,7 @@ layering of the paper's Figure 2.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Collection, List, Optional, Tuple
 
 from repro.core.events import Ack, Fin, Init, QueueOp, Ser
 from repro.core.metrics import SchemeMetrics
@@ -40,12 +40,31 @@ class SchemeContext:
         """Forward ``ack(ser_k(G_i))`` to GTM1."""
         raise NotImplementedError
 
+    def request_rescan(self) -> None:
+        """A ``cond`` changed DS so that waiting operations may now be
+        processable (a deadlock victim's locks released, a batch
+        planned): re-examine all of WAIT, although nothing was acted."""
+        raise NotImplementedError
+
+    def log_seal(self, token: str) -> None:
+        """A ``cond`` sealed a batch, which the act stream cannot
+        reproduce: journal *token* for the scheme's ``replay_seal``."""
+        raise NotImplementedError
+
+
+#: A wake hint: (kind, transaction_id or None, site or None); None acts
+#: as a wildcard.  kind is "init", "ser", or "fin".
+WakeHint = Tuple[str, Optional[str], Optional[str]]
+
 
 class ConservativeScheme:
     """Base class: a scheme is (DS, cond, act) with step accounting.
 
     Subclasses implement the four ``cond_*``/``act_*`` pairs.  Dispatch
     happens here so subclasses stay close to the paper's presentation.
+    The hooks below the pairs are the rest of what the engine, crash
+    recovery and the trace driver call; each default is the behaviour
+    of a scheme that has nothing to add.
     """
 
     #: name used in benchmark tables
@@ -55,6 +74,10 @@ class ConservativeScheme:
     #: GTM1 has committed its subtransactions at the sites; the
     #: simulator refuses such a scheme, since GTM1 cannot undo them
     aborts_at_fin = False
+
+    #: transactions the scheme aborted itself; their ser-operations are
+    #: left out of the committed ser(S)
+    aborted_transactions: Collection[str] = frozenset()
 
     def __init__(self) -> None:
         self.metrics = SchemeMetrics()
@@ -121,6 +144,28 @@ class ConservativeScheme:
 
     def act_fin(self, operation: Fin) -> None:
         raise NotImplementedError
+
+    # -- WAIT re-examination -----------------------------------------------
+    def wake_hints(self, operation: QueueOp) -> Optional[List[WakeHint]]:
+        """The waiting operations ``act(operation)`` can have enabled, or
+        ``None`` for a full rescan of WAIT."""
+        return None
+
+    def purge_hints(self, transaction_id: str) -> Optional[List[WakeHint]]:
+        """The waiting operations that removing *transaction_id* can
+        enable — asked before :meth:`remove_transaction` — or ``None``
+        for a full rescan of WAIT."""
+        return None
+
+    # -- fault handling ----------------------------------------------------
+    def remove_transaction(self, transaction_id: str) -> None:
+        """Forget a transaction the GTM aborted (its queued and waiting
+        operations are already gone)."""
+
+    def replay_seal(self, token: str) -> None:
+        """Re-apply a seal the scheme journaled through
+        :meth:`SchemeContext.log_seal` (crash recovery)."""
+        raise SchedulerError(f"scheme {self.name!r} journals no seals")
 
     # -- observability -----------------------------------------------------
     def explain_block(self, operation: QueueOp):

@@ -99,13 +99,6 @@ class Scheme4(ConservativeScheme):
         #: wake hints from a seal, delivered via the sealing operation's
         #: own ``wake_hints`` call
         self._pending_wake: List[Tuple[str, Optional[str], Optional[str]]] = []
-        #: set when a demand-seal happened under a blocked cond — the
-        #: engine re-examines WAIT even though nothing was processed
-        self.rescan_requested = False
-        #: demand-seal sites since the last ``drain_seal_log``; the
-        #: engine journals them so crash recovery can replay seals that
-        #: fired inside ``cond_ser`` (invisible to the act stream)
-        self._demand_seals: List[str] = []
 
     # -- union-find over sites ---------------------------------------------
     def _find(self, site: str) -> str:
@@ -235,14 +228,16 @@ class Scheme4(ConservativeScheme):
             )
         if transaction_id not in self._batch_of:
             # workload tail: the batch never filled — seal the partial
-            # batch on demand so the component cannot starve
+            # batch on demand so the component cannot starve, and journal
+            # the seal, which the act stream cannot reproduce
             hints = self._seal(self._find(site))
-            self._demand_seals.append(site)
+            self.context.log_seal(site)
             predecessor = self._pred.get((transaction_id, site))
             if predecessor is None or (predecessor, site) in self._acked:
                 self._pending_wake.extend(hints)
                 return True
-            self.rescan_requested = True
+            # blocked, but the seal may have planned waiting operations
+            self.context.request_rescan()
             return False
         predecessor = self._pred.get((transaction_id, site))
         return predecessor is None or (predecessor, site) in self._acked
@@ -325,16 +320,6 @@ class Scheme4(ConservativeScheme):
             self.tsgd.remove_transaction(transaction_id)
 
     # -- crash recovery (journaled demand-seals; see repro.core.recovery) -------
-    def drain_seal_log(self) -> List[str]:
-        """Demand-seal sites recorded since the last drain.  The engine
-        journals them after every ``cond``: a seal inside ``cond_ser``
-        is invisible to the act stream, and replaying acts alone would
-        re-buffer the sealed transactions and let a later ``act_init``
-        refill the buffer and seal a batch whose planned order can
-        contradict pre-crash execution."""
-        drained, self._demand_seals = self._demand_seals, []
-        return drained
-
     def replay_seal(self, site: str) -> None:
         """Re-apply a journaled demand-seal during crash recovery.
         Replay rebuilds the same act prefix, purges, and earlier seals

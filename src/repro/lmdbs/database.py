@@ -455,8 +455,7 @@ class LocalDBMS:
     def waits_for_edges(self) -> set:
         """(waiter, holder) edges at this site, when the protocol can
         report them (locking protocols); empty otherwise."""
-        reporter = getattr(self.protocol, "waits_for_edges", None)
-        return reporter() if reporter is not None else set()
+        return self.protocol.waits_for_edges()
 
     def is_active(self, transaction_id: str) -> bool:
         return transaction_id in self._active

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.schedules.serialization_functions import SerializationFunction
 
@@ -92,6 +92,10 @@ class LocalScheduler:
     #: protocol's actual serialization order.
     defers_writes = False
 
+    #: the protocol's own structural-graph work (SGT keeps a graph),
+    #: added to the run's ``graph_ops`` / ``dfs_steps_avoided`` totals
+    graph_ops = dfs_steps_avoided = 0
+
     # -- lifecycle -------------------------------------------------------
     def on_begin(
         self,
@@ -132,3 +136,7 @@ class LocalScheduler:
     # -- misc -------------------------------------------------------------
     def cancel_waiting(self, transaction_id: str) -> None:
         """Forget any queued request of an aborted waiter (default no-op)."""
+
+    def waits_for_edges(self) -> Set[Tuple[str, str]]:
+        """(waiter, holder) edges, for protocols that block on locks."""
+        return set()

@@ -434,13 +434,9 @@ class MDBSSimulator:
             for stats in self._stats.values()
             if stats.response_time is not None
         )
-        site_graph_ops = sum(
-            getattr(db.protocol, "graph_ops", 0)
-            for db in self.sites.values()
-        )
+        site_graph_ops = sum(db.protocol.graph_ops for db in self.sites.values())
         site_dfs_avoided = sum(
-            getattr(db.protocol, "dfs_steps_avoided", 0)
-            for db in self.sites.values()
+            db.protocol.dfs_steps_avoided for db in self.sites.values()
         )
         # each component fills in the fields it owns; the report's
         # defaults stand for the components this run did not build
@@ -483,7 +479,6 @@ class MDBSSimulator:
             journal,
             submit_handler=self._execute_ser,
             ack_handler=self._on_gtm1_ack,
-            new_journal=journal,
         )
         # no wait-area carry-over: recover_engine's journal replay
         # re-accumulates the pre-crash WAIT history in the fresh engine
@@ -782,9 +777,6 @@ class MDBSSimulator:
         was blocking proceed.  Goes through the engine so the purge is
         journaled and the WAIT index stays consistent."""
         self.engine.purge_transaction(incarnation)
-        remover = getattr(self.scheme, "remove_transaction", None)
-        if remover is not None:
-            remover(incarnation)
         self.engine.run()
 
     def _restart_or_fail(self, logical: str) -> None:

@@ -133,11 +133,13 @@ def drive(
     spans; it never affects the replayed decisions.
     """
     ser_schedule = SerSchedule()
+    submitted: List[Ser] = []
     acks_expected: Dict[str, set] = {}
 
     engine: Engine
 
     def on_submit(operation: Ser) -> None:
+        submitted.append(operation)
         ser_schedule.append(
             SerOperation(operation.transaction_id, operation.site)
         )
@@ -169,7 +171,7 @@ def drive(
         engine.run()
     engine.run()
     engine.assert_drained()
-    aborted = frozenset(getattr(scheme, "aborted_transactions", ()))
+    aborted = frozenset(scheme.aborted_transactions)
     committed_ser = SerSchedule(
         operation
         for operation in ser_schedule
@@ -183,7 +185,7 @@ def drive(
         scheme.name,
         scheme.metrics,
         committed_ser,
-        tuple(engine.submission_log),
+        tuple(submitted),
         aborted=tuple(sorted(aborted)),
     )
 

@@ -13,6 +13,7 @@
   on it names the one field it reads.
 """
 
+import collections
 import dataclasses
 import json
 import random
@@ -398,3 +399,27 @@ def vote_durable(group, incarnation: str, site: str) -> bool:
 def deadlock_searches(protocol) -> int:
     """Full waits-for cycle searches a 2PL protocol's detector ran."""
     return protocol._detector.searches
+
+
+def holds_transaction(scheme, transaction_id: str) -> bool:
+    """Whether *transaction_id* is anywhere in *scheme*'s DS: a walk of
+    its attributes through containers and nested structures (the TSG,
+    the TSGD), leaving out its metrics and its engine."""
+    seen = set()
+    pending: List[Any] = [vars(scheme)]
+    while pending:
+        value = pending.pop()
+        if id(value) in seen or value is scheme.metrics or value is scheme._context:
+            continue
+        seen.add(id(value))
+        if isinstance(value, str):
+            if value == transaction_id:
+                return True
+        elif isinstance(value, dict):
+            pending.extend(value)
+            pending.extend(value.values())
+        elif isinstance(value, (list, tuple, set, frozenset, collections.deque)):
+            pending.extend(value)
+        elif hasattr(value, "__dict__"):
+            pending.append(vars(value))
+    return False

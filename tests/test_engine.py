@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import SCHEMES, make_scheme
 from repro.core.engine import Engine
 from repro.core.events import Ack, Init, Ser
 from repro.core.scheme import ConservativeScheme
@@ -91,8 +92,8 @@ class TestEngineBasics:
         engine.enqueue(Ser("G1", site="s1"))
         engine.enqueue(Ack("G1", site="s1"))
         engine.run()
-        assert len(submitted) == 1 and len(forwarded) == 1
-        assert engine.submission_log == submitted
+        assert submitted == [Ser("G1", site="s1")]
+        assert forwarded == [Ack("G1", site="s1")]
 
     def test_assert_drained_raises_when_stuck(self):
         scheme = RecordingScheme(blocked={("ser", "G1")})
@@ -137,13 +138,25 @@ class TestEngineBasics:
         engine.run()
         assert scheme.metrics.wait_ticks >= 1
 
-    def test_max_ticks_bounds_processing(self):
-        scheme = RecordingScheme()
-        engine = Engine(scheme)
-        for index in range(10):
-            engine.enqueue(Init(f"G{index}", sites=("s1",)))
-        engine.run(max_ticks=3)
-        assert len(scheme.acted) == 3
+
+@pytest.mark.parametrize("name", [*SCHEMES, "2pl-gtm"])
+def test_purge_alone_releases_what_the_aborted_transaction_held(name):
+    """G1's ser runs at s0 and is never acked, so G2's ser there waits;
+    aborting G1 takes one ``purge_transaction``, which also removes G1
+    from the scheme's DS, and the next run grants G2."""
+    submitted = []
+    engine = Engine(make_scheme(name), submit_handler=submitted.append)
+    engine.enqueue(Init("G1", sites=("s0",)))
+    engine.enqueue(Init("G2", sites=("s0",)))
+    engine.enqueue(Ser("G1", site="s0"))
+    engine.enqueue(Ser("G2", site="s0"))
+    engine.run()
+    assert submitted == [Ser("G1", site="s0")]
+    assert wait_set(engine) == (Ser("G2", site="s0"),)
+    engine.purge_transaction("G1")
+    engine.run()
+    assert submitted == [Ser("G1", site="s0"), Ser("G2", site="s0")]
+    assert wait_set(engine) == ()
 
 
 class TestInitValidation:

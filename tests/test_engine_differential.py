@@ -4,7 +4,8 @@ full-rescan semantics.
 The engine's targeted WAIT re-examination exists only to reproduce the
 paper's complexity accounting — it must never change *behaviour*.  These
 tests replay identical traces both ways and require identical submission
-orders, identical wait counts, and identical final ser(S).
+orders, identical wait counts, and identical final ser(S) — and that
+the shadowed run really rescanned, by charging more steps.
 """
 
 import pytest
@@ -21,7 +22,8 @@ from repro.workloads.traces import (
 
 from tests.reference.full_rescan import without_hints
 
-SCHEMES = [Scheme0, Scheme1, Scheme2, Scheme3, Scheme4, SiteGraphScheme]
+HINTED = [Scheme0, Scheme1, Scheme2, Scheme3, Scheme4]
+SCHEMES = HINTED + [SiteGraphScheme]
 GENERATORS = [
     random_trace,
     staggered_trace,
@@ -46,6 +48,20 @@ def test_hinted_engine_equals_full_rescan(factory, generator, seed):
     )
     # steps differ (that is the point); everything observable agrees
     assert fast.ser_schedule.operations == slow.ser_schedule.operations
+    assert slow.metrics.steps >= fast.metrics.steps
+
+
+@pytest.mark.parametrize("factory", HINTED)
+def test_shadowed_hints_take_the_full_rescan_path(factory):
+    """The equalities above prove nothing if the shadow were ignored:
+    the full rescan must charge strictly more steps on some seed."""
+    extra = []
+    for seed in range(4):
+        trace = random_trace(18, 4, 2, seed=seed)
+        fast = drive(factory(), trace)
+        slow = drive(without_hints(factory()), trace)
+        extra.append(slow.metrics.steps - fast.metrics.steps)
+    assert min(extra) >= 0 and max(extra) > 0
 
 
 @pytest.mark.parametrize("factory", [Scheme0, Scheme1, Scheme2, Scheme3])

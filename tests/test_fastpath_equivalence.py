@@ -390,7 +390,11 @@ def _drive_with_aborts(scheme, trace, abort_seed, state, tracer=None):
     the scheme decided after every record, with ``state(announced)``."""
     rng = random.Random(abort_seed)
     last_record = {r.transaction_id: i for i, r in enumerate(trace.records)}
-    acks_expected, announced, aborted, log = {}, [], set(), []
+    acks_expected, announced, aborted, log, submitted = {}, [], set(), [], []
+
+    def on_submit(operation):
+        submitted.append((operation.transaction_id, operation.site))
+        engine.enqueue(Ack(operation.transaction_id, site=operation.site))
 
     def on_ack(operation):
         acks_expected[operation.transaction_id].discard(operation.site)
@@ -398,12 +402,7 @@ def _drive_with_aborts(scheme, trace, abort_seed, state, tracer=None):
             engine.enqueue(Fin(operation.transaction_id))
 
     engine = Engine(
-        scheme,
-        submit_handler=lambda op: engine.enqueue(
-            Ack(op.transaction_id, site=op.site)
-        ),
-        ack_handler=on_ack,
-        tracer=tracer,
+        scheme, submit_handler=on_submit, ack_handler=on_ack, tracer=tracer
     )
     for index, record in enumerate(trace.records):
         transaction_id = record.transaction_id
@@ -423,11 +422,10 @@ def _drive_with_aborts(scheme, trace, abort_seed, state, tracer=None):
             victim = rng.choice(unfinished)
             aborted.add(victim)
             engine.purge_transaction(victim)
-            scheme.remove_transaction(victim)
             engine.run()
         log.append(
             (
-                [(op.transaction_id, op.site) for op in engine.submission_log],
+                list(submitted),
                 sorted((op.kind, op.transaction_id) for op in wait_set(engine)),
                 state(announced),
                 scheme.metrics.steps,

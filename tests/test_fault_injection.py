@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Scheme0, Scheme1, Scheme2, Scheme3, make_scheme
+from repro.core import Scheme0, Scheme1, Scheme2, Scheme3, Scheme4, make_scheme
 from repro.core.engine import Engine
 from repro.core.events import Init, Ser
 from repro.core.recovery import Journal, recover_engine
@@ -49,7 +49,7 @@ from repro.schedules.model import (
     write as write_op,
 )
 from repro.workloads.generator import WorkloadConfig, WorkloadGenerator
-from tests.support import plan_from_mapping
+from tests.support import holds_transaction, plan_from_mapping
 
 ALL_SCHEME_NAMES = ["scheme0", "scheme1", "scheme2", "scheme3"]
 
@@ -307,7 +307,7 @@ class TestJournalSequencing:
     def test_purges_replay_at_original_positions(self):
         # G1 is purged *between* processing G2's init and ser; replaying
         # must purge at the same point, not at the end
-        for factory in (Scheme0, Scheme1, Scheme2, Scheme3):
+        for factory in (Scheme0, Scheme1, Scheme2, Scheme3, Scheme4):
             journal = Journal()
             engine = Engine(
                 factory(),
@@ -318,8 +318,8 @@ class TestJournalSequencing:
             engine.enqueue(Init("G1", sites=("s0", "s1")))
             engine.enqueue(Init("G2", sites=("s0",)))
             engine.run()
+            assert holds_transaction(engine.scheme, "G1")
             engine.purge_transaction("G1")
-            engine.scheme.remove_transaction("G1")
             engine.enqueue(Ser("G2", site="s0"))
             engine.run()
             assert any(txn == "G1" for _, txn in journal.purges)
@@ -329,10 +329,10 @@ class TestJournalSequencing:
                 submit_handler=lambda op: None,
                 ack_handler=lambda op: None,
             )
-            # the recovered scheme no longer tracks the purged G1
-            remover = getattr(recovered.scheme, "remove_transaction", None)
-            if remover is not None:
-                remover("G1")  # must be a no-op, not a KeyError
+            # neither the live scheme nor the recovered one tracks G1
+            assert not holds_transaction(engine.scheme, "G1")
+            assert not holds_transaction(recovered.scheme, "G1")
+            assert holds_transaction(recovered.scheme, "G2")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,10 @@
   ``src/repro`` is referenced from another place under ``src/repro``, or
   is named in ``OUTSIDE_CALLERS`` with the code outside it that calls it
   (test-only oracles and helpers live under ``tests/``);
-- nothing under ``src/repro`` imports ``tests``.
+- nothing under ``src/repro`` imports ``tests``;
+- the runtime's layers probe no collaborator by name: a hook a caller
+  may need is declared, with its default, on the collaborator's base
+  class (``ConservativeScheme``, ``LocalScheduler``, ``Init``/``Fin``).
 """
 
 import ast
@@ -471,3 +474,46 @@ def test_the_import_walk_sees_an_import_of_tests():
         "    from tests.reference import serializability\n"
     )
     assert imports_of_tests(tree) == [1, 2, 3, 7]
+
+
+#: the runtime's layers, whose collaborators talk through declared hooks
+DECLARED_LAYERS = ("core", "mdbs", "lmdbs", "workloads", "baselines", "transport")
+
+
+def name_probes(tree):
+    """``(line, attribute)`` of every ``getattr(x, "<literal>", default)``
+    and ``hasattr(x, "<literal>")``: an attribute asked for by name
+    instead of declared on the class of ``x``."""
+    probes = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
+            continue
+        arity = {"getattr": 3, "hasattr": 2}.get(node.func.id)
+        if (
+            len(node.args) == arity
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+        ):
+            probes.append((node.lineno, node.args[1].value))
+    return sorted(probes)
+
+
+def test_no_layer_probes_a_collaborator_by_name():
+    probes = [
+        (str(path.relative_to(SRC)),) + probe
+        for layer in DECLARED_LAYERS
+        for path in sorted((SRC / layer).rglob("*.py"))
+        for probe in name_probes(parse(path))
+    ]
+    assert probes == []
+
+
+def test_the_probe_walk_sees_a_probe():
+    tree = ast.parse(
+        "hinter = getattr(scheme, 'wake_hints', None)\n"
+        "if hasattr(protocol, 'waits_for_edges'):\n"
+        "    site = operation.site\n"
+        "handler = getattr(self, name, None)\n"
+        "plain = getattr(scheme, 'metrics')\n"
+    )
+    assert name_probes(tree) == [(1, "wake_hints"), (2, "waits_for_edges")]

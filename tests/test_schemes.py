@@ -400,7 +400,6 @@ class TestScheme4:
         assert h.submitted_keys == [("G1", "s1")]
         # abort G2 mid-chain: G3 must inherit G1 as its predecessor
         h.engine.purge_transaction("G2")
-        scheme.remove_transaction("G2")
         assert scheme._pred[("G3", "s1")] == "G1"
         h.ack("G1", "s1")
         assert h.submitted_keys == [("G1", "s1"), ("G3", "s1")]
