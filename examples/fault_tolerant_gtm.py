@@ -21,7 +21,7 @@ Run:  python examples/fault_tolerant_gtm.py
 """
 
 from repro.core import make_scheme
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultPlan, StormShape
 from repro.lmdbs import LocalDBMS, make_protocol
 from repro.mdbs import MDBSSimulator, SimulationConfig, verify
 from repro.workloads import WorkloadConfig, WorkloadGenerator
@@ -78,15 +78,13 @@ def exact_recovery_demo():
 
 def chaos_demo():
     print("2. chaos: loss + duplication + delay + GTM crash + site crash")
-    plan = FaultPlan.random(
-        seed=SEED,
-        sites=["s0", "s1", "s2"],
+    plan = StormShape(
         loss_rate=0.15,
         duplication_rate=0.05,
         delay_rate=0.10,
         gtm_crash_count=1,
         site_crash_count=1,
-    )
+    ).draw(SEED, ["s0", "s1", "s2"])
     simulator = build_simulator(plan)
     report = simulator.run()
     stats = report.fault_stats

@@ -14,10 +14,9 @@ admit the cycle-closing transaction at all.
 as soon as it completes (the naive reading of [BS88]) is *unsound*: a
 later admission can close a serialization cycle through the departed
 transaction.  The paper's Scheme 1 repairs exactly this with its
-per-site delete queues (``cond(fin)``).  This implementation adopts the
-same discipline by default; constructing it with ``naive_deletion=True``
-reproduces the historical flaw — used by the test suite to demonstrate
-that the repair is load-bearing.
+per-site delete queues (``cond(fin)``), and this implementation adopts
+the same discipline; the test suite keeps the historical flaw as a
+subclass to show that the repair is load-bearing.
 """
 
 from __future__ import annotations
@@ -36,10 +35,9 @@ class SiteGraphScheme(ConservativeScheme):
 
     name = "site-graph"
 
-    def __init__(self, naive_deletion: bool = False) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self.tsg = TransactionSiteGraph(self.metrics)
-        self.naive_deletion = naive_deletion
         self._outstanding: Dict[str, str] = {}
         #: per site: completion (ack) order, for the sound fin discipline
         self._delete_queues: Dict[str, List[str]] = {}
@@ -88,8 +86,6 @@ class SiteGraphScheme(ConservativeScheme):
     # -- fin -----------------------------------------------------------------
     def cond_fin(self, operation: Fin) -> bool:
         self.metrics.step()
-        if self.naive_deletion:
-            return True
         transaction_id = operation.transaction_id
         for site in self.tsg.sites_of(transaction_id):
             self.metrics.step()

@@ -53,6 +53,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import Dict, List, Optional, Tuple
@@ -62,6 +63,7 @@ from repro.analysis.reporting import render_table
 from repro.baselines import BASELINES
 from repro.core import SCHEMES, make_scheme
 from repro.exceptions import SchedulerError
+from repro.faults.chaos import ChaosOptions, run_chaos
 from repro.lmdbs import PROTOCOLS
 from repro.transport import SimTransport, SimulationJob
 from repro.workloads import WorkloadConfig, WorkloadGenerator
@@ -214,39 +216,19 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults import FaultConfigError
-    from repro.faults.chaos import ChaosOptions, run_chaos
     from repro.observability import MetricsRegistry, fold, report_to_registry
 
+    knobs = {name: getattr(args, name) for name in chaos_knobs()}
     registry = MetricsRegistry() if args.metrics_out else None
     rows = []
     violations: List[str] = []
     totals = []
     for name in args.schemes:
+        options = ChaosOptions(scheme=name, **knobs)
         reports = []
         bad = 0
         for index in range(args.runs):
             seed = args.seed + index
-            options = ChaosOptions(
-                scheme=name,
-                sites=args.sites,
-                global_txns=args.globals,
-                local_txns=args.locals,
-                loss_rate=args.loss_rate,
-                duplication_rate=args.duplication_rate,
-                delay_rate=args.delay_rate,
-                gtm_crash_count=args.gtm_crashes,
-                site_crash_count=args.site_crashes,
-                downtime=args.downtime,
-                atomic_commit=args.atomic_commit,
-                prepare_crash_count=args.prepare_crashes,
-                replication_degree=args.replication_degree,
-                replicated_items=args.replicated_items,
-                ro_fraction=args.ro_fraction,
-                write_crash_count=args.write_crashes,
-                commit_group_size=args.commit_group_size,
-                coordinator_crash_count=args.coordinator_crashes,
-                vote_decide_partition_count=args.vote_decide_partitions,
-            )
             try:
                 # the storm's job, and with it its fault plan, is built
                 # first: a bad option fails before anything runs
@@ -270,7 +252,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         rows.append(
             (
                 name,
-                f"{total.committed_global}/{args.runs * args.globals}",
+                f"{total.committed_global}/{args.runs * args.global_txns}",
                 total.failed_global,
                 total.fault_stats.gtm_crashes,
                 total.fault_stats.site_crashes,
@@ -426,6 +408,21 @@ def _count(text: str, minimum: int) -> int:
     return value
 
 
+#: the argparse type of a count knob, by the least value it takes
+COUNT_TYPES = {0: count, 1: positive_count}
+
+
+def chaos_knobs() -> Dict[str, dataclasses.Field]:
+    """The :class:`~repro.faults.chaos.ChaosOptions` fields ``repro
+    chaos`` has a flag for, by name; each declares its flag, default and
+    help once, on the field."""
+    return {
+        knob.name: knob
+        for knob in dataclasses.fields(ChaosOptions)
+        if "flag" in knob.metadata
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -496,80 +493,25 @@ def build_parser() -> argparse.ArgumentParser:
         default=["scheme0", "scheme1", "scheme2", "scheme3", "scheme4"],
     )
     chaos_parser.add_argument("--runs", type=positive_count, default=25)
-    chaos_parser.add_argument("--sites", type=positive_count, default=3)
-    chaos_parser.add_argument("--globals", type=count, default=8)
-    chaos_parser.add_argument("--locals", type=count, default=10)
     chaos_parser.add_argument("--seed", type=int, default=0)
-    chaos_parser.add_argument("--loss-rate", type=float, default=0.15)
-    chaos_parser.add_argument("--duplication-rate", type=float, default=0.05)
-    chaos_parser.add_argument("--delay-rate", type=float, default=0.10)
-    chaos_parser.add_argument("--gtm-crashes", type=int, default=1)
-    chaos_parser.add_argument("--site-crashes", type=int, default=1)
-    chaos_parser.add_argument("--downtime", type=float, default=25.0)
-    chaos_parser.add_argument(
-        "--atomic-commit",
-        action="store_true",
-        help="run with presumed-abort 2PC; partial commits become "
-        "hard violations",
-    )
-    chaos_parser.add_argument(
-        "--prepare-crashes",
-        type=int,
-        default=0,
-        help="site crashes keyed to 2PC progress (after the n-th YES "
-        "vote); needs --atomic-commit to matter",
-    )
-    chaos_parser.add_argument(
-        "--replication-degree",
-        type=int,
-        default=0,
-        help="copies per logical item under available-copies "
-        "replication; 0 (default) = the paper's single-copy model",
-    )
-    chaos_parser.add_argument(
-        "--replicated-items",
-        type=int,
-        default=8,
-        help="shared logical items placed by the replica map",
-    )
-    chaos_parser.add_argument(
-        "--ro-fraction",
-        type=float,
-        default=0.25,
-        help="fraction of global transactions forced read-only "
-        "(served from the committed multiversion snapshot)",
-    )
-    chaos_parser.add_argument(
-        "--commit-group-size",
-        type=int,
-        default=0,
-        help="replicate the commit decision log over this many "
-        "coordinator replicas (2f+1; 3 = non-blocking termination); "
-        "0 keeps the single-coordinator journal; needs --atomic-commit",
-    )
-    chaos_parser.add_argument(
-        "--coordinator-crashes",
-        type=int,
-        default=0,
-        help="coordinator-replica crashes keyed to vote-log progress "
-        "(replica down right after its n-th vote record); needs "
-        "--commit-group-size >= 1",
-    )
-    chaos_parser.add_argument(
-        "--vote-decide-partitions",
-        type=int,
-        default=0,
-        help="partitions between vote and decision (acting leader + GTM "
-        "on the minority side); needs --commit-group-size >= 1",
-    )
-    chaos_parser.add_argument(
-        "--write-crashes",
-        type=int,
-        default=0,
-        help="site crashes keyed to replicated-write progress (crash "
-        "between the replica writes of one fanned-out logical write); "
-        "needs --replication-degree >= 1 to matter",
-    )
+    for name, knob in chaos_knobs().items():
+        flag = knob.metadata["flag"]
+        if isinstance(knob.default, bool):
+            kind = {"action": "store_true"}
+        else:
+            kind = {
+                # a count checks its minimum; any other knob is its
+                # default's type
+                "type": COUNT_TYPES.get(
+                    knob.metadata["minimum"], type(knob.default)
+                ),
+                # the metavar argparse derives from the flag itself
+                "metavar": flag[2:].replace("-", "_").upper(),
+            }
+        chaos_parser.add_argument(
+            flag, dest=name, default=knob.default, help=knob.metadata["help"],
+            **kind,
+        )
     chaos_parser.add_argument(
         "--metrics-out",
         metavar="PATH",

@@ -39,12 +39,8 @@ class Scheme1(ConservativeScheme):
 
     name = "scheme1"
 
-    def __init__(self, marking: bool = True) -> None:
-        """``marking=False`` disables cycle marking — an *unsound*
-        ablation used by tests and benches to show marking is
-        load-bearing for Theorem 3."""
+    def __init__(self) -> None:
         super().__init__()
-        self._marking = marking
         self.tsg = TransactionSiteGraph(self.metrics)
         #: per site: insert queue of transaction ids (order of init)
         self._insert_queues: Dict[str, List[str]] = {}
@@ -64,8 +60,6 @@ class Scheme1(ConservativeScheme):
         for site in operation.sites:
             self.metrics.step()
             self._insert_queues.setdefault(site, []).append(transaction_id)
-        if not self._marking:
-            return
         for site in self.tsg.cycle_sites(transaction_id):
             self.metrics.step()
             self._marked.add((transaction_id, site))

@@ -37,20 +37,9 @@ class Scheme2(ConservativeScheme):
 
     name = "scheme2"
 
-    def __init__(
-        self,
-        verify_elimination: bool = False,
-        eliminate: bool = True,
-    ) -> None:
-        """``verify_elimination`` re-checks, after every init, that the
-        TSGD really has no dangerous cycle through the new transaction
-        (exhaustive — tests only).  ``eliminate=False`` skips
-        ``Eliminate_Cycles`` entirely — an *unsound* ablation used to
-        show the Δ augmentation is load-bearing for Theorem 5."""
+    def __init__(self) -> None:
         super().__init__()
         self.tsgd = TSGD(self.metrics)
-        self._verify = verify_elimination
-        self._eliminate = eliminate
         #: sites of the most recently finished transaction (for wake hints)
         self._finished_sites: Tuple[str, ...] = ()
         #: per site: the transactions whose ser-operation there has
@@ -82,15 +71,9 @@ class Scheme2(ConservativeScheme):
                 ]
         self.metrics.step(examined)
         tsgd.add_dependencies(run)
-        if self._eliminate:
-            delta = self.choose_delta(transaction_id)
-            self.metrics.delta_edges += len(delta)
-            tsgd.add_dependencies(sorted(delta))
-        if self._verify and tsgd.has_dangerous_cycle_through(transaction_id):
-            raise SchedulerError(
-                f"Eliminate_Cycles left a dangerous cycle through "
-                f"{transaction_id!r}"
-            )
+        delta = self.choose_delta(transaction_id)
+        self.metrics.delta_edges += len(delta)
+        tsgd.add_dependencies(sorted(delta))
 
     def choose_delta(self, transaction_id: str) -> Set[Dependency]:
         """The Δ that breaks every dangerous cycle through the new

@@ -37,7 +37,8 @@ tests and benchmarks E1–E3; the permits-all property is benchmark E3.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.events import Ack, Fin, Init, Ser
 from repro.core.scheme import ConservativeScheme
@@ -66,12 +67,8 @@ class Scheme3(ConservativeScheme):
 
     name = "scheme3"
 
-    def __init__(self, transitive_update: bool = True) -> None:
-        """``transitive_update=False`` disables the ``Set_2`` propagation
-        — an *unsound* ablation used by tests and benches to show the
-        update is load-bearing."""
+    def __init__(self) -> None:
         super().__init__()
-        self._transitive_update = transitive_update
         #: reverse index: entry t -> transactions whose ser_bef holds t
         self._after_index: Dict[str, Set[str]] = {}
         #: ser_bef(G_i): transactions serialized before G_i
@@ -140,23 +137,29 @@ class Scheme3(ConservativeScheme):
         # Set_1 = ser_bef(G_i) ∪ {G_i}
         set_one = set(self._ser_bef[transaction_id])
         set_one.add(transaction_id)
-        # transactions serialized after some member of set_k inherit Set_1
+        # set_k and the transactions serialized after some member of it
+        # (Set_2) inherit Set_1
         targets = set(members)
-        if self._transitive_update:
-            # reverse-index union replaces the all-transactions scan;
-            # charge the paper-model scan cost regardless
-            self.metrics.step(len(self._ser_bef))
-            for member in members:
-                targets.update(self._after_index.get(member, ()))
-            self.metrics.dfs_steps_avoided += max(
-                0, len(self._ser_bef) - len(members)
-            )
+        targets.update(self._serialized_after(members))
         self.metrics.step(len(targets) * len(set_one))
         for target in targets:
             self._ser_bef[target] |= set_one
         for entry in set_one:
             self._after_index.setdefault(entry, set()).update(targets)
         self.submit(operation)
+
+    def _serialized_after(self, members: Set[str]) -> Iterable[str]:
+        """The transactions whose ``ser_bef`` holds a member of *members*
+        — the transitive step of the ``Set_2`` update (Theorem 8).  The
+        reverse-index entries replace the all-transactions scan; the
+        scan's paper-model cost is charged regardless."""
+        self.metrics.step(len(self._ser_bef))
+        self.metrics.dfs_steps_avoided += max(
+            0, len(self._ser_bef) - len(members)
+        )
+        return chain.from_iterable(
+            self._after_index.get(member, ()) for member in members
+        )
 
     # -- ack -----------------------------------------------------------------
     def act_ack(self, operation: Ack) -> None:

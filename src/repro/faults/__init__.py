@@ -7,7 +7,7 @@ The package provides a seeded, deterministic fault subsystem:
   (:class:`MessageFaultConfig`, :class:`SiteCrash`, :class:`RetryPolicy`,
   :class:`FaultStats`);
 - :mod:`repro.faults.plan` — :class:`FaultPlan`, a run's complete fault
-  schedule;
+  schedule, and :class:`StormShape`, which draws a randomized one;
 - :mod:`repro.faults.injector` — :class:`FaultInjector`, consulted by the
   simulator at every boundary crossing, plus the idempotent per-site
   delivery channels;
@@ -30,7 +30,7 @@ from repro.faults.model import (
     VoteDecidePartition,
     WriteCrash,
 )
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, StormShape
 
 __all__ = [
     "FaultConfigError",
@@ -43,6 +43,7 @@ __all__ = [
     "RetryPolicy",
     "SiteCrash",
     "SiteChannel",
+    "StormShape",
     "VoteDecidePartition",
     "WriteCrash",
     "site_up",

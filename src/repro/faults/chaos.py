@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from itertools import cycle
 from typing import Optional, Sequence, Tuple
 
-from repro.faults.plan import FaultPlan
+from repro.faults.model import FaultConfigError
+from repro.faults.plan import FaultPlan, StormShape, knob
 from repro.mdbs.simulator import SimulationConfig, SimulationReport
 from repro.mdbs.verification import (
     AtomicityReport,
@@ -46,50 +47,65 @@ DEFAULT_PROTOCOLS: Tuple[str, ...] = ("strict-2pl", "to", "sgt")
 
 
 @dataclass
-class ChaosOptions:
-    """Shape of one chaos run (the seed picks the concrete storm)."""
+class ChaosOptions(StormShape):
+    """Shape of one chaos run (the seed picks the concrete storm): the
+    storm's fault knobs, plus the workload and the layers it runs on."""
 
     scheme: str = "scheme2"
-    sites: int = 3
+    sites: int = knob(3, "--sites", minimum=1)
     protocols: Sequence[str] = DEFAULT_PROTOCOLS
-    global_txns: int = 8
-    local_txns: int = 10
+    global_txns: int = knob(8, "--globals", minimum=0)
+    local_txns: int = knob(10, "--locals", minimum=0)
     spacing: float = 3.0
-    loss_rate: float = 0.15
-    duplication_rate: float = 0.05
-    delay_rate: float = 0.10
-    gtm_crash_count: int = 1
-    site_crash_count: int = 1
-    downtime: float = 25.0
-    crash_window: Tuple[float, float] = (20.0, 400.0)
     horizon: float = 100_000.0
     #: presumed-abort 2PC (repro.commit)
-    atomic_commit: bool = False
-    #: crashes keyed to 2PC progress (site down right after its n-th
-    #: YES vote); only drawn when > 0
-    prepare_crash_count: int = 0
+    atomic_commit: bool = knob(
+        False,
+        "--atomic-commit",
+        "run with presumed-abort 2PC; partial commits become hard "
+        "violations",
+    )
     #: available-copies replication (repro.replication): copies per
     #: logical item; 0 = off — the paper's single-copy model
-    replication_degree: int = 0
+    replication_degree: int = knob(
+        0,
+        "--replication-degree",
+        "copies per logical item under available-copies replication; 0 "
+        "(default) = the paper's single-copy model",
+    )
     #: shared logical items placed by the replica map (named ``x0..``,
     #: disjoint from the site-local ``s0_x..`` item pools)
-    replicated_items: int = 8
+    replicated_items: int = knob(
+        8,
+        "--replicated-items",
+        "shared logical items placed by the replica map",
+    )
     #: fraction of global transactions forced read-only — the snapshot
     #: population (only meaningful with replication on)
-    ro_fraction: float = 0.25
-    #: crashes keyed to replicated-write progress (site down right
-    #: after its n-th replica write); only drawn when > 0
-    write_crash_count: int = 0
-    #: replicated commit decision log (repro.commit.group): number of
-    #: coordinator replicas; 0 = off — the single-coordinator journal
-    #: backend.  Non-blocking termination needs 2f+1 >= 3
-    commit_group_size: int = 0
-    #: coordinator-replica crashes keyed to vote-log progress; only
-    #: drawn when > 0
-    coordinator_crash_count: int = 0
-    #: vote/decision partitions (acting leader + GTM on the minority
-    #: side); only drawn when > 0
-    vote_decide_partition_count: int = 0
+    ro_fraction: float = knob(
+        0.25,
+        "--ro-fraction",
+        "fraction of global transactions forced read-only (served from "
+        "the committed multiversion snapshot)",
+    )
+
+    def draw(self, seed: int, sites: Sequence[str]) -> FaultPlan:
+        """The storm's fault plan; a knob whose layer is off raises
+        :class:`~repro.faults.model.FaultConfigError` instead of being
+        drawn and then ignored."""
+        group = self.commit_group_size >= 1
+        replicated = self.replication_degree >= 1
+        for name, needs, layer_on in (
+            ("prepare_crash_count", "atomic_commit", self.atomic_commit),
+            ("commit_group_size", "atomic_commit", self.atomic_commit),
+            ("coordinator_crash_count", "commit_group_size >= 1", group),
+            ("vote_decide_partition_count", "commit_group_size >= 1", group),
+            ("write_crash_count", "replication_degree >= 1", replicated),
+        ):
+            value = getattr(self, name)
+            if value > 0 and not layer_on:
+                raise FaultConfigError(f"{name} {value} needs {needs}")
+        return super().draw(seed, sites)
 
 
 @dataclass
@@ -154,7 +170,7 @@ class ChaosResult:
 
 def chaos_job(options: ChaosOptions, seed: int) -> SimulationJob:
     """The run one seeded chaos storm is: the seed's workload, with its
-    :meth:`FaultPlan.random` draw (raises
+    :meth:`ChaosOptions.draw` (raises
     :class:`~repro.faults.model.FaultConfigError` on a bad option)."""
     workload = WorkloadGenerator(
         WorkloadConfig(sites=options.sites, seed=seed)
@@ -173,22 +189,7 @@ def chaos_job(options: ChaosOptions, seed: int) -> SimulationJob:
         )
     else:
         programs = workload.global_batch(options.global_txns)
-    plan = FaultPlan.random(
-        seed,
-        tuple(site_names),
-        window=options.crash_window,
-        loss_rate=options.loss_rate,
-        duplication_rate=options.duplication_rate,
-        delay_rate=options.delay_rate,
-        gtm_crash_count=options.gtm_crash_count,
-        site_crash_count=options.site_crash_count,
-        downtime=options.downtime,
-        prepare_crash_count=options.prepare_crash_count,
-        write_crash_count=options.write_crash_count,
-        coordinator_crash_count=options.coordinator_crash_count,
-        vote_decide_partition_count=options.vote_decide_partition_count,
-        commit_group_size=options.commit_group_size,
-    )
+    plan = options.draw(seed, tuple(site_names))
     return SimulationJob(
         site_protocols=tuple(zip(site_names, cycle(options.protocols))),
         scheme=options.scheme,

@@ -6,13 +6,18 @@ probabilities (whose individual coin flips come from the injector's
 per-channel streams, seeded from the plan).  Two runs with the same
 workload seed and the same plan are bit-identical, which is what makes
 chaos findings replayable.
+
+A :class:`StormShape` is the shape of a randomized schedule — rates,
+crash counts, downtime, crash window — and :meth:`StormShape.draw` turns
+it and a seed into one plan.  Each of its fields is declared once, with
+the ``repro chaos`` flag that sets it (:func:`knob`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.faults.model import (
     FaultConfigError,
@@ -67,30 +72,75 @@ class FaultPlan:
         for partition in self.vote_decide_partitions:
             partition.validate()
 
-    @classmethod
-    def random(
-        cls,
-        seed: int,
-        sites: Sequence[str],
-        window: Tuple[float, float] = (20.0, 400.0),
-        loss_rate: float = 0.15,
-        duplication_rate: float = 0.05,
-        delay_rate: float = 0.10,
-        gtm_crash_count: int = 1,
-        site_crash_count: int = 1,
-        downtime: float = 25.0,
-        prepare_crash_count: int = 0,
-        write_crash_count: int = 0,
-        coordinator_crash_count: int = 0,
-        vote_decide_partition_count: int = 0,
-        commit_group_size: int = 0,
-    ) -> "FaultPlan":
-        """Draw a randomized schedule: crash instants uniform in *window*,
-        crashing sites drawn uniformly from *sites*.  Fully determined by
-        *seed*.  ``prepare_crash_count`` draws 2PC-progress-keyed crashes
-        (site after its n-th YES vote, n uniform in 1..3); it defaults to
-        0 and its draws come *after* all legacy draws, so plans built
-        with the default are byte-identical to pre-2PC plans.
+
+def knob(
+    default: object,
+    flag: str,
+    help: Optional[str] = None,
+    minimum: Optional[int] = None,
+):
+    """A field that the ``repro chaos`` option *flag* sets: the field's
+    default is the flag's, and a count with a *minimum* refuses less."""
+    return field(
+        default=default,
+        metadata={"flag": flag, "help": help, "minimum": minimum},
+    )
+
+
+@dataclass
+class StormShape:
+    """The shape of a randomized fault schedule; :meth:`draw` picks the
+    concrete schedule from a seed."""
+
+    loss_rate: float = knob(0.15, "--loss-rate")
+    duplication_rate: float = knob(0.05, "--duplication-rate")
+    delay_rate: float = knob(0.10, "--delay-rate")
+    gtm_crash_count: int = knob(1, "--gtm-crashes")
+    site_crash_count: int = knob(1, "--site-crashes")
+    downtime: float = knob(25.0, "--downtime")
+    #: crash instants are drawn uniformly in this window
+    crash_window: Tuple[float, float] = (20.0, 400.0)
+    prepare_crash_count: int = knob(
+        0,
+        "--prepare-crashes",
+        "site crashes keyed to 2PC progress (after the n-th YES vote); "
+        "needs --atomic-commit",
+    )
+    write_crash_count: int = knob(
+        0,
+        "--write-crashes",
+        "site crashes keyed to replicated-write progress (crash between "
+        "the replica writes of one fanned-out logical write); needs "
+        "--replication-degree >= 1",
+    )
+    commit_group_size: int = knob(
+        0,
+        "--commit-group-size",
+        "replicate the commit decision log over this many coordinator "
+        "replicas (2f+1; 3 = non-blocking termination); 0 keeps the "
+        "single-coordinator journal; needs --atomic-commit",
+    )
+    coordinator_crash_count: int = knob(
+        0,
+        "--coordinator-crashes",
+        "coordinator-replica crashes keyed to vote-log progress (replica "
+        "down right after its n-th vote record); needs "
+        "--commit-group-size >= 1",
+    )
+    vote_decide_partition_count: int = knob(
+        0,
+        "--vote-decide-partitions",
+        "partitions between vote and decision (acting leader + GTM on the "
+        "minority side); needs --commit-group-size >= 1",
+    )
+
+    def draw(self, seed: int, sites: Sequence[str]) -> FaultPlan:
+        """Draw a randomized schedule: crash instants uniform in
+        ``crash_window``, crashing sites drawn uniformly from *sites*.
+        Fully determined by *seed*.  ``prepare_crash_count`` draws
+        2PC-progress-keyed crashes (site after its n-th YES vote, n
+        uniform in 1..3); its draws come *after* all legacy draws, so
+        plans drawn without them are byte-identical to pre-2PC plans.
         ``write_crash_count`` likewise draws replication-progress-keyed
         crashes (site after its n-th replicated write, n uniform in
         1..3); its draws come after the prepare-crash draws, preserving
@@ -101,22 +151,22 @@ class FaultPlan:
         later ones pick a rank uniformly below ``commit_group_size``);
         their draws come last, extending the byte-identity chain."""
         rng = random.Random(seed)
-        start, end = window
+        start, end = self.crash_window
         if end <= start:
-            raise FaultConfigError(f"empty fault window {window}")
+            raise FaultConfigError(f"empty fault window {self.crash_window}")
         counts = dict(
-            gtm_crash_count=gtm_crash_count,
-            site_crash_count=site_crash_count,
-            prepare_crash_count=prepare_crash_count,
-            write_crash_count=write_crash_count,
-            coordinator_crash_count=coordinator_crash_count,
-            vote_decide_partition_count=vote_decide_partition_count,
+            gtm_crash_count=self.gtm_crash_count,
+            site_crash_count=self.site_crash_count,
+            prepare_crash_count=self.prepare_crash_count,
+            write_crash_count=self.write_crash_count,
+            coordinator_crash_count=self.coordinator_crash_count,
+            vote_decide_partition_count=self.vote_decide_partition_count,
         )
         for name, count in counts.items():
             if count < 0:
                 raise FaultConfigError(f"negative {name} {count}")
         gtm_crashes = tuple(
-            sorted(rng.uniform(start, end) for _ in range(gtm_crash_count))
+            sorted(rng.uniform(start, end) for _ in range(self.gtm_crash_count))
         )
         site_crashes = tuple(
             sorted(
@@ -124,9 +174,9 @@ class FaultPlan:
                     SiteCrash(
                         site=rng.choice(list(sites)),
                         at=rng.uniform(start, end),
-                        downtime=downtime,
+                        downtime=self.downtime,
                     )
-                    for _ in range(site_crash_count)
+                    for _ in range(self.site_crash_count)
                 ),
                 key=lambda crash: (crash.at, crash.site),
             )
@@ -135,40 +185,40 @@ class FaultPlan:
             PrepareCrash(
                 site=rng.choice(list(sites)),
                 after_prepares=rng.randint(1, 3),
-                downtime=downtime,
+                downtime=self.downtime,
             )
-            for _ in range(prepare_crash_count)
+            for _ in range(self.prepare_crash_count)
         )
         crash_after_writes = tuple(
             WriteCrash(
                 site=rng.choice(list(sites)),
                 after_writes=rng.randint(1, 3),
-                downtime=downtime,
+                downtime=self.downtime,
             )
-            for _ in range(write_crash_count)
+            for _ in range(self.write_crash_count)
         )
-        ranks = max(1, commit_group_size)
+        ranks = max(1, self.commit_group_size)
         crash_coordinator_replica = tuple(
             ReplicaCrash(
                 replica=0 if index == 0 else rng.randrange(ranks),
                 after_votes=rng.randint(1, 3),
-                downtime=downtime,
+                downtime=self.downtime,
             )
-            for index in range(coordinator_crash_count)
+            for index in range(self.coordinator_crash_count)
         )
         vote_decide_partitions = tuple(
             VoteDecidePartition(
                 after_votes=rng.randint(1, 3),
-                duration=2.0 * downtime,
+                duration=2.0 * self.downtime,
             )
-            for _ in range(vote_decide_partition_count)
+            for _ in range(self.vote_decide_partition_count)
         )
-        plan = cls(
+        plan = FaultPlan(
             seed=seed,
             messages=MessageFaultConfig(
-                loss_rate=loss_rate,
-                duplication_rate=duplication_rate,
-                delay_rate=delay_rate,
+                loss_rate=self.loss_rate,
+                duplication_rate=self.duplication_rate,
+                delay_rate=self.delay_rate,
             ),
             gtm_crashes=gtm_crashes,
             site_crashes=site_crashes,

@@ -32,7 +32,7 @@ PROTOCOLS = {
 }
 
 
-def make_protocol(name: str, **kwargs) -> LocalScheduler:
+def make_protocol(name: str) -> LocalScheduler:
     """Instantiate a protocol by registry name."""
     try:
         factory = PROTOCOLS[name]
@@ -40,7 +40,7 @@ def make_protocol(name: str, **kwargs) -> LocalScheduler:
         raise KeyError(
             f"unknown protocol {name!r}; known: {sorted(PROTOCOLS)}"
         ) from None
-    return factory(**kwargs)
+    return factory()
 
 
 __all__ = [

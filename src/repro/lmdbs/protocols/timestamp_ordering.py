@@ -23,20 +23,18 @@ from repro.schedules.serialization_functions import BeginSerializationFunction
 
 
 class BasicTimestampOrdering(LocalScheduler):
-    """Basic TO with begin-time timestamps and optional Thomas write rule.
+    """Basic TO with begin-time timestamps.
 
     Rules (rts/wts = largest read/write timestamp seen per item):
 
     - ``r(x)`` by T: reject if ``ts(T) < wts(x)``; else grant and update.
-    - ``w(x)`` by T: reject if ``ts(T) < rts(x)``; if ``ts(T) < wts(x)``
-      reject, or silently skip under the Thomas write rule.
+    - ``w(x)`` by T: reject if ``ts(T) < rts(x)`` or ``ts(T) < wts(x)``.
     """
 
     name = "to"
     serialization_function = BeginSerializationFunction()
 
-    def __init__(self, thomas_write_rule: bool = False) -> None:
-        self.thomas_write_rule = thomas_write_rule
+    def __init__(self) -> None:
         self._clock = 0
         self._timestamps: Dict[str, int] = {}
         self._read_ts: Dict[str, int] = {}
@@ -88,10 +86,6 @@ class BasicTimestampOrdering(LocalScheduler):
                 f"{self._read_ts[item]})",
             )
         if ts < self._write_ts.get(item, 0):
-            if self.thomas_write_rule:
-                # obsolete write: grant (the database still logs it, which
-                # is conservative for conflict-based verification).
-                return Decision.grant()
             self.rejections += 1
             return Decision.kill(
                 (transaction_id,),

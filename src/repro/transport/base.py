@@ -7,8 +7,8 @@ the commit layer and the replica map — and :func:`build_simulator` is
 the one code path in ``src/repro`` that assembles a simulator.  A
 :class:`Transport` turns a job into a :class:`TransportResult`: the
 merged :class:`~repro.mdbs.simulator.SimulationReport`, the executed
-global schedule, ``ser(S)``, the verification verdicts, and the metrics
-registry published from the merged report.
+global schedule, ``ser(S)``, the verification verdicts, and the shard
+count and timings.
 
 Two transports exist:
 
@@ -124,9 +124,6 @@ class TransportResult:
     global_schedule: GlobalSchedule
     ser_schedule: SerSchedule
     verification: VerificationReport
-    #: the merged report as a registry, plus ``transport.shards`` /
-    #: ``transport.workers`` describing the run topology
-    metrics: object
     transport: str
     workers: int
     shards: int
@@ -141,8 +138,8 @@ class TransportResult:
 
 class Transport:
     """Turns a :class:`SimulationJob` into a :class:`TransportResult`:
-    :meth:`run` dispatches, merges and verifies in the dispatcher
-    and publishes the merged report; a transport says which shards the
+    :meth:`run` dispatches, merges and verifies in the dispatcher; a
+    transport says which shards the
     job becomes (:meth:`split`) and how they execute (:meth:`execute`)."""
 
     name = "abstract"
@@ -158,18 +155,12 @@ class Transport:
         return [run_shard(shard) for shard in shards]
 
     def run(self, job: SimulationJob) -> TransportResult:
-        from repro.observability.export import report_to_registry
-
         shards, reason = self.split(job)
         outcomes = self.execute(shards)
         # the result's six leading fields, in declaration order
         merged = merge_outcomes(job, outcomes)
-        registry = report_to_registry(merged[0], scheme=job.scheme)
-        registry.counter("transport.shards").inc(len(shards))
-        registry.gauge("transport.workers").set(self.workers)
         return TransportResult(
             *merged,
-            metrics=registry,
             transport=self.name,
             workers=self.workers,
             shards=len(shards),

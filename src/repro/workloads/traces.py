@@ -206,12 +206,10 @@ def random_trace(
     sites: int,
     dav: int,
     seed: int = 0,
-    eager_ser: bool = False,
 ) -> Trace:
     """A random insertion order: inits in index order at random points,
     each transaction's ser requests interleaved arbitrarily after its
-    init.  With ``eager_ser`` every ser request immediately follows its
-    init (the friendliest order for BT-schemes)."""
+    init."""
     rng = random.Random(seed)
     site_names = [f"s{index}" for index in range(sites)]
     records: List[TraceRecord] = []
@@ -220,18 +218,13 @@ def random_trace(
         transaction_id = f"G{index}"
         chosen = _transaction_sites(rng, site_names, dav)
         records.append(TraceRecord("init", transaction_id, chosen))
-        sers = [
+        pending.extend(
             TraceRecord("ser", transaction_id, (site,)) for site in chosen
-        ]
-        if eager_ser:
-            records.extend(sers)
-        else:
-            pending.extend(sers)
-    if not eager_ser:
-        rng.shuffle(pending)
-        # splice the ser requests after the last init, preserving
-        # validity (all inits precede all sers)
-        records.extend(pending)
+        )
+    rng.shuffle(pending)
+    # splice the ser requests after the last init, preserving validity
+    # (all inits precede all sers)
+    records.extend(pending)
     return Trace(tuple(records))
 
 

@@ -1,9 +1,10 @@
 """Scheme 3 with the paper's all-transactions ``ser_bef`` scans (§7).
 
 ``Scheme3`` answers ``cond(ser)`` with a set intersection and finds the
-transactions to update in ``act(ser)``/``act(fin)`` through a reverse
-membership index.  This subclass overrides exactly those methods with
-the quadratic scans Theorem 9 counts — every ``ser_bef`` set visited,
+transactions to update in ``act(ser)`` (``_serialized_after``) and
+``act(fin)`` through a reverse membership index.  This subclass
+overrides exactly those methods with the quadratic scans Theorem 9
+counts — every ``ser_bef`` set visited,
 one ``metrics.step()`` per element examined — and never reads the
 index, so it is an independent oracle for decisions, ``ser_bef`` state
 and the paper-model step count.
@@ -43,18 +44,23 @@ class ScanScheme3(Scheme3):
         # Set_1 = ser_bef(G_i) ∪ {G_i}
         set_one = set(self._ser_bef[transaction_id])
         set_one.add(transaction_id)
-        # transactions serialized after some member of set_k inherit Set_1
+        # set_k and the transactions serialized after some member of it
+        # (Set_2) inherit Set_1
         targets = set(members)
-        if self._transitive_update:
-            for other, other_before in self._ser_bef.items():
-                self.metrics.step()
-                if other_before & members:
-                    targets.add(other)
+        targets.update(self._serialized_after(members))
         for target in targets:
             for entry in set_one:
                 self.metrics.step()
                 self._ser_bef[target].add(entry)
         self.submit(operation)
+
+    def _serialized_after(self, members):
+        after = set()
+        for other, other_before in self._ser_bef.items():
+            self.metrics.step()
+            if other_before & members:
+                after.add(other)
+        return after
 
     def act_fin(self, operation: Fin) -> None:
         transaction_id = operation.transaction_id

@@ -9,6 +9,9 @@
   item distribution, the ticket operation pair, the oldest-victim
   policy, a trace reloaded from its JSON lines, and the paper's
   steps-per-transaction measure over a scheme's counters;
+- the unsound variants of the paper's schemes, each without the one
+  step its correctness theorem rests on (``tests/test_ablations.py``),
+  and Scheme 2 with an exhaustive check of that step;
 - readers of state a structure keeps private, so that a test asserting
   on it names the one field it reads.
 """
@@ -19,9 +22,13 @@ import json
 import random
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from repro.baselines.site_graph import SiteGraphScheme
 from repro.core.metrics import SchemeMetrics
 from repro.core.recovery import Journal
-from repro.exceptions import ScheduleError
+from repro.core.scheme1 import Scheme1
+from repro.core.scheme2 import Scheme2
+from repro.core.scheme3 import Scheme3
+from repro.exceptions import ScheduleError, SchedulerError
 from repro.faults.model import (
     FaultConfigError,
     MessageFaultConfig,
@@ -376,6 +383,56 @@ def steps_per_transaction(metrics: SchemeMetrics) -> float:
     if metrics.transactions_finished == 0:
         return float(metrics.steps)
     return metrics.steps / metrics.transactions_finished
+
+
+# -- the schemes without their load-bearing step -------------------------
+
+
+class UnmarkedScheme1(Scheme1):
+    """Scheme 1 without marking (Theorem 3): the marks an init adds are
+    dropped at once, so no ser-operation waits for its insert queue."""
+
+    def act_init(self, operation) -> None:
+        super().act_init(operation)
+        transaction_id = operation.transaction_id
+        self._marked = {key for key in self._marked if key[0] != transaction_id}
+
+
+class UneliminatedScheme2(Scheme2):
+    """Scheme 2 without ``Eliminate_Cycles`` (Theorem 5): Δ is empty."""
+
+    def choose_delta(self, transaction_id: str) -> set:
+        return set()
+
+
+class CheckedScheme2(Scheme2):
+    """Scheme 2 that re-checks, after every init, that the TSGD has no
+    dangerous cycle through the new transaction (exhaustive)."""
+
+    def act_init(self, operation) -> None:
+        super().act_init(operation)
+        if self.tsgd.has_dangerous_cycle_through(operation.transaction_id):
+            raise SchedulerError(
+                f"Eliminate_Cycles left a dangerous cycle through "
+                f"{operation.transaction_id!r}"
+            )
+
+
+class NonTransitiveScheme3(Scheme3):
+    """Scheme 3 without the transitive step of the ``Set_2`` update
+    (Theorem 8): only ``set_k`` itself inherits ``Set_1``."""
+
+    def _serialized_after(self, members) -> set:
+        return set()
+
+
+class NaiveDeletionSiteGraph(SiteGraphScheme):
+    """[BS88] as historically read: a finished transaction leaves the
+    site graph at once, with no delete-queue order."""
+
+    def cond_fin(self, operation) -> bool:
+        self.metrics.step()
+        return True
 
 
 # -- private state, read in one place ------------------------------------

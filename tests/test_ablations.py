@@ -1,18 +1,27 @@
-"""Ablation tests: disabling each scheme's load-bearing mechanism must
+"""Ablation tests: each scheme without its load-bearing mechanism must
 break serializability on *some* trace — demonstrating that the paper's
-machinery (marking, Eliminate_Cycles, the Set_2 transitive update, the
-sound deletion discipline) is necessary, not incidental.
+machinery is necessary, not incidental.  The mutants live in
+``tests/support.py``, each overriding one method of the shipped scheme:
+``UnmarkedScheme1`` (marking, Theorem 3), ``UneliminatedScheme2``
+(Eliminate_Cycles, Theorem 5), ``NonTransitiveScheme3`` (the Set_2
+transitive update, Theorem 8) and ``NaiveDeletionSiteGraph`` (the delete
+queues that repair [BS88]).
 
 The trace driver raises :class:`SchedulerError` when a scheme produces a
 non-serializable ``ser(S)``, so "broken somewhere" means at least one
 seed raises while the sound variant never does.
 """
 
-
 from repro.baselines import SiteGraphScheme
 from repro.core import Scheme1, Scheme2, Scheme3
 from repro.exceptions import SchedulerError
 from repro.workloads.traces import drive, random_trace
+from tests.support import (
+    NaiveDeletionSiteGraph,
+    NonTransitiveScheme3,
+    UneliminatedScheme2,
+    UnmarkedScheme1,
+)
 
 SEEDS = range(60)
 
@@ -30,7 +39,7 @@ def broken_seed_count(factory):
 
 class TestScheme1Marking:
     def test_no_marking_is_unsound(self):
-        assert broken_seed_count(lambda: Scheme1(marking=False)) > 0
+        assert broken_seed_count(UnmarkedScheme1) > 0
 
     def test_with_marking_is_sound(self):
         assert broken_seed_count(Scheme1) == 0
@@ -38,7 +47,7 @@ class TestScheme1Marking:
 
 class TestScheme2Elimination:
     def test_no_elimination_is_unsound(self):
-        assert broken_seed_count(lambda: Scheme2(eliminate=False)) > 0
+        assert broken_seed_count(UneliminatedScheme2) > 0
 
     def test_with_elimination_is_sound(self):
         assert broken_seed_count(Scheme2) == 0
@@ -46,9 +55,7 @@ class TestScheme2Elimination:
 
 class TestScheme3TransitiveUpdate:
     def test_no_transitive_update_is_unsound(self):
-        assert (
-            broken_seed_count(lambda: Scheme3(transitive_update=False)) > 0
-        )
+        assert broken_seed_count(NonTransitiveScheme3) > 0
 
     def test_with_transitive_update_is_sound(self):
         assert broken_seed_count(Scheme3) == 0
@@ -56,10 +63,7 @@ class TestScheme3TransitiveUpdate:
 
 class TestSiteGraphDeletion:
     def test_naive_deletion_is_unsound(self):
-        assert (
-            broken_seed_count(lambda: SiteGraphScheme(naive_deletion=True))
-            > 0
-        )
+        assert broken_seed_count(NaiveDeletionSiteGraph) > 0
 
     def test_sound_deletion_is_sound(self):
         assert broken_seed_count(SiteGraphScheme) == 0

@@ -38,6 +38,7 @@ from repro.faults import (
     FaultPlan,
     PrepareCrash,
     SiteCrash,
+    StormShape,
 )
 from repro.faults.chaos import ChaosOptions, run_chaos
 from repro.lmdbs import LocalDBMS, make_protocol
@@ -191,8 +192,8 @@ class TestFaultPlanSurface:
 
     def test_random_plan_with_prepare_crashes_extends_legacy_plan(self):
         sites = ("s0", "s1", "s2")
-        legacy = FaultPlan.random(9, sites)
-        extended = FaultPlan.random(9, sites, prepare_crash_count=2)
+        legacy = StormShape().draw(9, sites)
+        extended = StormShape(prepare_crash_count=2).draw(9, sites)
         # the new draws come after all legacy draws, so everything the
         # old plan contained is byte-identical
         assert extended.gtm_crashes == legacy.gtm_crashes
@@ -783,15 +784,13 @@ class TestFaultPlanCommitGroupSurface:
 
     def test_random_plan_with_group_faults_extends_legacy_plan(self):
         sites = ("s0", "s1", "s2")
-        legacy = FaultPlan.random(9, sites, prepare_crash_count=2)
-        extended = FaultPlan.random(
-            9,
-            sites,
+        legacy = StormShape(prepare_crash_count=2).draw(9, sites)
+        extended = StormShape(
             prepare_crash_count=2,
             coordinator_crash_count=2,
             vote_decide_partition_count=1,
             commit_group_size=3,
-        )
+        ).draw(9, sites)
         # the new draws come after all legacy draws
         assert extended.gtm_crashes == legacy.gtm_crashes
         assert extended.site_crashes == legacy.site_crashes

@@ -18,6 +18,7 @@ from repro.core.events import Ack, Fin, Init, Ser
 from repro.exceptions import SchedulerError
 from repro.transport import SimTransport
 from repro.workloads import drive, random_trace
+from tests.support import NaiveDeletionSiteGraph
 
 
 class Harness:
@@ -84,7 +85,7 @@ class TestSiteGraph:
         for seed in range(40):
             trace = random_trace(20, 3, 2, seed=seed)
             try:
-                drive(SiteGraphScheme(naive_deletion=True), trace)
+                drive(NaiveDeletionSiteGraph(), trace)
             except SchedulerError:
                 broken += 1
         assert broken > 0

@@ -94,6 +94,53 @@ class TestParser:
         assert str(excinfo.value).startswith(f"{baseline}: ")
         assert capsys.readouterr().out == ""
 
+    def test_chaos_flag_defaults_are_the_option_defaults(self):
+        """Each chaos knob is declared once, on its option field: the
+        parsed defaults are ``ChaosOptions()``'s, field for field."""
+        from repro.faults.chaos import ChaosOptions
+
+        args = build_parser().parse_args(["chaos"])
+        defaults = ChaosOptions()
+        knobs = [
+            knob
+            for knob in dataclasses.fields(ChaosOptions)
+            if "flag" in knob.metadata
+        ]
+        assert len(knobs) == 18
+        for knob in knobs:
+            assert getattr(args, knob.name) == getattr(defaults, knob.name)
+
+    def test_every_chaos_flag_still_parses(self):
+        argv = [
+            "chaos", "--schemes", "scheme1", "scheme3", "--runs", "2",
+            "--seed", "4", "--sites", "5", "--globals", "6", "--locals", "7",
+            "--loss-rate", "0.1", "--duplication-rate", "0.2",
+            "--delay-rate", "0.3", "--gtm-crashes", "2", "--site-crashes", "3",
+            "--downtime", "40", "--atomic-commit", "--prepare-crashes", "1",
+            "--replication-degree", "2", "--replicated-items", "9",
+            "--ro-fraction", "0.5", "--commit-group-size", "3",
+            "--coordinator-crashes", "1", "--vote-decide-partitions", "2",
+            "--write-crashes", "1", "--metrics-out", "out.prom",
+        ]
+        args = build_parser().parse_args(argv)
+        assert args.schemes == ["scheme1", "scheme3"]
+        assert (args.runs, args.seed, args.metrics_out) == (2, 4, "out.prom")
+        assert (args.sites, args.global_txns, args.local_txns) == (5, 6, 7)
+        assert (args.loss_rate, args.duplication_rate, args.delay_rate) == (
+            0.1, 0.2, 0.3,
+        )
+        assert (args.gtm_crash_count, args.site_crash_count) == (2, 3)
+        assert args.downtime == 40.0 and args.atomic_commit is True
+        assert (args.replication_degree, args.replicated_items) == (2, 9)
+        assert args.ro_fraction == 0.5
+        assert (
+            args.prepare_crash_count,
+            args.commit_group_size,
+            args.coordinator_crash_count,
+            args.vote_decide_partition_count,
+            args.write_crash_count,
+        ) == (1, 3, 1, 2, 1)
+
     def test_check_dominance_requires_e14(self):
         # the ROADMAP claim is only made for the E14 high-MPL regime; a
         # pass over the default E4 grid must not masquerade as the
@@ -252,6 +299,33 @@ class TestCommands:
         rc = main(["chaos", "--schemes", "to-gtm", "--runs", "2"])
         assert rc == 0
         assert "to-gtm" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["--prepare-crashes", "1"], "prepare_crash_count 1 needs atomic_commit"),
+            (["--commit-group-size", "3"], "commit_group_size 3 needs atomic_commit"),
+            (
+                ["--atomic-commit", "--coordinator-crashes", "1"],
+                "coordinator_crash_count 1 needs commit_group_size >= 1",
+            ),
+            (
+                ["--atomic-commit", "--vote-decide-partitions", "1"],
+                "vote_decide_partition_count 1 needs commit_group_size >= 1",
+            ),
+            (
+                ["--write-crashes", "1"],
+                "write_crash_count 1 needs replication_degree >= 1",
+            ),
+        ],
+    )
+    def test_chaos_refuses_a_knob_whose_layer_is_off(self, argv, reason, capsys):
+        """A fault knob whose layer the run does not build would be drawn
+        and then ignored; it is refused before anything runs."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chaos", "--runs", "1", "--schemes", "scheme2", *argv])
+        assert str(excinfo.value) == f"invalid fault configuration: {reason}"
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
         "flag, value, reason",

@@ -31,6 +31,7 @@ from repro.faults import (
     MessageFaultConfig,
     RetryPolicy,
     SiteCrash,
+    StormShape,
 )
 from repro.faults.chaos import ChaosOptions, run_chaos
 from repro.lmdbs import LocalDBMS, make_protocol
@@ -108,10 +109,10 @@ class TestFaultModel:
 
     def test_plan_random_is_deterministic(self):
         sites = ("s0", "s1", "s2")
-        first = FaultPlan.random(42, sites)
-        second = FaultPlan.random(42, sites)
+        first = StormShape().draw(42, sites)
+        second = StormShape().draw(42, sites)
         assert first == second
-        assert first != FaultPlan.random(43, sites)
+        assert first != StormShape().draw(43, sites)
 
     @pytest.mark.parametrize(
         "count",
@@ -126,11 +127,11 @@ class TestFaultModel:
     )
     def test_plan_random_rejects_a_negative_count(self, count):
         with pytest.raises(FaultConfigError, match=f"negative {count} -1"):
-            FaultPlan.random(0, ("s0", "s1"), **{count: -1})
+            StormShape(**{count: -1}).draw(0, ("s0", "s1"))
 
     def test_plan_crashes_within_window_and_sorted(self):
-        plan = FaultPlan.random(
-            7, ("s0", "s1"), window=(50.0, 60.0), site_crash_count=4
+        plan = StormShape(crash_window=(50.0, 60.0), site_crash_count=4).draw(
+            7, ("s0", "s1")
         )
         times = [crash.at for crash in plan.site_crashes]
         assert times == sorted(times)
@@ -148,11 +149,11 @@ class TestFaultModel:
             or plan.crash_coordinator_replica
             or plan.vote_decide_partitions
         )
-        assert FaultPlan.random(3, ("s0",)) != plan
+        assert StormShape().draw(3, ("s0",)) != plan
 
     def test_message_fate_deterministic_per_seed(self):
         """The same seed and channel give the same fates."""
-        plan = FaultPlan.random(5, ("s0",), loss_rate=0.3)
+        plan = StormShape(loss_rate=0.3).draw(5, ("s0",))
         first = FaultInjector(plan)
         second = FaultInjector(plan)
         assert [first.message_fate("s0") for _ in range(50)] == [
@@ -171,7 +172,7 @@ class TestFaultModel:
     def test_channels_never_move_each_others_fates(self, interleaving):
         """Draws on one channel — fates or jitter — leave every other
         channel's fates where they were, whatever the interleaving."""
-        plan = FaultPlan.random(5, ("s0", "s1"), loss_rate=0.3)
+        plan = StormShape(loss_rate=0.3).draw(5, ("s0", "s1"))
         alone = FaultInjector(plan)
         expected = [alone.message_fate("s0") for _ in range(len(interleaving))]
         mixed = FaultInjector(plan)

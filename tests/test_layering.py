@@ -22,10 +22,14 @@
 - nothing under ``src/repro`` imports ``tests``;
 - the runtime's layers probe no collaborator by name: a hook a caller
   may need is declared, with its default, on the collaborator's base
-  class (``ConservativeScheme``, ``LocalScheduler``, ``Init``/``Fin``).
+  class (``ConservativeScheme``, ``LocalScheduler``, ``Init``/``Fin``);
+- a scheduler a run can name has no constructor option that only tests
+  set: each one is named in ``CONSTRUCTOR_OPTIONS`` with its setter, and
+  an unsound variant is a subclass in ``tests/support.py``.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -517,3 +521,45 @@ def test_the_probe_walk_sees_a_probe():
         "plain = getattr(scheme, 'metrics')\n"
     )
     assert name_probes(tree) == [(1, "wake_hints"), (2, "waits_for_edges")]
+
+
+#: constructor parameters of the schedulers ``make_scheme`` and
+#: ``make_protocol`` build, each with the code that sets it
+CONSTRUCTOR_OPTIONS = {
+    "Scheme2Minimal.max_candidates": "repro.analysis.bench (E6c sets 14)",
+    "Scheme4.batch_size": (
+        "the planner tests in tests/test_schemes.py (ROADMAP item 13)"
+    ),
+    "PreventionTwoPhaseLocking.policy": "the PROTOCOLS registry's lambdas",
+}
+
+
+def constructor_options(classes):
+    """``Class.parameter`` of every constructor parameter of *classes*."""
+    return sorted(
+        f"{cls.__name__}.{name}"
+        for cls in classes
+        for name in inspect.signature(cls).parameters
+    )
+
+
+def test_every_scheduler_option_names_its_setter():
+    from repro.baselines import BASELINES
+    from repro.core import SCHEMES, make_scheme
+    from repro.lmdbs import PROTOCOLS, make_protocol
+
+    classes = {type(make_scheme(name)) for name in [*SCHEMES, *BASELINES]}
+    classes |= {type(make_protocol(name)) for name in PROTOCOLS}
+    assert constructor_options(classes) == sorted(CONSTRUCTOR_OPTIONS)
+
+
+def test_the_option_walk_sees_a_switch():
+    class Marked:
+        def __init__(self, marking: bool = True) -> None:
+            self.marking = marking
+
+    class Plain:
+        def __init__(self) -> None:
+            pass
+
+    assert constructor_options({Marked, Plain}) == ["Marked.marking"]

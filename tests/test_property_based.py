@@ -10,6 +10,7 @@ from repro.schedules.model import Operation, OpType, Schedule
 from repro.schedules.serialization_graph import serialization_graph
 from repro.workloads.traces import Trace, TraceRecord, drive
 from tests.reference.serializability import serial_schedule
+from tests.support import CheckedScheme2
 
 # ----------------------------------------------------------------------
 # strategies
@@ -156,7 +157,7 @@ class TestSchemeProperties:
     def test_scheme2_invariant_tsgd_acyclic(self, trace):
         """Scheme 2's inductive invariant: the TSGD stays acyclic after
         every init (checked exhaustively on small instances)."""
-        scheme = Scheme2(verify_elimination=True)
+        scheme = CheckedScheme2()
         drive(scheme, trace)  # raises internally if the invariant breaks
 
 

@@ -35,13 +35,6 @@ class TestBasicTO:
         protocol.on_read("T2", "x")
         assert protocol.on_write("T1", "x").verdict is Verdict.ABORT
 
-    def test_thomas_write_rule_skips(self):
-        protocol = BasicTimestampOrdering(thomas_write_rule=True)
-        protocol.on_begin("T1")
-        protocol.on_begin("T2")
-        protocol.on_write("T2", "x")
-        assert protocol.on_write("T1", "x").verdict is Verdict.GRANT
-
     def test_without_thomas_rule_rejected(self):
         protocol = BasicTimestampOrdering()
         protocol.on_begin("T1")

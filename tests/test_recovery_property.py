@@ -15,7 +15,7 @@ from repro.core import Scheme0, Scheme1, Scheme2, Scheme3
 from repro.core.engine import Engine
 from repro.core.events import Ack, Fin, Init, Ser
 from repro.core.recovery import Journal, recover_engine
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultInjector, StormShape
 from repro.mdbs.events import EventLoop
 from tests.support import vote_durable
 
@@ -165,7 +165,7 @@ class TestCommitGroupProperty:
         from tests.test_atomic_commit import build_atomic_simulator
 
         seed, knobs = drawn
-        plan = FaultPlan.random(seed, ["s0", "s1", "s2"], **knobs)
+        plan = StormShape(**knobs).draw(seed, ["s0", "s1", "s2"])
         simulator = build_atomic_simulator(
             seed=seed, injector=FaultInjector(plan), commit_group_size=3
         )

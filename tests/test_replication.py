@@ -23,7 +23,13 @@ The load-bearing properties, each checked from ground truth:
 import pytest
 
 from repro.core import make_scheme
-from repro.faults import FaultInjector, FaultPlan, SiteCrash, WriteCrash
+from repro.faults import (
+    FaultInjector,
+    FaultPlan,
+    SiteCrash,
+    StormShape,
+    WriteCrash,
+)
 from repro.faults.chaos import ChaosOptions, run_chaos
 from repro.lmdbs import LocalDBMS, make_protocol
 from repro.lmdbs.storage import VersionedStore
@@ -538,9 +544,9 @@ class TestReplicatedChaos:
         assert result.report.replication is None
 
     def test_write_crash_plans_extend_legacy_draws(self):
-        legacy = FaultPlan.random(21, SITES, site_crash_count=1)
-        extended = FaultPlan.random(
-            21, SITES, site_crash_count=1, write_crash_count=2
+        legacy = StormShape(site_crash_count=1).draw(21, SITES)
+        extended = StormShape(site_crash_count=1, write_crash_count=2).draw(
+            21, SITES
         )
         # the legacy prefix is untouched: same messages, same crashes
         assert legacy.site_crashes == extended.site_crashes

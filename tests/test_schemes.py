@@ -16,7 +16,7 @@ from repro.core.scheme4 import Scheme4
 from repro.exceptions import SchedulerError
 from repro.lmdbs import LocalDBMS, make_protocol
 from repro.workloads.traces import Trace, TraceRecord, drive
-from tests.support import serialized_before
+from tests.support import CheckedScheme2, serialized_before
 
 ALL_SCHEMES = [Scheme0, Scheme1, Scheme2, Scheme3, Scheme4]
 
@@ -220,7 +220,7 @@ class TestScheme2:
         h.engine.assert_drained()
 
     def test_verify_elimination_flag(self):
-        scheme = Scheme2(verify_elimination=True)
+        scheme = CheckedScheme2()
         h = Harness(scheme)
         h.push(Init("G1", sites=("s1", "s2")), Init("G2", sites=("s1", "s2")))
         # the exhaustive post-check passed: no dangerous cycle left

@@ -71,7 +71,7 @@ class TestGenerators:
                 assert len(record.sites) == 3
 
     def test_eager_ser_orders_requests_after_init(self):
-        trace = random_trace(5, 3, 2, seed=0, eager_ser=True)
+        trace = random_trace(5, 3, 2, seed=0)
         seen_init = set()
         for record in trace.records:
             if record.kind == "init":

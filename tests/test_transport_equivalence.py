@@ -41,7 +41,7 @@ from repro.core.metrics import SchemeMetrics
 from repro.faults.chaos import ChaosOptions, chaos_job, run_chaos
 from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultStats
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import StormShape
 from repro.lmdbs import LocalDBMS, make_protocol
 from repro.mdbs import MDBSSimulator
 from repro.observability import fold
@@ -168,8 +168,8 @@ def test_sim_transport_matches_direct_simulator_with_faults():
     """Same identity under a fault plan: the job->injector wiring must
     reproduce the hand-built injector's draw sequence exactly."""
     base = make_e4_job("scheme2", 8, 11)
-    plan = FaultPlan.random(
-        11, base.sites, gtm_crash_count=1, site_crash_count=1
+    plan = StormShape(gtm_crash_count=1, site_crash_count=1).draw(
+        11, base.sites
     )
     job = dataclasses.replace(base, plan=plan)
     report, simulator = _run_direct(job)
@@ -280,10 +280,6 @@ def test_multiprocessing_workers_match_sequential_shards(scheme_name):
     assert pooled.workers == 4
     _assert_same_decisions(sequential, pooled)
     assert pooled.report == sequential.report
-    # the registry is published from the merged report, shard count beside
-    assert (
-        pooled.metrics.counter("transport.shards").value == pooled.shards
-    )
 
 
 #: the fault storms a sharded run must reproduce, by test-id suffix:
@@ -337,14 +333,12 @@ def test_fault_scenarios_shard_equivalently(scheme_name, seed, messages, two_pc)
     rates = {} if messages else dict(
         loss_rate=0.0, duplication_rate=0.0, delay_rate=0.0
     )
-    plan = FaultPlan.random(
-        seed,
-        base.sites,
+    plan = StormShape(
         gtm_crash_count=1,
         site_crash_count=1,
         prepare_crash_count=2 if two_pc else 0,
         **rates,
-    )
+    ).draw(seed, base.sites)
     job = dataclasses.replace(
         base, plan=plan, local_programs=tuple(locals_), atomic_commit=two_pc
     )
