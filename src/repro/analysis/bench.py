@@ -64,8 +64,8 @@ def _report(attribute: str) -> Callable[[Any], Any]:
 
 
 #: What a cell measures, declared once: field -> (how it is read off a
-#: finished simulator run — a ``TransportResult`` or ``ChaosResult``,
-#: both carry the ``SimulationReport`` as ``.report`` — or None for a
+#: finished simulator run — a ``TransportResult``, which carries the
+#: ``SimulationReport`` as ``.report`` — or None for a
 #: count only the paper cells have, and the registry counter a grid sums
 #: it into, or None).  A cell holds exactly the names its
 #: ``Sweep.tally`` returns: a simulator cell every field with a reader,
@@ -91,8 +91,7 @@ CELL_FIELDS: Dict[str, Tuple[Optional[Callable[[Any], Any]], Optional[str]]] = {
     "wait_area": (_report("wait_area"), "gtm.wait_area"),
     "wait_samples": (_report("wait_samples"), "gtm.wait_samples"),
     "mean_wait_set": (_report("mean_wait_set"), None),
-    # a chaos cell is one simulator, hence one shard
-    "shards": (lambda run: getattr(run, "shards", 1), "transport.shards"),
+    "shards": (attrgetter("shards"), "transport.shards"),
     # operations inserted into WAIT (init/fin included) and ser-operations
     # alone, transactions scheduled (fin processed), Eliminate_Cycles' |Δ|
     # and 2PL-over-ser(S) deadlocks
@@ -206,18 +205,17 @@ def make_e4_job(scheme: str, mpl: int, seed: int, groups: int = 1):
 
 
 def _run_e4_cell(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """One E4 cell, executed on the spec's transport and verified against
-    ground truth (the merged schedules, for a sharded run)."""
+    """One E4 cell, executed on the spec's transport, every ground-truth
+    verdict required (over the merged schedules, for a sharded run)."""
     from repro.transport import make_transport
 
     job = make_e4_job(
         spec["scheme"], spec["mpl"], spec["seed"], groups=spec["groups"]
     )
     result = make_transport(spec["transport"], workers=spec["workers"]).run(job)
-    if not result.verification.ok:
+    if not result.ok:
         raise RuntimeError(
-            f"E4 cell {spec!r} failed verification "
-            f"(cycle {result.verification.cycle})"
+            f"E4 cell {spec!r} failed: {result.failure_reasons()}"
         )
     return _read(result)
 

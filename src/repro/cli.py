@@ -117,15 +117,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ("locals serializable", verification.locals_serializable),
         ("globally serializable", verification.globally_serializable),
         ("committed ser(S) serializable", verification.ser_schedule_serializable),
+        ("commits applied exactly once", result.atomicity.exactly_once.ok),
     ]
     print(
         render_table(
             ("metric", "value"), rows + verdicts, title="simulation report"
         )
     )
-    if not verification.ok:
-        failed = ", ".join(name for name, ok in verdicts if not ok)
-        print(f"!! violation: not {failed}")
+    if not result.ok:
+        failed = [name for name, ok in verdicts if not ok]
+        if not result.terminated:
+            failed.append(f"terminated (unresolved {result.unresolved})")
+        print(f"!! violation: not {', '.join(failed)}")
         if verification.cycle:
             print(f"!! violation cycle: {' -> '.join(verification.cycle)}")
         return 1

@@ -3,14 +3,14 @@
 One :func:`run_chaos` call describes a randomized MDBS workload under a
 seeded :class:`~repro.faults.plan.FaultPlan` (message loss, duplication,
 heavy-tail delay, GTM2 crashes, site crashes) as one
-:class:`~repro.transport.base.SimulationJob` (:func:`chaos_job`), runs
-it to completion, and verifies from the local history logs that:
-
-- every local and global schedule stayed (globally) serializable;
-- no global commit was lost or duplicated
-  (:func:`repro.mdbs.verification.check_exactly_once`);
-- the run *terminated* — every admitted global transaction was resolved
-  (committed or reported failed) and the event loop drained.
+:class:`~repro.transport.base.SimulationJob` (:func:`chaos_job`) and
+runs it on the single-loop transport, whose
+:class:`~repro.transport.base.TransportResult` judges it from the local
+history logs like every other run: serializability, no lost or
+duplicated global commit, atomicity under 2PC, replica agreement, one
+decision per transaction, and termination — every admitted global
+transaction resolved (committed or reported failed) and the event loop
+drained.
 
 ``python -m repro chaos`` drives many runs across Schemes 0–4; the test
 suite (``tests/test_fault_injection.py``) and CI run smaller sweeps.
@@ -21,23 +21,16 @@ re-exported from :mod:`repro.faults` (which :mod:`repro.mdbs` imports).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import cycle
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.faults.model import FaultConfigError
 from repro.faults.plan import FaultPlan, StormShape, knob
-from repro.mdbs.simulator import SimulationConfig, SimulationReport
-from repro.mdbs.verification import (
-    AtomicityReport,
-    DecisionUniquenessReport,
-    ExactlyOnceReport,
-    ReplicaConsistencyReport,
-    VerificationReport,
-    verify,
-)
+from repro.mdbs.simulator import SimulationConfig
 from repro.replication import ReplicaMap
-from repro.transport.base import SimulationJob, build_simulator
+from repro.transport.base import SimulationJob, TransportResult
+from repro.transport.sim import SimTransport
 from repro.workloads.generator import WorkloadConfig, WorkloadGenerator
 
 #: protocols cycled over the sites: a locking site, a timestamp site,
@@ -72,13 +65,16 @@ class ChaosOptions(StormShape):
         "--replication-degree",
         "copies per logical item under available-copies replication; 0 "
         "(default) = the paper's single-copy model",
+        minimum=0,
     )
     #: shared logical items placed by the replica map (named ``x0..``,
     #: disjoint from the site-local ``s0_x..`` item pools)
     replicated_items: int = knob(
         8,
         "--replicated-items",
-        "shared logical items placed by the replica map",
+        "shared logical items placed by the replica map; needs "
+        "--replication-degree >= 1",
+        minimum=0,
     )
     #: fraction of global transactions forced read-only — the snapshot
     #: population (only meaningful with replication on)
@@ -86,13 +82,20 @@ class ChaosOptions(StormShape):
         0.25,
         "--ro-fraction",
         "fraction of global transactions forced read-only (served from "
-        "the committed multiversion snapshot)",
+        "the committed multiversion snapshot); needs "
+        "--replication-degree >= 1",
     )
 
     def draw(self, seed: int, sites: Sequence[str]) -> FaultPlan:
-        """The storm's fault plan; a knob whose layer is off raises
+        """The storm's fault plan; a knob set away from its default
+        while its layer is off raises
         :class:`~repro.faults.model.FaultConfigError` instead of being
-        drawn and then ignored."""
+        drawn (or built) and then ignored."""
+        if not 0.0 <= self.ro_fraction <= 1.0:
+            raise FaultConfigError(
+                f"ro_fraction must be in [0, 1], got {self.ro_fraction}"
+            )
+        defaults = {spec.name: spec.default for spec in fields(self)}
         group = self.commit_group_size >= 1
         replicated = self.replication_degree >= 1
         for name, needs, layer_on in (
@@ -101,71 +104,15 @@ class ChaosOptions(StormShape):
             ("coordinator_crash_count", "commit_group_size >= 1", group),
             ("vote_decide_partition_count", "commit_group_size >= 1", group),
             ("write_crash_count", "replication_degree >= 1", replicated),
+            ("replicated_items", "replication_degree >= 1", replicated),
+            ("ro_fraction", "replication_degree >= 1", replicated),
         ):
             value = getattr(self, name)
-            if value > 0 and not layer_on:
+            if value < 0:
+                raise FaultConfigError(f"negative {name} {value}")
+            if value != defaults[name] and not layer_on:
                 raise FaultConfigError(f"{name} {value} needs {needs}")
         return super().draw(seed, sites)
-
-
-@dataclass
-class ChaosResult:
-    """Everything one chaos run produced, plus the verdicts."""
-
-    seed: int
-    options: ChaosOptions
-    report: SimulationReport
-    verification: VerificationReport
-    exactly_once: ExactlyOnceReport
-    atomicity: AtomicityReport
-    #: the event loop drained and every global was resolved
-    terminated: bool
-    #: logical transactions neither committed nor reported failed
-    unresolved: Tuple[str, ...]
-    #: replica-copy order agreement (None when replication is off)
-    replicas: Optional[ReplicaConsistencyReport] = None
-    #: commit-group decision uniqueness (None without a commit group)
-    decisions: Optional[DecisionUniquenessReport] = None
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.verification.ok
-            and self.exactly_once.ok
-            and self.atomicity.ok
-            and self.terminated
-            and (self.replicas is None or self.replicas.ok)
-            and (self.decisions is None or self.decisions.ok)
-        )
-
-    def failure_reasons(self) -> Tuple[str, ...]:
-        reasons = []
-        if not self.verification.ok:
-            reasons.append(
-                f"serializability violated (cycle {self.verification.cycle})"
-            )
-        if self.exactly_once.duplicated:
-            reasons.append(
-                f"duplicated commits: {self.exactly_once.duplicated}"
-            )
-        if self.exactly_once.lost:
-            reasons.append(f"lost commits: {self.exactly_once.lost}")
-        if self.atomicity.atomic_commit and self.atomicity.partial_commits:
-            reasons.append(
-                f"partial commits under 2PC: "
-                f"{self.atomicity.partial_commits}"
-            )
-        if not self.terminated:
-            reasons.append(f"did not terminate (unresolved {self.unresolved})")
-        if self.replicas is not None and not self.replicas.ok:
-            reasons.append(
-                f"replica copies diverged: {self.replicas.divergent}"
-            )
-        if self.decisions is not None and not self.decisions.ok:
-            reasons.append(
-                f"conflicting commit decisions: {self.decisions.violations}"
-            )
-        return tuple(reasons)
 
 
 def chaos_job(options: ChaosOptions, seed: int) -> SimulationJob:
@@ -212,37 +159,6 @@ def chaos_job(options: ChaosOptions, seed: int) -> SimulationJob:
     )
 
 
-def run_chaos(options: ChaosOptions, seed: int) -> ChaosResult:
-    """Run one seeded chaos storm and verify it from ground truth."""
-    simulator = build_simulator(chaos_job(options, seed))
-    report = simulator.run()
-    # the ground truth is built once and checked once: the atomicity
-    # verdict wraps the run's one exactly-once report
-    schedule = simulator.global_schedule()
-    verification = verify(schedule, simulator.ser_schedule)
-    atomicity = simulator.atomicity_report(schedule)
-    resolved = set(simulator.committed_global) | set(simulator.failed_global)
-    router = simulator.router
-    if router is not None:
-        resolved |= set(router.snapshot_committed) | set(router.snapshot_failed)
-    unresolved = tuple(sorted(simulator.admitted() - resolved))
-    terminated = simulator.loop.pending == 0 and not unresolved
-    replicas = simulator.replicas_report() if router is not None else None
-    commit = simulator.commit
-    decisions = (
-        simulator.decision_uniqueness_report()
-        if commit is not None and commit.group is not None
-        else None
-    )
-    return ChaosResult(
-        seed=seed,
-        options=options,
-        report=report,
-        verification=verification,
-        exactly_once=atomicity.exactly_once,
-        atomicity=atomicity,
-        terminated=terminated,
-        unresolved=unresolved,
-        replicas=replicas,
-        decisions=decisions,
-    )
+def run_chaos(options: ChaosOptions, seed: int) -> TransportResult:
+    """Run one seeded chaos storm, judged from ground truth."""
+    return SimTransport().run(chaos_job(options, seed))

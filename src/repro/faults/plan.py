@@ -119,6 +119,7 @@ class StormShape:
         "replicate the commit decision log over this many coordinator "
         "replicas (2f+1; 3 = non-blocking termination); 0 keeps the "
         "single-coordinator journal; needs --atomic-commit",
+        minimum=0,
     )
     coordinator_crash_count: int = knob(
         0,

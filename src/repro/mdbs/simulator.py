@@ -21,8 +21,11 @@ stall :mod:`~repro.mdbs.watchdog` (always), the
 :mod:`~repro.mdbs.commit_driver` (with ``atomic_commit``) and the
 replica :mod:`~repro.mdbs.router` (with a ``replica_map``).  With an
 injector or ``atomic_commit`` GTM2 also keeps a journal
-(:mod:`repro.core.recovery`) and a restarted incarnation skips the sites
-where its logical transaction already committed (exactly-once commits).
+(:mod:`repro.core.recovery`).  In every configuration a restarted
+incarnation skips the sites where its logical transaction already
+committed (exactly-once commits): a global aborted after it committed
+at one site — by a local abort elsewhere, or by the stall watchdog —
+commits there once.
 """
 
 from __future__ import annotations
@@ -498,15 +501,14 @@ class MDBSSimulator:
         return self.sites[site].protocol.serialization_function
 
     def _committed_sites_of(self, logical: str) -> Set[str]:
-        """Sites where an earlier incarnation of *logical* committed: a
+        """Sites where an earlier incarnation of *logical* committed: every
         restart performs a *recovery inquiry* against each site's
-        durable history — the authority on whether a commit executed,
-        including one whose ack was lost before the incarnation was
-        aborted (the uncertainty window that would otherwise duplicate
-        effects).  Without faults or 2PC an aborted incarnation never
-        committed anywhere."""
-        if self.faults is None and self.commit is None:
-            return set()
+        durable history — the authority on whether a commit executed.
+        Without faults or 2PC an incarnation is aborted after committing
+        at one site when another site aborts it or the watchdog finds it
+        stalled; with them, also when the commit's ack was lost (the
+        uncertainty window).  Either way a restart that re-ran the
+        committed sites would apply the effects twice."""
         incarnations = [
             incarnation_id(logical, attempt)
             for attempt in range(self._stats[logical].restarts + 1)

@@ -7,8 +7,9 @@ the commit layer and the replica map — and :func:`build_simulator` is
 the one code path in ``src/repro`` that assembles a simulator.  A
 :class:`Transport` turns a job into a :class:`TransportResult`: the
 merged :class:`~repro.mdbs.simulator.SimulationReport`, the executed
-global schedule, ``ser(S)``, the verification verdicts, and the shard
-count and timings.
+global schedule, ``ser(S)``, the shard count and timings, and every
+verdict the run promises, from ground truth.  :meth:`Transport.run` is
+the only code that runs and judges a job.
 
 Two transports exist:
 
@@ -46,7 +47,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.gtm import GlobalProgram, site_components
 from repro.faults.plan import FaultPlan
@@ -55,7 +56,13 @@ from repro.mdbs.simulator import (
     SimulationConfig,
     SimulationReport,
 )
-from repro.mdbs.verification import VerificationReport, verify
+from repro.mdbs.verification import (
+    AtomicityReport,
+    DecisionUniquenessReport,
+    ReplicaConsistencyReport,
+    VerificationReport,
+    verify,
+)
 from repro.replication import LogicalProgram, ReplicaMap
 from repro.schedules.global_schedule import (
     GlobalSchedule,
@@ -107,16 +114,24 @@ class ShardOutcome:
     site_ops: Tuple[Tuple[str, Tuple[Operation, ...]], ...]
     global_ids: Tuple[str, ...]
     ser_ops: Tuple[SerOperation, ...]
+    #: the verdicts that need the shard's simulator (see TransportResult)
+    atomicity: AtomicityReport
+    unresolved: Tuple[str, ...]
+    #: events left in the loop when it stopped
+    pending: int
     #: elapsed seconds of ``run()`` measured *inside* the worker
     wall_s: float
     #: CPU seconds of ``run()`` in the worker (``time.process_time``)
     cpu_s: float
+    replicas: Optional[ReplicaConsistencyReport] = None
+    decisions: Optional[DecisionUniquenessReport] = None
 
 
 @dataclass
 class TransportResult:
-    """What a transport hands back: the merged outcome, plus the shards'
-    own timings for ``perf/`` (nothing under ``src/`` reads them)."""
+    """What a transport hands back: the merged outcome, its verdicts
+    (:attr:`ok` when all hold), and the shards' own timings for
+    ``perf/`` (nothing under ``src/`` reads them)."""
 
     report: SimulationReport
     committed: Tuple[str, ...]
@@ -124,6 +139,15 @@ class TransportResult:
     global_schedule: GlobalSchedule
     ser_schedule: SerSchedule
     verification: VerificationReport
+    #: exactly-once (``.exactly_once``), and atomicity under 2PC
+    atomicity: AtomicityReport
+    #: None without a replica map / a commit group
+    replicas: Optional[ReplicaConsistencyReport]
+    decisions: Optional[DecisionUniquenessReport]
+    #: logical transactions admitted but neither committed nor failed
+    unresolved: Tuple[str, ...]
+    #: every event loop drained and nothing is unresolved
+    terminated: bool
     transport: str
     workers: int
     shards: int
@@ -134,6 +158,26 @@ class TransportResult:
     #: :func:`unshardable_reason`); None when it was partitioned or is
     #: one site component
     unsharded_because: Optional[str] = None
+
+    @property
+    def ok(self) -> bool:
+        return not self.failure_reasons()
+
+    def failure_reasons(self) -> Tuple[str, ...]:
+        """One line per failed verdict; empty when the run is correct."""
+        reasons = [] if self.verification.ok else [
+            f"serializability violated (cycle {self.verification.cycle})"
+        ]
+        reasons += self.atomicity.violations
+        if not self.terminated:
+            reasons.append(f"did not terminate (unresolved {self.unresolved})")
+        if self.replicas is not None and not self.replicas.ok:
+            reasons.append(f"replica copies diverged: {self.replicas.divergent}")
+        if self.decisions is not None and not self.decisions.ok:
+            reasons.append(
+                f"conflicting commit decisions: {self.decisions.violations}"
+            )
+        return tuple(reasons)
 
 
 class Transport:
@@ -157,10 +201,8 @@ class Transport:
     def run(self, job: SimulationJob) -> TransportResult:
         shards, reason = self.split(job)
         outcomes = self.execute(shards)
-        # the result's six leading fields, in declaration order
-        merged = merge_outcomes(job, outcomes)
         return TransportResult(
-            *merged,
+            **merge_outcomes(job, outcomes),
             transport=self.name,
             workers=self.workers,
             shards=len(shards),
@@ -207,8 +249,9 @@ def build_simulator(job: SimulationJob) -> MDBSSimulator:
 
 
 def run_shard(job: SimulationJob) -> ShardOutcome:
-    """Run one (shard-)job to completion; module-level and picklable so
-    ``multiprocessing`` workers can execute it."""
+    """Run one (shard-)job to completion and take the verdicts that need
+    its simulator; module-level and picklable so ``multiprocessing``
+    workers can execute it."""
     simulator = build_simulator(job)
     wall_started = time.perf_counter()
     cpu_started = time.process_time()
@@ -216,6 +259,10 @@ def run_shard(job: SimulationJob) -> ShardOutcome:
     wall_s = time.perf_counter() - wall_started
     cpu_s = time.process_time() - cpu_started
     schedule = simulator.global_schedule()
+    resolved = set(simulator.committed_global) | set(simulator.failed_global)
+    router, commit = simulator.router, simulator.commit
+    if router is not None:
+        resolved |= set(router.snapshot_committed) | set(router.snapshot_failed)
     return ShardOutcome(
         report=report,
         committed=tuple(simulator.committed_global),
@@ -226,8 +273,17 @@ def run_shard(job: SimulationJob) -> ShardOutcome:
         ),
         global_ids=tuple(sorted(schedule.global_transaction_ids)),
         ser_ops=tuple(simulator.ser_schedule.operations),
+        atomicity=simulator.atomicity_report(schedule),
+        unresolved=tuple(sorted(simulator.admitted() - resolved)),
+        pending=simulator.loop.pending,
         wall_s=wall_s,
         cpu_s=cpu_s,
+        replicas=simulator.replicas_report() if router is not None else None,
+        decisions=(
+            simulator.decision_uniqueness_report()
+            if commit is not None and commit.group is not None
+            else None
+        ),
     )
 
 
@@ -311,15 +367,9 @@ def shard_jobs(job: SimulationJob) -> List[SimulationJob]:
 # ----------------------------------------------------------------------
 def merge_outcomes(
     job: SimulationJob, outcomes: List[ShardOutcome]
-) -> Tuple[
-    SimulationReport,
-    Tuple[str, ...],
-    Tuple[str, ...],
-    GlobalSchedule,
-    SerSchedule,
-    VerificationReport,
-]:
-    """Fold per-shard outcomes back into one run's view.
+) -> Dict[str, Any]:
+    """Fold per-shard outcomes back into one run's view: the
+    :class:`TransportResult` fields up to ``terminated``.
 
     The global schedule is rebuilt with sites in ``job.site_protocols``
     order — the order the single-loop simulator's site dictionary has —
@@ -330,37 +380,39 @@ def merge_outcomes(
     order (all that ``ser(S)`` serializability depends on) is preserved.
     Verification itself runs here, in the dispatcher, over the merged
     ground truth — shards are never trusted on global serializability.
+    Every other verdict is per logical transaction, and each lives in
+    one shard, so those fold like the counts.
     """
     from repro.observability.export import fold
 
-    reports = [outcome.report for outcome in outcomes]
     if len(outcomes) == 1:
-        merged_report = reports[0]
+        merged = outcomes[0]
     else:
         # GTM2 crashes (and each coordinator's recovery) hit every shard
         # at the same instants, and the simulated clocks run side by side
-        merged_report = fold(reports, shared=(
+        merged = fold(outcomes, shared=(
             "duration", "gtm_crashes", "coordinator_recoveries", "commit_group_size"
         ))
-        merged_report.quarantined_sites = tuple(
-            sorted(merged_report.quarantined_sites)
+        merged.report.quarantined_sites = tuple(
+            sorted(merged.report.quarantined_sites)
         )
-    site_ops: Dict[str, Tuple[Operation, ...]] = {}
-    for outcome in outcomes:
-        for site, operations in outcome.site_ops:
-            site_ops[site] = operations
+    site_ops = dict(merged.site_ops)
     schedule = GlobalSchedule(
         {site: Schedule(site_ops[site]) for site in job.sites},
-        global_transaction_ids={
-            gid for outcome in outcomes for gid in outcome.global_ids
-        },
+        global_transaction_ids=set(merged.global_ids),
     )
-    ser_schedule = SerSchedule(
-        operation for outcome in outcomes for operation in outcome.ser_ops
+    ser_schedule = SerSchedule(merged.ser_ops)
+    unresolved = tuple(sorted(merged.unresolved))
+    return dict(
+        report=merged.report,
+        committed=merged.committed,
+        failed=merged.failed,
+        global_schedule=schedule,
+        ser_schedule=ser_schedule,
+        verification=verify(schedule, ser_schedule),
+        atomicity=merged.atomicity,
+        replicas=merged.replicas,
+        decisions=merged.decisions,
+        unresolved=unresolved,
+        terminated=not unresolved and merged.pending == 0,
     )
-    committed = tuple(
-        tid for outcome in outcomes for tid in outcome.committed
-    )
-    failed = tuple(tid for outcome in outcomes for tid in outcome.failed)
-    verification = verify(schedule, ser_schedule)
-    return merged_report, committed, failed, schedule, ser_schedule, verification

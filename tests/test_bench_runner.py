@@ -95,7 +95,7 @@ def test_scheme1_cell_is_hash_seed_invariant():
         for hash_seed in ("0", "777")
     ]
     assert cells[0] == cells[1]
-    assert json.loads(cells[0])["scheme_steps"] == 1710
+    assert json.loads(cells[0])["scheme_steps"] == 1699
 
 
 def test_make_e4_job_rejects_groups_that_do_not_divide_mpl():

@@ -74,6 +74,9 @@ class TestParser:
             ["chaos", "--runs", "0"],
             ["chaos", "--sites", "0"],
             ["chaos", "--globals", "-1"],
+            ["chaos", "--commit-group-size", "-2", "--atomic-commit"],
+            ["chaos", "--replication-degree", "-1", "--replicated-items", "-4"],
+            ["chaos", "--replicated-items", "-4"],
         ],
     )
     def test_counts_out_of_range_exit_with_usage(self, argv, capsys):
@@ -190,7 +193,8 @@ class TestCommands:
         assert rc == 0
 
     def test_simulate_prints_failed_globals(self, capsys, monkeypatch):
-        # under OCC most globals spend every restart: the table says so
+        # under OCC at 40 globals two spend every restart, and the run
+        # still verifies: the table says so
         reports = []
 
         class Recording(MDBSSimulator):
@@ -199,12 +203,57 @@ class TestCommands:
                 return reports[-1]
 
         monkeypatch.setattr(transport, "MDBSSimulator", Recording)
-        rc = main(["simulate", "--scheme", "scheme0", "--protocols", "occ"])
+        rc = main(
+            ["simulate", "--scheme", "scheme0", "--protocols", "occ", "--globals", "40"]
+        )
         out = capsys.readouterr().out
         row = next(line for line in out.splitlines() if "global failed" in line)
         assert rc == 0
         assert reports[0].failed_global > 0
         assert row.split() == ["global", "failed", str(reports[0].failed_global)]
+
+    def test_simulate_under_occ_commits_each_global_once(self, capsys):
+        """A global that an OCC site aborts after it committed at another
+        site restarts at the remaining sites only: every global commits,
+        once, and every verdict row reads True."""
+        rc = main(["simulate", "--scheme", "scheme0", "--protocols", "occ"])
+        lines = capsys.readouterr().out.splitlines()
+        verdicts = {
+            " ".join(line.split()[:-1]): line.split()[-1]
+            for line in lines
+            if "serializable" in line or "exactly once" in line
+        }
+        assert rc == 0
+        assert verdicts == {
+            "locals serializable": "True",
+            "globally serializable": "True",
+            "committed ser(S) serializable": "True",
+            "commits applied exactly once": "True",
+        }
+        assert "global committed 15/15" in " ".join(" ".join(lines).split())
+
+    def test_simulate_names_a_duplicated_commit(self, capsys, monkeypatch):
+        # a run whose ground truth holds a commit applied twice fails the
+        # exactly-once row alone, and exits 1 naming it
+        def duplicated(self, schedule=None):
+            report = MDBSSimulator.atomicity_report(self, schedule)
+            twice = (("G0", "s0", ("G0", "G0#1")),)
+            return dataclasses.replace(
+                report,
+                exactly_once=dataclasses.replace(
+                    report.exactly_once, duplicated=twice
+                ),
+            )
+
+        class Duplicating(MDBSSimulator):
+            atomicity_report = duplicated
+
+        monkeypatch.setattr(transport, "MDBSSimulator", Duplicating)
+        rc = main(["simulate", "--scheme", "scheme3", "--globals", "4"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 1
+        assert "!! violation: not commits applied exactly once" in lines
+        assert not any("violation cycle" in line for line in lines)
 
     def test_simulate_names_the_failed_verdict(self, capsys, monkeypatch):
         # an acyclic global SG whose committed ser(S) projection is cyclic:
@@ -317,6 +366,19 @@ class TestCommands:
                 ["--write-crashes", "1"],
                 "write_crash_count 1 needs replication_degree >= 1",
             ),
+            (
+                ["--replicated-items", "3", "--ro-fraction", "0.9"],
+                "replicated_items 3 needs replication_degree >= 1",
+            ),
+            (
+                ["--ro-fraction", "0.9"],
+                "ro_fraction 0.9 needs replication_degree >= 1",
+            ),
+            (
+                ["--replication-degree", "2", "--atomic-commit", "--ro-fraction", "7"],
+                "ro_fraction must be in [0, 1], got 7.0",
+            ),
+            (["--ro-fraction", "-0.5"], "ro_fraction must be in [0, 1], got -0.5"),
         ],
     )
     def test_chaos_refuses_a_knob_whose_layer_is_off(self, argv, reason, capsys):

@@ -414,7 +414,7 @@ class TestChaosProperties:
         first = run_chaos(options, 17)
         second = run_chaos(options, 17)
         assert first.report == second.report
-        assert first.exactly_once == second.exactly_once
+        assert first.atomicity.exactly_once == second.atomicity.exactly_once
 
     def test_quarantine_after_repeated_crashes(self):
         plan = FaultPlan(

@@ -15,6 +15,9 @@
   the few other reads under ``src/repro`` are named exceptions;
 - one function assembles a run: ``build_simulator`` is the only caller of
   ``MDBSSimulator(…)`` under ``src/repro``;
+- one path runs and judges a job: ``run_shard`` is the only caller of
+  ``build_simulator``, and the ground-truth checks are called only by
+  ``transport/base.py`` and the simulator's report methods;
 - the runtime ships what a run calls: every definition under
   ``src/repro`` is referenced from another place under ``src/repro``, or
   is named in ``OUTSIDE_CALLERS`` with the code outside it that calls it
@@ -291,6 +294,47 @@ def test_the_construction_walk_sees_a_hand_assembly():
         "Storm.run",
         "build",
     ]
+
+
+#: the checks that judge a finished run (``verification.py`` composes
+#: them among themselves)
+JUDGES = {"verify", "check_atomicity", "check_replicas", "check_decision_uniqueness"}
+
+
+def builds_a_simulator(node):
+    return called(node) == "build_simulator"
+
+
+def judges_a_run(node):
+    return called(node) in JUDGES
+
+
+def test_transport_run_is_the_only_path_that_runs_and_judges_a_job():
+    builds, judges = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        name, tree = str(path.relative_to(SRC)), parse(path)
+        builds += [(name, owner) for owner in owners(tree, builds_a_simulator)]
+        if name != "mdbs/verification.py":
+            judges += [(name, owner) for owner in owners(tree, judges_a_run)]
+    assert builds == [("transport/base.py", "run_shard")]
+    assert judges == [
+        ("mdbs/simulator.py", "MDBSSimulator.atomicity_report"),
+        ("mdbs/simulator.py", "MDBSSimulator.decision_uniqueness_report"),
+        ("mdbs/simulator.py", "MDBSSimulator.replicas_report"),
+        ("transport/base.py", "merge_outcomes"),
+    ]
+
+
+def test_the_judge_walk_sees_a_second_verdict():
+    tree = ast.parse(
+        "def run_chaos(options, seed):\n"
+        "    simulator = build_simulator(chaos_job(options, seed))\n"
+        "    simulator.run()\n"
+        "    schedule = simulator.global_schedule()\n"
+        "    return verify(schedule), repro.mdbs.check_atomicity(schedule, ())\n"
+    )
+    assert owners(tree, builds_a_simulator) == ["run_chaos"]
+    assert owners(tree, judges_a_run) == ["run_chaos", "run_chaos"]
 
 
 #: ``src/repro`` definitions that no ``src/repro`` code references, each

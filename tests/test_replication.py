@@ -534,12 +534,12 @@ class TestReplicatedChaos:
             ),
             seed,
         )
-        assert result.ok, result.failure_reasons
+        assert result.ok, result.failure_reasons()
         assert result.replicas is not None and result.replicas.ok
 
     def test_unreplicated_chaos_reports_no_replication(self):
         result = run_chaos(ChaosOptions(global_txns=6), seed=4)
-        assert result.ok, result.failure_reasons
+        assert result.ok, result.failure_reasons()
         assert result.replicas is None
         assert result.report.replication is None
 

@@ -74,6 +74,9 @@ def _decisions(result):
         "failed": tuple(sorted(result.failed)),
         "verification": result.verification,
         "response_times": Counter(result.report.response_times),
+        # the other verdicts fold across shards
+        "failure_reasons": result.failure_reasons(),
+        "partial_commits": tuple(sorted(result.atomicity.partial_commits)),
     }
     for field in DECISION_FIELDS:
         view[field] = getattr(result.report, field)
@@ -182,11 +185,23 @@ def test_sim_transport_matches_direct_simulator_with_faults():
 
 
 def test_a_chaos_storm_is_its_job():
-    """``run_chaos`` runs nothing but its storm's job: a transport handed
-    that job reports exactly what the chaos verifier saw."""
+    """``run_chaos`` runs nothing but its storm's job, on the one path
+    that runs and judges a job."""
     options = ChaosOptions(scheme="scheme2")
     result = SimTransport().run(chaos_job(options, 11))
-    assert result.report == run_chaos(options, 11).report
+    chaos = run_chaos(options, 11)
+    assert result.report == chaos.report
+    assert result.failure_reasons() == chaos.failure_reasons() == ()
+
+
+@pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+def test_a_restart_never_recommits_a_global(scheme_name):
+    """At MPL 32 the E4 cell aborts globals after they committed at some
+    site; every restart's recovery inquiry skips those sites, so each
+    commit is applied exactly once and every verdict holds."""
+    result = SimTransport().run(make_e4_job(scheme_name, 32, 7))
+    assert result.atomicity.exactly_once.duplicated == ()
+    assert result.ok, result.failure_reasons()
 
 
 def test_a_replicated_storm_runs_as_one_shard():
