@@ -278,8 +278,7 @@ def _drive_tally(trace: Callable[[int, int], Trace]):
             "ser_waits": result.ser_waits,
             "delta_edges": result.metrics.delta_edges,
             "global_aborts": result.abort_count,
-            # only 2PL over ser(S) has deadlocks to detect
-            "deadlocks": getattr(scheme, "deadlocks", 0),
+            "deadlocks": scheme.deadlocks,
         }
 
     return tally

@@ -11,9 +11,6 @@ from repro.baselines.nonconservative import (
 from repro.baselines.site_graph import SiteGraphScheme
 from repro.baselines.ticket_otm import OptimisticTicketMethod
 
-#: 2PL over site locks at the GTM, the "global 2PL" strawman of §3.
-GlobalSiteLocking2PL = TwoPhaseLockingGTM
-
 #: Registry of baseline schemes by name.
 BASELINES = {
     "site-graph": SiteGraphScheme,
@@ -31,6 +28,5 @@ __all__ = [
     "TwoPhaseLockingGTM",
     "SiteGraphScheme",
     "OptimisticTicketMethod",
-    "GlobalSiteLocking2PL",
     "BASELINES",
 ]

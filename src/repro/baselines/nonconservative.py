@@ -110,7 +110,6 @@ class TwoPhaseLockingGTM(NonConservativeScheme):
         self._waiters: Dict[str, List[str]] = {}
         self._ages: Dict[str, int] = {}
         self._age_counter = 0
-        self.deadlocks = 0
 
     def act_init(self, operation: Init) -> None:
         self.metrics.step()

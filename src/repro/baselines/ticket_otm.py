@@ -12,8 +12,8 @@ the ticket-value order *is* the per-site ser execution order, so OTM is
 exactly backward-validation optimistic concurrency control over
 ``ser(S)`` — implemented by
 :class:`~repro.baselines.nonconservative.OptimisticGTM`.  The subclass
-exists to carry the historical name and the graph-per-validation metrics
-the E8 baseline bench reports.
+only carries the historical name, ``otm``, under which the benches and
+the CLI run it.
 """
 
 from __future__ import annotations

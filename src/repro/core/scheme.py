@@ -79,6 +79,10 @@ class ConservativeScheme:
     #: left out of the committed ser(S)
     aborted_transactions: Collection[str] = frozenset()
 
+    #: waits-for deadlocks the scheme detected and broke by an abort
+    #: (only 2PL over ser(S) can deadlock)
+    deadlocks = 0
+
     def __init__(self) -> None:
         self.metrics = SchemeMetrics()
         self._context: Optional[SchemeContext] = None

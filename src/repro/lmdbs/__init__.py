@@ -2,11 +2,7 @@
 logging, concurrency-control protocols, and the :class:`LocalDBMS`
 facade the GTM's servers talk to."""
 
-from repro.lmdbs.database import (
-    LocalDBMS,
-    SubmitResult,
-    SubmitStatus,
-)
+from repro.lmdbs.database import LocalDBMS
 from repro.lmdbs.deadlock import (
     DeadlockDetector,
     build_waits_for_graph,
@@ -30,8 +26,6 @@ from repro.lmdbs.storage import VersionedStore
 
 __all__ = [
     "LocalDBMS",
-    "SubmitResult",
-    "SubmitStatus",
     "DeadlockDetector",
     "build_waits_for_graph",
     "find_deadlock",

@@ -3,10 +3,11 @@
 :class:`LocalDBMS` glues a :class:`~repro.lmdbs.storage.VersionedStore`,
 a concurrency-control protocol (:mod:`repro.lmdbs.protocols`), and a
 :class:`~repro.lmdbs.history.HistoryLog` into the black box the paper's
-GTM talks to: operations are *submitted*, and their completion is
-*acknowledged* (synchronously via the returned :class:`SubmitResult`, and
-asynchronously via per-operation callbacks used by the discrete-event
-simulator).
+GTM talks to: operations are *submitted*, and the site answers each
+submission once, through its completion callback — at once when the
+operation executes or dies, later when it was blocked.  Aborts are not
+submissions: they go through :meth:`LocalDBMS.abort_transaction`, and
+every abort at the site (victims included) reaches the abort listeners.
 
 The facade does not distinguish local transactions from global
 subtransactions — a paper requirement — and enforces program order: each
@@ -15,9 +16,8 @@ transaction may have at most one operation in flight at the site.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.exceptions import ProtocolViolation
 from repro.lmdbs.history import HistoryLog
@@ -25,32 +25,9 @@ from repro.lmdbs.protocols.base import Decision, LocalScheduler, Verdict
 from repro.lmdbs.storage import VersionedStore
 from repro.schedules.model import Operation, OpType, abort as abort_op
 
-
-class SubmitStatus(enum.Enum):
-    EXECUTED = "executed"
-    BLOCKED = "blocked"
-    ABORTED = "aborted"
-
-
 #: Callback invoked when a (possibly previously blocked) operation
 #: completes: ``callback(operation, value, aborted)``.
 CompletionCallback = Callable[[Operation, Any, bool], None]
-
-
-@dataclass
-class SubmitResult:
-    """Synchronous outcome of :meth:`LocalDBMS.submit`."""
-
-    status: SubmitStatus
-    operation: Operation
-    #: value produced by the operation (read result), when executed now
-    value: Any = None
-    #: transactions aborted during this call (victims and/or requester)
-    aborted: Tuple[str, ...] = ()
-    #: transactions whose blocked operation executed during this call
-    unblocked: Tuple[str, ...] = ()
-    #: reason attached to an abort of the requester
-    reason: str = ""
 
 
 @dataclass
@@ -111,8 +88,9 @@ class LocalDBMS:
         callback: Optional[CompletionCallback] = None,
         read_set: Optional[frozenset] = None,
         write_set: Optional[frozenset] = None,
-    ) -> SubmitResult:
-        """Submit *operation* for execution.
+    ) -> None:
+        """Submit *operation* for execution; *callback* answers it once,
+        as ``callback(operation, value, aborted)``.
 
         ``read_set``/``write_set`` are the declared access sets, consumed
         by conservative protocols at BEGIN and ignored otherwise.
@@ -121,111 +99,46 @@ class LocalDBMS:
             # the site is dark: negative acknowledgement, no state change
             if callback is not None:
                 callback(operation, None, True)
-            return SubmitResult(
-                SubmitStatus.ABORTED, operation, reason="site unavailable"
-            )
+            return
         self._validate_submission(operation)
         transaction_id = operation.transaction_id
-
-        if operation.op_type is OpType.ABORT:
-            aborted = self._perform_abort(transaction_id, "client abort")
-            result_ops: List[str] = []
-            return SubmitResult(
-                SubmitStatus.EXECUTED,
-                operation,
-                aborted=tuple(aborted),
-                unblocked=tuple(result_ops),
-            )
-
         decision = self._consult(operation, read_set, write_set)
-
-        aborted: List[str] = []
-        unblocked: List[str] = []
-
-        # Third-party victims decided alongside GRANT/ABORT are killed
-        # up front; with BLOCK the requester must be parked *first* so
-        # the victims' released locks can wake it (wound-wait).
-        if decision.verdict is not Verdict.BLOCK:
-            for victim in decision.victims:
-                if victim != transaction_id:
-                    aborted.extend(
-                        self._perform_abort(victim, decision.reason)
-                    )
-
-        if decision.verdict is Verdict.ABORT:
-            if transaction_id in decision.victims:
-                aborted.extend(
-                    self._perform_abort(transaction_id, decision.reason)
-                )
-                self.aborted_count += 1
-                if callback is not None:
-                    callback(operation, None, True)
-                self._drain_wakes(list(decision.wake), unblocked, aborted)
-                return SubmitResult(
-                    SubmitStatus.ABORTED,
-                    operation,
-                    aborted=tuple(aborted),
-                    unblocked=tuple(unblocked),
-                    reason=decision.reason,
-                )
-            raise ProtocolViolation(
-                "ABORT decision without the requester among victims"
-            )
-
         if decision.verdict is Verdict.BLOCK:
+            # parked *before* the victims die, so their released locks
+            # can wake it (wound-wait)
             self.blocked_count += 1
             self._pending[transaction_id] = _Pending(
                 operation, callback, read_set, write_set
             )
-            for victim in decision.victims:
-                if victim != transaction_id:
-                    aborted.extend(
-                        self._perform_abort(victim, decision.reason)
-                    )
-            # a victim's released locks may have freed ours already
-            self._drain_wakes(list(decision.wake), unblocked, aborted)
-            if transaction_id not in self._pending:
-                # our own operation was executed during the wake cascade
-                return SubmitResult(
-                    SubmitStatus.EXECUTED,
-                    operation,
-                    aborted=tuple(aborted),
-                    unblocked=tuple(u for u in unblocked if u != transaction_id),
+        for victim in decision.victims:
+            if victim != transaction_id:
+                self._perform_abort(victim, decision.reason)
+        if decision.verdict is Verdict.ABORT:
+            if transaction_id not in decision.victims:
+                raise ProtocolViolation(
+                    "ABORT decision without the requester among victims"
                 )
-            return SubmitResult(
-                SubmitStatus.BLOCKED,
-                operation,
-                aborted=tuple(aborted),
-                unblocked=tuple(unblocked),
-                reason=decision.reason,
-            )
-
-        value = self._execute(operation)
-        if callback is not None:
-            callback(operation, value, False)
-        self._drain_wakes(list(decision.wake), unblocked, aborted)
-        return SubmitResult(
-            SubmitStatus.EXECUTED,
-            operation,
-            value=value,
-            aborted=tuple(aborted),
-            unblocked=tuple(unblocked),
-        )
+            self._perform_abort(transaction_id, decision.reason)
+            self.aborted_count += 1
+            if callback is not None:
+                callback(operation, None, True)
+        elif decision.verdict is Verdict.GRANT:
+            value = self._execute(operation)
+            if callback is not None:
+                callback(operation, value, False)
+        self._drain_wakes(decision.wake)
 
     def abort_transaction(
         self, transaction_id: str, reason: str = "", force: bool = False
-    ) -> Tuple[str, ...]:
+    ) -> None:
         """Externally abort a transaction (used by the GTM to kill a
         global subtransaction, e.g. when it aborted at another site).
         ``force`` carries a 2PC coordinator decision: it is the only way
         to abort a *prepared* transaction (see :meth:`_perform_abort`).
         """
-        aborted = self._perform_abort(
+        self._perform_abort(
             transaction_id, reason or "external abort", force=force
         )
-        unblocked: List[str] = []
-        self._drain_wakes([], unblocked, aborted)
-        return tuple(aborted)
 
     # ------------------------------------------------------------------
     # internals
@@ -319,7 +232,7 @@ class LocalDBMS:
 
     def _perform_abort(
         self, transaction_id: str, reason: str, force: bool = False
-    ) -> List[str]:
+    ) -> None:
         """Abort a transaction: storage, protocol, pending op, history.
 
         A *prepared* transaction (2PC YES vote on record) is in doubt:
@@ -332,10 +245,10 @@ class LocalDBMS:
             transaction_id not in self._active
             and transaction_id not in self._pending
         ):
-            return []
+            return
         if not force and self.history.is_prepared(transaction_id):
             self.prepared_abort_refusals += 1
-            return []
+            return
         self.history.clear_prepared(transaction_id)
         pending = self._pending.pop(transaction_id, None)
         self.protocol.cancel_waiting(transaction_id)
@@ -346,19 +259,11 @@ class LocalDBMS:
         self.history.record(abort_op(transaction_id, self.site))
         if pending is not None and pending.callback is not None:
             pending.callback(pending.operation, None, True)
-        aborted = [transaction_id]
-        unblocked: List[str] = []
-        self._drain_wakes(list(wake), unblocked, aborted)
+        self._drain_wakes(wake)
         for listener in self.abort_listeners:
             listener(transaction_id, reason)
-        return aborted
 
-    def _drain_wakes(
-        self,
-        wake: List[str],
-        unblocked: List[str],
-        aborted: List[str],
-    ) -> None:
+    def _drain_wakes(self, wake: Iterable[str]) -> None:
         """Retry pending operations of woken transactions, cascading."""
         queue = list(wake)
         while queue:
@@ -371,19 +276,16 @@ class LocalDBMS:
             )
             for victim in decision.victims:
                 if victim != transaction_id:
-                    aborted.extend(self._perform_abort(victim, decision.reason))
+                    self._perform_abort(victim, decision.reason)
             if decision.verdict is Verdict.BLOCK:
                 continue
             del self._pending[transaction_id]
             if decision.verdict is Verdict.ABORT:
-                aborted.extend(
-                    self._perform_abort(transaction_id, decision.reason)
-                )
+                self._perform_abort(transaction_id, decision.reason)
                 if pending.callback is not None:
                     pending.callback(pending.operation, None, True)
                 continue
             value = self._execute(pending.operation)
-            unblocked.append(transaction_id)
             if pending.callback is not None:
                 pending.callback(pending.operation, value, False)
             queue.extend(decision.wake)
@@ -391,7 +293,7 @@ class LocalDBMS:
     # ------------------------------------------------------------------
     # crash / restart (fault injection)
     # ------------------------------------------------------------------
-    def crash(self, reason: str = "site crash") -> Tuple[str, ...]:
+    def crash(self, reason: str = "site crash") -> None:
         """Crash the site: every in-flight transaction (active or
         blocked) is aborted — volatile state is lost — while committed
         storage and the history log survive (they are the durable
@@ -410,20 +312,14 @@ class LocalDBMS:
             if self.history.is_prepared(transaction_id):
                 self._pending.pop(transaction_id)
                 self.protocol.cancel_waiting(transaction_id)
-        in_flight = [
-            transaction_id
-            for transaction_id in self._pending
-            if not self.history.is_prepared(transaction_id)
-        ] + [
+        in_flight = list(self._pending) + [
             transaction_id
             for transaction_id in sorted(self._active)
             if transaction_id not in self._pending
             and not self.history.is_prepared(transaction_id)
         ]
-        aborted: List[str] = []
         for transaction_id in in_flight:
-            aborted.extend(self._perform_abort(transaction_id, reason))
-        return tuple(aborted)
+            self._perform_abort(transaction_id, reason)
 
     def restart(self) -> None:
         """Bring a crashed site back; committed state is intact."""

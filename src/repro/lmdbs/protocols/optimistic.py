@@ -33,7 +33,6 @@ class OptimisticConcurrencyControl(LocalScheduler):
     defers_writes = True
 
     def __init__(self) -> None:
-        self._validation_counter = 0
         #: per committed validation index: (transaction, write set)
         self._validated: List[Tuple[str, FrozenSet[str]]] = []
         self._start_index: Dict[str, int] = {}

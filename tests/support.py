@@ -9,6 +9,8 @@
   item distribution, the ticket operation pair, the oldest-victim
   policy, a trace reloaded from its JSON lines, and the paper's
   steps-per-transaction measure over a scheme's counters;
+- :class:`AckRecorder`, which reads a local DBMS's answers the way the
+  simulator's servers do: through the completion callback alone;
 - the unsound variants of the paper's schemes, each without the one
   step its correctness theorem rests on (``tests/test_ablations.py``),
   and Scheme 2 with an exhaustive check of that step;
@@ -383,6 +385,48 @@ def steps_per_transaction(metrics: SchemeMetrics) -> float:
     if metrics.transactions_finished == 0:
         return float(metrics.steps)
     return metrics.steps / metrics.transactions_finished
+
+
+class AckRecorder:
+    """Submits operations to one local DBMS and records each
+    submission's answers.  A site answers a submission once, through
+    its completion callback — during :meth:`submit` when the operation
+    executes or dies, later when it was blocked — so the list
+    :meth:`submit` returns is ``[]`` while the operation waits and
+    ``[(value, aborted)]`` once it is answered."""
+
+    def __init__(self, db) -> None:
+        self.db = db
+        self.submissions: List[Tuple[Operation, List[Tuple[Any, bool]]]] = []
+
+    def submit(
+        self,
+        operation: Operation,
+        then=None,
+        read_set: Optional[frozenset] = None,
+        write_set: Optional[frozenset] = None,
+    ) -> List[Tuple[Any, bool]]:
+        """Submit *operation*; *then*, when given, also receives the
+        callback.  Returns the submission's answer list, which fills in
+        when the answer comes."""
+        answers: List[Tuple[Any, bool]] = []
+        self.submissions.append((operation, answers))
+
+        def callback(op: Operation, value: Any, aborted: bool) -> None:
+            answers.append((value, aborted))
+            if then is not None:
+                then(op, value, aborted)
+
+        self.db.submit(operation, callback, read_set, write_set)
+        return answers
+
+    def check_exactly_once(self) -> None:
+        """Every submission was answered at most once, and one never
+        answered is still blocked at the site."""
+        for operation, answers in self.submissions:
+            assert len(answers) <= 1, (operation, answers)
+            if not answers:
+                assert self.db.is_blocked(operation.transaction_id), operation
 
 
 # -- the schemes without their load-bearing step -------------------------

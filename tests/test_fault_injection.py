@@ -50,7 +50,7 @@ from repro.schedules.model import (
     write as write_op,
 )
 from repro.workloads.generator import WorkloadConfig, WorkloadGenerator
-from tests.support import holds_transaction, plan_from_mapping
+from tests.support import AckRecorder, holds_transaction, plan_from_mapping
 
 ALL_SCHEME_NAMES = ["scheme0", "scheme1", "scheme2", "scheme3"]
 
@@ -258,17 +258,20 @@ class TestSiteChannel:
 class TestSiteCrashRestart:
     def test_crash_aborts_in_flight_and_refuses_submissions(self):
         db = LocalDBMS("s0", make_protocol("strict-2pl"))
+        acks = AckRecorder(db)
+        aborted = []
+        db.abort_listeners.append(lambda txn, reason: aborted.append(txn))
         db.submit(begin_op("T1", "s0"))
         db.submit(write_op("T1", "s0_x1", "s0"))
-        aborted = db.crash()
-        assert "T1" in aborted
+        db.crash()
+        assert aborted == ["T1"]
         assert not db.available and db.crash_count == 1
-        result = db.submit(begin_op("T2", "s0"))
-        assert result.status.value == "aborted"
-        assert result.reason == "site unavailable"
+        # a dark site answers with a negative ack and changes nothing
+        assert acks.submit(begin_op("T2", "s0")) == [(None, True)]
+        assert not db.is_active("T2")
         db.restart()
         assert db.available
-        assert db.submit(begin_op("T3", "s0")).status.value == "executed"
+        assert acks.submit(begin_op("T3", "s0")) == [(None, False)]
 
     def test_accepts_reflects_site_and_transaction_state(self):
         db = LocalDBMS("s0", make_protocol("strict-2pl"))

@@ -524,8 +524,11 @@ def test_the_import_walk_sees_an_import_of_tests():
     assert imports_of_tests(tree) == [1, 2, 3, 7]
 
 
-#: the runtime's layers, whose collaborators talk through declared hooks
-DECLARED_LAYERS = ("core", "mdbs", "lmdbs", "workloads", "baselines", "transport")
+#: the layers whose collaborators talk through declared hooks (the
+#: runtime, and the bench that reads its counters)
+DECLARED_LAYERS = (
+    "core", "mdbs", "lmdbs", "workloads", "baselines", "transport", "analysis"
+)
 
 
 def name_probes(tree):

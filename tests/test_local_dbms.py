@@ -4,12 +4,13 @@ aborts, and history logging."""
 import pytest
 
 from repro.exceptions import ProtocolViolation
-from repro.lmdbs.database import LocalDBMS, SubmitStatus
+from repro.lmdbs.database import LocalDBMS
 from repro.lmdbs.protocols.optimistic import OptimisticConcurrencyControl
 from repro.lmdbs.protocols.timestamp_ordering import BasicTimestampOrdering
 from repro.lmdbs.protocols.two_phase_locking import StrictTwoPhaseLocking
 from repro.schedules.model import OpType, begin, commit, read, write
 from repro.schedules.serialization_graph import serialization_graph
+from tests.support import AckRecorder
 
 
 def make_db(protocol=None, initial=None):
@@ -19,10 +20,9 @@ def make_db(protocol=None, initial=None):
 class TestBasicFlow:
     def test_read_returns_value(self):
         db = make_db(initial={"x": 10})
+        acks = AckRecorder(db)
         db.submit(begin("T1", "s1"))
-        result = db.submit(read("T1", "x", "s1"))
-        assert result.status is SubmitStatus.EXECUTED
-        assert result.value == 10
+        assert acks.submit(read("T1", "x", "s1")) == [(10, False)]
 
     def test_program_order_enforced(self):
         db = make_db()
@@ -53,22 +53,18 @@ class TestBasicFlow:
 class TestBlockingAndCallbacks:
     def test_blocked_then_unblocked_via_callback(self):
         db = make_db()
-        events = []
+        acks = AckRecorder(db)
         db.submit(begin("T1", "s1"))
         db.submit(begin("T2", "s1"))
         db.submit(write("T1", "x", "s1"))
-        result = db.submit(
-            read("T2", "x", "s1"),
-            callback=lambda op, value, aborted: events.append(
-                (op.transaction_id, aborted)
-            ),
-        )
-        assert result.status is SubmitStatus.BLOCKED
+        blocked_read = acks.submit(read("T2", "x", "s1"))
+        assert blocked_read == []
         assert db.is_blocked("T2")
-        commit_result = db.submit(commit("T1", "s1"))
-        assert "T2" in commit_result.unblocked
-        assert events == [("T2", False)]
+        assert acks.submit(commit("T1", "s1")) == [(None, False)]
+        # T1's commit released the lock: T2's read ran and was answered
+        assert blocked_read == [(None, False)]
         assert not db.is_blocked("T2")
+        acks.check_exactly_once()
 
     def test_callback_fires_for_immediate_execution(self):
         db = make_db(initial={"x": 5})
@@ -92,31 +88,30 @@ class TestBlockingAndCallbacks:
 class TestAborts:
     def test_to_rejection_aborts_submitter(self):
         db = make_db(BasicTimestampOrdering())
+        acks = AckRecorder(db)
+        aborted = []
+        db.abort_listeners.append(lambda txn, reason: aborted.append(txn))
         db.submit(begin("T1", "s1"))
         db.submit(begin("T2", "s1"))
         db.submit(write("T2", "x", "s1"))
-        result = db.submit(read("T1", "x", "s1"))
-        assert result.status is SubmitStatus.ABORTED
-        assert "T1" in result.aborted
+        assert acks.submit(read("T1", "x", "s1")) == [(None, True)]
+        assert aborted == ["T1"]
         assert not db.is_active("T1")
 
     def test_deadlock_victim_callback_notified(self):
         db = make_db()
-        events = []
-
-        def callback(op, value, aborted):
-            events.append((op.transaction_id, aborted))
-
+        acks = AckRecorder(db)
         db.submit(begin("T1", "s1"))
         db.submit(begin("T2", "s1"))
         db.submit(read("T1", "x", "s1"))
         db.submit(read("T2", "y", "s1"))
-        db.submit(write("T1", "y", "s1"), callback=callback)  # blocks
-        result = db.submit(write("T2", "x", "s1"), callback=callback)
-        assert result.status is SubmitStatus.ABORTED
+        first = acks.submit(write("T1", "y", "s1"))
+        assert first == []  # blocks
+        second = acks.submit(write("T2", "x", "s1"))
         # T2 died (youngest); T1's blocked write was then granted
-        assert ("T2", True) in events
-        assert ("T1", False) in events
+        assert second == [(None, True)]
+        assert first == [(None, False)]
+        acks.check_exactly_once()
 
     def test_external_abort_wakes_waiters(self):
         db = make_db()

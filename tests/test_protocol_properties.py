@@ -1,13 +1,13 @@
 """Property-based tests over the local protocols: for *any* interleaved
 client workload, every protocol must produce a conflict-serializable
-committed history, and each protocol's recoverability class and
+committed history, answer each submission exactly once (or leave it
+blocked), and each protocol's recoverability class and
 serialization-function pairing must hold."""
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.lmdbs import LocalDBMS, make_protocol
-from repro.lmdbs.database import SubmitStatus
 from repro.schedules.model import begin, commit, read, write
 from repro.schedules.serialization_functions import (
     BeginSerializationFunction,
@@ -16,6 +16,7 @@ from repro.schedules.serialization_functions import (
 from repro.schedules.serialization_graph import serialization_graph
 from tests.reference.recoverability import avoids_cascading_aborts, is_strict
 from tests.reference.serialization_functions import is_valid_for
+from tests.support import AckRecorder
 
 PROTOCOL_NAMES = [
     "strict-2pl",
@@ -50,7 +51,11 @@ def client_scripts(draw):
 
 
 def run_script(protocol_name, programs, choices):
+    """Run the clients' programs against one site in the order *choices*
+    picks, checking that every submission is answered at most once
+    through its callback and that one never answered is still blocked."""
     db = LocalDBMS("s1", make_protocol(protocol_name))
+    acks = AckRecorder(db)
     alive = [True] * len(programs)
     db.abort_listeners.append(
         lambda txn, reason: alive.__setitem__(int(txn[1:]), False)
@@ -83,14 +88,15 @@ def run_script(protocol_name, programs, choices):
                 cursors[index] += 1
             pending.discard(index)
 
-        result = db.submit(
+        acks.submit(
             plans[index][cursors[index]],
-            callback=callback,
+            callback,
             read_set=frozenset(i for k, i in accesses if k == "r"),
             write_set=frozenset(i for k, i in accesses if k == "w"),
         )
-        if result.status is SubmitStatus.BLOCKED:
+        if db.is_blocked(txn):
             pending.add(index)
+    acks.check_exactly_once()
     return db
 
 

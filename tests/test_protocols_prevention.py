@@ -7,13 +7,13 @@ import pytest
 from repro.core import GlobalProgram, GTMSystem, make_scheme
 from repro.exceptions import ProtocolViolation
 from repro.lmdbs import LocalDBMS, make_protocol
-from repro.lmdbs.database import SubmitStatus
 from repro.lmdbs.protocols.base import Verdict
 from repro.lmdbs.protocols.two_phase_locking import PreventionTwoPhaseLocking
 from repro.schedules.model import begin, commit, read, write
 from repro.schedules.serialization_functions import CommitSerializationFunction
 from repro.schedules.serialization_graph import serialization_graph
 from tests.reference.serialization_functions import is_valid_for
+from tests.support import AckRecorder
 
 
 class TestPolicyValidation:
@@ -67,13 +67,15 @@ class TestWoundWait:
 
     def test_wound_through_database_grants_requester(self):
         db = LocalDBMS("s1", PreventionTwoPhaseLocking("wound-wait"))
+        acks = AckRecorder(db)
+        aborted = []
+        db.abort_listeners.append(lambda txn, reason: aborted.append(txn))
         db.submit(begin("T1", "s1"))
         db.submit(begin("T2", "s1"))
         db.submit(write("T2", "x", "s1"))
-        result = db.submit(read("T1", "x", "s1"))
         # T2 wounded, T1's read granted during the wake cascade
-        assert result.status is SubmitStatus.EXECUTED
-        assert "T2" in result.aborted
+        assert acks.submit(read("T1", "x", "s1")) == [(None, False)]
+        assert aborted == ["T2"]
 
 
 @pytest.mark.parametrize("policy", ["wound-wait", "wait-die"])
@@ -85,21 +87,23 @@ class TestNoDeadlocks:
         db.submit(begin("T2", "s1"))
         db.submit(read("T1", "x", "s1"))
         db.submit(read("T2", "y", "s1"))
-        first = db.submit(write("T1", "y", "s1"))
-        aborted = set(first.aborted)
+        aborted = []
+        db.abort_listeners.append(lambda txn, reason: aborted.append(txn))
+        db.submit(write("T1", "y", "s1"))
+        blocked = db.is_blocked("T1")
         if "T2" not in aborted and db.is_active("T2"):
-            second = db.submit(write("T2", "x", "s1"))
-            aborted |= set(second.aborted)
-            statuses = {first.status, second.status}
-        else:
-            statuses = {first.status}
+            db.submit(write("T2", "x", "s1"))
+            blocked = blocked or db.is_blocked("T2")
         # someone died or someone got through — nobody circularly waits
-        assert aborted or SubmitStatus.BLOCKED not in statuses
+        assert aborted or not blocked
 
     def test_random_histories_csr(self, policy):
         rng = random.Random(hash(policy) & 0xFFFF)
         db = LocalDBMS("s1", PreventionTwoPhaseLocking(policy))
         alive = {}
+        db.abort_listeners.append(
+            lambda txn, reason: alive.__setitem__(txn, False)
+        )
         for index in range(8):
             txn = f"T{index}"
             db.submit(begin(txn, "s1"))
@@ -116,11 +120,7 @@ class TestNoDeadlocks:
                 continue
             item = rng.choice("xyz")
             maker = read if rng.random() < 0.5 else write
-            result = db.submit(maker(txn, item, "s1"))
-            if result.status is SubmitStatus.ABORTED:
-                alive[txn] = False
-            for victim in result.aborted:
-                alive[victim] = False
+            db.submit(maker(txn, item, "s1"))
         for txn, ok in alive.items():
             if ok and db.is_active(txn) and not db.is_blocked(txn):
                 db.submit(commit(txn, "s1"))

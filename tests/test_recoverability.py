@@ -6,7 +6,6 @@ import random
 import pytest
 
 from repro.lmdbs import LocalDBMS, make_protocol
-from repro.lmdbs.database import SubmitStatus
 from repro.schedules.model import begin, commit, read, write
 from tests.reference.recoverability import (
     avoids_cascading_aborts,
@@ -137,13 +136,13 @@ def run_protocol_workload(protocol_name, seed, clients=6, ops=3):
                 programs[txn]["cursor"] += 1
             pending.discard(txn)
 
-        result = db.submit(
+        db.submit(
             state["ops"][state["cursor"]],
             callback=callback,
             read_set=state["rs"],
             write_set=state["ws"],
         )
-        if result.status is SubmitStatus.BLOCKED:
+        if db.is_blocked(txn):
             pending.add(txn)
     return db.history.schedule
 

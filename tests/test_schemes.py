@@ -227,6 +227,40 @@ class TestScheme2:
         assert not scheme.tsgd.has_dangerous_cycle_through("G2")
 
 
+def trace_of(text):
+    """A trace in the notation ``init G0@ab, ser G0@a, ...``: one record
+    per comma, each site one letter."""
+    records = []
+    for token in text.split(", "):
+        kind, operation = token.split(" ")
+        transaction_id, sites = operation.split("@")
+        records.append(TraceRecord(kind, transaction_id, tuple(sites)))
+    return Trace(tuple(records))
+
+
+class TestScheme1Scheme2Incomparable:
+    """§4: neither scheme permits every order the other does.  On the
+    shape (ab, ab, a) — G0 and G1 at sites a and b, G2 at a alone — 40
+    of the 2 240 ``drive()`` orders run wait-free under Scheme 1 only
+    and 100 under Scheme 2 only; these are the first of each."""
+
+    def test_an_order_only_scheme1_runs_wait_free(self):
+        trace = trace_of(
+            "init G0@ab, init G1@ab, init G2@a, ser G0@b, ser G1@b, "
+            "ser G2@a, ser G0@a, ser G1@a"
+        )
+        assert drive(Scheme1(), trace).ser_waits == 0
+        assert drive(Scheme2(), trace).ser_waits > 0
+
+    def test_an_order_only_scheme2_runs_wait_free(self):
+        trace = trace_of(
+            "init G0@ab, init G2@a, init G1@ab, ser G0@a, ser G0@b, "
+            "ser G1@a, ser G1@b, ser G2@a"
+        )
+        assert drive(Scheme2(), trace).ser_waits == 0
+        assert drive(Scheme1(), trace).ser_waits > 0
+
+
 class TestScheme3:
     def test_ser_bef_seeded_from_last(self):
         scheme = Scheme3()

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import GlobalProgram, GTMSystem, make_scheme
 from repro.core.gtm import plan_program
-from repro.lmdbs import PROTOCOLS, LocalDBMS, SubmitStatus, make_protocol
+from repro.lmdbs import PROTOCOLS, LocalDBMS, make_protocol
 from repro.mdbs import simulator as simulator_module
 from repro.schedules.model import begin, commit, read, write
 from repro.schedules.serialization_graph import serialization_graph
@@ -76,13 +76,13 @@ def run_random_local_workload(protocol_name, seed, clients=6, ops=3):
                 programs[txn]["cursor"] += 1
             pending.discard(txn)
 
-        result = db.submit(
+        db.submit(
             operation,
             callback=callback,
             read_set=state["read_set"],
             write_set=state["write_set"],
         )
-        if result.status is SubmitStatus.BLOCKED:
+        if db.is_blocked(txn):
             pending.add(txn)
     return db.history.committed_schedule()
 
