@@ -3,7 +3,6 @@
 abort-based schemes §3 argues against (2PL/TO/optimistic over ser(S))."""
 
 from repro.baselines.nonconservative import (
-    NonConservativeScheme,
     OptimisticGTM,
     TimestampGTM,
     TwoPhaseLockingGTM,
@@ -22,7 +21,6 @@ BASELINES = {
 
 
 __all__ = [
-    "NonConservativeScheme",
     "OptimisticGTM",
     "TimestampGTM",
     "TwoPhaseLockingGTM",

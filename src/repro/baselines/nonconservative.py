@@ -8,43 +8,24 @@ they implement 2PL, TO, and backward-validation optimistic CC directly
 over ``ser(S)`` in the same engine framework, aborting transactions
 instead of waiting conservatively.
 
-An aborted transaction's remaining queue operations are swallowed (the
-real GTM1 would abort it globally and restart it); the committed
-projection of ``ser(S)`` stays serializable, which the tests verify.
+A scheme aborts through ``context.abort_transaction``: GTM2 drops the
+transaction's queued and waiting operations at once, like any purge,
+and GTM1 hears of the abort (the simulator aborts and restarts the
+global transaction); the committed projection of ``ser(S)`` stays
+serializable, which the tests verify.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.events import Ack, Fin, Init, Ser
 from repro.core.scheme import ConservativeScheme
+from repro.lmdbs.deadlock import DeadlockDetector
 from repro.schedules.serialization_graph import DirectedGraph
 
 
-class NonConservativeScheme(ConservativeScheme):
-    """Base for abort-based GTM2 schemes.
-
-    Tracks ``aborted_transactions``; operations of an aborted transaction
-    pass ``cond`` and are swallowed by ``act`` (GTM1 would purge them).
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.aborted_transactions: Set[str] = set()
-
-    def abort(self, transaction_id: str) -> None:
-        self.aborted_transactions.add(transaction_id)
-
-    @property
-    def abort_count(self) -> int:
-        return len(self.aborted_transactions)
-
-    def is_aborted(self, transaction_id: str) -> bool:
-        return transaction_id in self.aborted_transactions
-
-
-class TimestampGTM(NonConservativeScheme):
+class TimestampGTM(ConservativeScheme):
     """Basic TO over ``ser(S)``: timestamps at ``init``; a ser-operation
     arriving at a site after a younger transaction's has executed there
     aborts its transaction (§3 claim: "a large number of transaction
@@ -70,12 +51,10 @@ class TimestampGTM(NonConservativeScheme):
 
     def act_ser(self, operation: Ser) -> None:
         transaction_id = operation.transaction_id
-        if self.is_aborted(transaction_id):
-            return
         self.metrics.step()
         timestamp = self._timestamps[transaction_id]
         if timestamp < self._high_water.get(operation.site, 0):
-            self.abort(transaction_id)
+            self.context.abort_transaction(transaction_id)
             return
         self._high_water[operation.site] = timestamp
         self.submit(operation)
@@ -95,12 +74,14 @@ class TimestampGTM(NonConservativeScheme):
         self._timestamps.pop(transaction_id, None)
 
 
-class TwoPhaseLockingGTM(NonConservativeScheme):
+class TwoPhaseLockingGTM(ConservativeScheme):
     """2PL over ``ser(S)``: a transaction locks each site at its
     ser-operation and releases at ``fin``.  Since all ser-operations at a
     site conflict, the site lock is exclusive; waits-for cycles are
     resolved by aborting the youngest transaction (§3 claim: "frequent
-    deadlocks")."""
+    deadlocks").  Every blocked request runs the detector's full
+    ``check``: a site-lock grant adds an edge from every waiter at that
+    site, so a new cycle need not pass through the requester."""
 
     name = "2pl-gtm"
 
@@ -108,44 +89,37 @@ class TwoPhaseLockingGTM(NonConservativeScheme):
         super().__init__()
         self._lock_holder: Dict[str, Optional[str]] = {}
         self._waiters: Dict[str, List[str]] = {}
-        self._ages: Dict[str, int] = {}
-        self._age_counter = 0
+        self._detector = DeadlockDetector(self._waits_for)
 
     def act_init(self, operation: Init) -> None:
         self.metrics.step()
-        self._age_counter += 1
-        self._ages[operation.transaction_id] = self._age_counter
+        self._detector.register_begin(operation.transaction_id)
 
     def cond_ser(self, operation: Ser) -> bool:
         transaction_id, site = operation.transaction_id, operation.site
         self.metrics.step()
-        if self.is_aborted(transaction_id):
-            return True
         holder = self._lock_holder.get(site)
         if holder is None or holder == transaction_id:
             return True
         waiters = self._waiters.setdefault(site, [])
         if transaction_id not in waiters:
             waiters.append(transaction_id)
-        victim = self._detect_deadlock()
-        if victim is not None:
+        deadlock = self._detector.check()
+        if deadlock is not None:
+            victim, _ = deadlock
             self.deadlocks += 1
-            self.abort(victim)
-            self._release_all(victim)
+            self.context.abort_transaction(victim)
             # the victim's released locks can enable waiting operations
             self.context.request_rescan()
-            if victim == transaction_id:
-                return True  # swallowed by act_ser
         holder = self._lock_holder.get(site)
         return holder is None or holder == transaction_id
 
     def act_ser(self, operation: Ser) -> None:
         transaction_id, site = operation.transaction_id, operation.site
-        if self.is_aborted(transaction_id):
-            self._unwait(transaction_id, site)
-            return
         self.metrics.step()
-        self._unwait(transaction_id, site)
+        waiters = self._waiters.get(site, [])
+        if transaction_id in waiters:
+            waiters.remove(transaction_id)
         self._lock_holder[site] = transaction_id
         self.submit(operation)
 
@@ -160,11 +134,6 @@ class TwoPhaseLockingGTM(NonConservativeScheme):
     def act_fin(self, operation: Fin) -> None:
         self._release_all(operation.transaction_id)
 
-    def _unwait(self, transaction_id: str, site: str) -> None:
-        waiters = self._waiters.get(site, [])
-        if transaction_id in waiters:
-            waiters.remove(transaction_id)
-
     def _release_all(self, transaction_id: str) -> None:
         for site, holder in list(self._lock_holder.items()):
             self.metrics.step()
@@ -173,27 +142,24 @@ class TwoPhaseLockingGTM(NonConservativeScheme):
         for waiters in self._waiters.values():
             if transaction_id in waiters:
                 waiters.remove(transaction_id)
-        self._ages.pop(transaction_id, None)
+        self._detector.forget(transaction_id)
 
-    def _detect_deadlock(self) -> Optional[str]:
-        graph = DirectedGraph()
+    def _waits_for(self) -> Set[Tuple[str, str]]:
+        edges: Set[Tuple[str, str]] = set()
         for site, waiters in self._waiters.items():
             holder = self._lock_holder.get(site)
             if holder is None:
                 continue
             for waiter in waiters:
                 self.metrics.step()
-                graph.add_edge(waiter, holder)
-        cycle = graph.find_cycle()
-        if cycle is None:
-            return None
-        return max(cycle, key=lambda txn: (self._ages.get(txn, 0), txn))
+                edges.add((waiter, holder))
+        return edges
 
     def remove_transaction(self, transaction_id: str) -> None:
         self._release_all(transaction_id)
 
 
-class OptimisticGTM(NonConservativeScheme):
+class OptimisticGTM(ConservativeScheme):
     """Backward-validation optimistic CC over ``ser(S)``: ser-operations
     execute freely; at ``fin`` the transaction validates that its
     per-site positions do not close a cycle among committed transactions,
@@ -220,8 +186,6 @@ class OptimisticGTM(NonConservativeScheme):
         return True
 
     def act_ser(self, operation: Ser) -> None:
-        if self.is_aborted(operation.transaction_id):
-            return
         self.metrics.step()
         self._site_orders.setdefault(operation.site, []).append(
             operation.transaction_id
@@ -238,8 +202,6 @@ class OptimisticGTM(NonConservativeScheme):
 
     def act_fin(self, operation: Fin) -> None:
         transaction_id = operation.transaction_id
-        if self.is_aborted(transaction_id):
-            return
         # validation: edges between this transaction and previously
         # validated ones, from the per-site execution orders
         graph = self._validated_edges.copy()
@@ -252,16 +214,12 @@ class OptimisticGTM(NonConservativeScheme):
                     if earlier != later:
                         graph.add_edge(earlier, later)
         if graph.find_cycle(start=transaction_id) is not None:
-            self.abort(transaction_id)
-            self._purge_orders(transaction_id)
+            self.context.abort_transaction(transaction_id)
             return
         self._validated.append(transaction_id)
         self._validated_edges = graph
 
-    def _purge_orders(self, transaction_id: str) -> None:
+    def remove_transaction(self, transaction_id: str) -> None:
         for order in self._site_orders.values():
             while transaction_id in order:
                 order.remove(transaction_id)
-
-    def remove_transaction(self, transaction_id: str) -> None:
-        self._purge_orders(transaction_id)

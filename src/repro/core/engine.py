@@ -18,11 +18,12 @@ costs only the operations named by the hints; a scheme without hints
 
 The engine also implements :class:`~repro.core.scheme.SchemeContext`:
 ``act`` implementations submit ser-operations and forward acks through
-it, and a ``cond`` that changes DS requests a rescan or journals a seal
-through it.  Handlers injected at construction decide what "submit to
-the local DBMSs through the servers" means — the trace drivers
-(:mod:`repro.workloads.traces`) make it synchronous, the MDBS simulator
-(:mod:`repro.mdbs.simulator`) makes it an event with latency.
+it, a ``cond`` that changes DS requests a rescan or journals a seal
+through it, and an abort-based scheme aborts through it.  Handlers
+injected at construction decide what submitting, acking and aborting
+mean — the trace drivers (:mod:`repro.workloads.traces`) make them
+synchronous, the MDBS simulator (:mod:`repro.mdbs.simulator`) makes a
+submission an event with latency and an abort a global abort.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ from repro.exceptions import SchedulerError
 SubmitHandler = Callable[[Ser], None]
 #: Handler invoked when the scheme forwards an ack to GTM1.
 AckHandler = Callable[[Ack], None]
+#: Handler invoked when the scheme aborts a transaction (GTM2 has
+#: already forgotten it).
+AbortHandler = Callable[[str], None]
 
 
 def _op_key(operation: QueueOp) -> Tuple[str, Optional[str]]:
@@ -62,6 +66,7 @@ class Engine(SchemeContext):
         scheme: ConservativeScheme,
         submit_handler: Optional[SubmitHandler] = None,
         ack_handler: Optional[AckHandler] = None,
+        abort_handler: Optional[AbortHandler] = None,
         journal=None,
         tracer=None,
     ) -> None:
@@ -74,6 +79,10 @@ class Engine(SchemeContext):
         scheme.bind(self)
         self._submit_handler = submit_handler
         self._ack_handler = ack_handler
+        self._abort_handler = abort_handler
+        #: transactions the scheme aborted during the current run; an
+        #: operation whose own ``cond`` aborted it is dropped, not WAITed
+        self._aborted: Set[str] = set()
         #: optional :class:`repro.core.recovery.Journal` for
         #: crash recovery; logs insertions and processed operations
         self.journal = journal
@@ -118,6 +127,12 @@ class Engine(SchemeContext):
     def forward_ack(self, operation: Ack) -> None:
         if self._ack_handler is not None:
             self._ack_handler(operation)
+
+    def abort_transaction(self, transaction_id: str) -> None:
+        self.purge_transaction(transaction_id)
+        self._aborted.add(transaction_id)
+        if self._abort_handler is not None:
+            self._abort_handler(transaction_id)
 
     def request_rescan(self) -> None:
         self._rescan_requested = True
@@ -204,10 +219,11 @@ class Engine(SchemeContext):
             if self.scheme.cond(operation):
                 self._perform(operation)
             else:
-                self.scheme.metrics.note_waited(operation.kind)
-                self._add_waiting(operation)
-                if self.tracer is not None:
-                    self._trace_wait(operation)
+                if operation.transaction_id not in self._aborted:
+                    self.scheme.metrics.note_waited(operation.kind)
+                    self._add_waiting(operation)
+                    if self.tracer is not None:
+                        self._trace_wait(operation)
                 # a cond may mutate scheme state (e.g. an abort-based
                 # scheme killing a deadlock victim); honour its request
                 # to re-examine WAIT even though nothing was processed
@@ -215,6 +231,7 @@ class Engine(SchemeContext):
                     self._drain_full()
             self.wait_area += len(self._wait)
             self.wait_samples += 1
+        self._aborted.clear()
 
     def _consume_rescan_request(self) -> bool:
         requested, self._rescan_requested = self._rescan_requested, False

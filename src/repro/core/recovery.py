@@ -45,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from repro.core.engine import AckHandler, Engine, SubmitHandler
+from repro.core.engine import AbortHandler, AckHandler, Engine, SubmitHandler
 from repro.core.events import Ack, QueueOp, Ser
 from repro.core.scheme import ConservativeScheme, SchemeContext
 from repro.exceptions import SchedulerError
@@ -173,17 +173,21 @@ class Journal:
 
 class _ReplayContext(SchemeContext):
     """Suppresses side effects during replay: pre-crash submissions
-    already reached the local DBMSs and acks already reached GTM1."""
+    already reached the local DBMSs, acks and aborts already reached
+    GTM1, and a replayed abort's purge is re-applied at its journaled
+    position."""
 
     def __init__(self) -> None:
         self.replayed_submissions: List[Ser] = []
-        self.replayed_acks: List[Ack] = []
 
     def submit_ser(self, operation: Ser) -> None:
         self.replayed_submissions.append(operation)
 
     def forward_ack(self, operation: Ack) -> None:
-        self.replayed_acks.append(operation)
+        pass
+
+    def abort_transaction(self, transaction_id: str) -> None:
+        pass
 
 
 def replay_scheme(
@@ -233,6 +237,7 @@ def recover_engine(
     journal: Journal,
     submit_handler: Optional[SubmitHandler] = None,
     ack_handler: Optional[AckHandler] = None,
+    abort_handler: Optional[AbortHandler] = None,
 ) -> Engine:
     """Recover a live GTM2 from *journal*: replay the processed prefix
     into *scheme*, attach the (fresh) scheme to a new engine, and
@@ -248,6 +253,7 @@ def recover_engine(
         scheme,
         submit_handler=submit_handler,
         ack_handler=ack_handler,
+        abort_handler=abort_handler,
         journal=journal,
     )
     # re-binding happened in Engine.__init__; do not double-log the

@@ -17,7 +17,7 @@ layering of the paper's Figure 2.
 
 from __future__ import annotations
 
-from typing import Collection, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.events import Ack, Fin, Init, QueueOp, Ser
 from repro.core.metrics import SchemeMetrics
@@ -28,8 +28,8 @@ class SchemeContext:
     """What a scheme may do to the outside world.
 
     The engine implements this; trace drivers and the full MDBS simulator
-    plug in their own behaviour for :meth:`submit_ser` and
-    :meth:`forward_ack`.
+    plug in their own behaviour for :meth:`submit_ser`,
+    :meth:`forward_ack` and :meth:`abort_transaction`.
     """
 
     def submit_ser(self, operation: Ser) -> None:
@@ -38,6 +38,13 @@ class SchemeContext:
 
     def forward_ack(self, operation: Ack) -> None:
         """Forward ``ack(ser_k(G_i))`` to GTM1."""
+        raise NotImplementedError
+
+    def abort_transaction(self, transaction_id: str) -> None:
+        """Abort *transaction_id* (an abort-based scheme's only way to
+        reject it): GTM2 forgets it at once — its queued and waiting
+        operations are dropped and :meth:`ConservativeScheme.remove_transaction`
+        runs — and GTM1 hears of the abort."""
         raise NotImplementedError
 
     def request_rescan(self) -> None:
@@ -74,10 +81,6 @@ class ConservativeScheme:
     #: GTM1 has committed its subtransactions at the sites; the
     #: simulator refuses such a scheme, since GTM1 cannot undo them
     aborts_at_fin = False
-
-    #: transactions the scheme aborted itself; their ser-operations are
-    #: left out of the committed ser(S)
-    aborted_transactions: Collection[str] = frozenset()
 
     #: waits-for deadlocks the scheme detected and broke by an abort
     #: (only 2PL over ser(S) can deadlock)
@@ -163,8 +166,8 @@ class ConservativeScheme:
 
     # -- fault handling ----------------------------------------------------
     def remove_transaction(self, transaction_id: str) -> None:
-        """Forget a transaction the GTM aborted (its queued and waiting
-        operations are already gone)."""
+        """Forget an aborted transaction, whoever aborted it (its queued
+        and waiting operations are already gone)."""
 
     def replay_seal(self, token: str) -> None:
         """Re-apply a seal the scheme journaled through

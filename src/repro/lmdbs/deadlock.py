@@ -56,7 +56,8 @@ def youngest_victim(
 
 
 class DeadlockDetector:
-    """Stateful detector bound to a lock manager.
+    """Stateful detector bound to a waits-for source: a local lock
+    manager, or GTM2's site locks under 2PL over ``ser(S)``.
 
     Call :meth:`check_blocked` after any blocking lock request; it
     returns the victim to abort (or ``None``).  The detector never aborts

@@ -311,6 +311,7 @@ class MDBSSimulator:
             scheme,
             submit_handler=self._execute_ser,
             ack_handler=self._on_gtm1_ack,
+            abort_handler=self._on_gtm2_abort,
             # GTM2 is recoverable, and 2PC decisions are force-logged
             journal=Journal() if injector is not None or atomic_commit else None,
         )
@@ -482,6 +483,7 @@ class MDBSSimulator:
             journal,
             submit_handler=self._execute_ser,
             ack_handler=self._on_gtm1_ack,
+            abort_handler=self._on_gtm2_abort,
         )
         # no wait-area carry-over: recover_engine's journal replay
         # re-accumulates the pre-crash WAIT history in the fresh engine
@@ -707,6 +709,10 @@ class MDBSSimulator:
             runtime.fin_enqueued = True
             self.engine.enqueue(Fin(ack.transaction_id))
 
+    def _on_gtm2_abort(self, incarnation: str) -> None:
+        """GTM2 aborted *incarnation* and already forgot it."""
+        self._abort_global(incarnation, "aborted by GTM2", purge=False)
+
     def _maybe_complete(self, runtime: _GlobalRuntime) -> None:
         if runtime.acks_outstanding:
             return
@@ -727,26 +733,26 @@ class MDBSSimulator:
             ),
         )
 
-    def _abort_global(self, incarnation: str, reason: str) -> None:
+    def _abort_global(self, incarnation: str, reason: str, purge: bool = True) -> None:
         runtime = self._runtimes.pop(incarnation, None)
         if runtime is None or runtime.done:
             return
         runtime.done = True
+        finish = partial(self._finish_abort, runtime, reason, purge=purge)
         if self.commit is None:
-            self._finish_abort(runtime, reason)
+            finish()
             return
         self.commit.decide_abort(
-            incarnation,
-            runtime.program.sites,
-            aborted=partial(self._finish_abort, runtime, reason),
+            incarnation, runtime.program.sites, aborted=finish
         )
 
     def _finish_abort(
         self, runtime: _GlobalRuntime, reason: str, purge: bool = True
     ) -> None:
         """Count the abort, tell the sites, and spend a restart.  GTM2
-        is purged unless it already processed the incarnation's Fin
-        (``purge=False``: a commit the coordinator group overruled)."""
+        is purged unless it is already done with the incarnation
+        (``purge=False``: GTM2 aborted it itself, or it processed the
+        Fin of a commit the coordinator group overruled)."""
         incarnation = runtime.incarnation
         self.global_aborts += 1
         if self.faults is not None:

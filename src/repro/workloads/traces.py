@@ -7,7 +7,9 @@ records in arrival order.  :func:`drive` replays a trace against any
 scheme with a synchronous-server model (an ack enters the queue as soon
 as the submitted ser-operation would complete) and GTM1's ``fin`` rule
 (enqueued once all of a transaction's acks have been forwarded), and
-returns the scheme's metrics plus the resulting ``ser(S)``.
+returns the scheme's metrics plus the resulting ``ser(S)``.  A
+transaction an abort-based scheme aborts is not restarted: the replay
+records the abort and enqueues none of its later records.
 
 Trace generators cover the benchmark needs:
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.engine import Engine
 from repro.core.events import Ack, Fin, Init, Ser
@@ -100,7 +102,8 @@ class DriveResult:
     ser_schedule: SerSchedule
     #: order in which ser-operations were submitted to the (virtual) sites
     submission_order: Tuple[Ser, ...]
-    #: transactions aborted by the scheme (empty for conservative schemes)
+    #: transactions the scheme aborted, sorted (empty for conservative
+    #: schemes)
     aborted: Tuple[str, ...] = ()
 
     @property
@@ -128,13 +131,15 @@ def drive(
     Every submitted ser-operation's ack enters QUEUE immediately after the
     submission (the local DBMS executed it); ``fin_i`` enters once all of
     ``Ĝ_i``'s acks have been forwarded to GTM1 — the replay equivalent of
-    the GTM1 protocol of §4.  *tracer*
+    the GTM1 protocol of §4; a transaction the scheme aborts gets no
+    further records.  *tracer*
     (:class:`repro.observability.Tracer`) records the engine's decision
     spans; it never affects the replayed decisions.
     """
     ser_schedule = SerSchedule()
     submitted: List[Ser] = []
     acks_expected: Dict[str, set] = {}
+    aborted: Set[str] = set()
 
     engine: Engine
 
@@ -155,10 +160,13 @@ def drive(
         scheme,
         submit_handler=on_submit,
         ack_handler=on_ack,
+        abort_handler=aborted.add,
         tracer=tracer,
     )
 
     for record in trace.records:
+        if record.transaction_id in aborted:
+            continue
         if record.kind == "init":
             acks_expected[record.transaction_id] = set(record.sites)
             engine.enqueue(
@@ -171,7 +179,6 @@ def drive(
         engine.run()
     engine.run()
     engine.assert_drained()
-    aborted = frozenset(scheme.aborted_transactions)
     committed_ser = SerSchedule(
         operation
         for operation in ser_schedule

@@ -487,6 +487,11 @@ def wait_set(engine) -> tuple:
     return tuple(engine._wait.values())
 
 
+def queued(engine) -> tuple:
+    """The operations in the engine's QUEUE, in order."""
+    return tuple(engine._queue)
+
+
 def serialized_before(scheme, transaction_id: str) -> frozenset:
     """Scheme 3's ``ser_bef`` set of *transaction_id*."""
     return frozenset(scheme._ser_bef.get(transaction_id, ()))

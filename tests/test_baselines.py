@@ -18,14 +18,20 @@ from repro.core.events import Ack, Fin, Init, Ser
 from repro.exceptions import SchedulerError
 from repro.transport import SimTransport
 from repro.workloads import drive, random_trace
-from tests.support import NaiveDeletionSiteGraph
+from tests.support import NaiveDeletionSiteGraph, holds_transaction
 
 
 class Harness:
     def __init__(self, scheme):
         self.scheme = scheme
         self.submitted = []
-        self.engine = Engine(scheme, submit_handler=self.submitted.append)
+        #: the engine's abort output: what GTM1 hears, in order
+        self.aborted = []
+        self.engine = Engine(
+            scheme,
+            submit_handler=self.submitted.append,
+            abort_handler=self.aborted.append,
+        )
 
     def push(self, *operations):
         for operation in operations:
@@ -101,24 +107,28 @@ class TestTimestampGTM:
         h.push(Init("G1", sites=("s1",)), Init("G2", sites=("s1",)))
         h.push(Ser("G1", site="s1"), Ser("G2", site="s1"))
         assert h.submitted_keys == [("G1", "s1"), ("G2", "s1")]
-        assert h.scheme.abort_count == 0
+        assert h.aborted == []
 
     def test_out_of_order_aborts(self):
         h = Harness(TimestampGTM())
         h.push(Init("G1", sites=("s1",)), Init("G2", sites=("s1",)))
         h.push(Ser("G2", site="s1"))  # younger executes first
         h.push(Ser("G1", site="s1"))  # older arrives late -> abort
-        assert h.scheme.aborted_transactions == {"G1"}
+        assert h.aborted == ["G1"]
         assert h.submitted_keys == [("G2", "s1")]
 
-    def test_aborted_transactions_ops_swallowed(self):
+    def test_aborted_transaction_ops_purged_and_gtm1_hears_one_abort(self):
         h = Harness(TimestampGTM())
         h.push(
             Init("G1", sites=("s1", "s2")), Init("G2", sites=("s1",))
         )
-        h.push(Ser("G2", site="s1"), Ser("G1", site="s1"))
-        h.push(Ser("G1", site="s2"))  # swallowed — G1 already aborted
+        # G1's s2 request is queued behind its late s1 request, which
+        # aborts G1: the purge drops it before it is ever processed
+        h.push(Ser("G2", site="s1"), Ser("G1", site="s1"), Ser("G1", site="s2"))
+        assert h.aborted == ["G1"]
         assert ("G1", "s2") not in h.submitted_keys
+        assert h.scheme.metrics.processed["ser"] == 2
+        assert not holds_transaction(h.scheme, "G1")
         h.engine.assert_drained()
 
 
@@ -140,8 +150,12 @@ class TestTwoPhaseLockingGTM:
         h.push(Ser("G2", site="s2"))
         h.push(Ser("G1", site="s2"))  # waits on G2
         h.push(Ser("G2", site="s1"))  # waits on G1 -> deadlock
-        assert h.scheme.deadlocks >= 1
-        assert "G2" in h.scheme.aborted_transactions
+        assert h.scheme.deadlocks == 1
+        assert h.aborted == ["G2"]
+        # the victim's request is dropped, not left waiting, and its
+        # released site lock lets G1 proceed
+        assert h.submitted_keys == [("G1", "s1"), ("G2", "s2"), ("G1", "s2")]
+        h.engine.assert_drained()
 
     def test_frequent_deadlocks_on_contended_traces(self):
         total = 0
@@ -162,7 +176,7 @@ class TestOptimisticGTM:
                 h.push(Ser(txn, site=site))
                 h.push(Ack(txn, site=site))
         h.push(Fin("G1"), Fin("G2"))
-        assert h.scheme.abort_count == 0
+        assert h.aborted == []
 
     def test_crossed_orders_abort_at_validation(self):
         h = Harness(OptimisticGTM())
@@ -173,11 +187,22 @@ class TestOptimisticGTM:
             h.push(Ack(txn, site=site))
         h.push(Fin("G1"))
         h.push(Fin("G2"))  # validation sees the crossed order
-        assert h.scheme.abort_count == 1
+        assert h.aborted == ["G2"]
 
     def test_otm_is_optimistic_gtm(self):
         assert issubclass(OptimisticTicketMethod, OptimisticGTM)
         assert OptimisticTicketMethod().name == "otm"
+
+
+class TestAbortReachesGTM1:
+    def test_to_gtm_abort_restarts_without_the_watchdog(self):
+        """A TO rejection aborts the incarnation at once: GTM1 restarts
+        it instead of waiting for the stall watchdog to find it."""
+        result = SimTransport().run(make_e4_job("to-gtm", 8, 7))
+        assert result.ok, result.failure_reasons()
+        assert result.report.global_aborts > 0
+        assert result.report.watchdog_aborts == 0
+        assert result.report.committed_global == 24
 
 
 class TestRegistry:

@@ -98,7 +98,7 @@ class TestNoDeadlocks:
         assert aborted or not blocked
 
     def test_random_histories_csr(self, policy):
-        rng = random.Random(hash(policy) & 0xFFFF)
+        rng = random.Random(policy)
         db = LocalDBMS("s1", PreventionTwoPhaseLocking(policy))
         alive = {}
         db.abort_listeners.append(

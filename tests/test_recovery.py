@@ -3,13 +3,14 @@ fault tolerance, implemented in :mod:`repro.core.recovery`)."""
 
 import pytest
 
+from repro.baselines import TimestampGTM
 from repro.core import Scheme0, Scheme1, Scheme2, Scheme3, Scheme4
 from repro.core.engine import Engine
 from repro.core.events import Ack, Fin, Init, Ser
 from repro.core.recovery import Journal, recover_engine, replay_scheme
 from repro.exceptions import SchedulerError
 from repro.schedules.global_schedule import SerOperation, SerSchedule
-from tests.support import truncate
+from tests.support import holds_transaction, queued, truncate
 
 ALL_SCHEMES = [Scheme0, Scheme1, Scheme2, Scheme3, Scheme4]
 
@@ -375,3 +376,39 @@ class TestRecoverIsRecoverable:
         before = len(journal.processed)
         recovered.run()
         assert len(journal.processed) >= before
+
+
+class TestRecoveryAfterGTM2Abort:
+    def test_victim_is_neither_rebuilt_nor_requeued(self):
+        """TO aborts G1 in ``act_ser``; the journaled purge replays at
+        its logged position, so the rebuilt scheme holds nothing of G1
+        and recovery re-queues none of G1's operations — not even one
+        logged after the abort."""
+        journal, aborted = Journal(), []
+        engine = Engine(
+            TimestampGTM(), abort_handler=aborted.append, journal=journal
+        )
+        for operation in (
+            Init("G1", sites=("s1", "s2")),
+            Init("G2", sites=("s1",)),
+            Ser("G2", site="s1"),
+            Ser("G1", site="s1"),  # older than s1's high-water: abort
+            Ser("G1", site="s2"),  # purged while still queued
+        ):
+            engine.enqueue(operation)
+        engine.run()
+        assert aborted == ["G1"]
+        # logged at the crash but never processed
+        engine.enqueue(Ser("G1", site="s2"))
+        engine.enqueue(Init("G3", sites=("s2",)))
+
+        recovered_aborts = []
+        recovered = recover_engine(
+            TimestampGTM(), journal, abort_handler=recovered_aborts.append
+        )
+        assert not holds_transaction(recovered.scheme, "G1")
+        assert holds_transaction(recovered.scheme, "G2")
+        assert queued(recovered) == (Init("G3", sites=("s2",)),)
+        recovered.run()
+        assert recovered_aborts == []
+        recovered.assert_drained()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines import TimestampGTM
 from repro.core import Scheme0, Scheme1, Scheme2, Scheme3
 from repro.exceptions import SchedulerError
 from repro.workloads.traces import (
@@ -124,3 +125,23 @@ class TestDrive:
             (op.transaction_id, op.site) for op in result.ser_schedule
         ]
         assert submitted == projected
+
+    def test_no_record_replayed_after_a_gtm2_abort(self):
+        """TO aborts G1 at s1; its s3 record, later in the trace, never
+        enters QUEUE, and only its s2 submission, made before the abort,
+        reached a site."""
+        records = (
+            TraceRecord("init", "G1", ("s1", "s2", "s3")),
+            TraceRecord("init", "G2", ("s1",)),
+            TraceRecord("ser", "G1", ("s2",)),
+            TraceRecord("ser", "G2", ("s1",)),
+            TraceRecord("ser", "G1", ("s1",)),
+            TraceRecord("ser", "G1", ("s3",)),
+        )
+        result = drive(TimestampGTM(), Trace(records))
+        assert result.aborted == ("G1",)
+        assert [
+            (op.transaction_id, op.site) for op in result.submission_order
+        ] == [("G1", "s2"), ("G2", "s1")]
+        assert result.metrics.processed["ser"] == 3
+        assert [op.transaction_id for op in result.ser_schedule] == ["G2"]
