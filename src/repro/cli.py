@@ -180,8 +180,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     trace = random_trace(args.txns, args.sites, args.dav, seed=args.seed)
     print(f"trace ({len(trace)} records):")
-    for record in trace.records:
-        print(f"  {record.kind:>4} {record.transaction_id} {record.sites}")
+    for operation in trace.records:
+        print(f"  {operation!r}")
     tracer = Tracer()
     result = drive(make_scheme(args.scheme), trace, tracer=tracer)
     print(f"\nsubmissions by {args.scheme} (per-site execution order):")

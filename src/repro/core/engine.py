@@ -324,7 +324,9 @@ class Engine(SchemeContext):
     def _drain_full(self) -> None:
         """Full WAIT rescan to fixpoint (the literal inner while of
         Figure 3) — used by schemes without wake hints and after
-        transaction purges."""
+        transaction purges.  It re-examines all of WAIT, so it covers
+        every purge made before it and clears the pending full rescan."""
+        self._full_rescan_pending = False
         progress = True
         while progress:
             progress = False

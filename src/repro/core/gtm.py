@@ -16,10 +16,10 @@ The GTM splits into two components:
 
 This module holds what GTM1 plans *with*: programs and
 :func:`plan_program`, which flags each site's image with the
-serialization function the site's protocol class declares.  The one
-GTM1 driver is :class:`~repro.mdbs.simulator.MDBSSimulator`;
-:class:`~repro.mdbs.simulator.GTMSystem` is its zero-latency, fault-free
-configuration.
+serialization function the site's protocol class declares, and
+:func:`ack_completes`, the one rule for when ``fin_i`` enters QUEUE,
+which both GTM1 drivers apply: :class:`~repro.mdbs.simulator.MDBSSimulator`
+and the synchronous :class:`~repro.workloads.traces.SyncGTM1`.
 
 Global transactions are *predeclared*: a :class:`GlobalProgram` lists the
 data accesses in program order.  Predeclaration is what lets GTM1 know
@@ -148,6 +148,17 @@ def incarnation_id(logical: str, attempt: int) -> str:
 def logical_id(incarnation: str) -> str:
     """Inverse of :func:`incarnation_id`."""
     return incarnation.split("#", 1)[0]
+
+
+def ack_completes(outstanding: Set[str], site: str) -> bool:
+    """Take *site*'s ack off the sites GTM1 still awaits one from for
+    ``Ĝ_i``: True exactly when it was the last, when ``fin_i`` enters
+    QUEUE (§4).  A repeated or unawaited ack is False, so ``fin_i``
+    enters once."""
+    if site not in outstanding:
+        return False
+    outstanding.remove(site)
+    return not outstanding
 
 
 @dataclass

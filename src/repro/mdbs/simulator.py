@@ -42,6 +42,7 @@ from repro.core.events import Ack, Fin, Init, Ser
 from repro.core.gtm import (
     GlobalProgram,
     PlannedOp,
+    ack_completes,
     incarnation_id,
     logical_id,
     plan_program,
@@ -263,7 +264,6 @@ class _GlobalRuntime:
     plan: List[PlannedOp]
     cursor: int = 0
     acks_outstanding: Set[str] = field(default_factory=set)
-    fin_enqueued: bool = False
     ticket_values: Dict[str, int] = field(default_factory=dict)
     last_progress: float = 0.0
     done: bool = False
@@ -704,9 +704,7 @@ class MDBSSimulator:
         runtime = self._runtimes.get(ack.transaction_id)
         if runtime is None or runtime.done:
             return
-        runtime.acks_outstanding.discard(ack.site)
-        if not runtime.acks_outstanding and not runtime.fin_enqueued:
-            runtime.fin_enqueued = True
+        if ack_completes(runtime.acks_outstanding, ack.site):
             self.engine.enqueue(Fin(ack.transaction_id))
 
     def _on_gtm2_abort(self, incarnation: str) -> None:

@@ -14,7 +14,6 @@ from repro.workloads.generator import (
 from repro.workloads.traces import (
     DriveResult,
     Trace,
-    TraceRecord,
     adversarial_trace,
     drive,
     random_trace,
@@ -31,7 +30,6 @@ __all__ = [
     "WorkloadGenerator",
     "DriveResult",
     "Trace",
-    "TraceRecord",
     "adversarial_trace",
     "drive",
     "random_trace",

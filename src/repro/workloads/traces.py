@@ -2,14 +2,14 @@
 
 The degree-of-concurrency definition of the paper (§4) compares schemes
 on *the same order of insertion of operations into QUEUE by GTM1*.  A
-:class:`Trace` is exactly such an insertion order: ``init`` and ``ser``
-records in arrival order.  :func:`drive` replays a trace against any
-scheme with a synchronous-server model (an ack enters the queue as soon
-as the submitted ser-operation would complete) and GTM1's ``fin`` rule
-(enqueued once all of a transaction's acks have been forwarded), and
-returns the scheme's metrics plus the resulting ``ser(S)``.  A
+:class:`Trace` *is* such an insertion order: the ``init_i`` and
+``ser_k(G_i)`` queue operations (:mod:`repro.core.events`) GTM1 inserts,
+in arrival order.  :class:`SyncGTM1` is GTM1 with synchronous servers
+(an ack enters QUEUE as soon as its ser-operation is submitted, ``fin_i``
+by :func:`repro.core.gtm.ack_completes`); :func:`drive` feeds a trace
+through it and returns the scheme's metrics plus ``ser(S)``.  A
 transaction an abort-based scheme aborts is not restarted: the replay
-records the abort and enqueues none of its later records.
+records the abort and feeds none of its later operations.
 
 Trace generators cover the benchmark needs:
 
@@ -24,55 +24,44 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple, Union
 
 from repro.core.engine import Engine
 from repro.core.events import Ack, Fin, Init, Ser
+from repro.core.gtm import ack_completes
 from repro.core.metrics import SchemeMetrics
 from repro.core.scheme import ConservativeScheme
 from repro.exceptions import SchedulerError
 from repro.schedules.global_schedule import SerOperation, SerSchedule
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One QUEUE insertion: ``kind`` is ``"init"`` or ``"ser"``."""
-
-    kind: str
-    transaction_id: str
-    #: for init: all sites; for ser: the single site (as a 1-tuple)
-    sites: Tuple[str, ...]
-
-
 @dataclass
 class Trace:
-    """An insertion order of init/ser records (acks and fins are produced
-    by the replay machinery, as GTM1 and the servers would)."""
+    """An insertion order of ``init``/``ser`` queue operations (acks and
+    fins are produced by the replay, as GTM1 and the servers would)."""
 
-    records: Tuple[TraceRecord, ...]
+    records: Tuple[Union[Init, Ser], ...]
 
     def __post_init__(self) -> None:
-        announced: Dict[str, set] = {}
-        pending: Dict[str, set] = {}
-        for record in self.records:
-            if record.kind == "init":
-                if record.transaction_id in announced:
+        pending: Dict[str, Set[str]] = {}
+        for operation in self.records:
+            transaction_id = operation.transaction_id
+            if type(operation) is Init:
+                if transaction_id in pending:
+                    raise SchedulerError(f"duplicate init for {transaction_id!r}")
+                pending[transaction_id] = set(operation.sites)
+            elif type(operation) is Ser:
+                remaining = pending.get(transaction_id)
+                if remaining is None or operation.site not in remaining:
                     raise SchedulerError(
-                        f"duplicate init for {record.transaction_id!r}"
-                    )
-                announced[record.transaction_id] = set(record.sites)
-                pending[record.transaction_id] = set(record.sites)
-            elif record.kind == "ser":
-                site = record.sites[0]
-                remaining = pending.get(record.transaction_id)
-                if remaining is None or site not in remaining:
-                    raise SchedulerError(
-                        f"ser for {record.transaction_id!r} at {site!r} "
+                        f"ser for {transaction_id!r} at {operation.site!r} "
                         "without matching init"
                     )
-                remaining.discard(site)
+                remaining.discard(operation.site)
             else:
-                raise SchedulerError(f"unknown record kind {record.kind!r}")
+                raise SchedulerError(
+                    f"a trace holds init and ser operations, not {operation!r}"
+                )
         unfinished = {t for t, s in pending.items() if s}
         if unfinished:
             raise SchedulerError(
@@ -81,14 +70,59 @@ class Trace:
 
     @property
     def transactions(self) -> Tuple[str, ...]:
-        return tuple(
-            record.transaction_id
-            for record in self.records
-            if record.kind == "init"
-        )
+        return tuple(op.transaction_id for op in self.records if type(op) is Init)
 
     def __len__(self) -> int:
         return len(self.records)
+
+
+class SyncGTM1:
+    """GTM1 of §4 with synchronous servers, driving one engine.
+
+    Build the engine with :attr:`handlers` (``Engine(scheme,
+    **gtm1.handlers)`` or ``recover_engine(scheme, journal,
+    **gtm1.handlers)``) and assign it to :attr:`engine`; after a crash,
+    point :attr:`engine` at the recovered one and keep feeding.  Every
+    submitted ser-operation's ack enters QUEUE at once (the local DBMS
+    executed it), and ``fin_i`` enters when :func:`ack_completes` says
+    the last ack of ``Ĝ_i`` came back."""
+
+    engine: Engine
+
+    def __init__(self) -> None:
+        #: ser-operations in the order they were submitted to the sites
+        self.submitted: List[Ser] = []
+        #: transactions the scheme aborted; none of their operations is
+        #: fed after the abort
+        self.aborted: Set[str] = set()
+        self._outstanding: Dict[str, Set[str]] = {}
+
+    @property
+    def handlers(self) -> dict:
+        return {
+            "submit_handler": self._on_submit,
+            "ack_handler": self._on_ack,
+            "abort_handler": self.aborted.add,
+        }
+
+    def _on_submit(self, operation: Ser) -> None:
+        self.submitted.append(operation)
+        self.engine.enqueue(Ack(operation.transaction_id, site=operation.site))
+
+    def _on_ack(self, operation: Ack) -> None:
+        transaction_id = operation.transaction_id
+        if ack_completes(self._outstanding[transaction_id], operation.site):
+            self.engine.enqueue(Fin(transaction_id))
+
+    def feed(self, operation: Union[Init, Ser]) -> None:
+        """Insert *operation* into QUEUE and run the engine, unless its
+        transaction was aborted."""
+        if operation.transaction_id in self.aborted:
+            return
+        if type(operation) is Init:
+            self._outstanding[operation.transaction_id] = set(operation.sites)
+        self.engine.enqueue(operation)
+        self.engine.run()
 
 
 @dataclass
@@ -121,67 +155,23 @@ class DriveResult:
         return len(self.aborted)
 
 
-def drive(
-    scheme: ConservativeScheme,
-    trace: Trace,
-    tracer=None,
-) -> DriveResult:
-    """Replay *trace* against *scheme* with synchronous servers.
-
-    Every submitted ser-operation's ack enters QUEUE immediately after the
-    submission (the local DBMS executed it); ``fin_i`` enters once all of
-    ``Ĝ_i``'s acks have been forwarded to GTM1 — the replay equivalent of
-    the GTM1 protocol of §4; a transaction the scheme aborts gets no
-    further records.  *tracer*
+def drive(scheme: ConservativeScheme, trace: Trace, tracer=None) -> DriveResult:
+    """Replay *trace* against *scheme* through :class:`SyncGTM1` and
+    check that the engine drained and ``ser(S)`` of the transactions
+    that were not aborted is serializable.  *tracer*
     (:class:`repro.observability.Tracer`) records the engine's decision
     spans; it never affects the replayed decisions.
     """
-    ser_schedule = SerSchedule()
-    submitted: List[Ser] = []
-    acks_expected: Dict[str, set] = {}
-    aborted: Set[str] = set()
-
-    engine: Engine
-
-    def on_submit(operation: Ser) -> None:
-        submitted.append(operation)
-        ser_schedule.append(
-            SerOperation(operation.transaction_id, operation.site)
-        )
-        engine.enqueue(Ack(operation.transaction_id, site=operation.site))
-
-    def on_ack(operation: Ack) -> None:
-        remaining = acks_expected[operation.transaction_id]
-        remaining.discard(operation.site)
-        if not remaining:
-            engine.enqueue(Fin(operation.transaction_id))
-
-    engine = Engine(
-        scheme,
-        submit_handler=on_submit,
-        ack_handler=on_ack,
-        abort_handler=aborted.add,
-        tracer=tracer,
-    )
-
-    for record in trace.records:
-        if record.transaction_id in aborted:
-            continue
-        if record.kind == "init":
-            acks_expected[record.transaction_id] = set(record.sites)
-            engine.enqueue(
-                Init(record.transaction_id, sites=record.sites)
-            )
-        else:
-            engine.enqueue(
-                Ser(record.transaction_id, site=record.sites[0])
-            )
-        engine.run()
+    gtm1 = SyncGTM1()
+    gtm1.engine = engine = Engine(scheme, tracer=tracer, **gtm1.handlers)
+    for operation in trace.records:
+        gtm1.feed(operation)
     engine.run()
     engine.assert_drained()
+    aborted = gtm1.aborted
     committed_ser = SerSchedule(
-        operation
-        for operation in ser_schedule
+        SerOperation(operation.transaction_id, operation.site)
+        for operation in gtm1.submitted
         if operation.transaction_id not in aborted
     )
     if not committed_ser.is_serializable():
@@ -192,7 +182,7 @@ def drive(
         scheme.name,
         scheme.metrics,
         committed_ser,
-        tuple(submitted),
+        tuple(gtm1.submitted),
         aborted=tuple(sorted(aborted)),
     )
 
@@ -219,15 +209,13 @@ def random_trace(
     init."""
     rng = random.Random(seed)
     site_names = [f"s{index}" for index in range(sites)]
-    records: List[TraceRecord] = []
-    pending: List[TraceRecord] = []
+    records: List[Union[Init, Ser]] = []
+    pending: List[Ser] = []
     for index in range(transactions):
         transaction_id = f"G{index}"
         chosen = _transaction_sites(rng, site_names, dav)
-        records.append(TraceRecord("init", transaction_id, chosen))
-        pending.extend(
-            TraceRecord("ser", transaction_id, (site,)) for site in chosen
-        )
+        records.append(Init(transaction_id, sites=chosen))
+        pending.extend(Ser(transaction_id, site=site) for site in chosen)
     rng.shuffle(pending)
     # splice the ser requests after the last init, preserving validity
     # (all inits precede all sers)
@@ -248,15 +236,13 @@ def staggered_trace(
     at most ~``window`` transactions are active at once."""
     rng = random.Random(seed)
     site_names = [f"s{index}" for index in range(sites)]
-    records: List[TraceRecord] = []
-    backlog: List[TraceRecord] = []
+    records: List[Union[Init, Ser]] = []
+    backlog: List[Ser] = []
     for index in range(transactions):
         transaction_id = f"G{index}"
         chosen = _transaction_sites(rng, site_names, dav)
-        records.append(TraceRecord("init", transaction_id, chosen))
-        backlog.extend(
-            TraceRecord("ser", transaction_id, (site,)) for site in chosen
-        )
+        records.append(Init(transaction_id, sites=chosen))
+        backlog.extend(Ser(transaction_id, site=site) for site in chosen)
         rng.shuffle(backlog)
         while len(backlog) > window:
             records.append(backlog.pop())
@@ -286,17 +272,15 @@ def serializable_order_trace(
     }
     init_order = list(ids)
     rng.shuffle(init_order)
-    records: List[TraceRecord] = [
-        TraceRecord("init", transaction_id, chosen[transaction_id])
+    records: List[Union[Init, Ser]] = [
+        Init(transaction_id, sites=chosen[transaction_id])
         for transaction_id in init_order
     ]
     # per-site request queues in π order, merged round-robin
-    per_site: Dict[str, List[TraceRecord]] = {s: [] for s in site_names}
+    per_site: Dict[str, List[Ser]] = {s: [] for s in site_names}
     for transaction_id in serial_order:
         for site in chosen[transaction_id]:
-            per_site[site].append(
-                TraceRecord("ser", transaction_id, (site,))
-            )
+            per_site[site].append(Ser(transaction_id, site=site))
     cursors = {s: 0 for s in site_names}
     remaining = sum(len(q) for q in per_site.values())
     while remaining:
@@ -324,11 +308,11 @@ def adversarial_trace(
         transaction_id: _transaction_sites(rng, site_names, dav)
         for transaction_id in ids
     }
-    records: List[TraceRecord] = [
-        TraceRecord("init", transaction_id, chosen[transaction_id])
+    records: List[Union[Init, Ser]] = [
+        Init(transaction_id, sites=chosen[transaction_id])
         for transaction_id in ids
     ]
     for transaction_id in reversed(ids):
         for site in chosen[transaction_id]:
-            records.append(TraceRecord("ser", transaction_id, (site,)))
+            records.append(Ser(transaction_id, site=site))
     return Trace(tuple(records))

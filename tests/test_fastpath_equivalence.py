@@ -27,7 +27,6 @@ import pytest
 
 from repro.analysis.bench import make_e4_job
 from repro.core.engine import Engine
-from repro.core.events import Ack, Fin, Init, Ser
 from repro.core.scheme2 import Scheme2
 from repro.core.scheme3 import Scheme3
 from repro.core.tsgd import TSGD
@@ -38,7 +37,7 @@ from repro.mdbs import verify
 from repro.observability import Tracer
 from repro.schedules.serialization_graph import serialization_graph
 from repro.transport import build_simulator
-from repro.workloads.traces import random_trace, staggered_trace
+from repro.workloads.traces import SyncGTM1, random_trace, staggered_trace
 from tests.reference.eliminate_cycles import (
     eliminate_cycles_walk,
     eliminate_cycles_worklist,
@@ -383,38 +382,24 @@ def test_tsgd_fast_steps_are_deterministic():
 
 # -- Scheme 3's reverse index and Scheme 2's resumed scans vs full scans
 def _drive_with_aborts(scheme, trace, abort_seed, state, tracer=None):
-    """Replay *trace* with synchronous servers (cf.
-    ``repro.workloads.traces.drive``), GTM-aborting a random transaction
+    """Replay *trace* through the synchronous GTM1 of
+    ``repro.workloads.traces.drive``, GTM-aborting a random transaction
     that still has ser requests ahead now and then (chosen from the
     trace and *abort_seed* only, never from scheme state), and log what
     the scheme decided after every record, with ``state(announced)``."""
     rng = random.Random(abort_seed)
     last_record = {r.transaction_id: i for i, r in enumerate(trace.records)}
-    acks_expected, announced, aborted, log, submitted = {}, [], set(), [], []
-
-    def on_submit(operation):
-        submitted.append((operation.transaction_id, operation.site))
-        engine.enqueue(Ack(operation.transaction_id, site=operation.site))
-
-    def on_ack(operation):
-        acks_expected[operation.transaction_id].discard(operation.site)
-        if not acks_expected[operation.transaction_id]:
-            engine.enqueue(Fin(operation.transaction_id))
-
-    engine = Engine(
-        scheme, submit_handler=on_submit, ack_handler=on_ack, tracer=tracer
-    )
+    announced, log = [], []
+    gtm1 = SyncGTM1()
+    gtm1.engine = engine = Engine(scheme, tracer=tracer, **gtm1.handlers)
+    aborted = gtm1.aborted
     for index, record in enumerate(trace.records):
         transaction_id = record.transaction_id
         if transaction_id in aborted:
             continue
         if record.kind == "init":
             announced.append(transaction_id)
-            acks_expected[transaction_id] = set(record.sites)
-            engine.enqueue(Init(transaction_id, sites=record.sites))
-        else:
-            engine.enqueue(Ser(transaction_id, site=record.sites[0]))
-        engine.run()
+        gtm1.feed(record)
         unfinished = [
             t for t in announced if t not in aborted and last_record[t] > index
         ]
@@ -425,7 +410,7 @@ def _drive_with_aborts(scheme, trace, abort_seed, state, tracer=None):
             engine.run()
         log.append(
             (
-                list(submitted),
+                [(op.transaction_id, op.site) for op in gtm1.submitted],
                 sorted((op.kind, op.transaction_id) for op in wait_set(engine)),
                 state(announced),
                 scheme.metrics.steps,

@@ -4,7 +4,7 @@ DBMSs), including planning, ticketing, abort handling, and verification."""
 import pytest
 
 from repro.core import GlobalProgram, GTMSystem, make_scheme
-from repro.core.gtm import Access, plan_program
+from repro.core.gtm import Access, ack_completes, plan_program
 from repro.exceptions import ProtocolViolation
 from repro.lmdbs import LocalDBMS, make_protocol
 from repro.schedules.model import OpType
@@ -83,6 +83,33 @@ class TestPlanning:
             "G1", [("s2", "r", "x"), ("s1", "w", "y"), ("s2", "w", "z")]
         )
         assert program.sites == ("s2", "s1")
+
+
+class TestFinRule:
+    """``ack_completes`` is GTM1's one rule for ``fin_i`` (§4): true
+    exactly once, on the last outstanding ack of ``Ĝ_i``."""
+
+    def test_only_the_last_ack_completes(self):
+        outstanding = {"s0", "s1"}
+        assert not ack_completes(outstanding, "s1")
+        assert outstanding == {"s0"}
+        assert ack_completes(outstanding, "s0")
+        assert outstanding == set()
+
+    def test_a_repeated_ack_completes_nothing(self):
+        outstanding = {"s0", "s1"}
+        assert not ack_completes(outstanding, "s0")
+        assert not ack_completes(outstanding, "s0")
+        assert ack_completes(outstanding, "s1")
+        assert not ack_completes(outstanding, "s1")
+        assert not ack_completes(outstanding, "s0")
+
+    def test_an_unknown_site_completes_nothing(self):
+        outstanding = {"s0"}
+        assert not ack_completes(outstanding, "s9")
+        assert outstanding == {"s0"}
+        assert ack_completes(outstanding, "s0")
+        assert not ack_completes(outstanding, "s9")
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,9 @@
 - one path runs and judges a job: ``run_shard`` is the only caller of
   ``build_simulator``, and the ground-truth checks are called only by
   ``transport/base.py`` and the simulator's report methods;
+- one rule inserts ``fin_i``: ``Fin(…)`` is built only by the two GTM1
+  drivers (``mdbs/simulator.py``, ``workloads/traces.py``), each in the
+  method that asks ``ack_completes``;
 - the runtime ships what a run calls: every definition under
   ``src/repro`` is referenced from another place under ``src/repro``, or
   is named in ``OUTSIDE_CALLERS`` with the code outside it that calls it
@@ -335,6 +338,38 @@ def test_the_judge_walk_sees_a_second_verdict():
     )
     assert owners(tree, builds_a_simulator) == ["run_chaos"]
     assert owners(tree, judges_a_run) == ["run_chaos", "run_chaos"]
+
+
+def builds_a_fin(node):
+    return called(node) == "Fin"
+
+
+def applies_the_fin_rule(node):
+    return called(node) == "ack_completes"
+
+
+def test_fin_is_built_only_where_the_fin_rule_is_applied():
+    builds, rules = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        name, tree = str(path.relative_to(SRC)), parse(path)
+        builds += [(name, owner) for owner in owners(tree, builds_a_fin)]
+        rules += [(name, owner) for owner in owners(tree, applies_the_fin_rule)]
+    assert builds == [
+        ("mdbs/simulator.py", "MDBSSimulator._on_gtm1_ack"),
+        ("workloads/traces.py", "SyncGTM1._on_ack"),
+    ]
+    assert rules == builds
+
+
+def test_the_fin_walk_sees_a_hand_written_rule():
+    tree = ast.parse(
+        "def on_ack(operation):\n"
+        "    remaining.discard(operation.site)\n"
+        "    if not remaining:\n"
+        "        engine.enqueue(events.Fin(operation.transaction_id))\n"
+    )
+    assert owners(tree, builds_a_fin) == ["on_ack"]
+    assert owners(tree, applies_the_fin_rule) == []
 
 
 #: ``src/repro`` definitions that no ``src/repro`` code references, each

@@ -4,11 +4,12 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.core import Scheme0, Scheme1, Scheme2, Scheme3
+from repro.core.events import Init, Ser
 from repro.core.tsgd import TSGD, candidate_dependencies
 from repro.lmdbs.lock_manager import LockManager, LockMode
 from repro.schedules.model import Operation, OpType, Schedule
 from repro.schedules.serialization_graph import serialization_graph
-from repro.workloads.traces import Trace, TraceRecord, drive
+from repro.workloads.traces import Trace, drive
 from tests.reference.serializability import serial_schedule
 from tests.support import CheckedScheme2
 
@@ -52,10 +53,8 @@ def traces(draw):
                 )
             )
         )
-        records.append(TraceRecord("init", f"G{index}", sites))
-        pending.extend(
-            TraceRecord("ser", f"G{index}", (site,)) for site in sites
-        )
+        records.append(Init(f"G{index}", sites=sites))
+        pending.extend(Ser(f"G{index}", site=site) for site in sites)
     indices = draw(st.permutations(range(len(pending))))
     records.extend(pending[i] for i in indices)
     return Trace(tuple(records))

@@ -10,42 +10,29 @@ from repro.core.events import Ack, Fin, Init, Ser
 from repro.core.recovery import Journal, recover_engine, replay_scheme
 from repro.exceptions import SchedulerError
 from repro.schedules.global_schedule import SerOperation, SerSchedule
+from repro.workloads.traces import SyncGTM1
 from tests.support import holds_transaction, queued, truncate
 
 ALL_SCHEMES = [Scheme0, Scheme1, Scheme2, Scheme3, Scheme4]
 
 
 def journaled_run(factory, records, crash_after=None):
-    """Run queue *records* through a journaled engine; optionally stop
-    feeding after ``crash_after`` records.  Returns (journal, engine,
-    submissions)."""
+    """Feed queue *records* through a synchronous GTM1 to a journaled
+    engine; optionally stop feeding after ``crash_after`` records.
+    Returns (journal, GTM1)."""
     journal = Journal()
-    submissions = []
+    gtm1 = SyncGTM1()
+    gtm1.engine = Engine(factory(), journal=journal, **gtm1.handlers)
+    for record in records[:crash_after]:
+        gtm1.feed(record)
+    return journal, gtm1
 
-    def on_submit(operation):
-        submissions.append(operation)
-        engine.enqueue(Ack(operation.transaction_id, site=operation.site))
 
-    acks_expected = {}
-
-    def on_ack(operation):
-        remaining = acks_expected[operation.transaction_id]
-        remaining.discard(operation.site)
-        if not remaining:
-            engine.enqueue(Fin(operation.transaction_id))
-
-    engine = Engine(
-        factory(), submit_handler=on_submit, ack_handler=on_ack,
-        journal=journal,
-    )
-    for index, record in enumerate(records):
-        if crash_after is not None and index >= crash_after:
-            break
-        if isinstance(record, Init):
-            acks_expected[record.transaction_id] = set(record.sites)
-        engine.enqueue(record)
-        engine.run()
-    return journal, engine, submissions, acks_expected
+def recover(gtm1, scheme, journal):
+    """Point *gtm1* at the engine recovered from *journal* and run it."""
+    gtm1.engine = recover_engine(scheme, journal, **gtm1.handlers)
+    gtm1.engine.run()
+    return gtm1.engine
 
 
 WORKLOAD = [
@@ -109,86 +96,36 @@ class TestReplayEquivalence:
         """Run the workload twice: straight through, and crash-recover
         midway; the final ser(S) must be identical."""
         # reference run
-        _, ref_engine, ref_submissions, _ = journaled_run(factory, WORKLOAD)
-        ref_engine.assert_drained()
-        reference = [
-            (op.transaction_id, op.site) for op in ref_submissions
-        ]
+        _, reference = journaled_run(factory, WORKLOAD)
+        reference.engine.assert_drained()
 
         # crashed run: stop feeding after 4 records, then recover
-        journal, _, submissions, acks_expected = journaled_run(
-            factory, WORKLOAD, crash_after=4
-        )
-        recovered_submissions = list(submissions)
-
-        def on_submit(operation):
-            recovered_submissions.append(operation)
-            recovered.enqueue(
-                Ack(operation.transaction_id, site=operation.site)
-            )
-
-        def on_ack(operation):
-            remaining = acks_expected[operation.transaction_id]
-            remaining.discard(operation.site)
-            if not remaining:
-                recovered.enqueue(Fin(operation.transaction_id))
-
-        recovered = recover_engine(
-            factory(), journal, submit_handler=on_submit, ack_handler=on_ack
-        )
-        recovered.run()
+        journal, gtm1 = journaled_run(factory, WORKLOAD, crash_after=4)
+        recover(gtm1, factory(), journal)
         # feed the rest of the workload
         for record in WORKLOAD[4:]:
-            if isinstance(record, Init):
-                acks_expected[record.transaction_id] = set(record.sites)
-            recovered.enqueue(record)
-            recovered.run()
-        recovered.assert_drained()
-        assert [
-            (op.transaction_id, op.site) for op in recovered_submissions
-        ] == reference
+            gtm1.feed(record)
+        gtm1.engine.assert_drained()
+        assert gtm1.submitted == reference.submitted
 
     def test_recovered_ser_schedule_serializable(self, factory):
-        journal, _, submissions, acks_expected = journaled_run(
-            factory, WORKLOAD, crash_after=5
-        )
-        all_submissions = list(submissions)
-
-        def on_submit(operation):
-            all_submissions.append(operation)
-            recovered.enqueue(
-                Ack(operation.transaction_id, site=operation.site)
-            )
-
-        def on_ack(operation):
-            remaining = acks_expected[operation.transaction_id]
-            remaining.discard(operation.site)
-            if not remaining:
-                recovered.enqueue(Fin(operation.transaction_id))
-
-        recovered = recover_engine(
-            factory(), journal, submit_handler=on_submit, ack_handler=on_ack
-        )
-        recovered.run()
+        journal, gtm1 = journaled_run(factory, WORKLOAD, crash_after=5)
+        recover(gtm1, factory(), journal)
         for record in WORKLOAD[5:]:
-            recovered.enqueue(record)
-            recovered.run()
-        recovered.assert_drained()
+            gtm1.feed(record)
+        gtm1.engine.assert_drained()
         ser = SerSchedule(
-            SerOperation(op.transaction_id, op.site)
-            for op in all_submissions
+            SerOperation(op.transaction_id, op.site) for op in gtm1.submitted
         )
         assert ser.is_serializable()
 
     def test_replay_suppresses_side_effects(self, factory):
-        journal, _, submissions, _ = journaled_run(
-            factory, WORKLOAD, crash_after=6
-        )
+        journal, gtm1 = journaled_run(factory, WORKLOAD, crash_after=6)
         replayed = replay_scheme(factory(), journal)
         # binding the replayed scheme produced no live submissions: the
         # replay context swallowed them
         context = replayed.context
-        assert len(context.replayed_submissions) == len(submissions)
+        assert len(context.replayed_submissions) == len(gtm1.submitted)
 
 
 class TestScheme4RecoveryReplanning:
@@ -200,30 +137,8 @@ class TestScheme4RecoveryReplanning:
         G5 anywhere (pre-fix, the replayed scheme re-buffered G5 and a
         later demand-seal preferred G6 at s1 by visit order)."""
         records = [Init("G5", sites=("s2", "s1")), Ser("G5", site="s2")]
-        journal, _, submissions, acks_expected = journaled_run(
-            lambda: Scheme4(batch_size=8), records
-        )
-        all_submissions = list(submissions)
-
-        def on_submit(operation):
-            all_submissions.append(operation)
-            recovered.enqueue(
-                Ack(operation.transaction_id, site=operation.site)
-            )
-
-        def on_ack(operation):
-            remaining = acks_expected[operation.transaction_id]
-            remaining.discard(operation.site)
-            if not remaining:
-                recovered.enqueue(Fin(operation.transaction_id))
-
-        recovered = recover_engine(
-            Scheme4(batch_size=8),
-            journal,
-            submit_handler=on_submit,
-            ack_handler=on_ack,
-        )
-        recovered.run()
+        journal, gtm1 = journaled_run(lambda: Scheme4(batch_size=8), records)
+        recovered = recover(gtm1, Scheme4(batch_size=8), journal)
         # the replayed transaction is planned, not re-buffered
         assert "G5" in recovered.scheme._batch_of
         tail = [
@@ -233,18 +148,14 @@ class TestScheme4RecoveryReplanning:
             Ser("G6", site="s2"),
         ]
         for record in tail:
-            if isinstance(record, Init):
-                acks_expected[record.transaction_id] = set(record.sites)
-            recovered.enqueue(record)
-            recovered.run()
+            gtm1.feed(record)
         recovered.assert_drained()
         ser = SerSchedule(
-            SerOperation(op.transaction_id, op.site)
-            for op in all_submissions
+            SerOperation(op.transaction_id, op.site) for op in gtm1.submitted
         )
         assert ser.is_serializable()
         per_site = {}
-        for op in all_submissions:
+        for op in gtm1.submitted:
             per_site.setdefault(op.site, []).append(op.transaction_id)
         assert per_site["s1"] == per_site["s2"] == ["G5", "G6"]
 
@@ -339,9 +250,7 @@ class TestScheme4RecoveryReplanning:
         plan could contradict the pre-crash order — the failure names
         the transaction and the missing marker instead."""
         records = [Init("G5", sites=("s2", "s1")), Ser("G5", site="s2")]
-        journal, _, _, _ = journaled_run(
-            lambda: Scheme4(batch_size=8), records
-        )
+        journal, _ = journaled_run(lambda: Scheme4(batch_size=8), records)
         assert journal.seals  # the demand-seal was journaled...
         journal.seals.clear()  # ...and this journal lost it
         with pytest.raises(SchedulerError, match="'G5'.*log_sealed"):
@@ -368,9 +277,7 @@ class TestScheme4RecoveryReplanning:
 
 class TestRecoverIsRecoverable:
     def test_recovered_engine_keeps_journaling(self):
-        journal, _, submissions, acks_expected = journaled_run(
-            Scheme0, WORKLOAD, crash_after=3
-        )
+        journal, _ = journaled_run(Scheme0, WORKLOAD, crash_after=3)
         recovered = recover_engine(Scheme0(), journal)
         assert recovered.journal is journal
         before = len(journal.processed)

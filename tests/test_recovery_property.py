@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from repro.commit import CoordinatorGroup
 from repro.core import Scheme0, Scheme1, Scheme2, Scheme3
 from repro.core.engine import Engine
-from repro.core.events import Ack, Fin, Init, Ser
+from repro.core.events import Init, Ser
 from repro.core.recovery import Journal, recover_engine
 from repro.faults import FaultInjector, StormShape
 from repro.mdbs.events import EventLoop
+from repro.workloads.traces import SyncGTM1
 from tests.support import vote_durable
 
 
@@ -49,38 +50,14 @@ SCHEME_FACTORIES = [Scheme0, Scheme1, Scheme2, Scheme3]
 
 
 def run(factory, records, crash_at=None, journal=None):
-    """Feed records (with synchronous acks and GTM1 fins); optionally
-    crash; returns (submissions, journal, acks_expected)."""
-    submissions = []
-    acks_expected = {}
-    engine_ref = [None]
-
-    def on_submit(operation):
-        submissions.append((operation.transaction_id, operation.site))
-        engine_ref[0].enqueue(
-            Ack(operation.transaction_id, site=operation.site)
-        )
-
-    def on_ack(operation):
-        remaining = acks_expected[operation.transaction_id]
-        remaining.discard(operation.site)
-        if not remaining:
-            engine_ref[0].enqueue(Fin(operation.transaction_id))
-
-    engine_ref[0] = Engine(
-        factory(),
-        submit_handler=on_submit,
-        ack_handler=on_ack,
-        journal=journal,
-    )
-    for index, record in enumerate(records):
-        if crash_at is not None and index >= crash_at:
-            break
-        if isinstance(record, Init):
-            acks_expected[record.transaction_id] = set(record.sites)
-        engine_ref[0].enqueue(record)
-        engine_ref[0].run()
-    return submissions, engine_ref[0], acks_expected
+    """Feed records through a synchronous GTM1 (immediate acks, GTM1's
+    fins); optionally crash before record ``crash_at``; returns the
+    GTM1."""
+    gtm1 = SyncGTM1()
+    gtm1.engine = Engine(factory(), journal=journal, **gtm1.handlers)
+    for record in records[:crash_at]:
+        gtm1.feed(record)
+    return gtm1
 
 
 class TestRecoveryProperty:
@@ -91,46 +68,20 @@ class TestRecoveryProperty:
         factory = SCHEME_FACTORIES[scheme_index]
 
         # reference
-        reference, ref_engine, _ = run(factory, records)
-        ref_engine.assert_drained()
+        reference = run(factory, records)
+        reference.engine.assert_drained()
 
         # crashed
         journal = Journal()
-        submissions, _, acks_expected = run(
-            factory, records, crash_at=crash_at, journal=journal
-        )
+        gtm1 = run(factory, records, crash_at=crash_at, journal=journal)
 
         # recovery
-        engine_ref = [None]
-
-        def on_submit(operation):
-            submissions.append(
-                (operation.transaction_id, operation.site)
-            )
-            engine_ref[0].enqueue(
-                Ack(operation.transaction_id, site=operation.site)
-            )
-
-        def on_ack(operation):
-            remaining = acks_expected[operation.transaction_id]
-            remaining.discard(operation.site)
-            if not remaining:
-                engine_ref[0].enqueue(Fin(operation.transaction_id))
-
-        engine_ref[0] = recover_engine(
-            factory(),
-            journal,
-            submit_handler=on_submit,
-            ack_handler=on_ack,
-        )
-        engine_ref[0].run()
+        gtm1.engine = recover_engine(factory(), journal, **gtm1.handlers)
+        gtm1.engine.run()
         for record in records[crash_at:]:
-            if isinstance(record, Init):
-                acks_expected[record.transaction_id] = set(record.sites)
-            engine_ref[0].enqueue(record)
-            engine_ref[0].run()
-        engine_ref[0].assert_drained()
-        assert submissions == reference
+            gtm1.feed(record)
+        gtm1.engine.assert_drained()
+        assert gtm1.submitted == reference.submitted
 
 
 @st.composite

@@ -15,7 +15,7 @@ from repro.core.scheme3 import Scheme3
 from repro.core.scheme4 import Scheme4
 from repro.exceptions import SchedulerError
 from repro.lmdbs import LocalDBMS, make_protocol
-from repro.workloads.traces import Trace, TraceRecord, drive
+from repro.workloads.traces import Trace, drive
 from tests.support import CheckedScheme2, serialized_before
 
 ALL_SCHEMES = [Scheme0, Scheme1, Scheme2, Scheme3, Scheme4]
@@ -234,7 +234,11 @@ def trace_of(text):
     for token in text.split(", "):
         kind, operation = token.split(" ")
         transaction_id, sites = operation.split("@")
-        records.append(TraceRecord(kind, transaction_id, tuple(sites)))
+        records.append(
+            Init(transaction_id, sites=tuple(sites))
+            if kind == "init"
+            else Ser(transaction_id, site=sites)
+        )
     return Trace(tuple(records))
 
 
@@ -505,10 +509,8 @@ def batched_traces(draw):
                 )
             )
         )
-        records.append(TraceRecord("init", f"G{index}", sites))
-        pending.extend(
-            TraceRecord("ser", f"G{index}", (site,)) for site in sites
-        )
+        records.append(Init(f"G{index}", sites=sites))
+        pending.extend(Ser(f"G{index}", site=site) for site in sites)
     indices = draw(st.permutations(range(len(pending))))
     records.extend(pending[i] for i in indices)
     return Trace(tuple(records))

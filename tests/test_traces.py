@@ -4,10 +4,10 @@ import pytest
 
 from repro.baselines import TimestampGTM
 from repro.core import Scheme0, Scheme1, Scheme2, Scheme3
+from repro.core.events import Fin, Init, Ser
 from repro.exceptions import SchedulerError
 from repro.workloads.traces import (
     Trace,
-    TraceRecord,
     adversarial_trace,
     drive,
     random_trace,
@@ -19,14 +19,14 @@ from repro.workloads.traces import (
 class TestTraceValidation:
     def test_ser_before_init_rejected(self):
         with pytest.raises(SchedulerError):
-            Trace((TraceRecord("ser", "G1", ("s1",)),))
+            Trace((Ser("G1", site="s1"),))
 
     def test_duplicate_init_rejected(self):
         with pytest.raises(SchedulerError):
             Trace(
                 (
-                    TraceRecord("init", "G1", ("s1",)),
-                    TraceRecord("init", "G1", ("s1",)),
+                    Init("G1", sites=("s1",)),
+                    Init("G1", sites=("s1",)),
                 )
             )
 
@@ -34,18 +34,18 @@ class TestTraceValidation:
         with pytest.raises(SchedulerError):
             Trace(
                 (
-                    TraceRecord("init", "G1", ("s1",)),
-                    TraceRecord("ser", "G1", ("s2",)),
+                    Init("G1", sites=("s1",)),
+                    Ser("G1", site="s2"),
                 )
             )
 
     def test_unfinished_trace_rejected(self):
         with pytest.raises(SchedulerError):
-            Trace((TraceRecord("init", "G1", ("s1", "s2")),))
+            Trace((Init("G1", sites=("s1", "s2")),))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(SchedulerError):
-            Trace((TraceRecord("frob", "G1", ("s1",)),))
+        with pytest.raises(SchedulerError, match="init and ser operations"):
+            Trace((Init("G1", sites=("s1",)), Fin("G1")))
 
 
 class TestGenerators:
@@ -131,12 +131,12 @@ class TestDrive:
         enters QUEUE, and only its s2 submission, made before the abort,
         reached a site."""
         records = (
-            TraceRecord("init", "G1", ("s1", "s2", "s3")),
-            TraceRecord("init", "G2", ("s1",)),
-            TraceRecord("ser", "G1", ("s2",)),
-            TraceRecord("ser", "G2", ("s1",)),
-            TraceRecord("ser", "G1", ("s1",)),
-            TraceRecord("ser", "G1", ("s3",)),
+            Init("G1", sites=("s1", "s2", "s3")),
+            Init("G2", sites=("s1",)),
+            Ser("G1", site="s2"),
+            Ser("G2", site="s1"),
+            Ser("G1", site="s1"),
+            Ser("G1", site="s3"),
         )
         result = drive(TimestampGTM(), Trace(records))
         assert result.aborted == ("G1",)
