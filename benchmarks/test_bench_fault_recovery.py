@@ -34,7 +34,7 @@ def run_recovery_sweep():
             report = simulator.run()
             assert report.fault_stats.gtm_crashes == 2
             recoveries.extend(simulator.faults.gtm_recovery_times)
-            journal_sizes.append(len(simulator.engine.journal))
+            journal_sizes.append(len(simulator.gtm1.engine.journal))
         mean_us = 1e6 * sum(recoveries) / len(recoveries)
         max_us = 1e6 * max(recoveries)
         table.append(

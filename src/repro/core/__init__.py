@@ -1,7 +1,8 @@
 """The paper's contribution: GTM2 conservative concurrency-control
 schemes (Schemes 0–3), the Basic_Scheme engine, the TSG/TSGD data
-structures, and GTM1's vocabulary (the GTM1 drivers themselves are
-:mod:`repro.mdbs.simulator` and :mod:`repro.workloads.traces`)."""
+structures, and GTM1's planning and side of QUEUE (its drivers, which
+supply only the servers, are :mod:`repro.mdbs.simulator` and
+:mod:`repro.workloads.traces`)."""
 
 from repro.core.engine import Engine
 from repro.core.events import Ack, Fin, Init, QueueOp, Ser

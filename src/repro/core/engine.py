@@ -206,13 +206,12 @@ class Engine(SchemeContext):
     def run(self) -> None:
         """Process QUEUE until empty."""
         if self._full_rescan_pending:
-            self._full_rescan_pending = False
             self._purge_worklist.clear()  # subsumed by the full rescan
-            self._drain_full()
+            self._drain()
         elif self._purge_worklist:
             worklist = self._purge_worklist
             self._purge_worklist = []
-            self._drain_matching(worklist)
+            self._drain(set(worklist))
         while self._queue:
             operation = self._queue.popleft()
             self._ticks += 1
@@ -228,7 +227,7 @@ class Engine(SchemeContext):
                 # scheme killing a deadlock victim); honour its request
                 # to re-examine WAIT even though nothing was processed
                 if self._consume_rescan_request():
-                    self._drain_full()
+                    self._drain()
             self.wait_area += len(self._wait)
             self.wait_samples += 1
         self._aborted.clear()
@@ -280,7 +279,7 @@ class Engine(SchemeContext):
         self._act(operation)
         hints = self.scheme.wake_hints(operation)
         if hints is None:
-            self._drain_full()
+            self._drain()
             return
         worklist: Deque[WakeHint] = deque(hints)
         while worklist:
@@ -292,7 +291,7 @@ class Engine(SchemeContext):
                     self._grant(candidate)
                     follow = self.scheme.wake_hints(candidate)
                     if follow is None:
-                        self._drain_full()
+                        self._drain()
                         return
                     worklist.extend(follow)
 
@@ -321,54 +320,42 @@ class Engine(SchemeContext):
             bucket = [op for op in bucket if op.transaction_id == txn]
         return bucket
 
-    def _drain_full(self) -> None:
-        """Full WAIT rescan to fixpoint (the literal inner while of
-        Figure 3) — used by schemes without wake hints and after
-        transaction purges.  It re-examines all of WAIT, so it covers
-        every purge made before it and clears the pending full rescan."""
-        self._full_rescan_pending = False
+    def _drain(self, hints: Optional[Set[WakeHint]] = None) -> None:
+        """Re-examine WAIT to fixpoint in insertion order (the literal
+        inner while of Figure 3).  Without *hints* it re-examines all of
+        WAIT, so it covers every earlier purge (it clears the pending
+        full rescan) and honours a ``cond``'s rescan request at the
+        fixpoint.  With *hints* (a targeted post-purge drain) it
+        re-examines only the operations a hint matches — a set probed by
+        the four wildcard masks of the (kind, txn, site) key — adding
+        each grant's wake hints, and counts the skipped ones, whose
+        ``cond`` the purge cannot have changed, as
+        ``wake_retries_skipped``; a grant without wake hints or with a
+        rescan request restarts the walk as a full drain."""
+        if hints is None:
+            self._full_rescan_pending = False
         progress = True
         while progress:
             progress = False
             for operation in list(self._wait.values()):
                 if id(operation) not in self._wait:
                     continue  # purged by a reentrant abort
-                if self.scheme.cond(operation):
-                    self._grant(operation)
-                    progress = True
-            if not progress and self._consume_rescan_request():
-                progress = True
-
-    def _drain_matching(self, filters: List[WakeHint]) -> None:
-        """Targeted post-purge drain: the full-rescan fixpoint of
-        :meth:`_drain_full`, restricted to waiting operations that match
-        a purge hint (extended with the wake hints of whatever it
-        processes).  The scan still walks WAIT in insertion order so the
-        operations it *does* process are acted in exactly the order the
-        full rescan would have used; non-matching operations — whose
-        ``cond`` the purge cannot have changed — are skipped without
-        re-evaluation and counted as ``wake_retries_skipped``.  Hints are
-        kept in a set probed by the four wildcard masks of an operation's
-        (kind, txn, site) key, so the match test stays O(1) however many
-        hints the drain accumulates."""
-        hints = set(filters)
-        progress = True
-        while progress:
-            progress = False
-            for operation in list(self._wait.values()):
-                if id(operation) not in self._wait:
-                    continue
-                if not self._matches(operation, hints):
+                if hints is not None and not self._matches(operation, hints):
                     self.scheme.metrics.wake_retries_skipped += 1
                     continue
-                if self.scheme.cond(operation):
-                    self._grant(operation)
-                    progress = True
+                if not self.scheme.cond(operation):
+                    continue
+                self._grant(operation)
+                progress = True
+                if hints is not None:
                     follow = self.scheme.wake_hints(operation)
                     if follow is None or self._consume_rescan_request():
-                        self._drain_full()
-                        return
+                        hints = None
+                        self._full_rescan_pending = False
+                        break
                     hints.update(follow)
+            if not progress and hints is None and self._consume_rescan_request():
+                progress = True
 
     @staticmethod
     def _matches(operation: QueueOp, hints: "Set[WakeHint]") -> bool:

@@ -14,12 +14,12 @@ The GTM splits into two components:
   running one of Schemes 0–3 (or a baseline), deciding *when* each
   ``ser_k(G_i)`` may execute so that ``ser(S)`` stays serializable.
 
-This module holds what GTM1 plans *with*: programs and
-:func:`plan_program`, which flags each site's image with the
-serialization function the site's protocol class declares, and
-:func:`ack_completes`, the one rule for when ``fin_i`` enters QUEUE,
-which both GTM1 drivers apply: :class:`~repro.mdbs.simulator.MDBSSimulator`
-and the synchronous :class:`~repro.workloads.traces.SyncGTM1`.
+This module holds GTM1's programs, :func:`plan_program` (which flags
+each site's image by the serialization function its protocol declares)
+and :class:`GTM1`, its side of QUEUE: inserting ``init_i`` and the ser
+requests, ``fin_i`` by :func:`ack_completes`, and purges.  Its drivers,
+:class:`~repro.mdbs.simulator.MDBSSimulator` and the synchronous
+:class:`~repro.workloads.traces.SyncGTM1`, differ only in their servers.
 
 Global transactions are *predeclared*: a :class:`GlobalProgram` lists the
 data accesses in program order.  Predeclaration is what lets GTM1 know
@@ -31,8 +31,10 @@ read/write sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
+from repro.core.engine import AbortHandler, Engine, SubmitHandler
+from repro.core.events import Ack, Fin, Init, Ser
 from repro.exceptions import ProtocolViolation
 from repro.schedules.model import (
     Operation,
@@ -159,6 +161,76 @@ def ack_completes(outstanding: Set[str], site: str) -> bool:
         return False
     outstanding.remove(site)
     return not outstanding
+
+
+class GTM1:
+    """GTM1's side of QUEUE for one GTM2 :class:`Engine` (§4): it
+    inserts ``init_i`` and the ``ser_k(G_i)`` requests, ``fin_i`` once
+    the servers have inserted every ack of ``Ĝ_i``, and purges a
+    transaction it aborts.  A driver supplies only its servers: *submit*
+    gets each ser-operation GTM2 releases, and its server enqueues the
+    ack into :attr:`engine`, at once or later; *on_abort* hears of each
+    transaction GTM2 aborted.  Build the engine with :attr:`handlers`
+    (``Engine(scheme, **gtm1.handlers)`` or ``recover_engine(scheme,
+    journal, **gtm1.handlers)``); after a crash, point :attr:`engine` at
+    the recovered one — the awaited acks live here and survive."""
+
+    engine: Engine
+
+    def __init__(
+        self, submit: SubmitHandler, on_abort: Optional[AbortHandler] = None
+    ) -> None:
+        self._on_abort = on_abort
+        self.handlers = {
+            "submit_handler": submit,
+            "ack_handler": self._on_ack,
+            "abort_handler": self._on_gtm2_abort,
+        }
+        #: transactions GTM2 aborted or GTM1 purged; none of their
+        #: operations is inserted after the abort
+        self.aborted: Set[str] = set()
+        #: per transaction, the sites whose ack GTM1 still awaits
+        self._awaited: Dict[str, Set[str]] = {}
+
+    def insert(self, operation: Union[Init, Ser]) -> None:
+        """Insert *operation* into QUEUE and run the engine, unless its
+        transaction was aborted; an ``init_i`` records the sites that
+        owe ``Ĝ_i`` an ack."""
+        transaction_id = operation.transaction_id
+        if transaction_id in self.aborted:
+            return
+        if type(operation) is Init:
+            self._awaited[transaction_id] = set(operation.sites)
+        self.engine.enqueue(operation)
+        self.engine.run()
+
+    def awaits(self, transaction_id: str) -> bool:
+        """Whether some ack of *transaction_id* has not come back."""
+        return bool(self._awaited.get(transaction_id))
+
+    def forget(self, transaction_id: str) -> None:
+        """Await no more acks of *transaction_id*: none inserts a fin."""
+        self._awaited.pop(transaction_id, None)
+
+    def purge(self, transaction_id: str) -> None:
+        """GTM1 aborted *transaction_id*: forget it, drop its operations
+        from QUEUE, WAIT and the scheme, and let what it blocked run."""
+        self.forget(transaction_id)
+        self.aborted.add(transaction_id)
+        self.engine.purge_transaction(transaction_id)
+        self.engine.run()
+
+    def _on_ack(self, operation: Ack) -> None:
+        transaction_id = operation.transaction_id
+        awaited = self._awaited.get(transaction_id)
+        if awaited is not None and ack_completes(awaited, operation.site):
+            self.engine.enqueue(Fin(transaction_id))
+
+    def _on_gtm2_abort(self, transaction_id: str) -> None:
+        self.forget(transaction_id)
+        self.aborted.add(transaction_id)
+        if self._on_abort is not None:
+            self._on_abort(transaction_id)
 
 
 @dataclass

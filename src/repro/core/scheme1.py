@@ -50,8 +50,6 @@ class Scheme1(ConservativeScheme):
         self._marked: Set[Tuple[str, str]] = set()
         #: ser-operations submitted but not yet acknowledged, per site
         self._outstanding: Dict[str, str] = {}
-        #: ser-operations whose act has executed, as (transaction, site)
-        self._executed: Set[Tuple[str, str]] = set()
 
     # -- init ----------------------------------------------------------------
     def act_init(self, operation: Init) -> None:
@@ -83,7 +81,6 @@ class Scheme1(ConservativeScheme):
     def act_ser(self, operation: Ser) -> None:
         self.metrics.step()
         self._outstanding[operation.site] = operation.transaction_id
-        self._executed.add((operation.transaction_id, operation.site))
         self.submit(operation)
 
     # -- ack -----------------------------------------------------------------
@@ -125,9 +122,6 @@ class Scheme1(ConservativeScheme):
             self.metrics.step()
             self._delete_queues[site].pop(0)
         self.tsg.remove_transaction(transaction_id)
-        self._executed = {
-            key for key in self._executed if key[0] != transaction_id
-        }
 
     # -- wake hints (paper §5 complexity accounting) -----------------------------
     def wake_hints(self, operation):
@@ -199,6 +193,3 @@ class Scheme1(ConservativeScheme):
         for site, outstanding in list(self._outstanding.items()):
             if outstanding == transaction_id:
                 del self._outstanding[site]
-        self._executed = {
-            key for key in self._executed if key[0] != transaction_id
-        }

@@ -1,10 +1,11 @@
 """The MDBS discrete-event simulator: GTM1 and its composition.
 
 :class:`MDBSSimulator` is the paper's GTM1 (§2.1, §2.3) over the GTM2
-scheme under test: it translates each global transaction into
-``init``/``ser``/``ack``/``fin``, submits operations to per-site servers
-with message and service latencies, and issues the next operation of a
-transaction only after the previous acknowledgement.  A stream of
+scheme under test: it inserts ``init``/``ser`` through
+:class:`repro.core.gtm.GTM1` (which adds ``fin``), submits operations to
+per-site servers with message and service latencies — a completion's
+``ack`` enters QUEUE — and issues the next operation of a transaction
+only after the previous acknowledgement.  A stream of
 *local* transactions goes directly to the sites — the source of the
 indirect conflicts the GTM never sees (paper §1).
 
@@ -38,11 +39,11 @@ from typing import Any, ClassVar, Dict, List, Optional, Set, Tuple
 
 from repro.commit import CommitGroupStats, CommitPolicy, CommitStats
 from repro.core.engine import Engine
-from repro.core.events import Ack, Fin, Init, Ser
+from repro.core.events import Ack, Init, Ser
 from repro.core.gtm import (
+    GTM1,
     GlobalProgram,
     PlannedOp,
-    ack_completes,
     incarnation_id,
     logical_id,
     plan_program,
@@ -263,7 +264,6 @@ class _GlobalRuntime:
     incarnation: str
     plan: List[PlannedOp]
     cursor: int = 0
-    acks_outstanding: Set[str] = field(default_factory=set)
     ticket_values: Dict[str, int] = field(default_factory=dict)
     last_progress: float = 0.0
     done: bool = False
@@ -307,13 +307,18 @@ class MDBSSimulator:
         self.plane = MessagePlane(
             self.loop, self.config.latencies, injector, retry=self.config.retry
         )
-        self.engine = Engine(
+        #: GTM1's side of QUEUE; its servers are this simulator's
+        #: message plane, and a GTM2 abort, which GTM2 already forgot,
+        #: aborts the incarnation globally at once
+        self.gtm1 = GTM1(
+            self._execute_ser,
+            on_abort=partial(self._abort_global, reason="aborted by GTM2", purge=False),
+        )
+        self.gtm1.engine = Engine(
             scheme,
-            submit_handler=self._execute_ser,
-            ack_handler=self._on_gtm1_ack,
-            abort_handler=self._on_gtm2_abort,
             # GTM2 is recoverable, and 2PC decisions are force-logged
             journal=Journal() if injector is not None or atomic_commit else None,
+            **self.gtm1.handlers,
         )
         #: the incarnation table: live incarnation -> its runtime
         self._runtimes: Dict[str, _GlobalRuntime] = {}
@@ -337,8 +342,8 @@ class MDBSSimulator:
         if atomic_commit:
             self.commit = CommitDriver(
                 self.plane, self.sites, self.config.commit,
-                self.engine.journal, commit_group_size, self.faults,
-                is_up=self.is_up, purge_gtm2=self._purge_gtm2,
+                self.gtm1.engine.journal, commit_group_size, self.faults,
+                is_up=self.is_up, purge_gtm2=self.gtm1.purge,
                 record_commit=self._record_commit,
             )
         if replica_map is not None:
@@ -463,28 +468,22 @@ class MDBSSimulator:
                 self.scheme.metrics.dfs_steps_avoided + site_dfs_avoided
             ),
             events_executed=self.loop.executed,
-            wait_area=self.engine.wait_area,
-            wait_samples=self.engine.wait_samples,
+            wait_area=self.gtm1.engine.wait_area,
+            wait_samples=self.gtm1.engine.wait_samples,
             **owned,
         )
 
     def _recover_gtm2(self) -> float:
         """GTM2 (the conservative scheduler) crashed: recover it from
         the journal and return the wall-clock seconds the rebuild took.
-        GTM1's bookkeeping — plans, cursors, outstanding acks — lives
-        here and survives; only the scheme and its engine state are
-        wiped and rebuilt (paper Figure 3's component, made
-        recoverable)."""
+        GTM1's bookkeeping — plans, cursors, awaited acks — lives
+        here and in :attr:`gtm1` and survives; only the scheme and its
+        engine state are wiped and rebuilt (paper Figure 3's component,
+        made recoverable)."""
         started = time.perf_counter()
         fresh = type(self.scheme)()
-        journal = self.engine.journal
-        self.engine = recover_engine(
-            fresh,
-            journal,
-            submit_handler=self._execute_ser,
-            ack_handler=self._on_gtm1_ack,
-            abort_handler=self._on_gtm2_abort,
-        )
+        gtm1 = self.gtm1
+        gtm1.engine = recover_engine(fresh, gtm1.engine.journal, **gtm1.handlers)
         # no wait-area carry-over: recover_engine's journal replay
         # re-accumulates the pre-crash WAIT history in the fresh engine
         self.scheme = fresh
@@ -493,7 +492,7 @@ class MDBSSimulator:
         elapsed = time.perf_counter() - started
         # outstanding (logged-but-unprocessed) operations were re-queued
         # by recovery with side effects suppressed; process them live now
-        self.engine.run()
+        gtm1.engine.run()
         return elapsed
 
     # ------------------------------------------------------------------
@@ -573,14 +572,12 @@ class MDBSSimulator:
                 self._strategy_for,
                 atomic_commit=self.commit is not None,
             ),
-            acks_outstanding=set(program.sites),
             last_progress=self.loop.now,
         )
         self._runtimes[incarnation] = runtime
         if self.commit is not None:
             self.commit.begin_voting(incarnation, program.sites)
-        self.engine.enqueue(Init(incarnation, sites=program.sites))
-        self.engine.run()
+        self.gtm1.insert(Init(incarnation, sites=program.sites))
         self._issue_next(runtime)
 
     def _issue_next(self, runtime: _GlobalRuntime) -> None:
@@ -591,10 +588,7 @@ class MDBSSimulator:
             return
         planned = runtime.plan[runtime.cursor]
         if planned.is_ser_image:
-            self.engine.enqueue(
-                Ser(runtime.incarnation, site=planned.operation.site)
-            )
-            self.engine.run()
+            self.gtm1.insert(Ser(runtime.incarnation, site=planned.operation.site))
         else:
             self._submit_through_server(runtime, planned)
 
@@ -696,25 +690,15 @@ class MDBSSimulator:
             )
             return
         if planned.is_ser_image or planned.is_ticket_write:
-            self.engine.enqueue(Ack(incarnation, site=operation.site))
-            self.engine.run()
+            self.gtm1.engine.enqueue(Ack(incarnation, site=operation.site))
+            self.gtm1.engine.run()
         self._issue_next(runtime)
 
-    def _on_gtm1_ack(self, ack: Ack) -> None:
-        runtime = self._runtimes.get(ack.transaction_id)
-        if runtime is None or runtime.done:
-            return
-        if ack_completes(runtime.acks_outstanding, ack.site):
-            self.engine.enqueue(Fin(ack.transaction_id))
-
-    def _on_gtm2_abort(self, incarnation: str) -> None:
-        """GTM2 aborted *incarnation* and already forgot it."""
-        self._abort_global(incarnation, "aborted by GTM2", purge=False)
-
     def _maybe_complete(self, runtime: _GlobalRuntime) -> None:
-        if runtime.acks_outstanding:
+        if self.gtm1.awaits(runtime.incarnation):
             return
         runtime.done = True
+        self.gtm1.forget(runtime.incarnation)
         del self._runtimes[runtime.incarnation]
         if self.commit is None:
             self._record_commit(logical_id(runtime.incarnation))
@@ -736,6 +720,7 @@ class MDBSSimulator:
         if runtime is None or runtime.done:
             return
         runtime.done = True
+        self.gtm1.forget(runtime.incarnation)
         finish = partial(self._finish_abort, runtime, reason, purge=purge)
         if self.commit is None:
             finish()
@@ -763,7 +748,7 @@ class MDBSSimulator:
                 # one leaves an orphan for the sweep to reap
                 self.plane.server(incarnation, self.sites[site]).abort(reason)
         if purge:
-            self._purge_gtm2(incarnation)
+            self.gtm1.purge(incarnation)
         self._restart_or_fail(logical_id(incarnation))
 
     def _abort_orphan(self, site: str, incarnation: str) -> None:
@@ -775,15 +760,6 @@ class MDBSSimulator:
             self.commit.abort_at(site, incarnation)
         else:
             self.sites[site].abort_transaction(incarnation, "orphan sweep")
-
-    def _purge_gtm2(self, incarnation: str) -> None:
-        """Remove an incarnation GTM1 gave up on from GTM2's queue, wait
-        set and the scheme's data structures (the fault-handling hook
-        the paper defers to future work), then let the operations it
-        was blocking proceed.  Goes through the engine so the purge is
-        journaled and the WAIT index stays consistent."""
-        self.engine.purge_transaction(incarnation)
-        self.engine.run()
 
     def _restart_or_fail(self, logical: str) -> None:
         """Spend one unit of *logical*'s restart budget: re-admit it as

@@ -4,12 +4,12 @@ The degree-of-concurrency definition of the paper (§4) compares schemes
 on *the same order of insertion of operations into QUEUE by GTM1*.  A
 :class:`Trace` *is* such an insertion order: the ``init_i`` and
 ``ser_k(G_i)`` queue operations (:mod:`repro.core.events`) GTM1 inserts,
-in arrival order.  :class:`SyncGTM1` is GTM1 with synchronous servers
-(an ack enters QUEUE as soon as its ser-operation is submitted, ``fin_i``
-by :func:`repro.core.gtm.ack_completes`); :func:`drive` feeds a trace
-through it and returns the scheme's metrics plus ``ser(S)``.  A
-transaction an abort-based scheme aborts is not restarted: the replay
-records the abort and feeds none of its later operations.
+in arrival order.  :class:`SyncGTM1` is :class:`repro.core.gtm.GTM1`
+with synchronous servers (an ack enters QUEUE as soon as its
+ser-operation is submitted); :func:`drive` inserts a trace through it
+and returns the scheme's metrics plus ``ser(S)``.  A transaction an
+abort-based scheme aborts is not restarted: the replay records the
+abort and inserts none of its later operations.
 
 Trace generators cover the benchmark needs:
 
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple, Union
 
 from repro.core.engine import Engine
-from repro.core.events import Ack, Fin, Init, Ser
-from repro.core.gtm import ack_completes
+from repro.core.events import Ack, Init, Ser
+from repro.core.gtm import GTM1
 from repro.core.metrics import SchemeMetrics
 from repro.core.scheme import ConservativeScheme
 from repro.exceptions import SchedulerError
@@ -76,53 +76,19 @@ class Trace:
         return len(self.records)
 
 
-class SyncGTM1:
-    """GTM1 of §4 with synchronous servers, driving one engine.
-
-    Build the engine with :attr:`handlers` (``Engine(scheme,
-    **gtm1.handlers)`` or ``recover_engine(scheme, journal,
-    **gtm1.handlers)``) and assign it to :attr:`engine`; after a crash,
-    point :attr:`engine` at the recovered one and keep feeding.  Every
-    submitted ser-operation's ack enters QUEUE at once (the local DBMS
-    executed it), and ``fin_i`` enters when :func:`ack_completes` says
-    the last ack of ``Ĝ_i`` came back."""
-
-    engine: Engine
+class SyncGTM1(GTM1):
+    """:class:`~repro.core.gtm.GTM1` with synchronous servers: each
+    submitted ser-operation is recorded in :attr:`submitted` and its ack
+    enters QUEUE at once (the local DBMS executed it)."""
 
     def __init__(self) -> None:
+        super().__init__(self._serve)
         #: ser-operations in the order they were submitted to the sites
         self.submitted: List[Ser] = []
-        #: transactions the scheme aborted; none of their operations is
-        #: fed after the abort
-        self.aborted: Set[str] = set()
-        self._outstanding: Dict[str, Set[str]] = {}
 
-    @property
-    def handlers(self) -> dict:
-        return {
-            "submit_handler": self._on_submit,
-            "ack_handler": self._on_ack,
-            "abort_handler": self.aborted.add,
-        }
-
-    def _on_submit(self, operation: Ser) -> None:
+    def _serve(self, operation: Ser) -> None:
         self.submitted.append(operation)
         self.engine.enqueue(Ack(operation.transaction_id, site=operation.site))
-
-    def _on_ack(self, operation: Ack) -> None:
-        transaction_id = operation.transaction_id
-        if ack_completes(self._outstanding[transaction_id], operation.site):
-            self.engine.enqueue(Fin(transaction_id))
-
-    def feed(self, operation: Union[Init, Ser]) -> None:
-        """Insert *operation* into QUEUE and run the engine, unless its
-        transaction was aborted."""
-        if operation.transaction_id in self.aborted:
-            return
-        if type(operation) is Init:
-            self._outstanding[operation.transaction_id] = set(operation.sites)
-        self.engine.enqueue(operation)
-        self.engine.run()
 
 
 @dataclass
@@ -165,7 +131,7 @@ def drive(scheme: ConservativeScheme, trace: Trace, tracer=None) -> DriveResult:
     gtm1 = SyncGTM1()
     gtm1.engine = engine = Engine(scheme, tracer=tracer, **gtm1.handlers)
     for operation in trace.records:
-        gtm1.feed(operation)
+        gtm1.insert(operation)
     engine.run()
     engine.assert_drained()
     aborted = gtm1.aborted

@@ -399,15 +399,12 @@ def _drive_with_aborts(scheme, trace, abort_seed, state, tracer=None):
             continue
         if record.kind == "init":
             announced.append(transaction_id)
-        gtm1.feed(record)
+        gtm1.insert(record)
         unfinished = [
             t for t in announced if t not in aborted and last_record[t] > index
         ]
         if unfinished and rng.random() < 0.1:
-            victim = rng.choice(unfinished)
-            aborted.add(victim)
-            engine.purge_transaction(victim)
-            engine.run()
+            gtm1.purge(rng.choice(unfinished))
         log.append(
             (
                 [(op.transaction_id, op.site) for op in gtm1.submitted],

@@ -3,8 +3,11 @@ DBMSs), including planning, ticketing, abort handling, and verification."""
 
 import pytest
 
-from repro.core import GlobalProgram, GTMSystem, make_scheme
-from repro.core.gtm import Access, ack_completes, plan_program
+from repro.core import GlobalProgram, GTMSystem, Scheme0, make_scheme
+from repro.core.engine import Engine
+from repro.core.events import Ack, Fin, Init, Ser
+from repro.core.gtm import GTM1, Access, ack_completes, plan_program
+from repro.core.recovery import Journal, recover_engine
 from repro.exceptions import ProtocolViolation
 from repro.lmdbs import LocalDBMS, make_protocol
 from repro.schedules.model import OpType
@@ -13,6 +16,7 @@ from repro.schedules.serialization_functions import (
     CommitSerializationFunction,
     TicketSerializationFunction,
 )
+from tests.support import holds_transaction, queued, wait_set
 
 
 def make_sites(protocols):
@@ -110,6 +114,98 @@ class TestFinRule:
         assert outstanding == {"s0"}
         assert ack_completes(outstanding, "s0")
         assert not ack_completes(outstanding, "s9")
+
+
+class TestGTM1:
+    """``GTM1`` is GTM1's side of QUEUE (§4) over a Scheme 0 engine.  The
+    servers here hold each released ser-operation until the test answers
+    it; the journal shows every insertion, so the fins are countable."""
+
+    def build(self):
+        self.released, self.aborts = [], []
+        self.journal = Journal()
+        gtm1 = GTM1(self.released.append, on_abort=self.aborts.append)
+        gtm1.engine = Engine(Scheme0(), journal=self.journal, **gtm1.handlers)
+        return gtm1
+
+    def fins(self):
+        return [op for op in self.journal.enqueued if type(op) is Fin]
+
+    @staticmethod
+    def answer(gtm1, transaction_id, site):
+        """A server inserts the ack of a ser-operation it executed."""
+        gtm1.engine.enqueue(Ack(transaction_id, site=site))
+        gtm1.engine.run()
+
+    def start(self, gtm1):
+        gtm1.insert(Init("G1", sites=("s0", "s1")))
+        gtm1.insert(Ser("G1", site="s0"))
+        gtm1.insert(Ser("G1", site="s1"))
+        assert self.released == [Ser("G1", site="s0"), Ser("G1", site="s1")]
+
+    def test_fin_is_inserted_once_after_the_last_ack(self):
+        gtm1 = self.build()
+        self.start(gtm1)
+        self.answer(gtm1, "G1", "s1")
+        assert gtm1.awaits("G1") and self.fins() == []
+        self.answer(gtm1, "G1", "s0")
+        assert not gtm1.awaits("G1")
+        assert self.fins() == [Fin("G1")]
+        # GTM2 forwarding the last ack again inserts no second fin
+        gtm1.handlers["ack_handler"](Ack("G1", site="s0"))
+        assert self.fins() == [Fin("G1")]
+        gtm1.engine.assert_drained()
+
+    @pytest.mark.parametrize("end", ["forget", "purge", "gtm2 abort"])
+    def test_no_fin_follows_an_ack_after_the_transaction_ends(self, end):
+        gtm1 = self.build()
+        self.start(gtm1)
+        self.answer(gtm1, "G1", "s0")
+        if end == "forget":
+            gtm1.forget("G1")
+        elif end == "purge":
+            gtm1.purge("G1")
+        else:
+            gtm1.engine.abort_transaction("G1")
+            assert self.aborts == ["G1"]
+        assert not gtm1.awaits("G1")
+        gtm1.handlers["ack_handler"](Ack("G1", site="s1"))
+        assert self.fins() == []
+        if end != "forget":
+            # nothing of an aborted transaction is inserted any more
+            enqueued = len(self.journal.enqueued)
+            gtm1.insert(Ser("G1", site="s1"))
+            assert len(self.journal.enqueued) == enqueued
+            assert gtm1.aborted == {"G1"}
+
+    def test_purge_drops_queued_and_waiting_operations(self):
+        gtm1 = self.build()
+        gtm1.insert(Init("G2", sites=("s1",)))
+        gtm1.insert(Init("G1", sites=("s0", "s1")))
+        gtm1.insert(Ser("G2", site="s1"))
+        gtm1.insert(Ser("G1", site="s0"))
+        gtm1.insert(Ser("G1", site="s1"))  # behind G2 at s1
+        assert wait_set(gtm1.engine) == (Ser("G1", site="s1"),)
+        # the s0 server has answered, and GTM2 has not run since
+        gtm1.engine.enqueue(Ack("G1", site="s0"))
+        assert queued(gtm1.engine) == (Ack("G1", site="s0"),)
+        gtm1.purge("G1")
+        assert queued(gtm1.engine) == () and wait_set(gtm1.engine) == ()
+        assert not holds_transaction(gtm1.engine.scheme, "G1")
+        self.answer(gtm1, "G2", "s1")
+        assert self.fins() == [Fin("G2")]
+        gtm1.engine.assert_drained()
+
+    def test_awaited_acks_survive_a_recovered_engine(self):
+        gtm1 = self.build()
+        self.start(gtm1)
+        self.answer(gtm1, "G1", "s0")
+        gtm1.engine = recover_engine(Scheme0(), self.journal, **gtm1.handlers)
+        gtm1.engine.run()
+        assert gtm1.awaits("G1") and self.fins() == []
+        self.answer(gtm1, "G1", "s1")
+        assert self.fins() == [Fin("G1")]
+        gtm1.engine.assert_drained()
 
 
 @pytest.mark.parametrize(

@@ -18,9 +18,10 @@
 - one path runs and judges a job: ``run_shard`` is the only caller of
   ``build_simulator``, and the ground-truth checks are called only by
   ``transport/base.py`` and the simulator's report methods;
-- one rule inserts ``fin_i``: ``Fin(…)`` is built only by the two GTM1
-  drivers (``mdbs/simulator.py``, ``workloads/traces.py``), each in the
-  method that asks ``ack_completes``;
+- one class is GTM1's side of QUEUE: ``Fin(…)`` is built only in the
+  ``GTM1`` method that asks ``ack_completes``, and only ``GTM1`` enqueues
+  an operation other than a server's ``Ack(…)`` or purges a transaction
+  (``Engine.abort_transaction``, GTM2's own abort, purges too);
 - the runtime ships what a run calls: every definition under
   ``src/repro`` is referenced from another place under ``src/repro``, or
   is named in ``OUTSIDE_CALLERS`` with the code outside it that calls it
@@ -354,10 +355,7 @@ def test_fin_is_built_only_where_the_fin_rule_is_applied():
         name, tree = str(path.relative_to(SRC)), parse(path)
         builds += [(name, owner) for owner in owners(tree, builds_a_fin)]
         rules += [(name, owner) for owner in owners(tree, applies_the_fin_rule)]
-    assert builds == [
-        ("mdbs/simulator.py", "MDBSSimulator._on_gtm1_ack"),
-        ("workloads/traces.py", "SyncGTM1._on_ack"),
-    ]
+    assert builds == [("core/gtm.py", "GTM1._on_ack")]
     assert rules == builds
 
 
@@ -370,6 +368,49 @@ def test_the_fin_walk_sees_a_hand_written_rule():
     )
     assert owners(tree, builds_a_fin) == ["on_ack"]
     assert owners(tree, applies_the_fin_rule) == []
+
+
+def enqueues_for_gtm1(node):
+    """An ``enqueue`` of anything but an ``Ack(…)`` built in place: an
+    init, a ser request or a fin, which only GTM1 inserts."""
+    return called(node) == "enqueue" and not (
+        node.args and called(node.args[0]) == "Ack"
+    )
+
+
+def purges(node):
+    return called(node) == "purge_transaction"
+
+
+def test_only_gtm1_inserts_into_queue_and_purges():
+    inserts, purgers = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        name, tree = str(path.relative_to(SRC)), parse(path)
+        inserts.update((name, owner) for owner in owners(tree, enqueues_for_gtm1))
+        purgers.update((name, owner) for owner in owners(tree, purges))
+    assert inserts == {
+        ("core/gtm.py", "GTM1._on_ack"),
+        ("core/gtm.py", "GTM1.insert"),
+    }
+    assert purgers == {
+        ("core/engine.py", "Engine.abort_transaction"),
+        ("core/gtm.py", "GTM1.purge"),
+    }
+
+
+def test_the_queue_walk_sees_a_hand_written_driver():
+    tree = ast.parse(
+        "def start(incarnation, sites):\n"
+        "    engine.enqueue(events.Init(incarnation, sites=sites))\n"
+        "    engine.run()\n"
+        "def on_completion(operation):\n"
+        "    engine.enqueue(Ack(operation.transaction_id, site=operation.site))\n"
+        "def give_up(incarnation):\n"
+        "    engine.purge_transaction(incarnation)\n"
+        "    engine.run()\n"
+    )
+    assert owners(tree, enqueues_for_gtm1) == ["start"]
+    assert owners(tree, purges) == ["give_up"]
 
 
 #: ``src/repro`` definitions that no ``src/repro`` code references, each

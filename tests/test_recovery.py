@@ -24,7 +24,7 @@ def journaled_run(factory, records, crash_after=None):
     gtm1 = SyncGTM1()
     gtm1.engine = Engine(factory(), journal=journal, **gtm1.handlers)
     for record in records[:crash_after]:
-        gtm1.feed(record)
+        gtm1.insert(record)
     return journal, gtm1
 
 
@@ -104,7 +104,7 @@ class TestReplayEquivalence:
         recover(gtm1, factory(), journal)
         # feed the rest of the workload
         for record in WORKLOAD[4:]:
-            gtm1.feed(record)
+            gtm1.insert(record)
         gtm1.engine.assert_drained()
         assert gtm1.submitted == reference.submitted
 
@@ -112,7 +112,7 @@ class TestReplayEquivalence:
         journal, gtm1 = journaled_run(factory, WORKLOAD, crash_after=5)
         recover(gtm1, factory(), journal)
         for record in WORKLOAD[5:]:
-            gtm1.feed(record)
+            gtm1.insert(record)
         gtm1.engine.assert_drained()
         ser = SerSchedule(
             SerOperation(op.transaction_id, op.site) for op in gtm1.submitted
@@ -148,7 +148,7 @@ class TestScheme4RecoveryReplanning:
             Ser("G6", site="s2"),
         ]
         for record in tail:
-            gtm1.feed(record)
+            gtm1.insert(record)
         recovered.assert_drained()
         ser = SerSchedule(
             SerOperation(op.transaction_id, op.site) for op in gtm1.submitted

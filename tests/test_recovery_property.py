@@ -56,7 +56,7 @@ def run(factory, records, crash_at=None, journal=None):
     gtm1 = SyncGTM1()
     gtm1.engine = Engine(factory(), journal=journal, **gtm1.handlers)
     for record in records[:crash_at]:
-        gtm1.feed(record)
+        gtm1.insert(record)
     return gtm1
 
 
@@ -79,7 +79,7 @@ class TestRecoveryProperty:
         gtm1.engine = recover_engine(factory(), journal, **gtm1.handlers)
         gtm1.engine.run()
         for record in records[crash_at:]:
-            gtm1.feed(record)
+            gtm1.insert(record)
         gtm1.engine.assert_drained()
         assert gtm1.submitted == reference.submitted
 

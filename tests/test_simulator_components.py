@@ -50,7 +50,7 @@ class TestComposition:
         ):
             assert sim.faults is None and sim.commit is None and sim.router is None
             assert isinstance(sim.watchdog, Watchdog)
-            assert sim.engine.journal is None
+            assert sim.gtm1.engine.journal is None
             for tid in ("G1", "G2", "G3"):
                 sim.submit_global(transfer(tid))
             assert sim.run().committed_global == 3
@@ -63,7 +63,7 @@ class TestComposition:
         )
         assert isinstance(sim.faults, FaultScheduler)
         assert sim.commit is None and sim.router is None
-        assert sim.engine.journal is not None
+        assert sim.gtm1.engine.journal is not None
 
     def test_atomic_commit_without_an_injector_builds_only_the_driver(self):
         sim = MDBSSimulator(
